@@ -10,6 +10,9 @@ identity numerically; the `heisenkit` console script exposes kernels, suites
 and gate sweeps.
 """
 
+# set before the submodule imports: verify.py reads it while they run
+__version__ = "0.1.0"
+
 from .grids import (PolarGrid, RadialProfile, SpectralSlice, circle_rule,
                     polar_grid, radial_rule, s3_rule, sphere_area)
 from .hankel import (DecayFit, DegenerateFitError, HankelPlan,
@@ -35,8 +38,6 @@ from .twisted import (hecke_bochner_check, laguerre_projection,
                       partial_fourier_t, radial_slice, slice_value,
                       twisted_convolution, twisted_convolution_quad)
 from .verify import CheckRecord, SuiteReport, run_suite
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BigradedBasis", "CausticError", "CheckRecord", "ComplexTime", "DecayFit",

@@ -11,6 +11,8 @@ Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage error,
 import argparse
 import itertools
 import json
+import math
+import re
 import sys
 
 import numpy as np
@@ -29,10 +31,36 @@ _NUMERICAL_ERRORS = (QuadratureError, CausticError, DecayDomainError,
                      np.linalg.LinAlgError)
 
 
-def _floats(text):
-    if text is None:
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _finite(text):
+    """The one parser for CLI numbers: a finite float, else a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def _finite_list(text):
+    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+
+
+_SIGNED_VALUE = re.compile(r"-[\d.]")
+
+
+def _attach_signed_values(argv):
+    """Rewrite `--opt -1,2` as `--opt=-1,2`.  argparse reads a token that
+    starts with a minus sign and is not a plain number as a flag; no flag of
+    this CLI starts with a minus sign followed by a digit or a dot."""
+    out = []
+    for tok in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _SIGNED_VALUE.match(tok)):
+            out[-1] = f"{out[-1]}={tok}"
+        else:
+            out.append(tok)
+    return out
 
 
 def _fmt(x):
@@ -50,7 +78,7 @@ def _emit(lines, out):
 
 def _cmd_kernel(args):
     if args.group == "heisenberg":
-        axis = np.array(_floats(args.r) or [0.0])
+        axis = np.array(args.r or [0.0])
         if args.slice_lambda is not None:
             vals = np.asarray(heat_kernel_lambda(args.s, args.slice_lambda,
                                                  axis, args.n), dtype=complex)
@@ -58,16 +86,19 @@ def _cmd_kernel(args):
             vals = heat_kernel_grid(args.s, axis, np.full(axis.shape, args.t),
                                     args.n)
     elif args.group == "htype":
-        axis = np.array(_floats(args.v_norm))
+        axis = np.array(args.v_norm)
         if axis.size == 0:
             args.parser.error("--v-norm is required for --group htype")
         vals = np.asarray(htype_heat_batch(args.s, args.n, args.k, axis,
                                            np.full(axis.shape, args.t_norm)),
                           dtype=complex)
     else:
-        axis = np.array(_floats(args.x))
+        axis = np.array(args.x)
         if axis.size == 0:
             args.parser.error("--x is required for --group hermite")
+        if args.n != 1:
+            args.parser.error("--group hermite takes --n 1: --x holds one "
+                              "coordinate per row")
         vals = np.atleast_1d(mehler_kernel(MehlerParams(args.s, args.n),
                                            axis, args.y))
     lines = ["r,re,im"]
@@ -118,8 +149,8 @@ def _gate_row(which, row):
 
 def _cmd_gate(args):
     used = _GATE_COLUMNS[args.which]
-    axes = {"a": _floats(args.a), "b": _floats(args.b), "s0": _floats(args.s0),
-            "lam": _floats(args.lam), "eps": _floats(args.eps)}
+    axes = {"a": args.a, "b": args.b, "s0": args.s0, "lam": args.lam,
+            "eps": args.eps}
     lines = ["a,b,s0,lambda,eps,margin,decision"]
     for combo in itertools.product(*(axes[c] for c in used)):
         row = dict(zip(used, combo))
@@ -142,18 +173,20 @@ def _build_parser():
     pk.add_argument("--group", choices=("heisenberg", "htype", "hermite"),
                     required=True)
     pk.add_argument("--n", type=int, default=1, help="underlying dimension n")
-    pk.add_argument("--s", type=float, required=True, help="time parameter")
-    pk.add_argument("--slice-lambda", dest="slice_lambda", type=float,
+    pk.add_argument("--s", type=_finite, required=True, help="time parameter")
+    pk.add_argument("--slice-lambda", dest="slice_lambda", type=_finite,
                     default=None,
                     help="evaluate the lambda-slice instead of the t-kernel")
-    pk.add_argument("--r", default="0", help="comma-separated |z| values")
-    pk.add_argument("--t", type=float, default=0.0, help="center coordinate")
+    pk.add_argument("--r", type=_finite_list, default="0",
+                    help="comma-separated |z| values")
+    pk.add_argument("--t", type=_finite, default=0.0, help="center coordinate")
     pk.add_argument("--k", type=int, default=1, help="center dimension (htype)")
-    pk.add_argument("--v-norm", dest="v_norm", default="",
+    pk.add_argument("--v-norm", dest="v_norm", type=_finite_list, default="",
                     help="comma-separated |v| values (htype)")
-    pk.add_argument("--t-norm", dest="t_norm", type=float, default=0.0)
-    pk.add_argument("--x", default="", help="comma-separated x values (hermite)")
-    pk.add_argument("--y", type=float, default=0.0, help="y value (hermite)")
+    pk.add_argument("--t-norm", dest="t_norm", type=_finite, default=0.0)
+    pk.add_argument("--x", type=_finite_list, default="",
+                    help="comma-separated x values (hermite)")
+    pk.add_argument("--y", type=_finite, default=0.0, help="y value (hermite)")
     pk.add_argument("--out", default=None, help="write CSV here, else stdout")
     pk.set_defaults(fn=_cmd_kernel, parser=pk)
 
@@ -167,11 +200,14 @@ def _build_parser():
     pg.add_argument("--which",
                     choices=("hankel", "heisenberg", "htype", "hermite"),
                     required=True)
-    pg.add_argument("--a", default="", help="comma-separated decay rates")
-    pg.add_argument("--b", default="", help="comma-separated decay rates")
-    pg.add_argument("--s0", default="", help="comma-separated times")
-    pg.add_argument("--lambda", dest="lam", default="0")
-    pg.add_argument("--eps", default="0")
+    pg.add_argument("--a", type=_finite_list, default="",
+                    help="comma-separated decay rates")
+    pg.add_argument("--b", type=_finite_list, default="",
+                    help="comma-separated decay rates")
+    pg.add_argument("--s0", type=_finite_list, default="",
+                    help="comma-separated times")
+    pg.add_argument("--lambda", dest="lam", type=_finite_list, default="0")
+    pg.add_argument("--eps", type=_finite_list, default="0")
     pg.add_argument("--out", default=None)
     pg.set_defaults(fn=_cmd_gate, parser=pg)
     return parser
@@ -180,7 +216,8 @@ def _build_parser():
 def run(argv=None):
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(
+            sys.argv[1:] if argv is None else argv))
         return args.fn(args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -111,6 +111,10 @@ def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
     """
     if s <= 0:
         raise ValueError("diffusion time must be positive")
+    if int(n) != n or n < 1:
+        raise ValueError("dimension n must be a positive integer")
+    if k not in (1, 2, 3):
+        raise ValueError("center dimension k must be 1, 2 or 3")
     vnorm, tnorm = np.broadcast_arrays(np.asarray(vnorm, dtype=float),
                                        np.asarray(tnorm, dtype=float))
     shape = vnorm.shape

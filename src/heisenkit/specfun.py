@@ -21,26 +21,41 @@ def _maybe_scalar(out, scalar):
     return out[()] if scalar else out
 
 
-def laguerre(k, alpha, t):
-    """Generalized Laguerre polynomial L_k^alpha(t) by upward three-term
-    recurrence from L_0 and L_1.
+def _laguerre_degrees(k, alpha, t):
+    """Yield L_0^alpha(t), ..., L_k^alpha(t): one pass of the upward
+    three-term recurrence from L_0 and L_1.
 
-    The defining alternating sum cancels catastrophically once k t is large,
-    so the recurrence is used for every degree.
+    alpha and t broadcast against each other.  The defining alternating sum
+    cancels catastrophically once k t is large, so the recurrence is used for
+    every degree.
     """
     if int(k) != k or k < 0:
         raise ValueError("Laguerre degree k must be a nonnegative integer")
-    if alpha <= -1.0:
+    if np.any(np.asarray(alpha) <= -1.0):
         raise ValueError("Laguerre order alpha must exceed -1")
-    k = int(k)
-    t, scalar = _as_array(t)
+    prev = np.ones(np.broadcast(alpha, t).shape)
+    yield prev
     if k == 0:
-        return _maybe_scalar(np.ones_like(t), scalar)
-    prev = np.ones_like(t)
+        return
     cur = 1.0 + alpha - t
-    for m in range(1, k):
+    yield cur
+    for m in range(1, int(k)):
         prev, cur = cur, ((2 * m + 1 + alpha - t) * cur - (m + alpha) * prev) / (m + 1.0)
+        yield cur
+
+
+def laguerre(k, alpha, t):
+    """Generalized Laguerre polynomial L_k^alpha(t)."""
+    t, scalar = _as_array(t)
+    for cur in _laguerre_degrees(k, alpha, t):
+        pass
     return _maybe_scalar(cur, scalar)
+
+
+def laguerre_table(kmax, alpha, t):
+    """Every degree at once: out[k] = L_k^alpha(t) for k = 0..kmax, with
+    alpha and t broadcast against each other."""
+    return np.stack(list(_laguerre_degrees(kmax, alpha, np.asarray(t, dtype=float))))
 
 
 def laguerre_fn(k, lam, n, r):

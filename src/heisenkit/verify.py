@@ -9,10 +9,10 @@ construction.  Suites are deterministic for a fixed seed.
 import math
 import time
 from dataclasses import dataclass
-from importlib import metadata
 
 import numpy as np
 
+from . import __version__
 from .grids import polar_grid, radial_rule, RadialProfile
 from .hankel import fit_gaussian_decay, hankel_plan, hankel_transform, hardy_gate
 from .heisenberg import (HeisenbergPoint, heat_kernel, heat_kernel_grid,
@@ -26,11 +26,6 @@ from .propagator import (ExceptionalLambdaError, GateParams, equality_case_profi
 from .quadrature import gauss_panels
 from .specfun import hille_hardy
 from .twisted import hecke_bochner_check, radial_slice, twisted_convolution
-
-try:
-    _VERSION = metadata.version("artifact")
-except metadata.PackageNotFoundError:
-    _VERSION = "0.0.0"
 
 
 @dataclass(frozen=True)
@@ -57,7 +52,7 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {"suite": self.suite, "version": _VERSION, "schema": 1,
+        return {"suite": self.suite, "version": __version__, "schema": 1,
                 "checks": [c.to_dict() for c in self.checks],
                 "pass": self.passed}
 

@@ -127,3 +127,42 @@ def test_exit_codes_for_failure_classes(capsys):
     # argparse usage error
     assert cli.run(["kernel", "--group", "nosuch", "--s", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gate", "--which", "heisenberg", "--a", "nan", "--b", "1", "--s0", "1"],
+    ["gate", "--which", "hermite", "--a", "1", "--b", "inf", "--s0", "1"],
+    ["kernel", "--group", "heisenberg", "--s", "nan", "--r=0.5,1"],
+    ["kernel", "--group", "heisenberg", "--s", "inf", "--r=0.5,1"],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0.5,-inf"],
+], ids=["gate-nan", "gate-inf", "kernel-nan", "kernel-inf", "list-inf"])
+def test_non_finite_numbers_are_usage_errors(argv, capsys):
+    assert cli.run(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_list_value_with_a_leading_minus_is_a_value(capsys):
+    code = cli.run(["kernel", "--group", "hermite", "--s", "0.35",
+                    "--x", "-1.5,0.3", "--y", "-0.2"])
+    assert code == 0
+    _, rows = _rows(capsys.readouterr().out)
+    want = mehler_kernel(MehlerParams(0.35, 1), np.array([-1.5, 0.3]), -0.2)
+    assert [float(row[0]) for row in rows] == [-1.5, 0.3]
+    for row, w in zip(rows, want):
+        assert complex(float(row[1]), float(row[2])) == pytest.approx(w)
+
+
+def test_hermite_kernel_needs_n_one(capsys):
+    assert cli.run(["kernel", "--group", "hermite", "--n", "2", "--s", "0.35",
+                    "--x=0.1,0.2,0.3"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_htype_dimensions_are_checked_on_the_batch_path(capsys):
+    assert cli.run(["kernel", "--group", "htype", "--k", "4", "--s", "1",
+                    "--v-norm", "0.5,1.0"]) == 2
+    assert cli.run(["kernel", "--group", "htype", "--n", "0", "--s", "1",
+                    "--v-norm", "0.5,1.0"]) == 2
+    assert capsys.readouterr().out == ""
+    with pytest.raises(ValueError, match="center dimension k must be 1, 2 or 3"):
+        htype_heat_batch(1.0, 1, 4, np.array([0.5]), np.array([0.0]))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenkit.grids import polar_grid
+from heisenkit.grids import SpectralSlice, polar_grid
 from heisenkit.heisenberg import ComplexTime, heat_kernel_lambda
 from heisenkit.propagator import (
     DecayDomainError,
@@ -20,7 +20,7 @@ from heisenkit.propagator import (
     uniqueness_gate,
 )
 from heisenkit.quadrature import gauss_panels
-from heisenkit.twisted import radial_slice
+from heisenkit.twisted import radial_slice, twisted_convolution
 
 
 def test_evolution_is_the_complex_time_semigroup():
@@ -30,11 +30,43 @@ def test_evolution_is_the_complex_time_semigroup():
     f = radial_slice(grid, lam, heat_kernel_lambda(ComplexTime(a), lam, grid.r))
     u = schrodinger_evolve(f, ComplexTime(eps, s0))
     want = heat_kernel_lambda(ComplexTime(a + eps, s0), lam, grid.r)
-    mask = grid.r <= 3.0
-    err = np.max(np.abs(u.values[mask] - want[mask, None]))
-    assert err < 1e-4 * np.max(np.abs(want))
+    err = np.max(np.abs(u.values - want[:, None]))
+    assert err < 1e-8 * np.max(np.abs(want))
     with pytest.raises(ValueError):
         schrodinger_evolve(f, ComplexTime(0.0, s0))
+    with pytest.raises(ValueError):
+        schrodinger_evolve(radial_slice(grid, 0.0, f.values[:, 0]), ComplexTime(eps, s0))
+    with pytest.raises(ValueError, match="overflows"):
+        schrodinger_evolve(radial_slice(grid, 1e4, np.exp(-grid.r ** 2)),
+                           ComplexTime(eps, s0))
+    grid2 = polar_grid(2, nr=16, r_max=6.0, nsphere=8)
+    with pytest.raises(NotImplementedError):
+        schrodinger_evolve(radial_slice(grid2, lam, np.exp(-grid2.r ** 2)),
+                           ComplexTime(eps, s0))
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0, 2.0])
+def test_spectral_evolution_matches_the_grid_oracle(lam):
+    """A non-radial slice: every angular sector, both signs of lam."""
+    grid = polar_grid(1, nr=128, r_max=8.0, nsphere=64)
+    z = grid.points()[:, :, 0]
+    rr = np.abs(z) ** 2
+    f = SpectralSlice(lam, grid, z * np.exp(-rr) + 0.3 * np.conj(z) ** 2
+                      * np.exp(-0.8 * rr) + np.exp(-rr))
+    zeta = ComplexTime(0.3, 0.5)
+    u = schrodinger_evolve(f, zeta)
+    q = radial_slice(grid, lam, heat_kernel_lambda(zeta, lam, grid.r))
+    want = twisted_convolution(f, q).values
+    mask = grid.r <= 3.0
+    err = np.max(np.abs(u.values[mask] - want[mask])) / np.max(np.abs(want[mask]))
+    assert err < 1e-4
+
+
+def test_truncation_warning_fires_for_a_slice_alive_at_r_max():
+    grid = polar_grid(1, nr=64, r_max=6.0, nsphere=16)
+    slow = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
+    with pytest.warns(RuntimeWarning, match="not decayed at r_max"):
+        schrodinger_evolve(slow, ComplexTime(0.1, 0.5))
 
 
 def test_gaussian_pair_ratio_is_constant():

@@ -8,7 +8,7 @@ from scipy.special import eval_genlaguerre, gamma, jv
 
 from heisenkit.specfun import (bessel_j, bessel_j_tilde, hille_hardy,
                                jtilde_of_square, laguerre, laguerre_fn,
-                               laguerre_series_sum)
+                               laguerre_series_sum, laguerre_table)
 
 
 def test_laguerre_frozen_values():
@@ -36,6 +36,18 @@ def test_laguerre_order_shift_identity(k, alpha, t):
     rhs = laguerre(k, alpha + 1.0, t) - laguerre(k - 1, alpha + 1.0, t)
     scale = max(abs(laguerre(k, alpha + 1.0, t)), abs(lhs), 1.0)
     assert abs(lhs - rhs) / scale < 1e-11
+
+
+def test_laguerre_table_is_every_degree_of_one_recurrence():
+    t = np.linspace(0.0, 40.0, 33)
+    alpha = np.arange(0, 33)[:, None]
+    table = laguerre_table(60, alpha, t)
+    assert table.shape == (61, 33, 33)
+    for k in (0, 1, 2, 17, 60):
+        for a in (0, 5, 32):
+            assert np.array_equal(table[k, a], laguerre(k, float(a), t))
+    with pytest.raises(ValueError):
+        laguerre_table(3, np.array([0.0, -1.0]), t)
 
 
 def test_laguerre_fn_shape_and_evenness():

@@ -3,6 +3,7 @@ module, so only the fast ones are driven here."""
 
 import pytest
 
+import heisenkit
 from heisenkit.verify import SUITE_NAMES, CheckRecord, SuiteReport, run_suite
 
 
@@ -23,7 +24,7 @@ def test_record_and_report_shapes():
     rd = report.to_dict()
     assert rd["suite"] == "demo-suite" and rd["schema"] == 1
     assert rd["pass"] and rd["checks"] == [d]
-    assert isinstance(rd["version"], str) and rd["version"]
+    assert rd["version"] == heisenkit.__version__
     bad = CheckRecord("demo", {}, 1.0, 1e-6, False, 0.1)
     assert not SuiteReport("demo-suite", (rec, bad)).passed
 
