@@ -156,11 +156,16 @@ def heat_kernel(zeta, p):
     return complex(val)
 
 
+# nodes x points of one block of the frequency sum: ~32 MB per complex temporary
+_GRID_BLOCK = 1 << 21
+
+
 def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     """Vectorized inversion on broadcastable (r, t) arrays.
 
-    One composite panel rule in lam is shared by all nodes and refined once;
-    disagreement beyond rtol raises.
+    One composite panel rule in lam is shared by all nodes and refined
+    (panels -> 2 panels + 7) until two successive rules agree to rtol, at
+    most four times; a rule that is still moving after that raises.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
@@ -172,23 +177,34 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     lam_max = _frequency_cutoff(zv, n)
     t_span = float(np.max(np.abs(tf))) if tf.size else 0.0
     panels = int(np.ceil(lam_max * max(t_span, 1.0) / np.pi)) + 16
+    r_unique, inv = np.unique(rf, return_inverse=True)
 
     def run(k):
         nodes, wts = gauss_panels(-lam_max, lam_max, k, 12)
         out = np.empty(rf.shape, dtype=complex)
-        r_unique, inv = np.unique(rf, return_inverse=True)
         prof = _profile_on_nodes(nodes, r_unique, zv, n)
-        block = 2048
-        for lo in range(0, rf.size, block):
-            hi = min(lo + block, rf.size)
+        # a block of width >= 2 sums each column row by row, whatever its
+        # width, so the blocking leaves every bit of the result alone; a
+        # one-column block would be summed pairwise, so none is left over
+        block = max(2, _GRID_BLOCK // nodes.size)
+        stops = list(range(block, rf.size, block)) + [rf.size]
+        if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+            del stops[-2]
+        lo = 0
+        for hi in stops:
             phase = np.exp(-1j * np.outer(nodes, tf[lo:hi]))
             out[lo:hi] = (wts[:, None] * phase * prof[:, inv[lo:hi]]).sum(axis=0)
+            lo = hi
         return out / (2.0 * np.pi)
 
-    coarse = run(panels)
-    fine = run(2 * panels + 7)
-    scale = float(np.max(np.abs(fine)))
-    if scale > 0 and float(np.max(np.abs(fine - coarse))) > rtol * scale:
+    fine = run(panels)
+    for _ in range(4):
+        panels = 2 * panels + 7
+        coarse, fine = fine, run(panels)
+        scale = float(np.max(np.abs(fine)))
+        if not (scale > 0 and float(np.max(np.abs(fine - coarse))) > rtol * scale):
+            break
+    else:
         raise QuadratureError("frequency quadrature failed to converge on the grid")
     if zeta.s == 0:
         fine = fine.real.astype(complex)

@@ -9,13 +9,26 @@ for band-limited angular dependence), and f(z-w) is then gathered bilinearly
 from the raster.  The quadrature route below it is an entirely independent
 nested adaptive integral used as the oracle in tests.
 
+The ring sum runs over rotation orbits of targets.  With na uniform angles
+theta_a on the circle, a target z = e^{i theta_a} z0 and a node
+w = s e^{i theta_{a+d}} give z - w = e^{i theta_a} (z0 - s e^{i theta_d}).
+So |z - w|, the bilinear weights, the zero-extension mask and the twist
+phase (Im(z conj(w)) = Im(z0 conj(s e^{i theta_d}))) depend on (z0, s, d)
+only and are computed once per orbit, not once per target.  The raster has
+step * na angles, so rotating by theta_a moves the raster lookup by exactly
+step * a columns: each bilinear corner of the whole orbit is one contiguous
+block of the raster, stored plane by plane (see `_Raster`), and g is read on
+its angles rolled by d.  `twisted_convolution` sums the orbits of the grid
+radii; `hecke_bochner_check` sums orbits of length one at its own targets.
+
 Neither route is an engine.  Evolution by the heat kernel, the only twisted
 convolution the package needs at scale, runs through the Laguerre multiplier
 in `propagator.schrodinger_evolve`.  The grid route stays as the oracle that
 checks it: the twisted-semigroup check (q_a *_lam q_b = q_{a+b}) runs on the
 grid because that is the one test of the twist phase that shares no code
-with the Laguerre expansion, and `hecke_bochner_check` runs the same ring
-sum at its target points only.
+with the Laguerre expansion.  The orbit reduction keeps it so: it only
+regroups the same raster, bilinear rule and quadrature weights, and uses no
+Laguerre function or angular-mode expansion of f or g.
 """
 
 import math
@@ -23,8 +36,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
-from scipy.signal import resample
 from scipy.special import gammaln
 
 from .grids import PolarGrid, RadialProfile, SpectralSlice, circle_rule
@@ -62,8 +75,15 @@ def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
 
 @dataclass(frozen=True)
 class _Raster:
-    """Fine uniform resampling of a slice, for fast off-grid gathers."""
-    values: np.ndarray          # (nr_fine, na_fine)
+    """Fine uniform resampling of a slice, for fast off-grid gathers.
+
+    The raster has step * na angular columns, na the angle count of the
+    slice's grid.  Column c is stored at planes[:, c % step, c // step], and
+    each plane holds its na columns twice over, so that the columns
+    c, c + step, ..., c + step * (na - 1) of a rotation orbit are one
+    contiguous run.
+    """
+    planes: np.ndarray          # (nr_fine, step, 2 * na)
     dr: float
     r_max: float
     boundary: float             # max |f| on the outermost stored ring
@@ -75,36 +95,59 @@ class _Raster:
         """
         rho = np.abs(pts)
         outside = rho > self.r_max
-        nr, na = self.values.shape
+        nr, step, na2 = self.planes.shape
+        naf = step * na2 // 2
         fi = np.clip(rho / self.dr, 0.0, nr - 1.000001)
         i0 = fi.astype(int)
         tr = fi - i0
-        fa = (np.angle(pts) % (2.0 * np.pi)) * (na / (2.0 * np.pi))
-        j0 = fa.astype(int) % na
+        fa = (np.angle(pts) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
+        j0 = fa.astype(int) % naf
         ta = fa - np.floor(fa)
-        j1 = (j0 + 1) % na
-        v = ((1 - tr) * ((1 - ta) * self.values[i0, j0] + ta * self.values[i0, j1])
-             + tr * ((1 - ta) * self.values[i0 + 1, j0] + ta * self.values[i0 + 1, j1]))
+        j1 = (j0 + 1) % naf
+
+        def at(i, j):
+            return self.planes[i, j % step, j // step]
+
+        v = ((1 - tr) * ((1 - ta) * at(i0, j0) + ta * at(i0, j1))
+             + tr * ((1 - ta) * at(i0 + 1, j0) + ta * at(i0 + 1, j1)))
         if np.any(outside):
             v = np.where(outside, 0.0, v)
         return v, outside
 
 
 def _rasterize(sl, nr_fine=1024, na_fine=256):
+    """Raster of nr_fine radii by the smallest multiple of the grid's angle
+    count that is at least na_fine."""
     if sl.grid.n != 1:
         raise NotImplementedError("off-grid slice evaluation exists for n = 1 only")
     na = sl.grid.omega.shape[0]
-    fine_a = resample(sl.values, max(na_fine, na), axis=1)
+    step = max(1, math.ceil(na_fine / na))
     # the polynomial extrapolation distance to r = 0 is below the first
     # Gauss node, ~1e-4 of r_max, so a linear step in r^2 is plenty
     r = sl.grid.r
     mean0 = np.mean(sl.values[0]) - (np.mean(sl.values[1]) - np.mean(sl.values[0])) \
         * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
     r_aug = np.concatenate([[0.0], r])
-    vals_aug = np.vstack([np.full(fine_a.shape[1], mean0), fine_a])
+    vals_aug = np.vstack([np.full(na, mean0), sl.values])
     rf = np.linspace(0.0, sl.grid.r_max, nr_fine)
-    fine = CubicSpline(r_aug, vals_aug, axis=0)(rf)
-    return _Raster(fine, rf[1] - rf[0], float(sl.grid.r_max),
+    # The spline in r and the trigonometric interpolation in angle act on
+    # different axes, so the spline runs on the grid's own na angles.  Plane
+    # p then holds the angles 2 pi k / na + delta, delta = 2 pi p / (step na):
+    # an na-point inverse DFT of the spectrum times e^{i m delta}, m the
+    # signed frequency.  An even na's unpaired Nyquist bin stands for
+    # cos(m theta), as in the zero-padded resampling, so it takes cos(m delta).
+    spec = np.fft.fft(CubicSpline(r_aug, vals_aug, axis=0)(rf), axis=1) / na
+    m = np.fft.fftfreq(na, 1.0 / na)
+    delta = 2.0 * np.pi * np.arange(step) / (step * na)
+    shift = np.exp(1j * np.outer(delta, m))
+    if na % 2 == 0:
+        shift[:, na // 2] = np.cos(delta * (na // 2))
+    planes = np.empty((nr_fine, step, 2 * na), dtype=complex)
+    head = planes[:, :, :na]
+    np.multiply(spec[:, None, :], shift, out=head)
+    np.fft.ifft(head, axis=2, norm="forward", out=head)
+    planes[:, :, na:] = head
+    return _Raster(planes, rf[1] - rf[0], float(sl.grid.r_max),
                    float(np.max(np.abs(sl.values[-1]))))
 
 
@@ -115,28 +158,68 @@ def slice_value(sl, z, raster=None):
     return vals[0] if pts.ndim == 0 else vals
 
 
-def _ring_sum(raster, g, z):
-    """(f *_lam g)(z) at complex targets z of any shape: a sum over the
-    nodes w of g's grid, with f(z - w) gathered from the raster of f."""
-    W = g.grid.points()[:, :, 0]
-    mu = g.grid.measure()
+# elements of one gathered block of the ring sum; 2**15 keeps a block's four
+# bilinear corners (2 MB) in cache
+_BLOCK = 1 << 15
+
+
+def _ring_sum(raster, g, r, theta0, orbit):
+    """(f *_lam g) on rotation orbits: out[t, a] is the value at
+    r[t] e^{i(theta0[t] + 2 pi a / orbit)} for a < orbit, summed over the
+    nodes w of g's grid with f(z - w) gathered from the raster of f.
+
+    g must live on the angles of the grid the raster was built from, and
+    `orbit` must divide their count.  See the module docstring for the orbit
+    reduction.
+    """
+    nr, step, na2 = raster.planes.shape
+    na = na2 // 2
+    naf = step * na
+    hop = na // orbit
+    # window[i, p, k, a] = raster column step * (k + hop * a) + p of row i
+    window = sliding_window_view(raster.planes, hop * (orbit - 1) + 1, axis=2)[..., ::hop]
+    s = g.grid.r
+    e = g.grid.omega[:, 0]
+    gw = g.values * g.grid.measure()
+    roll = (np.arange(na)[:, None] + hop * np.arange(orbit)) % na   # (d, a) -> d + hop a
+    z0 = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta0, dtype=float))
     lam = g.lam
-    out = np.zeros(z.shape, dtype=complex)
-    lead = tuple(range(z.ndim))
+    out = np.zeros((z0.size, orbit), dtype=complex)
     cut_mass = 0.0
     total_mass = 0.0
-    # ring-by-ring accumulation: for each radius of the w variable, gather
-    # f(z - w) for all (z, w-angle) pairs at once
-    for j in range(g.grid.r.size):
-        wj = W[j]                                      # (na,)
-        gw = g.values[j] * mu[j]                       # (na,)
-        diff = z[..., None] - wj
-        vals, outside = raster.gather(diff)
-        phase = np.exp(0.5j * lam * (z[..., None] * np.conj(wj)).imag)
-        out += np.einsum("...w,w->...", vals * phase, gw)
-        absg = np.abs(gw)
-        cut_mass += raster.boundary * float(outside.sum(axis=lead) @ absg) / z.size
-        total_mass += float(np.abs(vals).sum(axis=lead) @ absg) / z.size
+    jb = max(1, _BLOCK // (z0.size * na * orbit))
+    tb = max(1, _BLOCK // (jb * na * orbit))
+    for lo in range(0, s.size, jb):
+        # geometry of each orbit's first target against w = s_j e^{i theta_d}
+        w = s[lo:lo + jb, None] * e                                 # (J, D)
+        diff = z0[:, None, None] - w                                # (T, J, D)
+        rho = np.abs(diff)
+        outside = rho > raster.r_max
+        fi = np.clip(rho / raster.dr, 0.0, nr - 1.000001)
+        i0 = fi.astype(int)
+        tr = fi - i0
+        fa = (np.angle(diff) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
+        j0 = fa.astype(int) % naf
+        ta = fa - np.floor(fa)
+        phase = np.exp(0.5j * lam * (z0[:, None, None] * np.conj(w)).imag)
+        phase[outside] = 0.0
+        coef = np.stack([(1 - tr) * (1 - ta), (1 - tr) * ta, tr * (1 - ta), tr * ta],
+                        axis=-1)[..., None, :] * phase[..., None, None]
+        rows = np.stack([i0, i0, i0 + 1, i0 + 1], axis=-1)
+        cols = np.stack([j0, j0 + 1, j0, j0 + 1], axis=-1)
+        plane, k = cols % step, cols // step
+        g_orbit = gw[lo:lo + jb, roll]                              # (J, D, orbit)
+        absg_orbit = np.abs(g_orbit)
+        for t in range(0, z0.size, tb):
+            u = slice(t, t + tb)
+            # f(z - w) on the whole orbit: the four corners move together
+            block = window[rows[u], plane[u], k[u]]                 # (T, J, D, 4, orbit)
+            vals = (coef[u] @ block)[..., 0, :]                     # (T, J, D, orbit)
+            out[u] += np.einsum("tjda,jda->ta", vals, g_orbit)
+            total_mass += float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit))
+        cut_mass += raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))
+    cut_mass /= out.size
+    total_mass /= out.size
     if total_mass > 0 and cut_mass > 1e-8 * total_mass:
         warnings.warn("mass beyond r_max was dropped by zero extension "
                       f"(~{cut_mass / total_mass:.1e} of the integrand)",
@@ -152,8 +235,9 @@ def twisted_convolution(f, g):
         raise ValueError("slices live on different grids")
     if f.grid.n != 1:
         raise NotImplementedError("grid twisted convolution is implemented for n = 1 only")
-    nodes = f.grid.points()[:, :, 0]
-    return SpectralSlice(f.lam, f.grid, _ring_sum(_rasterize(f), g, nodes))
+    na = f.grid.omega.shape[0]
+    values = _ring_sum(_rasterize(f), g, f.grid.r, np.zeros(f.grid.r.size), na)
+    return SpectralSlice(f.lam, f.grid, values)
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):
@@ -222,8 +306,10 @@ def hecke_bochner_check(g, p, q, j, k, lam, n, z):
     phi = radial_slice(grid, lam, laguerre_fn(k, lam, n, grid.r))
     zz = np.asarray(z, dtype=complex)
     # a few targets can afford a finer raster than a whole output grid
-    lhs = _ring_sum(_rasterize(f_slice, 2048, 1024), phi, np.atleast_1d(zz))
-    lhs = lhs[0] if zz.ndim == 0 else lhs
+    targets = np.atleast_1d(zz)
+    lhs = _ring_sum(_rasterize(f_slice, 2048, 1024), phi,
+                    np.abs(targets), np.angle(targets), 1)[:, 0]
+    lhs = lhs[0] if zz.ndim == 0 else lhs.reshape(zz.shape)
 
     p_eff, q_eff = (p, q) if lam > 0 else (q, p)
     if k < p_eff:

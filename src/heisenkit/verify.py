@@ -4,10 +4,17 @@ Every headline identity in the package is re-run here end to end, with the
 measured error recorded against a pinned tolerance.  The CLI `verify`
 subcommand and the acceptance tests both call `run_suite`, so they agree by
 construction.  Suites are deterministic for a fixed seed.
+
+Each record also lists the warnings its check raised.  `run_suite` catches
+every warning while a suite runs, each record takes the ones raised since
+the previous record, and all of them are warned again once the suite is
+done, so stderr and any outer warning filter or recorder still see them.
 """
 
+import contextvars
 import math
 import time
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,10 +43,12 @@ class CheckRecord:
     tol: float
     passed: bool
     ms: float
+    warnings: tuple = ()        # messages of the warnings the check raised
 
     def to_dict(self):
         return {"id": self.id, "params": self.params, "error": self.error,
-                "tol": self.tol, "pass": self.passed, "ms": self.ms}
+                "tol": self.tol, "pass": self.passed, "ms": self.ms,
+                "warnings": list(self.warnings)}
 
 
 @dataclass(frozen=True)
@@ -52,15 +61,24 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
     def to_dict(self):
-        return {"suite": self.suite, "version": __version__, "schema": 1,
+        return {"suite": self.suite, "version": __version__, "schema": 2,
                 "checks": [c.to_dict() for c in self.checks],
                 "pass": self.passed}
+
+
+# while run_suite runs a suite: (warnings caught and not yet on a record,
+# warnings already moved onto one)
+_CAUGHT = contextvars.ContextVar("verify_caught")
 
 
 def _check(cid, params, error, tol, t0):
     err = float(error)
     ms = (time.perf_counter() - t0) * 1000.0
-    return CheckRecord(cid, params, err, float(tol), bool(err <= tol), ms)
+    pending, moved = _CAUGHT.get(([], []))
+    fired = tuple(dict.fromkeys(str(w.message) for w in pending))
+    moved.extend(pending)
+    pending.clear()
+    return CheckRecord(cid, params, err, float(tol), bool(err <= tol), ms, fired)
 
 
 def _suite_hankel(rng):
@@ -400,12 +418,29 @@ _SUITES = {
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
+def _run(fn, seed):
+    """One suite, with the warnings of each check on its record."""
+    moved = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            token = _CAUGHT.set((caught, moved))
+            try:
+                return fn(np.random.default_rng(seed))
+            finally:
+                _CAUGHT.reset(token)
+    finally:
+        for w in moved + caught:
+            warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
+                                   source=w.source)
+
+
 def run_suite(name, seed=0):
     if name == "all":
         checks = []
         for fn in _SUITES.values():
-            checks.extend(fn(np.random.default_rng(seed)))
+            checks.extend(_run(fn, seed))
         return SuiteReport("all", tuple(checks))
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SuiteReport(name, tuple(_SUITES[name](np.random.default_rng(seed))))
+    return SuiteReport(name, tuple(_run(_SUITES[name], seed)))

@@ -58,7 +58,7 @@ def test_criterion_03_hille_hardy_series(records):
 def test_criterion_04_twisted_semigroup(records):
     c = records["twisted-semigroup"]
     assert c.tol == 1e-3
-    assert c.ms < 30000.0
+    assert c.ms < 2000.0
     _report(4, "twisted semigroup q_1/2 * q_1/2 = q_1", [c])
 
 

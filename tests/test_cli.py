@@ -72,8 +72,8 @@ def test_verify_subcommand_text_and_json(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "suite hermite: PASS" in out
     doc = json.loads(report.read_text())
-    assert doc["suite"] == "hermite" and doc["schema"] == 1 and doc["pass"]
-    assert {"id", "params", "error", "tol", "pass", "ms"} <= set(doc["checks"][0])
+    assert doc["suite"] == "hermite" and doc["schema"] == 2 and doc["pass"]
+    assert {"id", "params", "error", "tol", "pass", "ms", "warnings"} <= set(doc["checks"][0])
 
 
 def test_verify_failure_exits_one(capsys, monkeypatch):

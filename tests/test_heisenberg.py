@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from heisenkit import heisenberg
 from heisenkit.heisenberg import (
     ComplexTime,
     HeisenbergPoint,
@@ -81,6 +82,27 @@ def test_grid_matches_pointwise_kernel():
     for i in range(3):
         want = heat_kernel(0.8, HeisenbergPoint((r[i],), t[i]))
         assert abs(grid[i] - want) < 1e-10 * abs(want)
+
+
+def test_grid_refines_until_two_rules_agree():
+    # at Re zeta = 0.3 the first two panel rules disagree by ~7e-7; the
+    # refinement must go on to a converged rule instead of raising
+    zeta = 0.3 + 1.0j
+    r = np.array([0.0, 0.7, 1.5, 3.0])
+    t = np.array([-2.5, 0.0, 1.2, 3.0])
+    grid = heat_kernel_grid(zeta, r[:, None], t[None, :])
+    for i in range(r.size):
+        for j in range(t.size):
+            want = heat_kernel(zeta, HeisenbergPoint((r[i],), t[j]))
+            assert abs(grid[i, j] - want) < 1e-8 * abs(want)
+
+
+def test_grid_blocking_leaves_every_bit(monkeypatch):
+    # the smallest budget cuts 65 points into blocks of two with one left over
+    r = np.linspace(0.0, 3.0, 65)
+    whole = heat_kernel_grid(1.0 + 0.5j, r, 0.5)
+    monkeypatch.setattr(heisenberg, "_GRID_BLOCK", 1)
+    assert np.array_equal(heat_kernel_grid(1.0 + 0.5j, r, 0.5), whole)
 
 
 def test_kernel_n2_grid_vs_adaptive():

@@ -9,9 +9,13 @@ import math
 import numpy as np
 import pytest
 
+from scipy.signal import resample
+
 from heisenkit.grids import RadialProfile, SpectralSlice, polar_grid, radial_rule
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
+    _rasterize,
+    _ring_sum,
     hecke_bochner_check,
     laguerre_projection,
     partial_fourier_t,
@@ -66,6 +70,73 @@ def test_nonradial_engine_against_quad_oracle(grid):
                                     lambda w: np.exp(-v * np.abs(w) ** 2),
                                     lam, z0)
     assert abs(got - want) < 1e-3 * abs(want)
+
+
+def _angular_pair(grid, lam):
+    def f(w):
+        return np.exp(-np.abs(w) ** 2)
+
+    def g(w):
+        return (1.0 + 0.5 * np.conj(w) ** 2) * w * np.exp(-0.5 * np.abs(w) ** 2)
+
+    Z = grid.points()[:, :, 0]
+    return f, g, SpectralSlice(lam, grid, f(Z)), SpectralSlice(lam, grid, g(Z))
+
+
+def test_angle_dependent_g_against_quad_oracle(grid):
+    # g carries angular modes 1 and -1, so every output node reads g on the
+    # w-angles shifted by its own angle: the (a + d) mod na roll of the orbit
+    lam = 1.0
+    f, g, fs, gs = _angular_pair(grid, lam)
+    conv = twisted_convolution(fs, gs)
+    raster = _rasterize(fs)
+    for z0 in (0.8 + 0.3j, -1.1 + 0.6j):
+        want = twisted_convolution_quad(f, g, lam, z0)
+        # through the output grid (bilinear on its raster), measured 6.6e-5
+        assert abs(slice_value(conv, z0) - want) < 3e-4 * abs(want)
+        # at the point itself, measured 2.4e-6
+        got = _ring_sum(raster, gs, [abs(z0)], [np.angle(z0)], 1)[0, 0]
+        assert abs(got - want) < 2e-5 * abs(want)
+
+
+def test_orbit_and_point_evaluations_agree_at_grid_nodes(grid):
+    # twisted_convolution sums whole orbits; hecke_bochner_check sums at
+    # single targets; at the grid nodes both are the same ring sum
+    _, _, fs, gs = _angular_pair(grid, 1.0)
+    conv = twisted_convolution(fs, gs)
+    nodes = [(5, 0), (40, 7), (70, 33), (90, 47)]
+    z = np.array([grid.points()[i, a, 0] for i, a in nodes])
+    got = _ring_sum(_rasterize(fs), gs, np.abs(z), np.angle(z), 1)[:, 0]
+    want = np.array([conv.values[i, a] for i, a in nodes])
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(conv.values))
+
+
+@pytest.mark.parametrize("nsphere,na_fine,columns", [(48, 256, 288), (64, 256, 256),
+                                                     (45, 100, 135), (64, 32, 64)])
+def test_raster_angle_count_and_resampling(nsphere, na_fine, columns):
+    # the raster takes the smallest multiple of the grid's angle count that
+    # is at least na_fine, and its columns are the zero-padded trigonometric
+    # resampling of the grid's angles (random values: the Nyquist bin is live)
+    grid = polar_grid(1, nr=24, r_max=6.0, nsphere=nsphere)
+    rng = np.random.default_rng(5)
+    shape = (grid.r.size, nsphere)
+    sl = SpectralSlice(1.0, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    planes = _rasterize(sl, 40, na_fine).planes
+    nr, step, width = planes.shape
+    assert (nr, step * nsphere, width) == (40, columns, 2 * nsphere)
+    assert np.array_equal(planes[:, :, nsphere:], planes[:, :, :nsphere])
+    fine = planes[:, :, :nsphere].transpose(0, 2, 1).reshape(nr, columns)
+    coarse = _rasterize(sl, 40, 1).planes[:, 0, :nsphere]
+    want = resample(coarse, columns, axis=1)
+    assert np.max(np.abs(fine - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_mass_beyond_r_max_warns_on_orbits_and_points(grid):
+    wide = radial_slice(grid, 1.0, np.exp(-0.05 * grid.r ** 2))
+    with pytest.warns(RuntimeWarning, match="dropped by zero extension"):
+        twisted_convolution(wide, wide)
+    with pytest.warns(RuntimeWarning, match="dropped by zero extension"):
+        _ring_sum(_rasterize(wide), wide, [1.0], [0.3], 1)
 
 
 def test_laguerre_eigenfunction_identity():

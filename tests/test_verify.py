@@ -18,11 +18,11 @@ def test_record_and_report_shapes():
     rec = CheckRecord("demo", {"a": 1}, 1e-9, 1e-6, True, 2.5)
     d = rec.to_dict()
     assert d == {"id": "demo", "params": {"a": 1}, "error": 1e-9,
-                 "tol": 1e-6, "pass": True, "ms": 2.5}
+                 "tol": 1e-6, "pass": True, "ms": 2.5, "warnings": []}
     report = SuiteReport("demo-suite", (rec,))
     assert report.passed
     rd = report.to_dict()
-    assert rd["suite"] == "demo-suite" and rd["schema"] == 1
+    assert rd["suite"] == "demo-suite" and rd["schema"] == 2
     assert rd["pass"] and rd["checks"] == [d]
     assert rd["version"] == heisenkit.__version__
     bad = CheckRecord("demo", {}, 1.0, 1e-6, False, 0.1)
@@ -37,6 +37,19 @@ def test_hermite_suite_passes_and_is_consistent():
         assert c.ms >= 0.0
     ids = [c.id for c in report.checks]
     assert len(ids) == len(set(ids))
+
+
+def test_warnings_land_on_the_record_of_their_check():
+    # the a = 2 slice of equality-monotone is not decayed at r_max; its
+    # truncation warning goes on that check's record and is warned again
+    with pytest.warns(RuntimeWarning, match="Laguerre projection is truncated"):
+        report = run_suite("gates")
+    fired = {c.id: c.warnings for c in report.checks}
+    assert len(fired["equality-monotone"]) == 1
+    assert "Laguerre projection is truncated" in fired["equality-monotone"][0]
+    assert fired["equality-tanh-residual"] == ()
+    doc = report.to_dict()["checks"]
+    assert doc[-1]["id"] == "equality-monotone" and doc[-1]["warnings"] == list(fired["equality-monotone"])
 
 
 def test_seed_changes_only_the_sampled_params():
