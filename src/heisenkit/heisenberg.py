@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad, gauss_panels
+from .quadrature import QuadratureError, adaptive_quad, sample_axis, separable_panels
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class ComplexTime:
     s: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.eps) and math.isfinite(self.s)):
+            raise ValueError("eps and s must be finite")
         if self.eps < 0:
             raise ValueError("eps must be nonnegative")
         if self.eps == 0 and self.s == 0:
@@ -105,9 +107,9 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
 
 
 def _profile_on_nodes(lams, r, zeta, n):
-    """Profile values on an outer (lam, r) product; lams 1-d, r 1-d."""
-    lams = np.asarray(lams, dtype=float)[:, None]
-    r2 = (np.asarray(r, dtype=float) ** 2)[None, :]
+    """Profile values on an outer (r, lam) product; r 1-d, lams 1-d."""
+    lams = np.asarray(lams, dtype=float)[None, :]
+    r2 = (np.asarray(r, dtype=float) ** 2)[:, None]
     x = lams * zeta
     small = np.abs(x) < _LIMIT_CUT
     sh = np.sinh(np.where(small, 1.0, x))
@@ -156,59 +158,33 @@ def heat_kernel(zeta, p):
     return complex(val)
 
 
-# nodes x points of one block of the frequency sum: ~32 MB per complex temporary
-_GRID_BLOCK = 1 << 21
-
-
 def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     """Vectorized inversion on broadcastable (r, t) arrays.
 
-    One composite panel rule in lam is shared by all nodes and refined
-    (panels -> 2 panels + 7) until two successive rules agree to rtol, at
-    most four times; a rule that is still moving after that raises.
+    The integrand factors into the profile, a function of (lam, r), and the
+    phase e^{-i lam t}; each is tabulated on the unique r and t values only.
+    One composite panel rule in lam is shared by all points and refined
+    until two successive rules agree to rtol (`quadrature.separable_panels`).
+    Radii must be finite and nonnegative, t finite.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
         raise ValueError("kernel evaluation requires eps > 0")
     zv = zeta.value
-    r, t = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(t, dtype=float))
-    shape = r.shape
-    rf, tf = r.ravel(), t.ravel()
+    r, t = np.broadcast_arrays(sample_axis("radii r", r, nonnegative=True),
+                               sample_axis("central coordinates t", t))
+    r_unique, ir = np.unique(r.ravel(), return_inverse=True)
+    t_unique, it = np.unique(t.ravel(), return_inverse=True)
     lam_max = _frequency_cutoff(zv, n)
-    t_span = float(np.max(np.abs(tf))) if tf.size else 0.0
+    t_span = float(np.max(np.abs(t_unique), initial=0.0))
     panels = int(np.ceil(lam_max * max(t_span, 1.0) / np.pi)) + 16
-    r_unique, inv = np.unique(rf, return_inverse=True)
-
-    def run(k):
-        nodes, wts = gauss_panels(-lam_max, lam_max, k, 12)
-        out = np.empty(rf.shape, dtype=complex)
-        prof = _profile_on_nodes(nodes, r_unique, zv, n)
-        # a block of width >= 2 sums each column row by row, whatever its
-        # width, so the blocking leaves every bit of the result alone; a
-        # one-column block would be summed pairwise, so none is left over
-        block = max(2, _GRID_BLOCK // nodes.size)
-        stops = list(range(block, rf.size, block)) + [rf.size]
-        if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-            del stops[-2]
-        lo = 0
-        for hi in stops:
-            phase = np.exp(-1j * np.outer(nodes, tf[lo:hi]))
-            out[lo:hi] = (wts[:, None] * phase * prof[:, inv[lo:hi]]).sum(axis=0)
-            lo = hi
-        return out / (2.0 * np.pi)
-
-    fine = run(panels)
-    for _ in range(4):
-        panels = 2 * panels + 7
-        coarse, fine = fine, run(panels)
-        scale = float(np.max(np.abs(fine)))
-        if not (scale > 0 and float(np.max(np.abs(fine - coarse))) > rtol * scale):
-            break
-    else:
-        raise QuadratureError("frequency quadrature failed to converge on the grid")
+    vals = separable_panels(-lam_max, lam_max, panels,
+                            lambda lams: _profile_on_nodes(lams, r_unique, zv, n),
+                            lambda lams: np.exp(-1j * np.outer(t_unique, lams)),
+                            ir, it, rtol) / (2.0 * np.pi)
     if zeta.s == 0:
-        fine = fine.real.astype(complex)
-    return fine.reshape(shape)
+        vals = vals.real.astype(complex)
+    return vals.reshape(r.shape)
 
 
 def heat_bound_check(s, points, n=None):

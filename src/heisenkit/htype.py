@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heisenberg import HeisenbergPoint
-from .quadrature import QuadratureError, adaptive_quad, gauss_interval, gauss_panels
+from .quadrature import (QuadratureError, adaptive_quad, gauss_interval, sample_axis,
+                         separable_panels)
 from .specfun import bessel_j_tilde
 
 
@@ -73,31 +74,40 @@ def _lam_cutoff(s, n, k):
     return lam
 
 
-def _integrand_on(lams, s, n, k, vnorm, tnorm):
-    """Smooth integrand on an outer (lam-nodes, points) product."""
-    lams = np.asarray(lams, dtype=float)[:, None]
-    r2 = np.asarray(vnorm, dtype=float).ravel()[None, :] ** 2
-    tau = np.asarray(tnorm, dtype=float).ravel()[None, :]
+def _radial_factor(lams, s, n, k, rho):
+    """lam^{k-1} (lam / sinh(s lam))^n e^{-lam coth(s lam) |v|^2 / 4} on the
+    outer (|v|, lam) product."""
+    lams = np.asarray(lams, dtype=float)[None, :]
+    r2 = np.asarray(rho, dtype=float)[:, None] ** 2
     x = s * lams
     tiny = x < 1e-12
     sh = np.sinh(np.where(tiny, 1.0, x))
     ratio = np.where(tiny, 1.0 / s, lams / sh)
     rate = np.where(tiny, 0.25 / s, 0.25 * lams * np.cosh(x) / sh)
-    bess = bessel_j_tilde(0.5 * k - 1.0, lams * tau)
-    return lams ** (k - 1) * bess * ratio ** n * np.exp(-rate * r2)
+    return lams ** (k - 1) * ratio ** n * np.exp(-rate * r2)
+
+
+def _central_factor(lams, k, tau):
+    """Jt_{k/2-1}(lam |t|) on the outer (|t|, lam) product."""
+    return bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams))
+
+
+def _check_time(s):
+    if not 0 < s < math.inf:
+        raise ValueError("diffusion time must be positive and finite")
 
 
 def htype_heat_kernel(s, p):
     """h_s at a point, by adaptive quadrature in the central frequency."""
-    if s <= 0:
-        raise ValueError("diffusion time must be positive")
+    _check_time(s)
     n, k = p.n, p.k
-    rho, tau = p.v_norm, p.t_norm
+    rho, tau = np.array([p.v_norm]), np.array([p.t_norm])
     lam_max = _lam_cutoff(s, n, k)
 
     def f(lam):
-        return float(_integrand_on(np.array([lam]), s, n, k,
-                                   np.array([rho]), np.array([tau]))[0, 0])
+        lams = np.array([lam])
+        return float(_radial_factor(lams, s, n, k, rho)[0, 0]
+                     * _central_factor(lams, k, tau)[0, 0])
 
     val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14)
     return _constant(n, k) * float(np.real(val))
@@ -106,37 +116,28 @@ def htype_heat_kernel(s, p):
 def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
     """h_s over broadcastable (|v|, |t|) arrays on one shared panel rule.
 
-    The rule is refined once and disagreement beyond rtol raises; this is the
-    fast path behind the Radon transform.
+    The radial and central factors of the integrand are tabulated on the
+    unique |v| and |t| values only, and the rule is refined until two
+    successive rules agree to rtol (`quadrature.separable_panels`).  This
+    is the fast path behind the Radon transform.  Norms must be finite
+    and nonnegative.
     """
-    if s <= 0:
-        raise ValueError("diffusion time must be positive")
+    _check_time(s)
     if int(n) != n or n < 1:
         raise ValueError("dimension n must be a positive integer")
     if k not in (1, 2, 3):
         raise ValueError("center dimension k must be 1, 2 or 3")
-    vnorm, tnorm = np.broadcast_arrays(np.asarray(vnorm, dtype=float),
-                                       np.asarray(tnorm, dtype=float))
-    shape = vnorm.shape
-    rho, tau = vnorm.ravel(), tnorm.ravel()
+    vnorm, tnorm = np.broadcast_arrays(sample_axis("norms |v|", vnorm, nonnegative=True),
+                                       sample_axis("norms |t|", tnorm, nonnegative=True))
+    rho, ir = np.unique(vnorm.ravel(), return_inverse=True)
+    tau, it = np.unique(tnorm.ravel(), return_inverse=True)
     lam_max = _lam_cutoff(s, n, k)
     panels = int(np.ceil(lam_max * (float(tau.max(initial=0.0)) + 1.0) / np.pi)) + 16
-
-    def run(m):
-        nodes, wts = gauss_panels(0.0, lam_max, m, 12)
-        out = np.empty(rho.shape)
-        for lo in range(0, rho.size, 512):
-            hi = min(lo + 512, rho.size)
-            vals = _integrand_on(nodes, s, n, k, rho[lo:hi], tau[lo:hi])
-            out[lo:hi] = wts @ vals
-        return out
-
-    coarse = run(panels)
-    fine = run(2 * panels + 7)
-    scale = float(np.max(np.abs(fine)))
-    if scale > 0 and float(np.max(np.abs(fine - coarse))) > rtol * scale:
-        raise QuadratureError("frequency quadrature failed to converge on the batch")
-    return _constant(n, k) * fine.reshape(shape)
+    vals = separable_panels(0.0, lam_max, panels,
+                            lambda lams: _radial_factor(lams, s, n, k, rho),
+                            lambda lams: _central_factor(lams, k, tau),
+                            ir, it, rtol)
+    return _constant(n, k) * vals.reshape(vnorm.shape)
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,15 @@
 """Scalar special functions used throughout: generalized Laguerre polynomials
-and Laguerre functions, Bessel J and its normalized variant, and both sides of
-the Laguerre product generating identity.
+and Laguerre functions, Bessel J and its normalized variant (both from
+scipy.special), and both sides of the Laguerre product generating identity.
 
 Everything is a pure function of its arguments; scalars in, scalars out, with
 numpy broadcasting over the main argument where it is cheap to provide.
 """
 
-import numpy as np
-from scipy.special import gammaln
+import math
 
-_SERIES_CUTOFF = 12.0   # Bessel power series below, large-argument form above
+import numpy as np
+from scipy.special import gammaln, hyp0f1, jv, rgamma
 
 
 def _as_array(x):
@@ -73,73 +73,35 @@ def laguerre_fn(k, lam, n, r):
     return _maybe_scalar(out, scalar)
 
 
-def _jt_series(alpha, w2):
-    """sum_j (-1)^j (w2/4)^j / (j! Gamma(alpha+j+1)); w2 may be complex."""
-    w2 = np.asarray(w2)
-    q = 0.25 * w2
-    term = np.full(q.shape, np.exp(-gammaln(alpha + 1.0)), dtype=np.result_type(q, float))
-    out = term.copy()
-    if out.size == 0:
-        return out
-    for j in range(1, 120):
-        term = -term * q / (j * (alpha + j))
-        out += term
-        if np.max(np.abs(term)) <= 1e-18 * max(float(np.max(np.abs(out))), 1e-300):
-            break
-    return out
-
-
-def _bessel_large(alpha, w):
-    """Large-argument expansion of J_alpha; w real >= 12 or complex, Re w > 0."""
-    w = np.asarray(w)
-    mu = 4.0 * alpha * alpha
-    p = np.ones(w.shape, dtype=np.result_type(w, float))
-    q = np.zeros_like(p)
-    c = np.ones_like(p)
-    for j in range(1, 24):
-        c = c * (mu - (2 * j - 1) ** 2) / (8.0 * j * w)
-        sign = (-1) ** (j // 2)
-        if j % 2:
-            q = q + sign * c
-        else:
-            p = p + sign * c
-    chi = w - (0.5 * alpha + 0.25) * np.pi
-    return np.sqrt(2.0 / (np.pi * w)) * (p * np.cos(chi) - q * np.sin(chi))
+def _check_order(alpha):
+    if alpha <= -1.0:
+        raise ValueError("Bessel order alpha must exceed -1")
 
 
 def bessel_j(alpha, w):
     """Bessel function of the first kind J_alpha(w) for w >= 0, alpha > -1."""
-    if alpha <= -1.0:
-        raise ValueError("Bessel order alpha must exceed -1")
+    _check_order(alpha)
     w, scalar = _as_array(w)
     if np.any(w < 0):
         raise ValueError("argument must be nonnegative")
-    out = np.empty_like(w)
-    small = w <= _SERIES_CUTOFF
-    ws = w[small]
-    with np.errstate(divide="ignore"):
-        out[small] = (0.5 * ws) ** alpha * _jt_series(alpha, ws * ws)
-    wl = w[~small]
-    if wl.size:
-        out[~small] = _bessel_large(alpha, wl).real
-    return _maybe_scalar(out, scalar)
+    return _maybe_scalar(jv(alpha, w), scalar)
 
+
+# (w/2)^{-alpha} J_alpha(w) is 0F1(; alpha+1; -w^2/4) / Gamma(alpha+1).  At
+# alpha = -1/2 it is cos(w)/sqrt(pi), and that form is used: scipy's hyp0f1
+# loses about three digits at b = 1/2.
 
 def bessel_j_tilde(alpha, w):
     """Normalized Bessel (w/2)^{-alpha} J_alpha(w).
 
     Entire and even in w, with value 1/Gamma(alpha+1) at w = 0.
     """
-    if alpha <= -1.0:
-        raise ValueError("Bessel order alpha must exceed -1")
+    _check_order(alpha)
     w, scalar = _as_array(w)
-    w = np.abs(w)
-    out = np.empty_like(w)
-    small = w <= _SERIES_CUTOFF
-    out[small] = _jt_series(alpha, w[small] ** 2).real
-    wl = w[~small]
-    if wl.size:
-        out[~small] = (0.5 * wl) ** (-alpha) * _bessel_large(alpha, wl).real
+    if alpha == -0.5:
+        out = np.cos(w) / math.sqrt(math.pi)
+    else:
+        out = hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
     return _maybe_scalar(out, scalar)
 
 
@@ -147,18 +109,14 @@ def jtilde_of_square(alpha, w2):
     """bessel_j_tilde as an entire function of the squared argument.
 
     Accepts complex w2, so callers never take a square root of a complex
-    number themselves; the principal root used internally is immaterial
-    because the function is even.
+    number themselves; the principal root used at alpha = -1/2 is
+    immaterial because the function is even.
     """
-    w2 = np.atleast_1d(np.asarray(w2, dtype=complex))
-    u = np.sqrt(w2)
-    out = np.empty_like(w2)
-    small = np.abs(u) <= _SERIES_CUTOFF
-    out[small] = _jt_series(alpha, w2[small])
-    ul = u[~small]
-    if ul.size:
-        out[~small] = (0.5 * ul) ** (-alpha) * _bessel_large(alpha, ul)
-    return out if out.shape != (1,) else out[0]
+    _check_order(alpha)
+    w2 = np.asarray(w2, dtype=complex)
+    if alpha == -0.5:
+        return np.cos(np.sqrt(w2)) / math.sqrt(math.pi)
+    return hyp0f1(alpha + 1.0, -0.25 * w2) * rgamma(alpha + 1.0)
 
 
 def laguerre_series_sum(alpha, x, y, w, kmax, tail_window=48):

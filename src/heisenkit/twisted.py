@@ -290,6 +290,10 @@ def hecke_bochner_check(g, p, q, j, k, lam, n, z):
     printed conventions.  For lam < 0 the roles of p and q swap (conjugation
     symmetry of the twist), and for k below the swapped p the product is
     annihilated.
+
+    k may be a sequence of degrees: the raster of P g, which does not depend
+    on k, is then built once, and a list of (lhs, rhs) pairs comes back, one
+    per degree.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -303,21 +307,26 @@ def hecke_bochner_check(g, p, q, j, k, lam, n, z):
     grid = PolarGrid(1, g.r, g.weights, omega, ww, float(g.r[-1]))
     pts = grid.points()
     f_slice = SpectralSlice(lam, grid, P(pts) * np.asarray(g.values)[:, None])
-    phi = radial_slice(grid, lam, laguerre_fn(k, lam, n, grid.r))
     zz = np.asarray(z, dtype=complex)
     # a few targets can afford a finer raster than a whole output grid
     targets = np.atleast_1d(zz)
-    lhs = _ring_sum(_rasterize(f_slice, 2048, 1024), phi,
-                    np.abs(targets), np.angle(targets), 1)[:, 0]
-    lhs = lhs[0] if zz.ndim == 0 else lhs.reshape(zz.shape)
-
+    raster = _rasterize(f_slice, 2048, 1024)
     p_eff, q_eff = (p, q) if lam > 0 else (q, p)
-    if k < p_eff:
-        return lhs, np.zeros(zz.shape, dtype=complex) if zz.ndim else 0.0j
     m = n + p + q
-    gamma_ratio = math.exp(gammaln(k - p_eff + 1) - gammaln(k + n + q_eff))
-    proj = laguerre_projection(g, k - p_eff, lam, m)
-    rhs = ((2.0 * np.pi) ** (-(p + q)) * abs(lam) ** (p + q) * P(zz)
-           * 2.0 * np.pi ** m * gamma_ratio * proj
-           * laguerre_fn(k - p_eff, lam, m, np.abs(zz)))
-    return lhs, (complex(rhs) if zz.ndim == 0 else rhs)
+
+    def both_routes(k):
+        phi = radial_slice(grid, lam, laguerre_fn(k, lam, n, grid.r))
+        lhs = _ring_sum(raster, phi, np.abs(targets), np.angle(targets), 1)[:, 0]
+        lhs = lhs[0] if zz.ndim == 0 else lhs.reshape(zz.shape)
+        if k < p_eff:
+            return lhs, np.zeros(zz.shape, dtype=complex) if zz.ndim else 0.0j
+        gamma_ratio = math.exp(gammaln(k - p_eff + 1) - gammaln(k + n + q_eff))
+        proj = laguerre_projection(g, k - p_eff, lam, m)
+        rhs = ((2.0 * np.pi) ** (-(p + q)) * abs(lam) ** (p + q) * P(zz)
+               * 2.0 * np.pi ** m * gamma_ratio * proj
+               * laguerre_fn(k - p_eff, lam, m, np.abs(zz)))
+        return lhs, (complex(rhs) if zz.ndim == 0 else rhs)
+
+    if np.ndim(k):
+        return [both_routes(kk) for kk in k]
+    return both_routes(k)

@@ -158,6 +158,17 @@ def test_hermite_kernel_needs_n_one(capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("extra", [
+    ["--v-norm=-0.5,1.0"],
+    ["--v-norm", "0.5", "--t-norm=-0.4"],
+    ["--v-norm", "0.5,nan"],
+    ["--v-norm", "0.5", "--t-norm", "inf"],
+], ids=["v-negative", "t-negative", "v-nan", "t-inf"])
+def test_htype_kernel_rejects_norms_outside_the_domain(extra, capsys):
+    assert cli.run(["kernel", "--group", "htype", "--s", "1", "--k", "2"] + extra) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_htype_dimensions_are_checked_on_the_batch_path(capsys):
     assert cli.run(["kernel", "--group", "htype", "--k", "4", "--s", "1",
                     "--v-norm", "0.5,1.0"]) == 2

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from heisenkit import heisenberg
+from heisenkit import quadrature
 from heisenkit.heisenberg import (
     ComplexTime,
     HeisenbergPoint,
@@ -97,11 +97,43 @@ def test_grid_refines_until_two_rules_agree():
             assert abs(grid[i, j] - want) < 1e-8 * abs(want)
 
 
+@pytest.mark.parametrize("zeta", [0.8, 1.0 + 0.5j])
+def test_separable_grid_matches_pointwise_on_scattered_and_repeated_points(zeta):
+    rng = np.random.default_rng(3)
+    scattered = (rng.uniform(0.0, 3.0, 9), rng.uniform(-2.5, 2.5, 9))
+    # a product grid whose axes repeat values, so the unique maps fold
+    r = np.array([0.0, 0.9, 0.9, 1.7])
+    t = np.array([0.3, -1.1, 0.3, 0.0])
+    product = np.broadcast_arrays(r[:, None], t[None, :])
+    for rr, tt in (scattered, product):
+        grid = heat_kernel_grid(zeta, rr, tt)
+        for idx in np.ndindex(rr.shape):
+            want = heat_kernel(zeta, HeisenbergPoint((rr[idx],), tt[idx]))
+            assert abs(grid[idx] - want) < 1e-10 * abs(want)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("zeta,r,t,match", [
+    (complex(_NAN, 0.0), 0.5, 0.0, "finite"),
+    (complex(1.0, _INF), 0.5, 0.0, "finite"),
+    (1.0, _NAN, 0.0, "radii"),
+    (1.0, _INF, 0.0, "radii"),
+    (1.0, 0.5, _NAN, "central"),
+    (1.0, 0.5, _INF, "central"),
+    (1.0, -0.5, 0.0, "nonnegative"),
+], ids=["zeta-nan", "zeta-inf", "r-nan", "r-inf", "t-nan", "t-inf", "r-negative"])
+def test_grid_rejects_inputs_outside_its_domain(zeta, r, t, match):
+    with pytest.raises(ValueError, match=match):
+        heat_kernel_grid(zeta, np.array([0.2, r]), np.array([0.1, t]))
+
+
 def test_grid_blocking_leaves_every_bit(monkeypatch):
-    # the smallest budget cuts 65 points into blocks of two with one left over
+    # the smallest budget gathers one point per block
     r = np.linspace(0.0, 3.0, 65)
     whole = heat_kernel_grid(1.0 + 0.5j, r, 0.5)
-    monkeypatch.setattr(heisenberg, "_GRID_BLOCK", 1)
+    monkeypatch.setattr(quadrature, "_GRID_BLOCK", 1)
     assert np.array_equal(heat_kernel_grid(1.0 + 0.5j, r, 0.5), whole)
 
 

@@ -1,7 +1,11 @@
 """H-type heat kernel, its Radon collapse, and the inherited gate."""
 
+import math
+import re
+
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from heisenkit.heisenberg import HeisenbergPoint, heat_kernel, heat_kernel_grid
 from heisenkit.htype import (
@@ -64,6 +68,61 @@ def test_batch_matches_pointwise():
         kern(HTypePoint((0.5, 0.5), (0.2,)))
     with pytest.raises(ValueError):
         htype_heat_kernel(-1.0, p)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_separable_batch_matches_pointwise_on_scattered_and_repeated_points(k):
+    rng = np.random.default_rng(5 + k)
+    scattered = (rng.uniform(0.0, 2.5, 7), rng.uniform(0.0, 2.5, 7))
+    # a product grid whose axes repeat values, so the unique maps fold
+    vn = np.array([0.3, 1.1, 0.3])
+    tn = np.array([0.0, 0.9, 0.9, 1.6])
+    product = np.broadcast_arrays(vn[:, None], tn[None, :])
+    for vv, tt in (scattered, product):
+        got = htype_heat_batch(1.0, 1, k, vv, tt)
+        for idx in np.ndindex(vv.shape):
+            t_vec = (tt[idx],) + (0.0,) * (k - 1)
+            want = htype_heat_kernel(1.0, HTypePoint((vv[idx], 0.0), t_vec))
+            assert abs(got[idx] - want) < 1e-10 * abs(want)
+
+
+def test_batch_refines_until_two_rules_agree():
+    # at |v| = 16 the integrand is a bump of width ~0.2 near lam = 0, which
+    # the first panel rule misses by 4e-7 relative: the batch must go on
+    # refining instead of raising after one comparison
+    vn = np.linspace(16.0, 17.0, 4)
+    tn = np.linspace(0.0, 1.0, 4)
+    got = htype_heat_batch(1.0, 1, 3, vn[:, None], tn[None, :])
+    const = 2.0 ** -0.5 / (2.0 * (2.0 * math.pi) ** 2.5)
+
+    def h(rho, tau):
+        # k = 3: Jt_{1/2}(w) = 2 sin(w) / (sqrt(pi) w)
+        def f(lam):
+            return (lam * lam * 2.0 / math.sqrt(math.pi) * np.sinc(lam * tau / math.pi)
+                    * lam / math.sinh(lam) * math.exp(-lam / math.tanh(lam) * rho * rho / 4.0))
+        return const * quad(f, 1e-300, 60.0, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+    for i, j in np.ndindex(4, 4):
+        want = h(vn[i], tn[j])
+        assert abs(got[i, j] - want) < 1e-9 * abs(want)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("s,v,t,match", [
+    (_NAN, 0.5, 0.5, "diffusion time"),
+    (_INF, 0.5, 0.5, "diffusion time"),
+    (1.0, _NAN, 0.5, "norms |v|"),
+    (1.0, _INF, 0.5, "norms |v|"),
+    (1.0, 0.5, _NAN, "norms |t|"),
+    (1.0, 0.5, _INF, "norms |t|"),
+    (1.0, -0.5, 0.5, "nonnegative"),
+    (1.0, 0.5, -0.5, "nonnegative"),
+], ids=["s-nan", "s-inf", "v-nan", "v-inf", "t-nan", "t-inf", "v-negative", "t-negative"])
+def test_batch_rejects_inputs_outside_its_domain(s, v, t, match):
+    with pytest.raises(ValueError, match=re.escape(match)):
+        htype_heat_batch(s, 1, 2, np.array([0.2, v]), np.array([0.1, t]))
 
 
 def test_radon_direction_independence():

@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from heisenkit import quadrature
 from heisenkit.quadrature import (
     QuadratureError,
     adaptive_quad,
     gauss_interval,
     gauss_panels,
     quad_budget,
+    sample_axis,
+    separable_panels,
     trapezoid_weights,
 )
 
@@ -31,6 +34,45 @@ def test_gauss_interval_is_one_panel():
     n1, w1 = gauss_interval(0.0, 2.0, 12)
     n2, w2 = gauss_panels(0.0, 2.0, 1, 12)
     assert np.array_equal(n1, n2) and np.array_equal(w1, w2)
+
+
+def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
+    # int_0^2 e^{-a x} cos(b x) dx for (a, b) pairs drawn from 3 x 2 unique values
+    a = np.array([0.5, 1.0, 2.0])
+    b = np.array([0.0, 3.0])
+    ia = np.array([0, 2, 1, 1, 0])
+    ib = np.array([1, 0, 0, 1, 1])
+    got = separable_panels(0.0, 2.0, 3,
+                           lambda x: np.exp(-np.outer(a, x)),
+                           lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
+    aa, bb = a[ia], b[ib]
+    want = (aa + np.exp(-2 * aa) * (bb * np.sin(2 * bb) - aa * np.cos(2 * bb))) / (aa ** 2 + bb ** 2)
+    assert np.max(np.abs(got - want)) < 1e-14
+    # factor tables built a few nodes at a time give the same sums
+    monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 40)
+    chunked = separable_panels(0.0, 2.0, 3, lambda x: np.exp(-np.outer(a, x)),
+                               lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
+    assert np.max(np.abs(chunked - got)) < 1e-15
+    assert separable_panels(0.0, 1.0, 2, lambda x: np.ones((1, x.size)),
+                            lambda x: np.ones((1, x.size)), np.array([], dtype=int),
+                            np.array([], dtype=int), 1e-9).size == 0
+
+
+def test_separable_panels_report_the_last_rule_and_gap():
+    # a chirp that no four refinements from one panel resolve
+    with pytest.raises(QuadratureError, match=r"at 121 panels the coarse/fine gap is .* x rtol"):
+        separable_panels(0.0, 40.0, 1, lambda x: np.cos(2000.0 * x * x)[None, :],
+                         lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+
+
+def test_sample_axis_rejects_non_finite_and_negative_values():
+    assert sample_axis("r", [0.0, 2.5], nonnegative=True).dtype == float
+    assert sample_axis("t", -1.0) == -1.0
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="t must be finite"):
+            sample_axis("t", [0.0, bad])
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        sample_axis("r", [0.5, -0.1], nonnegative=True)
 
 
 def test_adaptive_quad_complex_and_oscillatory():

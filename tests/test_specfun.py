@@ -71,11 +71,17 @@ def test_bessel_frozen_values():
 
 
 def test_bessel_matches_scipy_across_the_cutoff():
+    # bessel_j wraps jv; the normalized route goes through hyp0f1, so the
+    # two public functions check each other
     w = np.linspace(0.0, 60.0, 301)
     for alpha in (0.0, 0.5, 1.0, 2.5, 4.0):
-        got = bessel_j(alpha, w)
-        want = jv(alpha, w)
-        assert np.max(np.abs(got - want)) < 2e-12
+        assert np.array_equal(bessel_j(alpha, w), jv(alpha, w))
+        via_tilde = (0.5 * w) ** alpha * bessel_j_tilde(alpha, w)
+        assert np.max(np.abs(bessel_j(alpha, w) - via_tilde)) < 2e-12
+    with pytest.raises(ValueError):
+        bessel_j(0.5, -1.0)
+    with pytest.raises(ValueError):
+        bessel_j_tilde(-1.0, 1.0)
 
 
 def test_bessel_j_tilde_at_zero_and_evenness():
@@ -95,6 +101,33 @@ def test_jtilde_of_square_complex_argument():
     # agreement with the real route on the positive axis
     assert complex(jtilde_of_square(0.5, 6.25)).real == pytest.approx(
         bessel_j_tilde(0.5, 2.5), rel=1e-12)
+
+
+_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+
+
+def test_bessel_j_tilde_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(7)
+    w = np.concatenate([np.linspace(0.0, 30.0, 121), rng.uniform(30.0, 1000.0, 80), [1000.0]])
+    with mpmath.workdps(40):
+        for alpha in _ORDERS:
+            want = np.array([float(mpmath.hyp0f1(alpha + 1, -mpmath.mpf(x) ** 2 / 4)
+                                   / mpmath.gamma(alpha + 1)) for x in w])
+            err = np.max(np.abs(bessel_j_tilde(alpha, w) - want)) * gamma(alpha + 1.0)
+            assert err <= 1e-14, (alpha, err)
+
+
+def test_jtilde_of_square_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    w2 = 1e5 * rng.uniform(0.0, 1.0, 60) ** 2 * np.exp(1j * rng.uniform(0.0, 2 * math.pi, 60))
+    with mpmath.workdps(40):
+        for alpha in _ORDERS:
+            want = np.array([complex(mpmath.hyp0f1(alpha + 1, -mpmath.mpc(x) / 4)
+                                     / mpmath.gamma(alpha + 1)) for x in w2])
+            err = np.max(np.abs(jtilde_of_square(alpha, w2) - want) / np.abs(want))
+            assert err <= 1e-13, (alpha, err)
 
 
 def _hh_brute(alpha, x, y, w, K):
