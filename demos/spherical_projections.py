@@ -37,8 +37,8 @@ gprof = RadialProfile(nodes, np.exp(-nodes ** 2), weights=weights)
 z = np.array([0.9 + 0.0j, 0.7 + 0.5j])
 print("radial-times-harmonic factorization, g = exp(-r^2), n = 1:")
 for p, q in ((1, 0), (0, 1)):
-    lhs, rhs = hecke_bochner_check(gprof, p, q, 1, p, 1.0, 1, z)
+    [(lhs, rhs)] = hecke_bochner_check(gprof, p, q, 1, (p,), 1.0, 1, z)
     print(f"  (p,q) = ({p},{q}): max rel error "
           f"{np.max(np.abs(lhs - rhs) / np.abs(rhs)):.2e}")
-lhs, _ = hecke_bochner_check(gprof, 1, 0, 1, 0, 1.0, 1, z)
+[(lhs, _)] = hecke_bochner_check(gprof, 1, 0, 1, (0,), 1.0, 1, z)
 print(f"  mismatched sector k < p annihilates: max |lhs| = {np.max(np.abs(lhs)):.2e}")

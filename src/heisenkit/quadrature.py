@@ -104,7 +104,7 @@ def _gathered_sum(a, b, ia, ib):
     return out
 
 
-def separable_panels(a, b, panels, row, col, ir, ic, rtol, order=12):
+def separable_panels(a, b, panels, row, col, ir, ic, rtol):
     """Integrals over [a, b] of integrands that factor as row(x) col(x).
 
     row(x) and col(x) return tables of shape (values, nodes): the two
@@ -112,7 +112,7 @@ def separable_panels(a, b, panels, row, col, ir, ic, rtol, order=12):
     into (the inverse maps of np.unique), so each factor is evaluated once
     per node and unique value.  Point p gets
         sum_j w_j row(x_j)[ir[p]] col(x_j)[ic[p]]
-    on a composite Gauss-Legendre rule with `panels` panels, which is
+    on a composite order-12 Gauss-Legendre rule with `panels` panels, which is
     refined (panels -> 2 panels + 7) until two successive rules agree to
     rtol relative to the largest value, at most four times.  A rule that
     is still moving after that raises QuadratureError with the last panel
@@ -125,7 +125,7 @@ def separable_panels(a, b, panels, row, col, ir, ic, rtol, order=12):
     step = max(1, _TABLE_BLOCK // max(values, 1))
 
     def run(m):
-        nodes, weights = gauss_panels(a, b, m, order)
+        nodes, weights = gauss_panels(a, b, m, 12)
         return sum(_gathered_sum(row(nodes[j:j + step]),
                                  col(nodes[j:j + step]) * weights[j:j + step], ir, ic)
                    for j in range(0, nodes.size, step))

@@ -277,9 +277,9 @@ def laguerre_projection(g, k, lam, m):
     return complex(np.sum(g.weights * integrand))
 
 
-def hecke_bochner_check(g, p, q, j, k, lam, n, z):
-    """Both routes to (P g *_lam phi_{k,lam}^{n-1})(z), P the (p,q,j) solid
-    harmonic and g radial.
+def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
+    """Both routes to (P g *_lam phi_{k,lam}^{n-1})(z) for each degree k in
+    ks, P the (p,q,j) solid harmonic and g radial.
 
     lhs runs the grid twisted convolution at the points z themselves, on a
     raster finer than a whole output grid could afford.  rhs is the
@@ -291,9 +291,8 @@ def hecke_bochner_check(g, p, q, j, k, lam, n, z):
     symmetry of the twist), and for k below the swapped p the product is
     annihilated.
 
-    k may be a sequence of degrees: the raster of P g, which does not depend
-    on k, is then built once, and a list of (lhs, rhs) pairs comes back, one
-    per degree.
+    The raster of P g does not depend on k, so it is built once for all of
+    ks; the result is a list of (lhs, rhs) pairs, one per degree.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -327,6 +326,4 @@ def hecke_bochner_check(g, p, q, j, k, lam, n, z):
                * laguerre_fn(k - p_eff, lam, m, np.abs(zz)))
         return lhs, (complex(rhs) if zz.ndim == 0 else rhs)
 
-    if np.ndim(k):
-        return [both_routes(kk) for kk in k]
-    return both_routes(k)
+    return [both_routes(k) for k in ks]

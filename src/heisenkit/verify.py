@@ -230,7 +230,9 @@ def _suite_hecke_bochner(rng):
     # evaluated above on the (1, 0) raster; only the reading is timed here
     t0 = time.perf_counter()
     checks.append(_check("hecke-bochner-annihilation",
-                         {"pq": [1, 0], "k": 0, "n": 1, "lam": 1.0},
+                         {"pq": [1, 0], "k": 0, "n": 1, "lam": 1.0,
+                          "note": "evaluated on the (1, 0) raster of hecke-bochner, "
+                                  "whose ms counts this work"},
                          float(np.max(np.abs(annihilated))), 1e-6, t0))
 
     t0 = time.perf_counter()

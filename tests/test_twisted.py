@@ -200,10 +200,10 @@ def test_laguerre_projection_validation():
 def test_hecke_bochner_radial_case_and_annihilation():
     r, w = radial_rule(96, 8.0)
     g = RadialProfile(r, np.exp(-r ** 2), weights=w)
-    lhs, rhs = hecke_bochner_check(g, 0, 0, 1, 0, 1.0, 1, 0.9 + 0.0j)
+    [(lhs, rhs)] = hecke_bochner_check(g, 0, 0, 1, (0,), 1.0, 1, 0.9 + 0.0j)
     assert abs(lhs - rhs) < 1e-3 * abs(rhs)
     # k < p: the product is annihilated, so the grid route must be tiny
-    lhs, rhs = hecke_bochner_check(g, 1, 0, 1, 0, 1.0, 1, 0.9 + 0.0j)
+    [(lhs, rhs)] = hecke_bochner_check(g, 1, 0, 1, (0,), 1.0, 1, 0.9 + 0.0j)
     assert rhs == 0.0
     assert abs(lhs) < 1e-4
 
