@@ -17,7 +17,7 @@ for c in report.checks:
 
 with tempfile.NamedTemporaryFile(suffix=".json", mode="r") as fh:
     code = run(["verify", "--suite", "hankel", "--json", fh.name])
-    doc = json.load(open(fh.name))
+    doc = json.load(fh)
 print(f"CLI exit code {code}, JSON schema {doc['schema']}, "
       f"{len(doc['checks'])} checks, pass = {doc['pass']}")
 

@@ -25,8 +25,11 @@ class HeisenbergPoint:
         z = tuple(complex(c) for c in (self.z if np.iterable(self.z) else (self.z,)))
         if not z:
             raise ValueError("need at least one horizontal coordinate")
+        t = float(self.t)
+        if not (np.all(np.isfinite(z)) and math.isfinite(t)):
+            raise ValueError("coordinates must be finite")
         object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", float(self.t))
+        object.__setattr__(self, "t", t)
 
     @property
     def n(self):
@@ -85,13 +88,17 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
 
     Uses the lam -> 0 Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)} when
     |lam * zeta| < 1e-8.  With eps = 0 the profile exists only off the poles
-    of sinh(i lam s), which raise.
+    of sinh(i lam s), which raise.  Non-finite lam or r raise ValueError.
     """
     if int(n) != n or n < 1:
         raise ValueError("dimension n must be a positive integer")
-    zeta = _as_time(zeta).value
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
+    if not math.isfinite(lam):
+        raise ValueError("lam must be finite")
+    return _profile(_as_time(zeta).value, lam, sample_axis("r", r), n)
+
+
+def _profile(zeta, lam, r, n):
+    """heat_kernel_lambda at the complex time zeta, inputs taken as valid."""
     x = lam * zeta
     if abs(x) < _LIMIT_CUT:
         out = (4.0 * np.pi * zeta) ** (-n) * np.exp(-r * r / (4.0 * zeta))
@@ -103,7 +110,7 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
         out = (4.0 * np.pi) ** (-n) * (lam / sh) ** n \
             * np.exp(-0.25 * lam * (np.cosh(x) / sh) * r * r)
     out = np.asarray(out, dtype=complex)
-    return out[()] if scalar else out
+    return out if np.ndim(r) else out[()]
 
 
 def _profile_on_nodes(lams, r, zeta, n):
@@ -147,7 +154,7 @@ def heat_kernel(zeta, p):
     lam_max = _frequency_cutoff(zv, n)
 
     def integrand(lam):
-        return np.exp(-1j * lam * t) * heat_kernel_lambda(zeta, lam, r, n)
+        return np.exp(-1j * lam * t) * _profile(zv, lam, r, n)
 
     val = adaptive_quad(integrand, -lam_max, lam_max) / (2.0 * np.pi)
     if zeta.s == 0:

@@ -15,6 +15,13 @@ no winding bookkeeping is needed.
 Away from small |sin 2s| the kernel oscillates slowly and modest grids do;
 close to it the phase gradient grows like L/|sin 2s| and the y-quadrature is
 refined automatically to keep the oscillation resolved.
+
+For real s the kernel factors as c e^{a x^2} e^{a y^2} e^{b x y} with
+a = -(1+r^2)/(2(1-r^2)) and b = 2r/(1-r^2), so `hermite_evolve` is one
+trapezoid quadrature for all columns of f at once: the Gaussian factors are
+O(N + M) exponentials for N outputs and M fine nodes, and blocking the fine
+nodes in runs of B = ceil(sqrt M) splits e^{b x y} into two tables of
+O(N sqrt M) exponentials joined by one GEMM.
 """
 
 import math
@@ -29,6 +36,8 @@ from .hankel import fit_gaussian_decay
 
 _CAUSTIC_TOL = 1e-6
 _REFINE_CAP = 1 << 21
+# entries of one column group's fine samples and block sums: 64 MB complex
+_COLUMN_BUDGET = 1 << 22
 
 
 class CausticError(ValueError):
@@ -96,66 +105,112 @@ def hermite_grid(L=8.0, nodes=512):
     return np.linspace(-L, L, nodes)
 
 
-def _evolve_1d(fy_of, s, x, L):
-    """u = e^{-isH} f on the 1-d grid x; fy_of(y) supplies f on [-L, L]."""
+def _fine_grid(s, nodes, L):
+    """Trapezoid nodes on [-L, L] that resolve the kernel's phase at time s."""
     grad = L * (abs(math.cos(2 * s) / math.sin(2 * s)) + 1.0 / abs(math.sin(2 * s)))
-    n_fine = max(x.size, int(np.ceil(2.0 * L * 2.0 * grad / np.pi)) + 1)
+    n_fine = max(nodes, int(np.ceil(2.0 * L * 2.0 * grad / np.pi)) + 1)
     if n_fine > _REFINE_CAP:
         raise CausticError("so close to a caustic that the quadrature "
                            f"refinement ({n_fine} nodes) exceeds the budget")
-    yf = np.linspace(-L, L, n_fine)
-    dy = yf[1] - yf[0]
+    # the exact step: the blocked phases below multiply it by up to n_fine
+    return np.linspace(-L, L, n_fine, retstep=True)
+
+
+def _evolve_columns(sample, cols, s, x, L):
+    """u = e^{-isH} f on the grid x for each of the cols columns of f.
+
+    sample(y, c) gives the columns c (a slice) of f at the fine nodes y in
+    [-L, L] as a (len(y), width) array.  For real s the kernel factors as
+    c e^{a x^2} e^{a y^2} e^{b x y}, and with y_k = -L + (qB + m) dy the last
+    factor splits into e^{b x (-L + qB dy)} e^{b x m dy}: the y-sum is one
+    (N x B)(B x nb cols) GEMM and a weighted sum over the nb blocks, so
+    B = ceil(sqrt M) for M fine nodes takes O(N sqrt M) exponentials instead
+    of N M.  Columns go through in groups that keep the samples and the
+    block sums within _COLUMN_BUDGET entries.  Returns the (N, cols) result
+    and whether some column has not decayed at +-L.
+    """
+    yf, dy = _fine_grid(s, x.size, L)
+    n_fine = yf.size
     r = complex(np.exp(-2j * s))
-    phase = complex(np.exp(-1j * s))
-    out = np.zeros(x.shape, dtype=complex)
-    peak = 0.0
-    for lo in range(0, n_fine, 8192):
-        hi = min(lo + 8192, n_fine)
-        fy = np.asarray(fy_of(yf[lo:hi]), dtype=complex)
-        peak = max(peak, float(np.abs(fy).max()))
-        w = np.full(hi - lo, dy)
-        if lo == 0:
-            w[0] *= 0.5
-        if hi == n_fine:
-            w[-1] *= 0.5
-        out += mehler_kernel_r(r, x[:, None], yf[lo:hi][None, :], 1) @ (fy * w)
-    edge = float(np.max(np.abs(np.asarray(fy_of(np.array([-L, L])), dtype=complex))))
-    if peak > 0 and edge > 1e-10 * peak:
-        warnings.warn("f has not decayed at the grid boundary; the evolution "
-                      "integral is truncated", RuntimeWarning, stacklevel=3)
-    return phase * out
+    one = 1.0 - r * r
+    a = -0.5 * (1 + r * r) / one
+    b = 2.0 * r / one
+    w = np.full(n_fine, dy)
+    w[0] = w[-1] = 0.5 * dy
+    w = w * np.exp(a * yf * yf)
+    B = math.isqrt(n_fine - 1) + 1          # ceil(sqrt(n_fine))
+    nb = -(-n_fine // B)
+    inner = np.exp(b * x[:, None] * (dy * np.arange(B)))
+    outer = np.exp(b * x[:, None] * (-L + (B * dy) * np.arange(nb)))
+
+    out = np.empty((x.size, cols), dtype=complex)
+    truncated = False
+    width = max(1, _COLUMN_BUDGET // (nb * (B + x.size)))
+    for lo in range(0, cols, width):
+        c = slice(lo, min(lo + width, cols))
+        fy = np.asarray(sample(yf, c), dtype=complex)
+        if not np.all(np.isfinite(fy)):
+            raise ValueError("f has non-finite samples on the quadrature grid")
+        peak = np.abs(fy).max(axis=0)
+        edge = np.maximum(np.abs(fy[0]), np.abs(fy[-1]))
+        truncated |= bool(np.any((peak > 0) & (edge > 1e-10 * peak)))
+        g = np.zeros((nb * B, fy.shape[1]), dtype=complex)
+        g[:n_fine] = fy * w[:, None]
+        g = g.reshape(nb, B, -1).transpose(1, 0, 2).reshape(B, -1)
+        blocks = (inner @ g).reshape(x.size, nb, -1)
+        out[:, c] = np.einsum("jq,jqc->jc", outer, blocks)
+    scale = np.exp(-1j * s) * np.pi ** -0.5 * one ** -0.5 * np.exp(a * x * x)
+    return scale[:, None] * out, truncated
 
 
 def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
-    """Apply e^{-isH} by quadrature against the kernel.
+    """Apply e^{-isH} by quadrature against the factored Mehler kernel.
 
     f is a callable on the grid or an array of samples over x (1-d) or
-    x cross x (2-d, evolved separably one axis at a time).  Returns samples
-    on the same grid.
+    x cross x (2-d, evolved separably: every column along axis 0, then
+    every row along axis 1).  Sampled input goes through one cubic spline
+    per axis for all columns.  Returns samples on the same grid.  Raises
+    ValueError for non-finite s, x or samples of f, and for a grid of fewer
+    than 2 nodes.
     """
+    if not math.isfinite(s):
+        raise ValueError(f"time s must be finite, got {s!r}")
     if abs(math.sin(2.0 * s)) <= _CAUSTIC_TOL:
         raise CausticError(f"s = {s!r} is a caustic time (sin 2s = 0)")
     if x is None:
         x = hermite_grid(L, nodes)
     x = np.asarray(x, dtype=float)
+    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
+        raise ValueError("x must be a 1-d grid of at least 2 finite nodes")
     span = float(np.max(np.abs(x)))
     if callable(f):
-        probe = np.asarray(f(x))
-        if probe.shape == x.shape:
-            return _evolve_1d(lambda y: f(y), s, x, max(L, span))
-        raise ValueError("callable f must map the grid to samples of the same shape")
-    # sampled input is only known on the span of x, so the quadrature window
-    # cannot extend past it; the truncation warning fires if f is still large
-    f = np.asarray(f, dtype=complex)
-    if f.shape == x.shape:
-        spline = CubicSpline(x, f)
-        return _evolve_1d(spline, s, x, span)
-    if f.shape == (x.size, x.size):
-        half = np.stack([_evolve_1d(CubicSpline(x, f[:, col]), s, x, span)
-                         for col in range(x.size)], axis=1)
-        return np.stack([_evolve_1d(CubicSpline(x, half[row, :]), s, x, span)
-                         for row in range(x.size)], axis=0)
-    raise ValueError("samples must live on the grid (1-d) or its square (2-d)")
+        if np.shape(f(x)) != x.shape:
+            raise ValueError("callable f must map the grid to samples of the same shape")
+        u, truncated = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
+                                       s, x, max(L, span))
+        u = u[:, 0]
+    else:
+        # sampled input is only known on the span of x, so the quadrature
+        # window cannot extend past it; the truncation warning fires if f is
+        # still large there
+        f = np.asarray(f, dtype=complex)
+
+        def splined(F):
+            return lambda y, c: CubicSpline(x, F[:, c])(y)
+
+        if f.shape == x.shape:
+            u, truncated = _evolve_columns(splined(f[:, None]), 1, s, x, span)
+            u = u[:, 0]
+        elif f.shape == (x.size, x.size):
+            half, t0 = _evolve_columns(splined(f), x.size, s, x, span)
+            u, t1 = _evolve_columns(splined(half.T), x.size, s, x, span)
+            u, truncated = u.T, t0 or t1
+        else:
+            raise ValueError("samples must live on the grid (1-d) or its square (2-d)")
+    if truncated:
+        warnings.warn("f has not decayed at the grid boundary; the evolution "
+                      "integral is truncated", RuntimeWarning, stacklevel=2)
+    return u
 
 
 def hermite_gate(a, b, s0):

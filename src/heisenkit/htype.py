@@ -37,6 +37,8 @@ class HTypePoint:
             raise ValueError("v must have even dimension 2n >= 2")
         if not 1 <= len(t) <= 3:
             raise ValueError("center dimension k must be 1, 2 or 3")
+        if not all(map(math.isfinite, v + t)):
+            raise ValueError("coordinates must be finite")
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
 

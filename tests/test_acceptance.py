@@ -110,6 +110,7 @@ def test_criterion_10_hermite_suite(records):
     assert phase.tol == 1e-6
     assert fourier.tol == 1e-6
     assert boundary.tol == 1e-3
+    assert phase.ms + fourier.ms + boundary.ms < 2000.0
     _report(10, "hermite eigenphases, pi/4 fixed point, gate boundary",
             [phase, fourier, boundary])
 

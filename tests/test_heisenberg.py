@@ -129,6 +129,28 @@ def test_grid_rejects_inputs_outside_its_domain(zeta, r, t, match):
         heat_kernel_grid(zeta, np.array([0.2, r]), np.array([0.1, t]))
 
 
+@pytest.mark.parametrize("z,t", [
+    ((_NAN,), 0.0),
+    ((complex(0.5, _INF),), 0.0),
+    ((0.5,), _NAN),
+    ((0.5,), _INF),
+], ids=["z-nan", "z-inf", "t-nan", "t-inf"])
+def test_pointwise_kernel_rejects_non_finite_coordinates(z, t):
+    with pytest.raises(ValueError, match="finite"):
+        heat_kernel(1.0, HeisenbergPoint(z, t))
+
+
+@pytest.mark.parametrize("lam,r", [
+    (_NAN, 0.5),
+    (_INF, 0.5),
+    (1.0, _NAN),
+    (1.0, np.array([0.5, _INF])),
+], ids=["lam-nan", "lam-inf", "r-nan", "r-inf"])
+def test_profile_rejects_non_finite_lam_and_r(lam, r):
+    with pytest.raises(ValueError, match="finite"):
+        heat_kernel_lambda(1.0, lam, r)
+
+
 def test_grid_blocking_leaves_every_bit(monkeypatch):
     # the smallest budget gathers one point per block
     r = np.linspace(0.0, 3.0, 65)

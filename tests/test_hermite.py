@@ -1,13 +1,18 @@
 """Hermite functions, Mehler kernel, oscillator evolution, decay gate."""
 
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 from scipy.special import eval_hermite
 
+from heisenkit import hermite
 from heisenkit.hermite import (
     CausticError,
+    _fine_grid,
     MehlerParams,
     gate_boundary_profile,
     hermite_evolve,
@@ -90,6 +95,91 @@ def test_two_dimensional_evolution_is_separable():
     assert np.max(np.abs(u - np.exp(-2j * 0.35) * F)) < 1e-5
 
 
+def _dense_propagator(s, x, L):
+    """Reference route: the Mehler kernel matrix from x to the engine's fine
+    grid (same node count, its own linspace step), times trapezoid weights."""
+    n_fine = _fine_grid(s, x.size, L)[0].size
+    yf, dy = np.linspace(-L, L, n_fine, retstep=True)
+    w = np.full(n_fine, dy)
+    w[0] = w[-1] = 0.5 * dy
+    K = np.exp(-1j * s) * mehler_kernel_r(np.exp(-2j * s), x[:, None], yf[None, :])
+    return yf, K * w
+
+
+_NEAR_CAUSTIC = (math.pi / 2 - 0.01, math.pi / 2 + 0.01)
+
+
+@pytest.mark.parametrize("s", _NEAR_CAUSTIC)
+def test_factored_engine_matches_the_dense_kernel_near_a_caustic(s):
+    x = hermite_grid(8.0, 512)
+    yf, K = _dense_propagator(s, x, 8.0)
+    for k in range(5):
+        u = hermite_evolve(lambda y, k=k: hermite_fn(k, y), s, x)
+        ref = K @ hermite_fn(k, yf)
+        assert np.max(np.abs(u - ref)) < 1e-11 * np.max(np.abs(ref)), k
+
+
+@pytest.mark.parametrize("s", (0.3, 0.55))
+def test_factored_engine_matches_the_dense_kernel_in_two_dimensions(s):
+    # a sum of products, so no single column shape repeats across the array
+    x = hermite_grid(8.0, 112)
+    h = [hermite_fn(k, x) for k in range(4)]
+    F = np.outer(h[0], h[1]) + 0.5 * np.outer(h[2], h[0]) + 0.3j * np.outer(h[1], h[3])
+    yf, K = _dense_propagator(s, x, 8.0)
+    half = K @ CubicSpline(x, F)(yf)
+    ref = (K @ CubicSpline(x, half.T)(yf)).T
+    u = hermite_evolve(F, s, x)
+    assert np.max(np.abs(u - ref)) < 1e-11 * np.max(np.abs(ref))
+
+
+def test_column_groups_leave_the_two_dimensional_result(monkeypatch):
+    x = hermite_grid(8.0, 40)
+    h = [hermite_fn(k, x) for k in range(3)]
+    F = np.outer(h[0], h[1]) + 0.5j * np.outer(h[2], h[0])
+    whole = hermite_evolve(F, 0.4, x)
+    monkeypatch.setattr(hermite, "_COLUMN_BUDGET", 1)     # one column a group
+    single = hermite_evolve(F, 0.4, x)
+    monkeypatch.setattr(hermite, "_COLUMN_BUDGET", 7000)  # uneven groups
+    uneven = hermite_evolve(F, 0.4, x)
+    peak = np.max(np.abs(whole))
+    assert np.max(np.abs(single - whole)) < 1e-14 * peak
+    assert np.max(np.abs(uneven - whole)) < 1e-14 * peak
+
+
+@pytest.mark.parametrize("s", _NEAR_CAUSTIC)
+def test_eigenfunctions_pick_up_their_phases_near_a_caustic(s):
+    x = hermite_grid(8.0, 512)
+    for k in range(5):
+        u = hermite_evolve(lambda y, k=k: hermite_fn(k, y), s, x)
+        want = np.exp(-1j * (2 * k + 1) * s) * hermite_fn(k, x)
+        assert np.max(np.abs(u - want)) < 1e-10, k
+
+
+def test_near_caustic_evolution_memory_stays_small():
+    x = hermite_grid(8.0, 512)
+    tracemalloc.start()
+    try:
+        hermite_evolve(lambda y: hermite_fn(0, y), math.pi / 2 + 0.01, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+def test_truncation_warning_fires_once_for_any_undecayed_column():
+    x = hermite_grid(8.0, 64)
+    F = np.outer(hermite_fn(0, x), hermite_fn(0, x))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hermite_evolve(F, 0.4, x)
+    F[:, 20] = 1.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        hermite_evolve(F, 0.4, x)
+    assert [str(w.message) for w in caught] == [
+        "f has not decayed at the grid boundary; the evolution integral is truncated"]
+
+
 def test_caustics_are_rejected():
     with pytest.raises(CausticError):
         MehlerParams(0.0)
@@ -114,6 +204,32 @@ def test_evolve_input_validation():
         hermite_grid(-1.0)
     with pytest.raises(ValueError):
         hermite_grid(8.0, nodes=4)
+
+
+@pytest.mark.parametrize("s", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_evolve_rejects_non_finite_time(s):
+    with pytest.raises(ValueError, match="finite"):
+        hermite_evolve(lambda y: np.exp(-y * y), s)
+
+
+def test_evolve_rejects_non_finite_grid():
+    x = hermite_grid(4.0, 64)
+    x[10] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        hermite_evolve(lambda y: np.exp(-y * y), 0.3, x)
+
+
+@pytest.mark.parametrize("x", [np.array([0.5]), np.array([])], ids=["one", "none"])
+def test_evolve_rejects_grids_of_fewer_than_two_nodes(x):
+    with pytest.raises(ValueError, match="at least 2"):
+        hermite_evolve(lambda y: np.exp(-y * y), 0.3, x)
+
+
+def test_evolve_rejects_non_finite_samples_of_a_callable():
+    x = hermite_grid(4.0, 64)
+    with pytest.raises(ValueError, match="non-finite"):
+        hermite_evolve(lambda y: np.where(y > 1.0, np.nan, np.exp(-y * y)), 0.3, x)
 
 
 def test_gate_margin_and_boundary_product():

@@ -125,6 +125,17 @@ def test_batch_rejects_inputs_outside_its_domain(s, v, t, match):
         htype_heat_batch(s, 1, 2, np.array([0.2, v]), np.array([0.1, t]))
 
 
+@pytest.mark.parametrize("v,t", [
+    ((_NAN, 0.0), (0.1,)),
+    ((0.5, _INF), (0.1,)),
+    ((0.5, 0.0), (_NAN,)),
+    ((0.5, 0.0), (0.1, _INF)),
+], ids=["v-nan", "v-inf", "t-nan", "t-inf"])
+def test_pointwise_kernel_rejects_non_finite_coordinates(v, t):
+    with pytest.raises(ValueError, match="finite"):
+        htype_heat_kernel(1.0, HTypePoint(v, t))
+
+
 def test_radon_direction_independence():
     kern = HTypeHeatKernel(1.0, 1, 2)
     pts = [HeisenbergPoint((0.8 + 0.1j,), 0.5), HeisenbergPoint((1.4,), -1.0)]
