@@ -26,9 +26,16 @@ from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
 from .quadrature import QuadratureError
 from .verify import SUITE_NAMES, run_suite
 
+
+class NonFiniteResult(ArithmeticError):
+    """Finite inputs whose result overflowed or lost every digit."""
+
+
+# ArithmeticError takes in NonFiniteResult and the OverflowError of Python
+# float and complex powers at extreme inputs
 _NUMERICAL_ERRORS = (QuadratureError, CausticError, DecayDomainError,
                      ExceptionalLambdaError, DegenerateFitError,
-                     np.linalg.LinAlgError)
+                     np.linalg.LinAlgError, ArithmeticError)
 
 
 def _finite(text):
@@ -67,6 +74,12 @@ def _fmt(x):
     return "%.17g" % float(x)
 
 
+def _require_finite(values, what):
+    """No row with a non-finite cell leaves with exit 0."""
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteResult(f"the {what} is not finite at these inputs")
+
+
 def _emit(lines, out):
     text = "\n".join(lines) + "\n"
     if out:
@@ -101,6 +114,7 @@ def _cmd_kernel(args):
                               "coordinate per row")
         vals = np.atleast_1d(mehler_kernel(MehlerParams(args.s, args.n),
                                            axis, args.y))
+    _require_finite(vals, "kernel")
     lines = ["r,re,im"]
     for rr, vv in zip(axis, vals):
         lines.append(f"{_fmt(rr)},{_fmt(vv.real)},{_fmt(vv.imag)}")
@@ -155,6 +169,7 @@ def _cmd_gate(args):
     for combo in itertools.product(*(axes[c] for c in used)):
         row = dict(zip(used, combo))
         margin, decision = _gate_row(args.which, row)
+        _require_finite(margin, "gate margin")
         cells = [_fmt(row[c]) if c in row else "" for c in
                  ("a", "b", "s0", "lam", "eps")]
         lines.append(",".join(cells + [_fmt(margin), decision]))

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import QuadratureError, adaptive_quad, sample_axis, separable_panels
+from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, sample_axis,
+                         separable_panels)
 
 
 @dataclass(frozen=True)
@@ -126,8 +127,42 @@ def _profile_on_nodes(lams, r, zeta, n):
     return pref * np.exp(-rate * r2)
 
 
+def _log_envelope(eps, n, k=1):
+    """lam -> log(lam^{k-1} (lam / sinh(eps lam))^n) for lam > 0: the modulus
+    bound of the central-frequency integrands here and in `htype`, in logs
+    so that no power overflows."""
+    def log_envelope(lam):
+        x = eps * lam
+        log_sinh = x + math.log(-0.5 * math.expm1(-2.0 * x))
+        return (k - 1 + n) * math.log(lam) - n * log_sinh
+    return log_envelope
+
+
+def _variation_rate(zeta, n, radii, times):
+    """How fast the central-frequency integrand varies along lam at the
+    sorted unique radii and the central coordinates times, for the first
+    panel rule.
+
+    It adds the phase rate max|t| + n |Im zeta|, the largest radius r (the
+    Gaussian factor is e^{-r^2 / (4 zeta)} e^{-r^2 zeta lam^2 / 12} near
+    lam = 0, of width ~ 1 / r) and a = |zeta|^2 / Re zeta, which is pi over
+    the distance of the profile's nearest pole i pi / zeta from the real
+    axis.  A row of radius r is e^{-r^2 / (4a)} in size, so only the radii
+    within e^{-37} (1e-16) of the largest row count, and none whose rows
+    underflow (e^{-745}).
+    """
+    zeta = complex(zeta)
+    a = abs(zeta) ** 2 / zeta.real
+    r2 = min(radii[-1] ** 2, radii[0] ** 2 + 148.0 * a, 3128.0 * a) if radii.size else 0.0
+    t_max = float(np.max(np.abs(times), initial=0.0))
+    return t_max + n * abs(zeta.imag) + math.sqrt(r2) + a
+
+
 def _frequency_cutoff(zeta, n):
-    """Smallest Lam with the lam-integrand envelope below 1e-15 of its peak."""
+    """Lam with the lam-integrand envelope below 1e-15 of its peak, grown in
+    x1.3 steps from max(8, 4/|zeta|).  Only the adaptive `heat_kernel` uses
+    it: its values stay those of this cutoff, while the grid engine solves
+    for the crossing (`quadrature.envelope_cutoff`)."""
     eps = zeta.real
     if eps <= 0:
         raise ValueError("inversion in t needs Re zeta > 0")
@@ -172,6 +207,9 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     phase e^{-i lam t}; each is tabulated on the unique r and t values only.
     One composite panel rule in lam is shared by all points and refined
     until two successive rules agree to rtol (`quadrature.separable_panels`).
+    The rule ends where the envelope |lam / sinh(lam eps)|^n crosses 1e-15
+    of its peak |zeta|^{-n} (`quadrature.envelope_cutoff`), and its first
+    panels are sized by how fast the integrand varies (`_variation_rate`).
     Radii must be finite and nonnegative, t finite.
     """
     zeta = _as_time(zeta)
@@ -182,10 +220,9 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
                                sample_axis("central coordinates t", t))
     r_unique, ir = np.unique(r.ravel(), return_inverse=True)
     t_unique, it = np.unique(t.ravel(), return_inverse=True)
-    lam_max = _frequency_cutoff(zv, n)
-    t_span = float(np.max(np.abs(t_unique), initial=0.0))
-    panels = int(np.ceil(lam_max * max(t_span, 1.0) / np.pi)) + 16
-    vals = separable_panels(-lam_max, lam_max, panels,
+    lam_max = envelope_cutoff(_log_envelope(zv.real, n),
+                              math.log(1e-15) - n * math.log(abs(zv)), 4.0 / abs(zv))
+    vals = separable_panels(-lam_max, lam_max, _variation_rate(zv, n, r_unique, t_unique),
                             lambda lams: _profile_on_nodes(lams, r_unique, zv, n),
                             lambda lams: np.exp(-1j * np.outer(t_unique, lams)),
                             ir, it, rtol) / (2.0 * np.pi)

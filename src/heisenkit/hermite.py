@@ -105,31 +105,33 @@ def hermite_grid(L=8.0, nodes=512):
     return np.linspace(-L, L, nodes)
 
 
-def _fine_grid(s, nodes, L):
-    """Trapezoid nodes on [-L, L] that resolve the kernel's phase at time s."""
-    grad = L * (abs(math.cos(2 * s) / math.sin(2 * s)) + 1.0 / abs(math.sin(2 * s)))
-    n_fine = max(nodes, int(np.ceil(2.0 * L * 2.0 * grad / np.pi)) + 1)
+def _fine_grid(s, nodes, lo, hi):
+    """Trapezoid nodes on [lo, hi] that resolve the kernel's phase at time s
+    for outputs |x| <= max(|lo|, |hi|)."""
+    grad = max(-lo, hi) * (abs(math.cos(2 * s) / math.sin(2 * s)) + 1.0 / abs(math.sin(2 * s)))
+    n_fine = max(nodes, int(np.ceil((hi - lo) * 2.0 * grad / np.pi)) + 1)
     if n_fine > _REFINE_CAP:
         raise CausticError("so close to a caustic that the quadrature "
                            f"refinement ({n_fine} nodes) exceeds the budget")
     # the exact step: the blocked phases below multiply it by up to n_fine
-    return np.linspace(-L, L, n_fine, retstep=True)
+    return np.linspace(lo, hi, n_fine, retstep=True)
 
 
-def _evolve_columns(sample, cols, s, x, L):
+def _evolve_columns(sample, cols, s, x, lo, hi):
     """u = e^{-isH} f on the grid x for each of the cols columns of f.
 
     sample(y, c) gives the columns c (a slice) of f at the fine nodes y in
-    [-L, L] as a (len(y), width) array.  For real s the kernel factors as
-    c e^{a x^2} e^{a y^2} e^{b x y}, and with y_k = -L + (qB + m) dy the last
-    factor splits into e^{b x (-L + qB dy)} e^{b x m dy}: the y-sum is one
+    [lo, hi] as a (len(y), width) array; the grid x lies in
+    [-max(|lo|, |hi|), max(|lo|, |hi|)].  For real s the kernel factors as
+    c e^{a x^2} e^{a y^2} e^{b x y}, and with y_k = lo + (qB + m) dy the last
+    factor splits into e^{b x (lo + qB dy)} e^{b x m dy}: the y-sum is one
     (N x B)(B x nb cols) GEMM and a weighted sum over the nb blocks, so
     B = ceil(sqrt M) for M fine nodes takes O(N sqrt M) exponentials instead
     of N M.  Columns go through in groups that keep the samples and the
     block sums within _COLUMN_BUDGET entries.  Returns the (N, cols) result
-    and whether some column has not decayed at +-L.
+    and whether some column has not decayed at lo or hi.
     """
-    yf, dy = _fine_grid(s, x.size, L)
+    yf, dy = _fine_grid(s, x.size, lo, hi)
     n_fine = yf.size
     r = complex(np.exp(-2j * s))
     one = 1.0 - r * r
@@ -141,7 +143,7 @@ def _evolve_columns(sample, cols, s, x, L):
     B = math.isqrt(n_fine - 1) + 1          # ceil(sqrt(n_fine))
     nb = -(-n_fine // B)
     inner = np.exp(b * x[:, None] * (dy * np.arange(B)))
-    outer = np.exp(b * x[:, None] * (-L + (B * dy) * np.arange(nb)))
+    outer = np.exp(b * x[:, None] * (lo + (B * dy) * np.arange(nb)))
 
     out = np.empty((x.size, cols), dtype=complex)
     truncated = False
@@ -168,8 +170,10 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
 
     f is a callable on the grid or an array of samples over x (1-d) or
     x cross x (2-d, evolved separably: every column along axis 0, then
-    every row along axis 1).  Sampled input goes through one cubic spline
-    per axis for all columns.  Returns samples on the same grid.  Raises
+    every row along axis 1).  A callable is integrated over
+    [-max(L, max|x|), max(L, max|x|)]; sampled input goes through one cubic
+    spline per axis for all columns and is integrated over [min x, max x],
+    where the spline interpolates.  Returns samples on the same grid.  Raises
     ValueError for non-finite s, x or samples of f, and for a grid of fewer
     than 2 nodes.
     """
@@ -182,28 +186,29 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
         raise ValueError("x must be a 1-d grid of at least 2 finite nodes")
-    span = float(np.max(np.abs(x)))
     if callable(f):
         if np.shape(f(x)) != x.shape:
             raise ValueError("callable f must map the grid to samples of the same shape")
+        span = max(L, float(np.max(np.abs(x))))
         u, truncated = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
-                                       s, x, max(L, span))
+                                       s, x, -span, span)
         u = u[:, 0]
     else:
-        # sampled input is only known on the span of x, so the quadrature
+        # sampled input is only known on [min x, max x], so the quadrature
         # window cannot extend past it; the truncation warning fires if f is
         # still large there
+        lo, hi = float(np.min(x)), float(np.max(x))
         f = np.asarray(f, dtype=complex)
 
         def splined(F):
             return lambda y, c: CubicSpline(x, F[:, c])(y)
 
         if f.shape == x.shape:
-            u, truncated = _evolve_columns(splined(f[:, None]), 1, s, x, span)
+            u, truncated = _evolve_columns(splined(f[:, None]), 1, s, x, lo, hi)
             u = u[:, 0]
         elif f.shape == (x.size, x.size):
-            half, t0 = _evolve_columns(splined(f), x.size, s, x, span)
-            u, t1 = _evolve_columns(splined(half.T), x.size, s, x, span)
+            half, t0 = _evolve_columns(splined(f), x.size, s, x, lo, hi)
+            u, t1 = _evolve_columns(splined(half.T), x.size, s, x, lo, hi)
             u, truncated = u.T, t0 or t1
         else:
             raise ValueError("samples must live on the grid (1-d) or its square (2-d)")

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import HeisenbergPoint
-from .quadrature import (QuadratureError, adaptive_quad, gauss_interval, sample_axis,
-                         separable_panels)
+from .heisenberg import HeisenbergPoint, _log_envelope, _variation_rate
+from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, gauss_interval,
+                         sample_axis, separable_panels)
 from .specfun import bessel_j_tilde
 
 
@@ -65,7 +65,10 @@ def _constant(n, k):
 
 def _lam_cutoff(s, n, k):
     """Frequency beyond which the integrand envelope is below 1e-16 of its
-    small-lam scale."""
+    small-lam scale, grown in x1.4 steps from max(8, 4/s).  Only the
+    adaptive `htype_heat_kernel` uses it: its values stay those of this
+    cutoff, while the batch solves for the crossing
+    (`quadrature.envelope_cutoff`)."""
     scale = s ** (-n)
     lam = max(8.0, 4.0 / s)
     while lam ** (k - 1) * (lam / (math.sinh(s * lam) if s * lam < 700 else math.inf)) ** n \
@@ -120,9 +123,12 @@ def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
 
     The radial and central factors of the integrand are tabulated on the
     unique |v| and |t| values only, and the rule is refined until two
-    successive rules agree to rtol (`quadrature.separable_panels`).  This
-    is the fast path behind the Radon transform.  Norms must be finite
-    and nonnegative.
+    successive rules agree to rtol (`quadrature.separable_panels`).  The
+    rule ends where the envelope lam^{k-1} (lam / sinh(s lam))^n crosses
+    1e-16 of s^{-n} (`quadrature.envelope_cutoff`), and its first panels
+    are sized as the Heisenberg engine's, the Bessel factor oscillating at
+    rate max|t| (`heisenberg._variation_rate`).  This is the fast path
+    behind the Radon transform.  Norms must be finite and nonnegative.
     """
     _check_time(s)
     if int(n) != n or n < 1:
@@ -133,9 +139,9 @@ def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
                                        sample_axis("norms |t|", tnorm, nonnegative=True))
     rho, ir = np.unique(vnorm.ravel(), return_inverse=True)
     tau, it = np.unique(tnorm.ravel(), return_inverse=True)
-    lam_max = _lam_cutoff(s, n, k)
-    panels = int(np.ceil(lam_max * (float(tau.max(initial=0.0)) + 1.0) / np.pi)) + 16
-    vals = separable_panels(0.0, lam_max, panels,
+    lam_max = envelope_cutoff(_log_envelope(s, n, k), math.log(1e-16) - n * math.log(s),
+                              4.0 / s)
+    vals = separable_panels(0.0, lam_max, _variation_rate(s, n, rho, tau),
                             lambda lams: _radial_factor(lams, s, n, k, rho),
                             lambda lams: _central_factor(lams, k, tau),
                             ir, it, rtol)
@@ -174,9 +180,15 @@ def _perp_basis(eta):
     return eta, q[:, 1:k]
 
 
+# h_s decays like e^{-pi |t| / s}, set by the pole of the central-frequency
+# integrand at lam = i pi / s, so it falls by 1e-16 within (16 ln 10 / pi) s
+# of the farthest target
+_NU_DECAY = 16.0 * math.log(10.0) / math.pi
+
+
 def _nu_rule(k, s, t_span, half_width, nu_nodes):
     if half_width is None:
-        half_width = t_span + 14.7 * s + 2.0
+        half_width = t_span + _NU_DECAY * s
     if nu_nodes is None:
         nu_nodes = 160 if k == 2 else 48
     x, w = gauss_interval(-half_width, half_width, nu_nodes)

@@ -1,7 +1,9 @@
 """Shared quadrature helpers: panel Gauss-Legendre rules, the separable
-panel integrator behind the frequency integrals, trapezoid weights, and a
-budgeted wrapper around scipy's adaptive integrator."""
+panel integrator behind the frequency integrals and the cutoff solver that
+ends them, trapezoid weights, and a budgeted wrapper around scipy's
+adaptive integrator."""
 
+import math
 import os
 import warnings
 from functools import lru_cache
@@ -104,7 +106,38 @@ def _gathered_sum(a, b, ia, ib):
     return out
 
 
-def separable_panels(a, b, panels, row, col, ir, ic, rtol):
+def envelope_cutoff(log_envelope, log_floor, start):
+    """Cutoff L >= start past which an integrand's envelope stays below a
+    floor, found to within 1% above the crossing.
+
+    Both are given as logarithms, so that no envelope overflows.  The
+    bracket doubles from start until log_envelope(L) <= log_floor at its
+    top and is then bisected (geometrically) until its ends are 1% apart;
+    the top is returned.  The envelope must decrease on [start, inf), and
+    start itself is returned when it already lies below the floor.  No
+    crossing below 1e7 raises QuadratureError.
+    """
+    lo = hi = float(start)
+    while hi <= 1e7 and log_envelope(hi) > log_floor:
+        lo, hi = hi, 2.0 * hi
+    if hi > 1e7:
+        raise QuadratureError("no usable frequency cutoff below 1e7")
+    while hi > 1.01 * lo:
+        mid = math.sqrt(lo * hi)
+        if log_envelope(mid) > log_floor:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+# half-periods of e^{i rate x} on one 12-node panel of the first rule
+_HALF_PERIODS = 4
+# panels of the first rule; four refinements take it to 16x + 105
+_FIRST_PANELS = 1 << 18
+
+
+def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     """Integrals over [a, b] of integrands that factor as row(x) col(x).
 
     row(x) and col(x) return tables of shape (values, nodes): the two
@@ -112,13 +145,15 @@ def separable_panels(a, b, panels, row, col, ir, ic, rtol):
     into (the inverse maps of np.unique), so each factor is evaluated once
     per node and unique value.  Point p gets
         sum_j w_j row(x_j)[ir[p]] col(x_j)[ic[p]]
-    on a composite order-12 Gauss-Legendre rule with `panels` panels, which is
-    refined (panels -> 2 panels + 7) until two successive rules agree to
-    rtol relative to the largest value, at most four times.  A rule that
-    is still moving after that raises QuadratureError with the last panel
-    count and the gap.  The tables are built a chunk of nodes at a time,
-    so scattered points, whose values are all unique, stay within a fixed
-    memory budget.
+    on a composite order-12 Gauss-Legendre rule.  rate says how fast the
+    integrand varies: the first rule puts _HALF_PERIODS half-periods of
+    e^{i rate x} on each panel, and it is refined (panels -> 2 panels + 7)
+    until two successive rules agree to rtol relative to the largest value,
+    at most four times.  A rule that is still moving after that raises
+    QuadratureError with the last panel count and the gap, and so does a
+    first rule of more than _FIRST_PANELS panels.  The tables are built a
+    chunk of nodes at a time, so scattered points, whose values are all
+    unique, stay within a fixed memory budget.
     """
     # every unique value occurs in its inverse map, so max + 1 counts them
     values = int(ir.max(initial=-1)) + int(ic.max(initial=-1)) + 2
@@ -130,6 +165,11 @@ def separable_panels(a, b, panels, row, col, ir, ic, rtol):
                                  col(nodes[j:j + step]) * weights[j:j + step], ir, ic)
                    for j in range(0, nodes.size, step))
 
+    panels = (b - a) * rate / (_HALF_PERIODS * math.pi)
+    if not panels <= _FIRST_PANELS:
+        raise QuadratureError(f"the integrand varies too fast for a panel rule: its "
+                              f"first rule would take {panels:.3g} panels")
+    panels = max(1, math.ceil(panels))
     fine = run(panels)
     for _ in range(4):
         panels = 2 * panels + 7

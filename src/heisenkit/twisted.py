@@ -229,15 +229,20 @@ def _ring_sum(raster, g, r, theta0, orbit):
 
 def twisted_convolution(f, g):
     """(f *_lam g) on the shared grid nodes; see the module docstring."""
+    return SpectralSlice(f.lam, f.grid, _convolution_rings(f, g, f.grid.r))
+
+
+def _convolution_rings(f, g, r):
+    """(f *_lam g) at the grid's angles on the rings of radii r, as an
+    (r, angle) array: the rows of `twisted_convolution` for those radii."""
     if f.lam != g.lam:
         raise ValueError("slices carry different central frequencies")
     if not f.grid.same_as(g.grid):
         raise ValueError("slices live on different grids")
     if f.grid.n != 1:
         raise NotImplementedError("grid twisted convolution is implemented for n = 1 only")
-    na = f.grid.omega.shape[0]
-    values = _ring_sum(_rasterize(f), g, f.grid.r, np.zeros(f.grid.r.size), na)
-    return SpectralSlice(f.lam, f.grid, values)
+    r = np.asarray(r, dtype=float)
+    return _ring_sum(_rasterize(f), g, r, np.zeros(r.size), f.grid.omega.shape[0])
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):

@@ -120,5 +120,5 @@ def test_criterion_11_radon_reduction(records):
     degenerate = records["radon-degenerate"]
     assert collapse.tol == 1e-2
     assert degenerate.tol == 1e-5
-    assert collapse.ms + degenerate.ms < 2000.0
+    assert collapse.ms + degenerate.ms < 500.0
     _report(11, "radon reduction to the n=1 kernel", [collapse, degenerate])

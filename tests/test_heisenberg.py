@@ -1,5 +1,7 @@
 """Group law, heat kernel inversion, scaling, and the Gaussian bound check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,9 @@ def test_grid_matches_pointwise_kernel():
 
 
 def test_grid_refines_until_two_rules_agree():
-    # at Re zeta = 0.3 the first two panel rules disagree by ~7e-7; the
-    # refinement must go on to a converged rule instead of raising
+    # at Re zeta = 0.3 the profile's pole i pi / zeta lies 0.86 from the
+    # real axis; a rule that does not resolve it must be refined to a
+    # converged one instead of raising
     zeta = 0.3 + 1.0j
     r = np.array([0.0, 0.7, 1.5, 3.0])
     t = np.array([-2.5, 0.0, 1.2, 3.0])
@@ -95,6 +98,38 @@ def test_grid_refines_until_two_rules_agree():
         for j in range(t.size):
             want = heat_kernel(zeta, HeisenbergPoint((r[i],), t[j]))
             assert abs(grid[i, j] - want) < 1e-8 * abs(want)
+
+
+@pytest.mark.parametrize("zeta", [1.0, 1.0 + 0.5j, 0.3 + 1.0j])
+def test_grid_cutoff_sits_within_one_percent_above_the_envelope_crossing(zeta, engine_cutoffs):
+    heat_kernel_grid(zeta, np.array([0.0, 1.0]), np.array([0.0, 0.5]))
+    (lam_max,) = engine_cutoffs
+    eps = complex(zeta).real
+
+    def envelope(lam):
+        return lam / math.sinh(lam * eps)
+
+    # 1e-15 of the peak |zeta|^{-1}
+    floor = 1e-15 / abs(zeta)
+    assert envelope(lam_max) <= floor < envelope(lam_max / 1.01)
+
+
+def _table_axis(rng, lo, hi, size):
+    return np.concatenate([[lo], np.sort(rng.uniform(lo, hi, size - 2)), [hi]])
+
+
+def test_table_shapes_converge_at_the_first_comparison(order12_rules):
+    rng = np.random.default_rng(0)
+    r = _table_axis(rng, 0.0, 4.0, 64)
+    t_nodes, _ = gauss_panels(-15.0, 15.0, 24, 16)
+    shapes = [(1.0, r, _table_axis(rng, -3.0, 3.0, 32)),
+              (1.0 + 0.5j, r, _table_axis(rng, -3.0, 3.0, 16)),
+              # the heat-roundtrip check of the semigroup suite
+              (1.0, np.array([0.5, 1.2, 2.0]), t_nodes)]
+    for zeta, rr, tt in shapes:
+        order12_rules.clear()
+        heat_kernel_grid(zeta, rr[:, None], tt[None, :])
+        assert len(order12_rules) == 2, (zeta, rr.size, tt.size, order12_rules)
 
 
 @pytest.mark.parametrize("zeta", [0.8, 1.0 + 0.5j])

@@ -95,15 +95,30 @@ def test_two_dimensional_evolution_is_separable():
     assert np.max(np.abs(u - np.exp(-2j * 0.35) * F)) < 1e-5
 
 
-def _dense_propagator(s, x, L):
+def _dense_propagator(s, x, lo, hi):
     """Reference route: the Mehler kernel matrix from x to the engine's fine
-    grid (same node count, its own linspace step), times trapezoid weights."""
-    n_fine = _fine_grid(s, x.size, L)[0].size
-    yf, dy = np.linspace(-L, L, n_fine, retstep=True)
+    grid on [lo, hi] (same node count, its own linspace step), times
+    trapezoid weights."""
+    n_fine = _fine_grid(s, x.size, lo, hi)[0].size
+    yf, dy = np.linspace(lo, hi, n_fine, retstep=True)
     w = np.full(n_fine, dy)
     w[0] = w[-1] = 0.5 * dy
     K = np.exp(-1j * s) * mehler_kernel_r(np.exp(-2j * s), x[:, None], yf[None, :])
     return yf, K * w
+
+
+def test_sampled_input_on_an_asymmetric_grid_is_integrated_over_the_samples():
+    # the spline through the samples holds on [-4, 8] only; a window of
+    # [-max|x|, max|x|] = [-8, 8] would extrapolate it over [-8, -4]
+    s = 0.4
+    x = np.linspace(-4.0, 8.0, 200)
+    f = hermite_fn(0, x)
+    yf, K = _dense_propagator(s, x, -4.0, 8.0)
+    ref = K @ CubicSpline(x, f)(yf)
+    # h_0 is still 2.5e-4 of its peak at x = -4
+    with pytest.warns(RuntimeWarning, match="not decayed"):
+        u = hermite_evolve(f, s, x)
+    assert np.max(np.abs(u - ref)) < 1e-11 * np.max(np.abs(ref))
 
 
 _NEAR_CAUSTIC = (math.pi / 2 - 0.01, math.pi / 2 + 0.01)
@@ -112,7 +127,7 @@ _NEAR_CAUSTIC = (math.pi / 2 - 0.01, math.pi / 2 + 0.01)
 @pytest.mark.parametrize("s", _NEAR_CAUSTIC)
 def test_factored_engine_matches_the_dense_kernel_near_a_caustic(s):
     x = hermite_grid(8.0, 512)
-    yf, K = _dense_propagator(s, x, 8.0)
+    yf, K = _dense_propagator(s, x, -8.0, 8.0)
     for k in range(5):
         u = hermite_evolve(lambda y, k=k: hermite_fn(k, y), s, x)
         ref = K @ hermite_fn(k, yf)
@@ -125,7 +140,7 @@ def test_factored_engine_matches_the_dense_kernel_in_two_dimensions(s):
     x = hermite_grid(8.0, 112)
     h = [hermite_fn(k, x) for k in range(4)]
     F = np.outer(h[0], h[1]) + 0.5 * np.outer(h[2], h[0]) + 0.3j * np.outer(h[1], h[3])
-    yf, K = _dense_propagator(s, x, 8.0)
+    yf, K = _dense_propagator(s, x, -8.0, 8.0)
     half = K @ CubicSpline(x, F)(yf)
     ref = (K @ CubicSpline(x, half.T)(yf)).T
     u = hermite_evolve(F, s, x)

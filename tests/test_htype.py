@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -86,10 +87,38 @@ def test_separable_batch_matches_pointwise_on_scattered_and_repeated_points(k):
             assert abs(got[idx] - want) < 1e-10 * abs(want)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batch_cutoff_sits_within_one_percent_above_the_envelope_crossing(k, engine_cutoffs):
+    htype_heat_batch(1.0, 1, k, np.array([0.5, 1.0]), np.array([0.0, 0.7]))
+    (lam_max,) = engine_cutoffs
+
+    def envelope(lam):
+        return lam ** (k - 1) * lam / math.sinh(lam)
+
+    # 1e-16 of s^{-n} at s = n = 1
+    assert envelope(lam_max) <= 1e-16 < envelope(lam_max / 1.01)
+
+
+def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules):
+    rng = np.random.default_rng(0)
+    rho = np.concatenate([[0.1], np.sort(rng.uniform(0.1, 3.0, 62)), [3.0]])
+    tau = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 14)), [3.0]])
+    for k in (1, 2, 3):
+        order12_rules.clear()
+        htype_heat_batch(1.0, 1, k, rho[:, None], tau[None, :])
+        assert len(order12_rules) == 2, (k, order12_rules)
+    # one target, and the 5 x 5 grid of the radon-collapse check
+    for v, t in ((np.array([1.1]), np.array([0.7])),
+                 (np.linspace(0.4, 2.0, 5), np.linspace(-1.5, 1.5, 5))):
+        order12_rules.clear()
+        radon_heat_profile(1.0, v, t, n=1, k=2)
+        assert len(order12_rules) == 2, (v.size, t.size, order12_rules)
+
+
 def test_batch_refines_until_two_rules_agree():
     # at |v| = 16 the integrand is a bump of width ~0.2 near lam = 0, which
-    # the first panel rule misses by 4e-7 relative: the batch must go on
-    # refining instead of raising after one comparison
+    # a rule sized by the phase rate alone misses by 4e-7 relative: the
+    # batch must resolve it, sizing or refining its rule, instead of raising
     vn = np.linspace(16.0, 17.0, 4)
     tn = np.linspace(0.0, 1.0, 4)
     got = htype_heat_batch(1.0, 1, 3, vn[:, None], tn[None, :])
@@ -162,7 +191,20 @@ def test_radon_collapses_onto_the_heisenberg_kernel():
     t = np.array([-0.8, 0.0, 0.8])
     got = radon_heat_profile(1.0, v, t, n=1, k=2)
     want = heat_kernel_grid(1.0, v[:, None], t[None, :]).real
-    assert np.max(np.abs(got - want) / want) < 1e-4
+    assert np.max(np.abs(got - want) / want) < 1e-7
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
+def test_default_nu_window_holds_the_decayed_kernel(s):
+    # the half-width t_span + (16 ln 10 / pi) s reaches past the decay of
+    # h_s ~ e^{-pi |t| / s} to round-off, so no truncation warning fires
+    v = np.array([0.4, 2.0])
+    t = np.array([-1.5, 0.0, 1.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = radon_heat_profile(s, v, t, n=1, k=2)
+    want = heat_kernel_grid(s, v[:, None], t[None, :]).real
+    assert np.max(np.abs(got - want)) < 1e-7 * np.max(np.abs(want))
 
 
 def test_radon_with_trivial_center_is_the_identity():

@@ -9,6 +9,7 @@ from heisenkit import quadrature
 from heisenkit.quadrature import (
     QuadratureError,
     adaptive_quad,
+    envelope_cutoff,
     gauss_interval,
     gauss_panels,
     quad_budget,
@@ -42,7 +43,7 @@ def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
     b = np.array([0.0, 3.0])
     ia = np.array([0, 2, 1, 1, 0])
     ib = np.array([1, 0, 0, 1, 1])
-    got = separable_panels(0.0, 2.0, 3,
+    got = separable_panels(0.0, 2.0, 3.0,
                            lambda x: np.exp(-np.outer(a, x)),
                            lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
     aa, bb = a[ia], b[ib]
@@ -50,18 +51,51 @@ def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
     assert np.max(np.abs(got - want)) < 1e-14
     # factor tables built a few nodes at a time give the same sums
     monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 40)
-    chunked = separable_panels(0.0, 2.0, 3, lambda x: np.exp(-np.outer(a, x)),
+    chunked = separable_panels(0.0, 2.0, 3.0, lambda x: np.exp(-np.outer(a, x)),
                                lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
     assert np.max(np.abs(chunked - got)) < 1e-15
-    assert separable_panels(0.0, 1.0, 2, lambda x: np.ones((1, x.size)),
+    assert separable_panels(0.0, 1.0, 0.0, lambda x: np.ones((1, x.size)),
                             lambda x: np.ones((1, x.size)), np.array([], dtype=int),
                             np.array([], dtype=int), 1e-9).size == 0
 
 
 def test_separable_panels_report_the_last_rule_and_gap():
-    # a chirp that no four refinements from one panel resolve
+    # a chirp that no four refinements from one panel (phase rate 0) resolve
     with pytest.raises(QuadratureError, match=r"at 121 panels the coarse/fine gap is .* x rtol"):
-        separable_panels(0.0, 40.0, 1, lambda x: np.cos(2000.0 * x * x)[None, :],
+        separable_panels(0.0, 40.0, 0.0, lambda x: np.cos(2000.0 * x * x)[None, :],
+                         lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+
+
+def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():
+    # log envelope -x crosses log floor -10 at x = 10
+    cut = envelope_cutoff(lambda x: -x, -10.0, 0.3)
+    assert 10.0 <= cut <= 10.1
+    # a start already below the floor is the cutoff
+    assert envelope_cutoff(lambda x: -x, -10.0, 12.0) == 12.0
+    with pytest.raises(QuadratureError, match="no usable frequency cutoff"):
+        envelope_cutoff(lambda x: -1e-9 * x, -10.0, 1.0)
+
+
+def test_separable_panels_first_rule_follows_the_phase_rate(monkeypatch):
+    rules = []
+    original = quadrature.gauss_panels
+
+    def counting(a, b, panels, order=16):
+        rules.append(panels)
+        return original(a, b, panels, order)
+
+    monkeypatch.setattr(quadrature, "gauss_panels", counting)
+    # int_0^30 cos(5 x) e^{-x} dx: 30 * 5 / pi half-periods, four to a panel
+    got = separable_panels(0.0, 30.0, 5.0, lambda x: np.exp(-x)[None, :],
+                           lambda x: np.cos(5.0 * x)[None, :], np.array([0]),
+                           np.array([0]), 1e-10)
+    first = math.ceil(30.0 * 5.0 / (quadrature._HALF_PERIODS * math.pi))
+    assert rules == [first, 2 * first + 7]
+    assert got[0] == pytest.approx((1.0 - math.exp(-30.0) * (math.cos(150.0) - 5.0 * math.sin(150.0)))
+                                   / 26.0, rel=1e-12)
+    # a first rule past the panel budget raises instead of running
+    with pytest.raises(QuadratureError, match="first rule would take"):
+        separable_panels(0.0, 30.0, 1e9, lambda x: np.ones((1, x.size)),
                          lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
 
 
