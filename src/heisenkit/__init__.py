@@ -14,7 +14,8 @@ and gate sweeps.
 __version__ = "0.1.0"
 
 from .grids import (PolarGrid, RadialProfile, SpectralSlice, circle_rule,
-                    polar_grid, radial_rule, s3_rule, sphere_area)
+                    partial_fourier_t, polar_grid, radial_rule, radial_slice,
+                    s3_rule, sphere_area)
 from .hankel import (DecayFit, DegenerateFitError, HankelPlan,
                      fit_gaussian_decay, hankel_plan, hankel_transform,
                      hardy_gate, plan_from_nodes)
@@ -30,12 +31,11 @@ from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
                          schrodinger_evolve, theorem34_gaussian_pair,
                          theorem34_pair, uniqueness_gate)
 from .quadrature import QuadratureError, adaptive_quad, quad_budget
-from .specfun import (bessel_j, bessel_j_tilde, hille_hardy, jtilde_of_square,
-                      laguerre, laguerre_fn, laguerre_series_sum)
+from .specfun import (bessel_j_tilde, hille_hardy, jtilde_of_square, laguerre,
+                      laguerre_fn, laguerre_series_sum)
 from .spherical import (BigradedBasis, SolidHarmonic, build_basis,
                         harmonic_part, reconstruct, spherical_coefficients)
-from .twisted import (hecke_bochner_check, laguerre_projection,
-                      partial_fourier_t, radial_slice, slice_value,
+from .twisted import (hecke_bochner_check, laguerre_projection, slice_value,
                       twisted_convolution, twisted_convolution_quad)
 from .verify import CheckRecord, SuiteReport, run_suite
 
@@ -45,7 +45,7 @@ __all__ = [
     "GateParams", "HankelPlan", "HeisenbergPoint", "HTypeHeatKernel",
     "HTypePoint", "MehlerParams", "PolarGrid", "QuadratureError",
     "RadialProfile", "SolidHarmonic", "SpectralSlice", "SuiteReport",
-    "adaptive_quad", "bessel_j", "bessel_j_tilde", "build_basis",
+    "adaptive_quad", "bessel_j_tilde", "build_basis",
     "circle_rule", "equality_case_profile", "fit_gaussian_decay",
     "gate_boundary_profile", "gate_lambda_window", "group_inverse",
     "group_law", "hankel_plan", "hankel_transform", "hardy_gate",

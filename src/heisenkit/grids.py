@@ -6,7 +6,8 @@ carries (2n-1 for profiles meant to be integrated over C^n).
 
 A PolarGrid is a product of Gauss-Legendre radii and a sphere rule on
 S^{2n-1}; n = 1 uses the uniform circle (spectrally exact), n = 2 a product
-rule on S^3 exact through polynomial degree ~24.
+rule on S^3 exact through polynomial degree ~24.  `radial_slice` and
+`partial_fourier_t` build the SpectralSlices sampled on them.
 """
 
 import csv
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quadrature import gauss_interval
+from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
 
 _CSV_HEADER = ["r", "re", "im"]
 
@@ -154,6 +155,31 @@ class SpectralSlice:
     def norm2(self):
         """L^2(C^n) norm of the slice under the grid measure."""
         return float(np.sqrt(np.sum(self.grid.measure() * np.abs(self.values) ** 2)))
+
+
+def radial_slice(grid, lam, values):
+    """Slice whose values depend on |z| only; values is an array on grid.r
+    or a callable of r."""
+    v = np.asarray(values(grid.r) if callable(values) else values, dtype=complex)
+    if v.shape != grid.r.shape:
+        raise ValueError("radial values must be sampled on grid.r")
+    return SpectralSlice(lam, grid, np.repeat(v[:, None], grid.omega.shape[0], axis=1))
+
+
+def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
+    """f^lam(z) = int e^{i lam t} f(z, t) dt from samples on grid x t_nodes."""
+    values = np.asarray(values, dtype=complex)
+    t_nodes = np.asarray(t_nodes, dtype=float)
+    expected = (grid.r.size, grid.omega.shape[0], t_nodes.size)
+    if values.shape != expected:
+        raise ValueError(f"need samples of shape {expected}, got {values.shape}")
+    if t_weights is None:
+        t_weights = trapezoid_weights(t_nodes)
+    warn_truncated("f has not decayed at the ends of the t grid; the t integral is truncated",
+                   float(np.max(np.abs(values[..., [0, -1]]))), float(np.max(np.abs(values))),
+                   1e-10)
+    phase = np.asarray(t_weights) * np.exp(1j * lam * t_nodes)
+    return SpectralSlice(lam, grid, values @ phase)
 
 
 def polar_grid(n=1, nr=128, r_max=8.0, nsphere=None):

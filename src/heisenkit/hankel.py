@@ -8,13 +8,12 @@ The kernel is written through the normalized Bessel function, so s = 0 and
 negative arguments need no special casing.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import RadialProfile
-from .quadrature import gauss_panels
+from .quadrature import gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
 
 
@@ -69,10 +68,8 @@ def hankel_transform(plan, F, s_grid):
         raise ValueError("profile is not sampled on the plan's nodes")
     if isinstance(F, RadialProfile) and not np.allclose(F.r, r, rtol=0, atol=1e-12):
         raise ValueError("profile grid differs from the plan's nodes")
-    peak = float(np.max(np.abs(vals)))
-    if peak > 0 and abs(vals[-1]) > 1e-12 * peak:
-        warnings.warn("profile has not decayed at r_max; transform is truncated",
-                      RuntimeWarning, stacklevel=2)
+    warn_truncated("profile has not decayed at r_max; transform is truncated",
+                   float(abs(vals[-1])), float(np.max(np.abs(vals))), 1e-12)
     s = np.atleast_1d(np.asarray(s_grid, dtype=float))
     alpha = plan.alpha
     # J_a(rs)/(rs)^a = 2^{-a} Jt_a(rs); Jt handles s = 0 and s < 0 (even)

@@ -81,50 +81,45 @@ def group_inverse(p):
     return HeisenbergPoint(tuple(-np.asarray(p.z)), -p.t)
 
 
-_LIMIT_CUT = 1e-8
+def _hyperbolic_gaussian(lam, zeta, n, r):
+    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}, broadcast
+    over lam and r: the heat kernel's lam-profile without (4 pi)^{-n}.
+
+    Both factors are even in lam, so with a = max(|lam|, 1e-100 / |zeta|),
+    x = a zeta and e1 = 1 - e^{-2x} they are 2a e^{-x} / e1 and
+    a (2 - e1) / e1.  For Re zeta >= 0 nothing here overflows (a factor
+    beyond double range underflows to 0), and lam = 0 gives the Euclidean
+    limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.  The
+    floor keeps |x| at 1e-100, where the limit is exact in double precision;
+    a subnormal x would overflow the complex division.
+    """
+    a = np.maximum(np.abs(lam), 1e-100 / abs(zeta))
+    x = a * zeta
+    e1 = -np.expm1(-2.0 * x)
+    return (2.0 * a * np.exp(-x) / e1) ** n * np.exp(-0.25 * a * (2.0 - e1) / e1 * np.square(r))
 
 
 def heat_kernel_lambda(zeta, lam, r, n=1):
-    """Frequency profile of the heat kernel at |z| = r.
+    """Frequency profile of the heat kernel at |z| = r,
+    (4 pi)^{-n} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}.
 
-    Uses the lam -> 0 Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)} when
-    |lam * zeta| < 1e-8.  With eps = 0 the profile exists only off the poles
-    of sinh(i lam s), which raise.  Non-finite lam or r raise ValueError.
+    lam = 0 gives the Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)}, and
+    values below double range come out as 0.  With eps = 0 the profile
+    exists only off the poles lam s = k pi, k != 0, which raise.  Non-finite
+    lam or r raise ValueError.
     """
     if int(n) != n or n < 1:
         raise ValueError("dimension n must be a positive integer")
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
-    return _profile(_as_time(zeta).value, lam, sample_axis("r", r), n)
-
-
-def _profile(zeta, lam, r, n):
-    """heat_kernel_lambda at the complex time zeta, inputs taken as valid."""
-    x = lam * zeta
-    if abs(x) < _LIMIT_CUT:
-        out = (4.0 * np.pi * zeta) ** (-n) * np.exp(-r * r / (4.0 * zeta))
-    else:
-        sh = np.sinh(x)
-        if abs(sh) <= 1e-12 * max(1.0, abs(x)):
-            raise ValueError("profile pole: sinh(lam * zeta) vanishes "
-                             f"(lam={lam!r}, zeta={zeta!r})")
-        out = (4.0 * np.pi) ** (-n) * (lam / sh) ** n \
-            * np.exp(-0.25 * lam * (np.cosh(x) / sh) * r * r)
-    out = np.asarray(out, dtype=complex)
-    return out if np.ndim(r) else out[()]
-
-
-def _profile_on_nodes(lams, r, zeta, n):
-    """Profile values on an outer (r, lam) product; r 1-d, lams 1-d."""
-    lams = np.asarray(lams, dtype=float)[None, :]
-    r2 = (np.asarray(r, dtype=float) ** 2)[:, None]
-    x = lams * zeta
-    small = np.abs(x) < _LIMIT_CUT
-    sh = np.sinh(np.where(small, 1.0, x))
-    pref = np.where(small, (4.0 * np.pi * zeta) ** (-n),
-                    (4.0 * np.pi) ** (-n) * (lams / sh) ** n)
-    rate = np.where(small, 0.25 / zeta, 0.25 * lams * np.cosh(x) / sh)
-    return pref * np.exp(-rate * r2)
+    zeta = _as_time(zeta)
+    x = lam * zeta.s
+    if zeta.eps == 0 and abs(x) > 1.0 and abs(math.sin(x)) <= 1e-12 * abs(x):
+        raise ValueError("profile pole: sinh(lam * zeta) vanishes "
+                         f"(lam={lam!r}, zeta={zeta.value!r})")
+    r = sample_axis("r", r)
+    out = (4.0 * np.pi) ** (-n) * _hyperbolic_gaussian(lam, zeta.value, n, r)
+    return np.asarray(out, dtype=complex)[()]
 
 
 def _log_envelope(eps, n, k=1):
@@ -158,20 +153,17 @@ def _variation_rate(zeta, n, radii, times):
     return t_max + n * abs(zeta.imag) + math.sqrt(r2) + a
 
 
-def _frequency_cutoff(zeta, n):
-    """Lam with the lam-integrand envelope below 1e-15 of its peak, grown in
-    x1.3 steps from max(8, 4/|zeta|).  Only the adaptive `heat_kernel` uses
-    it: its values stay those of this cutoff, while the grid engine solves
-    for the crossing (`quadrature.envelope_cutoff`)."""
-    eps = zeta.real
-    if eps <= 0:
-        raise ValueError("inversion in t needs Re zeta > 0")
-    peak = abs(1.0 / zeta) ** n
-    lam = max(8.0, 4.0 / abs(zeta))
-    while (lam / abs(math.sinh(lam * eps) if lam * eps < 700 else math.inf)) ** n > 1e-15 * peak:
-        lam *= 1.3
+def _grown_cutoff(log_envelope, log_floor, start, growth):
+    """Lam grown from start in x growth steps until log_envelope(lam) is at
+    most log_floor; past 1e7 it raises QuadratureError.  Only the adaptive
+    pointwise oracles use it (x1.3 in `heat_kernel`, x1.4 in
+    `htype.htype_heat_kernel`): their values stay those of these cutoffs,
+    while the engines solve for the crossing (`quadrature.envelope_cutoff`)."""
+    lam = start
+    while log_envelope(lam) > log_floor:
+        lam *= growth
         if lam > 1e7:
-            raise QuadratureError("no usable frequency cutoff; eps too small")
+            raise QuadratureError("no usable frequency cutoff below 1e7")
     return lam
 
 
@@ -186,10 +178,12 @@ def heat_kernel(zeta, p):
         raise ValueError("kernel evaluation requires eps > 0")
     zv = zeta.value
     n, r, t = p.n, p.z_norm, p.t
-    lam_max = _frequency_cutoff(zv, n)
+    lam_max = _grown_cutoff(_log_envelope(zeta.eps, n), math.log(1e-15) - n * math.log(abs(zv)),
+                            max(8.0, 4.0 / abs(zv)), 1.3)
+    scale = (4.0 * np.pi) ** (-n)
 
     def integrand(lam):
-        return np.exp(-1j * lam * t) * _profile(zv, lam, r, n)
+        return np.exp(-1j * lam * t) * (scale * _hyperbolic_gaussian(lam, zv, n, r))
 
     val = adaptive_quad(integrand, -lam_max, lam_max) / (2.0 * np.pi)
     if zeta.s == 0:
@@ -210,6 +204,7 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     The rule ends where the envelope |lam / sinh(lam eps)|^n crosses 1e-15
     of its peak |zeta|^{-n} (`quadrature.envelope_cutoff`), and its first
     panels are sized by how fast the integrand varies (`_variation_rate`).
+    The profile's (4 pi)^{-n} is applied with the final 1 / (2 pi).
     Radii must be finite and nonnegative, t finite.
     """
     zeta = _as_time(zeta)
@@ -223,9 +218,9 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     lam_max = envelope_cutoff(_log_envelope(zv.real, n),
                               math.log(1e-15) - n * math.log(abs(zv)), 4.0 / abs(zv))
     vals = separable_panels(-lam_max, lam_max, _variation_rate(zv, n, r_unique, t_unique),
-                            lambda lams: _profile_on_nodes(lams, r_unique, zv, n),
+                            lambda lams: _hyperbolic_gaussian(lams, zv, n, r_unique[:, None]),
                             lambda lams: np.exp(-1j * np.outer(t_unique, lams)),
-                            ir, it, rtol) / (2.0 * np.pi)
+                            ir, it, rtol) * ((4.0 * np.pi) ** (-n) / (2.0 * np.pi))
     if zeta.s == 0:
         vals = vals.real.astype(complex)
     return vals.reshape(r.shape)

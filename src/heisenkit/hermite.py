@@ -17,7 +17,9 @@ close to it the phase gradient grows like L/|sin 2s| and the y-quadrature is
 refined automatically to keep the oscillation resolved.
 
 For real s the kernel factors as c e^{a x^2} e^{a y^2} e^{b x y} with
-a = -(1+r^2)/(2(1-r^2)) and b = 2r/(1-r^2), so `hermite_evolve` is one
+a = -(1+r^2)/(2(1-r^2)) = i cot(2s)/2 and b = 2r/(1-r^2) = -i/sin(2s), taken
+in that closed form (`_mehler_form`): purely imaginary, so that the kernel
+keeps its constant modulus at any |x|.  `hermite_evolve` is one
 trapezoid quadrature for all columns of f at once: the Gaussian factors are
 O(N + M) exponentials for N outputs and M fine nodes, and blocking the fine
 nodes in runs of B = ceil(sqrt M) splits e^{b x y} into two tables of
@@ -25,7 +27,6 @@ O(N sqrt M) exponentials joined by one GEMM.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from scipy.interpolate import CubicSpline
 
 from .grids import RadialProfile
 from .hankel import fit_gaussian_decay
+from .quadrature import warn_truncated
 
 _CAUSTIC_TOL = 1e-6
 _REFINE_CAP = 1 << 21
@@ -54,10 +56,6 @@ class MehlerParams:
             raise ValueError("dimension n must be a positive integer")
         if abs(math.sin(2.0 * self.s)) <= _CAUSTIC_TOL:
             raise CausticError(f"s = {self.s!r} is a caustic time (sin 2s = 0)")
-
-    @property
-    def r(self):
-        return complex(np.exp(-2j * self.s))
 
 
 def hermite_fn(k, x):
@@ -82,20 +80,37 @@ def mehler_kernel_r(r_factor, x, y, n=1):
     one = 1.0 - r * r
     if abs(one) <= _CAUSTIC_TOL:
         raise CausticError("kernel parameter has r^2 = 1")
+    return _gaussian_kernel(np.pi ** (-0.5 * n) * one ** (-0.5 * n),
+                            -0.5 * (1 + r * r) / one, 2.0 * r / one, x, y, n)
+
+
+def _gaussian_kernel(amp, a, b, x, y, n):
+    """amp e^{a (|x|^2 + |y|^2) + b x.y}; x, y are bare reals for n = 1 and
+    (..., n) arrays otherwise."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if n == 1:
         x2, y2, xy = x * x, y * y, x * y
     else:
         x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
-    return (np.pi ** (-0.5 * n) * one ** (-0.5 * n)
-            * np.exp(-0.5 * ((1 + r * r) / one) * (x2 + y2) + (2.0 * r / one) * xy))
+    return amp * np.exp(a * (x2 + y2) + b * xy)
+
+
+def _mehler_form(s, n):
+    """(amp, a, b) of the propagator kernel amp e^{a (|x|^2 + |y|^2) + b x.y}
+    at real time s, phase e^{-ins} included in amp.  a = i cot(2s)/2 and
+    b = -i/sin(2s) are written in closed form: derived from r = e^{-2is} they
+    carry a round-off real part, which e^{a |x|^2} turns into a wrong
+    modulus at large |x|."""
+    r = np.exp(-2j * s)
+    amp = np.exp(-1j * n * s) * np.pi ** (-0.5 * n) * (1.0 - r * r) ** (-0.5 * n)
+    return amp, 0.5j / math.tan(2.0 * s), -1j / math.sin(2.0 * s)
 
 
 def mehler_kernel(params, x, y):
-    """Propagator kernel of e^{-isH} at time params.s (phase included)."""
-    return np.exp(-1j * params.n * params.s) \
-        * mehler_kernel_r(params.r, x, y, params.n)
+    """Propagator kernel of e^{-isH} at time params.s (phase included); its
+    modulus is the constant |1 - e^{-4is}|^{-n/2} pi^{-n/2}."""
+    return _gaussian_kernel(*_mehler_form(params.s, params.n), x, y, params.n)
 
 
 def hermite_grid(L=8.0, nodes=512):
@@ -129,14 +144,11 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     B = ceil(sqrt M) for M fine nodes takes O(N sqrt M) exponentials instead
     of N M.  Columns go through in groups that keep the samples and the
     block sums within _COLUMN_BUDGET entries.  Returns the (N, cols) result
-    and whether some column has not decayed at lo or hi.
+    and the largest ratio of a column's size at lo or hi to its peak.
     """
     yf, dy = _fine_grid(s, x.size, lo, hi)
     n_fine = yf.size
-    r = complex(np.exp(-2j * s))
-    one = 1.0 - r * r
-    a = -0.5 * (1 + r * r) / one
-    b = 2.0 * r / one
+    amp, a, b = _mehler_form(s, 1)
     w = np.full(n_fine, dy)
     w[0] = w[-1] = 0.5 * dy
     w = w * np.exp(a * yf * yf)
@@ -146,7 +158,7 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     outer = np.exp(b * x[:, None] * (lo + (B * dy) * np.arange(nb)))
 
     out = np.empty((x.size, cols), dtype=complex)
-    truncated = False
+    worst = 0.0
     width = max(1, _COLUMN_BUDGET // (nb * (B + x.size)))
     for lo in range(0, cols, width):
         c = slice(lo, min(lo + width, cols))
@@ -155,14 +167,13 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
             raise ValueError("f has non-finite samples on the quadrature grid")
         peak = np.abs(fy).max(axis=0)
         edge = np.maximum(np.abs(fy[0]), np.abs(fy[-1]))
-        truncated |= bool(np.any((peak > 0) & (edge > 1e-10 * peak)))
+        worst = max(worst, float(np.max(edge / np.where(peak > 0, peak, np.inf))))
         g = np.zeros((nb * B, fy.shape[1]), dtype=complex)
         g[:n_fine] = fy * w[:, None]
         g = g.reshape(nb, B, -1).transpose(1, 0, 2).reshape(B, -1)
         blocks = (inner @ g).reshape(x.size, nb, -1)
         out[:, c] = np.einsum("jq,jqc->jc", outer, blocks)
-    scale = np.exp(-1j * s) * np.pi ** -0.5 * one ** -0.5 * np.exp(a * x * x)
-    return scale[:, None] * out, truncated
+    return (amp * np.exp(a * x * x))[:, None] * out, worst
 
 
 def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
@@ -179,8 +190,7 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
     """
     if not math.isfinite(s):
         raise ValueError(f"time s must be finite, got {s!r}")
-    if abs(math.sin(2.0 * s)) <= _CAUSTIC_TOL:
-        raise CausticError(f"s = {s!r} is a caustic time (sin 2s = 0)")
+    MehlerParams(s)                     # raises CausticError at a caustic time
     if x is None:
         x = hermite_grid(L, nodes)
     x = np.asarray(x, dtype=float)
@@ -190,8 +200,8 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
         if np.shape(f(x)) != x.shape:
             raise ValueError("callable f must map the grid to samples of the same shape")
         span = max(L, float(np.max(np.abs(x))))
-        u, truncated = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
-                                       s, x, -span, span)
+        u, worst = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
+                                   s, x, -span, span)
         u = u[:, 0]
     else:
         # sampled input is only known on [min x, max x], so the quadrature
@@ -204,17 +214,16 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
             return lambda y, c: CubicSpline(x, F[:, c])(y)
 
         if f.shape == x.shape:
-            u, truncated = _evolve_columns(splined(f[:, None]), 1, s, x, lo, hi)
+            u, worst = _evolve_columns(splined(f[:, None]), 1, s, x, lo, hi)
             u = u[:, 0]
         elif f.shape == (x.size, x.size):
-            half, t0 = _evolve_columns(splined(f), x.size, s, x, lo, hi)
-            u, t1 = _evolve_columns(splined(half.T), x.size, s, x, lo, hi)
-            u, truncated = u.T, t0 or t1
+            half, w0 = _evolve_columns(splined(f), x.size, s, x, lo, hi)
+            u, w1 = _evolve_columns(splined(half.T), x.size, s, x, lo, hi)
+            u, worst = u.T, max(w0, w1)
         else:
             raise ValueError("samples must live on the grid (1-d) or its square (2-d)")
-    if truncated:
-        warnings.warn("f has not decayed at the grid boundary; the evolution "
-                      "integral is truncated", RuntimeWarning, stacklevel=2)
+    warn_truncated("f has not decayed at the grid boundary; the evolution integral is truncated",
+                   worst, 1.0, 1e-10)
     return u
 
 

@@ -14,14 +14,14 @@ constants, which the tests exercise as a cross-module oracle.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import HeisenbergPoint, _log_envelope, _variation_rate
-from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, gauss_interval,
-                         sample_axis, separable_panels)
+from .heisenberg import (HeisenbergPoint, _grown_cutoff, _hyperbolic_gaussian, _log_envelope,
+                         _variation_rate)
+from .quadrature import (adaptive_quad, envelope_cutoff, gauss_interval, sample_axis,
+                         separable_panels, warn_truncated)
 from .specfun import bessel_j_tilde
 
 
@@ -63,40 +63,6 @@ def _constant(n, k):
     return 2.0 ** (1.0 - 0.5 * k) / (2.0 ** n * (2.0 * math.pi) ** (n + 0.5 * k))
 
 
-def _lam_cutoff(s, n, k):
-    """Frequency beyond which the integrand envelope is below 1e-16 of its
-    small-lam scale, grown in x1.4 steps from max(8, 4/s).  Only the
-    adaptive `htype_heat_kernel` uses it: its values stay those of this
-    cutoff, while the batch solves for the crossing
-    (`quadrature.envelope_cutoff`)."""
-    scale = s ** (-n)
-    lam = max(8.0, 4.0 / s)
-    while lam ** (k - 1) * (lam / (math.sinh(s * lam) if s * lam < 700 else math.inf)) ** n \
-            > 1e-16 * scale:
-        lam *= 1.4
-        if lam > 1e7:
-            raise QuadratureError("no usable frequency cutoff for the center integral")
-    return lam
-
-
-def _radial_factor(lams, s, n, k, rho):
-    """lam^{k-1} (lam / sinh(s lam))^n e^{-lam coth(s lam) |v|^2 / 4} on the
-    outer (|v|, lam) product."""
-    lams = np.asarray(lams, dtype=float)[None, :]
-    r2 = np.asarray(rho, dtype=float)[:, None] ** 2
-    x = s * lams
-    tiny = x < 1e-12
-    sh = np.sinh(np.where(tiny, 1.0, x))
-    ratio = np.where(tiny, 1.0 / s, lams / sh)
-    rate = np.where(tiny, 0.25 / s, 0.25 * lams * np.cosh(x) / sh)
-    return lams ** (k - 1) * ratio ** n * np.exp(-rate * r2)
-
-
-def _central_factor(lams, k, tau):
-    """Jt_{k/2-1}(lam |t|) on the outer (|t|, lam) product."""
-    return bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams))
-
-
 def _check_time(s):
     if not 0 < s < math.inf:
         raise ValueError("diffusion time must be positive and finite")
@@ -106,13 +72,12 @@ def htype_heat_kernel(s, p):
     """h_s at a point, by adaptive quadrature in the central frequency."""
     _check_time(s)
     n, k = p.n, p.k
-    rho, tau = np.array([p.v_norm]), np.array([p.t_norm])
-    lam_max = _lam_cutoff(s, n, k)
+    lam_max = _grown_cutoff(_log_envelope(s, n, k), math.log(1e-16) - n * math.log(s),
+                            max(8.0, 4.0 / s), 1.4)
 
     def f(lam):
-        lams = np.array([lam])
-        return float(_radial_factor(lams, s, n, k, rho)[0, 0]
-                     * _central_factor(lams, k, tau)[0, 0])
+        return float(lam ** (k - 1) * _hyperbolic_gaussian(lam, s, n, p.v_norm)
+                     * bessel_j_tilde(0.5 * k - 1.0, lam * p.t_norm))
 
     val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14)
     return _constant(n, k) * float(np.real(val))
@@ -141,9 +106,12 @@ def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
     tau, it = np.unique(tnorm.ravel(), return_inverse=True)
     lam_max = envelope_cutoff(_log_envelope(s, n, k), math.log(1e-16) - n * math.log(s),
                               4.0 / s)
-    vals = separable_panels(0.0, lam_max, _variation_rate(s, n, rho, tau),
-                            lambda lams: _radial_factor(lams, s, n, k, rho),
-                            lambda lams: _central_factor(lams, k, tau),
+
+    def radial(lams):
+        return lams ** (k - 1) * _hyperbolic_gaussian(lams, s, n, rho[:, None])
+
+    vals = separable_panels(0.0, lam_max, _variation_rate(s, n, rho, tau), radial,
+                            lambda lams: bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams)),
                             ir, it, rtol)
     return _constant(n, k) * vals.reshape(vnorm.shape)
 
@@ -231,11 +199,8 @@ def partial_radon(f, eta, targets, half_width=None, nu_nodes=None):
             v = _vec_of(p)
             for m in range(w.size):
                 vals[i, m] = float(f(HTypePoint(v, tuple(p.t * eta + offsets[m]))))
-    edge = float(np.max(np.abs(vals[:, [0, -1]])))
-    peak = float(np.max(np.abs(vals)))
-    if peak > 0 and edge > 1e-10 * peak:
-        warnings.warn("f has not decayed across the nu window; the Radon "
-                      "integral is truncated", RuntimeWarning, stacklevel=2)
+    warn_truncated("f has not decayed across the nu window; the Radon integral is truncated",
+                   float(np.max(np.abs(vals[:, [0, -1]]))), float(np.max(np.abs(vals))), 1e-10)
     return vals @ w
 
 

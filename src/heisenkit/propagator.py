@@ -16,18 +16,18 @@ for theorem34, the closed-form tanh relation for the equality case).
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from .grids import RadialProfile, SpectralSlice, polar_grid
+from .grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
+                    radial_slice)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
-from .heisenberg import ComplexTime, heat_kernel_lambda
+from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
+from .quadrature import warn_truncated
 from .specfun import jtilde_of_square, laguerre_series_sum, laguerre_table
 from .spherical import build_basis, spherical_coefficients
-from .twisted import partial_fourier_t, radial_slice
 
 _EXCEPTIONAL_TOL = 1e-6
 
@@ -82,8 +82,7 @@ def schrodinger_evolve(f, zeta):
     grid nodes.  The grid twisted convolution in `twisted` is the oracle this
     is tested against, never a fallback.
     """
-    if not isinstance(zeta, ComplexTime):
-        zeta = ComplexTime(complex(zeta).real, complex(zeta).imag)
+    zeta = _as_time(zeta)
     if zeta.eps <= 0:
         raise ValueError("evolution requires a positive regularization eps")
     grid = f.grid
@@ -91,12 +90,8 @@ def schrodinger_evolve(f, zeta):
         raise NotImplementedError("spectral evolution is implemented for n = 1 only")
     if f.lam == 0:
         raise ValueError("spectral evolution needs a nonzero central frequency")
-    peak = float(np.max(np.abs(f.values)))
-    edge = float(np.max(np.abs(f.values[-1])))
-    if peak > 0 and edge > 1e-8 * peak:
-        warnings.warn("slice has not decayed at r_max; the Laguerre projection "
-                      f"is truncated (edge/peak ~{edge / peak:.1e})",
-                      RuntimeWarning, stacklevel=2)
+    warn_truncated("slice has not decayed at r_max; the Laguerre projection is truncated",
+                   float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
     na = grid.omega.shape[0]
     m = np.rint(np.fft.fftfreq(na, 1.0 / na)).astype(int)
     order = np.abs(m)

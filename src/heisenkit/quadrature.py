@@ -1,7 +1,7 @@
 """Shared quadrature helpers: panel Gauss-Legendre rules, the separable
 panel integrator behind the frequency integrals and the cutoff solver that
-ends them, trapezoid weights, and a budgeted wrapper around scipy's
-adaptive integrator."""
+ends them, trapezoid weights, a budgeted wrapper around scipy's adaptive
+integrator, and the truncation warning of every truncated integral."""
 
 import math
 import os
@@ -181,6 +181,19 @@ def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
                           f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
                           f"(rtol {rtol:g})")
+
+
+def warn_truncated(what, edge, peak, rtol, stacklevel=2):
+    """Warn (RuntimeWarning) that an integral is truncated when the size of
+    its integrand at the edge of its domain exceeds rtol times its peak.
+
+    what says which integral and why; the message appends
+    "(edge/peak ~x)".  stacklevel counts from the caller, as for
+    warnings.warn.
+    """
+    if peak > 0 and edge > rtol * peak:
+        warnings.warn(f"{what} (edge/peak ~{edge / peak:.1e})", RuntimeWarning,
+                      stacklevel=stacklevel + 1)
 
 
 def trapezoid_weights(t):

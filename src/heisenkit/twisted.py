@@ -32,7 +32,6 @@ Laguerre function or angular-mode expansion of f or g.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,37 +39,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
-from .grids import PolarGrid, RadialProfile, SpectralSlice, circle_rule
-from .quadrature import adaptive_quad, trapezoid_weights
-from .specfun import laguerre, laguerre_fn
+from .grids import PolarGrid, SpectralSlice, circle_rule, radial_slice
+from .quadrature import adaptive_quad, warn_truncated
+from .specfun import laguerre_fn
 from .spherical import build_basis
-
-
-def radial_slice(grid, lam, values):
-    """Slice whose values depend on |z| only; values is an array on grid.r
-    or a callable of r."""
-    v = np.asarray(values(grid.r) if callable(values) else values, dtype=complex)
-    if v.shape != grid.r.shape:
-        raise ValueError("radial values must be sampled on grid.r")
-    return SpectralSlice(lam, grid, np.repeat(v[:, None], grid.omega.shape[0], axis=1))
-
-
-def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
-    """f^lam(z) = int e^{i lam t} f(z, t) dt from samples on grid x t_nodes."""
-    values = np.asarray(values, dtype=complex)
-    t_nodes = np.asarray(t_nodes, dtype=float)
-    expected = (grid.r.size, grid.omega.shape[0], t_nodes.size)
-    if values.shape != expected:
-        raise ValueError(f"need samples of shape {expected}, got {values.shape}")
-    if t_weights is None:
-        t_weights = trapezoid_weights(t_nodes)
-    peak = float(np.max(np.abs(values)))
-    edge = max(float(np.max(np.abs(values[..., 0]))), float(np.max(np.abs(values[..., -1]))))
-    if peak > 0 and edge > 1e-10 * peak:
-        warnings.warn("f has not decayed at the ends of the t grid; "
-                      "the t integral is truncated", RuntimeWarning, stacklevel=2)
-    phase = np.asarray(t_weights) * np.exp(1j * lam * t_nodes)
-    return SpectralSlice(lam, grid, values @ phase)
 
 
 @dataclass(frozen=True)
@@ -88,22 +60,28 @@ class _Raster:
     r_max: float
     boundary: float             # max |f| on the outermost stored ring
 
+    def cell(self, pts):
+        """Bilinear cells of complex points: the row i0 and column j0 (taken
+        modulo the raster's step * na angles) of each lower corner, the
+        fractional offsets tr and ta within the cell, and the mask of
+        points beyond r_max."""
+        rho = np.abs(pts)
+        nr, step, na2 = self.planes.shape
+        naf = step * na2 // 2
+        fi = np.clip(rho / self.dr, 0.0, nr - 1.000001)
+        i0 = fi.astype(int)
+        fa = (np.angle(pts) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
+        j0 = fa.astype(int) % naf
+        return i0, fi - i0, j0, fa - np.floor(fa), rho > self.r_max
+
     def gather(self, pts):
         """Bilinear values at complex points; zero beyond r_max.
 
         Returns (values, outside_mask).
         """
-        rho = np.abs(pts)
-        outside = rho > self.r_max
-        nr, step, na2 = self.planes.shape
-        naf = step * na2 // 2
-        fi = np.clip(rho / self.dr, 0.0, nr - 1.000001)
-        i0 = fi.astype(int)
-        tr = fi - i0
-        fa = (np.angle(pts) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
-        j0 = fa.astype(int) % naf
-        ta = fa - np.floor(fa)
-        j1 = (j0 + 1) % naf
+        i0, tr, j0, ta, outside = self.cell(pts)
+        _, step, na2 = self.planes.shape
+        j1 = (j0 + 1) % (step * na2 // 2)
 
         def at(i, j):
             return self.planes[i, j % step, j // step]
@@ -172,9 +150,8 @@ def _ring_sum(raster, g, r, theta0, orbit):
     `orbit` must divide their count.  See the module docstring for the orbit
     reduction.
     """
-    nr, step, na2 = raster.planes.shape
+    _, step, na2 = raster.planes.shape
     na = na2 // 2
-    naf = step * na
     hop = na // orbit
     # window[i, p, k, a] = raster column step * (k + hop * a) + p of row i
     window = sliding_window_view(raster.planes, hop * (orbit - 1) + 1, axis=2)[..., ::hop]
@@ -192,15 +169,7 @@ def _ring_sum(raster, g, r, theta0, orbit):
     for lo in range(0, s.size, jb):
         # geometry of each orbit's first target against w = s_j e^{i theta_d}
         w = s[lo:lo + jb, None] * e                                 # (J, D)
-        diff = z0[:, None, None] - w                                # (T, J, D)
-        rho = np.abs(diff)
-        outside = rho > raster.r_max
-        fi = np.clip(rho / raster.dr, 0.0, nr - 1.000001)
-        i0 = fi.astype(int)
-        tr = fi - i0
-        fa = (np.angle(diff) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
-        j0 = fa.astype(int) % naf
-        ta = fa - np.floor(fa)
+        i0, tr, j0, ta, outside = raster.cell(z0[:, None, None] - w)  # (T, J, D)
         phase = np.exp(0.5j * lam * (z0[:, None, None] * np.conj(w)).imag)
         phase[outside] = 0.0
         coef = np.stack([(1 - tr) * (1 - ta), (1 - tr) * ta, tr * (1 - ta), tr * ta],
@@ -218,12 +187,8 @@ def _ring_sum(raster, g, r, theta0, orbit):
             out[u] += np.einsum("tjda,jda->ta", vals, g_orbit)
             total_mass += float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit))
         cut_mass += raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))
-    cut_mass /= out.size
-    total_mass /= out.size
-    if total_mass > 0 and cut_mass > 1e-8 * total_mass:
-        warnings.warn("mass beyond r_max was dropped by zero extension "
-                      f"(~{cut_mass / total_mass:.1e} of the integrand)",
-                      RuntimeWarning, stacklevel=3)
+    warn_truncated("mass beyond r_max was dropped by zero extension",
+                   cut_mass / out.size, total_mass / out.size, 1e-8, stacklevel=3)
     return out
 
 
@@ -266,19 +231,11 @@ def laguerre_projection(g, k, lam, m):
     eigenexpansion in dimension m; the Gamma-ratio prefactor is applied by
     the caller, once.
     """
-    if int(m) != m or m < 1:
-        raise ValueError("dimension m must be a positive integer")
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
     if g.weights is None:
         raise ValueError("profile carries no quadrature weights")
-    s = g.r
-    x = 0.5 * abs(lam) * s * s
-    integrand = g.values * laguerre(k, m - 1, x) * np.exp(-0.5 * x) * s ** (2 * m - 1)
-    scale = float(np.max(np.abs(integrand)))
-    if scale > 0 and abs(integrand[-1]) > 1e-10 * scale:
-        warnings.warn("projection integrand has not decayed at the last node",
-                      RuntimeWarning, stacklevel=2)
+    integrand = g.values * laguerre_fn(k, lam, m, g.r) * g.r ** (2 * m - 1)
+    warn_truncated("projection integrand has not decayed at the last node",
+                   float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10)
     return complex(np.sum(g.weights * integrand))
 
 

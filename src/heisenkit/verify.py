@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .grids import polar_grid, radial_rule, RadialProfile
+from .grids import polar_grid, radial_rule, radial_slice, RadialProfile
 from .hankel import fit_gaussian_decay, hankel_plan, hankel_transform, hardy_gate
 from .heisenberg import (HeisenbergPoint, heat_kernel, heat_kernel_grid,
                          heat_kernel_lambda)
@@ -32,7 +32,7 @@ from .propagator import (ExceptionalLambdaError, GateParams, equality_case_profi
                          theorem34_pair, uniqueness_gate)
 from .quadrature import gauss_panels
 from .specfun import hille_hardy
-from .twisted import _convolution_rings, hecke_bochner_check, radial_slice
+from .twisted import _convolution_rings, hecke_bochner_check
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,16 @@ def test_kernel_slice_at_the_origin(capsys):
     assert float(rows[0][2]) == 0.0
 
 
+def test_kernel_slice_far_out_in_lambda_prints_finite_rows(capsys):
+    # lam / sinh(lam) ~ 1e-345 lies below double range: the rows read 0
+    code = cli.run(["kernel", "--group", "heisenberg", "--s", "1",
+                    "--slice-lambda", "800", "--r", "0,0.5"])
+    assert code == 0
+    _, rows = _rows(capsys.readouterr().out)
+    cells = np.array(rows, dtype=float)
+    assert cells.shape == (2, 3) and np.all(np.isfinite(cells))
+
+
 def test_kernel_time_domain_matches_the_library(capsys):
     code = cli.run(["kernel", "--group", "heisenberg", "--s", "1",
                     "--r", "0.5,1.0", "--t", "0.3"])

@@ -47,7 +47,7 @@ def _argv(draw):
 def _numeric_cells(text):
     for line in text.strip().splitlines()[1:]:
         for cell in line.split(","):
-            if cell not in ("", "supercritical", "subcritical"):
+            if cell not in ("", "supercritical", "critical", "subcritical"):
                 yield float(cell)
 
 

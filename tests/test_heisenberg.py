@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenkit import quadrature
+from heisenkit import heisenberg, quadrature
 from heisenkit.heisenberg import (
     ComplexTime,
     HeisenbergPoint,
@@ -48,6 +48,43 @@ def test_profile_frozen_values():
         0.04876597563369762, rel=1e-14)
     assert heat_kernel_lambda(0.5, 0.7, 1.3, n=2) == pytest.approx(
         0.010095680242170193, rel=1e-14)
+
+
+def test_hyperbolic_gaussian_against_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (1, 2):
+            for lam in (0.0, 1e-9, -1e-9, 0.5, 40.0, 720.0, -800.0):
+                for zeta in (1.0, 1.0 + 0.5j, 0.3 + 1.0j):
+                    for r in (0.0, 0.5, 3.0):
+                        got = complex(heisenberg._hyperbolic_gaussian(lam, zeta, n, r))
+                        z, r2 = mpmath.mpc(zeta), mpmath.mpf(r) ** 2
+                        if lam == 0:
+                            want = z ** -n * mpmath.exp(-r2 / (4 * z))
+                        else:
+                            x = mpmath.mpf(lam) * z
+                            want = ((lam / mpmath.sinh(x)) ** n
+                                    * mpmath.exp(-lam * mpmath.coth(x) * r2 / 4))
+                        want = complex(want)
+                        # relative, or absolute where the value underflows
+                        assert abs(got - want) <= max(1e-13 * abs(want), 1e-300), \
+                            (n, lam, zeta, r, got, want)
+
+
+def test_profile_euclidean_limit_holds_at_small_times():
+    # lam = 0, or |lam| far below 1 / |zeta|, is the Euclidean limit at any zeta
+    for zeta in (1e-10, 1e-14j + 1e-15, 1e3):
+        r = np.array([0.0, 0.1 * math.sqrt(abs(zeta))])
+        want = (4 * np.pi * zeta) ** -1 * np.exp(-r * r / (4 * zeta))
+        for lam in (0.0, 1e-300):
+            got = heat_kernel_lambda(zeta, lam, r)
+            assert np.max(np.abs(got - want) / np.abs(want)) < 1e-15, (zeta, lam)
+
+
+def test_profile_is_finite_far_out_in_lambda():
+    # lam / sinh(lam) overflows neither sinh nor cosh: the value underflows to 0
+    vals = heat_kernel_lambda(1.0, 800.0, [0.0, 0.5])
+    assert np.all(np.isfinite(vals))
 
 
 def test_profile_euclidean_limit_is_continuous():

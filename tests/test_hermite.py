@@ -1,6 +1,7 @@
 """Hermite functions, Mehler kernel, oscillator evolution, decay gate."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -49,6 +50,14 @@ def test_mehler_generating_function_identity():
     # r = 0 is the ground-state projector
     proj = mehler_kernel_r(0.0, X, Y)
     assert np.allclose(proj, hermite_fn(0, X) * hermite_fn(0, Y), atol=1e-15)
+
+
+def test_propagator_kernel_keeps_its_modulus_at_large_x():
+    # |K| = pi^{-1/2} |1 - e^{-4is}|^{-1/2} = (2 pi |sin 2s|)^{-1/2} for real s
+    want = (2.0 * math.pi * abs(math.sin(2.0))) ** -0.5
+    assert want == pytest.approx(0.418367, abs=1e-6)
+    got = np.abs(mehler_kernel(MehlerParams(1.0), np.array([1e6, 1e8, 5e9]), 0.0))
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_propagator_kernel_separates_in_n():
@@ -191,8 +200,9 @@ def test_truncation_warning_fires_once_for_any_undecayed_column():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         hermite_evolve(F, 0.4, x)
-    assert [str(w.message) for w in caught] == [
-        "f has not decayed at the grid boundary; the evolution integral is truncated"]
+    (message,) = [str(w.message) for w in caught]
+    assert re.fullmatch(r"f has not decayed at the grid boundary; the evolution integral "
+                        r"is truncated \(edge/peak ~\d\.\de[+-]\d+\)", message)
 
 
 def test_caustics_are_rejected():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from heisenkit.grids import SpectralSlice, polar_grid
+from heisenkit.grids import SpectralSlice, polar_grid, radial_slice
 from heisenkit.heisenberg import ComplexTime, heat_kernel_lambda
 from heisenkit.propagator import (
     DecayDomainError,
@@ -20,7 +20,7 @@ from heisenkit.propagator import (
     uniqueness_gate,
 )
 from heisenkit.quadrature import gauss_panels
-from heisenkit.twisted import radial_slice, twisted_convolution
+from heisenkit.twisted import twisted_convolution
 
 
 def test_evolution_is_the_complex_time_semigroup():

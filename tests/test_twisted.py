@@ -11,15 +11,14 @@ import pytest
 
 from scipy.signal import resample
 
-from heisenkit.grids import RadialProfile, SpectralSlice, polar_grid, radial_rule
+from heisenkit.grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
+                             radial_rule, radial_slice)
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
     _rasterize,
     _ring_sum,
     hecke_bochner_check,
     laguerre_projection,
-    partial_fourier_t,
-    radial_slice,
     slice_value,
     twisted_convolution,
     twisted_convolution_quad,
