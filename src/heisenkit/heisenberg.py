@@ -206,6 +206,15 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     panels are sized by how fast the integrand varies (`_variation_rate`).
     The profile's (4 pi)^{-n} is applied with the final 1 / (2 pi).
     Radii must be finite and nonnegative, t finite.
+
+    The far field cannot be tabulated.  Round-off puts a floor under the
+    coarse/fine gap that scales with q_zeta(r, 0), so the two rules agree
+    to rtol = 1e-9 of the largest value only when that value is above
+    about 1e-8 of q_zeta(r, 0) (of q_zeta(0, 0) at r = 0).  Measured at
+    n = 1 on single points: the limit lies between 1e-8 and 4e-8 for real
+    zeta in [0.05, 2] and for zeta = 1 + 0.5i, and between 4e-8 and 2.5e-7
+    at zeta = 0.5 + 1i.  A table below it raises QuadratureError: at
+    zeta = 1 every point with r <= 1 and t >= 7.5 does.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grids import RadialProfile
 from .hankel import fit_gaussian_decay
@@ -209,6 +208,8 @@ def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
         # still large there
         lo, hi = float(np.min(x)), float(np.max(x))
         f = np.asarray(f, dtype=complex)
+        # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
+        from scipy.interpolate import CubicSpline
 
         def splined(F):
             return lambda y, c: CubicSpline(x, F[:, c])(y)

@@ -10,7 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
 
 
 class QuadratureError(RuntimeError):
@@ -36,7 +35,13 @@ def quad_budget():
 
 def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11):
     """Integrate a scalar (possibly complex) function, raising QuadratureError
-    instead of letting QUADPACK warnings pass silently."""
+    instead of letting QUADPACK warnings pass silently.
+
+    scipy.integrate is imported here, on first use: it pulls in
+    scipy.linalg, scipy.sparse and scipy.optimize, which no engine needs.
+    """
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=integrate.IntegrationWarning)
         try:

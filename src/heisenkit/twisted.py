@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.interpolate import CubicSpline
 from scipy.special import gammaln
 
 from .grids import PolarGrid, SpectralSlice, circle_rule, radial_slice
@@ -96,6 +95,9 @@ class _Raster:
 def _rasterize(sl, nr_fine=1024, na_fine=256):
     """Raster of nr_fine radii by the smallest multiple of the grid's angle
     count that is at least na_fine."""
+    # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
+    from scipy.interpolate import CubicSpline
+
     if sl.grid.n != 1:
         raise NotImplementedError("off-grid slice evaluation exists for n = 1 only")
     na = sl.grid.omega.shape[0]

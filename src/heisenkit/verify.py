@@ -13,11 +13,13 @@ done, so stderr and any outer warning filter or recorder still see them.
 
 import contextvars
 import math
+import sys
 import time
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .grids import polar_grid, radial_rule, radial_slice, RadialProfile
@@ -33,6 +35,10 @@ from .propagator import (ExceptionalLambdaError, GateParams, equality_case_profi
 from .quadrature import gauss_panels
 from .specfun import hille_hardy
 from .twisted import _convolution_rings, hecke_bochner_check
+
+# the versions that produce a report, recorded in each one
+_LIBRARIES = {"python": "%d.%d.%d" % sys.version_info[:3],
+              "numpy": np.__version__, "scipy": scipy.__version__}
 
 
 @dataclass(frozen=True)
@@ -62,6 +68,7 @@ class SuiteReport:
 
     def to_dict(self):
         return {"suite": self.suite, "version": __version__, "schema": 2,
+                "libraries": dict(_LIBRARIES),
                 "checks": [c.to_dict() for c in self.checks],
                 "pass": self.passed}
 

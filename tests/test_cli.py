@@ -139,6 +139,16 @@ def test_exit_codes_for_failure_classes(capsys):
     capsys.readouterr()
 
 
+def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
+    # q_1(0, 30) is ~1e-40 of q_1(0, 0), far below what the coarse/fine
+    # test of heat_kernel_grid can resolve: no rows, exit 3
+    assert cli.run(["kernel", "--group", "heisenberg", "--s", "1",
+                    "--r", "0,1", "--t", "30"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "failed to converge" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["gate", "--which", "heisenberg", "--a", "nan", "--b", "1", "--s0", "1"],
     ["gate", "--which", "hermite", "--a", "1", "--b", "inf", "--s0", "1"],

@@ -16,7 +16,7 @@ from heisenkit.heisenberg import (
     heat_kernel_grid,
     heat_kernel_lambda,
 )
-from heisenkit.quadrature import gauss_panels
+from heisenkit.quadrature import QuadratureError, gauss_panels
 
 
 def test_group_law_twist_sign():
@@ -221,6 +221,38 @@ def test_pointwise_kernel_rejects_non_finite_coordinates(z, t):
 def test_profile_rejects_non_finite_lam_and_r(lam, r):
     with pytest.raises(ValueError, match="finite"):
         heat_kernel_lambda(1.0, lam, r)
+
+
+@pytest.mark.parametrize("s", [100.0, 1000.0])
+def test_pointwise_kernel_holds_at_large_times(s):
+    # the grown cutoff starts at 8, far past the crossing (~0.04 at
+    # s = 1000); measured 1.7e-15 relative to the engine
+    r = np.array([0.0, 0.5, 1.0, 3.0])
+    t = np.array([0.0, 0.1, 2.0, -5.0])
+    grid = heat_kernel_grid(s, r, t)
+    for i in range(r.size):
+        want = heat_kernel(s, HeisenbergPoint((r[i],), t[i]))
+        assert abs(grid[i] - want) < 1e-12 * abs(grid[i])
+
+
+@pytest.mark.parametrize("zeta,r,t", [
+    (1.0, [0.0, 1.0], [10.0, 15.0]),
+    (1.0, [0.0, 1.0], [20.0, 25.0]),
+    (1.0, [0.0, 1.0], [30.0, 40.0]),
+    (0.2, [0.0, 1.0], [5.0, 10.0]),
+], ids=["zeta1-t10", "zeta1-t20", "zeta1-t30", "zeta0.2-t5"])
+def test_grid_raises_in_the_far_field(zeta, r, t):
+    # every value is below ~1e-8 of q_zeta(r, 0), where the round-off of
+    # the sums keeps the two rules from agreeing to 1e-9 of the largest one
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        heat_kernel_grid(zeta, r, t)
+
+
+def test_grid_converges_above_the_far_field_limit():
+    # q_1(0, 5) ~ 6e-7 q_1(0, 0) is above the limit
+    vals = heat_kernel_grid(1.0, [0.0, 1.0], [5.0, 10.0])
+    want = heat_kernel(1.0, HeisenbergPoint((0.0,), 5.0))
+    assert abs(vals[0] - want) < 1e-8 * abs(want)
 
 
 def test_grid_blocking_leaves_every_bit(monkeypatch):

@@ -88,6 +88,19 @@ def test_separable_batch_matches_pointwise_on_scattered_and_repeated_points(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("s", [100.0, 1000.0])
+def test_pointwise_kernel_holds_at_large_times(s, k):
+    # the grown cutoff starts at 8, far past the crossing (~0.04 at
+    # s = 1000); measured 3.9e-11 relative to the batch at k = 3, s = 1000
+    vn = np.array([0.0, 0.5, 1.0, 3.0])
+    tn = np.array([0.0, 0.1, 2.0, 5.0])
+    got = htype_heat_batch(s, 1, k, vn, tn)
+    for i in range(vn.size):
+        want = htype_heat_kernel(s, HTypePoint((vn[i], 0.0), (tn[i],) + (0.0,) * (k - 1)))
+        assert abs(got[i] - want) < 1e-9 * abs(got[i])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_batch_cutoff_sits_within_one_percent_above_the_envelope_crossing(k, engine_cutoffs):
     htype_heat_batch(1.0, 1, k, np.array([0.5, 1.0]), np.array([0.0, 0.7]))
     (lam_max,) = engine_cutoffs

@@ -1,7 +1,11 @@
 """Verify-suite plumbing; the slow suites themselves run in the acceptance
 module, so only the fast ones are driven here."""
 
+import platform
+
+import numpy as np
 import pytest
+import scipy
 
 import heisenkit
 from heisenkit.verify import SUITE_NAMES, CheckRecord, SuiteReport, run_suite
@@ -25,6 +29,8 @@ def test_record_and_report_shapes():
     assert rd["suite"] == "demo-suite" and rd["schema"] == 2
     assert rd["pass"] and rd["checks"] == [d]
     assert rd["version"] == heisenkit.__version__
+    assert rd["libraries"] == {"python": platform.python_version(),
+                               "numpy": np.__version__, "scipy": scipy.__version__}
     bad = CheckRecord("demo", {}, 1.0, 1e-6, False, 0.1)
     assert not SuiteReport("demo-suite", (rec, bad)).passed
 
