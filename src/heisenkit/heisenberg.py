@@ -91,7 +91,9 @@ def _hyperbolic_gaussian(lam, zeta, n, r):
     beyond double range underflows to 0), and lam = 0 gives the Euclidean
     limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.  The
     floor keeps |x| at 1e-100, where the limit is exact in double precision;
-    a subnormal x would overflow the complex division.
+    a subnormal x would overflow the complex division.  A radius past
+    1.3e154 gives exactly 0 but numpy warns on the way, so the tables call
+    this under np.errstate (not here: QUADPACK calls it per node).
     """
     a = np.maximum(np.abs(lam), 1e-100 / abs(zeta))
     x = a * zeta
@@ -118,7 +120,8 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
                          f"(lam={lam!r}, zeta={zeta.value!r})")
     r = sample_axis("r", r)
-    out = (4.0 * np.pi) ** (-n) * _hyperbolic_gaussian(lam, zeta.value, n, r)
+    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        out = (4.0 * np.pi) ** (-n) * _hyperbolic_gaussian(lam, zeta.value, n, r)
     return np.asarray(out, dtype=complex)[()]
 
 
@@ -194,13 +197,13 @@ def heat_kernel(zeta, p):
     return complex(val)
 
 
-def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
+def heat_kernel_grid(zeta, r, t, n=1):
     """Vectorized inversion on broadcastable (r, t) arrays.
 
     The integrand factors into the profile, a function of (lam, r), and the
     phase e^{-i lam t}; each is tabulated on the unique r and t values only.
     One composite panel rule in lam is shared by all points and refined
-    until two successive rules agree to rtol (`quadrature.separable_panels`).
+    until two successive rules agree to 1e-9 (`quadrature.separable_panels`).
     The rule ends where the envelope |lam / sinh(lam eps)|^n crosses 1e-15
     of its peak |zeta|^{-n} (`quadrature.envelope_cutoff`), and its first
     panels are sized by how fast the integrand varies (`_variation_rate`).
@@ -209,7 +212,7 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
 
     The far field cannot be tabulated.  Round-off puts a floor under the
     coarse/fine gap that scales with q_zeta(r, 0), so the two rules agree
-    to rtol = 1e-9 of the largest value only when that value is above
+    to 1e-9 of the largest value only when that value is above
     about 1e-8 of q_zeta(r, 0) (of q_zeta(0, 0) at r = 0).  Measured at
     n = 1 on single points: the limit lies between 1e-8 and 4e-8 for real
     zeta in [0.05, 2] and for zeta = 1 + 0.5i, and between 4e-8 and 2.5e-7
@@ -226,19 +229,22 @@ def heat_kernel_grid(zeta, r, t, n=1, rtol=1e-9):
     t_unique, it = np.unique(t.ravel(), return_inverse=True)
     lam_max = envelope_cutoff(_log_envelope(zv.real, n),
                               math.log(1e-15) - n * math.log(abs(zv)), 4.0 / abs(zv))
-    vals = separable_panels(-lam_max, lam_max, _variation_rate(zv, n, r_unique, t_unique),
-                            lambda lams: _hyperbolic_gaussian(lams, zv, n, r_unique[:, None]),
-                            lambda lams: np.exp(-1j * np.outer(t_unique, lams)),
-                            ir, it, rtol) * ((4.0 * np.pi) ** (-n) / (2.0 * np.pi))
+    rows = r_unique[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        vals = separable_panels(-lam_max, lam_max, _variation_rate(zv, n, r_unique, t_unique),
+                                lambda lams: _hyperbolic_gaussian(lams, zv, n, rows),
+                                lambda lams: np.exp(-1j * np.outer(t_unique, lams)),
+                                ir, it, 1e-9) * ((4.0 * np.pi) ** (-n) / (2.0 * np.pi))
     if zeta.s == 0:
         vals = vals.real.astype(complex)
     return vals.reshape(r.shape)
 
 
-def heat_bound_check(s, points, n=None):
+def heat_bound_check(s, points):
     """Largest ratio of q_s to s^{-n-1} e^{-(pi/2)|t|/s} e^{-|z|^2/(4s)} over
     the sampled points, plus its invariance under the parabolic rescaling
-    s -> 4s, (z, t) -> (2z, 4t) (agreement to 1e-6 relative).
+    s -> 4s, (z, t) -> (2z, 4t) (agreement to 1e-6 relative).  n is the
+    dimension of the points.
 
     Returns (C_est, holds).
     """
@@ -247,8 +253,7 @@ def heat_bound_check(s, points, n=None):
     pts = list(points)
     if not pts:
         raise ValueError("need at least one sample point")
-    if n is None:
-        n = pts[0].n
+    n = pts[0].n
     r = np.array([p.z_norm for p in pts])
     t = np.array([p.t for p in pts])
 

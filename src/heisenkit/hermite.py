@@ -112,7 +112,10 @@ def mehler_kernel(params, x, y):
     return _gaussian_kernel(*_mehler_form(params.s, params.n), x, y, params.n)
 
 
-def hermite_grid(L=8.0, nodes=512):
+_HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
+
+
+def hermite_grid(L=_HALF_WIDTH, nodes=512):
     """The default uniform evolution grid on [-L, L]."""
     if L <= 0 or nodes < 16:
         raise ValueError("need L > 0 and a nontrivial node count")
@@ -175,30 +178,30 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     return (amp * np.exp(a * x * x))[:, None] * out, worst
 
 
-def hermite_evolve(f, s, x=None, L=8.0, nodes=512):
+def hermite_evolve(f, s, x=None):
     """Apply e^{-isH} by quadrature against the factored Mehler kernel.
 
     f is a callable on the grid or an array of samples over x (1-d) or
     x cross x (2-d, evolved separably: every column along axis 0, then
-    every row along axis 1).  A callable is integrated over
-    [-max(L, max|x|), max(L, max|x|)]; sampled input goes through one cubic
-    spline per axis for all columns and is integrated over [min x, max x],
-    where the spline interpolates.  Returns samples on the same grid.  Raises
-    ValueError for non-finite s, x or samples of f, and for a grid of fewer
-    than 2 nodes.
+    every row along axis 1); x defaults to `hermite_grid()`.  A callable is
+    integrated over [-m, m] with m = max(8, max|x|); sampled input goes
+    through one cubic spline per axis for all columns and is integrated
+    over [min x, max x], where the spline interpolates.  Returns samples on
+    the same grid.  Raises ValueError for non-finite s, x or samples of f,
+    and for a grid of fewer than 2 nodes.
     """
     if not math.isfinite(s):
         raise ValueError(f"time s must be finite, got {s!r}")
     MehlerParams(s)                     # raises CausticError at a caustic time
     if x is None:
-        x = hermite_grid(L, nodes)
+        x = hermite_grid()
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
         raise ValueError("x must be a 1-d grid of at least 2 finite nodes")
     if callable(f):
         if np.shape(f(x)) != x.shape:
             raise ValueError("callable f must map the grid to samples of the same shape")
-        span = max(L, float(np.max(np.abs(x))))
+        span = max(_HALF_WIDTH, float(np.max(np.abs(x))))
         u, worst = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
                                    s, x, -span, span)
         u = u[:, 0]
@@ -236,18 +239,19 @@ def hermite_gate(a, b, s0):
     return margin, margin > 0
 
 
-def gate_boundary_profile(a, s0, L=8.0, nodes=512, window=(0.5, 3.0)):
+def gate_boundary_profile(a, s0):
     """Decay rate of the evolved extremal and its gate product.
 
     The initial datum is the chirped Gaussian e^{-a x^2 - i (cot 2s0 / 2) x^2}
     whose image under e^{-is0 H} is again a Gaussian of rate 1/(4 a sin^2 2s0),
     so the returned product a * b_fit * sin^2(2 s0) sits on the boundary 1/4.
+    The rate is fitted over 0.5 <= x <= 3 on the default grid.
     """
     if a <= 0:
         raise ValueError("a must be positive")
     chirp = 0.5 / math.tan(2.0 * s0)
-    x = hermite_grid(L, nodes)
+    x = hermite_grid()
     u = hermite_evolve(lambda y: np.exp(-(a + 1j * chirp) * y * y), s0, x)
     pos = x > 0
-    fit = fit_gaussian_decay(RadialProfile(x[pos], np.abs(u[pos])), window)
+    fit = fit_gaussian_decay(RadialProfile(x[pos], np.abs(u[pos])), (0.5, 3.0))
     return fit.a, a * fit.a * math.sin(2.0 * s0) ** 2

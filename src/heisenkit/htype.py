@@ -83,12 +83,12 @@ def htype_heat_kernel(s, p):
     return _constant(n, k) * float(np.real(val))
 
 
-def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
+def htype_heat_batch(s, n, k, vnorm, tnorm):
     """h_s over broadcastable (|v|, |t|) arrays on one shared panel rule.
 
     The radial and central factors of the integrand are tabulated on the
     unique |v| and |t| values only, and the rule is refined until two
-    successive rules agree to rtol (`quadrature.separable_panels`).  The
+    successive rules agree to 1e-8 (`quadrature.separable_panels`).  The
     rule ends where the envelope lam^{k-1} (lam / sinh(s lam))^n crosses
     1e-16 of s^{-n} (`quadrature.envelope_cutoff`), and its first panels
     are sized as the Heisenberg engine's, the Bessel factor oscillating at
@@ -110,9 +110,10 @@ def htype_heat_batch(s, n, k, vnorm, tnorm, rtol=1e-8):
     def radial(lams):
         return lams ** (k - 1) * _hyperbolic_gaussian(lams, s, n, rho[:, None])
 
-    vals = separable_panels(0.0, lam_max, _variation_rate(s, n, rho, tau), radial,
-                            lambda lams: bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams)),
-                            ir, it, rtol)
+    with np.errstate(over="ignore", invalid="ignore"):     # |v| past 1.3e154 reads 0
+        vals = separable_panels(
+            0.0, lam_max, _variation_rate(s, n, rho, tau), radial,
+            lambda lams: bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams)), ir, it, 1e-8)
     return _constant(n, k) * vals.reshape(vnorm.shape)
 
 
@@ -208,9 +209,10 @@ def _vec_of(p):
     return tuple(x for z in p.z for x in (z.real, z.imag))
 
 
-def radon_heat_profile(s, v_norms, t_vals, n=1, k=2, half_width=None, nu_nodes=None):
+def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
     """R_eta h_s on a (|v|, t) product grid, returned as a (len v, len t)
-    array.  The result does not depend on the direction eta."""
+    array, on the nu rule that `partial_radon` picks by default.  The result
+    does not depend on the direction eta."""
     v_norms = np.asarray(v_norms, dtype=float)
     t_vals = np.asarray(t_vals, dtype=float)
     if k == 1:
@@ -219,8 +221,7 @@ def radon_heat_profile(s, v_norms, t_vals, n=1, k=2, half_width=None, nu_nodes=N
     eta[0] = 1.0
     pts = [HeisenbergPoint((complex(v),) + (0j,) * (n - 1), float(t))
            for v in v_norms for t in t_vals]
-    out = partial_radon(HTypeHeatKernel(s, n, k), eta, pts,
-                        half_width=half_width, nu_nodes=nu_nodes)
+    out = partial_radon(HTypeHeatKernel(s, n, k), eta, pts)
     return out.reshape(v_norms.size, t_vals.size)
 
 

@@ -123,8 +123,7 @@ def _ratio_stats(lhs_vals, rhs_vals, mask=None):
     return {"c_lambda": mean, "rel_std": rel_std, "nodes": int(keep.sum())}
 
 
-def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid,
-                   r_window=(0.2, 3.0), t_weights=None):
+def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid, t_weights=None):
     """Grid pipelines for both sides of the sector-Hankel identity.
 
     f_values samples f(z, t) on grid x t_nodes.  lhs: slice f at lam, evolve
@@ -135,7 +134,7 @@ def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid,
 
     Returns (lhs, rhs, stats); stats reports the empirical constant linking
     the two and the relative spread of the pointwise ratio, computed over
-    r_window wherever |rhs| clears 1e-8 of its peak.
+    0.2 <= r <= 3 wherever |rhs| clears 1e-8 of its peak.
     """
     _reject_exceptional(lam, s0)
     fsl = partial_fourier_t(f_values, lam, grid, t_nodes, t_weights)
@@ -153,10 +152,7 @@ def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid,
     rhs = RadialProfile(r, r ** (p0 + q0) * chirp * hank.values,
                         weights=grid.r_weights, weight_power=2 * grid.n - 1)
 
-    mask = None
-    if r_window is not None:
-        mask = (r >= r_window[0]) & (r <= r_window[1])
-    return lhs, rhs, _ratio_stats(lhs.values, rhs.values, mask)
+    return lhs, rhs, _ratio_stats(lhs.values, rhs.values, (r >= 0.2) & (r <= 3.0))
 
 
 def theorem34_gaussian_pair(a, lam, s0, eps=1e-3, r=None):
@@ -187,12 +183,13 @@ def theorem34_gaussian_pair(a, lam, s0, eps=1e-3, r=None):
     return lhs, rhs, _ratio_stats(lhs_vals, rhs_vals)
 
 
-def kernel_K(lam, r, t, s0, n, p0, q0, K_terms=400):
+def kernel_K(lam, r, t, s0, n, p0, q0):
     """The sector kernel both as its Laguerre series and in closed form.
 
-    series: sum_k Gamma(k+1)/Gamma(k+m) L_k^{m-1}(x) L_k^{m-1}(y) w^k with
-    x = |lam| r^2/2, y = |lam| t^2/2, w = e^{-2i|lam|s0} Abel-damped by
-    1 - 1e-6, times e^{-(x+y)/2} and the sector phase e^{-i(n+2p0)|lam|s0}.
+    series: sum_{k <= 400} Gamma(k+1)/Gamma(k+m) L_k^{m-1}(x)
+    L_k^{m-1}(y) w^k with x = |lam| r^2/2, y = |lam| t^2/2,
+    w = e^{-2i|lam|s0} Abel-damped by 1 - 1e-6, times e^{-(x+y)/2} and the
+    sector phase e^{-i(n+2p0)|lam|s0}.
     closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
     m = n+p0+q0.  Returns (series, closed).
@@ -204,7 +201,7 @@ def kernel_K(lam, r, t, s0, n, p0, q0, K_terms=400):
     y = 0.5 * abs(lam) * t * t
     w = (1.0 - 1e-6) * np.exp(-2j * mu)
     series = (np.exp(-1j * (n + 2 * p0) * mu) * np.exp(-0.5 * (x + y))
-              * laguerre_series_sum(m - 1, x, y, w, K_terms))
+              * laguerre_series_sum(m - 1, x, y, w, 400))
     arg = lam * r * t / (2.0 * math.sin(lam * s0))
     closed = (np.exp(1j * lam * s0 * (q0 - p0)) * (2j * math.sin(mu)) ** (-m)
               * np.exp(0.25j * lam * (r * r + t * t) / math.tan(lam * s0))
@@ -272,13 +269,14 @@ def gate_lambda_window(a, b, s0, eps=0.0):
     return 0.5 * (lo + hi)
 
 
-def equality_case_profile(a, lam, s0, eps=1e-3, grid=None, fit_window=(1.0, 4.0)):
+def equality_case_profile(a, lam, s0, eps=1e-3):
     """The boundary-case slice, its evolved width, and the sharp relation.
 
     Assembles f^lam(z) = q_a^lam(z) e^{-i lam |z|^2 cot(lam s0)/4} (the
-    extremal, with its free constant set to 1), evolves it at eps + i s0,
-    fits the Gaussian decay of |u^lam|, converts the raw rate rho back to
-    the hyperbolic width b' via tanh(b' lam) = |lam|/(4 rho), and returns
+    extremal, with its free constant set to 1) on the default polar grid,
+    evolves it at eps + i s0, fits the Gaussian decay of |u^lam| over
+    1 <= r <= 4, converts the raw rate rho back to the hyperbolic width b'
+    via tanh(b' lam) = |lam|/(4 rho), and returns
     (f_slice, b', |tanh((a+eps) lam) tanh(b' lam) - sin^2(lam s0)|).
     """
     if a <= 0:
@@ -286,15 +284,14 @@ def equality_case_profile(a, lam, s0, eps=1e-3, grid=None, fit_window=(1.0, 4.0)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     _reject_exceptional(lam, s0)
-    if grid is None:
-        grid = polar_grid()
+    grid = polar_grid()
     r = grid.r
     vals = heat_kernel_lambda(ComplexTime(a), lam, r, grid.n) \
         * np.exp(-0.25j * lam * r * r / math.tan(lam * s0))
     f_slice = radial_slice(grid, lam, vals)
     u = schrodinger_evolve(f_slice, ComplexTime(eps, s0))
     prof = RadialProfile(r, np.mean(np.abs(u.values), axis=1))
-    rho = fit_gaussian_decay(prof, fit_window).a
+    rho = fit_gaussian_decay(prof, (1.0, 4.0)).a
     if 4.0 * rho <= abs(lam):
         raise DecayDomainError(
             f"fitted rate {rho:.4g} is outside the width domain for lam = {lam!r}")

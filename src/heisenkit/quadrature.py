@@ -153,10 +153,11 @@ def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     on a composite order-12 Gauss-Legendre rule.  rate says how fast the
     integrand varies: the first rule puts _HALF_PERIODS half-periods of
     e^{i rate x} on each panel, and it is refined (panels -> 2 panels + 7)
-    until two successive rules agree to rtol relative to the largest value,
-    at most four times.  A rule that is still moving after that raises
-    QuadratureError with the last panel count and the gap, and so does a
-    first rule of more than _FIRST_PANELS panels.  The tables are built a
+    until two successive rules agree to rtol relative to the largest value
+    of either, at most four times, so a rule of all zeros is accepted only
+    after another one.  A rule that is still moving after that (or reads
+    NaN) raises QuadratureError with the last panel count and the gap, and
+    so does a first rule of more than _FIRST_PANELS panels.  The tables are built a
     chunk of nodes at a time, so scattered points, whose values are all
     unique, stay within a fixed memory budget.
     """
@@ -179,9 +180,10 @@ def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     for _ in range(4):
         panels = 2 * panels + 7
         coarse, fine = fine, run(panels)
-        scale = float(np.max(np.abs(fine), initial=0.0))
+        scale = float(max(np.max(np.abs(fine), initial=0.0),
+                          np.max(np.abs(coarse), initial=0.0)))
         gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-        if not (scale > 0 and gap > rtol * scale):
+        if gap <= rtol * scale:
             return fine
     raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
                           f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "

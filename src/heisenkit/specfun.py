@@ -116,14 +116,15 @@ def jtilde_of_square(alpha, w2):
     return hyp0f1(alpha + 1.0, -0.25 * w2) * rgamma(alpha + 1.0)
 
 
-def laguerre_series_sum(alpha, x, y, w, kmax, tail_window=48):
+def laguerre_series_sum(alpha, x, y, w, kmax):
     """sum_{k<=kmax} Gamma(k+1)/Gamma(k+alpha+1) L_k^a(x) L_k^a(y) w^k.
 
     For |w| near 1 the partial sums spiral slowly toward the limit; the tail
     is resummed by iterating S -> (S_{k+1} - w S_k)/(1 - w), which strips one
-    order of the slowly-varying envelope per pass.  The iteration depth is
-    picked a posteriori by successive-difference minimization, so callers pay
-    nothing when the plain sum has already settled.
+    order of the slowly-varying envelope per pass, over the last 48 partial
+    sums.  The iteration depth is picked a posteriori by successive-difference
+    minimization, so callers pay nothing when the plain sum has already
+    settled.
     """
     w = complex(w)
     if abs(w) >= 1.0:
@@ -149,7 +150,7 @@ def laguerre_series_sum(alpha, x, y, w, kmax, tail_window=48):
         total += term
         if boost:
             tail.append(total)
-            if len(tail) > tail_window:
+            if len(tail) > 48:
                 tail.pop(0)
         else:
             settled = settled + 1 if abs(term) <= 1e-17 * max(abs(total), 1e-300) else 0

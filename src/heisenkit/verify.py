@@ -5,13 +5,15 @@ measured error recorded against a pinned tolerance.  The CLI `verify`
 subcommand and the acceptance tests both call `run_suite`, so they agree by
 construction.  Suites are deterministic for a fixed seed.
 
-Each record also lists the warnings its check raised.  `run_suite` catches
-every warning while a suite runs, each record takes the ones raised since
-the previous record, and all of them are warned again once the suite is
-done, so stderr and any outer warning filter or recorder still see them.
-"""
+A suite is a generator of its checks: it yields (id, params, error, tol)
+once per check and knows nothing of how a check is recorded.  `run_suite`
+times each step from the moment the suite is resumed, so a check's `ms`
+also counts the set-up that precedes it in the suite.  It catches every
+warning while a suite runs, files on each record the distinct messages
+raised since the previous one, and warns all of them again once the suite
+is done (also when it raises), so stderr and any outer warning filter or
+recorder still see them."""
 
-import contextvars
 import math
 import sys
 import time
@@ -73,25 +75,7 @@ class SuiteReport:
                 "pass": self.passed}
 
 
-# while run_suite runs a suite: (warnings caught and not yet on a record,
-# warnings already moved onto one)
-_CAUGHT = contextvars.ContextVar("verify_caught")
-
-
-def _check(cid, params, error, tol, t0):
-    err = float(error)
-    ms = (time.perf_counter() - t0) * 1000.0
-    pending, moved = _CAUGHT.get(([], []))
-    fired = tuple(dict.fromkeys(str(w.message) for w in pending))
-    moved.extend(pending)
-    pending.clear()
-    return CheckRecord(cid, params, err, float(tol), bool(err <= tol), ms, fired)
-
-
 def _suite_hankel(rng):
-    checks = []
-
-    t0 = time.perf_counter()
     s = np.linspace(0.0, 5.0, 41)
     worst = 0.0
     for alpha in (0.0, 0.5, 1.0, 2.0):
@@ -100,11 +84,10 @@ def _suite_hankel(rng):
             out = hankel_transform(plan, np.exp(-a * plan.r_nodes ** 2), s)
             exact = (2.0 * a) ** (-(alpha + 1.0)) * np.exp(-s * s / (4.0 * a))
             worst = max(worst, float(np.max(np.abs(out.values - exact) / exact)))
-    checks.append(_check("hankel-gaussian",
-                         {"alpha": [0.0, 0.5, 1.0, 2.0], "a": [0.5, 1.0, 2.0],
-                          "s_range": [0.0, 5.0]}, worst, 1e-6, t0))
+    yield ("hankel-gaussian",
+           {"alpha": [0.0, 0.5, 1.0, 2.0], "a": [0.5, 1.0, 2.0],
+            "s_range": [0.0, 5.0]}, worst, 1e-6)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for a in np.geomspace(0.1, 10.0, 5):
         # keep the fit window where the transform is far above quadrature noise
@@ -114,10 +97,8 @@ def _suite_hankel(rng):
                                 np.linspace(0.0, s_max, 49)[1:])
         fit = fit_gaussian_decay(prof)
         worst = max(worst, abs(float(a) * fit.a - 0.25))
-    checks.append(_check("hardy-critical-product",
-                         {"a": "geomspace(0.1, 10, 5)"}, worst, 1e-6, t0))
+    yield "hardy-critical-product", {"a": "geomspace(0.1, 10, 5)"}, worst, 1e-6
 
-    t0 = time.perf_counter()
     axis = np.geomspace(0.1, 10.0, 7)
     bad = 0
     for a in axis:
@@ -125,15 +106,10 @@ def _suite_hankel(rng):
             want = "supercritical" if a * b > 0.25 else "subcritical"
             if hardy_gate(float(a), float(b)) != want:
                 bad += 1
-    checks.append(_check("hardy-gate-lattice",
-                         {"lattice": "7x7, geomspace(0.1, 10)"}, bad, 0.0, t0))
-    return checks
+    yield "hardy-gate-lattice", {"lattice": "7x7, geomspace(0.1, 10)"}, bad, 0.0
 
 
 def _suite_hille_hardy(rng):
-    checks = []
-
-    t0 = time.perf_counter()
     xy = np.array([0.0, 1.0, 2.5, 4.0])
     ws = [0.7, -0.7, 0.7j, 0.5 * np.exp(0.25j * np.pi), 0.35 - 0.2j]
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
@@ -145,12 +121,11 @@ def _suite_hille_hardy(rng):
                 for y in xy:
                     lhs, rhs = hille_hardy(alpha, float(x), float(y), complex(w))
                     worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    checks.append(_check("hille-hardy-interior",
-                         {"alpha": [0.0, 1.0, 2.0], "xy": xy.tolist(),
-                          "w_abs_max": 0.7, "seed_theta": theta},
-                         worst, 1e-6, t0))
+    yield ("hille-hardy-interior",
+           {"alpha": [0.0, 1.0, 2.0], "xy": xy.tolist(),
+            "w_abs_max": 0.7, "seed_theta": theta},
+           worst, 1e-6)
 
-    t0 = time.perf_counter()
     worst = 0.0
     radius = 1.0 - 1e-6
     for alpha in (0.0, 1.0, 2.0):
@@ -159,17 +134,13 @@ def _suite_hille_hardy(rng):
             for x, y in ((0.5, 0.5), (1.0, 2.0)):
                 lhs, rhs = hille_hardy(alpha, x, y, w, K=1500)
                 worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    checks.append(_check("hille-hardy-boundary",
-                         {"alpha": [0.0, 1.0, 2.0], "w_abs": radius,
-                          "theta": [1.5708, 2.0944, 3.1416]},
-                         worst, 1e-3, t0))
-    return checks
+    yield ("hille-hardy-boundary",
+           {"alpha": [0.0, 1.0, 2.0], "w_abs": radius,
+            "theta": [1.5708, 2.0944, 3.1416]},
+           worst, 1e-3)
 
 
 def _suite_semigroup(rng):
-    checks = []
-
-    t0 = time.perf_counter()
     grid = polar_grid(1, 128, 8.0)
     lam = 1.0
     f = radial_slice(grid, lam, heat_kernel_lambda(0.5, lam, grid.r))
@@ -179,11 +150,9 @@ def _suite_semigroup(rng):
     target = heat_kernel_lambda(1.0, lam, rings)
     scale = float(np.max(np.abs(target)))
     err = float(np.max(np.abs(conv - target[:, None]))) / scale
-    checks.append(_check("twisted-semigroup",
-                         {"n": 1, "lam": 1.0, "grid": "128x64", "r_cut": 3.0},
-                         err, 1e-3, t0))
+    yield ("twisted-semigroup", {"n": 1, "lam": 1.0, "grid": "128x64", "r_cut": 3.0},
+           err, 1e-3)
 
-    t0 = time.perf_counter()
     s = 1.0
     r = np.array([0.5, 1.2, 2.0])
     t_nodes, t_w = gauss_panels(-15.0, 15.0, 24, 16)
@@ -193,11 +162,10 @@ def _suite_semigroup(rng):
         num = q @ (t_w * np.exp(1j * lam * t_nodes))
         exact = heat_kernel_lambda(s, lam, r)
         worst = max(worst, float(np.max(np.abs(num - exact) / np.abs(exact))))
-    checks.append(_check("heat-roundtrip",
-                         {"s": s, "r": r.tolist(), "lam": [0.5, 1.5],
-                          "t_window": 15.0}, worst, 1e-6, t0))
+    yield ("heat-roundtrip",
+           {"s": s, "r": r.tolist(), "lam": [0.5, 1.5],
+            "t_window": 15.0}, worst, 1e-6)
 
-    t0 = time.perf_counter()
     s = 0.6
     pts = [(0.5, 0.2), (1.0, -0.7), (1.8, 1.1),
            (float(rng.uniform(0.3, 1.5)), float(rng.uniform(-1.0, 1.0)))]
@@ -206,19 +174,16 @@ def _suite_semigroup(rng):
         big = heat_kernel(4.0 * s, HeisenbergPoint((2.0 * rho + 0j,), 4.0 * tt))
         ref = heat_kernel(s, HeisenbergPoint((rho + 0j,), tt))
         worst = max(worst, abs(big - ref / 16.0) / abs(ref / 16.0))
-    checks.append(_check("heat-scaling",
-                         {"s": s, "dilation": 2.0, "points": [list(p) for p in pts]},
-                         worst, 1e-8, t0))
-    return checks
+    yield ("heat-scaling",
+           {"s": s, "dilation": 2.0, "points": [list(p) for p in pts]},
+           worst, 1e-8)
 
 
 def _suite_hecke_bochner(rng):
-    checks = []
     nodes, weights = radial_rule(128, 8.0)
     g = RadialProfile(nodes, np.exp(-nodes ** 2), weights=weights)
     zs = (0.9 + 0.0j, 0.7 + 0.5j)
 
-    t0 = time.perf_counter()
     worst = 0.0
     z_arr = np.array(zs)
     for p, q in ((0, 0), (1, 0), (0, 1)):
@@ -230,41 +195,33 @@ def _suite_hecke_bochner(rng):
             worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
         if (p, q) == (1, 0):
             annihilated = pairs[2][0]
-    checks.append(_check("hecke-bochner",
-                         {"pq": [[0, 0], [1, 0], [0, 1]], "n": 1, "lam": 1.0,
-                          "g": "exp(-r^2)", "z": [str(z) for z in zs]},
-                         worst, 1e-3, t0))
+    yield ("hecke-bochner",
+           {"pq": [[0, 0], [1, 0], [0, 1]], "n": 1, "lam": 1.0,
+            "g": "exp(-r^2)", "z": [str(z) for z in zs]},
+           worst, 1e-3)
 
     # evaluated above on the (1, 0) raster; only the reading is timed here
-    t0 = time.perf_counter()
-    checks.append(_check("hecke-bochner-annihilation",
-                         {"pq": [1, 0], "k": 0, "n": 1, "lam": 1.0,
-                          "note": "evaluated on the (1, 0) raster of hecke-bochner, "
-                                  "whose ms counts this work"},
-                         float(np.max(np.abs(annihilated))), 1e-6, t0))
+    yield ("hecke-bochner-annihilation",
+           {"pq": [1, 0], "k": 0, "n": 1, "lam": 1.0,
+            "note": "evaluated on the (1, 0) raster of hecke-bochner, "
+                    "whose ms counts this work"},
+           float(np.max(np.abs(annihilated))), 1e-6)
 
-    t0 = time.perf_counter()
-    checks.append(_check("constant-convention",
-                         {"note": "working prefactor over the printed one is "
-                                  "2*pi^m*(2*pi)^(n-p-q); 4*pi^2 in the n=1 "
-                                  "radial case, folded into rhs, never fitted",
-                          "factor_n1_radial": 4.0 * math.pi ** 2},
-                         0.0, 1.0, t0))
-    return checks
+    yield ("constant-convention",
+           {"note": "working prefactor over the printed one is "
+                    "2*pi^m*(2*pi)^(n-p-q); 4*pi^2 in the n=1 "
+                    "radial case, folded into rhs, never fitted",
+            "factor_n1_radial": 4.0 * math.pi ** 2},
+           0.0, 1.0)
 
 
 def _suite_theorem34(rng):
-    checks = []
-
-    t0 = time.perf_counter()
     _, _, stats = theorem34_gaussian_pair(1.0, 1.0, 1.0)
-    checks.append(_check("theorem34-gaussian",
-                         {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
-                          "c_lambda": [stats["c_lambda"].real,
-                                       stats["c_lambda"].imag]},
-                         stats["rel_std"], 1e-3, t0))
+    yield ("theorem34-gaussian",
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
+            "c_lambda": [stats["c_lambda"].real, stats["c_lambda"].imag]},
+           stats["rel_std"], 1e-3)
 
-    t0 = time.perf_counter()
     grid = polar_grid(1, 96, 6.0)
     t_nodes, t_w = gauss_panels(-5.5, 5.5, 10, 12)
     vals = (np.exp(-grid.r ** 2)[:, None, None]
@@ -272,21 +229,19 @@ def _suite_theorem34(rng):
             * np.exp(-t_nodes ** 2)[None, None, :]).astype(complex)
     _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, 1e-3, grid,
                                  t_weights=t_w)
-    checks.append(_check("theorem34-grid",
-                         {"f": "exp(-|z|^2 - t^2)", "p0": 0, "q0": 0,
-                          "lam": 1.0, "s0": 1.0, "eps": 1e-3, "grid": "96x64"},
-                         stats["rel_std"], 1e-2, t0))
+    yield ("theorem34-grid",
+           {"f": "exp(-|z|^2 - t^2)", "p0": 0, "q0": 0,
+            "lam": 1.0, "s0": 1.0, "eps": 1e-3, "grid": "96x64"},
+           stats["rel_std"], 1e-2)
 
-    t0 = time.perf_counter()
     worst = 0.0
     for p0, q0 in ((0, 0), (1, 0)):
-        series, closed = kernel_K(1.0, 1.3, 0.7, 1.0, 1, p0, q0, K_terms=400)
+        series, closed = kernel_K(1.0, 1.3, 0.7, 1.0, 1, p0, q0)
         worst = max(worst, abs(series - closed) / abs(closed))
-    checks.append(_check("theorem34-kernel",
-                         {"lam": 1.0, "r": 1.3, "t": 0.7, "s0": 1.0,
-                          "pq": [[0, 0], [1, 0]], "K": 400}, worst, 1e-4, t0))
+    yield ("theorem34-kernel",
+           {"lam": 1.0, "r": 1.3, "t": 0.7, "s0": 1.0,
+            "pq": [[0, 0], [1, 0]], "K": 400}, worst, 1e-4)
 
-    t0 = time.perf_counter()
     raised = 0
     try:
         kernel_K(math.pi, 1.0, 1.0, 1.0, 1, 0, 0)
@@ -296,15 +251,10 @@ def _suite_theorem34(rng):
         theorem34_gaussian_pair(1.0, math.pi, 1.0)
     except ExceptionalLambdaError:
         raised += 1
-    checks.append(_check("theorem34-exceptional",
-                         {"lam_s0": "pi"}, 2 - raised, 0.0, t0))
-    return checks
+    yield "theorem34-exceptional", {"lam_s0": "pi"}, 2 - raised, 0.0
 
 
 def _suite_gates(rng):
-    checks = []
-
-    t0 = time.perf_counter()
     lattice = [(a, b, s0) for a in (0.3, 0.7, 1.3) for b in (0.3, 0.7, 1.3)
                for s0 in (0.4, 0.8, 1.5)]
     bad = 0
@@ -324,40 +274,33 @@ def _suite_gates(rng):
                 if ok:
                     bad += 1
                     break
-    checks.append(_check("gate-lambda-window",
-                         {"lattice": "3x3x3, a,b in {0.3,0.7,1.3}, "
-                                     "s0 in {0.4,0.8,1.5}"}, bad, 0.0, t0))
+    yield ("gate-lambda-window",
+           {"lattice": "3x3x3, a,b in {0.3,0.7,1.3}, "
+                       "s0 in {0.4,0.8,1.5}"}, bad, 0.0)
 
-    t0 = time.perf_counter()
     bad = 0
     for a, b, s0 in lattice:
         limit = uniqueness_gate(GateParams(a, b, s0))[1]
         if htype_gate(a, b, s0) != limit:
             bad += 1
-    checks.append(_check("gate-htype-agreement", {"lattice": "same 3x3x3"},
-                         bad, 0.0, t0))
+    yield "gate-htype-agreement", {"lattice": "same 3x3x3"}, bad, 0.0
 
-    t0 = time.perf_counter()
     _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0, eps=1e-3)
-    checks.append(_check("equality-tanh-residual",
-                         {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
-                          "b_fit": b_fit}, residual, 5e-3, t0))
+    yield ("equality-tanh-residual",
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
+            "b_fit": b_fit}, residual, 5e-3)
 
-    t0 = time.perf_counter()
     fits = [equality_case_profile(a, 1.0, 0.7, eps=1e-3)[1]
             for a in (0.5, 1.0, 2.0)]
     violation = max(0.0, fits[1] - fits[0], fits[2] - fits[1])
-    checks.append(_check("equality-monotone",
-                         {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7,
-                          "b_fit": fits}, violation, 0.0, t0))
-    return checks
+    yield ("equality-monotone",
+           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7,
+            "b_fit": fits}, violation, 0.0)
 
 
 def _suite_hermite(rng):
-    checks = []
     x = np.linspace(-4.0, 4.0, 161)
 
-    t0 = time.perf_counter()
     s = 0.35
     worst = 0.0
     for k in (0, 1, 2):
@@ -365,58 +308,45 @@ def _suite_hermite(rng):
         want = np.exp(-1j * (2 * k + 1) * s) * hermite_fn(k, x)
         worst = max(worst, float(np.max(np.abs(u - want))
                                  / np.max(np.abs(want))))
-    checks.append(_check("hermite-eigenphase", {"k": [0, 1, 2], "s": s},
-                         worst, 1e-6, t0))
+    yield "hermite-eigenphase", {"k": [0, 1, 2], "s": s}, worst, 1e-6
 
-    t0 = time.perf_counter()
     u = hermite_evolve(lambda y: np.exp(-0.5 * y * y).astype(complex),
                        0.25 * math.pi, x=x)
     want = np.exp(-0.25j * math.pi) * np.exp(-0.5 * x * x)
     err = float(np.max(np.abs(u - want)) / np.max(np.abs(want)))
-    checks.append(_check("hermite-fourier-fixed-point",
-                         {"s0": "pi/4", "f": "exp(-x^2/2)"}, err, 1e-6, t0))
+    yield "hermite-fourier-fixed-point", {"s0": "pi/4", "f": "exp(-x^2/2)"}, err, 1e-6
 
-    t0 = time.perf_counter()
     worst = 0.0
     prods = []
     for a, s0 in ((1.0, 0.125 * math.pi), (0.7, 0.5)):
         _, prod = gate_boundary_profile(a, s0)
         prods.append(prod)
         worst = max(worst, abs(prod - 0.25))
-    checks.append(_check("hermite-gate-boundary",
-                         {"cases": [[1.0, 0.125 * math.pi], [0.7, 0.5]],
-                          "products": prods}, worst, 1e-3, t0))
+    yield ("hermite-gate-boundary",
+           {"cases": [[1.0, 0.125 * math.pi], [0.7, 0.5]],
+            "products": prods}, worst, 1e-3)
 
-    t0 = time.perf_counter()
     margin, ok = hermite_gate(1.0, 1.0, 0.25 * math.pi)
     err = abs(margin - 0.75) + (0.0 if ok else 1.0)
-    checks.append(_check("hermite-gate-margin",
-                         {"a": 1.0, "b": 1.0, "s0": "pi/4"}, err, 1e-12, t0))
-    return checks
+    yield "hermite-gate-margin", {"a": 1.0, "b": 1.0, "s0": "pi/4"}, err, 1e-12
 
 
 def _suite_radon(rng):
-    checks = []
     v = np.linspace(0.4, 2.0, 5)
     t = np.linspace(-1.5, 1.5, 5)
 
-    t0 = time.perf_counter()
     got = radon_heat_profile(1.0, v, t, n=1, k=2)
     want = heat_kernel_grid(1.0, v[:, None], t[None, :])
     err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-    checks.append(_check("radon-collapse",
-                         {"s": 1.0, "n": 1, "k": 2, "grid": "5x5"},
-                         err, 1e-2, t0))
+    yield "radon-collapse", {"s": 1.0, "n": 1, "k": 2, "grid": "5x5"}, err, 1e-2
 
-    t0 = time.perf_counter()
     got = htype_heat_batch(1.0, 1, 1, v[:, None], np.abs(t)[None, :])
     err = float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
-    checks.append(_check("radon-degenerate",
-                         {"s": 1.0, "n": 1, "k": 1,
-                          "note": "k=1 center integral against the t-kernel; "
-                                  "arbitrates the prefactor convention"},
-                         err, 1e-5, t0))
-    return checks
+    yield ("radon-degenerate",
+           {"s": 1.0, "n": 1, "k": 1,
+            "note": "k=1 center integral against the t-kernel; "
+                    "arbitrates the prefactor convention"},
+           err, 1e-5)
 
 
 _SUITES = {
@@ -434,28 +364,33 @@ SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
 def _run(fn, seed):
-    """One suite, with the warnings of each check on its record."""
-    moved = []
+    """The records of one suite: each step of the suite is timed from the
+    moment it is resumed, and carries the distinct warnings raised since
+    the previous record."""
+    checks, filed = [], 0
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            token = _CAUGHT.set((caught, moved))
-            try:
-                return fn(np.random.default_rng(seed))
-            finally:
-                _CAUGHT.reset(token)
+            t0 = time.perf_counter()
+            for cid, params, error, tol in fn(np.random.default_rng(seed)):
+                ms = (time.perf_counter() - t0) * 1000.0
+                fired = tuple(dict.fromkeys(str(w.message) for w in caught[filed:]))
+                filed = len(caught)
+                err = float(error)
+                checks.append(CheckRecord(cid, params, err, float(tol), bool(err <= tol),
+                                          ms, fired))
+                t0 = time.perf_counter()
+        return checks
     finally:
-        for w in moved + caught:
+        for w in caught:
             warnings.warn_explicit(w.message, w.category, w.filename, w.lineno,
                                    source=w.source)
 
 
 def run_suite(name, seed=0):
     if name == "all":
-        checks = []
-        for fn in _SUITES.values():
-            checks.extend(_run(fn, seed))
-        return SuiteReport("all", tuple(checks))
+        return SuiteReport("all", tuple(c for fn in _SUITES.values()
+                                        for c in _run(fn, seed)))
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     return SuiteReport(name, tuple(_run(_SUITES[name], seed)))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,22 @@ def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "failed to converge" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0,1e200"],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0,1e200", "--slice-lambda", "1"],
+    ["kernel", "--group", "htype", "--s", "1", "--k", "2", "--v-norm", "1e200"],
+], ids=["tkernel", "slice", "htype"])
+def test_kernel_rows_far_past_the_peak_read_zero_without_warnings(argv, capsys):
+    # 1e200 has no finite square: its row underflows to exactly 0, and no
+    # overflow warning of numpy reaches stderr on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.run(argv) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    far = [row[1:] for row in rows if float(row[0]) == 1e200]
+    assert len(far) == 1 and float(far[0][0]) == float(far[0][1]) == 0.0
 
 
 @pytest.mark.parametrize("argv", [

@@ -240,10 +240,13 @@ def test_pointwise_kernel_holds_at_large_times(s):
     (1.0, [0.0, 1.0], [20.0, 25.0]),
     (1.0, [0.0, 1.0], [30.0, 40.0]),
     (0.2, [0.0, 1.0], [5.0, 10.0]),
-], ids=["zeta1-t10", "zeta1-t20", "zeta1-t30", "zeta0.2-t5"])
+    (1.0, [2.0], [np.linspace(0.0, 30.0, 301)[237]]),
+], ids=["zeta1-t10", "zeta1-t20", "zeta1-t30", "zeta0.2-t5", "zeta1-t23.7-rounds-to-0"])
 def test_grid_raises_in_the_far_field(zeta, r, t):
     # every value is below ~1e-8 of q_zeta(r, 0), where the round-off of
-    # the sums keeps the two rules from agreeing to 1e-9 of the largest one
+    # the sums keeps the two rules from agreeing to 1e-9 of the largest one;
+    # at t = 23.7 the rules read -1.7e-14, -4.5e-17 and then exactly 0, and
+    # that zero is round-off, not agreement
     with pytest.raises(QuadratureError, match="failed to converge"):
         heat_kernel_grid(zeta, r, t)
 

@@ -66,6 +66,24 @@ def test_separable_panels_report_the_last_rule_and_gap():
                          lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
 
 
+def test_separable_panels_take_no_zero_rule_after_a_nonzero_one_as_agreement():
+    # rules that read 1, 0, 1, 0, 1: a zero never agrees with the rule before it
+    calls = []
+
+    def row(x):
+        calls.append(x.size)
+        return np.full((1, x.size), float(len(calls) % 2))
+
+    with pytest.raises(QuadratureError, match="failed to converge"):
+        separable_panels(0.0, 1.0, 0.0, row, lambda x: np.ones((1, x.size)),
+                         np.array([0]), np.array([0]), 1e-9)
+    assert len(calls) == 5
+    # two rules of exact zeros agree: the first comparison returns
+    zero = separable_panels(0.0, 1.0, 0.0, lambda x: np.zeros((1, x.size)),
+                            lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+    assert np.array_equal(zero, [0.0])
+
+
 def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():
     # log envelope -x crosses log floor -10 at x = 10
     cut = envelope_cutoff(lambda x: -x, -10.0, 0.3)

@@ -1,13 +1,17 @@
 """Verify-suite plumbing; the slow suites themselves run in the acceptance
 module, so only the fast ones are driven here."""
 
+import inspect
 import platform
+import time
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
 import heisenkit
+from heisenkit import verify
 from heisenkit.verify import SUITE_NAMES, CheckRecord, SuiteReport, run_suite
 
 
@@ -68,3 +72,39 @@ def test_seed_changes_only_the_sampled_params():
 def test_unknown_suite_is_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("bogus")
+
+
+def test_every_suite_is_a_generator_of_its_checks():
+    assert all(inspect.isgeneratorfunction(fn) for fn in verify._SUITES.values())
+
+
+def _slow_then_fast(rng):
+    warnings.warn("slow step", RuntimeWarning)
+    time.sleep(0.03)
+    yield "a", {"step": 1}, 0.0, 1.0
+    yield "b", {"step": 2}, 2.0, 1.0
+
+
+def test_run_suite_times_each_step_and_files_its_warnings(monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "fake", _slow_then_fast)
+    with pytest.warns(RuntimeWarning, match="slow step"):
+        report = run_suite("fake")
+    a, b = report.checks
+    assert (a.id, a.params, a.passed, b.id, b.passed) == ("a", {"step": 1}, True, "b", False)
+    assert a.ms >= 25.0 and a.ms > b.ms
+    assert a.warnings == ("slow step",) and b.warnings == ()
+
+
+def _warn_yield_warn_raise(rng):
+    warnings.warn("before the check", UserWarning)
+    yield "a", {}, 0.0, 1.0
+    warnings.warn("after the check", UserWarning)
+    raise ArithmeticError("the suite broke")
+
+
+def test_a_raising_suite_propagates_and_every_warning_is_warned_again(monkeypatch):
+    monkeypatch.setitem(verify._SUITES, "fake", _warn_yield_warn_raise)
+    with pytest.warns(UserWarning) as record:
+        with pytest.raises(ArithmeticError, match="the suite broke"):
+            run_suite("fake")
+    assert [str(w.message) for w in record] == ["before the check", "after the check"]
