@@ -38,7 +38,7 @@ class HeisenbergPoint:
 
     @property
     def z_norm(self):
-        return math.sqrt(sum(abs(c) ** 2 for c in self.z))
+        return math.hypot(*map(abs, self.z))        # finite up to 1.8e308
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ def _hyperbolic_gaussian(lam, zeta, n, r):
     limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.  The
     floor keeps |x| at 1e-100, where the limit is exact in double precision;
     a subnormal x would overflow the complex division.  A radius past
-    1.3e154 gives exactly 0 but numpy warns on the way, so the tables call
-    this under np.errstate (not here: QUADPACK calls it per node).
+    1.3e154 gives exactly 0 but numpy warns on the way, so its callers run
+    it under np.errstate (not here: QUADPACK calls it per node).
     """
     a = np.maximum(np.abs(lam), 1e-100 / abs(zeta))
     x = a * zeta
@@ -188,7 +188,8 @@ def heat_kernel(zeta, p):
     def integrand(lam):
         return np.exp(-1j * lam * t) * (scale * _hyperbolic_gaussian(lam, zv, n, r))
 
-    val = adaptive_quad(integrand, -lam_max, lam_max) / (2.0 * np.pi)
+    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        val = adaptive_quad(integrand, -lam_max, lam_max) / (2.0 * np.pi)
     if zeta.s == 0:
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
             raise QuadratureError("imaginary residue of a real-time kernel "

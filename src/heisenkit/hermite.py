@@ -88,11 +88,13 @@ def _gaussian_kernel(amp, a, b, x, y, n):
     (..., n) arrays otherwise."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if n == 1:
-        x2, y2, xy = x * x, y * y, x * y
-    else:
-        x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
-    return amp * np.exp(a * (x2 + y2) + b * xy)
+    # past 1.3e154 the value is not finite (callers check), and numpy keeps quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            x2, y2, xy = x * x, y * y, x * y
+        else:
+            x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
+        return amp * np.exp(a * (x2 + y2) + b * xy)
 
 
 def _mehler_form(s, n):

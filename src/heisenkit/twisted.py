@@ -32,6 +32,8 @@ Laguerre function or angular-mode expansion of f or g.
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -138,9 +140,32 @@ def slice_value(sl, z, raster=None):
     return vals[0] if pts.ndim == 0 else vals
 
 
-# elements of one gathered block of the ring sum; 2**15 keeps a block's four
-# bilinear corners (2 MB) in cache
+# elements of one node block of the ring sum: the blocks partition g's nodes
+# and are added in order, so this size fixes the order of every sum
 _BLOCK = 1 << 15
+# elements of one gather tile within a block: a tile's four bilinear corners
+# (512 KB) fit a core's 1 MB L2
+_TILE = 1 << 13
+
+
+def _cpu_count():
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:              # no affinity outside Linux
+        return os.cpu_count() or 1
+
+
+def _in_order(fn, items):
+    """fn(item) for each item, yielded in the items' order.  The calls run on
+    one thread per CPU, at most one per item, and inline when that makes
+    one thread."""
+    workers = min(_cpu_count(), len(items))
+    if workers < 2:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _ring_sum(raster, g, r, theta0, orbit):
@@ -150,7 +175,9 @@ def _ring_sum(raster, g, r, theta0, orbit):
 
     g must live on the angles of the grid the raster was built from, and
     `orbit` must divide their count.  See the module docstring for the orbit
-    reduction.
+    reduction.  The node blocks run on every CPU (numpy releases the GIL in
+    their gathers and products), and their partial sums are added in block
+    order, so the result does not depend on the number of CPUs.
     """
     _, step, na2 = raster.planes.shape
     na = na2 // 2
@@ -163,12 +190,11 @@ def _ring_sum(raster, g, r, theta0, orbit):
     roll = (np.arange(na)[:, None] + hop * np.arange(orbit)) % na   # (d, a) -> d + hop a
     z0 = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta0, dtype=float))
     lam = g.lam
-    out = np.zeros((z0.size, orbit), dtype=complex)
-    cut_mass = 0.0
-    total_mass = 0.0
     jb = max(1, _BLOCK // (z0.size * na * orbit))
-    tb = max(1, _BLOCK // (jb * na * orbit))
-    for lo in range(0, s.size, jb):
+    tb = max(1, _TILE // (min(jb, s.size) * na * orbit))
+
+    def block_sum(lo):
+        """The block's (T, orbit) sum, its mass per tile and its cut mass."""
         # geometry of each orbit's first target against w = s_j e^{i theta_d}
         w = s[lo:lo + jb, None] * e                                 # (J, D)
         i0, tr, j0, ta, outside = raster.cell(z0[:, None, None] - w)  # (T, J, D)
@@ -181,14 +207,26 @@ def _ring_sum(raster, g, r, theta0, orbit):
         plane, k = cols % step, cols // step
         g_orbit = gw[lo:lo + jb, roll]                              # (J, D, orbit)
         absg_orbit = np.abs(g_orbit)
+        part = np.empty((z0.size, orbit), dtype=complex)
+        masses = []
         for t in range(0, z0.size, tb):
             u = slice(t, t + tb)
             # f(z - w) on the whole orbit: the four corners move together
             block = window[rows[u], plane[u], k[u]]                 # (T, J, D, 4, orbit)
             vals = (coef[u] @ block)[..., 0, :]                     # (T, J, D, orbit)
-            out[u] += np.einsum("tjda,jda->ta", vals, g_orbit)
-            total_mass += float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit))
-        cut_mass += raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))
+            part[u] = np.einsum("tjda,jda->ta", vals, g_orbit)
+            masses.append(float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit)))
+        cut = raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))
+        return part, masses, cut
+
+    out = np.zeros((z0.size, orbit), dtype=complex)
+    cut_mass = 0.0
+    total_mass = 0.0
+    for part, masses, cut in _in_order(block_sum, range(0, s.size, jb)):
+        out += part
+        for mass in masses:
+            total_mass += mass
+        cut_mass += cut
     warn_truncated("mass beyond r_max was dropped by zero extension",
                    cut_mass / out.size, total_mass / out.size, 1e-8, stacklevel=3)
     return out
@@ -196,12 +234,19 @@ def _ring_sum(raster, g, r, theta0, orbit):
 
 def twisted_convolution(f, g):
     """(f *_lam g) on the shared grid nodes; see the module docstring."""
-    return SpectralSlice(f.lam, f.grid, _convolution_rings(f, g, f.grid.r))
+    return SpectralSlice(f.lam, f.grid, _ring_sum(*_ring_args(f, g, f.grid.r)))
 
 
 def _convolution_rings(f, g, r):
     """(f *_lam g) at the grid's angles on the rings of radii r, as an
     (r, angle) array: the rows of `twisted_convolution` for those radii."""
+    return _ring_sum(*_ring_args(f, g, r))
+
+
+def _ring_args(f, g, r):
+    """The `_ring_sum` arguments of (f *_lam g) on the rings of radii r.  The
+    convolutions call `_ring_sum` themselves, so that its zero-extension
+    warning names their caller."""
     if f.lam != g.lam:
         raise ValueError("slices carry different central frequencies")
     if not f.grid.same_as(g.grid):
@@ -209,7 +254,7 @@ def _convolution_rings(f, g, r):
     if f.grid.n != 1:
         raise NotImplementedError("grid twisted convolution is implemented for n = 1 only")
     r = np.asarray(r, dtype=float)
-    return _ring_sum(_rasterize(f), g, r, np.zeros(r.size), f.grid.omega.shape[0])
+    return _rasterize(f), g, r, np.zeros(r.size), f.grid.omega.shape[0]
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):

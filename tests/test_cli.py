@@ -166,6 +166,18 @@ def test_kernel_rows_far_past_the_peak_read_zero_without_warnings(argv, capsys):
     assert len(far) == 1 and float(far[0][0]) == float(far[0][1]) == 0.0
 
 
+def test_hermite_kernel_without_a_finite_value_fails_quietly(capsys):
+    # 1.4e154 has no finite square, so the Mehler kernel is not finite:
+    # exit 3 and no row, with no numpy RuntimeWarning on the way
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.run(["kernel", "--group", "hermite", "--s", "1", "--x", "1.4e154"]) == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["gate", "--which", "heisenberg", "--a", "nan", "--b", "1", "--s0", "1"],
     ["gate", "--which", "hermite", "--a", "1", "--b", "inf", "--s0", "1"],

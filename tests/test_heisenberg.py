@@ -1,6 +1,7 @@
 """Group law, heat kernel inversion, scaling, and the Gaussian bound check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,16 @@ def test_grid_converges_above_the_far_field_limit():
     vals = heat_kernel_grid(1.0, [0.0, 1.0], [5.0, 10.0])
     want = heat_kernel(1.0, HeisenbergPoint((0.0,), 5.0))
     assert abs(vals[0] - want) < 1e-8 * abs(want)
+
+
+def test_pointwise_and_grid_kernels_read_zero_far_past_the_peak():
+    # |z| = 1e200 has no finite square: z_norm must not overflow on the way
+    # to the kernel, and both routes underflow to exactly 0 without warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert heat_kernel(1.0, HeisenbergPoint((1e200,), 0.0)) == 0
+        assert heat_kernel_grid(1.0, [1e200], [0.0])[0] == 0
+    assert HeisenbergPoint((1e200, 1e200j), 0.0).z_norm == math.hypot(1e200, 1e200)
 
 
 def test_grid_blocking_leaves_every_bit(monkeypatch):

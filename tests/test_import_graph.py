@@ -20,6 +20,7 @@ SCRIPT = textwrap.dedent(f"""
     import math
     import os
     import sys
+    import threading
     import warnings
 
     import numpy as np
@@ -31,7 +32,8 @@ SCRIPT = textwrap.dedent(f"""
 
     from heisenkit import (HeisenbergPoint, QuadratureError, adaptive_quad,
                            heat_kernel, heat_kernel_grid, hermite_evolve,
-                           polar_grid, radial_slice, slice_value)
+                           polar_grid, radial_slice, slice_value,
+                           twisted_convolution)
 
     # QUADPACK: the pointwise kernel against the separable engine
     want = heat_kernel_grid(0.8, np.array([0.9]), np.array([-1.1]))[0]
@@ -52,6 +54,11 @@ SCRIPT = textwrap.dedent(f"""
     sl = radial_slice(grid, 1.0, lambda r: np.exp(-r * r))
     z0 = 0.8 + 0.3j
     assert abs(slice_value(sl, z0) - math.exp(-abs(z0) ** 2)) < 1e-4
+
+    # the ring sum's worker threads are gone when the convolution returns
+    threads = threading.active_count()
+    twisted_convolution(sl, sl)
+    assert threading.active_count() == threads, threading.enumerate()
 
     # a budget too small to settle: QuadratureError, and no scipy warning
     os.environ["HH_QUAD_BUDGET"] = "10"

@@ -2,6 +2,7 @@
 own threshold, with its own message and the measured edge/peak ratio."""
 
 import dataclasses
+import inspect
 import re
 import warnings
 
@@ -15,7 +16,8 @@ from heisenkit.hermite import hermite_evolve
 from heisenkit.htype import partial_radon
 from heisenkit.propagator import schrodinger_evolve
 from heisenkit.specfun import laguerre_fn
-from heisenkit.twisted import _rasterize, _ring_sum, laguerre_projection
+from heisenkit import twisted
+from heisenkit.twisted import _rasterize, _ring_sum, laguerre_projection, twisted_convolution
 
 # the pattern that perfbench counts truncation warnings by
 _TRUNCATION = re.compile(r"truncat|dropped by zero extension|has not decayed")
@@ -105,3 +107,16 @@ def test_each_site_warns_above_its_threshold_only(site):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         run(0.9)
+
+
+def test_zero_extension_warning_names_the_caller(monkeypatch):
+    # the node blocks run on a pool, but the warning is raised after their
+    # sums are folded, in the calling thread: it names this line, not a
+    # frame of twisted.py, concurrent.futures or threading
+    monkeypatch.setattr(twisted, "_cpu_count", lambda: 2)
+    grid = polar_grid(1, 32, 6.0, 16)
+    wide = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
+    with pytest.warns(RuntimeWarning, match="dropped by zero extension") as caught:
+        line = inspect.currentframe().f_lineno + 1
+        twisted_convolution(wide, wide)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]

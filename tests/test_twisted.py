@@ -5,6 +5,7 @@ The engine tolerances here reflect the bilinear raster gather (~1e-5 on a
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from scipy.signal import resample
 
 from heisenkit.grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
                              radial_rule, radial_slice)
+from heisenkit import twisted
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
     _rasterize,
@@ -136,6 +138,30 @@ def test_mass_beyond_r_max_warns_on_orbits_and_points(grid):
         twisted_convolution(wide, wide)
     with pytest.warns(RuntimeWarning, match="dropped by zero extension"):
         _ring_sum(_rasterize(wide), wide, [1.0], [0.3], 1)
+
+
+def test_ring_sum_does_not_depend_on_the_worker_count(monkeypatch):
+    # wide enough that mass is dropped beyond r_max, so the warning fires;
+    # both sums run over several node blocks (8 for the orbits, 8 for the
+    # 512 single targets), in the calling thread or on a pool
+    grid = polar_grid(1, nr=32, r_max=6.0, nsphere=16)
+    z = grid.points()[..., 0]
+    f = SpectralSlice(1.0, grid, z * np.exp(-0.1 * np.abs(z) ** 2))
+    g = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
+    raster = _rasterize(f)
+
+    def sums(workers):
+        monkeypatch.setattr(twisted, "_cpu_count", lambda: workers)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            out = (twisted_convolution(f, g).values,
+                   _ring_sum(raster, g, np.abs(z).ravel(), np.angle(z).ravel(), 1))
+        return out, [str(w.message) for w in caught]
+
+    (conv1, points1), warned1 = sums(1)
+    (conv3, points3), warned3 = sums(3)
+    assert np.array_equal(conv1, conv3) and np.array_equal(points1, points3)
+    assert len(warned1) == 2 and warned1 == warned3
 
 
 def test_laguerre_eigenfunction_identity():
