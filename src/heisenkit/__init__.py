@@ -30,7 +30,7 @@ from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
                          equality_case_profile, gate_lambda_window, kernel_K,
                          schrodinger_evolve, theorem34_gaussian_pair,
                          theorem34_pair, uniqueness_gate)
-from .quadrature import QuadratureError, adaptive_quad, quad_budget
+from .quadrature import QuadratureError, adaptive_quad
 from .specfun import (bessel_j_tilde, hille_hardy, jtilde_of_square, laguerre,
                       laguerre_fn, laguerre_series_sum)
 from .spherical import (BigradedBasis, SolidHarmonic, build_basis,
@@ -55,7 +55,7 @@ __all__ = [
     "htype_heat_batch", "htype_heat_kernel", "jtilde_of_square", "kernel_K",
     "laguerre", "laguerre_fn", "laguerre_projection", "laguerre_series_sum",
     "mehler_kernel", "partial_fourier_t", "partial_radon", "plan_from_nodes",
-    "polar_grid", "quad_budget", "radial_rule", "radial_slice",
+    "polar_grid", "radial_rule", "radial_slice",
     "radon_heat_profile", "reconstruct", "run_suite", "s3_rule",
     "schrodinger_evolve", "slice_value", "sphere_area",
     "spherical_coefficients", "theorem34_gaussian_pair", "theorem34_pair",

@@ -11,7 +11,7 @@ rule on S^3 exact through polynomial degree ~24.  `radial_slice` and
 """
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -113,7 +113,6 @@ class PolarGrid:
     omega: np.ndarray           # (ns, n) complex unit vectors
     omega_weights: np.ndarray
     r_max: float
-    angles: np.ndarray | None = field(default=None, compare=False)
 
     def measure(self):
         """(nr, ns) weights for integration over C^n in polar form."""
@@ -186,8 +185,8 @@ def polar_grid(n=1, nr=128, r_max=8.0, nsphere=None):
     if n == 1:
         nsphere = 64 if nsphere is None else nsphere
         r, wr = radial_rule(nr, r_max)
-        theta, omega, ww = circle_rule(nsphere)
-        return PolarGrid(1, r, wr, omega, ww, float(r_max), angles=theta)
+        _, omega, ww = circle_rule(nsphere)
+        return PolarGrid(1, r, wr, omega, ww, float(r_max))
     if n == 2:
         m = 28 if nsphere is None else nsphere
         r, wr = radial_rule(nr, r_max)

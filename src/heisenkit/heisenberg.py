@@ -101,6 +101,11 @@ def _hyperbolic_gaussian(lam, zeta, n, r):
     return (2.0 * a * np.exp(-x) / e1) ** n * np.exp(-0.25 * a * (2.0 - e1) / e1 * np.square(r))
 
 
+def _check_dimension(n):
+    if int(n) != n or n < 1:
+        raise ValueError("dimension n must be a positive integer")
+
+
 def heat_kernel_lambda(zeta, lam, r, n=1):
     """Frequency profile of the heat kernel at |z| = r,
     (4 pi)^{-n} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}.
@@ -110,8 +115,7 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     exists only off the poles lam s = k pi, k != 0, which raise.  Non-finite
     lam or r raise ValueError.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
+    _check_dimension(n)
     if not math.isfinite(lam):
         raise ValueError("lam must be finite")
     zeta = _as_time(zeta)
@@ -209,7 +213,7 @@ def heat_kernel_grid(zeta, r, t, n=1):
     of its peak |zeta|^{-n} (`quadrature.envelope_cutoff`), and its first
     panels are sized by how fast the integrand varies (`_variation_rate`).
     The profile's (4 pi)^{-n} is applied with the final 1 / (2 pi).
-    Radii must be finite and nonnegative, t finite.
+    Radii must be finite and nonnegative, t finite, and n a positive integer.
 
     The far field cannot be tabulated.  Round-off puts a floor under the
     coarse/fine gap that scales with q_zeta(r, 0), so the two rules agree
@@ -220,6 +224,7 @@ def heat_kernel_grid(zeta, r, t, n=1):
     at zeta = 0.5 + 1i.  A table below it raises QuadratureError: at
     zeta = 1 every point with r <= 1 and t >= 7.5 does.
     """
+    _check_dimension(n)
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
         raise ValueError("kernel evaluation requires eps > 0")

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import (HeisenbergPoint, _grown_cutoff, _hyperbolic_gaussian, _log_envelope,
-                         _variation_rate)
+from .heisenberg import (HeisenbergPoint, _check_dimension, _grown_cutoff,
+                         _hyperbolic_gaussian, _log_envelope, _variation_rate)
 from .quadrature import (adaptive_quad, envelope_cutoff, gauss_interval, sample_axis,
                          separable_panels, warn_truncated)
 from .specfun import bessel_j_tilde
@@ -96,8 +96,7 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     behind the Radon transform.  Norms must be finite and nonnegative.
     """
     _check_time(s)
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
+    _check_dimension(n)
     if k not in (1, 2, 3):
         raise ValueError("center dimension k must be 1, 2 or 3")
     vnorm, tnorm = np.broadcast_arrays(sample_axis("norms |v|", vnorm, nonnegative=True),

@@ -4,7 +4,7 @@ ends them, trapezoid weights, a budgeted wrapper around scipy's adaptive
 integrator, and the truncation warning of every truncated integral."""
 
 import math
-import os
+import sys
 import warnings
 from functools import lru_cache
 
@@ -16,21 +16,8 @@ class QuadratureError(RuntimeError):
     """Adaptive refinement exhausted its budget without converging."""
 
 
-_DEFAULT_BUDGET = 400
-
-
-def quad_budget():
-    """Subdivision budget for adaptive integrals; HH_QUAD_BUDGET overrides."""
-    raw = os.environ.get("HH_QUAD_BUDGET")
-    if not raw:
-        return _DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"HH_QUAD_BUDGET must be an integer, got {raw!r}") from None
-    if value < 10:
-        raise ValueError("HH_QUAD_BUDGET below 10 is not a usable budget")
-    return value
+# subdivisions of an adaptive integral
+_QUAD_LIMIT = 400
 
 
 def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11):
@@ -46,7 +33,7 @@ def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11):
         warnings.simplefilter("error", category=integrate.IntegrationWarning)
         try:
             value, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
-                                      limit=quad_budget(), complex_func=True)
+                                      limit=_QUAD_LIMIT, complex_func=True)
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"adaptive quadrature did not settle: {exc}") from None
     return value
@@ -128,7 +115,10 @@ def envelope_cutoff(log_envelope, log_floor, start):
     if hi > 1e7:
         raise QuadratureError("no usable frequency cutoff below 1e7")
     while hi > 1.01 * lo:
-        mid = math.sqrt(lo * hi)
+        # for brackets below ~1e-154 the product leaves the normal range and
+        # loses digits (all of them below ~1e-162): take the roots apart
+        mid = lo * hi
+        mid = math.sqrt(mid) if mid >= sys.float_info.min else math.sqrt(lo) * math.sqrt(hi)
         if log_envelope(mid) > log_floor:
             lo = mid
         else:

@@ -3,9 +3,9 @@
 A solid harmonic of bidegree (p, q) is a polynomial sum of monomials
 z^alpha conj(z)^beta with |alpha| = p, |beta| = q annihilated by the
 Laplacian of R^{2n}.  All polynomial algebra here is exact (Fraction
-coefficients): harmonic projection peels off the |z|^2 multiples by solving
-the coefficient linear system, and Gram-Schmidt runs over rationals using
-the closed-form sphere integrals
+coefficients): a monomial's harmonic part comes from the closed-form
+projection sum over its iterated Laplacians, and Gram-Schmidt runs over
+rationals using the closed-form sphere integrals
 
     int_{S^{2n-1}} z^gamma conj(z)^delta dsigma
         = [gamma == delta] * 2 pi^n gamma! / (n - 1 + |gamma|)!
@@ -84,54 +84,32 @@ def sphere_inner_exact(a_terms, b_terms, n):
     return acc
 
 
-def _solve_exact(rows, rhs):
-    """Gauss-Jordan over Fractions; rows is a square matrix, rhs a vector."""
-    m = len(rows)
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    for col in range(m):
-        piv = next(i for i in range(col, m) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for i in range(m):
-            if i != col and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-    return [row[m] for row in aug]
-
-
 def harmonic_part(n, alpha, beta):
-    """Harmonic component of z^alpha conj(z)^beta in P = H + |z|^2 Q.
+    """Harmonic component H of m = z^alpha conj(z)^beta in m = H + |z|^2 Q.
 
-    The peeling equation Delta H = 0 with H = m - |z|^2 Q becomes the square
-    system (Delta |z|^2) Q = Delta m over the bidegree (p-1, q-1) monomials;
-    the decomposition is direct, so the system is uniquely solvable.
+    With d = |alpha| + |beta| and N = 2n, the projection has the closed form
+
+        H = sum_j (-1)^j |z|^{2j} Delta^j m / (2^j j! prod_{i<j} (N + 2d - 4 - 2i)),
+
+    which stops at the first j with Delta^j m = 0 (Axler, Bourdon & Ramey,
+    Harmonic Function Theory, ch. 5).
     """
-    p, q = sum(alpha), sum(beta)
-    mono = {(tuple(alpha), tuple(beta)): Fraction(1)}
-    if p == 0 or q == 0:
-        return dict(mono)
-    lower = monomial_keys(n, p - 1, q - 1)
-    pos = {key: i for i, key in enumerate(lower)}
-    cols = []
-    for key in lower:
-        image = laplacian_terms(_times_r2({key: Fraction(1)}, n), n)
-        cols.append([image.get(k, Fraction(0)) for k in lower])
-    rows = [[cols[j][i] for j in range(len(lower))] for i in range(len(lower))]
-    dm = laplacian_terms(mono, n)
-    coeffs = _solve_exact(rows, [dm.get(k, Fraction(0)) for k in lower])
-    correction = {}
-    for key, c in zip(lower, coeffs):
-        if c:
-            for kk, vv in _times_r2({key: c}, n).items():
-                correction[kk] = correction.get(kk, Fraction(0)) + vv
-    out = dict(mono)
-    for kk, vv in correction.items():
-        out[kk] = out.get(kk, Fraction(0)) - vv
+    d = sum(alpha) + sum(beta)
+    powers = [{(tuple(alpha), tuple(beta)): Fraction(1)}]
+    while powers[-1]:
+        powers.append(laplacian_terms(powers[-1], n))
+    coeffs = [Fraction(1)]
+    for j in range(1, len(powers) - 1):
+        coeffs.append(-coeffs[-1] / (2 * j * (2 * n + 2 * d - 2 - 2 * j)))
+    # Horner in |z|^2, from the highest Laplacian power down
+    out = {}
+    for c, lap in zip(reversed(coeffs), reversed(powers[:-1])):
+        out = _times_r2(out, n)
+        for key, v in lap.items():
+            out[key] = out.get(key, Fraction(0)) + c * v
     out = {k: v for k, v in out.items() if v}
-    residual = laplacian_terms(out, n)
-    if residual:
-        raise AssertionError("harmonic peeling left a nonzero Laplacian")
+    if laplacian_terms(out, n):
+        raise AssertionError("harmonic projection left a nonzero Laplacian")
     return out
 
 

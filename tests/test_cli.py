@@ -151,6 +151,26 @@ def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["kernel", "--group", "heisenberg", "--s", "1e300", "--r", "1", "--t", "0"],
+    ["kernel", "--group", "htype", "--s", "1e300", "--k", "1", "--v-norm", "1"],
+], ids=["heisenberg", "htype"])
+def test_kernel_at_a_huge_time_is_a_numerical_failure(argv, capsys):
+    # a finite time is valid input: no usage error, and no row
+    assert cli.run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure" in captured.err
+
+
+def test_heisenberg_kernel_needs_a_positive_dimension(capsys):
+    assert cli.run(["kernel", "--group", "heisenberg", "--n", "0", "--s", "1",
+                    "--r", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "dimension n must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
     ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0,1e200"],
     ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0,1e200", "--slice-lambda", "1"],
     ["kernel", "--group", "htype", "--s", "1", "--k", "2", "--v-norm", "1e200"],

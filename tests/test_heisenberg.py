@@ -202,6 +202,12 @@ def test_grid_rejects_inputs_outside_its_domain(zeta, r, t, match):
         heat_kernel_grid(zeta, np.array([0.2, r]), np.array([0.1, t]))
 
 
+@pytest.mark.parametrize("n", [0, -1, 1.5])
+def test_grid_rejects_a_dimension_that_is_not_a_positive_integer(n):
+    with pytest.raises(ValueError, match="dimension n must be a positive integer"):
+        heat_kernel_grid(1.0, [1.0], [0.0], n=n)
+
+
 @pytest.mark.parametrize("z,t", [
     ((_NAN,), 0.0),
     ((complex(0.5, _INF),), 0.0),

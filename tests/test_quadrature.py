@@ -12,7 +12,6 @@ from heisenkit.quadrature import (
     envelope_cutoff,
     gauss_interval,
     gauss_panels,
-    quad_budget,
     sample_axis,
     separable_panels,
     trapezoid_weights,
@@ -94,6 +93,19 @@ def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():
         envelope_cutoff(lambda x: -1e-9 * x, -10.0, 1.0)
 
 
+@pytest.mark.parametrize("s,n", [(1e155, 1), (1.3475111985467743e162, 2), (1e300, 1)])
+def test_envelope_cutoff_bisects_brackets_below_the_normal_range(s, n):
+    # (lam / sinh(s lam))^n from lam = 4 / s: the ends of the bracket
+    # multiply to a subnormal number, or to 0 at s = 1e300
+    def log_envelope(lam):
+        x = s * lam
+        return n * (math.log(lam) - x - math.log(-0.5 * math.expm1(-2.0 * x)))
+
+    floor = math.log(1e-15) - n * math.log(s)
+    cut = envelope_cutoff(log_envelope, floor, 4.0 / s)
+    assert log_envelope(cut) <= floor < log_envelope(cut / 1.01)
+
+
 def test_separable_panels_first_rule_follows_the_phase_rate(monkeypatch):
     rules = []
     original = quadrature.gauss_panels
@@ -134,23 +146,10 @@ def test_adaptive_quad_complex_and_oscillatory():
     assert abs(got.imag) < 1e-12
 
 
-def test_adaptive_quad_raises_instead_of_warning(monkeypatch):
-    monkeypatch.setenv("HH_QUAD_BUDGET", "10")
+def test_adaptive_quad_raises_instead_of_warning():
+    # cos(2000 x^2) on [0, 40] does not settle in 400 subdivisions
     with pytest.raises(QuadratureError):
         adaptive_quad(lambda x: np.cos(2000.0 * x * x), 0.0, 40.0)
-
-
-def test_quad_budget_env_override(monkeypatch):
-    monkeypatch.delenv("HH_QUAD_BUDGET", raising=False)
-    assert quad_budget() == 400
-    monkeypatch.setenv("HH_QUAD_BUDGET", "120")
-    assert quad_budget() == 120
-    monkeypatch.setenv("HH_QUAD_BUDGET", "abc")
-    with pytest.raises(ValueError):
-        quad_budget()
-    monkeypatch.setenv("HH_QUAD_BUDGET", "3")
-    with pytest.raises(ValueError):
-        quad_budget()
 
 
 def test_trapezoid_weights_sum_and_nonuniform():

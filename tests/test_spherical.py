@@ -1,12 +1,18 @@
 """Bigraded sphere harmonics: dimensions, orthonormality, decomposition."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from heisenkit.grids import SpectralSlice, polar_grid
 from heisenkit.spherical import (
     build_basis,
+    harmonic_part,
+    laplacian_terms,
+    monomial_keys,
     reconstruct,
+    sphere_inner_exact,
     spherical_coefficients,
 )
 
@@ -101,3 +107,18 @@ def test_validation():
         spherical_coefficients(np.zeros(3), basis, 1)
     with pytest.raises(ValueError):
         spherical_coefficients(f, build_basis(2, 1, 0), 1)
+
+
+@pytest.mark.parametrize("p,q", [(3, 3), (5, 2), (7, 7)])
+def test_projection_is_harmonic_and_leaves_a_residual_orthogonal_to_the_sector(p, q):
+    basis = build_basis(2, p, q)
+    assert basis.dimension == p + q + 1
+    elements = [dict(y.terms) for y in basis.elements]
+    for alpha, beta in monomial_keys(2, p, q):
+        h = harmonic_part(2, alpha, beta)
+        assert laplacian_terms(h, 2) == {}
+        residual = {(alpha, beta): Fraction(1)}
+        for key, c in h.items():
+            residual[key] = residual.get(key, Fraction(0)) - c
+        for e in elements:
+            assert sphere_inner_exact(residual, e, 2) == 0
