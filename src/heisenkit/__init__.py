@@ -24,8 +24,8 @@ from .heisenberg import (ComplexTime, HeisenbergPoint, group_inverse,
                          heat_kernel_grid, heat_kernel_lambda)
 from .hermite import (CausticError, MehlerParams, gate_boundary_profile,
                       hermite_evolve, hermite_fn, hermite_gate, mehler_kernel)
-from .htype import (HTypeHeatKernel, HTypePoint, htype_gate, htype_heat_batch,
-                    htype_heat_kernel, partial_radon, radon_heat_profile)
+from .htype import (HTypePoint, htype_gate, htype_heat_batch, htype_heat_kernel,
+                    partial_radon, radon_heat_profile)
 from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
                          equality_case_profile, gate_lambda_window, kernel_K,
                          schrodinger_evolve, theorem34_gaussian_pair,
@@ -42,8 +42,8 @@ from .verify import CheckRecord, SuiteReport, run_suite
 __all__ = [
     "BigradedBasis", "CausticError", "CheckRecord", "ComplexTime", "DecayFit",
     "DecayDomainError", "DegenerateFitError", "ExceptionalLambdaError",
-    "GateParams", "HankelPlan", "HeisenbergPoint", "HTypeHeatKernel",
-    "HTypePoint", "MehlerParams", "PolarGrid", "QuadratureError",
+    "GateParams", "HankelPlan", "HeisenbergPoint", "HTypePoint",
+    "MehlerParams", "PolarGrid", "QuadratureError",
     "RadialProfile", "SolidHarmonic", "SpectralSlice", "SuiteReport",
     "adaptive_quad", "bessel_j_tilde", "build_basis",
     "circle_rule", "equality_case_profile", "fit_gaussian_decay",

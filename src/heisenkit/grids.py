@@ -10,14 +10,11 @@ rule on S^3 exact through polynomial degree ~24.  `radial_slice` and
 `partial_fourier_t` build the SpectralSlices sampled on them.
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
-
-_CSV_HEADER = ["r", "re", "im"]
 
 
 @dataclass
@@ -44,26 +41,6 @@ class RadialProfile:
         if self.weights is None:
             raise ValueError("profile carries no quadrature weights")
         return np.sum(self.weights * self.values * self.r ** self.weight_power)
-
-    def to_csv(self, path):
-        vals = np.asarray(self.values, dtype=complex)
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_HEADER)
-            for r, v in zip(self.r, vals):
-                writer.writerow([f"{r:.17g}", f"{v.real:.17g}", f"{v.imag:.17g}"])
-
-    @classmethod
-    def from_csv(cls, path):
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _CSV_HEADER:
-                raise ValueError(f"expected header {_CSV_HEADER}, got {header}")
-            rows = [(float(a), float(b), float(c)) for a, b, c in reader]
-        r = np.array([row[0] for row in rows])
-        vals = np.array([complex(row[1], row[2]) for row in rows])
-        return cls(r, vals)
 
 
 def radial_rule(nr=128, r_max=8.0):

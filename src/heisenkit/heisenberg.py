@@ -15,6 +15,7 @@ import numpy as np
 
 from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, sample_axis,
                          separable_panels)
+from .specfun import _check_dimension
 
 
 @dataclass(frozen=True)
@@ -99,11 +100,6 @@ def _hyperbolic_gaussian(lam, zeta, n, r):
     x = a * zeta
     e1 = -np.expm1(-2.0 * x)
     return (2.0 * a * np.exp(-x) / e1) ** n * np.exp(-0.25 * a * (2.0 - e1) / e1 * np.square(r))
-
-
-def _check_dimension(n):
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
 
 
 def heat_kernel_lambda(zeta, lam, r, n=1):

@@ -34,6 +34,7 @@ import numpy as np
 from .grids import RadialProfile
 from .hankel import fit_gaussian_decay
 from .quadrature import warn_truncated
+from .specfun import _check_dimension
 
 _CAUSTIC_TOL = 1e-6
 _REFINE_CAP = 1 << 21
@@ -51,8 +52,7 @@ class MehlerParams:
     n: int = 1
 
     def __post_init__(self):
-        if int(self.n) != self.n or self.n < 1:
-            raise ValueError("dimension n must be a positive integer")
+        _check_dimension(self.n)
         if abs(math.sin(2.0 * self.s)) <= _CAUSTIC_TOL:
             raise CausticError(f"s = {self.s!r} is a caustic time (sin 2s = 0)")
 

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import (HeisenbergPoint, _check_dimension, _grown_cutoff,
-                         _hyperbolic_gaussian, _log_envelope, _variation_rate)
+from .heisenberg import _grown_cutoff, _hyperbolic_gaussian, _log_envelope, _variation_rate
 from .quadrature import (adaptive_quad, envelope_cutoff, gauss_interval, sample_axis,
                          separable_panels, warn_truncated)
-from .specfun import bessel_j_tilde
+from .specfun import _check_dimension, bessel_j_tilde
 
 
 @dataclass(frozen=True)
@@ -93,7 +92,7 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     1e-16 of s^{-n} (`quadrature.envelope_cutoff`), and its first panels
     are sized as the Heisenberg engine's, the Bessel factor oscillating at
     rate max|t| (`heisenberg._variation_rate`).  This is the fast path
-    behind the Radon transform.  Norms must be finite and nonnegative.
+    behind `radon_heat_profile`.  Norms must be finite and nonnegative.
     """
     _check_time(s)
     _check_dimension(n)
@@ -116,23 +115,6 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     return _constant(n, k) * vals.reshape(vnorm.shape)
 
 
-@dataclass(frozen=True)
-class HTypeHeatKernel:
-    """h_s as a callable of HTypePoint, carrying enough structure for the
-    Radon transform to route through the batched evaluator."""
-    s: float
-    n: int
-    k: int
-
-    def __call__(self, p):
-        if (p.n, p.k) != (self.n, self.k):
-            raise ValueError("point dimensions do not match the kernel")
-        return htype_heat_kernel(self.s, p)
-
-    def batch(self, vnorm, tnorm):
-        return htype_heat_batch(self.s, self.n, self.k, vnorm, tnorm)
-
-
 def _perp_basis(eta):
     eta = np.asarray(eta, dtype=float)
     if eta.ndim != 1 or not 1 <= eta.size <= 3:
@@ -152,28 +134,41 @@ def _perp_basis(eta):
 # integrand at lam = i pi / s, so it falls by 1e-16 within (16 ln 10 / pi) s
 # of the farthest target
 _NU_DECAY = 16.0 * math.log(10.0) / math.pi
+# Gauss nodes per axis of the nu window
+_NU_NODES = {2: 160, 3: 48}
 
 
-def _nu_rule(k, s, t_span, half_width, nu_nodes):
-    if half_width is None:
-        half_width = t_span + _NU_DECAY * s
-    if nu_nodes is None:
-        nu_nodes = 160 if k == 2 else 48
-    x, w = gauss_interval(-half_width, half_width, nu_nodes)
+def _nu_rule(perp, s, t_span):
+    """Product Gauss rule on the window [-a, a]^{k-1} of eta-perp,
+    a = t_span + _NU_DECAY s: its nodes as offsets in R^k, and its weights."""
+    k = perp.shape[0]
+    a = t_span + _NU_DECAY * s
+    x, w = gauss_interval(-a, a, _NU_NODES[k])
     if k == 2:
-        return x[:, None], w
+        return x[:, None] @ perp.T, w
     xx, yy = np.meshgrid(x, x, indexing="ij")
-    ww = np.outer(w, w).ravel()
-    return np.stack([xx.ravel(), yy.ravel()], axis=1), ww
+    return np.stack([xx.ravel(), yy.ravel()], axis=1) @ perp.T, np.outer(w, w).ravel()
 
 
-def partial_radon(f, eta, targets, half_width=None, nu_nodes=None):
+def _warn_window_truncated(vals, k):
+    """Warn when the (targets, nodes) integrand is not small on every face of
+    the nu window.  Called from the public functions, so that the warning
+    names their caller."""
+    cube = np.abs(vals).reshape((len(vals),) + (_NU_NODES[k],) * (k - 1))
+    faces = max(float(np.max(np.take(cube, [0, -1], axis=a))) for a in range(1, k))
+    warn_truncated("f has not decayed across the nu window; the Radon integral is truncated",
+                   faces, float(np.max(cube)), 1e-10, stacklevel=3)
+
+
+def partial_radon(f, eta, targets):
     """(R_eta f)(v, t) = int_{eta-perp} f(v, t eta + nu) dnu on Heisenberg
-    target points.
+    target points, for f a callable of HTypePoint, evaluated node by node.
 
     k = 1 has an empty orthogonal complement, so the transform is f itself.
-    When f is an HTypeHeatKernel the integrand is evaluated in one batched
-    quadrature; a plain callable of HTypePoint is integrated pointwise.
+    The nu window is the one `radon_heat_profile` takes at s = 1: half-width
+    max|t| + 16 ln 10 / pi on 160 Gauss nodes at k = 2, and that square on
+    48^2 nodes at k = 3.  A function that has not decayed to 1e-10 of its
+    peak on the window's faces raises a truncation warning.
     """
     eta, perp = _perp_basis(eta)
     k = eta.size
@@ -183,24 +178,10 @@ def partial_radon(f, eta, targets, half_width=None, nu_nodes=None):
     if k == 1:
         return np.array([float(f(HTypePoint(_vec_of(p), (p.t * eta[0],))))
                          for p in targets])
-    t_span = max(abs(p.t) for p in targets)
-    s_hint = f.s if isinstance(f, HTypeHeatKernel) else 1.0
-    nu, w = _nu_rule(k, s_hint, t_span, half_width, nu_nodes)
-    offsets = nu @ perp.T                                    # (m, k)
-    if isinstance(f, HTypeHeatKernel):
-        rho = np.array([p.z_norm for p in targets])
-        tvec = np.array([p.t for p in targets])[:, None, None] * eta[None, None, :] \
-            + offsets[None, :, :]
-        tau = np.linalg.norm(tvec, axis=-1)                  # (targets, m)
-        vals = f.batch(rho[:, None], tau)
-    else:
-        vals = np.empty((len(targets), w.size))
-        for i, p in enumerate(targets):
-            v = _vec_of(p)
-            for m in range(w.size):
-                vals[i, m] = float(f(HTypePoint(v, tuple(p.t * eta + offsets[m]))))
-    warn_truncated("f has not decayed across the nu window; the Radon integral is truncated",
-                   float(np.max(np.abs(vals[:, [0, -1]]))), float(np.max(np.abs(vals))), 1e-10)
+    offsets, w = _nu_rule(perp, 1.0, max(abs(p.t) for p in targets))
+    vals = np.array([[float(f(HTypePoint(_vec_of(p), tuple(p.t * eta + o)))) for o in offsets]
+                     for p in targets])
+    _warn_window_truncated(vals, k)
     return vals @ w
 
 
@@ -210,18 +191,25 @@ def _vec_of(p):
 
 def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
     """R_eta h_s on a (|v|, t) product grid, returned as a (len v, len t)
-    array, on the nu rule that `partial_radon` picks by default.  The result
-    does not depend on the direction eta."""
-    v_norms = np.asarray(v_norms, dtype=float)
-    t_vals = np.asarray(t_vals, dtype=float)
+    array.  The result does not depend on the direction eta, so eta = e_1.
+
+    h_s is evaluated on every (|v|, t, nu) node in one `htype_heat_batch`
+    call.  The nu window reaches max|t| + (16 ln 10 / pi) s, where h_s has
+    fallen to 1e-16; at s = 1 it is `partial_radon`'s.  Norms |v| must be
+    finite and nonnegative.
+    """
+    v = np.asarray(v_norms, dtype=float)
+    t = np.asarray(t_vals, dtype=float)
     if k == 1:
-        return htype_heat_batch(s, n, 1, v_norms[:, None], np.abs(t_vals)[None, :])
-    eta = np.zeros(k)
-    eta[0] = 1.0
-    pts = [HeisenbergPoint((complex(v),) + (0j,) * (n - 1), float(t))
-           for v in v_norms for t in t_vals]
-    out = partial_radon(HTypeHeatKernel(s, n, k), eta, pts)
-    return out.reshape(v_norms.size, t_vals.size)
+        return htype_heat_batch(s, n, 1, v[:, None], np.abs(t)[None, :])
+    eta, perp = _perp_basis(np.eye(k)[0])
+    if v.size == 0 or t.size == 0:
+        return np.zeros((v.size, t.size))
+    offsets, w = _nu_rule(perp, s, float(np.max(np.abs(sample_axis("t", t)))))
+    tau = np.linalg.norm(t[:, None, None] * eta + offsets, axis=-1)     # (t, nu)
+    vals = htype_heat_batch(s, n, k, v[:, None, None], tau[None]).reshape(-1, w.size)
+    _warn_window_truncated(vals, k)
+    return (vals @ w).reshape(v.size, t.size)
 
 
 def htype_gate(a, b, s0):

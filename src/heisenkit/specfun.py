@@ -59,13 +59,17 @@ def laguerre_table(kmax, alpha, t):
     return np.stack(list(_laguerre_degrees(kmax, alpha, np.asarray(t, dtype=float))))
 
 
+def _check_dimension(n):
+    if int(n) != n or n < 1:
+        raise ValueError("dimension n must be a positive integer")
+
+
 def laguerre_fn(k, lam, n, r):
     """Laguerre function L_k^{n-1}(|lam| r^2 / 2) exp(-|lam| r^2 / 4).
 
     Even in lam by construction; lam = 0 is rejected.
     """
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
+    _check_dimension(n)
     if lam == 0:
         raise ValueError("lam must be nonzero")
     r, scalar = _as_array(r)

@@ -278,11 +278,18 @@ def laguerre_projection(g, k, lam, m):
     eigenexpansion in dimension m; the Gamma-ratio prefactor is applied by
     the caller, once.
     """
+    return _projection(g, k, lam, m)
+
+
+def _projection(g, k, lam, m):
+    """The body of `laguerre_projection`.  Public functions call it
+    themselves, so that its truncation warning names their caller."""
     if g.weights is None:
         raise ValueError("profile carries no quadrature weights")
     integrand = g.values * laguerre_fn(k, lam, m, g.r) * g.r ** (2 * m - 1)
     warn_truncated("projection integrand has not decayed at the last node",
-                   float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10)
+                   float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10,
+                   stacklevel=3)
     return complex(np.sum(g.weights * integrand))
 
 
@@ -322,17 +329,20 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     p_eff, q_eff = (p, q) if lam > 0 else (q, p)
     m = n + p + q
 
-    def both_routes(k):
+    pairs = []
+    # the loop stays in this frame, so that the warnings of _ring_sum and
+    # _projection name the caller
+    for k in ks:
         phi = radial_slice(grid, lam, laguerre_fn(k, lam, n, grid.r))
         lhs = _ring_sum(raster, phi, np.abs(targets), np.angle(targets), 1)[:, 0]
         lhs = lhs[0] if zz.ndim == 0 else lhs.reshape(zz.shape)
         if k < p_eff:
-            return lhs, np.zeros(zz.shape, dtype=complex) if zz.ndim else 0.0j
+            pairs.append((lhs, np.zeros(zz.shape, dtype=complex) if zz.ndim else 0.0j))
+            continue
         gamma_ratio = math.exp(gammaln(k - p_eff + 1) - gammaln(k + n + q_eff))
-        proj = laguerre_projection(g, k - p_eff, lam, m)
+        proj = _projection(g, k - p_eff, lam, m)
         rhs = ((2.0 * np.pi) ** (-(p + q)) * abs(lam) ** (p + q) * P(zz)
                * 2.0 * np.pi ** m * gamma_ratio * proj
                * laguerre_fn(k - p_eff, lam, m, np.abs(zz)))
-        return lhs, (complex(rhs) if zz.ndim == 0 else rhs)
-
-    return [both_routes(k) for k in ks]
+        pairs.append((lhs, complex(rhs) if zz.ndim == 0 else rhs))
+    return pairs

@@ -31,21 +31,6 @@ def test_radial_profile_validation():
         RadialProfile(np.array([0.5, 1.0]), np.zeros(2), weights=np.zeros(3))
 
 
-def test_csv_roundtrip(tmp_path):
-    r = np.linspace(0.1, 2.0, 17)
-    vals = np.exp(-r) * np.exp(0.7j * r)
-    path = tmp_path / "profile.csv"
-    RadialProfile(r, vals).to_csv(path)
-    header = path.read_text().splitlines()[0]
-    assert header == "r,re,im"
-    back = RadialProfile.from_csv(path)
-    assert np.array_equal(back.r, r)
-    assert np.array_equal(back.values, vals)
-    path.write_text("rho,re,im\n1,2,3\n")
-    with pytest.raises(ValueError):
-        RadialProfile.from_csv(path)
-
-
 def test_sphere_rules_integrate_monomials():
     # n = 1: the circle rule resolves modes up to its node count
     g1 = polar_grid(1, nr=8, r_max=2.0)

@@ -10,7 +10,6 @@ from scipy.integrate import quad
 
 from heisenkit.heisenberg import HeisenbergPoint, heat_kernel, heat_kernel_grid
 from heisenkit.htype import (
-    HTypeHeatKernel,
     HTypePoint,
     htype_gate,
     htype_heat_batch,
@@ -62,13 +61,8 @@ def test_batch_matches_pointwise():
     for i, j in np.ndindex(2, 2):
         want = htype_heat_kernel(1.0, HTypePoint((vn[i], 0.0), (tn[j], 0.0)))
         assert abs(got[i, j] - want) < 1e-12 * abs(want)
-    kern = HTypeHeatKernel(0.8, 1, 2)
-    p = HTypePoint((0.5, 0.5), (0.2, 0.1))
-    assert kern(p) == pytest.approx(htype_heat_kernel(0.8, p), rel=1e-13)
     with pytest.raises(ValueError):
-        kern(HTypePoint((0.5, 0.5), (0.2,)))
-    with pytest.raises(ValueError):
-        htype_heat_kernel(-1.0, p)
+        htype_heat_kernel(-1.0, HTypePoint((0.5, 0.5), (0.2, 0.1)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -179,24 +173,25 @@ def test_pointwise_kernel_rejects_non_finite_coordinates(v, t):
 
 
 def test_radon_direction_independence():
-    kern = HTypeHeatKernel(1.0, 1, 2)
+    # a function radial in t has the same Radon transform along every eta
+    def f(p):
+        return math.exp(-p.v_norm ** 2 - p.t_norm ** 2)
+
     pts = [HeisenbergPoint((0.8 + 0.1j,), 0.5), HeisenbergPoint((1.4,), -1.0)]
-    r1 = partial_radon(kern, (1.0, 0.0), pts)
-    r2 = partial_radon(kern, (0.0, 1.0), pts)
-    r3 = partial_radon(kern, (np.sqrt(0.5), np.sqrt(0.5)), pts)
+    r1 = partial_radon(f, (1.0, 0.0), pts)
+    r2 = partial_radon(f, (0.0, 1.0), pts)
+    r3 = partial_radon(f, (np.sqrt(0.5), np.sqrt(0.5)), pts)
     assert np.max(np.abs(r1 - r2)) < 1e-12 * np.max(np.abs(r1))
     assert np.max(np.abs(r1 - r3)) < 1e-12 * np.max(np.abs(r1))
 
 
-def test_radon_batched_route_matches_pointwise_route():
-    # a coarse shared nu rule keeps the pointwise side affordable; the two
-    # routes must agree on it node for node
-    pts = [HeisenbergPoint((0.8,), 0.4), HeisenbergPoint((0.3 + 0.5j,), -0.7)]
-    fast = partial_radon(HTypeHeatKernel(1.0, 1, 2), (1.0, 0.0), pts,
-                         nu_nodes=12)
-    slow = partial_radon(lambda p: htype_heat_kernel(1.0, p), (1.0, 0.0), pts,
-                         nu_nodes=12)
-    assert np.max(np.abs(fast - slow)) < 1e-10 * np.max(np.abs(fast))
+def test_radon_heat_profile_matches_pointwise_radon_of_the_kernel():
+    # at s = 1 both take the same nu rule; one target keeps the pointwise
+    # side to 160 calls of the quadrature kernel
+    fast = radon_heat_profile(1.0, [0.8], [0.4], n=1, k=2)[0, 0]
+    slow = partial_radon(lambda p: htype_heat_kernel(1.0, p), (1.0, 0.0),
+                         [HeisenbergPoint((0.8,), 0.4)])[0]
+    assert abs(fast - slow) < 1e-10 * abs(fast)
 
 
 def test_radon_collapses_onto_the_heisenberg_kernel():
@@ -233,15 +228,32 @@ def test_radon_with_trivial_center_is_the_identity():
 
 
 def test_radon_edge_cases():
-    kern = HTypeHeatKernel(1.0, 1, 2)
-    assert partial_radon(kern, (1.0, 0.0), []).size == 0
+    # 1 / (1 + |t|) is still ~8% of its peak on the window's faces
+    def slow(p):
+        return 1.0 / (1.0 + p.t_norm)
+
+    assert partial_radon(slow, (1.0, 0.0), []).size == 0
     with pytest.raises(ValueError):
-        partial_radon(kern, (0.7, 0.0), [HeisenbergPoint((1.0,), 0.0)])
+        partial_radon(slow, (0.7, 0.0), [HeisenbergPoint((1.0,), 0.0)])
     with pytest.raises(ValueError):
-        partial_radon(kern, (1.0, 0.0, 0.0, 0.0), [HeisenbergPoint((1.0,), 0.0)])
+        partial_radon(slow, (1.0, 0.0, 0.0, 0.0), [HeisenbergPoint((1.0,), 0.0)])
     with pytest.warns(RuntimeWarning, match="not decayed"):
-        partial_radon(kern, (1.0, 0.0), [HeisenbergPoint((1.0,), 0.0)],
-                      half_width=0.5)
+        partial_radon(slow, (1.0, 0.0), [HeisenbergPoint((1.0,), 0.0)])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_radon_heat_profile_rejects_non_finite_t_without_numpy_warnings(k):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="t must be finite"):
+            radon_heat_profile(1.0, [0.5], [0.2, _INF], n=1, k=k)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("nv,nt", [(0, 3), (2, 0), (0, 0)])
+def test_radon_heat_profile_of_an_empty_grid_is_empty(k, nv, nt):
+    got = radon_heat_profile(1.0, np.linspace(0.5, 1.0, nv), np.linspace(-1.0, 1.0, nt), k=k)
+    assert got.shape == (nv, nt)
 
 
 def test_gate_matches_the_heisenberg_decision():

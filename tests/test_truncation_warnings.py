@@ -3,6 +3,7 @@ own threshold, with its own message and the measured edge/peak ratio."""
 
 import dataclasses
 import inspect
+import math
 import re
 import warnings
 
@@ -13,11 +14,13 @@ from heisenkit.grids import RadialProfile, partial_fourier_t, polar_grid, radial
 from heisenkit.hankel import hankel_plan, hankel_transform
 from heisenkit.heisenberg import HeisenbergPoint
 from heisenkit.hermite import hermite_evolve
-from heisenkit.htype import partial_radon
+from heisenkit import htype
+from heisenkit.htype import partial_radon, radon_heat_profile
 from heisenkit.propagator import schrodinger_evolve
 from heisenkit.specfun import laguerre_fn
 from heisenkit import twisted
-from heisenkit.twisted import _rasterize, _ring_sum, laguerre_projection, twisted_convolution
+from heisenkit.twisted import (_rasterize, _ring_sum, hecke_bochner_check, laguerre_projection,
+                               twisted_convolution)
 
 # the pattern that perfbench counts truncation warnings by
 _TRUNCATION = re.compile(r"truncat|dropped by zero extension|has not decayed")
@@ -38,11 +41,14 @@ def _hermite(c):
 
 
 def _radon(c):
-    # constant 1 inside the nu window, c 1e-10 on its outermost nodes
+    # constant 1 inside the nu window, c 1e-10 on its outermost nodes: the
+    # step sits between the default rule's last two nodes
+    offsets, _ = htype._nu_rule(np.eye(2)[:, 1:], 1.0, 0.0)
+    last, outermost = np.sort(offsets[:, 1])[-2:]
+
     def f(p):
-        return 1.0 if abs(p.t[1]) < 9.0 else c * 1e-10
-    partial_radon(f, (1.0, 0.0), [HeisenbergPoint((0.5,), 0.0)], half_width=10.0,
-                  nu_nodes=24)
+        return 1.0 if abs(p.t[1]) < 0.5 * (last + outermost) else c * 1e-10
+    partial_radon(f, (1.0, 0.0), [HeisenbergPoint((0.5,), 0.0)])
 
 
 def _laguerre_evolution(c):
@@ -120,3 +126,39 @@ def test_zero_extension_warning_names_the_caller(monkeypatch):
         line = inspect.currentframe().f_lineno + 1
         twisted_convolution(wide, wide)
     assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_radon_warns_on_every_face_of_the_nu_window(k):
+    # at t = 0 the window is [-a, a]^{k-1}, a = 16 ln 10 / pi ~ 11.7, and
+    # e^{-|t|^2 / 8} is ~3e-8 of its peak at the middle of each face but
+    # ~1e-15 at the corners: at k = 3 only a check of whole faces sees it
+    with pytest.warns(RuntimeWarning, match="not decayed across the nu window") as caught:
+        line = inspect.currentframe().f_lineno + 1
+        partial_radon(lambda p: math.exp(-p.t_norm ** 2 / 8.0), np.eye(k)[0],
+                      [HeisenbergPoint((0.5,), 0.0)])
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
+def test_radon_heat_profile_warning_names_the_caller(monkeypatch):
+    # a window of half-width 1 cuts h_1 off where it is still ~e^{-pi}
+    monkeypatch.setattr(htype, "_NU_DECAY", 1.0)
+    with pytest.warns(RuntimeWarning, match="not decayed across the nu window") as caught:
+        line = inspect.currentframe().f_lineno + 1
+        radon_heat_profile(1.0, [0.5], [0.0], n=1, k=3)
+    assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
+
+
+def test_hecke_bochner_warnings_name_the_caller():
+    # e^{-0.05 r^2} is still ~0.45 of its peak at r_max = 4: the raster
+    # drops mass beyond r_max and the projection integrand has not decayed
+    r, weights = radial_rule(64, 4.0)
+    g = RadialProfile(r, np.exp(-0.05 * r ** 2), weights=weights)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        hecke_bochner_check(g, 0, 0, 1, (0,), 1.0, 1, 0.9 + 0.0j)
+    messages = [str(w.message) for w in caught]
+    assert any("dropped by zero extension" in m for m in messages), messages
+    assert any("projection integrand has not decayed" in m for m in messages), messages
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
