@@ -20,20 +20,24 @@ class QuadratureError(RuntimeError):
 _QUAD_LIMIT = 400
 
 
-def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11):
+def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11, sin_freq=None):
     """Integrate a scalar (possibly complex) function, raising QuadratureError
     instead of letting QUADPACK warnings pass silently.
+
+    With sin_freq = w the integral is that of f(x) sin(w x), on QUADPACK's
+    sine weight (QAWO), which takes the oscillation out of the integrand.
 
     scipy.integrate is imported here, on first use: it pulls in
     scipy.linalg, scipy.sparse and scipy.optimize, which no engine needs.
     """
     from scipy import integrate
 
+    weight = {} if sin_freq is None else {"weight": "sin", "wvar": sin_freq}
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=integrate.IntegrationWarning)
         try:
             value, _ = integrate.quad(f, a, b, epsabs=epsabs, epsrel=epsrel,
-                                      limit=_QUAD_LIMIT, complex_func=True)
+                                      limit=_QUAD_LIMIT, complex_func=True, **weight)
         except integrate.IntegrationWarning as exc:
             raise QuadratureError(f"adaptive quadrature did not settle: {exc}") from None
     return value
@@ -98,6 +102,19 @@ def _gathered_sum(a, b, ia, ib):
     return out
 
 
+def _product_table(a, b):
+    """a @ b.T, with real GEMMs on the parts of a complex factor when the
+    other factor is real (a complex product would do twice the work)."""
+    if np.iscomplexobj(a) == np.iscomplexobj(b):
+        return a @ b.T
+    if np.iscomplexobj(b):
+        return _product_table(b, a).T
+    out = np.empty((a.shape[0], b.shape[0]), dtype=a.dtype)
+    out.real = a.real @ b.T
+    out.imag = a.imag @ b.T
+    return out
+
+
 def envelope_cutoff(log_envelope, log_floor, start):
     """Cutoff L >= start past which an integrand's envelope stays below a
     floor, found to within 1% above the crossing.
@@ -126,6 +143,7 @@ def envelope_cutoff(log_envelope, log_floor, start):
     return hi
 
 
+_EPS = float(np.finfo(float).eps)
 # half-periods of e^{i rate x} on one 12-node panel of the first rule
 _HALF_PERIODS = 4
 # panels of the first rule; four refinements take it to 16x + 105
@@ -145,36 +163,62 @@ def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     e^{i rate x} on each panel, and it is refined (panels -> 2 panels + 7)
     until two successive rules agree to rtol relative to the largest value
     of either, at most four times, so a rule of all zeros is accepted only
-    after another one.  A rule that is still moving after that (or reads
-    NaN) raises QuadratureError with the last panel count and the gap, and
-    so does a first rule of more than _FIRST_PANELS panels.  The tables are built a
-    chunk of nodes at a time, so scattered points, whose values are all
-    unique, stay within a fixed memory budget.
+    after another one.  Agreement counts only where the largest value lies
+    above the worst-case round-off of the rule's sums (nodes x eps x the
+    sum of the largest terms), unless every term is exactly 0: below it,
+    as in the far field of an oscillatory integral, two rules can read the
+    same few ulps.  A rule that is still moving or unresolved after that
+    (or reads NaN) raises QuadratureError with the last panel count and the
+    gap or the round-off, and so does a first rule of more than
+    _FIRST_PANELS panels.
+
+    The factor tables are built a chunk of nodes at a time, within a fixed
+    memory budget.  When the points are no more than the R x T pairs of
+    their unique values, as on every product grid, each chunk adds
+    row @ (col w).T to one (R, T) table, which is then read at the points;
+    scattered points, whose pairs far outnumber them, sum each point's own
+    row and column instead (`_gathered_sum`).
     """
+    if ir.size == 0:
+        return np.zeros(0)
     # every unique value occurs in its inverse map, so max + 1 counts them
-    values = int(ir.max(initial=-1)) + int(ic.max(initial=-1)) + 2
-    step = max(1, _TABLE_BLOCK // max(values, 1))
+    n_rows, n_cols = int(ir.max()) + 1, int(ic.max()) + 1
+    step = max(1, _TABLE_BLOCK // (n_rows + n_cols))
+    product = n_rows * n_cols <= ir.size
 
     def run(m):
+        """The rule's values, and the worst-case round-off of its sums,
+        (nodes) eps sum_j |w_j| max|row(x_j)| max|col(x_j)|."""
         nodes, weights = gauss_panels(a, b, m, 12)
-        return sum(_gathered_sum(row(nodes[j:j + step]),
-                                 col(nodes[j:j + step]) * weights[j:j + step], ir, ic)
-                   for j in range(0, nodes.size, step))
+        total, terms = 0, 0.0
+        for j in range(0, nodes.size, step):
+            r, c = row(nodes[j:j + step]), col(nodes[j:j + step]) * weights[j:j + step]
+            total = total + (_product_table(r, c) if product else _gathered_sum(r, c, ir, ic))
+            terms += float(np.max(np.abs(r), axis=0, initial=0.0)
+                           @ np.max(np.abs(c), axis=0, initial=0.0))
+        return total[ir, ic] if product else total, nodes.size * _EPS * terms
 
     panels = (b - a) * rate / (_HALF_PERIODS * math.pi)
     if not panels <= _FIRST_PANELS:
         raise QuadratureError(f"the integrand varies too fast for a panel rule: its "
                               f"first rule would take {panels:.3g} panels")
     panels = max(1, math.ceil(panels))
-    fine = run(panels)
+    fine, _ = run(panels)
     for _ in range(4):
         panels = 2 * panels + 7
-        coarse, fine = fine, run(panels)
+        coarse, (fine, noise) = fine, run(panels)
         scale = float(max(np.max(np.abs(fine), initial=0.0),
                           np.max(np.abs(coarse), initial=0.0)))
         gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-        if gap <= rtol * scale:
+        # two rules can read the same few ulps of round-off: agreement counts
+        # only above it (a NaN goes on to the gap), or where every term is 0
+        resolved = not scale <= noise or noise == 0.0
+        if resolved and gap <= rtol * scale:
             return fine
+    if not resolved:
+        raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
+                              f"the largest value {scale:.3g} lies within the round-off "
+                              f"of the sums ({noise:.3g})")
     raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
                           f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
                           f"(rtol {rtol:g})")

@@ -10,7 +10,7 @@ numpy broadcasting over the main argument where it is cheap to provide.
 import math
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, rgamma
+from scipy.special import gammaln, hyp0f1, rgamma, spherical_jn
 
 
 def _as_array(x):
@@ -83,24 +83,33 @@ def _check_order(alpha):
         raise ValueError("Bessel order alpha must exceed -1")
 
 
-# (w/2)^{-alpha} J_alpha(w) is 0F1(; alpha+1; -w^2/4) / Gamma(alpha+1).  At
-# alpha = -1/2 it is cos(w)/sqrt(pi) and at alpha = 1/2 it is
-# 2 sin(w)/(sqrt(pi) w), and those forms are used: scipy's hyp0f1 loses about
-# three digits at b = 1/2, and at b = 3/2 its error on w <= 150 is 3e-15 rms
-# of the envelope 2/(sqrt(pi) w), against 9e-17 for the sine.
+# scipy's hyp0f1 loses about three digits at b = 1/2 and is off by ~1e-14 of
+# the envelope 2^{l+1} / (sqrt(pi) w^{l+1}) at b = 5/2 and 7/2 (alpha = l + 1/2
+# with l = 1, 2); spherical_jn keeps within 5e-16 of it for l = 0, 1, 2 on
+# w <= 150.  spherical_jn runs the upward recurrence from sin and cos only for
+# w > l and calls jv below, whose error near w = 0 is ~7e-15.
 
 def bessel_j_tilde(alpha, w):
     """Normalized Bessel (w/2)^{-alpha} J_alpha(w).
 
-    Entire and even in w, with value 1/Gamma(alpha+1) at w = 0.
+    Entire and even in w, with value 1/Gamma(alpha+1) at w = 0.  It is
+    0F1(; alpha+1; -w^2/4) / Gamma(alpha+1) from scipy's hyp0f1, except at
+    alpha = -1/2, where it is cos(w) / sqrt(pi), and at the half-integer
+    orders alpha = l + 1/2, where it is 2^{l+1} j_l(w) / (sqrt(pi) w^l) with
+    scipy's spherical_jn for |w| >= l, and the 0F1 series below, where w^l
+    may underflow.
     """
     _check_order(alpha)
     w, scalar = _as_array(w)
     if alpha == -0.5:
         out = np.cos(w) / math.sqrt(math.pi)
-    elif alpha == 0.5:
-        ws = np.where(w == 0.0, 1.0, w)
-        out = np.where(w == 0.0, 1.0, np.sin(ws) / ws) * (2.0 / math.sqrt(math.pi))
+    elif alpha % 1.0 == 0.5:
+        l = int(alpha)
+        w = np.abs(w)
+        near = w < l
+        far = np.where(near, 1.0, w)
+        out = np.asarray(2.0 ** (l + 1) / math.sqrt(math.pi) * spherical_jn(l, far) / far ** l)
+        out[near] = hyp0f1(alpha + 1.0, -0.25 * np.square(w[near])) * rgamma(alpha + 1.0)
     else:
         out = hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
     return _maybe_scalar(out, scalar)

@@ -248,12 +248,18 @@ def test_pointwise_kernel_holds_at_large_times(s):
     (1.0, [0.0, 1.0], [30.0, 40.0]),
     (0.2, [0.0, 1.0], [5.0, 10.0]),
     (1.0, [2.0], [np.linspace(0.0, 30.0, 301)[237]]),
-], ids=["zeta1-t10", "zeta1-t20", "zeta1-t30", "zeta0.2-t5", "zeta1-t23.7-rounds-to-0"])
+    (0.1, [1.0], [10.0]),
+    (2.0, [3.0], [np.linspace(14.0, 34.0, 61)[59]]),
+], ids=["zeta1-t10", "zeta1-t20", "zeta1-t30", "zeta0.2-t5", "zeta1-t23.7-rounds-to-0",
+        "zeta0.1-t10-round-off-repeats", "zeta2-t33.7-round-off-repeats"])
 def test_grid_raises_in_the_far_field(zeta, r, t):
     # every value is below ~1e-8 of q_zeta(r, 0), where the round-off of
     # the sums keeps the two rules from agreeing to 1e-9 of the largest one;
-    # at t = 23.7 the rules read -1.7e-14, -4.5e-17 and then exactly 0, and
-    # that zero is round-off, not agreement
+    # at t = 23.7 every rule after the first reads round-off below 2e-18 (a
+    # rule can read exactly 0), and that is not agreement.  In the last two
+    # cases two successive rules read the same round-off to the last bit
+    # (-1.2e-16 before the final 1/(4 pi^2) at zeta = 0.1), far below the
+    # round-off of their sums
     with pytest.raises(QuadratureError, match="failed to converge"):
         heat_kernel_grid(zeta, r, t)
 
@@ -276,11 +282,22 @@ def test_pointwise_and_grid_kernels_read_zero_far_past_the_peak():
 
 
 def test_grid_blocking_leaves_every_bit(monkeypatch):
-    # the smallest budget gathers one point per block
-    r = np.linspace(0.0, 3.0, 65)
-    whole = heat_kernel_grid(1.0 + 0.5j, r, 0.5)
+    # scattered points are summed point by point, in blocks of points; the
+    # smallest budget gathers one point per block
+    r, t = np.linspace(0.0, 3.0, 65), np.linspace(-1.0, 1.0, 65)
+    whole = heat_kernel_grid(1.0 + 0.5j, r, t)
     monkeypatch.setattr(quadrature, "_GRID_BLOCK", 1)
-    assert np.array_equal(heat_kernel_grid(1.0 + 0.5j, r, 0.5), whole)
+    assert np.array_equal(heat_kernel_grid(1.0 + 0.5j, r, t), whole)
+
+
+@pytest.mark.parametrize("zeta", [1.0, 1.0 + 0.5j, 0.5 + 1.0j])
+def test_product_and_gathered_contractions_agree(zeta):
+    # the full grid is one matrix product; without its last point the 9 x 7
+    # pairs outnumber the points, and each point is summed on its own
+    r, t = np.broadcast_arrays(np.linspace(0.0, 3.0, 9)[:, None], np.linspace(-2.0, 2.5, 7))
+    full = heat_kernel_grid(zeta, r, t).ravel()
+    part = heat_kernel_grid(zeta, r.ravel()[:-1], t.ravel()[:-1])
+    assert np.max(np.abs(part - full[:-1])) <= 1e-15 * np.max(np.abs(full))
 
 
 def test_kernel_n2_grid_vs_adaptive():

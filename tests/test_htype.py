@@ -85,13 +85,44 @@ def test_separable_batch_matches_pointwise_on_scattered_and_repeated_points(k):
 @pytest.mark.parametrize("s", [100.0, 1000.0])
 def test_pointwise_kernel_holds_at_large_times(s, k):
     # the grown cutoff starts at 8, far past the crossing (~0.04 at
-    # s = 1000); measured 3.9e-11 relative to the batch at k = 3, s = 1000
+    # s = 1000); measured 3.6e-11 relative to the batch at k = 3, s = 1000
     vn = np.array([0.0, 0.5, 1.0, 3.0])
     tn = np.array([0.0, 0.1, 2.0, 5.0])
     got = htype_heat_batch(s, 1, k, vn, tn)
     for i in range(vn.size):
         want = htype_heat_kernel(s, HTypePoint((vn[i], 0.0), (tn[i],) + (0.0,) * (k - 1)))
         assert abs(got[i] - want) < 1e-9 * abs(got[i])
+
+
+def test_pointwise_k3_kernel_settles_where_the_bessel_integrand_stopped_on_round_off():
+    # in this window the Bessel-form integral stopped on QUADPACK round-off
+    # at about one draw in five; on the sine weight none stops
+    rng = np.random.default_rng(14)
+    worst = 0.0
+    for _ in range(400):
+        s, vn, tn = rng.uniform(0.6, 0.8), rng.uniform(0.0, 1.0), rng.uniform(2.3, 2.6)
+        u = rng.normal(size=3)
+        got = htype_heat_kernel(s, HTypePoint((vn, 0.0), tuple(tn * u / np.linalg.norm(u))))
+        want = htype_heat_batch(s, 1, 3, vn, tn)
+        worst = max(worst, abs(got - want) / abs(want))
+    assert worst < 1e-10
+
+
+@pytest.mark.parametrize("vn,tn", [(0.0, 0.5), (0.7, 1.5), (1.2, 3.0)])
+def test_pointwise_k3_kernel_is_the_bessel_form_integral(vn, tn):
+    # lam^2 Jt_{1/2}(lam |t|) = 2 lam sin(lam |t|) / (sqrt(pi) |t|): the
+    # sine-weighted kernel against c(1, 3) int lam^2 Jt_{1/2}(lam |t|) P dlam
+    s = 1.0
+
+    def bessel_form(lam):
+        jt = 2.0 * math.sin(lam * tn) / (math.sqrt(math.pi) * lam * tn)
+        return (lam ** 2 * jt * lam / math.sinh(s * lam)
+                * math.exp(-lam / math.tanh(s * lam) * vn ** 2 / 4.0))
+
+    c = 2.0 ** -0.5 / (2.0 * (2.0 * math.pi) ** 2.5)
+    want = c * quad(bessel_form, 0.0, 40.0, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+    got = htype_heat_kernel(s, HTypePoint((vn, 0.0), (0.0, tn, 0.0)))
+    assert abs(got - want) < 1e-10 * abs(want)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -45,14 +45,21 @@ def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
     got = separable_panels(0.0, 2.0, 3.0,
                            lambda x: np.exp(-np.outer(a, x)),
                            lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
-    aa, bb = a[ia], b[ib]
-    want = (aa + np.exp(-2 * aa) * (bb * np.sin(2 * bb) - aa * np.cos(2 * bb))) / (aa ** 2 + bb ** 2)
-    assert np.max(np.abs(got - want)) < 1e-14
+    # and on all 6 pairs, where the points are the product of their values
+    pa, pb = np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3)
+    product = separable_panels(0.0, 2.0, 3.0,
+                               lambda x: np.exp(-np.outer(a, x)),
+                               lambda x: np.cos(np.outer(b, x)), pa, pb, 1e-12)
+    for i, j, vals in ((ia, ib, got), (pa, pb, product)):
+        aa, bb = a[i], b[j]
+        want = (aa + np.exp(-2 * aa) * (bb * np.sin(2 * bb) - aa * np.cos(2 * bb))) / (aa ** 2 + bb ** 2)
+        assert np.max(np.abs(vals - want)) < 1e-14
     # factor tables built a few nodes at a time give the same sums
     monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 40)
-    chunked = separable_panels(0.0, 2.0, 3.0, lambda x: np.exp(-np.outer(a, x)),
-                               lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
-    assert np.max(np.abs(chunked - got)) < 1e-15
+    for i, j, vals in ((ia, ib, got), (pa, pb, product)):
+        chunked = separable_panels(0.0, 2.0, 3.0, lambda x: np.exp(-np.outer(a, x)),
+                                   lambda x: np.cos(np.outer(b, x)), i, j, 1e-12)
+        assert np.max(np.abs(chunked - vals)) < 1e-15
     assert separable_panels(0.0, 1.0, 0.0, lambda x: np.ones((1, x.size)),
                             lambda x: np.ones((1, x.size)), np.array([], dtype=int),
                             np.array([], dtype=int), 1e-9).size == 0
@@ -81,6 +88,14 @@ def test_separable_panels_take_no_zero_rule_after_a_nonzero_one_as_agreement():
     zero = separable_panels(0.0, 1.0, 0.0, lambda x: np.zeros((1, x.size)),
                             lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
     assert np.array_equal(zero, [0.0])
+
+
+def test_separable_panels_take_no_agreement_within_round_off():
+    # int_0^{100 pi} cos x dx = 0: every rule reads only the round-off of
+    # sums of terms of size ~1, which two rules can share to the last bit
+    with pytest.raises(QuadratureError, match="lies within the round-off of the sums"):
+        separable_panels(0.0, 100.0 * math.pi, 1.0, lambda x: np.ones((1, x.size)),
+                         lambda x: np.cos(x)[None, :], np.array([0]), np.array([0]), 1e-9)
 
 
 def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():

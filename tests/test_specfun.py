@@ -119,15 +119,19 @@ def test_bessel_j_tilde_against_mpmath():
 
 
 def test_bessel_j_tilde_at_half_order_is_the_sine_form():
-    # 2 sin(w) / (sqrt(pi) w), to round-off of its envelope 2 / (sqrt(pi) w);
-    # hyp0f1 at b = 3/2 is off by up to ~2e-14 of it
+    # order l + 1/2 is 2^{l+1} j_l(w) / (sqrt(pi) w^l), a sine and cosine form,
+    # to round-off of its envelope 2^{l+1} / (sqrt(pi) w^{l+1}), also where
+    # w^l underflows; hyp0f1 at b = 5/2 and 7/2 is off by ~1e-14 of it
     mpmath = pytest.importorskip("mpmath")
-    w = np.linspace(0.0, 150.0, 301)
-    with mpmath.workdps(40):
-        want = np.array([float(2 * mpmath.sinc(mpmath.mpf(x)) / mpmath.sqrt(mpmath.pi))
-                         for x in w])
-    envelope = 2.0 / math.sqrt(math.pi) / np.maximum(w, 1.0)
-    assert np.max(np.abs(bessel_j_tilde(0.5, w) - want) / envelope) < 1e-15
+    w = np.concatenate([[1e-300, 1e-20, 1e-8], np.linspace(0.0, 150.0, 301)])
+    for l in (0, 1, 2):
+        alpha = l + 0.5
+        with mpmath.workdps(40):
+            want = np.array([float(mpmath.hyp0f1(alpha + 1, -mpmath.mpf(x) ** 2 / 4)
+                                   / mpmath.gamma(alpha + 1)) for x in w])
+        envelope = 2.0 ** (l + 1) / math.sqrt(math.pi) / np.maximum(w, 1.0) ** (l + 1)
+        assert np.max(np.abs(bessel_j_tilde(alpha, w) - want) / envelope) < 1e-15, alpha
+        assert np.array_equal(bessel_j_tilde(alpha, -w), bessel_j_tilde(alpha, w))
 
 
 def test_jtilde_of_square_against_mpmath():
