@@ -125,17 +125,6 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     return np.asarray(out, dtype=complex)[()]
 
 
-def _log_envelope(eps, n, k=1):
-    """lam -> log(lam^{k-1} (lam / sinh(eps lam))^n) for lam > 0: the modulus
-    bound of the central-frequency integrands here and in `htype`, in logs
-    so that no power overflows."""
-    def log_envelope(lam):
-        x = eps * lam
-        log_sinh = x + math.log(-0.5 * math.expm1(-2.0 * x))
-        return (k - 1 + n) * math.log(lam) - n * log_sinh
-    return log_envelope
-
-
 def _variation_rate(zeta, n, radii, times):
     """How fast the central-frequency integrand varies along lam at the
     sorted unique radii and the central coordinates times, for the first
@@ -156,40 +145,71 @@ def _variation_rate(zeta, n, radii, times):
     return t_max + n * abs(zeta.imag) + math.sqrt(r2) + a
 
 
-def _grown_cutoff(log_envelope, log_floor, start, growth):
-    """Lam grown from start in x growth steps until log_envelope(lam) is at
-    most log_floor; past 1e7 it raises QuadratureError.  Only the adaptive
-    pointwise oracles use it (x1.3 in `heat_kernel`, x1.4 in
-    `htype.htype_heat_kernel`): their values stay those of these cutoffs,
-    while the engines solve for the crossing (`quadrature.envelope_cutoff`)."""
-    lam = start
-    while log_envelope(lam) > log_floor:
-        lam *= growth
-        if lam > 1e7:
-            raise QuadratureError("no usable frequency cutoff below 1e7")
-    return lam
+def _lam_cutoff(zeta, n, k, floor):
+    """The one lam cutoff of the heat kernels here and in `htype`, engines
+    and oracles alike: where the modulus bound lam^{k-1} |lam / sinh(lam
+    zeta)|^n of their integrands crosses floor |zeta|^{-n}, solved from
+    4 / |zeta| on by `quadrature.envelope_cutoff`, in logs so that no power
+    overflows."""
+    zeta = complex(zeta)
+    eps = zeta.real
+
+    def log_envelope(lam):
+        x = eps * lam
+        log_sinh = x + math.log(-0.5 * math.expm1(-2.0 * x))
+        return (k - 1 + n) * math.log(lam) - n * log_sinh
+
+    return envelope_cutoff(log_envelope, math.log(floor) - n * math.log(abs(zeta)),
+                           4.0 / abs(zeta))
+
+
+def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
+    """int_0^L lam^{k-1} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}
+    phase(lam t) dlam on broadcast arrays (r, t) = (radii, times) >= 0: the
+    integral behind both engines, phase cos for the Heisenberg kernel and
+    the normalized Bessel function for the H-type one.  Both factors are
+    tabulated on the unique radii and times only, on one panel rule refined
+    until two successive rules agree to rtol (`quadrature.separable_panels`)
+    and ending at `_lam_cutoff`; its first panels are sized by
+    `_variation_rate`.  At a real time every table stays real."""
+    zeta = complex(zeta)
+    rows, ir = np.unique(radii.ravel(), return_inverse=True)
+    cols, ic = np.unique(times.ravel(), return_inverse=True)
+    profile_time = zeta if zeta.imag else zeta.real
+
+    def radial(lams):
+        table = _hyperbolic_gaussian(lams, profile_time, n, rows[:, None])
+        return table if k == 1 else lams ** (k - 1) * table
+
+    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        vals = separable_panels(0.0, _lam_cutoff(zeta, n, k, floor),
+                                _variation_rate(zeta, n, rows, cols), radial,
+                                lambda lams: phase(np.outer(cols, lams)), ir, ic, rtol)
+    return vals.reshape(radii.shape)
 
 
 def heat_kernel(zeta, p):
     """Heat kernel q_zeta(z, t) by adaptive Fourier inversion in lam.
 
-    For real zeta the (quadrature-level) imaginary residue is checked against
-    1e-10 and zeroed.
+    It ends at the engines' `_lam_cutoff`, and its absolute tolerance 1e-12
+    shrinks with the kernel's size |zeta|^{-n-1} past |zeta| = 1.  For real
+    zeta the (quadrature-level) imaginary residue is checked against 1e-10
+    and zeroed.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
         raise ValueError("kernel evaluation requires eps > 0")
     zv = zeta.value
     n, r, t = p.n, p.z_norm, p.t
-    lam_max = _grown_cutoff(_log_envelope(zeta.eps, n), math.log(1e-15) - n * math.log(abs(zv)),
-                            max(8.0, 4.0 / abs(zv)), 1.3)
+    lam_max = _lam_cutoff(zv, n, 1, 1e-15)
     scale = (4.0 * np.pi) ** (-n)
 
     def integrand(lam):
         return np.exp(-1j * lam * t) * (scale * _hyperbolic_gaussian(lam, zv, n, r))
 
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        val = adaptive_quad(integrand, -lam_max, lam_max) / (2.0 * np.pi)
+        val = adaptive_quad(integrand, -lam_max, lam_max,
+                            epsabs=1e-12 * max(1.0, abs(zv)) ** (-n - 1)) / (2.0 * np.pi)
     if zeta.s == 0:
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
             raise QuadratureError("imaginary residue of a real-time kernel "
@@ -206,12 +226,10 @@ def heat_kernel_grid(zeta, r, t, n=1):
     integrand factors into the profile, a function of (lam, r), and the
     phase cos(lam t); each is tabulated on the unique r and |t| values only
     (both real at real zeta).  One composite panel rule in lam is shared by
-    all points and refined until two successive rules agree to 1e-9
-    (`quadrature.separable_panels`).  The rule ends where the envelope
-    |lam / sinh(lam eps)|^n crosses 1e-15 of its peak |zeta|^{-n}
-    (`quadrature.envelope_cutoff`), and its first panels are sized by how
-    fast the integrand varies (`_variation_rate`).  The profile's
-    (4 pi)^{-n} is applied with the final 1 / pi.  Radii must be finite and
+    all points and refined until two successive rules agree to 1e-9, and it
+    ends where the envelope |lam / sinh(lam eps)|^n crosses 1e-15 of its
+    peak |zeta|^{-n} (`_central_integral`).  The profile's (4 pi)^{-n} is
+    applied with the final 1 / pi.  Radii must be finite and
     nonnegative, t finite, and n a positive integer.
 
     The far field cannot be tabulated.  Round-off puts a floor under the
@@ -229,21 +247,10 @@ def heat_kernel_grid(zeta, r, t, n=1):
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
         raise ValueError("kernel evaluation requires eps > 0")
-    zv = zeta.value
     r, t = np.broadcast_arrays(sample_axis("radii r", r, nonnegative=True),
                                sample_axis("central coordinates t", t))
-    r_unique, ir = np.unique(r.ravel(), return_inverse=True)
-    t_unique, it = np.unique(np.abs(t.ravel()), return_inverse=True)
-    lam_max = envelope_cutoff(_log_envelope(zv.real, n),
-                              math.log(1e-15) - n * math.log(abs(zv)), 4.0 / abs(zv))
-    rows = r_unique[:, None]
-    profile_time = zv if zeta.s else zeta.eps       # a real time keeps every table real
-    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        vals = separable_panels(0.0, lam_max, _variation_rate(zv, n, r_unique, t_unique),
-                                lambda lams: _hyperbolic_gaussian(lams, profile_time, n, rows),
-                                lambda lams: np.cos(np.outer(t_unique, lams)),
-                                ir, it, 1e-9) * ((4.0 * np.pi) ** (-n) / np.pi)
-    return vals.astype(complex, copy=False).reshape(r.shape)
+    vals = _central_integral(zeta.value, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
+    return (vals * ((4.0 * np.pi) ** (-n) / np.pi)).astype(complex, copy=False)
 
 
 def heat_bound_check(s, points):

@@ -18,9 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import _grown_cutoff, _hyperbolic_gaussian, _log_envelope, _variation_rate
-from .quadrature import (adaptive_quad, envelope_cutoff, gauss_interval, sample_axis,
-                         separable_panels, warn_truncated)
+from .heisenberg import _central_integral, _hyperbolic_gaussian, _lam_cutoff
+from .quadrature import adaptive_quad, gauss_interval, sample_axis, warn_truncated
 from .specfun import _check_dimension, bessel_j_tilde
 
 
@@ -51,11 +50,11 @@ class HTypePoint:
 
     @property
     def v_norm(self):
-        return math.sqrt(sum(c * c for c in self.v))
+        return math.hypot(*self.v)          # finite up to 1.8e308
 
     @property
     def t_norm(self):
-        return math.sqrt(sum(c * c for c in self.t))
+        return math.hypot(*self.t)
 
 
 def _constant(n, k):
@@ -77,6 +76,8 @@ _SINE_RTOL = 1e-9
 def htype_heat_kernel(s, p):
     """h_s at a point, by adaptive quadrature in the central frequency.
 
+    It ends at the batch's `heisenberg._lam_cutoff`, and its absolute
+    tolerance 1e-14 shrinks with the kernel's size s^{-n-k} past s = 1.
     At k = 3 and |t| > 0 the Bessel factor lam^2 Jt_{1/2}(lam |t|) is
     2 lam sin(lam |t|) / (sqrt(pi) |t|): the integral of lam times the
     profile runs on QUADPACK's sine weight, to a relative tolerance only.
@@ -84,31 +85,30 @@ def htype_heat_kernel(s, p):
     _check_time(s)
     n, k = p.n, p.k
     v, t = p.v_norm, p.t_norm
-    lam_max = _grown_cutoff(_log_envelope(s, n, k), math.log(1e-16) - n * math.log(s),
-                            max(8.0, 4.0 / s), 1.4)
-    if k == 3 and t > 0:
-        val = adaptive_quad(lambda lam: lam * _hyperbolic_gaussian(lam, s, n, v), 0.0, lam_max,
-                            epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
-        return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * float(np.real(val))
+    lam_max = _lam_cutoff(s, n, k, 1e-16)
+    # |v| past 1.3e154 reads 0, and |t| past it overflows hyp0f1's argument
+    # at k = 2 (QUADPACK then raises): neither prints a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if k == 3 and t > 0:
+            val = adaptive_quad(lambda lam: lam * _hyperbolic_gaussian(lam, s, n, v), 0.0,
+                                lam_max, epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
+            return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * float(np.real(val))
 
-    def f(lam):
-        return float(lam ** (k - 1) * _hyperbolic_gaussian(lam, s, n, v)
-                     * bessel_j_tilde(0.5 * k - 1.0, lam * t))
+        def f(lam):
+            return float(lam ** (k - 1) * _hyperbolic_gaussian(lam, s, n, v)
+                         * bessel_j_tilde(0.5 * k - 1.0, lam * t))
 
-    val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14)
+        val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14 * max(1.0, s) ** (-n - k))
     return _constant(n, k) * float(np.real(val))
 
 
 def htype_heat_batch(s, n, k, vnorm, tnorm):
     """h_s over broadcastable (|v|, |t|) arrays on one shared panel rule.
 
-    The radial and central factors of the integrand are tabulated on the
-    unique |v| and |t| values only, and the rule is refined until two
-    successive rules agree to 1e-8 (`quadrature.separable_panels`).  The
-    rule ends where the envelope lam^{k-1} (lam / sinh(s lam))^n crosses
-    1e-16 of s^{-n} (`quadrature.envelope_cutoff`), and its first panels
-    are sized as the Heisenberg engine's, the Bessel factor oscillating at
-    rate max|t| (`heisenberg._variation_rate`).  This is the fast path
+    It is the Heisenberg engine's integral (`heisenberg._central_integral`)
+    with Jt_{k/2-1}(lam |t|) in place of cos(lam t), refined until two
+    successive rules agree to 1e-8 and ending where lam^{k-1}
+    (lam / sinh(s lam))^n crosses 1e-16 of s^{-n}.  This is the fast path
     behind `radon_heat_profile`.  Norms must be finite and nonnegative.
     """
     _check_time(s)
@@ -117,19 +117,8 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
         raise ValueError("center dimension k must be 1, 2 or 3")
     vnorm, tnorm = np.broadcast_arrays(sample_axis("norms |v|", vnorm, nonnegative=True),
                                        sample_axis("norms |t|", tnorm, nonnegative=True))
-    rho, ir = np.unique(vnorm.ravel(), return_inverse=True)
-    tau, it = np.unique(tnorm.ravel(), return_inverse=True)
-    lam_max = envelope_cutoff(_log_envelope(s, n, k), math.log(1e-16) - n * math.log(s),
-                              4.0 / s)
-
-    def radial(lams):
-        return lams ** (k - 1) * _hyperbolic_gaussian(lams, s, n, rho[:, None])
-
-    with np.errstate(over="ignore", invalid="ignore"):     # |v| past 1.3e154 reads 0
-        vals = separable_panels(
-            0.0, lam_max, _variation_rate(s, n, rho, tau), radial,
-            lambda lams: bessel_j_tilde(0.5 * k - 1.0, np.outer(tau, lams)), ir, it, 1e-8)
-    return _constant(n, k) * vals.reshape(vnorm.shape)
+    return _constant(n, k) * _central_integral(
+        s, n, k, vnorm, tnorm, lambda x: bessel_j_tilde(0.5 * k - 1.0, x), 1e-16, 1e-8)
 
 
 def _perp_basis(eta):

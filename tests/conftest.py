@@ -2,7 +2,7 @@
 
 import pytest
 
-from heisenkit import heisenberg, htype, quadrature
+from heisenkit import heisenberg, quadrature
 
 
 @pytest.fixture
@@ -24,13 +24,13 @@ def order12_rules(monkeypatch):
 @pytest.fixture
 def engine_cutoffs(monkeypatch):
     """Upper ends of the frequency rules that `heat_kernel_grid` and
-    `htype_heat_batch` hand to the separable engine."""
+    `htype_heat_batch` hand to the separable engine (both through
+    `heisenberg._central_integral`)."""
     cutoffs = []
 
     def recording(a, b, *rest):
         cutoffs.append(b)
         return quadrature.separable_panels(a, b, *rest)
 
-    for module in (heisenberg, htype):
-        monkeypatch.setattr(module, "separable_panels", recording)
+    monkeypatch.setattr(heisenberg, "separable_panels", recording)
     return cutoffs

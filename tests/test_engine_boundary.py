@@ -1,4 +1,5 @@
-"""The engines never import the grid twisted-convolution oracle module."""
+"""The engines never import the grid twisted-convolution oracle module, and
+one module drives the central-frequency integrals."""
 
 import ast
 import pathlib
@@ -27,3 +28,29 @@ def test_engine_does_not_import_twisted(engine):
     path = pathlib.Path(heisenkit.__file__).with_name(f"{engine}.py")
     names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
     assert "heisenkit.twisted" not in names, f"{engine} imports heisenkit.twisted"
+
+
+def _referenced_names(tree):
+    """Every name and attribute that a module's code mentions."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rpartition(".")[2]
+
+
+def test_only_heisenberg_drives_the_frequency_integrals():
+    # `heisenberg._central_integral` is the one driver of the separable
+    # engine and `heisenberg._lam_cutoff` the one caller of the cutoff
+    # solver: a second frequency driver would have to mention them
+    users = {}
+    for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
+        if path.stem == "quadrature":
+            continue
+        names = set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
+        for name in ("separable_panels", "envelope_cutoff"):
+            if name in names:
+                users.setdefault(name, []).append(path.stem)
+    assert users == {"separable_panels": ["heisenberg"], "envelope_cutoff": ["heisenberg"]}

@@ -230,16 +230,30 @@ def test_profile_rejects_non_finite_lam_and_r(lam, r):
         heat_kernel_lambda(1.0, lam, r)
 
 
-@pytest.mark.parametrize("s", [100.0, 1000.0])
+@pytest.mark.parametrize("s", [100.0, 1000.0, 1e4, 1e5])
 def test_pointwise_kernel_holds_at_large_times(s):
-    # the grown cutoff starts at 8, far past the crossing (~0.04 at
-    # s = 1000); measured 1.7e-15 relative to the engine
+    # the oracle ends where the engine does (~0.04 at s = 1000), and its
+    # absolute tolerance shrinks with q's size s^{-2}; measured at most
+    # 6.1e-16 relative to the engine for s from 1e2 to 1e8
     r = np.array([0.0, 0.5, 1.0, 3.0])
     t = np.array([0.0, 0.1, 2.0, -5.0])
     grid = heat_kernel_grid(s, r, t)
     for i in range(r.size):
         want = heat_kernel(s, HeisenbergPoint((r[i],), t[i]))
         assert abs(grid[i] - want) < 1e-12 * abs(grid[i])
+
+
+@pytest.mark.parametrize("zeta", [0.3, 1.0, 2.0, 1.0 + 0.5j, 0.5 + 1.0j])
+def test_kernel_at_the_center_axis_is_the_closed_form(zeta):
+    # at n = 1, q_zeta(0, t) = sech^2(pi t / (2 zeta)) / (16 zeta^2), which
+    # neither route uses; measured at most 1.7e-15 of 1 / (16 |zeta|^2)
+    t = np.linspace(-4.0, 4.0, 33)
+    want = 1.0 / (16.0 * zeta ** 2 * np.cosh(0.5 * np.pi * t / zeta) ** 2)
+    scale = 1.0 / (16.0 * abs(zeta) ** 2)
+    grid = heat_kernel_grid(zeta, 0.0, t)
+    point = np.array([heat_kernel(zeta, HeisenbergPoint((0.0,), tt)) for tt in t])
+    assert np.max(np.abs(grid - want)) < 1e-13 * scale
+    assert np.max(np.abs(point - want)) < 1e-13 * scale
 
 
 @pytest.mark.parametrize("zeta,r,t", [

@@ -17,6 +17,7 @@ from heisenkit.htype import (
     partial_radon,
     radon_heat_profile,
 )
+from heisenkit.quadrature import QuadratureError
 
 
 def test_point_validation_and_properties():
@@ -82,16 +83,31 @@ def test_separable_batch_matches_pointwise_on_scattered_and_repeated_points(k):
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-@pytest.mark.parametrize("s", [100.0, 1000.0])
+@pytest.mark.parametrize("s", [100.0, 1000.0, 1e4, 1e5])
 def test_pointwise_kernel_holds_at_large_times(s, k):
-    # the grown cutoff starts at 8, far past the crossing (~0.04 at
-    # s = 1000); measured 3.6e-11 relative to the batch at k = 3, s = 1000
+    # the oracle ends where the batch does (~0.04 at s = 1000), and its
+    # absolute tolerance shrinks with h's size s^{-1-k}; measured at most
+    # 6.1e-16 relative to the batch for s from 1e2 to 1e8
     vn = np.array([0.0, 0.5, 1.0, 3.0])
     tn = np.array([0.0, 0.1, 2.0, 5.0])
     got = htype_heat_batch(s, 1, k, vn, tn)
     for i in range(vn.size):
         want = htype_heat_kernel(s, HTypePoint((vn[i], 0.0), (tn[i],) + (0.0,) * (k - 1)))
         assert abs(got[i] - want) < 1e-9 * abs(got[i])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pointwise_kernel_takes_huge_norms_without_warning(k):
+    # 1e200 has no finite square: the norms must not overflow on the way to
+    # the kernel, which underflows to exactly 0 in |v|; |t| = 1e200 leaves
+    # QUADPACK an integrand it cannot resolve, and it says so
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert htype_heat_kernel(1.0, HTypePoint((1e200, 0.0), (0.5,) * k)) == 0
+        assert htype_heat_kernel(1.0, HTypePoint((0.5, 1e200), (0.0,) * k)) == 0
+        with pytest.raises(QuadratureError):
+            htype_heat_kernel(1.0, HTypePoint((0.5, 0.0), (1e200,) * k))
+    assert HTypePoint((1e200, 1e200), (1e200, 1e200)).v_norm == math.hypot(1e200, 1e200)
 
 
 def test_pointwise_k3_kernel_settles_where_the_bessel_integrand_stopped_on_round_off():
