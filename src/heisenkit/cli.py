@@ -9,6 +9,7 @@ Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage error,
 """
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -177,7 +178,10 @@ def _cmd_gate(args):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The one parser of every `run`, built on the first call: parsing
+    leaves it unchanged, and string defaults are converted on each parse."""
     parser = argparse.ArgumentParser(
         prog="heisenkit",
         description="Heat and Schrodinger kernels on the Heisenberg group: "

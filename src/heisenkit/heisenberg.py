@@ -139,7 +139,7 @@ def _variation_rate(zeta, n, radii, times):
     underflow (e^{-745}).
     """
     zeta = complex(zeta)
-    a = abs(zeta) ** 2 / zeta.real
+    a = abs(zeta) * (abs(zeta) / zeta.real)         # |zeta|^2 overflows past 1.3e154
     r2 = min(radii[-1] ** 2, radii[0] ** 2 + 148.0 * a, 3128.0 * a) if radii.size else 0.0
     t_max = float(np.max(np.abs(times), initial=0.0))
     return t_max + n * abs(zeta.imag) + math.sqrt(r2) + a
@@ -148,9 +148,9 @@ def _variation_rate(zeta, n, radii, times):
 def _lam_cutoff(zeta, n, k, floor):
     """The one lam cutoff of the heat kernels here and in `htype`, engines
     and oracles alike: where the modulus bound lam^{k-1} |lam / sinh(lam
-    zeta)|^n of their integrands crosses floor |zeta|^{-n}, solved from
-    4 / |zeta| on by `quadrature.envelope_cutoff`, in logs so that no power
-    overflows."""
+    zeta)|^n of their integrands crosses floor times its peak, which scales
+    as |zeta|^{-(n+k-1)}, solved from 4 / |zeta| on by
+    `quadrature.envelope_cutoff`, in logs so that no power overflows."""
     zeta = complex(zeta)
     eps = zeta.real
 
@@ -159,8 +159,8 @@ def _lam_cutoff(zeta, n, k, floor):
         log_sinh = x + math.log(-0.5 * math.expm1(-2.0 * x))
         return (k - 1 + n) * math.log(lam) - n * log_sinh
 
-    return envelope_cutoff(log_envelope, math.log(floor) - n * math.log(abs(zeta)),
-                           4.0 / abs(zeta))
+    log_peak = -(n + k - 1) * math.log(abs(zeta))
+    return envelope_cutoff(log_envelope, math.log(floor) + log_peak, 4.0 / abs(zeta))
 
 
 def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):

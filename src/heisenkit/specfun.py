@@ -10,7 +10,7 @@ numpy broadcasting over the main argument where it is cheap to provide.
 import math
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, rgamma, spherical_jn
+from scipy.special import gammaln, hyp0f1, j0, j1, rgamma
 
 
 def _as_array(x):
@@ -83,35 +83,75 @@ def _check_order(alpha):
         raise ValueError("Bessel order alpha must exceed -1")
 
 
-# scipy's hyp0f1 loses about three digits at b = 1/2 and is off by ~1e-14 of
-# the envelope 2^{l+1} / (sqrt(pi) w^{l+1}) at b = 5/2 and 7/2 (alpha = l + 1/2
-# with l = 1, 2); spherical_jn keeps within 5e-16 of it for l = 0, 1, 2 on
-# w <= 150.  spherical_jn runs the upward recurrence from sin and cos only for
-# w > l and calls jv below, whose error near w = 0 is ~7e-15.
+_SQRT_PI = math.sqrt(math.pi)
+# the integer orders leave the seeds where w * w overflows: cephes j0 and
+# j1 return phase noise there, and the 0F1 series is non-finite from 2.7e154
+_W_SQUARE_MAX = math.sqrt(np.finfo(float).max)
+
+
+def _jtilde_series(alpha, w):
+    return hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
+
+
+def _jtilde_upward(alpha, w):
+    """Jt_alpha(w) for w > 0 on the half-integer lattice, alpha >= 0: the
+    two lowest orders of its lattice, Jt_0 = j0(w) and Jt_1 = 2 j1(w) / w
+    or Jt_{-1/2} = cos(w) / sqrt(pi) and Jt_{1/2} = 2 sin(w) / (sqrt(pi) w),
+    carried to alpha by Jt_{nu+1} = (nu Jt_nu - Jt_{nu-1}) / (w/2)^2, which
+    is stable for w >= floor(alpha).  Orders 0 and 1/2 take one seed only.
+    The half-integer lattice runs on sqrt(pi) Jt, which saves a rounding of
+    each seed.
+    """
+    if alpha == 0.0:
+        return j0(w)
+    if alpha == 0.5:
+        return 2.0 / _SQRT_PI * (np.sin(w) / w)
+    half = alpha % 1.0 == 0.5
+    if half:
+        nu, prev, cur = 0.5, np.cos(w), 2.0 * (np.sin(w) / w)
+    else:
+        nu, cur = 1.0, 2.0 * j1(w) / w
+        if alpha == nu:
+            return cur
+        prev = j0(w)
+    h = 0.5 * w
+    while nu < alpha:
+        prev, cur = cur, (nu * cur - prev) / h / h
+        nu += 1.0
+    return cur / _SQRT_PI if half else cur
+
 
 def bessel_j_tilde(alpha, w):
     """Normalized Bessel (w/2)^{-alpha} J_alpha(w).
 
-    Entire and even in w, with value 1/Gamma(alpha+1) at w = 0.  It is
-    0F1(; alpha+1; -w^2/4) / Gamma(alpha+1) from scipy's hyp0f1, except at
-    alpha = -1/2, where it is cos(w) / sqrt(pi), and at the half-integer
-    orders alpha = l + 1/2, where it is 2^{l+1} j_l(w) / (sqrt(pi) w^l) with
-    scipy's spherical_jn for |w| >= l, and the 0F1 series below, where w^l
-    may underflow.
+    Entire and even in w, with value 1/Gamma(alpha+1) at w = 0.  Order -1/2
+    is cos(w) / sqrt(pi).  The other orders of the half-integer lattice
+    come from its two lowest orders by the upward recurrence
+    (`_jtilde_upward`) on |w| >= floor(alpha), |w| > 0, and on the integer
+    lattice only below |w| = sqrt(max float) too.  Everywhere else, and at
+    every order off the lattice, it is 0F1(; alpha+1; -w^2/4) / Gamma(alpha+1)
+    from scipy's hyp0f1: at order 2 that is off by up to 1.4e-14 of the
+    envelope sqrt(2/(pi w)) (w/2)^{-alpha} on 1 <= w <= 150, the recurrence
+    by 2.7e-15.
     """
     _check_order(alpha)
     w, scalar = _as_array(w)
+    w = np.abs(w)
     if alpha == -0.5:
-        out = np.cos(w) / math.sqrt(math.pi)
-    elif alpha % 1.0 == 0.5:
-        l = int(alpha)
-        w = np.abs(w)
-        near = w < l
-        far = np.where(near, 1.0, w)
-        out = np.asarray(2.0 ** (l + 1) / math.sqrt(math.pi) * spherical_jn(l, far) / far ** l)
-        out[near] = hyp0f1(alpha + 1.0, -0.25 * np.square(w[near])) * rgamma(alpha + 1.0)
+        out = np.cos(w) / _SQRT_PI
+    elif alpha % 0.5:
+        out = _jtilde_series(alpha, w)
     else:
-        out = hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
+        seeded = (w >= math.floor(alpha)) & (w > 0.0)
+        if alpha % 1.0 == 0.0:
+            seeded &= w < _W_SQUARE_MAX
+        if seeded.all():
+            out = _jtilde_upward(alpha, w)
+        else:
+            out = np.empty_like(w)
+            out[seeded] = _jtilde_upward(alpha, w[seeded])
+            rest = ~seeded
+            out[rest] = _jtilde_series(alpha, w[rest])
     return _maybe_scalar(out, scalar)
 
 

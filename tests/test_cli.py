@@ -150,16 +150,39 @@ def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
     assert "failed to converge" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["kernel", "--group", "heisenberg", "--s", "1e300", "--r", "1", "--t", "0"],
-    ["kernel", "--group", "htype", "--s", "1e300", "--k", "1", "--v-norm", "1"],
+@pytest.mark.parametrize("flags", [
+    ["--group", "heisenberg", "--r"],
+    ["--group", "htype", "--k", "1", "--v-norm"],
 ], ids=["heisenberg", "htype"])
-def test_kernel_at_a_huge_time_is_a_numerical_failure(argv, capsys):
-    # a finite time is valid input: no usage error, and no row
-    assert cli.run(argv) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "numerical failure" in captured.err
+def test_kernel_at_a_huge_time_reads_its_value(flags, capsys):
+    # a finite time is valid input: at n = 1 both kernels are 1 / (16 s^2)
+    # at the origin, which lies below double range at s = 1e300
+    for s, r, want in (("1e300", "1", 0.0), ("1e100", "0", 1.0 / (16.0 * 1e200))):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.run(["kernel", "--s", s, *flags, r]) == 0
+        _, rows = _rows(capsys.readouterr().out)
+        assert len(rows) == 1
+        assert float(rows[0][1]) == pytest.approx(want, rel=1e-12, abs=0.0)
+        assert float(rows[0][2]) == 0.0
+
+
+def test_parser_is_built_once_and_answers_each_request_alike(capsys):
+    requests = (["kernel", "--group", "nope", "--s", "1"],
+                ["kernel", "--group", "heisenberg", "--s", "1", "--r", "0.5,1"],
+                ["gate", "--which", "hankel", "--a", "1,2", "--b", "0.1"])
+
+    def answers():
+        out = []
+        for argv in requests:
+            code = cli.run(argv)
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    first = answers()
+    assert [code for code, _ in first] == [2, 0, 0]
+    assert answers() == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_heisenberg_kernel_needs_a_positive_dimension(capsys):

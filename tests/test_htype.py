@@ -96,6 +96,22 @@ def test_pointwise_kernel_holds_at_large_times(s, k):
         assert abs(got[i] - want) < 1e-9 * abs(got[i])
 
 
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("s", [1.0, 1e4, 1e8, 1e20])
+def test_kernel_at_the_origin_is_the_closed_form_at_large_times(k, s):
+    # h_s(0, 0) = c(1, k) s^{-k-1} int mu^k / sinh(mu) dmu times Jt_{k/2-1}(0):
+    # 7 zeta(3) / 2 at k = 2, (pi^4 / 8) (2 / sqrt(pi)) at k = 3.  The
+    # integrand's peak scales as s^{-n-k+1}, and so must the cutoff's floor
+    c = 2.0 ** (1.0 - 0.5 * k) / (2.0 * (2.0 * math.pi) ** (1.0 + 0.5 * k))
+    zeta3 = 1.2020569031595942
+    moment = 3.5 * zeta3 if k == 2 else math.pi ** 4 / 8.0 * 2.0 / math.sqrt(math.pi)
+    want = c * moment * s ** (-k - 1)
+    batch = float(htype_heat_batch(s, 1, k, 0.0, 0.0))
+    point = htype_heat_kernel(s, HTypePoint((0.0, 0.0), (0.0,) * k))
+    assert batch == pytest.approx(want, rel=1e-13, abs=0.0)
+    assert point == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_pointwise_kernel_takes_huge_norms_without_warning(k):
     # 1e200 has no finite square: the norms must not overflow on the way to

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -76,7 +77,8 @@ def test_bessel_frozen_values():
 
 
 def test_bessel_matches_scipy_across_the_cutoff():
-    # the normalized route goes through hyp0f1, so scipy's jv checks it
+    # scipy's jv against both sides of the split w = floor(alpha) between
+    # the 0F1 series and the seeded recurrence
     w = np.linspace(0.0, 60.0, 301)
     for alpha in (0.0, 0.5, 1.0, 2.5, 4.0):
         assert np.max(np.abs(_bessel_j(alpha, w) - jv(alpha, w))) < 2e-12
@@ -111,7 +113,8 @@ def test_bessel_j_tilde_against_mpmath():
     rng = np.random.default_rng(7)
     w = np.concatenate([np.linspace(0.0, 30.0, 121), rng.uniform(30.0, 1000.0, 80), [1000.0]])
     with mpmath.workdps(40):
-        for alpha in _ORDERS:
+        # 2.5 and 3 take two and three steps of the upward recurrence
+        for alpha in _ORDERS + (2.5, 3.0):
             want = np.array([float(mpmath.hyp0f1(alpha + 1, -mpmath.mpf(x) ** 2 / 4)
                                    / mpmath.gamma(alpha + 1)) for x in w])
             err = np.max(np.abs(bessel_j_tilde(alpha, w) - want)) * gamma(alpha + 1.0)
@@ -132,6 +135,33 @@ def test_bessel_j_tilde_at_half_order_is_the_sine_form():
         envelope = 2.0 ** (l + 1) / math.sqrt(math.pi) / np.maximum(w, 1.0) ** (l + 1)
         assert np.max(np.abs(bessel_j_tilde(alpha, w) - want) / envelope) < 1e-15, alpha
         assert np.array_equal(bessel_j_tilde(alpha, -w), bessel_j_tilde(alpha, w))
+
+
+_LATTICE = tuple(0.5 * m for m in range(-1, 9))     # orders -1/2 ... 4
+
+
+def test_bessel_j_tilde_at_tiny_arguments_is_its_value_at_zero():
+    # the seeds divide by w and j1(w) underflows at subnormal w: every order
+    # must take 1 / Gamma(alpha + 1) there without a warning
+    w = np.array([5e-324, 1e-300, 1e-20, 1e-8])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in _LATTICE[:8]:
+            got = bessel_j_tilde(alpha, w)
+            assert np.all(np.abs(got * gamma(alpha + 1.0) - 1.0) <= 1e-15), alpha
+
+
+def test_bessel_j_tilde_is_even_on_the_lattice_and_not_finite_past_its_range():
+    # every split of the route (w = 0, w = floor(alpha), 1.34e154) is crossed
+    w = np.concatenate([np.linspace(0.0, 20.0, 401), [5e-324, 1e-300, 1.4e154, 1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha in _LATTICE:
+            assert np.array_equal(bessel_j_tilde(alpha, -w), bessel_j_tilde(alpha, w),
+                                  equal_nan=True), alpha
+        # w^2 overflows: the integer orders stay non-finite rather than read
+        # cephes' phase noise of size 1e-100 as a value
+        for alpha in _LATTICE[1::2]:
+            assert not np.isfinite(bessel_j_tilde(alpha, 1e200)), alpha
 
 
 def test_jtilde_of_square_against_mpmath():
