@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, sample_axis,
-                         separable_panels)
+from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid,
+                         sample_axis, separable_panels)
 from .specfun import _check_dimension
 
 
@@ -82,24 +82,38 @@ def group_inverse(p):
     return HeisenbergPoint(tuple(-np.asarray(p.z)), -p.t)
 
 
-def _hyperbolic_gaussian(lam, zeta, n, r):
-    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}, broadcast
-    over lam and r: the heat kernel's lam-profile without (4 pi)^{-n}.
+_SMALLEST = math.ulp(0.0)
 
-    Both factors are even in lam, so with a = max(|lam|, 1e-100 / |zeta|),
-    x = a zeta and e1 = 1 - e^{-2x} they are 2a e^{-x} / e1 and
-    a (2 - e1) / e1.  For Re zeta >= 0 nothing here overflows (a factor
+
+def _hyperbolic_factors(lam, zeta, n):
+    """The hyperbolic Gaussian's two lam factors: (lam / sinh(lam zeta))^n
+    and -lam coth(lam zeta) / 4, the rate of its Gaussian in r^2.
+
+    Both are even in lam, so with a = max(|lam|, 1e-100 / |zeta|), x =
+    a zeta and e1 = 1 - e^{-2x} they are (2a e^{-x} / e1)^n and
+    -a (2 - e1) / (4 e1).  For Re zeta >= 0 nothing here overflows (a factor
     beyond double range underflows to 0), and lam = 0 gives the Euclidean
     limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.  The
     floor keeps |x| at 1e-100, where the limit is exact in double precision;
-    a subnormal x would overflow the complex division.  A radius past
-    1.3e154 gives exactly 0 but numpy warns on the way, so its callers run
-    it under np.errstate (not here: QUADPACK calls it per node).
+    a subnormal x would overflow the complex division.  Past |zeta| ~ 1e224
+    the floor itself underflows, so a is kept at the smallest subnormal,
+    where x stays normal and lam = 0 still reads the limit.
     """
-    a = np.maximum(np.abs(lam), 1e-100 / abs(zeta))
+    a = np.maximum(np.abs(lam), (1e-100 / abs(zeta)) or _SMALLEST)
     x = a * zeta
     e1 = -np.expm1(-2.0 * x)
-    return (2.0 * a * np.exp(-x) / e1) ** n * np.exp(-0.25 * a * (2.0 - e1) / e1 * np.square(r))
+    return (2.0 * a * np.exp(-x) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
+
+
+def _hyperbolic_gaussian(lam, zeta, n, r):
+    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}, broadcast
+    over lam and r: the heat kernel's lam-profile without (4 pi)^{-n}, from
+    `_hyperbolic_factors`.  A radius past 1.3e154 gives exactly 0 but numpy
+    warns on the way, so its callers run it under np.errstate (not here:
+    QUADPACK calls it per node).
+    """
+    power, rate = _hyperbolic_factors(lam, zeta, n)
+    return power * np.exp(rate * np.square(r))
 
 
 def heat_kernel_lambda(zeta, lam, r, n=1):
@@ -128,7 +142,7 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
 def _variation_rate(zeta, n, radii, times):
     """How fast the central-frequency integrand varies along lam at the
     sorted unique radii and the central coordinates times, for the first
-    panel rule.
+    panel rule of the odd (k = 2) integrand.
 
     It adds the phase rate max|t| + n |Im zeta|, the largest radius r (the
     Gaussian factor is e^{-r^2 / (4 zeta)} e^{-r^2 zeta lam^2 / 12} near
@@ -163,28 +177,112 @@ def _lam_cutoff(zeta, n, k, floor):
     return envelope_cutoff(log_envelope, math.log(floor) + log_peak, 4.0 / abs(zeta))
 
 
+def _strip_step(zeta, radii, times):
+    """The trapezoid step h = 0.6 (2 pi d) / (37 + d max|t| + Re(1/zeta) min r^2 / 4)
+    of the central-frequency integrand at the sorted unique radii and
+    |t|, analytic in |Im lam| < d = pi Re zeta / |zeta|^2 (its nearest pole
+    is i pi / zeta): the rule converges like e^{-2 pi d / h} (Trefethen and
+    Weideman, SIAM Review 56, 2014).
+
+    On the strip the phase grows like e^{d |t|}.  A row of radius r is
+    e^{-Re(1/zeta) r^2 / 4} in size, while on the line Im lam = d / 2 its
+    Gaussian factor stays below 1; the table's largest row is its smallest
+    radius.  Both are paid for in the step.  A row past e^{-745} underflows,
+    so the radius term stops there.
+    """
+    zeta = complex(zeta)
+    width = abs(zeta) * (abs(zeta) / zeta.real)      # |zeta|^2 overflows past 1.3e154
+    d = math.pi / width
+    t_max = float(times[-1]) if times.size else 0.0
+    r_min = float(radii[0]) if radii.size else 0.0
+    return 0.6 * 2.0 * math.pi * d / (37.0 + d * t_max + min(0.25 * r_min * r_min / width, 745.0))
+
+
+# samples of [0, L] on which the cutoff of each radius is placed
+_CUTOFF_SAMPLES = 256
+# (radius, node) entries of a trapezoid table from which on placing each
+# radius's cutoff saves more than it costs: below, every radius runs to L
+_RADIUS_ENTRIES = 1 << 15
+
+
+def _radius_cutoffs(zeta, n, k, floor, lam_max, radii):
+    """The cutoff of each sorted radius r: the first of _CUTOFF_SAMPLES
+    samples of (0, lam_max] past the last one where the bound
+    lam^{k-1} |lam / sinh(lam eps)|^n e^{-lam tanh(lam eps) r^2 / 4} of its
+    integrand (Re coth(lam zeta) >= tanh(lam eps), eps = Re zeta) exceeds
+    floor times the row's own size |zeta|^{-(n+k-1)} e^{-Re(1/zeta) r^2 / 4}.
+
+    With rho = r^2 / 4 the bound exceeds it at lam when log env(lam) - c0 >
+    (lam tanh(lam eps) - Re(1/zeta)) rho, c0 being the log of the floor at
+    r = 0: past the envelope's peak, and where lam tanh(lam eps) >
+    Re(1/zeta), for the radii below one threshold of rho; the samples
+    before count for every radius.  The bound decreases past the peak, so
+    the running maximum of the thresholds from the top gives each radius
+    its last such sample.  At r = 0 this is the crossing of `_lam_cutoff`,
+    rounded up to a sample.
+    """
+    zeta = complex(zeta)
+    eps = zeta.real
+    b = 1.0 / (abs(zeta) * (abs(zeta) / eps))      # Re(1/zeta)
+    lam = np.linspace(0.0, lam_max, _CUTOFF_SAMPLES + 1)[1:]
+    x = eps * lam
+    log_env = (k - 1 + n) * np.log(lam) - n * (x + np.log(-0.5 * np.expm1(-2.0 * x)))
+    c0 = math.log(floor) - (n + k - 1) * math.log(abs(zeta))
+    slope = lam * np.tanh(x) - b
+    rho = np.full(lam.size, np.inf)
+    tail = (slope > 0) & (np.arange(lam.size) > np.argmax(log_env))
+    rho[tail] = (log_env[tail] - c0) / slope[tail]
+    rho = np.maximum.accumulate(rho[::-1])[::-1]
+    # samples still needed by each radius; the next one lies past its cutoff
+    needed = np.searchsorted(-rho, -0.25 * np.square(radii), side="left")
+    return lam_max * np.minimum(needed + 1, lam.size) / lam.size
+
+
 def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
     """int_0^L lam^{k-1} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}
     phase(lam t) dlam on broadcast arrays (r, t) = (radii, times) >= 0: the
     integral behind both engines, phase cos for the Heisenberg kernel and
     the normalized Bessel function for the H-type one.  Both factors are
-    tabulated on the unique radii and times only, on one panel rule refined
-    until two successive rules agree to rtol (`quadrature.separable_panels`)
-    and ending at `_lam_cutoff`; its first panels are sized by
+    tabulated on the unique radii and times only, and L is `_lam_cutoff`.
+
+    For odd k the integrand is even in lam, so it runs on the trapezoid
+    rule (`quadrature.even_trapezoid`) of step `_strip_step`, checked
+    against the rule of half that step; on a product grid each radius ends
+    at its own cutoff (`_radius_cutoffs`).  At k = 2 (lam Jt_0, odd) the
+    half-line trapezoid keeps an O(h^2) end error, so it runs on the
+    refined panel rule (`quadrature.separable_panels`) sized by
     `_variation_rate`.  At a real time every table stays real."""
     zeta = complex(zeta)
     rows, ir = np.unique(radii.ravel(), return_inverse=True)
     cols, ic = np.unique(times.ravel(), return_inverse=True)
     profile_time = zeta if zeta.imag else zeta.real
 
-    def radial(lams):
-        table = _hyperbolic_gaussian(lams, profile_time, n, rows[:, None])
-        return table if k == 1 else lams ** (k - 1) * table
+    def central(lams):
+        return phase(np.outer(cols, lams))
 
+    lam_max = _lam_cutoff(zeta, n, k, floor)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        vals = separable_panels(0.0, _lam_cutoff(zeta, n, k, floor),
-                                _variation_rate(zeta, n, rows, cols), radial,
-                                lambda lams: phase(np.outer(cols, lams)), ir, ic, rtol)
+        if k % 2:
+            squares = np.square(rows)[:, None]
+
+            def factors(lams, p):
+                # the lam factors scale the column table, not the (p, nodes) rows
+                power, rate = _hyperbolic_factors(lams, profile_time, n)
+                if k > 1:
+                    power = lams ** (k - 1) * power
+                return np.exp(rate * squares[:p]), central(lams) * power
+
+            step = _strip_step(zeta, rows, cols)
+            cutoffs = np.full(rows.size, lam_max)
+            if rows.size * 2.0 * lam_max / step >= _RADIUS_ENTRIES:
+                cutoffs = _radius_cutoffs(zeta, n, k, floor, lam_max, rows)
+            vals = even_trapezoid(step, cutoffs, factors, ir, ic, rtol)
+        else:
+            vals = separable_panels(
+                0.0, lam_max, _variation_rate(zeta, n, rows, cols),
+                lambda lams: lams ** (k - 1) * _hyperbolic_gaussian(lams, profile_time, n,
+                                                                     rows[:, None]),
+                central, ir, ic, rtol)
     return vals.reshape(radii.shape)
 
 
@@ -225,23 +323,31 @@ def heat_kernel_grid(zeta, r, t, n=1):
     the half line: q = pi^{-1} int_0^L cos(lam t) (profile) dlam.  The
     integrand factors into the profile, a function of (lam, r), and the
     phase cos(lam t); each is tabulated on the unique r and |t| values only
-    (both real at real zeta).  One composite panel rule in lam is shared by
-    all points and refined until two successive rules agree to 1e-9, and it
-    ends where the envelope |lam / sinh(lam eps)|^n crosses 1e-15 of its
-    peak |zeta|^{-n} (`_central_integral`).  The profile's (4 pi)^{-n} is
-    applied with the final 1 / pi.  Radii must be finite and
+    (both real at real zeta).  One trapezoid rule in lam is shared by all
+    points, its step sized from the strip |Im lam| < pi Re zeta / |zeta|^2
+    where the profile is analytic, from max|t| and from the smallest
+    radius; it must agree with the rule of twice its step to 1e-9 of the
+    largest value.  It ends where the envelope |lam / sinh(lam eps)|^n
+    crosses 1e-15 of its peak |zeta|^{-n}, and on a large product grid
+    each radius ends earlier, where its own bound crosses 1e-15 of its own
+    size (`_central_integral`).  The profile's (4 pi)^{-n} is applied with
+    the final 1 / pi.  Radii must be finite and
     nonnegative, t finite, and n a positive integer.
 
     The far field cannot be tabulated.  Round-off puts a floor under the
     coarse/fine gap that scales with q_zeta(r, 0), so the two rules agree
     to 1e-9 of the largest value only when that value is above about
     1e-8 of q_zeta(r, 0) (of q_zeta(0, 0) at r = 0).  Measured at n = 1 on
-    single points, 5 radii and 61 times for each zeta in {0.05, 0.1, 0.3,
-    0.5, 1, 2, 1 + 0.5i, 0.5 + 1i}: every point above 1e-7 of q_zeta(r, 0)
-    converges, all but 2 of the 1588 below 1e-9 raise (none below 1e-10
-    converges), and in between the outcome turns on round-off.  A table
-    below the limit raises QuadratureError: at zeta = 1 every point with
-    r <= 1 and t >= 7.7 does.
+    single points, r in {0, 0.5, 1, 2, 3} and t in {0, 0.5, ..., 30} for
+    each zeta in {0.05, 0.1, 0.3, 0.5, 1, 2, 1 + 0.5i, 0.5 + 1i}, against
+    34-digit references: every point above 7.1e-7 of q_zeta(r, 0)
+    converges, all but 2 of the 1755 below 1e-9 raise (one of them, at
+    9.4e-11, converges 1e-6 off), and in between the outcome turns on
+    round-off.  The two rules share the round-off of the profile's values,
+    which their gap cannot see, so 10 of the 564 accepted points are more
+    than 1e-9 off: 1.2e-8 at most above 1e-9 of q_zeta(r, 0), 2.5e-7 and
+    1e-6 below it.  A table below the limit raises QuadratureError: at
+    zeta = 1 every point with r <= 1 and t >= 9.4 does.
     """
     _check_dimension(n)
     zeta = _as_time(zeta)

@@ -103,13 +103,17 @@ def htype_heat_kernel(s, p):
 
 
 def htype_heat_batch(s, n, k, vnorm, tnorm):
-    """h_s over broadcastable (|v|, |t|) arrays on one shared panel rule.
+    """h_s over broadcastable (|v|, |t|) arrays on one shared rule.
 
     It is the Heisenberg engine's integral (`heisenberg._central_integral`)
-    with Jt_{k/2-1}(lam |t|) in place of cos(lam t), refined until two
-    successive rules agree to 1e-8 and ending where lam^{k-1}
-    (lam / sinh(s lam))^n crosses 1e-16 of s^{-n}.  This is the fast path
-    behind `radon_heat_profile`.  Norms must be finite and nonnegative.
+    with Jt_{k/2-1}(lam |t|) in place of cos(lam t), ending where lam^{k-1}
+    (lam / sinh(s lam))^n crosses 1e-16 of its peak s^{-(n+k-1)}.  At
+    k = 1 and 3 the integrand is even in lam and runs on the Heisenberg
+    engine's trapezoid rule, which must agree with the rule of twice its
+    step to 1e-8; at k = 2 (lam Jt_0, odd) it runs on the panel rule,
+    refined until two successive rules agree to 1e-8.  This is the fast
+    path behind `radon_heat_profile`.  Norms must be finite and
+    nonnegative.
     """
     _check_time(s)
     _check_dimension(n)

@@ -1,7 +1,9 @@
-"""Shared quadrature helpers: panel Gauss-Legendre rules, the separable
-panel integrator behind the frequency integrals and the cutoff solver that
-ends them, trapezoid weights, a budgeted wrapper around scipy's adaptive
-integrator, and the truncation warning of every truncated integral."""
+"""Shared quadrature helpers: panel Gauss-Legendre rules, the two separable
+integrators behind the frequency integrals (the trapezoid rule for even
+integrands, the refined panel rule for the odd one) and the cutoff solver
+that ends them, trapezoid weights, a budgeted wrapper around scipy's
+adaptive integrator, and the truncation warning of every truncated
+integral."""
 
 import math
 import sys
@@ -152,6 +154,9 @@ _FIRST_PANELS = 1 << 18
 
 def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     """Integrals over [a, b] of integrands that factor as row(x) col(x).
+    The frequency integrals take it for the odd integrand only, the k = 2
+    H-type kernel's lam Jt_0, on which the half-line trapezoid rule
+    (`even_trapezoid`) keeps an O(h^2) end error.
 
     row(x) and col(x) return tables of shape (values, nodes): the two
     factors on the unique values that the index arrays ir and ic point
@@ -222,6 +227,120 @@ def separable_panels(a, b, rate, row, col, ir, ic, rtol):
     raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
                           f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
                           f"(rtol {rtol:g})")
+
+
+# nodes of the finer trapezoid rule: a longer rule raises before it is built
+_MAX_NODES = 1 << 22
+# what a band of its own costs in calls, counted in (row, node) entries
+_BAND_ENTRIES = 1 << 11
+
+
+def _bands(last):
+    """Node ranges [lo, hi] (both even, both included) and the prefix of rows
+    p that each one contracts, for rows that run to the nodes last[i] (even,
+    not increasing along the rows).
+
+    The rows that have finished inside a band are still evaluated to its
+    end.  A band is cut at the end of a row when, by the next end, the rows
+    finished in it would have wasted _BAND_ENTRIES entries, what a new band
+    costs (a rent-or-buy rule).
+    """
+    ends, counts = np.unique(last, return_counts=True)
+    bands, lo, p, done, done_sum = [], 0, last.size, 0, 0
+    for end, count, after in zip(ends[:-1].tolist(), counts[:-1].tolist(), ends[1:].tolist()):
+        done, done_sum = done + count, done_sum + count * end
+        if done * after - done_sum >= _BAND_ENTRIES:
+            bands.append((lo, end, p))
+            lo, p, done, done_sum = end, p - done, 0, 0
+    bands.append((lo, int(ends[-1]), p))
+    return bands
+
+
+def even_trapezoid(step, cutoffs, factors, ir, ic, rtol):
+    """Integrals over [0, inf) of even integrands that factor as row(x)
+    col(x), on the trapezoid rule.
+
+    factors(x, p) returns the tables of the first p unique rows, shape (p,
+    nodes), and of every unique column at the nodes x; ir and ic index them
+    as in `separable_panels`.  Unique row i is summed up to cutoffs[i],
+    which must not increase along the rows: the caller puts each row's
+    cutoff where its integrand has fallen below its floor.
+
+    The integrand is evaluated once at step h/2, and the rule of step h is
+    read from the even nodes; both end at the same even node, past the
+    cutoff, with half weights at both ends (h/4 in the finer rule, h/2 in
+    the coarser), so that they integrate the same truncated integral.  For
+    an integrand analytic in the strip |Im x| < d both converge like
+    e^{-2 pi d / h}, so the caller sizes h from d.  The two rules must
+    agree to rtol of the largest value, above the worst-case round-off of
+    the sums (nodes x eps x sum_j w_j max|row(x_j)| max|col(x_j)|) unless
+    every term is exactly 0, as in `separable_panels`, or QuadratureError
+    is raised.  So is it, before anything is built, when the finer rule
+    would take more than _MAX_NODES nodes.
+
+    On a product grid the nodes are split into bands, each a trapezoid rule
+    of its own that contracts the prefix of rows still running there, a
+    chunk of nodes at a time: per chunk, row @ (col w).T over the even
+    nodes and over the odd ones.  Scattered points sum every row to the
+    last cutoff (`_gathered_sum`).
+    """
+    if ir.size == 0:
+        return np.zeros(0)
+    reach = 2.0 * float(np.max(cutoffs)) / step
+    if not reach <= _MAX_NODES:
+        raise QuadratureError(f"the integrand varies too fast for a trapezoid rule: it "
+                              f"would take {reach:.3g} nodes")
+    half = 0.5 * step
+    # the even node j at or past each cutoff, j h/2 >= cutoff
+    last = np.maximum(2 * np.ceil(np.asarray(cutoffs, dtype=float) / step).astype(int), 2)
+    n_rows, n_cols = last.size, int(ic.max()) + 1
+    product = n_rows * n_cols <= ir.size
+    bands = _bands(last) if product and last[-1] < last[0] else [(0, int(last[0]), n_rows)]
+    even = odd = None
+    terms = 0.0
+    for lo, hi, p in bands:
+        chunk = max(2, _TABLE_BLOCK // (p + n_cols))
+        for start in range(lo, hi + 1, chunk):
+            stop = min(start + chunk, hi + 1)
+            # the even nodes first, then the odd ones
+            j = np.concatenate([np.arange(start + start % 2, stop, 2),
+                                np.arange(start + 1 - start % 2, stop, 2)])
+            m = (stop - start + 1 - start % 2) // 2      # even nodes in [start, stop)
+            x = j * half
+            r, c = factors(x, p)
+            c = c * half
+            if start == lo:
+                c[:, 0] *= 0.5
+            if stop == hi + 1:
+                c[:, m - 1] *= 0.5
+            terms += float(np.max(np.abs(r), axis=0) @ np.max(np.abs(c), axis=0))
+            if product:
+                e, o = _product_table(r[:, :m], c[:, :m]), _product_table(r[:, m:], c[:, m:])
+                if even is None:
+                    even, odd = e, o
+                else:
+                    even[:p] += e
+                    odd[:p] += o
+            else:
+                e = _gathered_sum(r[:, :m], c[:, :m], ir, ic)
+                o = _gathered_sum(r[:, m:], c[:, m:], ir, ic)
+                even, odd = (e, o) if even is None else (even + e, odd + o)
+    if product:
+        even, odd = even[ir, ic], odd[ir, ic]
+    fine, coarse = even + odd, 2.0 * even
+    nodes = int(last[0]) + 1
+    noise = nodes * _EPS * terms
+    scale = float(max(np.max(np.abs(fine)), np.max(np.abs(coarse))))
+    gap = float(np.max(np.abs(odd - even)))
+    if scale <= noise and noise != 0.0:
+        raise QuadratureError(f"trapezoid quadrature failed to converge: at {nodes} nodes "
+                              f"the largest value {scale:.3g} lies within the round-off "
+                              f"of the sums ({noise:.3g})")
+    if not gap <= rtol * scale:
+        raise QuadratureError(f"trapezoid quadrature failed to converge: at {nodes} nodes "
+                              f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
+                              f"(rtol {rtol:g})")
+    return fine
 
 
 def warn_truncated(what, edge, peak, rtol, stacklevel=2):

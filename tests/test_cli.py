@@ -150,6 +150,16 @@ def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
     assert "failed to converge" in captured.err
 
 
+def test_kernel_past_the_node_budget_fails_before_building_the_rule(capsys):
+    # at |t| = 1e12 the trapezoid step is ~4e-12: the rule would take about
+    # 2e12 nodes, so the request exits 3 at once instead of allocating them
+    assert cli.run(["kernel", "--group", "heisenberg", "--s", "9.31",
+                    "--r", "0", "--t", "1e12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "would take" in captured.err and "nodes" in captured.err
+
+
 @pytest.mark.parametrize("flags", [
     ["--group", "heisenberg", "--r"],
     ["--group", "htype", "--k", "1", "--v-norm"],

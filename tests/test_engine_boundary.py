@@ -42,15 +42,16 @@ def _referenced_names(tree):
 
 
 def test_only_heisenberg_drives_the_frequency_integrals():
-    # `heisenberg._central_integral` is the one driver of the separable
-    # engine and `heisenberg._lam_cutoff` the one caller of the cutoff
-    # solver: a second frequency driver would have to mention them
+    # `heisenberg._central_integral` is the one caller of the trapezoid and
+    # separable engines and `heisenberg._lam_cutoff` the one caller of the
+    # cutoff solver: a second frequency integral would have to mention them
     users = {}
+    engines = ("even_trapezoid", "separable_panels", "envelope_cutoff")
     for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
         if path.stem == "quadrature":
             continue
         names = set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
-        for name in ("separable_panels", "envelope_cutoff"):
+        for name in engines:
             if name in names:
                 users.setdefault(name, []).append(path.stem)
-    assert users == {"separable_panels": ["heisenberg"], "envelope_cutoff": ["heisenberg"]}
+    assert users == {name: ["heisenberg"] for name in engines}

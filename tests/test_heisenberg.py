@@ -72,6 +72,37 @@ def test_hyperbolic_gaussian_against_mpmath():
                             (n, lam, zeta, r, got, want)
 
 
+def test_lone_rows_past_the_origin_match_mpmath():
+    # a table's step pays for its smallest radius's size e^{-Re(1/zeta) r^2 / 4}:
+    # without that term the rule for the row (0.05, 2, 0) fails its check
+    mpmath = pytest.importorskip("mpmath")
+    from heisenkit.htype import htype_heat_batch
+
+    def inversion(zeta, r, t, power, bessel):
+        # int_0^inf lam^power (lam / sinh(lam zeta)) e^{-lam coth(lam zeta) r^2 / 4} bessel dlam
+        z = mpmath.mpc(zeta)
+
+        def f(lam):
+            if lam == 0:
+                return 0 if power else mpmath.exp(-r * r / (4 * z)) / z
+            return (lam ** power * lam / mpmath.sinh(lam * z)
+                    * mpmath.exp(-lam * mpmath.coth(lam * z) * r * r / 4) * bessel(lam * t))
+
+        ends = [0, 1, 4, 16, 64, 256, mpmath.inf]
+        return complex(mpmath.quad(f, ends))
+
+    with mpmath.workdps(30):
+        for zeta, r, t in ((0.05, 2.0, 0.0), (0.05, 1.5, 0.2), (0.3 + 1.0j, 3.0, 1.0)):
+            want = inversion(zeta, r, t, 0, mpmath.cos) / (4 * math.pi * math.pi)
+            got = complex(heat_kernel_grid(zeta, [r], [t])[0])
+            assert abs(got - want) <= 1e-9 * abs(want), (zeta, r, t, got, want)
+        # k = 3: Jt_{1/2}(w) = 2 sin(w) / (sqrt(pi) w), and c(1, 3)
+        want = inversion(1.0, 2.5, 0.5, 2, lambda w: 2 * mpmath.sin(w) / (mpmath.sqrt(mpmath.pi) * w))
+        want *= 2.0 ** -0.5 / (2.0 * (2.0 * math.pi) ** 2.5)
+        got = float(htype_heat_batch(1.0, 1, 3, [2.5], [0.5])[0])
+        assert abs(got - want.real) <= 1e-9 * abs(want.real), (got, want)
+
+
 def test_profile_euclidean_limit_holds_at_small_times():
     # lam = 0, or |lam| far below 1 / |zeta|, is the Euclidean limit at any zeta
     for zeta in (1e-10, 1e-14j + 1e-15, 1e3):
@@ -126,8 +157,8 @@ def test_grid_matches_pointwise_kernel():
 
 def test_grid_refines_until_two_rules_agree():
     # at Re zeta = 0.3 the profile's pole i pi / zeta lies 0.86 from the
-    # real axis; a rule that does not resolve it must be refined to a
-    # converged one instead of raising
+    # real axis: the trapezoid step shrinks with that strip, so that the
+    # rule and the rule of half its step agree, instead of raising
     zeta = 0.3 + 1.0j
     r = np.array([0.0, 0.7, 1.5, 3.0])
     t = np.array([-2.5, 0.0, 1.2, 3.0])
@@ -156,18 +187,47 @@ def _table_axis(rng, lo, hi, size):
     return np.concatenate([[lo], np.sort(rng.uniform(lo, hi, size - 2)), [hi]])
 
 
-def test_table_shapes_converge_at_the_first_comparison(order12_rules):
+def test_table_shapes_converge_at_the_first_comparison(trapezoid_rules):
+    # the trapezoid step is sized from the strip of analyticity, so a table
+    # is one rule, compared once with the rule of twice its step; the node
+    # counts pin that step (h / 2 = 0.6 pi d / (37 + d max|t|) at r = 0)
     rng = np.random.default_rng(0)
     r = _table_axis(rng, 0.0, 4.0, 64)
     t_nodes, _ = gauss_panels(-15.0, 15.0, 24, 16)
-    shapes = [(1.0, r, _table_axis(rng, -3.0, 3.0, 32)),
-              (1.0 + 0.5j, r, _table_axis(rng, -3.0, 3.0, 16)),
+    shapes = [(1.0, r, _table_axis(rng, -3.0, 3.0, 32), 309),
+              (1.0 + 0.5j, r, _table_axis(rng, -3.0, 3.0, 16), 371),
+              (0.3 + 1.0j, r, _table_axis(rng, -3.0, 3.0, 8), 3267),
               # the heat-roundtrip check of the semigroup suite
-              (1.0, np.array([0.5, 1.2, 2.0]), t_nodes)]
-    for zeta, rr, tt in shapes:
-        order12_rules.clear()
+              (1.0, np.array([0.5, 1.2, 2.0]), t_nodes, 557)]
+    for zeta, rr, tt, nodes in shapes:
+        trapezoid_rules.clear()
         heat_kernel_grid(zeta, rr[:, None], tt[None, :])
-        assert len(order12_rules) == 2, (zeta, rr.size, tt.size, order12_rules)
+        assert [n for n, _ in trapezoid_rules] == [nodes], (zeta, rr.size, tt.size)
+
+
+def test_each_radius_ends_where_its_bound_falls_below_its_own_floor(trapezoid_rules):
+    # on a large table each radius r ends where lam |lam / sinh(lam eps)|
+    # e^{-lam tanh(lam eps) r^2 / 4} bounds the integrand below 1e-15 of the
+    # row's own size |zeta|^{-1} e^{-Re(1/zeta) r^2 / 4}, within one of the
+    # 256 samples of [0, L] past the crossing
+    zeta = 0.3 + 1.0j
+    eps, b = zeta.real, (1.0 / zeta).real
+    r = np.linspace(0.0, 4.0, 64)
+    heat_kernel_grid(zeta, r[:, None], np.linspace(-3.0, 3.0, 8)[None, :])
+    ((_, ends),) = trapezoid_rules
+    lam_max = ends[0]
+    assert np.all(np.diff(ends) <= 0) and ends[-1] < 0.1 * lam_max
+
+    def log_excess(lam, rr):
+        # log of bound / floor, which is negative past the cutoff
+        log_bound = math.log(lam / math.sinh(lam * eps)) - lam * math.tanh(lam * eps) * rr * rr / 4
+        return log_bound - math.log(1e-15 / abs(zeta)) + b * rr * rr / 4
+
+    for rr, end in zip(r, ends):
+        grid = np.linspace(end, lam_max, 50)
+        assert all(log_excess(lam, rr) <= 0 for lam in grid), rr
+        if end < lam_max:
+            assert log_excess(end - 2.0 * lam_max / 256, rr) > 0, rr
 
 
 @pytest.mark.parametrize("zeta", [0.8, 1.0 + 0.5j])

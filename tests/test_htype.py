@@ -169,14 +169,19 @@ def test_batch_cutoff_sits_within_one_percent_above_the_envelope_crossing(k, eng
     assert envelope(lam_max) <= 1e-16 < envelope(lam_max / 1.01)
 
 
-def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules):
+def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules, trapezoid_rules):
+    # odd k (an even integrand) runs on one trapezoid rule, compared once
+    # with the rule of twice its step; k = 2 (lam Jt_0, odd in lam) runs
+    # on the panel rule, whose first refinement agrees
     rng = np.random.default_rng(0)
     rho = np.concatenate([[0.1], np.sort(rng.uniform(0.1, 3.0, 62)), [3.0]])
     tau = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 14)), [3.0]])
-    for k in (1, 2, 3):
+    for k, nodes, panel_rules in ((1, [325], 0), (2, [], 2), (3, [389], 0)):
         order12_rules.clear()
+        trapezoid_rules.clear()
         htype_heat_batch(1.0, 1, k, rho[:, None], tau[None, :])
-        assert len(order12_rules) == 2, (k, order12_rules)
+        assert [n for n, _ in trapezoid_rules] == nodes, k
+        assert len(order12_rules) == panel_rules, (k, order12_rules)
     # one target, and the 5 x 5 grid of the radon-collapse check
     for v, t in ((np.array([1.1]), np.array([0.7])),
                  (np.linspace(0.4, 2.0, 5), np.linspace(-1.5, 1.5, 5))):
@@ -188,7 +193,8 @@ def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules):
 def test_batch_refines_until_two_rules_agree():
     # at |v| = 16 the integrand is a bump of width ~0.2 near lam = 0, which
     # a rule sized by the phase rate alone misses by 4e-7 relative: the
-    # batch must resolve it, sizing or refining its rule, instead of raising
+    # trapezoid step shrinks with the row's size e^{-|v|^2 / 4}, so that the
+    # rule and the rule of half its step agree, instead of raising
     vn = np.linspace(16.0, 17.0, 4)
     tn = np.linspace(0.0, 1.0, 4)
     got = htype_heat_batch(1.0, 1, 3, vn[:, None], tn[None, :])

@@ -10,6 +10,7 @@ from heisenkit.quadrature import (
     QuadratureError,
     adaptive_quad,
     envelope_cutoff,
+    even_trapezoid,
     gauss_interval,
     gauss_panels,
     sample_axis,
@@ -96,6 +97,59 @@ def test_separable_panels_take_no_agreement_within_round_off():
     with pytest.raises(QuadratureError, match="lies within the round-off of the sums"):
         separable_panels(0.0, 100.0 * math.pi, 1.0, lambda x: np.ones((1, x.size)),
                          lambda x: np.cos(x)[None, :], np.array([0]), np.array([0]), 1e-9)
+
+
+def _gaussian_cosine(a, b):
+    """Factors of e^{-a x^2} cos(b x) for sorted a > 0, and each row's
+    cutoff (e^{-a x^2} < 1e-18) and closed form on every (a, b) pair."""
+    def factors(x, p):
+        return np.exp(-np.outer(a[:p], x * x)), np.cos(np.outer(b, x))
+
+    cutoffs = np.sqrt(18.0 * math.log(10.0) / a)
+    exact = 0.5 * np.sqrt(math.pi / a)[:, None] * np.exp(-np.square(b)[None, :] / (4.0 * a[:, None]))
+    return factors, cutoffs, exact
+
+
+def test_even_trapezoid_integrates_even_analytic_integrands(monkeypatch):
+    # int_0^inf e^{-a x^2} cos(b x) dx = sqrt(pi / a) e^{-b^2 / 4a} / 2
+    a = np.array([0.25, 0.5, 1.0, 4.0, 16.0])
+    b = np.array([0.0, 1.5, 3.0])
+    factors, cutoffs, exact = _gaussian_cosine(a, b)
+    pa, pb = np.repeat(np.arange(a.size), b.size), np.tile(np.arange(b.size), a.size)
+    product = even_trapezoid(0.1, cutoffs, factors, pa, pb, 1e-9)
+    assert np.max(np.abs(product - exact.ravel())) < 1e-15 * np.max(exact)
+    # scattered points sum every row to the last cutoff
+    ia, ib = np.array([4, 0, 2]), np.array([1, 2, 0])
+    scattered = even_trapezoid(0.1, cutoffs, factors, ia, ib, 1e-9)
+    assert np.max(np.abs(scattered - exact[ia, ib])) < 1e-15 * np.max(exact)
+    # a band for every cutoff, and chunks of a few nodes, give the same sums
+    monkeypatch.setattr(quadrature, "_BAND_ENTRIES", 1)
+    monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 24)
+    assert len(quadrature._bands(2 * np.ceil(cutoffs / 0.1).astype(int))) == a.size
+    banded = even_trapezoid(0.1, cutoffs, factors, pa, pb, 1e-9)
+    assert np.max(np.abs(banded - product)) < 1e-15 * np.max(exact)
+    assert even_trapezoid(0.1, cutoffs, factors, np.array([], dtype=int),
+                          np.array([], dtype=int), 1e-9).size == 0
+
+
+def test_even_trapezoid_compares_the_rule_with_the_rule_of_twice_its_step():
+    # at step 2 the two rules of e^{-x^2} cos(3x) differ at 1e-3
+    factors, cutoffs, _ = _gaussian_cosine(np.array([1.0]), np.array([3.0]))
+    with pytest.raises(QuadratureError, match=r"failed to converge: at \d+ nodes the "
+                                              r"coarse/fine gap is .* x rtol"):
+        even_trapezoid(2.0, cutoffs, factors, np.array([0]), np.array([0]), 1e-9)
+    # e^{-x^2} cos(40x) is e^{-400} / 2: every rule reads round-off only
+    factors, cutoffs, _ = _gaussian_cosine(np.array([1.0]), np.array([40.0]))
+    with pytest.raises(QuadratureError, match="lies within the round-off of the sums"):
+        even_trapezoid(0.01, cutoffs, factors, np.array([0]), np.array([0]), 1e-9)
+
+
+def test_even_trapezoid_refuses_a_rule_past_its_node_budget_before_building_it():
+    def factors(x, p):
+        raise AssertionError("no node may be evaluated")
+
+    with pytest.raises(QuadratureError, match="would take 2e\\+12 nodes"):
+        even_trapezoid(1e-12, np.array([1.0]), factors, np.array([0]), np.array([0]), 1e-9)
 
 
 def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():
