@@ -143,9 +143,13 @@ def slice_value(sl, z, raster=None):
 # elements of one node block of the ring sum: the blocks partition g's nodes
 # and are added in order, so this size fixes the order of every sum
 _BLOCK = 1 << 15
-# elements of one gather tile within a block: a tile's four bilinear corners
-# (512 KB) fit a core's 1 MB L2
-_TILE = 1 << 13
+# elements of one gather tile within a block (its four bilinear corners take
+# 2 MB).  Tiles split targets only, so the size does not change any sum.  Each
+# tile's numpy calls hand the GIL between the block threads, and at 1 << 13
+# those handoffs (about 10^4 context switches for the 54-ring semigroup
+# check) set its time, 110 or 190 ms on 2 cores by how fast the waiting
+# thread is woken; at 1 << 15 there are a quarter as many and it takes ~110 ms
+_TILE = 1 << 15
 
 
 def _cpu_count():
