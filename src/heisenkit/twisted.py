@@ -31,8 +31,10 @@ regroups the same raster, bilinear rule and quadrature weights, and uses no
 Laguerre function or angular-mode expansion of f or g.
 """
 
+import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -163,13 +165,54 @@ def _cpu_count():
 def _in_order(fn, items):
     """fn(item) for each item, yielded in the items' order.  The calls run on
     one thread per CPU, at most one per item, and inline when that makes
-    one thread."""
+    one thread.
+
+    The calling thread is one of them: while the next item in order is not
+    done, it runs the first item nobody has taken.  A pool thread keeps the
+    blocks it ran in its own malloc arena after it ends, so a pool of one
+    thread per CPU held one CPU's working set (~7 MB at the semigroup check)
+    on top of the calling thread's."""
+    items = list(items)
     workers = min(_cpu_count(), len(items))
     if workers < 2:
         yield from map(fn, items)
         return
-    with ThreadPoolExecutor(workers) as pool:
-        yield from pool.map(fn, items)
+    claim = itertools.count()           # next() on it is atomic under the GIL
+    done = [threading.Event() for _ in items]
+    results = [None] * len(items)
+    stop = threading.Event()
+
+    def run_next():
+        """Run the first item nobody has taken; False when none is left."""
+        i = next(claim)
+        if i >= len(items) or stop.is_set():
+            return False
+        try:
+            results[i] = (fn(items[i]), None)
+        except BaseException as exc:    # re-raised in the calling thread
+            results[i] = (None, exc)
+        done[i].set()
+        return True
+
+    def drain():
+        while run_next():
+            pass
+
+    with ThreadPoolExecutor(workers - 1) as pool:
+        for _ in range(workers - 1):
+            pool.submit(drain)
+        try:
+            for i in range(len(items)):
+                while not done[i].is_set() and run_next():
+                    pass
+                done[i].wait()
+                value, exc = results[i]
+                results[i] = None
+                if exc is not None:
+                    raise exc
+                yield value
+        finally:
+            stop.set()
 
 
 def _ring_sum(raster, g, r, theta0, orbit):
