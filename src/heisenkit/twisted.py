@@ -146,11 +146,11 @@ def slice_value(sl, z, raster=None):
 # and are added in order, so this size fixes the order of every sum
 _BLOCK = 1 << 15
 # elements of one gather tile within a block (its four bilinear corners take
-# 2 MB).  Tiles split targets only, so the size does not change any sum.  Each
-# tile's numpy calls hand the GIL between the block threads, and at 1 << 13
-# those handoffs (about 10^4 context switches for the 54-ring semigroup
-# check) set its time, 110 or 190 ms on 2 cores by how fast the waiting
-# thread is woken; at 1 << 15 there are a quarter as many and it takes ~110 ms
+# 2 MB).  Tiles split targets only, so the size changes no sum.  Each numpy
+# call of a tile can hand the GIL to the other block thread, at the price of
+# a context switch that depends on how fast the waiting thread is woken: the
+# semigroup check (54 rings) makes ~1600 switches, where tiles of 1 << 13
+# made ~10000 and its time swung between 110 and 190 ms on 2 cores
 _TILE = 1 << 15
 
 
@@ -168,11 +168,10 @@ def _in_order(fn, items):
     one thread.
 
     The calling thread is one of them: while the next item in order is not
-    done, it runs the first item nobody has taken.  A pool thread keeps the
-    blocks it ran in its own malloc arena after it ends, so a pool of one
-    thread per CPU held one CPU's working set (~7 MB at the semigroup check)
-    on top of the calling thread's."""
-    items = list(items)
+    done, it runs the first item nobody has taken.  What a pool thread
+    allocates stays in its own malloc arena after the call, so each pool
+    thread adds its working set (~3.5 MB at the semigroup check) to the
+    peak RSS."""
     workers = min(_cpu_count(), len(items))
     if workers < 2:
         yield from map(fn, items)
@@ -258,9 +257,10 @@ def _ring_sum(raster, g, r, theta0, orbit):
         masses = []
         for t in range(0, z0.size, tb):
             u = slice(t, t + tb)
-            # f(z - w) on the whole orbit: the four corners move together
-            block = window[rows[u], plane[u], k[u]]                 # (T, J, D, 4, orbit)
-            vals = (coef[u] @ block)[..., 0, :]                     # (T, J, D, orbit)
+            # f(z - w) on the whole orbit: the four corners move together.
+            # Their (T, J, D, 4, orbit) gather is freed by the product, not
+            # held until the next tile's gather replaces it
+            vals = (coef[u] @ window[rows[u], plane[u], k[u]])[..., 0, :]   # (T, J, D, orbit)
             part[u] = np.einsum("tjda,jda->ta", vals, g_orbit)
             masses.append(float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit)))
         cut = raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))

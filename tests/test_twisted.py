@@ -164,6 +164,23 @@ def test_ring_sum_does_not_depend_on_the_worker_count(monkeypatch):
     assert len(warned1) == 2 and warned1 == warned3
 
 
+def test_block_errors_reach_the_caller_in_order(monkeypatch):
+    # items run in the calling thread and on the pool alike; the first
+    # failing item in order raises once the items before it are yielded
+    monkeypatch.setattr(twisted, "_cpu_count", lambda: 2)
+
+    def square(i):
+        if i in (5, 9):
+            raise ValueError(f"item {i}")
+        return i * i
+
+    seen = []
+    with pytest.raises(ValueError, match="item 5"):
+        for value in twisted._in_order(square, range(12)):
+            seen.append(value)
+    assert seen == [0, 1, 4, 9, 16]
+
+
 def test_laguerre_eigenfunction_identity():
     # phi_j *_lam phi_k = (2 pi / |lam|) delta_jk phi_k on C^1
     grid = polar_grid(1, nr=96, r_max=10.0, nsphere=48)
