@@ -4,21 +4,20 @@ The series sum_k k!/Gamma(k+a+1) L_k^a(x) L_k^a(y) w^k has a product closed
 form involving a modified Bessel factor.  Inside the unit disc the truncated
 series converges geometrically; on the rim it only Abel-converges, and the
 tail resummation built into the evaluator keeps a usable three digits there.
+The evaluator broadcasts over x, y and w, so a whole lattice of points is one
+call.
 """
 
 import numpy as np
 
 from heisenkit import hille_hardy
 
-print("interior of the disc (|w| = 0.7):")
+print("interior of the disc (|w| = 0.7), every (w, x, y) in one call per alpha:")
+w, x, y = np.ix_(np.array([0.7, -0.7, 0.7j, 0.5 * np.exp(0.25j * np.pi)]),
+                 np.array([0.0, 1.0, 2.5, 4.0]), np.array([0.0, 1.0, 2.5, 4.0]))
 for alpha in (0.0, 1.0, 2.0):
-    worst = 0.0
-    for w in (0.7, -0.7, 0.7j, 0.5 * np.exp(0.25j * np.pi)):
-        for x in (0.0, 1.0, 2.5, 4.0):
-            for y in (0.0, 1.0, 2.5, 4.0):
-                lhs, rhs = hille_hardy(alpha, x, y, complex(w))
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
-    print(f"  alpha = {alpha}: max rel error {worst:.2e}")
+    lhs, rhs = hille_hardy(alpha, x, y, w)
+    print(f"  alpha = {alpha}: max rel error {np.max(np.abs(lhs - rhs) / np.abs(rhs)):.2e}")
 
 print("rim of the disc (|w| = 1 - 1e-6, Abel regime):")
 w = (1.0 - 1e-6) * np.exp(2j * np.pi / 3.0)

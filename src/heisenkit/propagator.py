@@ -192,8 +192,11 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     sector phase e^{-i(n+2p0)|lam|s0}.
     closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
-    m = n+p0+q0.  Returns (series, closed).
+    m = n+p0+q0.  Returns (series, closed); ValueError unless lam, r, t
+    and s0 are finite.
     """
+    if not all(map(math.isfinite, (lam, r, t, s0))):
+        raise ValueError("lam, r, t and s0 must be finite")
     _reject_exceptional(lam, s0)
     m = n + p0 + q0
     mu = abs(lam) * s0

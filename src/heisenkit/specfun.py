@@ -4,7 +4,9 @@ J_alpha itself is scipy.special.jv), and both sides of the Laguerre product
 generating identity.
 
 Everything is a pure function of its arguments; scalars in, scalars out, with
-numpy broadcasting over the main argument where it is cheap to provide.
+numpy broadcasting over the main argument where it is cheap to provide, and
+over x, y and w for the generating series, whose every degree of every point
+comes from one banded solve of the Laguerre recurrence.
 """
 
 import math
@@ -22,9 +24,21 @@ def _maybe_scalar(out, scalar):
     return out[()] if scalar else out
 
 
+def _recurrence(m, alpha, t):
+    """(a, b, c) of the upward three-term recurrence
+    c L_{m+1}^alpha(t) = a L_m^alpha(t) - b L_{m-1}^alpha(t), with
+    L_{-1} = 0 and L_0 = 1; m, alpha and t broadcast."""
+    return 2 * m + 1 + alpha - t, m + alpha, m + 1
+
+
+def _check_laguerre_order(alpha):
+    if not (np.asarray(alpha) > -1.0).all():
+        raise ValueError("Laguerre order alpha must exceed -1")
+
+
 def _laguerre_degrees(k, alpha, t):
     """Yield L_0^alpha(t), ..., L_k^alpha(t): one pass of the upward
-    three-term recurrence from L_0 and L_1.
+    three-term recurrence (`_recurrence`) from L_{-1} = 0 and L_0 = 1.
 
     alpha and t broadcast against each other.  The defining alternating sum
     cancels catastrophically once k t is large, so the recurrence is used for
@@ -32,16 +46,12 @@ def _laguerre_degrees(k, alpha, t):
     """
     if int(k) != k or k < 0:
         raise ValueError("Laguerre degree k must be a nonnegative integer")
-    if np.any(np.asarray(alpha) <= -1.0):
-        raise ValueError("Laguerre order alpha must exceed -1")
-    prev = np.ones(np.broadcast(alpha, t).shape)
-    yield prev
-    if k == 0:
-        return
-    cur = 1.0 + alpha - t
+    _check_laguerre_order(alpha)
+    prev, cur = 0.0, np.ones(np.broadcast(alpha, t).shape)
     yield cur
-    for m in range(1, int(k)):
-        prev, cur = cur, ((2 * m + 1 + alpha - t) * cur - (m + alpha) * prev) / (m + 1.0)
+    for m in range(int(k)):
+        a, b, c = _recurrence(m, alpha, t)
+        prev, cur = cur, (a * cur - b * prev) / c
         yield cur
 
 
@@ -169,79 +179,201 @@ def jtilde_of_square(alpha, w2):
     return hyp0f1(alpha + 1.0, -0.25 * w2) * rgamma(alpha + 1.0)
 
 
+# points x degrees of one block of the series tables: 1 MB per complex table
+_SERIES_BLOCK = 1 << 16
+# partial sums that the tail resummation reads near the rim of the disc
+_TAIL = 48
+
+
+def _laguerre_rows(alpha, t, kmax):
+    """out[i, k] = L_k^alpha(t[i]) for k <= kmax, from one lower-triangular
+    banded solve.
+
+    The recurrence of `_laguerre_degrees` is a system with bandwidth 2 and
+    one diagonal block per t: L_0 = 1 and c L_{m+1} - a L_m + b L_{m-1} = 0.
+    BLAS forward substitution (dtbsv, no pivoting) runs that recurrence
+    itself, in compiled code.
+    """
+    from scipy.linalg.blas import dtbsv
+
+    m = np.arange(kmax, dtype=float)
+    a, b, c = _recurrence(m, alpha, t[:, None])
+    band = np.zeros((t.size, kmax + 1, 3))      # the (3, n) band in column order
+    band[:, 0, 0] = 1.0
+    band[:, 1:, 0] = c
+    band[:, :-1, 1] = -a
+    band[:, :-2, 2] = b[1:]
+    rhs = np.zeros((t.size, kmax + 1))
+    rhs[:, 0] = 1.0
+    return dtbsv(2, band.reshape(-1, 3).T, rhs.ravel(), lower=1, overwrite_x=1).reshape(rhs.shape)
+
+
+def _partial_sums(grows, rows, ix, iy, w, power, total, k0, k1):
+    """Terms and partial sums of degrees k0 <= k < k1, from w^k0 (power)
+    and the partial sum of degree k0 - 1 (total).
+
+    Every product and sum runs in the order of the series itself, so a sum
+    split into ranges of degrees equals the sum taken in one range.
+    """
+    terms = np.empty((w.size, k1 - k0), dtype=complex)
+    terms[:, 0] = power
+    terms[:, 1:] = w[:, None]
+    np.cumprod(terms, axis=1, out=terms)
+    power = terms[:, -1] * w
+    terms *= grows[ix, k0:k1] * rows[iy, k0:k1]
+    sums = np.empty((w.size, k1 - k0 + 1), dtype=complex)
+    sums[:, 0] = total
+    sums[:, 1:] = terms
+    np.cumsum(sums, axis=1, out=sums)
+    return terms, sums[:, 1:], power
+
+
+def _plain_sums(grows, rows, ix, iy, w, kmax):
+    """The series for |w| <= 0.85, stopped at the fourth successive term
+    below 1e-17 of the partial sum, or at kmax.  Degrees go in ranges of
+    doubling length, and a point leaves once it has stopped."""
+    out = np.empty(w.size, dtype=complex)
+    live = np.arange(w.size)
+    power, total = np.ones(w.size, dtype=complex), np.zeros(w.size, dtype=complex)
+    flags = np.zeros((w.size, 3), dtype=bool)       # the last three degrees' tests
+    k0, width = 0, 64
+    while live.size:
+        k1 = min(k0 + width, kmax + 1)
+        terms, sums, power = _partial_sums(grows, rows, ix[live], iy[live], w[live],
+                                           power, total, k0, k1)
+        small = np.abs(terms) <= 1e-17 * np.maximum(np.abs(sums), 1e-300)
+        small[:, 0] &= k0 > 0                       # degree 0 never counts
+        small = np.concatenate((flags, small), axis=1)
+        run = small[:, 3:] & small[:, 2:-1] & small[:, 1:-2] & small[:, :-3]
+        hit = run.any(axis=1)
+        if k1 > kmax:
+            hit[:] = True
+            run[:, -1] = True
+        out[live[hit]] = sums[hit, run[hit].argmax(axis=1)]
+        keep = ~hit
+        live, power, total = live[keep], power[keep], sums[keep, -1]
+        flags = small[keep, -3:]
+        k0, width = k1, 2 * width
+    return out
+
+
+def _boosted_sums(grows, rows, ix, iy, w, kmax):
+    """The series for |w| > 0.85 to degree kmax, with its tail resummed:
+    S -> (S_{k+1} - w S_k)/(1 - w) iterated over the last partial sums,
+    keeping the iterate whose last two entries agree best."""
+    sums = _partial_sums(grows, rows, ix, iy, w, 1.0, 0.0, 0, kmax + 1)[1]
+    seq = sums[:, -_TAIL:]
+    best = seq[:, -1]
+    if kmax == 0:
+        return best
+    w = w[:, None]
+    best_gap = np.abs(seq[:, -1] - seq[:, -2])
+    while seq.shape[1] >= 3:
+        seq = (seq[:, 1:] - w * seq[:, :-1]) / (1.0 - w)
+        gap = np.abs(seq[:, -1] - seq[:, -2])
+        better = gap < best_gap
+        best = np.where(better, seq[:, -1], best)
+        best_gap = np.where(better, gap, best_gap)
+    return best
+
+
+def _series_block(alpha, x, y, w, kmax, boost):
+    """laguerre_series_sum on one block of points that share kmax."""
+    k = np.arange(1.0, kmax + 1.0)
+    g = np.empty(kmax + 1)
+    g[0] = np.exp(-gammaln(alpha + 1.0))
+    g[1:] = k / (k + alpha)
+    np.cumprod(g, out=g)
+    nodes, where = np.unique(np.concatenate((x, y)), return_inverse=True)
+    rows = _laguerre_rows(alpha, nodes, kmax)
+    grows = g * rows
+    ix, iy = where[:x.size], where[x.size:]
+    out = np.empty(x.size, dtype=complex)
+    for part, sums in ((~boost, _plain_sums), (boost, _boosted_sums)):
+        if part.any():
+            out[part] = sums(grows, rows, ix[part], iy[part], w[part], kmax)
+    return out
+
+
 def laguerre_series_sum(alpha, x, y, w, kmax):
     """sum_{k<=kmax} Gamma(k+1)/Gamma(k+alpha+1) L_k^a(x) L_k^a(y) w^k.
 
-    For |w| near 1 the partial sums spiral slowly toward the limit; the tail
-    is resummed by iterating S -> (S_{k+1} - w S_k)/(1 - w), which strips one
-    order of the slowly-varying envelope per pass, over the last 48 partial
-    sums.  The iteration depth is picked a posteriori by successive-difference
-    minimization, so callers pay nothing when the plain sum has already
-    settled.
+    x, y, w and kmax broadcast against each other (alpha > -1 is one
+    number); scalars in, a complex scalar out.  The points go in blocks of
+    `_SERIES_BLOCK` point-degrees (kmax must stay below it).  In a block,
+    the rows L_0^alpha, ..., L_kmax^alpha of every distinct x and y come
+    from one banded forward solve of the three-term recurrence
+    (`_laguerre_rows`), the factors Gamma(k+1)/Gamma(k+alpha+1) and w^k
+    from running products and the partial sums from a running sum, all in
+    the order of the term-by-term sum.
+
+    For |w| <= 0.85 a point stops at the fourth successive term below 1e-17
+    of its partial sum; degrees go in ranges of doubling length, and a
+    point that has stopped leaves the next range.  For |w| near 1 the partial sums
+    spiral slowly toward the limit; the tail is resummed by iterating
+    S -> (S_{k+1} - w S_k)/(1 - w), which strips one order of the
+    slowly-varying envelope per pass, over the last 48 partial sums.  The
+    iteration depth is picked a posteriori by successive-difference
+    minimization.  ValueError for non-finite input, |w| >= 1, w within
+    0.04 of 1 above |w| = 0.85, and a series that overflows.
     """
-    w = complex(w)
-    if abs(w) >= 1.0:
+    _check_laguerre_order(alpha)
+    x, y, w, kmax = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                                        np.asarray(w, dtype=complex), np.asarray(kmax))
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(w).all()):
+        raise ValueError("x, y and w must be finite")
+    integral = kmax.dtype.kind in "iu" or (kmax.dtype.kind == "f" and (kmax == np.floor(kmax)).all())
+    if not integral or (kmax < 0).any():
+        raise ValueError("kmax must be a nonnegative integer")
+    if (kmax >= _SERIES_BLOCK).any():
+        raise ValueError(f"kmax must stay below {_SERIES_BLOCK}")
+    modulus = np.abs(w)
+    if (modulus >= 1.0).any():
         raise ValueError("Laguerre series diverges for |w| >= 1")
-    boost = abs(w) > 0.85
-    if boost and abs(1.0 - w) < 0.04:
+    boost = modulus > 0.85
+    if (boost & (np.abs(1.0 - w) < 0.04)).any():
         raise ValueError("tail resummation needs w away from the point 1")
-    g = np.exp(-gammaln(alpha + 1.0))
-    lx_prev = ly_prev = 0.0
-    lx = ly = 1.0
-    wk = 1.0 + 0.0j
-    total = g * wk
-    tail = [total]
-    settled = 0
-    for k in range(1, int(kmax) + 1):
-        # a scalar recurrence on purpose: run on _laguerre_degrees the
-        # hille-hardy suite took 78-88 ms instead of 69, for identical errors
-        lx_prev, lx = lx, ((2 * k - 1 + alpha - x) * lx - (k - 1 + alpha) * lx_prev) / k
-        ly_prev, ly = ly, ((2 * k - 1 + alpha - y) * ly - (k - 1 + alpha) * ly_prev) / k
-        g *= k / (k + alpha)
-        wk *= w
-        term = g * lx * ly * wk
-        total += term
-        if boost:
-            tail.append(total)
-            if len(tail) > 48:
-                tail.pop(0)
-        else:
-            settled = settled + 1 if abs(term) <= 1e-17 * max(abs(total), 1e-300) else 0
-            if settled >= 4:
-                return total
-    if not boost:
-        return total
-    seq = np.array(tail)
-    best = seq[-1]
-    best_gap = abs(seq[-1] - seq[-2])
-    while seq.size >= 3:
-        seq = (seq[1:] - w * seq[:-1]) / (1.0 - w)
-        gap = abs(seq[-1] - seq[-2])
-        if gap < best_gap:
-            best, best_gap = seq[-1], gap
-    return best
+    shape = x.shape
+    x, y, w, boost, kmax = (a.ravel() for a in (x, y, w, boost, kmax.astype(int)))
+    out = np.empty(x.size, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for degrees in np.unique(kmax).tolist():
+            sel = np.flatnonzero(kmax == degrees)
+            step = max(1, _SERIES_BLOCK // (degrees + 1))
+            for lo in range(0, sel.size, step):
+                idx = sel[lo:lo + step]
+                out[idx] = _series_block(float(alpha), x[idx], y[idx], w[idx], degrees, boost[idx])
+    if not np.isfinite(out).all():
+        raise ValueError("the Laguerre series overflows; x and y are too large")
+    out = out.reshape(shape)
+    return complex(out[()]) if out.ndim == 0 else out
 
 
 def hille_hardy(alpha, x, y, w, K=None):
     """Both sides of the Laguerre product generating identity.
 
-    lhs: the truncated series (K terms; default chosen from |w|).
+    lhs: the truncated series `laguerre_series_sum` (K terms; by default
+    600 where |w| <= 0.85 and 4000 elsewhere, chosen per point).
     rhs: (1-w)^{-(alpha+1)} exp(-w(x+y)/(1-w)) Jt_alpha(2 sqrt(-xyw)/(1-w)),
-    principal powers throughout.  Returned as a pair; nothing is asserted.
+    principal powers throughout.  x, y, w and K broadcast as in
+    `laguerre_series_sum`, so a batch of points shares its banded solves;
+    scalars give a pair of complex scalars.  Returned as a pair; nothing is
+    asserted.  ValueError where either side is out of range.
     """
-    if alpha <= -1.0:
-        raise ValueError("order alpha must exceed -1")
-    if x < 0 or y < 0:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if (x < 0).any() or (y < 0).any():
         raise ValueError("x and y must be nonnegative")
-    w = complex(w)
-    if abs(w) >= 1.0:
-        raise ValueError("the series diverges for |w| >= 1")
+    w = np.asarray(w, dtype=complex)
     if K is None:
-        K = 600 if abs(w) <= 0.85 else 4000
-    if K < 1:
+        K = np.where(np.abs(w) <= 0.85, 600, 4000)
+    elif (np.asarray(K) < 1).any():
         raise ValueError("need at least one term")
     lhs = laguerre_series_sum(alpha, x, y, w, K)
     one = 1.0 - w
     u2 = -4.0 * x * y * w / (one * one)
-    rhs = one ** (-(alpha + 1.0)) * np.exp(-w * (x + y) / one) * jtilde_of_square(alpha, u2)
-    return lhs, complex(rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = one ** (-(alpha + 1.0)) * np.exp(-w * (x + y) / one) * jtilde_of_square(alpha, u2)
+    if not np.isfinite(rhs).all():
+        raise ValueError("the closed form overflows; x and y are too large")
+    return lhs, (complex(rhs) if rhs.ndim == 0 else rhs)

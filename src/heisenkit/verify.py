@@ -114,26 +114,24 @@ def _suite_hille_hardy(rng):
     ws = [0.7, -0.7, 0.7j, 0.5 * np.exp(0.25j * np.pi), 0.35 - 0.2j]
     theta = float(rng.uniform(0.0, 2.0 * np.pi))
     ws.append(0.65 * np.exp(1j * theta))
+    # every (w, x, y) of the lattice in one call per alpha
+    w, x, y = np.ix_(np.array(ws, dtype=complex), xy, xy)
     worst = 0.0
     for alpha in (0.0, 1.0, 2.0):
-        for w in ws:
-            for x in xy:
-                for y in xy:
-                    lhs, rhs = hille_hardy(alpha, float(x), float(y), complex(w))
-                    worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        lhs, rhs = hille_hardy(alpha, x, y, w)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield ("hille-hardy-interior",
            {"alpha": [0.0, 1.0, 2.0], "xy": xy.tolist(),
             "w_abs_max": 0.7, "seed_theta": theta},
            worst, 1e-6)
 
-    worst = 0.0
     radius = 1.0 - 1e-6
+    w = radius * np.exp(1j * np.array([0.5 * np.pi, 2.0 * np.pi / 3.0, np.pi]))[:, None]
+    x, y = np.array([0.5, 1.0]), np.array([0.5, 2.0])
+    worst = 0.0
     for alpha in (0.0, 1.0, 2.0):
-        for theta_b in (0.5 * np.pi, 2.0 * np.pi / 3.0, np.pi):
-            w = radius * np.exp(1j * theta_b)
-            for x, y in ((0.5, 0.5), (1.0, 2.0)):
-                lhs, rhs = hille_hardy(alpha, x, y, w, K=1500)
-                worst = max(worst, abs(lhs - rhs) / abs(rhs))
+        lhs, rhs = hille_hardy(alpha, x, y, w, K=1500)
+        worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield ("hille-hardy-boundary",
            {"alpha": [0.0, 1.0, 2.0], "w_abs": radius,
             "theta": [1.5708, 2.0944, 3.1416]},

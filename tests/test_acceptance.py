@@ -52,6 +52,7 @@ def test_criterion_03_hille_hardy_series(records):
     boundary = records["hille-hardy-boundary"]
     assert interior.tol == 1e-6
     assert boundary.tol == 1e-3
+    assert interior.ms + boundary.ms < 500.0
     _report(3, "hille-hardy series vs closed form", [interior, boundary])
 
 

@@ -1,5 +1,6 @@
-"""`import heisenkit` loads numpy and scipy.special only; QUADPACK and the
-splines load on first use, and every path that needs them still works.
+"""`import heisenkit` loads numpy and scipy.special only; QUADPACK, the
+splines and the BLAS banded solve load on first use, and every path that
+needs them still works.
 
 The checks run in a fresh interpreter, since the test session itself has
 long since imported scipy.integrate and scipy.interpolate.
@@ -31,8 +32,15 @@ SCRIPT = textwrap.dedent(f"""
 
     from heisenkit import (HeisenbergPoint, QuadratureError, adaptive_quad,
                            heat_kernel, heat_kernel_grid, hermite_evolve,
-                           polar_grid, radial_slice, slice_value,
-                           twisted_convolution)
+                           hille_hardy, polar_grid, radial_slice,
+                           slice_value, twisted_convolution)
+
+    # BLAS banded solve: the Laguerre series on an array of points against
+    # its closed form, before anything else has loaded scipy.linalg
+    w = np.array([0.6, -0.5j, 0.9 * np.exp(2.0j)])[:, None]
+    series, closed = hille_hardy(1.0, np.array([0.0, 1.5, 3.0]), 2.0, w)
+    assert series.shape == (3, 3) and "scipy.linalg" in sys.modules
+    assert np.max(np.abs(series - closed) / np.abs(closed)) < 1e-9, (series, closed)
 
     # QUADPACK: the pointwise kernel against the separable engine
     want = heat_kernel_grid(0.8, np.array([0.9]), np.array([-1.1]))[0]

@@ -1,6 +1,7 @@
 """Sector-Hankel identity, oscillator kernel, decay gates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,13 @@ def test_kernel_is_even_in_lam_for_balanced_sectors():
     plus = kernel_K(1.3, 0.7, 1.0, 1.0, 1, 0, 0)
     minus = kernel_K(-1.3, 0.7, 1.0, 1.0, 1, 0, 0)
     assert plus == minus
+
+
+def test_kernel_rejects_a_nan_radius():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            kernel_K(1.0, math.nan, 1.0, 1.0, 1, 0, 0)
 
 
 def test_exceptional_frequencies_are_rejected():

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gamma, jv
 
-from heisenkit.specfun import (bessel_j_tilde, hille_hardy, jtilde_of_square,
-                               laguerre, laguerre_fn, laguerre_series_sum,
-                               laguerre_table)
+from heisenkit.specfun import (_laguerre_rows, bessel_j_tilde, hille_hardy,
+                               jtilde_of_square, laguerre, laguerre_fn,
+                               laguerre_series_sum, laguerre_table)
 
 
 def _bessel_j(alpha, w):
@@ -220,3 +220,82 @@ def test_hille_hardy_boundary_resummation():
 def test_laguerre_series_sum_rejects_the_pole_neighborhood():
     with pytest.raises(ValueError):
         laguerre_series_sum(0.0, 1.0, 1.0, 1.0 - 1e-6, 400)
+
+
+_BAD_SERIES_INPUT = {
+    "nan-x": lambda: hille_hardy(0.0, math.nan, 1.0, 0.5),
+    "inf-y": lambda: hille_hardy(0.0, 1.0, math.inf, 0.5),
+    "overflowing-x": lambda: hille_hardy(0.0, 1e200, 1.0, 0.5),
+    "fractional-K": lambda: hille_hardy(0.0, 1.0, 1.0, 0.5, 2.5),
+    "negative-kmax": lambda: laguerre_series_sum(0.0, 1.0, 1.0, 0.5, -3),
+    "order-below-minus-one": lambda: laguerre_series_sum(-1.5, 1.0, 1.0, 0.5, 30),
+    "kmax-past-one-block": lambda: laguerre_series_sum(0.0, 1.0, 1.0, 0.5, 1 << 16),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_SERIES_INPUT.values()), ids=list(_BAD_SERIES_INPUT))
+def test_series_rejects_bad_input_without_numpy_warnings(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError):
+            call()
+
+
+def _mixed_batch(n):
+    """n points with |w| <= 0.85 and n with |w| > 0.85, away from w = 1."""
+    rng = np.random.default_rng(18)
+    modulus = np.concatenate((rng.uniform(0.05, 0.85, n), rng.uniform(0.86, 0.97, n)))
+    w = modulus * np.exp(1j * rng.uniform(0.4, 2.0 * math.pi - 0.4, 2 * n))
+    return rng.uniform(0.0, 4.0, 2 * n), rng.uniform(0.0, 4.0, 2 * n), w
+
+
+def test_array_calls_equal_per_point_calls():
+    # the |w| > 0.85 half takes K = 4000 each, so it spans several blocks
+    x, y, w = _mixed_batch(40)
+    lhs, rhs = hille_hardy(1.5, x, y, w)
+    kmax = np.where(np.abs(w) <= 0.85, 250, 1200)
+    series = laguerre_series_sum(0.5, x, y, w, kmax)
+    for i in range(w.size):
+        one_lhs, one_rhs = hille_hardy(1.5, x[i], y[i], w[i])
+        assert abs(lhs[i] - one_lhs) <= 1e-14 * abs(one_lhs), i
+        assert abs(rhs[i] - one_rhs) <= 1e-14 * abs(one_rhs), i
+        one = laguerre_series_sum(0.5, x[i], y[i], w[i], kmax[i])
+        assert abs(series[i] - one) <= 1e-14 * abs(one), i
+    assert lhs.shape == rhs.shape == series.shape == w.shape
+
+
+def test_series_matches_high_precision_truncation():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.0, 4.0, 6), rng.uniform(0.0, 4.0, 6)
+    w = rng.uniform(0.1, 0.7, 6) * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, 6))
+    K = 300
+    got = laguerre_series_sum(1.0, x, y, w, K)
+    with mpmath.workdps(40):
+        for i in range(w.size):
+            a, xi, yi, wi = mpmath.mpf(1), mpmath.mpf(x[i]), mpmath.mpf(y[i]), mpmath.mpc(w[i])
+            lx0, lx, ly0, ly = 0, mpmath.mpf(1), 0, mpmath.mpf(1)
+            g = 1 / mpmath.gamma(a + 1)
+            total, power = g, mpmath.mpf(1)
+            for k in range(1, K + 1):
+                lx0, lx = lx, ((2 * k - 1 + a - xi) * lx - (k - 1 + a) * lx0) / k
+                ly0, ly = ly, ((2 * k - 1 + a - yi) * ly - (k - 1 + a) * ly0) / k
+                g *= mpmath.mpf(k) / (k + a)
+                power *= wi
+                total += g * lx * ly * power
+            want = complex(total)
+            assert abs(got[i] - want) <= 1e-13 * abs(want), (i, got[i], want)
+
+
+def test_banded_rows_match_mpmath_laguerre():
+    mpmath = pytest.importorskip("mpmath")
+    degrees = np.unique(np.concatenate((np.arange(40), np.geomspace(40, 1500, 40).astype(int))))
+    t = np.array([0.0, 0.7, 6.3, 45.3])
+    for alpha in (-0.5, 0.0, 2.0):
+        rows = _laguerre_rows(alpha, t, 1500)
+        scale = np.maximum.accumulate(np.abs(rows), axis=1)
+        with mpmath.workdps(30):
+            for i, ti in enumerate(t):
+                for k in degrees:
+                    want = float(mpmath.laguerre(int(k), alpha, ti))
+                    assert abs(rows[i, k] - want) <= 1e-12 * scale[i, k], (alpha, ti, k)
