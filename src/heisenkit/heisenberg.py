@@ -139,26 +139,6 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     return np.asarray(out, dtype=complex)[()]
 
 
-def _variation_rate(zeta, n, radii, times):
-    """How fast the central-frequency integrand varies along lam at the
-    sorted unique radii and the central coordinates times, for the first
-    panel rule of the odd (k = 2) integrand.
-
-    It adds the phase rate max|t| + n |Im zeta|, the largest radius r (the
-    Gaussian factor is e^{-r^2 / (4 zeta)} e^{-r^2 zeta lam^2 / 12} near
-    lam = 0, of width ~ 1 / r) and a = |zeta|^2 / Re zeta, which is pi over
-    the distance of the profile's nearest pole i pi / zeta from the real
-    axis.  A row of radius r is e^{-r^2 / (4a)} in size, so only the radii
-    within e^{-37} (1e-16) of the largest row count, and none whose rows
-    underflow (e^{-745}).
-    """
-    zeta = complex(zeta)
-    a = abs(zeta) * (abs(zeta) / zeta.real)         # |zeta|^2 overflows past 1.3e154
-    r2 = min(radii[-1] ** 2, radii[0] ** 2 + 148.0 * a, 3128.0 * a) if radii.size else 0.0
-    t_max = float(np.max(np.abs(times), initial=0.0))
-    return t_max + n * abs(zeta.imag) + math.sqrt(r2) + a
-
-
 def _lam_cutoff(zeta, n, k, floor):
     """The one lam cutoff of the heat kernels here and in `htype`, engines
     and oracles alike: where the modulus bound lam^{k-1} |lam / sinh(lam
@@ -188,14 +168,17 @@ def _strip_step(zeta, radii, times):
     e^{-Re(1/zeta) r^2 / 4} in size, while on the line Im lam = d / 2 its
     Gaussian factor stays below 1; the table's largest row is its smallest
     radius.  Both are paid for in the step.  A row past e^{-745} underflows,
-    so the radius term stops there.
+    so the radius term stops there.  A step below double range (d max|t|
+    past 1.8e308) is kept at the smallest subnormal, so that the rules'
+    node budget refuses it instead of a division by zero.
     """
     zeta = complex(zeta)
     width = abs(zeta) * (abs(zeta) / zeta.real)      # |zeta|^2 overflows past 1.3e154
     d = math.pi / width
     t_max = float(times[-1]) if times.size else 0.0
     r_min = float(radii[0]) if radii.size else 0.0
-    return 0.6 * 2.0 * math.pi * d / (37.0 + d * t_max + min(0.25 * r_min * r_min / width, 745.0))
+    step = 0.6 * 2.0 * math.pi * d / (37.0 + d * t_max + min(0.25 * r_min * r_min / width, 745.0))
+    return max(step, _SMALLEST)
 
 
 # samples of [0, L] on which the cutoff of each radius is placed
@@ -245,44 +228,38 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
     the normalized Bessel function for the H-type one.  Both factors are
     tabulated on the unique radii and times only, and L is `_lam_cutoff`.
 
-    For odd k the integrand is even in lam, so it runs on the trapezoid
-    rule (`quadrature.even_trapezoid`) of step `_strip_step`, checked
-    against the rule of half that step; on a product grid each radius ends
-    at its own cutoff (`_radius_cutoffs`).  At k = 2 (lam Jt_0, odd) the
-    half-line trapezoid keeps an O(h^2) end error, so it runs on the
-    refined panel rule (`quadrature.separable_panels`) sized by
-    `_variation_rate`.  At a real time every table stays real."""
+    Both rules are sized by `_strip_step` h.  For odd k the integrand is
+    even in lam, so it runs on the trapezoid rule of step h
+    (`quadrature.even_trapezoid`), checked against the rule of twice that
+    step; on a product grid each radius ends at its own cutoff
+    (`_radius_cutoffs`).  At k = 2 (lam Jt_0, odd) the half-line trapezoid
+    keeps an O(h^2) end error, so it runs on the refined panel rule
+    (`quadrature.separable_panels`), whose first rule has 12-node panels of
+    width 8 h.
+    At a real time every table stays real."""
     zeta = complex(zeta)
     rows, ir = np.unique(radii.ravel(), return_inverse=True)
     cols, ic = np.unique(times.ravel(), return_inverse=True)
     profile_time = zeta if zeta.imag else zeta.real
-
-    def central(lams):
-        return phase(np.outer(cols, lams))
-
     lam_max = _lam_cutoff(zeta, n, k, floor)
+    step = _strip_step(zeta, rows, cols)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        squares = np.square(rows)[:, None]
+
+        def factors(lams, p):
+            # the lam factors scale the column table, not the (p, nodes) rows
+            power, rate = _hyperbolic_factors(lams, profile_time, n)
+            if k > 1:
+                power = lams ** (k - 1) * power
+            return np.exp(rate * squares[:p]), phase(np.outer(cols, lams)) * power
+
         if k % 2:
-            squares = np.square(rows)[:, None]
-
-            def factors(lams, p):
-                # the lam factors scale the column table, not the (p, nodes) rows
-                power, rate = _hyperbolic_factors(lams, profile_time, n)
-                if k > 1:
-                    power = lams ** (k - 1) * power
-                return np.exp(rate * squares[:p]), central(lams) * power
-
-            step = _strip_step(zeta, rows, cols)
             cutoffs = np.full(rows.size, lam_max)
             if rows.size * 2.0 * lam_max / step >= _RADIUS_ENTRIES:
                 cutoffs = _radius_cutoffs(zeta, n, k, floor, lam_max, rows)
             vals = even_trapezoid(step, cutoffs, factors, ir, ic, rtol)
         else:
-            vals = separable_panels(
-                0.0, lam_max, _variation_rate(zeta, n, rows, cols),
-                lambda lams: lams ** (k - 1) * _hyperbolic_gaussian(lams, profile_time, n,
-                                                                     rows[:, None]),
-                central, ir, ic, rtol)
+            vals = separable_panels(0.0, lam_max, 8.0 * step, factors, ir, ic, rtol)
     return vals.reshape(radii.shape)
 
 

@@ -111,7 +111,8 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     k = 1 and 3 the integrand is even in lam and runs on the Heisenberg
     engine's trapezoid rule, which must agree with the rule of twice its
     step to 1e-8; at k = 2 (lam Jt_0, odd) it runs on the panel rule,
-    refined until two successive rules agree to 1e-8.  This is the fast
+    whose first rule is sized from the same step, refined until two
+    successive rules agree to 1e-8.  This is the fast
     path behind `radon_heat_profile`.  Norms must be finite and
     nonnegative.
     """

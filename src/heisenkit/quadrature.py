@@ -146,91 +146,116 @@ def envelope_cutoff(log_envelope, log_floor, start):
 
 
 _EPS = float(np.finfo(float).eps)
-# half-periods of e^{i rate x} on one 12-node panel of the first rule
-_HALF_PERIODS = 4
-# panels of the first rule; four refinements take it to 16x + 105
-_FIRST_PANELS = 1 << 18
+# nodes of the finer trapezoid rule and of the first panel rule: a longer
+# rule raises before it is built
+_MAX_NODES = 1 << 22
 
 
-def separable_panels(a, b, rate, row, col, ir, ic, rtol):
+def _check_budget(nodes, rule):
+    """QuadratureError when a rule would take more than _MAX_NODES nodes."""
+    if not nodes <= _MAX_NODES:
+        raise QuadratureError(f"the integrand varies too fast for a {rule} rule: it "
+                              f"would take {nodes:.3g} nodes")
+
+
+def _contract(x, w, factors, p, ir, ic, product, cuts):
+    """Sums of w_j row(x_j) col(x_j) over the runs of nodes x[cuts[q]:cuts[q + 1]],
+    each returned as a (p, columns) table on a product grid and per point
+    otherwise, and the sum over every node of the terms' largest size,
+    sum_j |w_j| max|row(x_j)| max|col(x_j)|, from which the round-off of
+    the sums is bounded.
+
+    factors(x, p) returns the tables of the first p unique rows and of every
+    unique column at the nodes x, shape (values, nodes); it is called once
+    per chunk of nodes, whose tables fit in _TABLE_BLOCK entries.  A
+    product grid contracts a chunk by row @ (col w).T, scattered points by
+    a gathered sum per point (`_gathered_sum`).
+    """
+    chunk = max(1, _TABLE_BLOCK // (p + int(ic.max()) + 1))
+    sums, terms = [0] * (len(cuts) - 1), 0.0
+    for lo in range(0, x.size, chunk):
+        hi = min(lo + chunk, x.size)
+        r, c = factors(x[lo:hi], p)
+        c = c * w[lo:hi]
+        terms += float(np.max(np.abs(r), axis=0) @ np.max(np.abs(c), axis=0))
+        for q in range(len(sums)):
+            a, b = max(cuts[q], lo) - lo, min(cuts[q + 1], hi) - lo
+            if a < b:
+                sums[q] = sums[q] + (_product_table(r[:, a:b], c[:, a:b]) if product
+                                     else _gathered_sum(r[:, a:b], c[:, a:b], ir, ic))
+    return sums, terms
+
+
+def _disagreement(fine, coarse, noise, rtol, where):
+    """Why two rules do not agree, as the text of a QuadratureError, or None
+    when they do.
+
+    They agree when their largest gap is within rtol of the largest value of
+    either, and that value lies above noise, the worst-case round-off of the
+    sums, unless every term is exactly 0: below it, as in the far field of
+    an oscillatory integral, two rules can read the same few ulps.  A NaN
+    never agrees.  where names the finer rule in the text.
+    """
+    scale = float(max(np.max(np.abs(fine), initial=0.0), np.max(np.abs(coarse), initial=0.0)))
+    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if scale <= noise and noise != 0.0:
+        return (f"at {where} the largest value {scale:.3g} lies within the round-off "
+                f"of the sums ({noise:.3g})")
+    if not gap <= rtol * scale:
+        return f"at {where} the coarse/fine gap is {gap / scale / rtol:.3g} x rtol (rtol {rtol:g})"
+    return None
+
+
+def separable_panels(a, b, width, factors, ir, ic, rtol):
     """Integrals over [a, b] of integrands that factor as row(x) col(x).
     The frequency integrals take it for the odd integrand only, the k = 2
     H-type kernel's lam Jt_0, on which the half-line trapezoid rule
     (`even_trapezoid`) keeps an O(h^2) end error.
 
-    row(x) and col(x) return tables of shape (values, nodes): the two
-    factors on the unique values that the index arrays ir and ic point
-    into (the inverse maps of np.unique), so each factor is evaluated once
-    per node and unique value.  Point p gets
+    factors(x, p) returns the tables of the first p unique rows and of
+    every unique column at the nodes x, shape (values, nodes), as in
+    `even_trapezoid`; ir and ic index the unique values (the inverse maps
+    of np.unique), so each factor is evaluated once per node and unique
+    value.  Point p gets
         sum_j w_j row(x_j)[ir[p]] col(x_j)[ic[p]]
-    on a composite order-12 Gauss-Legendre rule.  rate says how fast the
-    integrand varies: the first rule puts _HALF_PERIODS half-periods of
-    e^{i rate x} on each panel, and it is refined (panels -> 2 panels + 7)
-    until two successive rules agree to rtol relative to the largest value
-    of either, at most four times, so a rule of all zeros is accepted only
-    after another one.  Agreement counts only where the largest value lies
-    above the worst-case round-off of the rule's sums (nodes x eps x the
-    sum of the largest terms), unless every term is exactly 0: below it,
-    as in the far field of an oscillatory integral, two rules can read the
-    same few ulps.  A rule that is still moving or unresolved after that
-    (or reads NaN) raises QuadratureError with the last panel count and the
-    gap or the round-off, and so does a first rule of more than
-    _FIRST_PANELS panels.
+    on a composite order-12 Gauss-Legendre rule.  The first rule has
+    panels of at most the given width, and it is refined (panels ->
+    2 panels + 7) until two successive rules agree (`_disagreement`), at
+    most four times, so a rule of all zeros is accepted only after another
+    one.  A rule that is still moving or unresolved after that (or reads
+    NaN) raises QuadratureError with the last panel count and the gap or
+    the round-off, and so does, before it is built, a first rule of more
+    than _MAX_NODES nodes.
 
-    The factor tables are built a chunk of nodes at a time, within a fixed
-    memory budget.  When the points are no more than the R x T pairs of
-    their unique values, as on every product grid, each chunk adds
-    row @ (col w).T to one (R, T) table, which is then read at the points;
-    scattered points, whose pairs far outnumber them, sum each point's own
-    row and column instead (`_gathered_sum`).
+    Each rule is summed by `_contract`: on a product grid (no more points
+    than the R x T pairs of their unique values) into one (R, T) table,
+    which is then read at the points.
     """
     if ir.size == 0:
         return np.zeros(0)
     # every unique value occurs in its inverse map, so max + 1 counts them
     n_rows, n_cols = int(ir.max()) + 1, int(ic.max()) + 1
-    step = max(1, _TABLE_BLOCK // (n_rows + n_cols))
     product = n_rows * n_cols <= ir.size
 
     def run(m):
-        """The rule's values, and the worst-case round-off of its sums,
-        (nodes) eps sum_j |w_j| max|row(x_j)| max|col(x_j)|."""
-        nodes, weights = gauss_panels(a, b, m, 12)
-        total, terms = 0, 0.0
-        for j in range(0, nodes.size, step):
-            r, c = row(nodes[j:j + step]), col(nodes[j:j + step]) * weights[j:j + step]
-            total = total + (_product_table(r, c) if product else _gathered_sum(r, c, ir, ic))
-            terms += float(np.max(np.abs(r), axis=0, initial=0.0)
-                           @ np.max(np.abs(c), axis=0, initial=0.0))
-        return total[ir, ic] if product else total, nodes.size * _EPS * terms
+        """The rule's values, and the worst-case round-off of its sums."""
+        x, w = gauss_panels(a, b, m, 12)
+        (total,), terms = _contract(x, w, factors, n_rows, ir, ic, product, (0, x.size))
+        return total[ir, ic] if product else total, x.size * _EPS * terms
 
-    panels = (b - a) * rate / (_HALF_PERIODS * math.pi)
-    if not panels <= _FIRST_PANELS:
-        raise QuadratureError(f"the integrand varies too fast for a panel rule: its "
-                              f"first rule would take {panels:.3g} panels")
+    panels = (b - a) / width
+    _check_budget(12.0 * panels, "panel")
     panels = max(1, math.ceil(panels))
     fine, _ = run(panels)
     for _ in range(4):
         panels = 2 * panels + 7
         coarse, (fine, noise) = fine, run(panels)
-        scale = float(max(np.max(np.abs(fine), initial=0.0),
-                          np.max(np.abs(coarse), initial=0.0)))
-        gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-        # two rules can read the same few ulps of round-off: agreement counts
-        # only above it (a NaN goes on to the gap), or where every term is 0
-        resolved = not scale <= noise or noise == 0.0
-        if resolved and gap <= rtol * scale:
+        failure = _disagreement(fine, coarse, noise, rtol, f"{panels} panels")
+        if failure is None:
             return fine
-    if not resolved:
-        raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
-                              f"the largest value {scale:.3g} lies within the round-off "
-                              f"of the sums ({noise:.3g})")
-    raise QuadratureError(f"panel quadrature failed to converge: at {panels} panels "
-                          f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
-                          f"(rtol {rtol:g})")
+    raise QuadratureError(f"panel quadrature failed to converge: {failure}")
 
 
-# nodes of the finer trapezoid rule: a longer rule raises before it is built
-_MAX_NODES = 1 << 22
 # what a band of its own costs in calls, counted in (row, node) entries
 _BAND_ENTRIES = 1 << 11
 
@@ -272,24 +297,18 @@ def even_trapezoid(step, cutoffs, factors, ir, ic, rtol):
     the coarser), so that they integrate the same truncated integral.  For
     an integrand analytic in the strip |Im x| < d both converge like
     e^{-2 pi d / h}, so the caller sizes h from d.  The two rules must
-    agree to rtol of the largest value, above the worst-case round-off of
-    the sums (nodes x eps x sum_j w_j max|row(x_j)| max|col(x_j)|) unless
-    every term is exactly 0, as in `separable_panels`, or QuadratureError
+    agree as in `separable_panels` (`_disagreement`), or QuadratureError
     is raised.  So is it, before anything is built, when the finer rule
     would take more than _MAX_NODES nodes.
 
     On a product grid the nodes are split into bands, each a trapezoid rule
-    of its own that contracts the prefix of rows still running there, a
-    chunk of nodes at a time: per chunk, row @ (col w).T over the even
-    nodes and over the odd ones.  Scattered points sum every row to the
-    last cutoff (`_gathered_sum`).
+    of its own that contracts the prefix of rows still running there: its
+    even nodes, then its odd ones, go through `_contract`.  Scattered
+    points sum every row to the last cutoff.
     """
     if ir.size == 0:
         return np.zeros(0)
-    reach = 2.0 * float(np.max(cutoffs)) / step
-    if not reach <= _MAX_NODES:
-        raise QuadratureError(f"the integrand varies too fast for a trapezoid rule: it "
-                              f"would take {reach:.3g} nodes")
+    _check_budget(2.0 * float(np.max(cutoffs)) / step, "trapezoid")
     half = 0.5 * step
     # the even node j at or past each cutoff, j h/2 >= cutoff
     last = np.maximum(2 * np.ceil(np.asarray(cutoffs, dtype=float) / step).astype(int), 2)
@@ -299,47 +318,24 @@ def even_trapezoid(step, cutoffs, factors, ir, ic, rtol):
     even = odd = None
     terms = 0.0
     for lo, hi, p in bands:
-        chunk = max(2, _TABLE_BLOCK // (p + n_cols))
-        for start in range(lo, hi + 1, chunk):
-            stop = min(start + chunk, hi + 1)
-            # the even nodes first, then the odd ones
-            j = np.concatenate([np.arange(start + start % 2, stop, 2),
-                                np.arange(start + 1 - start % 2, stop, 2)])
-            m = (stop - start + 1 - start % 2) // 2      # even nodes in [start, stop)
-            x = j * half
-            r, c = factors(x, p)
-            c = c * half
-            if start == lo:
-                c[:, 0] *= 0.5
-            if stop == hi + 1:
-                c[:, m - 1] *= 0.5
-            terms += float(np.max(np.abs(r), axis=0) @ np.max(np.abs(c), axis=0))
-            if product:
-                e, o = _product_table(r[:, :m], c[:, :m]), _product_table(r[:, m:], c[:, m:])
-                if even is None:
-                    even, odd = e, o
-                else:
-                    even[:p] += e
-                    odd[:p] += o
-            else:
-                e = _gathered_sum(r[:, :m], c[:, :m], ir, ic)
-                o = _gathered_sum(r[:, m:], c[:, m:], ir, ic)
-                even, odd = (e, o) if even is None else (even + e, odd + o)
+        j = np.concatenate([np.arange(lo, hi + 1, 2), np.arange(lo + 1, hi, 2)])
+        m = (hi - lo) // 2 + 1                      # even nodes in [lo, hi]
+        w = np.full(j.size, half)
+        w[[0, m - 1]] *= 0.5
+        (e, o), t = _contract(j * half, w, factors, p, ir, ic, product, (0, m, j.size))
+        terms += t
+        if even is None:
+            even, odd = e, o
+        else:                                       # later bands: product grids only
+            even[:p] += e
+            odd[:p] += o
     if product:
         even, odd = even[ir, ic], odd[ir, ic]
     fine, coarse = even + odd, 2.0 * even
     nodes = int(last[0]) + 1
-    noise = nodes * _EPS * terms
-    scale = float(max(np.max(np.abs(fine)), np.max(np.abs(coarse))))
-    gap = float(np.max(np.abs(odd - even)))
-    if scale <= noise and noise != 0.0:
-        raise QuadratureError(f"trapezoid quadrature failed to converge: at {nodes} nodes "
-                              f"the largest value {scale:.3g} lies within the round-off "
-                              f"of the sums ({noise:.3g})")
-    if not gap <= rtol * scale:
-        raise QuadratureError(f"trapezoid quadrature failed to converge: at {nodes} nodes "
-                              f"the coarse/fine gap is {gap / scale / rtol:.3g} x rtol "
-                              f"(rtol {rtol:g})")
+    failure = _disagreement(fine, coarse, nodes * _EPS * terms, rtol, f"{nodes} nodes")
+    if failure is not None:
+        raise QuadratureError(f"trapezoid quadrature failed to converge: {failure}")
     return fine
 
 

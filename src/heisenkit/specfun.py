@@ -183,6 +183,9 @@ def jtilde_of_square(alpha, w2):
 _SERIES_BLOCK = 1 << 16
 # partial sums that the tail resummation reads near the rim of the disc
 _TAIL = 48
+_EPS = float(np.finfo(float).eps)
+# the largest round-off of a sum, relative to it, that the series returns
+_LOST_DIGITS = 1e-8
 
 
 def _laguerre_rows(alpha, t, kmax):
@@ -230,18 +233,21 @@ def _partial_sums(grows, rows, ix, iy, w, power, total, k0, k1):
 
 def _plain_sums(grows, rows, ix, iy, w, kmax):
     """The series for |w| <= 0.85, stopped at the fourth successive term
-    below 1e-17 of the partial sum, or at kmax.  Degrees go in ranges of
-    doubling length, and a point leaves once it has stopped."""
-    out = np.empty(w.size, dtype=complex)
+    below 1e-17 of the partial sum, or at kmax, and the largest |term| up
+    to the stop.  Degrees go in ranges of doubling length, and a point
+    leaves once it has stopped."""
+    out, peaks = np.empty(w.size, dtype=complex), np.empty(w.size)
     live = np.arange(w.size)
     power, total = np.ones(w.size, dtype=complex), np.zeros(w.size, dtype=complex)
+    peak = np.zeros(w.size)
     flags = np.zeros((w.size, 3), dtype=bool)       # the last three degrees' tests
     k0, width = 0, 64
     while live.size:
         k1 = min(k0 + width, kmax + 1)
         terms, sums, power = _partial_sums(grows, rows, ix[live], iy[live], w[live],
                                            power, total, k0, k1)
-        small = np.abs(terms) <= 1e-17 * np.maximum(np.abs(sums), 1e-300)
+        size = np.abs(terms)
+        small = size <= 1e-17 * np.maximum(np.abs(sums), 1e-300)
         small[:, 0] &= k0 > 0                       # degree 0 never counts
         small = np.concatenate((flags, small), axis=1)
         run = small[:, 3:] & small[:, 2:-1] & small[:, 1:-2] & small[:, :-3]
@@ -249,23 +255,29 @@ def _plain_sums(grows, rows, ix, iy, w, kmax):
         if k1 > kmax:
             hit[:] = True
             run[:, -1] = True
-        out[live[hit]] = sums[hit, run[hit].argmax(axis=1)]
+        stop = np.where(hit, run.argmax(axis=1), k1 - k0 - 1)
+        size[np.arange(k1 - k0) > stop[:, None]] = 0.0
+        peak = np.maximum(peak, size.max(axis=1))
+        out[live[hit]] = sums[hit, stop[hit]]
+        peaks[live[hit]] = peak[hit]
         keep = ~hit
-        live, power, total = live[keep], power[keep], sums[keep, -1]
+        live, power, total, peak = live[keep], power[keep], sums[keep, -1], peak[keep]
         flags = small[keep, -3:]
         k0, width = k1, 2 * width
-    return out
+    return out, peaks
 
 
 def _boosted_sums(grows, rows, ix, iy, w, kmax):
     """The series for |w| > 0.85 to degree kmax, with its tail resummed:
     S -> (S_{k+1} - w S_k)/(1 - w) iterated over the last partial sums,
-    keeping the iterate whose last two entries agree best."""
-    sums = _partial_sums(grows, rows, ix, iy, w, 1.0, 0.0, 0, kmax + 1)[1]
+    keeping the iterate whose last two entries agree best; and the largest
+    |term|."""
+    terms, sums, _ = _partial_sums(grows, rows, ix, iy, w, 1.0, 0.0, 0, kmax + 1)
+    peak = np.abs(terms).max(axis=1)
     seq = sums[:, -_TAIL:]
     best = seq[:, -1]
     if kmax == 0:
-        return best
+        return best, peak
     w = w[:, None]
     best_gap = np.abs(seq[:, -1] - seq[:, -2])
     while seq.shape[1] >= 3:
@@ -274,11 +286,12 @@ def _boosted_sums(grows, rows, ix, iy, w, kmax):
         better = gap < best_gap
         best = np.where(better, seq[:, -1], best)
         best_gap = np.where(better, gap, best_gap)
-    return best
+    return best, peak
 
 
 def _series_block(alpha, x, y, w, kmax, boost):
-    """laguerre_series_sum on one block of points that share kmax."""
+    """laguerre_series_sum on one block of points that share kmax, and the
+    largest |term| of each point's sum."""
     k = np.arange(1.0, kmax + 1.0)
     g = np.empty(kmax + 1)
     g[0] = np.exp(-gammaln(alpha + 1.0))
@@ -288,11 +301,11 @@ def _series_block(alpha, x, y, w, kmax, boost):
     rows = _laguerre_rows(alpha, nodes, kmax)
     grows = g * rows
     ix, iy = where[:x.size], where[x.size:]
-    out = np.empty(x.size, dtype=complex)
+    out, peak = np.empty(x.size, dtype=complex), np.empty(x.size)
     for part, sums in ((~boost, _plain_sums), (boost, _boosted_sums)):
         if part.any():
-            out[part] = sums(grows, rows, ix[part], iy[part], w[part], kmax)
-    return out
+            out[part], peak[part] = sums(grows, rows, ix[part], iy[part], w[part], kmax)
+    return out, peak
 
 
 def laguerre_series_sum(alpha, x, y, w, kmax):
@@ -315,7 +328,8 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     slowly-varying envelope per pass, over the last 48 partial sums.  The
     iteration depth is picked a posteriori by successive-difference
     minimization.  ValueError for non-finite input, |w| >= 1, w within
-    0.04 of 1 above |w| = 0.85, and a series that overflows.
+    0.04 of 1 above |w| = 0.85, a series that overflows, and one that
+    cancels: where eps times its largest term exceeds 1e-8 of the sum.
     """
     _check_laguerre_order(alpha)
     x, y, w, kmax = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
@@ -335,16 +349,21 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
         raise ValueError("tail resummation needs w away from the point 1")
     shape = x.shape
     x, y, w, boost, kmax = (a.ravel() for a in (x, y, w, boost, kmax.astype(int)))
-    out = np.empty(x.size, dtype=complex)
+    out, peak = np.empty(x.size, dtype=complex), np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for degrees in np.unique(kmax).tolist():
             sel = np.flatnonzero(kmax == degrees)
             step = max(1, _SERIES_BLOCK // (degrees + 1))
             for lo in range(0, sel.size, step):
                 idx = sel[lo:lo + step]
-                out[idx] = _series_block(float(alpha), x[idx], y[idx], w[idx], degrees, boost[idx])
+                out[idx], peak[idx] = _series_block(float(alpha), x[idx], y[idx], w[idx],
+                                                    degrees, boost[idx])
     if not np.isfinite(out).all():
         raise ValueError("the Laguerre series overflows; x and y are too large")
+    # each term carries a round-off of eps |term| into the sum
+    if (_EPS * peak > _LOST_DIGITS * np.abs(out)).any():
+        raise ValueError("the Laguerre series cancels: eps times its largest term exceeds "
+                         f"{_LOST_DIGITS:g} of the sum; x and y are too large")
     out = out.reshape(shape)
     return complex(out[()]) if out.ndim == 0 else out
 

@@ -160,6 +160,22 @@ def test_kernel_past_the_node_budget_fails_before_building_the_rule(capsys):
     assert "would take" in captured.err and "nodes" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "htype", "--k", "2", "--s", "1", "--v-norm", "0.5", "--t-norm", "1e12"],
+    ["--group", "htype", "--k", "2", "--s", "0.01", "--v-norm", "0", "--t-norm", "1e307"],
+    ["--group", "heisenberg", "--s", "0.01", "--r", "0", "--t", "1e307"],
+], ids=["k2", "k2-step-underflows", "heisenberg-step-underflows"])
+def test_kernel_past_the_node_budget_of_either_rule_fails_before_building_it(
+        argv, capsys, order12_rules):
+    # the k = 2 panel rule is sized from the trapezoid's step: at |t| = 1e12
+    # its first rule would take about 2e13 nodes; at d |t| past 1.8e308 the
+    # step underflows, and either rule would take infinitely many
+    assert cli.run(["kernel", *argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and order12_rules == []
+    assert "would take" in captured.err and "nodes" in captured.err
+
+
 @pytest.mark.parametrize("flags", [
     ["--group", "heisenberg", "--r"],
     ["--group", "htype", "--k", "1", "--v-norm"],

@@ -43,10 +43,13 @@ def _referenced_names(tree):
 
 def test_only_heisenberg_drives_the_frequency_integrals():
     # `heisenberg._central_integral` is the one caller of the trapezoid and
-    # separable engines and `heisenberg._lam_cutoff` the one caller of the
-    # cutoff solver: a second frequency integral would have to mention them
+    # separable engines and of the step and radius cutoffs that size both,
+    # and `heisenberg._lam_cutoff` the one caller of the cutoff solver: a
+    # second frequency integral, or a second theory of their sizing, would
+    # have to mention them
     users = {}
-    engines = ("even_trapezoid", "separable_panels", "envelope_cutoff")
+    engines = ("even_trapezoid", "separable_panels", "envelope_cutoff", "_strip_step",
+               "_radius_cutoffs")
     for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
         if path.stem == "quadrature":
             continue

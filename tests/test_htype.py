@@ -188,6 +188,24 @@ def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules, 
         order12_rules.clear()
         radon_heat_profile(1.0, v, t, n=1, k=2)
         assert len(order12_rules) == 2, (v.size, t.size, order12_rules)
+    # the CLI's two |v| at one |t| (`kernel --group htype --k 2`)
+    for _ in range(20):
+        s, v, t = rng.uniform(0.6, 1.4), rng.uniform(0.1, 2.5, 2), rng.uniform(0.0, 2.5)
+        order12_rules.clear()
+        htype_heat_batch(s, 1, 2, v, np.full(2, t))
+        assert len(order12_rules) == 2, (s, v, t, order12_rules)
+
+
+@pytest.mark.parametrize("s,t_max", [(0.05, 0.15), (1.0, 10.0), (5.0, 10.0)])
+def test_k2_tables_match_the_pointwise_bessel_integral(s, t_max):
+    # the panel rule against QUADPACK on lam Jt_0(lam |t|) times the profile;
+    # at s = 0.05 the pointwise route stops on round-off past |t| ~ 0.16
+    v = np.array([0.0, 0.5, 1.0, 2.5, 5.0])
+    t = np.linspace(-t_max, t_max, 5)
+    table = htype_heat_batch(s, 1, 2, v[:, None], np.abs(t)[None, :])
+    want = np.array([[htype_heat_kernel(s, HTypePoint((vv, 0.0), (0.6 * tt, 0.8 * tt)))
+                      for tt in t] for vv in v])
+    assert np.max(np.abs(table - want)) <= 1e-8 * np.max(np.abs(table))
 
 
 def test_batch_refines_until_two_rules_agree():

@@ -43,14 +43,14 @@ def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
     b = np.array([0.0, 3.0])
     ia = np.array([0, 2, 1, 1, 0])
     ib = np.array([1, 0, 0, 1, 1])
-    got = separable_panels(0.0, 2.0, 3.0,
-                           lambda x: np.exp(-np.outer(a, x)),
-                           lambda x: np.cos(np.outer(b, x)), ia, ib, 1e-12)
+
+    def factors(x, p):
+        return np.exp(-np.outer(a[:p], x)), np.cos(np.outer(b, x))
+
+    got = separable_panels(0.0, 2.0, 4.0, factors, ia, ib, 1e-12)
     # and on all 6 pairs, where the points are the product of their values
     pa, pb = np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3)
-    product = separable_panels(0.0, 2.0, 3.0,
-                               lambda x: np.exp(-np.outer(a, x)),
-                               lambda x: np.cos(np.outer(b, x)), pa, pb, 1e-12)
+    product = separable_panels(0.0, 2.0, 4.0, factors, pa, pb, 1e-12)
     for i, j, vals in ((ia, ib, got), (pa, pb, product)):
         aa, bb = a[i], b[j]
         want = (aa + np.exp(-2 * aa) * (bb * np.sin(2 * bb) - aa * np.cos(2 * bb))) / (aa ** 2 + bb ** 2)
@@ -58,36 +58,35 @@ def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
     # factor tables built a few nodes at a time give the same sums
     monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 40)
     for i, j, vals in ((ia, ib, got), (pa, pb, product)):
-        chunked = separable_panels(0.0, 2.0, 3.0, lambda x: np.exp(-np.outer(a, x)),
-                                   lambda x: np.cos(np.outer(b, x)), i, j, 1e-12)
+        chunked = separable_panels(0.0, 2.0, 4.0, factors, i, j, 1e-12)
         assert np.max(np.abs(chunked - vals)) < 1e-15
-    assert separable_panels(0.0, 1.0, 0.0, lambda x: np.ones((1, x.size)),
-                            lambda x: np.ones((1, x.size)), np.array([], dtype=int),
+    assert separable_panels(0.0, 1.0, 1.0, factors, np.array([], dtype=int),
                             np.array([], dtype=int), 1e-9).size == 0
 
 
 def test_separable_panels_report_the_last_rule_and_gap():
-    # a chirp that no four refinements from one panel (phase rate 0) resolve
+    # a chirp that no four refinements from one panel resolve
     with pytest.raises(QuadratureError, match=r"at 121 panels the coarse/fine gap is .* x rtol"):
-        separable_panels(0.0, 40.0, 0.0, lambda x: np.cos(2000.0 * x * x)[None, :],
-                         lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+        separable_panels(0.0, 40.0, 40.0,
+                         lambda x, p: (np.cos(2000.0 * x * x)[None, :], np.ones((1, x.size))),
+                         np.array([0]), np.array([0]), 1e-9)
 
 
 def test_separable_panels_take_no_zero_rule_after_a_nonzero_one_as_agreement():
     # rules that read 1, 0, 1, 0, 1: a zero never agrees with the rule before it
     calls = []
 
-    def row(x):
+    def factors(x, p):
         calls.append(x.size)
-        return np.full((1, x.size), float(len(calls) % 2))
+        return np.full((p, x.size), float(len(calls) % 2)), np.ones((1, x.size))
 
     with pytest.raises(QuadratureError, match="failed to converge"):
-        separable_panels(0.0, 1.0, 0.0, row, lambda x: np.ones((1, x.size)),
-                         np.array([0]), np.array([0]), 1e-9)
+        separable_panels(0.0, 1.0, 1.0, factors, np.array([0]), np.array([0]), 1e-9)
     assert len(calls) == 5
     # two rules of exact zeros agree: the first comparison returns
-    zero = separable_panels(0.0, 1.0, 0.0, lambda x: np.zeros((1, x.size)),
-                            lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+    zero = separable_panels(0.0, 1.0, 1.0,
+                            lambda x, p: (np.zeros((p, x.size)), np.ones((1, x.size))),
+                            np.array([0]), np.array([0]), 1e-9)
     assert np.array_equal(zero, [0.0])
 
 
@@ -95,8 +94,9 @@ def test_separable_panels_take_no_agreement_within_round_off():
     # int_0^{100 pi} cos x dx = 0: every rule reads only the round-off of
     # sums of terms of size ~1, which two rules can share to the last bit
     with pytest.raises(QuadratureError, match="lies within the round-off of the sums"):
-        separable_panels(0.0, 100.0 * math.pi, 1.0, lambda x: np.ones((1, x.size)),
-                         lambda x: np.cos(x)[None, :], np.array([0]), np.array([0]), 1e-9)
+        separable_panels(0.0, 100.0 * math.pi, 4.0 * math.pi,
+                         lambda x, p: (np.ones((p, x.size)), np.cos(x)[None, :]),
+                         np.array([0]), np.array([0]), 1e-9)
 
 
 def _gaussian_cosine(a, b):
@@ -175,27 +175,26 @@ def test_envelope_cutoff_bisects_brackets_below_the_normal_range(s, n):
     assert log_envelope(cut) <= floor < log_envelope(cut / 1.01)
 
 
-def test_separable_panels_first_rule_follows_the_phase_rate(monkeypatch):
-    rules = []
-    original = quadrature.gauss_panels
-
-    def counting(a, b, panels, order=16):
-        rules.append(panels)
-        return original(a, b, panels, order)
-
-    monkeypatch.setattr(quadrature, "gauss_panels", counting)
-    # int_0^30 cos(5 x) e^{-x} dx: 30 * 5 / pi half-periods, four to a panel
-    got = separable_panels(0.0, 30.0, 5.0, lambda x: np.exp(-x)[None, :],
-                           lambda x: np.cos(5.0 * x)[None, :], np.array([0]),
-                           np.array([0]), 1e-10)
-    first = math.ceil(30.0 * 5.0 / (quadrature._HALF_PERIODS * math.pi))
-    assert rules == [first, 2 * first + 7]
+def test_separable_panels_first_rule_has_panels_of_the_given_width(order12_rules):
+    # int_0^30 cos(5 x) e^{-x} dx on panels of width at most 2.4: 13 panels
+    got = separable_panels(0.0, 30.0, 2.4,
+                           lambda x, p: (np.exp(-x)[None, :], np.cos(5.0 * x)[None, :]),
+                           np.array([0]), np.array([0]), 1e-10)
+    first = math.ceil(30.0 / 2.4)
+    assert order12_rules == [first, 2 * first + 7]
     assert got[0] == pytest.approx((1.0 - math.exp(-30.0) * (math.cos(150.0) - 5.0 * math.sin(150.0)))
                                    / 26.0, rel=1e-12)
-    # a first rule past the panel budget raises instead of running
-    with pytest.raises(QuadratureError, match="first rule would take"):
-        separable_panels(0.0, 30.0, 1e9, lambda x: np.ones((1, x.size)),
-                         lambda x: np.ones((1, x.size)), np.array([0]), np.array([0]), 1e-9)
+
+
+def test_separable_panels_refuse_a_first_rule_past_the_node_budget_before_building_it():
+    def factors(x, p):
+        raise AssertionError("no node may be evaluated")
+
+    # 2^22 nodes are 349525.33 panels of 12 nodes: 30 / 349525 panels is one too many
+    with pytest.raises(QuadratureError, match=r"panel rule: it would take 4\.19e\+06 nodes"):
+        separable_panels(0.0, 30.0, 30.0 / 349526, factors, np.array([0]), np.array([0]), 1e-9)
+    with pytest.raises(QuadratureError, match="would take 3.6e\\+08 nodes"):
+        separable_panels(0.0, 30.0, 1e-6, factors, np.array([0]), np.array([0]), 1e-9)
 
 
 def test_sample_axis_rejects_non_finite_and_negative_values():

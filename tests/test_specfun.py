@@ -226,6 +226,10 @@ _BAD_SERIES_INPUT = {
     "nan-x": lambda: hille_hardy(0.0, math.nan, 1.0, 0.5),
     "inf-y": lambda: hille_hardy(0.0, 1.0, math.inf, 0.5),
     "overflowing-x": lambda: hille_hardy(0.0, 1e200, 1.0, 0.5),
+    # terms 1.4e16 times the sum that they read (the closed form is 1.8e-18),
+    # and a sum of 3.3e126 for 0
+    "cancelling-x": lambda: hille_hardy(0.0, 60.0, 1.0, 0.5),
+    "cancelling-large-x": lambda: hille_hardy(0.0, 1000.0, 1.0, 0.5),
     "fractional-K": lambda: hille_hardy(0.0, 1.0, 1.0, 0.5, 2.5),
     "negative-kmax": lambda: laguerre_series_sum(0.0, 1.0, 1.0, 0.5, -3),
     "order-below-minus-one": lambda: laguerre_series_sum(-1.5, 1.0, 1.0, 0.5, 30),
@@ -239,6 +243,15 @@ def test_series_rejects_bad_input_without_numpy_warnings(call):
         warnings.simplefilter("error")
         with pytest.raises(ValueError):
             call()
+
+
+@pytest.mark.parametrize("alpha,x,y,w,rtol", [(0.0, 20.0, 1.0, 0.5, 1e-8),
+                                              (0.0, 300.0, 300.0, -0.9, 1e-12)])
+def test_series_with_large_arguments_that_keeps_its_digits(alpha, x, y, w, rtol):
+    # the largest term is 1.8e6 times the sum at x = 20, which keeps ~1e-10,
+    # and 950 times it at x = y = 300, where both are e^{~280}
+    lhs, rhs = hille_hardy(alpha, x, y, w)
+    assert abs(lhs - rhs) <= rtol * abs(rhs)
 
 
 def _mixed_batch(n):
