@@ -21,6 +21,12 @@ block of the raster, stored plane by plane (see `_Raster`), and g is read on
 its angles rolled by d.  `twisted_convolution` sums the orbits of the grid
 radii; `hecke_bochner_check` sums orbits of length one at its own targets.
 
+The raster's dtype follows the slice: a slice whose values have no
+imaginary part (as `radial_slice` stores them) gets a real raster, which
+halves the bytes each gather moves.  The bilinear weights are real and the
+twist phase multiplies f(z - w) after the four corners are combined, so the
+one ring sum serves real and complex rasters alike.
+
 Neither route is an engine.  Evolution by the heat kernel, the only twisted
 convolution the package needs at scale, runs through the Laguerre multiplier
 in `propagator.schrodinger_evolve`.  The grid route stays as the oracle that
@@ -56,9 +62,10 @@ class _Raster:
     slice's grid.  Column c is stored at planes[:, c % step, c // step], and
     each plane holds its na columns twice over, so that the columns
     c, c + step, ..., c + step * (na - 1) of a rotation orbit are one
-    contiguous run.
+    contiguous run.  The planes are float64 for a slice whose values have
+    no imaginary part and complex128 otherwise.
     """
-    planes: np.ndarray          # (nr_fine, step, 2 * na)
+    planes: np.ndarray          # (nr_fine, step, 2 * na), real or complex
     dr: float
     r_max: float
     boundary: float             # max |f| on the outermost stored ring
@@ -71,7 +78,8 @@ class _Raster:
         rho = np.abs(pts)
         nr, step, na2 = self.planes.shape
         naf = step * na2 // 2
-        fi = np.clip(rho / self.dr, 0.0, nr - 1.000001)
+        # points beyond r_max are masked; capping them first keeps rho / dr finite
+        fi = np.minimum(np.minimum(rho, self.r_max) / self.dr, nr - 1.000001)
         i0 = fi.astype(int)
         fa = (np.angle(pts) % (2.0 * np.pi)) * (naf / (2.0 * np.pi))
         j0 = fa.astype(int) % naf
@@ -98,21 +106,30 @@ class _Raster:
 
 def _rasterize(sl, nr_fine=1024, na_fine=256):
     """Raster of nr_fine radii by the smallest multiple of the grid's angle
-    count that is at least na_fine."""
+    count that is at least na_fine.  It is real when the slice's values
+    have no imaginary part, complex otherwise."""
     # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
     from scipy.interpolate import CubicSpline
 
     if sl.grid.n != 1:
         raise NotImplementedError("off-grid slice evaluation exists for n = 1 only")
+    values = np.asarray(sl.values, dtype=complex)
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        node = tuple(bad[0].tolist())
+        raise ValueError(f"slice value {values[node]} at grid node {node} is not finite")
+    real = not np.any(values.imag)
+    if real:
+        values = values.real
     na = sl.grid.omega.shape[0]
     step = max(1, math.ceil(na_fine / na))
     # the polynomial extrapolation distance to r = 0 is below the first
     # Gauss node, ~1e-4 of r_max, so a linear step in r^2 is plenty
     r = sl.grid.r
-    mean0 = np.mean(sl.values[0]) - (np.mean(sl.values[1]) - np.mean(sl.values[0])) \
+    mean0 = np.mean(values[0]) - (np.mean(values[1]) - np.mean(values[0])) \
         * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
     r_aug = np.concatenate([[0.0], r])
-    vals_aug = np.vstack([np.full(na, mean0), sl.values])
+    vals_aug = np.vstack([np.full(na, mean0), values])
     rf = np.linspace(0.0, sl.grid.r_max, nr_fine)
     # The spline in r and the trigonometric interpolation in angle act on
     # different axes, so the spline runs on the grid's own na angles.  Plane
@@ -120,25 +137,37 @@ def _rasterize(sl, nr_fine=1024, na_fine=256):
     # an na-point inverse DFT of the spectrum times e^{i m delta}, m the
     # signed frequency.  An even na's unpaired Nyquist bin stands for
     # cos(m theta), as in the zero-padded resampling, so it takes cos(m delta).
-    spec = np.fft.fft(CubicSpline(r_aug, vals_aug, axis=0)(rf), axis=1) / na
-    m = np.fft.fftfreq(na, 1.0 / na)
+    # Real samples keep the m >= 0 half of their Hermitian spectrum, and the
+    # inverse real DFT returns the interpolant, which is real too.
+    fft, freq = (np.fft.rfft, np.fft.rfftfreq) if real else (np.fft.fft, np.fft.fftfreq)
+    spec = fft(CubicSpline(r_aug, vals_aug, axis=0)(rf), axis=1) / na
+    m = freq(na, 1.0 / na)
     delta = 2.0 * np.pi * np.arange(step) / (step * na)
     shift = np.exp(1j * np.outer(delta, m))
     if na % 2 == 0:
         shift[:, na // 2] = np.cos(delta * (na // 2))
-    planes = np.empty((nr_fine, step, 2 * na), dtype=complex)
+    planes = np.empty((nr_fine, step, 2 * na), dtype=values.dtype)
     head = planes[:, :, :na]
-    np.multiply(spec[:, None, :], shift, out=head)
-    np.fft.ifft(head, axis=2, norm="forward", out=head)
+    if real:
+        np.fft.irfft(spec[:, None, :] * shift, na, axis=2, norm="forward", out=head)
+    else:
+        np.multiply(spec[:, None, :], shift, out=head)
+        np.fft.ifft(head, axis=2, norm="forward", out=head)
     planes[:, :, na:] = head
     return _Raster(planes, rf[1] - rf[0], float(sl.grid.r_max),
-                   float(np.max(np.abs(sl.values[-1]))))
+                   float(np.max(np.abs(values[-1]))))
 
 
 def slice_value(sl, z, raster=None):
-    """Evaluate a slice off its nodes (bilinear on the fine raster)."""
+    """Evaluate a slice off its nodes (bilinear on the fine raster).  The
+    slice is zero beyond its grid's r_max, at infinite points too; a point
+    with a NaN part raises ValueError."""
     pts = np.asarray(z, dtype=complex)
+    nan = np.isnan(pts)
+    if np.any(nan):
+        raise ValueError(f"slice_value got the non-finite point {pts[nan][0]}")
     vals, _ = (raster or _rasterize(sl)).gather(np.atleast_1d(pts))
+    vals = vals.astype(complex, copy=False)
     return vals[0] if pts.ndim == 0 else vals
 
 
@@ -146,11 +175,12 @@ def slice_value(sl, z, raster=None):
 # and are added in order, so this size fixes the order of every sum
 _BLOCK = 1 << 15
 # elements of one gather tile within a block (its four bilinear corners take
-# 2 MB).  Tiles split targets only, so the size changes no sum.  Each numpy
-# call of a tile can hand the GIL to the other block thread, at the price of
-# a context switch that depends on how fast the waiting thread is woken: the
-# semigroup check (54 rings) makes ~1600 switches, where tiles of 1 << 13
-# made ~10000 and its time swung between 110 and 190 ms on 2 cores
+# 1 MB of a real raster, 2 MB of a complex one).  Tiles split targets only,
+# so the size changes no sum.  Each numpy call of a tile can hand the GIL to
+# the other block thread, at the price of a context switch that depends on
+# how fast the waiting thread is woken: on 2 cores the semigroup check (54
+# rings, real raster) makes ~2200-3000 switches in 0.34-0.46 s, where tiles
+# of 1 << 13 make ~8500-10000 in 0.47-0.57 s
 _TILE = 1 << 15
 
 
@@ -170,7 +200,7 @@ def _in_order(fn, items):
     The calling thread is one of them: while the next item in order is not
     done, it runs the first item nobody has taken.  What a pool thread
     allocates stays in its own malloc arena after the call, so each pool
-    thread adds its working set (~3.5 MB at the semigroup check) to the
+    thread adds its working set (~3 MB at the semigroup check) to the
     peak RSS."""
     workers = min(_cpu_count(), len(items))
     if workers < 2:
@@ -245,9 +275,12 @@ def _ring_sum(raster, g, r, theta0, orbit):
         w = s[lo:lo + jb, None] * e                                 # (J, D)
         i0, tr, j0, ta, outside = raster.cell(z0[:, None, None] - w)  # (T, J, D)
         phase = np.exp(0.5j * lam * (z0[:, None, None] * np.conj(w)).imag)
-        phase[outside] = 0.0
+        # the bilinear weights, zero beyond r_max; real, so that the corner
+        # combine of a real raster stays real
         coef = np.stack([(1 - tr) * (1 - ta), (1 - tr) * ta, tr * (1 - ta), tr * ta],
-                        axis=-1)[..., None, :] * phase[..., None, None]
+                        axis=-1)
+        coef[outside] = 0.0
+        coef = coef[..., None, :]
         rows = np.stack([i0, i0, i0 + 1, i0 + 1], axis=-1)
         cols = np.stack([j0, j0 + 1, j0, j0 + 1], axis=-1)
         plane, k = cols % step, cols // step
@@ -259,10 +292,11 @@ def _ring_sum(raster, g, r, theta0, orbit):
             u = slice(t, t + tb)
             # f(z - w) on the whole orbit: the four corners move together.
             # Their (T, J, D, 4, orbit) gather is freed by the product, not
-            # held until the next tile's gather replaces it
+            # held until the next tile's gather replaces it.  |phase| = 1,
+            # so the mass needs no phase
             vals = (coef[u] @ window[rows[u], plane[u], k[u]])[..., 0, :]   # (T, J, D, orbit)
-            part[u] = np.einsum("tjda,jda->ta", vals, g_orbit)
             masses.append(float(np.einsum("tjda,jda->", np.abs(vals), absg_orbit)))
+            part[u] = np.einsum("tjda,tjd,jda->ta", vals, phase[u], g_orbit)
         cut = raster.boundary * float(np.sum(outside.sum(axis=0) * absg_orbit.sum(axis=2)))
         return part, masses, cut
 
@@ -284,7 +318,7 @@ def twisted_convolution(f, g):
     return SpectralSlice(f.lam, f.grid, _ring_sum(*_ring_args(f, g, f.grid.r)))
 
 
-def _convolution_rings(f, g, r):
+def convolution_rings(f, g, r):
     """(f *_lam g) at the grid's angles on the rings of radii r, as an
     (r, angle) array: the rows of `twisted_convolution` for those radii."""
     return _ring_sum(*_ring_args(f, g, r))

@@ -36,7 +36,7 @@ from .propagator import (ExceptionalLambdaError, GateParams, equality_case_profi
                          theorem34_pair, uniqueness_gate)
 from .quadrature import gauss_panels
 from .specfun import hille_hardy
-from .twisted import _convolution_rings, hecke_bochner_check
+from .twisted import convolution_rings, hecke_bochner_check
 
 # the versions that produce a report, recorded in each one
 _LIBRARIES = {"python": "%d.%d.%d" % sys.version_info[:3],
@@ -144,7 +144,7 @@ def _suite_semigroup(rng):
     f = radial_slice(grid, lam, heat_kernel_lambda(0.5, lam, grid.r))
     # only the rings that are compared are summed
     rings = grid.r[grid.r <= 3.0]
-    conv = _convolution_rings(f, f, rings)
+    conv = convolution_rings(f, f, rings)
     target = heat_kernel_lambda(1.0, lam, rings)
     scale = float(np.max(np.abs(target)))
     err = float(np.max(np.abs(conv - target[:, None]))) / scale

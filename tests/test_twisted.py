@@ -4,7 +4,9 @@ The engine tolerances here reflect the bilinear raster gather (~1e-5 on a
 96 x 48 grid), not the underlying quadrature.
 """
 
+import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -117,19 +119,55 @@ def test_orbit_and_point_evaluations_agree_at_grid_nodes(grid):
 def test_raster_angle_count_and_resampling(nsphere, na_fine, columns):
     # the raster takes the smallest multiple of the grid's angle count that
     # is at least na_fine, and its columns are the zero-padded trigonometric
-    # resampling of the grid's angles (random values: the Nyquist bin is live)
+    # resampling of the grid's angles (random values: the Nyquist bin is
+    # live), for real values on the real raster too
     grid = polar_grid(1, nr=24, r_max=6.0, nsphere=nsphere)
     rng = np.random.default_rng(5)
     shape = (grid.r.size, nsphere)
-    sl = SpectralSlice(1.0, grid, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    planes = _rasterize(sl, 40, na_fine).planes
-    nr, step, width = planes.shape
-    assert (nr, step * nsphere, width) == (40, columns, 2 * nsphere)
-    assert np.array_equal(planes[:, :, nsphere:], planes[:, :, :nsphere])
-    fine = planes[:, :, :nsphere].transpose(0, 2, 1).reshape(nr, columns)
-    coarse = _rasterize(sl, 40, 1).planes[:, 0, :nsphere]
-    want = resample(coarse, columns, axis=1)
-    assert np.max(np.abs(fine - want)) < 1e-13 * np.max(np.abs(want))
+    real = rng.standard_normal(shape)
+    for values in (real + 1j * rng.standard_normal(shape), real):
+        sl = SpectralSlice(1.0, grid, values)
+        planes = _rasterize(sl, 40, na_fine).planes
+        nr, step, width = planes.shape
+        assert (nr, step * nsphere, width) == (40, columns, 2 * nsphere)
+        assert np.array_equal(planes[:, :, nsphere:], planes[:, :, :nsphere])
+        fine = planes[:, :, :nsphere].transpose(0, 2, 1).reshape(nr, columns)
+        coarse = _rasterize(sl, 40, 1).planes[:, 0, :nsphere]
+        want = resample(coarse, columns, axis=1)
+        assert np.max(np.abs(fine - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_raster_dtype_follows_the_slice(grid):
+    # radial_slice stores complex values whose imaginary part is 0
+    z = grid.points()[:, :, 0]
+    real = radial_slice(grid, 1.0, np.exp(-grid.r ** 2))
+    assert real.values.dtype == complex
+    assert _rasterize(real).planes.dtype == np.float64
+    assert _rasterize(SpectralSlice(1.0, grid, z.real * np.exp(-np.abs(z) ** 2))
+                      ).planes.dtype == np.float64
+    assert _rasterize(SpectralSlice(1.0, grid, z * np.exp(-np.abs(z) ** 2))
+                      ).planes.dtype == np.complex128
+
+
+@pytest.mark.parametrize("radial", [True, False])
+def test_real_and_complex_rasters_give_the_same_ring_sum(radial):
+    # the same planes stored as complex take the ring sum's complex path;
+    # wide enough that the zero-extension warning fires on both
+    grid = polar_grid(1, nr=32, r_max=6.0, nsphere=16)
+    z = grid.points()[..., 0]
+    values = np.exp(-0.1 * np.abs(z) ** 2) * (1.0 if radial else z.real)
+    f = SpectralSlice(1.0, grid, values)
+    g = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
+    raster = _rasterize(f)
+    assert raster.planes.dtype == np.float64
+    as_complex = dataclasses.replace(raster, planes=raster.planes.astype(complex))
+    out, warned = [], []
+    for r in (raster, as_complex):
+        with pytest.warns(RuntimeWarning, match="dropped by zero extension") as caught:
+            out.append(_ring_sum(r, g, grid.r, np.zeros(grid.r.size), 16))
+        warned.append(re.search(r"~(\S+)\)", str(caught[0].message)).group(1))
+    assert np.max(np.abs(out[0] - out[1])) <= 1e-15 * np.max(np.abs(out[1]))
+    assert warned[0] == warned[1]
 
 
 def test_mass_beyond_r_max_warns_on_orbits_and_points(grid):
@@ -143,25 +181,27 @@ def test_mass_beyond_r_max_warns_on_orbits_and_points(grid):
 def test_ring_sum_does_not_depend_on_the_worker_count(monkeypatch):
     # wide enough that mass is dropped beyond r_max, so the warning fires;
     # both sums run over several node blocks (8 for the orbits, 8 for the
-    # 512 single targets), in the calling thread or on a pool
+    # 512 single targets), in the calling thread or on a pool, for a complex
+    # f and for a real one (real raster)
     grid = polar_grid(1, nr=32, r_max=6.0, nsphere=16)
     z = grid.points()[..., 0]
-    f = SpectralSlice(1.0, grid, z * np.exp(-0.1 * np.abs(z) ** 2))
     g = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
-    raster = _rasterize(f)
+    for values in (z, z.real):
+        f = SpectralSlice(1.0, grid, values * np.exp(-0.1 * np.abs(z) ** 2))
+        raster = _rasterize(f)
 
-    def sums(workers):
-        monkeypatch.setattr(twisted, "_cpu_count", lambda: workers)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = (twisted_convolution(f, g).values,
-                   _ring_sum(raster, g, np.abs(z).ravel(), np.angle(z).ravel(), 1))
-        return out, [str(w.message) for w in caught]
+        def sums(workers):
+            monkeypatch.setattr(twisted, "_cpu_count", lambda: workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                out = (twisted_convolution(f, g).values,
+                       _ring_sum(raster, g, np.abs(z).ravel(), np.angle(z).ravel(), 1))
+            return out, [str(w.message) for w in caught]
 
-    (conv1, points1), warned1 = sums(1)
-    (conv3, points3), warned3 = sums(3)
-    assert np.array_equal(conv1, conv3) and np.array_equal(points1, points3)
-    assert len(warned1) == 2 and warned1 == warned3
+        (conv1, points1), warned1 = sums(1)
+        (conv3, points3), warned3 = sums(3)
+        assert np.array_equal(conv1, conv3) and np.array_equal(points1, points3)
+        assert len(warned1) == 2 and warned1 == warned3
 
 
 def test_block_errors_reach_the_caller_in_order(monkeypatch):
@@ -209,6 +249,39 @@ def test_convolution_input_validation(grid):
         twisted_convolution(h, h)
     with pytest.raises(ValueError):
         radial_slice(grid, 1.0, np.ones(3))
+
+
+def test_slice_value_at_nan_and_infinite_points(grid):
+    sl = radial_slice(grid, 1.0, np.exp(-grid.r ** 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (np.nan, complex(1.0, np.nan), complex(np.inf, np.nan),
+                  np.array([0.5, complex(np.nan, 2.0)])):
+            with pytest.raises(ValueError, match="non-finite point .*nan"):
+                slice_value(sl, z)
+        # zero extension: infinite points and points beyond r_max give 0
+        for z in (np.inf, -np.inf, complex(0.0, -np.inf), complex(-np.inf, np.inf),
+                  9.0, 1e308 + 1e308j):
+            assert slice_value(sl, z) == 0.0
+        got = slice_value(sl, np.array([np.inf, 0.5, -1e300j]))
+        assert got[0] == got[2] == 0.0
+        assert abs(got[1] - math.exp(-0.25)) < 1e-4
+
+
+def test_non_finite_slice_values_raise(grid):
+    for bad in (np.nan, np.inf, complex(1.0, -np.inf)):
+        values = np.exp(-np.abs(grid.points()[:, :, 0]) ** 2).astype(complex)
+        values[7, 3] = bad
+        f = SpectralSlice(1.0, grid, values)
+        with pytest.raises(ValueError, match=r"grid node \(7, 3\) is not finite"):
+            twisted_convolution(f, f)
+        with pytest.raises(ValueError, match="not finite"):
+            slice_value(f, 0.5)
+    r, w = radial_rule(32, 6.0)
+    values = np.exp(-r ** 2)
+    values[-1] = np.nan
+    with pytest.raises(ValueError, match="not finite"):
+        hecke_bochner_check(RadialProfile(r, values, weights=w), 0, 0, 1, (0,), 1.0, 1, 0.5)
 
 
 def test_laguerre_projection_closed_form():
