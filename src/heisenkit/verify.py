@@ -149,7 +149,7 @@ def _suite_semigroup(rng):
     scale = float(np.max(np.abs(target)))
     err = float(np.max(np.abs(conv - target[:, None]))) / scale
     yield ("twisted-semigroup", {"n": 1, "lam": 1.0, "grid": "128x64", "r_cut": 3.0},
-           err, 1e-3)
+           err, 1e-6)
 
     s = 1.0
     r = np.array([0.5, 1.2, 2.0])
@@ -185,7 +185,7 @@ def _suite_hecke_bochner(rng):
     worst = 0.0
     z_arr = np.array(zs)
     for p, q in ((0, 0), (1, 0), (0, 1)):
-        # one raster per (p, q) slice serves both degrees, and for (1, 0)
+        # one interpolant per (p, q) slice serves both degrees, and for (1, 0)
         # also the degree 0 that the annihilation check reads
         ks = (p, p + 1, 0) if (p, q) == (1, 0) else (p, p + 1)
         pairs = hecke_bochner_check(g, p, q, 1, ks, 1.0, 1, z_arr)
@@ -196,12 +196,12 @@ def _suite_hecke_bochner(rng):
     yield ("hecke-bochner",
            {"pq": [[0, 0], [1, 0], [0, 1]], "n": 1, "lam": 1.0,
             "g": "exp(-r^2)", "z": [str(z) for z in zs]},
-           worst, 1e-3)
+           worst, 1e-5)
 
-    # evaluated above on the (1, 0) raster; only the reading is timed here
+    # evaluated above on the (1, 0) interpolant; only the reading is timed here
     yield ("hecke-bochner-annihilation",
            {"pq": [1, 0], "k": 0, "n": 1, "lam": 1.0,
-            "note": "evaluated on the (1, 0) raster of hecke-bochner, "
+            "note": "evaluated on the (1, 0) interpolant of hecke-bochner, "
                     "whose ms counts this work"},
            float(np.max(np.abs(annihilated))), 1e-6)
 

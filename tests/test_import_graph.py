@@ -20,7 +20,6 @@ DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
 SCRIPT = textwrap.dedent(f"""
     import math
     import sys
-    import threading
     import warnings
 
     import numpy as np
@@ -33,7 +32,7 @@ SCRIPT = textwrap.dedent(f"""
     from heisenkit import (HeisenbergPoint, QuadratureError, adaptive_quad,
                            heat_kernel, heat_kernel_grid, hermite_evolve,
                            hille_hardy, polar_grid, radial_slice,
-                           slice_value, twisted_convolution)
+                           slice_value)
 
     # BLAS banded solve: the Laguerre series on an array of points against
     # its closed form, before anything else has loaded scipy.linalg
@@ -56,16 +55,11 @@ SCRIPT = textwrap.dedent(f"""
     sampled, direct = hermite_evolve(f(x), 0.2, x), hermite_evolve(f, 0.2, x)
     assert np.max(np.abs(sampled - direct)) < 1e-6, np.max(np.abs(sampled - direct))
 
-    # the radial spline of the grid twisted convolution's raster
+    # the radial spline of the grid twisted convolution's interpolant
     grid = polar_grid(1, nr=64, r_max=6.0, nsphere=16)
     sl = radial_slice(grid, 1.0, lambda r: np.exp(-r * r))
     z0 = 0.8 + 0.3j
     assert abs(slice_value(sl, z0) - math.exp(-abs(z0) ** 2)) < 1e-4
-
-    # the ring sum's worker threads are gone when the convolution returns
-    threads = threading.active_count()
-    twisted_convolution(sl, sl)
-    assert threading.active_count() == threads, threading.enumerate()
 
     # an integrand that does not settle: QuadratureError, and no scipy warning
     with warnings.catch_warnings(record=True) as caught:

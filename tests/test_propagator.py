@@ -60,7 +60,7 @@ def test_spectral_evolution_matches_the_grid_oracle(lam):
     want = twisted_convolution(f, q).values
     mask = grid.r <= 3.0
     err = np.max(np.abs(u.values[mask] - want[mask])) / np.max(np.abs(want[mask]))
-    assert err < 1e-4
+    assert err < 4e-6                   # measured 2.6e-7 to 3.5e-7
 
 
 def test_truncation_warning_fires_for_a_slice_alive_at_r_max():

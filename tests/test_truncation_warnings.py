@@ -18,8 +18,7 @@ from heisenkit import htype
 from heisenkit.htype import partial_radon, radon_heat_profile
 from heisenkit.propagator import schrodinger_evolve
 from heisenkit.specfun import laguerre_fn
-from heisenkit import twisted
-from heisenkit.twisted import (_rasterize, _ring_sum, hecke_bochner_check, laguerre_projection,
+from heisenkit.twisted import (_interpolant, _ring_sum, hecke_bochner_check, laguerre_projection,
                                twisted_convolution)
 
 # the pattern that perfbench counts truncation warnings by
@@ -67,15 +66,15 @@ def _fourier_t(c):
 
 
 def _zero_extension(c):
-    # the dropped mass is proportional to the raster's outermost ring, and
+    # the dropped mass is proportional to the slice's outermost ring, and
     # the warning reports its ratio to the kept mass to two digits
     grid = polar_grid(1, 32, 6.0, 16)
     wide = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
-    raster = _rasterize(wide, 64, 16)
+    interp = _interpolant(wide)
     with pytest.warns(RuntimeWarning) as caught:
-        _ring_sum(raster, wide, [1.0], [0.3], 1)
+        _ring_sum(interp, wide, [1.0], [0.3], 1)
     ratio = float(re.search(r"~(\S+)\)", str(caught[0].message)).group(1))
-    scaled = dataclasses.replace(raster, boundary=raster.boundary * c * 1e-8 / ratio)
+    scaled = dataclasses.replace(interp, boundary=interp.boundary * c * 1e-8 / ratio)
     _ring_sum(scaled, wide, [1.0], [0.3], 1)
 
 
@@ -115,11 +114,9 @@ def test_each_site_warns_above_its_threshold_only(site):
         run(0.9)
 
 
-def test_zero_extension_warning_names_the_caller(monkeypatch):
-    # the node blocks run on a pool, but the warning is raised after their
-    # sums are folded, in the calling thread: it names this line, not a
-    # frame of twisted.py, concurrent.futures or threading
-    monkeypatch.setattr(twisted, "_cpu_count", lambda: 2)
+def test_zero_extension_warning_names_the_caller():
+    # the warning is raised once the ring sum is done: it names this line,
+    # not a frame of twisted.py
     grid = polar_grid(1, 32, 6.0, 16)
     wide = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
     with pytest.warns(RuntimeWarning, match="dropped by zero extension") as caught:
@@ -150,7 +147,7 @@ def test_radon_heat_profile_warning_names_the_caller(monkeypatch):
 
 
 def test_hecke_bochner_warnings_name_the_caller():
-    # e^{-0.05 r^2} is still ~0.45 of its peak at r_max = 4: the raster
+    # e^{-0.05 r^2} is still ~0.45 of its peak at r_max = 4: the ring sum
     # drops mass beyond r_max and the projection integrand has not decayed
     r, weights = radial_rule(64, 4.0)
     g = RadialProfile(r, np.exp(-0.05 * r ** 2), weights=weights)
