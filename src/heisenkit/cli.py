@@ -51,7 +51,12 @@ def _finite(text):
 
 
 def _finite_list(text):
-    return [_finite(tok) for tok in text.split(",") if tok.strip()]
+    """A comma list of CLI numbers.  An empty list, or an empty entry in
+    one, is a usage error, not a list with that entry left out."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise argparse.ArgumentTypeError(f"every entry of a list must be a number, got {text!r}")
+    return [_finite(tok) for tok in tokens]
 
 
 _SIGNED_VALUE = re.compile(r"-[\d.]")
@@ -92,7 +97,7 @@ def _emit(lines, out):
 
 def _cmd_kernel(args):
     if args.group == "heisenberg":
-        axis = np.array(args.r or [0.0])
+        axis = np.array(args.r)
         if args.slice_lambda is not None:
             vals = np.asarray(heat_kernel_lambda(args.s, args.slice_lambda,
                                                  axis, args.n), dtype=complex)
@@ -100,16 +105,16 @@ def _cmd_kernel(args):
             vals = heat_kernel_grid(args.s, axis, np.full(axis.shape, args.t),
                                     args.n)
     elif args.group == "htype":
-        axis = np.array(args.v_norm)
-        if axis.size == 0:
+        if args.v_norm is None:
             args.parser.error("--v-norm is required for --group htype")
+        axis = np.array(args.v_norm)
         vals = np.asarray(htype_heat_batch(args.s, args.n, args.k, axis,
                                            np.full(axis.shape, args.t_norm)),
                           dtype=complex)
     else:
-        axis = np.array(args.x)
-        if axis.size == 0:
+        if args.x is None:
             args.parser.error("--x is required for --group hermite")
+        axis = np.array(args.x)
         if args.n != 1:
             args.parser.error("--group hermite takes --n 1: --x holds one "
                               "coordinate per row")
@@ -166,6 +171,9 @@ def _cmd_gate(args):
     used = _GATE_COLUMNS[args.which]
     axes = {"a": args.a, "b": args.b, "s0": args.s0, "lam": args.lam,
             "eps": args.eps}
+    for c in used:
+        if axes[c] is None:     # only --a, --b and --s0 have no default
+            args.parser.error(f"--{c} is required for --which {args.which}")
     lines = ["a,b,s0,lambda,eps,margin,decision"]
     for combo in itertools.product(*(axes[c] for c in used)):
         row = dict(zip(used, combo))
@@ -200,10 +208,10 @@ def _build_parser():
                     help="comma-separated |z| values")
     pk.add_argument("--t", type=_finite, default=0.0, help="center coordinate")
     pk.add_argument("--k", type=int, default=1, help="center dimension (htype)")
-    pk.add_argument("--v-norm", dest="v_norm", type=_finite_list, default="",
+    pk.add_argument("--v-norm", dest="v_norm", type=_finite_list, default=None,
                     help="comma-separated |v| values (htype)")
     pk.add_argument("--t-norm", dest="t_norm", type=_finite, default=0.0)
-    pk.add_argument("--x", type=_finite_list, default="",
+    pk.add_argument("--x", type=_finite_list, default=None,
                     help="comma-separated x values (hermite)")
     pk.add_argument("--y", type=_finite, default=0.0, help="y value (hermite)")
     pk.add_argument("--out", default=None, help="write CSV here, else stdout")
@@ -219,11 +227,11 @@ def _build_parser():
     pg.add_argument("--which",
                     choices=("hankel", "heisenberg", "htype", "hermite"),
                     required=True)
-    pg.add_argument("--a", type=_finite_list, default="",
+    pg.add_argument("--a", type=_finite_list, default=None,
                     help="comma-separated decay rates")
-    pg.add_argument("--b", type=_finite_list, default="",
+    pg.add_argument("--b", type=_finite_list, default=None,
                     help="comma-separated decay rates")
-    pg.add_argument("--s0", type=_finite_list, default="",
+    pg.add_argument("--s0", type=_finite_list, default=None,
                     help="comma-separated times")
     pg.add_argument("--lambda", dest="lam", type=_finite_list, default="0")
     pg.add_argument("--eps", type=_finite_list, default="0")

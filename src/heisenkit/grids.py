@@ -133,6 +133,14 @@ class SpectralSlice:
         return float(np.sqrt(np.sum(self.grid.measure() * np.abs(self.values) ** 2)))
 
 
+def live_modes(spec):
+    """The angular modes that a slice carries: a mask over the columns of
+    its (r, m) DFT table, true where the mode's largest amplitude reaches
+    1e-15 of the table's.  A radial slice keeps m = 0 alone."""
+    amp = np.max(np.abs(spec), axis=0)
+    return amp >= 1e-15 * np.max(amp)
+
+
 def radial_slice(grid, lam, values):
     """Slice whose values depend on |z| only; values is an array on grid.r
     or a callable of r."""

@@ -5,9 +5,12 @@ The frequency profile is the hyperbolic Gaussian
     (4 pi)^{-n} (lam / sinh(lam zeta))^n exp(-lam coth(lam zeta) |z|^2 / 4)
 and the kernel itself is recovered by the inversion integral
     q_zeta(z, t) = (2 pi)^{-1} int e^{-i lam t} (profile) dlam,
-which converges absolutely whenever Re zeta > 0.
+which converges absolutely whenever Re zeta > 0.  The engines evaluate the
+profile through `_hyperbolic_factors`, broadcast over lam; the pointwise
+oracle `heat_kernel` writes it out itself as the scalar `_profile`.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -263,13 +266,41 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
     return vals.reshape(radii.shape)
 
 
+def _profile(lam, zeta, n, r):
+    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4} at one lam
+    and one radius, for Re zeta > 0: the pointwise oracle's own scalar
+    profile, written out with cmath and shared with no engine.
+
+    It is even in lam.  Below |lam zeta| = 1e-100 it is the Euclidean limit
+    zeta^{-n} e^{-r^2 / (4 zeta)}, exact in double precision there.  Past
+    Re(lam zeta) = 20, 1 - e^{-2 lam zeta} rounds to 1, so 1 / sinh is
+    2 e^{-lam zeta} (sinh itself overflows past 710).  The rate's real part
+    is negative, so an exponent below -745 reads exactly 0, and so does an
+    r^2 that overflows to inf: the exponent then has parts (-inf, +-inf) or
+    (-inf, NaN), and cmath.exp takes both to 0 (C99 special values) without
+    a warning.
+    """
+    a = abs(lam)
+    x = a * zeta
+    if abs(x) < 1e-100:
+        power, rate = zeta ** -n, -0.25 / zeta
+    else:
+        csch = 2.0 * cmath.exp(-x) if x.real > 20.0 else 1.0 / cmath.sinh(x)
+        power, rate = (a * csch) ** n, -0.25 * a / cmath.tanh(x)
+    return power * cmath.exp(rate * (r * r))
+
+
 def heat_kernel(zeta, p):
     """Heat kernel q_zeta(z, t) by adaptive Fourier inversion in lam.
 
-    It ends at the engines' `_lam_cutoff`, and its absolute tolerance 1e-12
-    shrinks with the kernel's size |zeta|^{-n-1} past |zeta| = 1.  For real
-    zeta the (quadrature-level) imaginary residue is checked against 1e-10
-    and zeroed.
+    This is the pointwise oracle of `heat_kernel_grid`, and it shares no
+    profile code with it: QUADPACK integrates e^{-i lam t} times the scalar
+    `_profile` over the whole line [-L, L].  L is the engines'
+    `_lam_cutoff`, and the absolute tolerance 1e-12 shrinks with the
+    kernel's size |zeta|^{-n-1} past |zeta| = 1.  For real zeta the
+    (quadrature-level) imaginary residue is checked against 1e-10 and
+    zeroed; the integrand is not folded onto [0, L], so that this check
+    sees both halves of the line.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
@@ -277,14 +308,13 @@ def heat_kernel(zeta, p):
     zv = zeta.value
     n, r, t = p.n, p.z_norm, p.t
     lam_max = _lam_cutoff(zv, n, 1, 1e-15)
-    scale = (4.0 * np.pi) ** (-n)
+    scale = (4.0 * math.pi) ** (-n)
 
     def integrand(lam):
-        return np.exp(-1j * lam * t) * (scale * _hyperbolic_gaussian(lam, zv, n, r))
+        return cmath.exp(-1j * lam * t) * (scale * _profile(lam, zv, n, r))
 
-    with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        val = adaptive_quad(integrand, -lam_max, lam_max,
-                            epsabs=1e-12 * max(1.0, abs(zv)) ** (-n - 1)) / (2.0 * np.pi)
+    val = adaptive_quad(integrand, -lam_max, lam_max,
+                        epsabs=1e-12 * max(1.0, abs(zv)) ** (-n - 1)) / (2.0 * math.pi)
     if zeta.s == 0:
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
             raise QuadratureError("imaginary residue of a real-time kernel "

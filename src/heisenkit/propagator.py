@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
-                    radial_slice)
+from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
+                    polar_grid, radial_slice)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
 from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
 from .quadrature import warn_truncated
@@ -79,8 +79,12 @@ def schrodinger_evolve(f, zeta):
     grid's own radial weights, one degree per radial node; coefficient
     (m, j) lies in P_k with k = j + p, where p = |m| when m and lam have the
     same sign and p = 0 otherwise; the damped modes are resynthesised on the
-    grid nodes.  The grid twisted convolution in `twisted` is the oracle this
-    is tested against, never a fallback.
+    grid nodes.  Only the live modes are evolved, those whose amplitude
+    reaches 1e-15 of the largest (`grids.live_modes`, the rule of the
+    twisted interpolant): the basis is built for orders up to the largest
+    live |m|, and the other modes of the result are 0.  A radial slice
+    evolves one mode.  The grid twisted convolution in `twisted` is the
+    oracle this is tested against, never a fallback.
     """
     zeta = _as_time(zeta)
     if zeta.eps <= 0:
@@ -96,14 +100,16 @@ def schrodinger_evolve(f, zeta):
     m = np.rint(np.fft.fftfreq(na, 1.0 / na)).astype(int)
     order = np.abs(m)
     shift = np.where(np.sign(m) == np.sign(f.lam), order, 0)
-    degrees = grid.r.size
-    basis = _laguerre_basis(f.lam, grid.r, degrees, int(order.max()) + 1)
     modes = np.fft.fft(f.values, axis=1)
+    live = np.flatnonzero(live_modes(modes))
+    live_order = order[live]
+    degrees = grid.r.size
+    basis = _laguerre_basis(f.lam, grid.r, degrees, int(live_order.max()) + 1)
     weighted = (grid.r_weights * grid.r)[:, None] * modes
     j = np.arange(degrees)[:, None]
-    out = np.empty_like(modes)
-    for a in np.unique(order):
-        cols = np.flatnonzero(order == a)
+    out = np.zeros_like(modes)
+    for a in np.unique(live_order):
+        cols = live[live_order == a]
         coef = basis[a] @ weighted[:, cols]
         coef *= np.exp(-(2 * (j + shift[cols]) + 1) * abs(f.lam) * zeta.value)
         out[:, cols] = basis[a].T @ coef

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grids import PolarGrid, SpectralSlice, circle_rule, radial_slice
+from .grids import PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice
 from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
@@ -89,8 +89,7 @@ def _interpolant(sl):
     r = sl.grid.r
     row0 = np.zeros(spec.shape[1], dtype=complex)
     row0[0] = spec[0, 0] - (spec[1, 0] - spec[0, 0]) * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
-    amp = np.max(np.abs(spec), axis=0)
-    live = amp >= 1e-15 * np.max(amp)
+    live = live_modes(spec)
     spline = CubicSpline(np.concatenate([[0.0], r]), np.vstack([row0, spec])[:, live], axis=0)
     return _Interpolant(modes[live], spline, float(sl.grid.r_max),
                         float(np.max(np.abs(values[-1]))))

@@ -5,6 +5,9 @@ asserts the tolerance that the corresponding check was built against, so a
 silent retuning of verify.py cannot loosen the contract.
 """
 
+import json
+import pathlib
+
 import pytest
 
 from heisenkit.verify import run_suite
@@ -123,3 +126,23 @@ def test_criterion_11_radon_reduction(records):
     assert degenerate.tol == 1e-5
     assert collapse.ms + degenerate.ms < 500.0
     _report(11, "radon reduction to the n=1 kernel", [collapse, degenerate])
+
+
+def test_no_check_error_grows_past_its_recorded_value(records):
+    # the error ratchet: tests/data/verify_errors.json holds every check's
+    # error at seed 0 (the seed of `records`), written by
+    # tests/data/record_verify_errors.py.  An error may not exceed twice its
+    # recorded value (or 1e-14, the round-off of the smallest ones), and a
+    # check of tolerance 0 counts failures, which must stay 0
+    path = pathlib.Path(__file__).parent / "data" / "verify_errors.json"
+    recorded = json.loads(path.read_text(encoding="utf-8"))
+    assert recorded["seed"] == 0
+    assert set(records) == set(recorded["checks"]), "re-record the ratchet for new checks"
+    grown = {}
+    for cid, rec in recorded["checks"].items():
+        error = records[cid].error
+        if rec["tol"] == 0 and error != 0:
+            grown[cid] = (error, 0.0)
+        elif error > max(2.0 * rec["error"], 1e-14):
+            grown[cid] = (error, rec["error"])
+    assert not grown, f"errors past the ratchet (now, recorded): {grown}"

@@ -121,11 +121,48 @@ def test_gate_lattice_covers_the_product(capsys):
                if a == "3")
 
 
-def test_gate_empty_lattice_is_header_only(capsys):
-    assert cli.run(["gate", "--which", "hankel"]) == 0
-    header, rows = _rows(capsys.readouterr().out)
-    assert header == "a,b,s0,lambda,eps,margin,decision"
-    assert rows == []
+def test_gate_without_an_axis_it_uses_is_a_usage_error(capsys):
+    # an absent axis would leave an empty lattice, a CSV header with no row
+    for argv, flag in ((["--which", "hankel"], "--a"),
+                       (["--which", "hankel", "--b", "1"], "--a"),
+                       (["--which", "heisenberg", "--a", "1", "--b", "1"], "--s0"),
+                       (["--which", "hermite", "--a", "1", "--s0", "1"], "--b")):
+        assert cli.run(["gate"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} is required" in captured.err
+    # an axis that the gate does not use may stay absent
+    assert cli.run(["gate", "--which", "hankel", "--a", "1", "--b", "1"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert len(rows) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r="],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r=,"],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r=1,,2"],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--r", "1,"],
+    ["kernel", "--group", "heisenberg", "--s", "1", "--slice-lambda", "1", "--r="],
+    ["kernel", "--group", "htype", "--s", "1", "--v-norm=0.5, ,1"],
+    ["kernel", "--group", "hermite", "--s", "1", "--x="],
+    ["gate", "--which", "heisenberg", "--a", "1", "--b", "1", "--s0", "1", "--lambda="],
+    ["gate", "--which", "heisenberg", "--a", "1", "--b", "1", "--s0", "1", "--eps=,"],
+    ["gate", "--which", "hankel", "--a", "1,,2", "--b", "1"],
+], ids=["r-empty", "r-comma", "r-inner", "r-trailing", "slice-empty", "v-blank", "x-empty",
+        "lambda-empty", "eps-comma", "a-inner"])
+def test_empty_lists_and_empty_entries_are_usage_errors(argv, capsys):
+    # an empty --r is not its default r = 0, an empty gate axis is not a
+    # header with no row, and an empty entry is not left out of its list
+    assert cli.run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "every entry of a list must be a number" in captured.err
+
+
+def test_an_omitted_radius_list_is_the_origin(capsys):
+    assert cli.run(["kernel", "--group", "heisenberg", "--s", "1"]) == 0
+    _, rows = _rows(capsys.readouterr().out)
+    assert [float(row[0]) for row in rows] == [0.0]
 
 
 def test_exit_codes_for_failure_classes(capsys):

@@ -1,5 +1,6 @@
-"""The engines never import the grid twisted-convolution oracle module, and
-one module drives the central-frequency integrals."""
+"""The engines never import the grid twisted-convolution oracle module, one
+module drives the central-frequency integrals, and the pointwise heat-kernel
+oracle shares no profile code with the engines."""
 
 import ast
 import pathlib
@@ -58,3 +59,15 @@ def test_only_heisenberg_drives_the_frequency_integrals():
             if name in names:
                 users.setdefault(name, []).append(path.stem)
     assert users == {name: ["heisenberg"] for name in engines}
+
+
+def test_pointwise_heat_kernel_oracle_has_its_own_profile():
+    # `heat_kernel` checks `heat_kernel_grid`: if it read the engines'
+    # hyperbolic Gaussian, a fault there would pass on both sides
+    path = pathlib.Path(heisenkit.__file__).with_name("heisenberg.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_profile" in set(_referenced_names(functions["heat_kernel"]))
+    for name in ("heat_kernel", "_profile"):
+        names = set(_referenced_names(functions[name]))
+        assert not names & {"_hyperbolic_factors", "_hyperbolic_gaussian"}, name

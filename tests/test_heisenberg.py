@@ -51,6 +51,16 @@ def test_profile_frozen_values():
         0.010095680242170193, rel=1e-14)
 
 
+def _mp_profile(mpmath, lam, zeta, n, r):
+    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4} in mpmath's
+    working precision, rounded to a Python complex."""
+    z, r2 = mpmath.mpc(zeta), mpmath.mpf(r) ** 2
+    if lam == 0:
+        return complex(z ** -n * mpmath.exp(-r2 / (4 * z)))
+    x = mpmath.mpf(lam) * z
+    return complex((lam / mpmath.sinh(x)) ** n * mpmath.exp(-lam * mpmath.coth(x) * r2 / 4))
+
+
 def test_hyperbolic_gaussian_against_mpmath():
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
@@ -59,17 +69,38 @@ def test_hyperbolic_gaussian_against_mpmath():
                 for zeta in (1.0, 1.0 + 0.5j, 0.3 + 1.0j):
                     for r in (0.0, 0.5, 3.0):
                         got = complex(heisenberg._hyperbolic_gaussian(lam, zeta, n, r))
-                        z, r2 = mpmath.mpc(zeta), mpmath.mpf(r) ** 2
-                        if lam == 0:
-                            want = z ** -n * mpmath.exp(-r2 / (4 * z))
-                        else:
-                            x = mpmath.mpf(lam) * z
-                            want = ((lam / mpmath.sinh(x)) ** n
-                                    * mpmath.exp(-lam * mpmath.coth(x) * r2 / 4))
-                        want = complex(want)
+                        want = _mp_profile(mpmath, lam, zeta, n, r)
                         # relative, or absolute where the value underflows
                         assert abs(got - want) <= max(1e-13 * abs(want), 1e-300), \
                             (n, lam, zeta, r, got, want)
+
+
+def test_scalar_profile_of_the_oracle_against_mpmath():
+    # `heat_kernel`'s own profile, at the midpoint lam = 0 of its symmetric
+    # rule, near it (a subnormal lam zeta would overflow 1 / sinh), at 1,
+    # just below the cutoff that ends its integral, and far past it, where
+    # sinh(lam zeta) overflows and the profile underflows to 0
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for n in (1, 2):
+            for zeta in (0.6 + 0j, 1.0 + 0.5j, 0.5 + 1.0j):
+                cutoff = heisenberg._lam_cutoff(zeta, n, 1, 1e-15)
+                for lam in (0.0, 5e-324, 1e-8, 1.0, math.nextafter(cutoff, 0.0), 2e3):
+                    for r in (0.0, 0.5, 3.0):
+                        got = heisenberg._profile(lam, zeta, n, r)
+                        want = _mp_profile(mpmath, lam, zeta, n, r)
+                        assert abs(got - want) <= max(1e-13 * abs(want), 1e-300), \
+                            (n, lam, zeta, r, got, want)
+                        assert heisenberg._profile(-lam, zeta, n, r) == got
+    # r^2 overflows, or the exponent lies below -745: exactly 0, with no
+    # warning and no NaN on the way (a real zeta gives the rate a zero
+    # imaginary part, which times r^2 = inf is NaN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for zeta in (1.0 + 0j, 1.0 + 0.5j):
+            for lam in (0.0, 1.0):
+                for r in (1e200, 1e5):
+                    assert heisenberg._profile(lam, zeta, 1, r) == 0
 
 
 def test_lone_rows_past_the_origin_match_mpmath():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from heisenkit import grids, propagator
 from heisenkit.grids import SpectralSlice, polar_grid, radial_slice
 from heisenkit.heisenberg import ComplexTime, heat_kernel_lambda
 from heisenkit.propagator import (
@@ -61,6 +62,50 @@ def test_spectral_evolution_matches_the_grid_oracle(lam):
     mask = grid.r <= 3.0
     err = np.max(np.abs(u.values[mask] - want[mask])) / np.max(np.abs(want[mask]))
     assert err < 4e-6                   # measured 2.6e-7 to 3.5e-7
+
+
+@pytest.fixture
+def basis_orders(monkeypatch):
+    """The order counts that `schrodinger_evolve` asks `_laguerre_basis` for."""
+    asked = []
+    original = propagator._laguerre_basis
+
+    def spy(lam, r, degrees, orders):
+        asked.append(orders)
+        return original(lam, r, degrees, orders)
+
+    monkeypatch.setattr(propagator, "_laguerre_basis", spy)
+    return asked
+
+
+def test_only_the_live_angular_modes_are_evolved(basis_orders):
+    grid = polar_grid(1, nr=96, r_max=8.0, nsphere=64)
+    z = grid.points()[:, :, 0]
+    gauss = np.exp(-np.abs(z) ** 2)
+    zeta = ComplexTime(0.3, 0.5)
+    slices = {"radial": gauss, "modes 0, +-3": gauss + 0.5 * (z ** 3 + np.conj(z) ** 3) * gauss,
+              "mode 5 at 1e-13": gauss + 1e-13 * z ** 5 * gauss}
+    out = {}
+    for name, values in slices.items():
+        out[name] = schrodinger_evolve(SpectralSlice(1.0, grid, values), zeta).values
+    # max live |m| + 1 orders: a mode at 1e-13 of the largest is live
+    assert basis_orders == [1, 4, 6]
+    kept = np.abs(np.fft.fft(out["mode 5 at 1e-13"] - out["radial"], axis=1))
+    assert kept[:, 5].max() > 1e-3 * kept.max() > 0
+
+
+def test_exact_zero_modes_leave_the_evolution_bit_identical(basis_orders, monkeypatch):
+    # a radial slice on 64 angles has DFT columns m != 0 that are exactly 0;
+    # evolving some of them as well must not move a bit
+    grid = polar_grid(1, nr=96, r_max=8.0, nsphere=64)
+    f = radial_slice(grid, -1.0, np.exp(-grid.r ** 2) * (1.0 + 0.3j))
+    zeta = ComplexTime(0.3, 0.5)
+    live = schrodinger_evolve(f, zeta).values
+    extra = np.isin(np.abs(np.fft.fftfreq(64, 1.0 / 64)), (3, 7))
+    monkeypatch.setattr(propagator, "live_modes", lambda spec: grids.live_modes(spec) | extra)
+    padded = schrodinger_evolve(f, zeta).values
+    assert basis_orders == [1, 8]
+    assert np.array_equal(live, padded)
 
 
 def test_truncation_warning_fires_for_a_slice_alive_at_r_max():
