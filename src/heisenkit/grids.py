@@ -133,6 +133,15 @@ class SpectralSlice:
         return float(np.sqrt(np.sum(self.grid.measure() * np.abs(self.values) ** 2)))
 
 
+def require_finite(values, what):
+    """Raise ValueError naming the first non-finite entry of values, a
+    sample array indexed by grid node."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        node = tuple(bad[0].tolist())
+        raise ValueError(f"{what} {values[node]} at grid node {node} is not finite")
+
+
 def live_modes(spec):
     """The angular modes that a slice carries: a mask over the columns of
     its (r, m) DFT table, true where the mode's largest amplitude reaches
@@ -151,19 +160,43 @@ def radial_slice(grid, lam, values):
 
 
 def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
-    """f^lam(z) = int e^{i lam t} f(z, t) dt from samples on grid x t_nodes."""
-    values = np.asarray(values, dtype=complex)
+    """f^lam(z) = int e^{i lam t} f(z, t) dt from samples on grid x t_nodes.
+
+    Real samples stay real: the t contraction runs against the real and the
+    imaginary part of the phase, which by linearity is the complex
+    contraction for complex samples too.  A non-finite lam, t node, t weight
+    or sample raises ValueError; the samples are searched only when the
+    slice comes out non-finite.
+    """
+    if not np.isfinite(lam):
+        raise ValueError(f"lam {lam} is not finite")
+    values = np.asarray(values)
+    values = values.astype(np.result_type(values, float), copy=False)
     t_nodes = np.asarray(t_nodes, dtype=float)
     expected = (grid.r.size, grid.omega.shape[0], t_nodes.size)
     if values.shape != expected:
         raise ValueError(f"need samples of shape {expected}, got {values.shape}")
+    bad = ~np.isfinite(t_nodes)
+    if np.any(bad):
+        raise ValueError(f"t node {t_nodes[bad][0]} is not finite")
     if t_weights is None:
         t_weights = trapezoid_weights(t_nodes)
+    t_weights = np.asarray(t_weights, dtype=float)
+    bad = ~np.isfinite(t_weights)
+    if np.any(bad):
+        raise ValueError(f"t weight {t_weights[bad][0]} is not finite")
+    phase = t_weights * np.exp(1j * lam * t_nodes)
+    # a non-finite slice raises below, so numpy's warnings would only repeat it
+    with np.errstate(over="ignore", invalid="ignore"):
+        sliced = values @ phase.real + 1j * (values @ phase.imag)
+    if not np.all(np.isfinite(sliced)):
+        require_finite(values, "sample of f")
+        raise ValueError("the t integral of f overflows")
+    peak = (np.max(np.abs(values)) if np.iscomplexobj(values)
+            else max(values.max(), -values.min()))
     warn_truncated("f has not decayed at the ends of the t grid; the t integral is truncated",
-                   float(np.max(np.abs(values[..., [0, -1]]))), float(np.max(np.abs(values))),
-                   1e-10)
-    phase = np.asarray(t_weights) * np.exp(1j * lam * t_nodes)
-    return SpectralSlice(lam, grid, values @ phase)
+                   float(np.max(np.abs(values[..., [0, -1]]))), float(peak), 1e-10)
+    return SpectralSlice(lam, grid, sliced)
 
 
 def polar_grid(n=1, nr=128, r_max=8.0, nsphere=None):

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
-                    polar_grid, radial_slice)
+                    polar_grid, radial_slice, require_finite)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
 from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
 from .quadrature import warn_truncated
@@ -83,7 +83,8 @@ def schrodinger_evolve(f, zeta):
     reaches 1e-15 of the largest (`grids.live_modes`, the rule of the
     twisted interpolant): the basis is built for orders up to the largest
     live |m|, and the other modes of the result are 0.  A radial slice
-    evolves one mode.  The grid twisted convolution in `twisted` is the
+    evolves one mode.  A slice with a non-finite value raises ValueError
+    naming its node.  The grid twisted convolution in `twisted` is the
     oracle this is tested against, never a fallback.
     """
     zeta = _as_time(zeta)
@@ -94,6 +95,7 @@ def schrodinger_evolve(f, zeta):
         raise NotImplementedError("spectral evolution is implemented for n = 1 only")
     if f.lam == 0:
         raise ValueError("spectral evolution needs a nonzero central frequency")
+    require_finite(f.values, "slice value")
     warn_truncated("slice has not decayed at r_max; the Laguerre projection is truncated",
                    float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
     na = grid.omega.shape[0]

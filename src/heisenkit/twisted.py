@@ -26,6 +26,18 @@ a circular correlation over d with g, and the rotation by theta_a enters as
 e^{i m theta_a}.  `twisted_convolution` sums the orbits of the grid radii;
 `hecke_bochner_check` sums orbits of length one at its own targets.
 
+A target z0 on the real axis sees the node angles d and -d as mirror
+images: zeta(-d) = conj zeta(d), so |zeta| and c_m(|zeta|) agree at the two,
+and the phase e^{i(m arg zeta + twist)} at -d is the conjugate of its value
+at d.  Its terms are evaluated on the columns d = 0 .. na/2 alone, and the
+other columns are c conj(phase); the |g| of each mirrored column is folded
+onto its partner, so the masses of the zero-extension warning stay exact.
+Every target of `twisted_convolution` and `convolution_rings` lies on the
+axis.  A target off it, such as a point of `hecke_bochner_check`, keeps the
+full circle: its nodes are not symmetric about its ray, and rotating the
+target onto the axis would rotate the grid's angle rule with it, which
+changes the sum itself and not only its round-off.
+
 Neither route is an engine.  Evolution by the heat kernel, the only twisted
 convolution the package needs at scale, runs through the Laguerre multiplier
 in `propagator.schrodinger_evolve`.  The grid route stays as the oracle that
@@ -40,7 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grids import PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice
+from .grids import (PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice,
+                    require_finite)
 from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
@@ -70,10 +83,7 @@ def _interpolant(sl):
     if sl.grid.n != 1:
         raise NotImplementedError("off-grid slice evaluation exists for n = 1 only")
     values = sl.values
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        node = tuple(bad[0].tolist())
-        raise ValueError(f"slice value {values[node]} at grid node {node} is not finite")
+    require_finite(values, "slice value")
     na = values.shape[1]
     spec = np.fft.fft(values, axis=1) / na
     modes = np.fft.fftfreq(na, 1.0 / na)
@@ -116,7 +126,10 @@ def _ring_sum(f, g, r, theta0, orbit):
     `orbit` must divide the angle count of g's grid.  The targets are
     visited one at a time.  For each, the correlation over d (see the module
     docstring) runs as a product of DFTs in d, which gives all na angles;
-    the orbit keeps every (na / orbit)-th of them.
+    the orbit keeps every (na / orbit)-th of them.  The only choice made per
+    target is which node angles d are evaluated: na // 2 + 1 of them, with
+    the rest mirrored and their |g| folded in, for a target on the real
+    axis, and all na for a target off it (see the module docstring).
     """
     na = g.grid.omega.shape[0]
     hop = na // orbit
@@ -126,26 +139,37 @@ def _ring_sum(f, g, r, theta0, orbit):
     # the |g| that each node's f(z - w) meets over the orbit: g at the
     # angles d + hop a, which are those congruent to d modulo hop
     absg = np.tile(np.abs(gw).reshape(-1, orbit, hop).sum(axis=1), orbit)
+    # on the real axis, column d > na // 2 is the mirror image of column
+    # na - d, whose |g| mass it joins
+    half = na // 2 + 1
+    mirror = na - np.arange(half, na)
+    folded = absg[:, :half].copy()
+    folded[:, mirror] += absg[:, half:]
+    on_axis = (w[:, :half], mirror, folded)
+    off_axis = (w, mirror[:0], absg)
     rotation = np.exp(2j * np.pi / orbit * np.outer(np.arange(orbit), f.modes))  # (a, M)
     z0 = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta0, dtype=float))
     out = np.empty((z0.size, orbit), dtype=complex)
     cut_mass = 0.0
     total_mass = 0.0
     for t, z in enumerate(z0):
-        zeta = z - w
+        wz, mirrored, mass = on_axis if z.imag == 0.0 else off_axis
+        zeta = z - wz
         rho = np.abs(zeta)
         c = f.coefficients(rho)                                       # (J, D, M)
         # the terms' angles plus the twist phase, in one exponential
-        twist = 0.5 * g.lam * (z * np.conj(w)).imag
-        arg = np.angle(zeta)[..., None] * f.modes + twist[..., None]
+        twist = 0.5 * g.lam * (z * np.conj(wz)).imag
+        phase = np.exp(1j * (np.angle(zeta)[..., None] * f.modes + twist[..., None]))
+        terms = np.concatenate([c * phase, c[:, mirrored] * np.conj(phase[:, mirrored])],
+                               axis=1)
         # sum_d A[d] g[d + a] = (1/na) sum_k e^{2 pi i k a / na} A~[k] g^[k], with
         # g^[k] = sum_d g[d] e^{-2 pi i k d / na}, A~[k] = sum_d A[d] e^{2 pi i k d / na}
-        spec = np.fft.ifft(c * np.exp(1j * arg), axis=1, norm="forward")
+        spec = np.fft.ifft(terms, axis=1, norm="forward")
         corr = np.fft.ifft(np.einsum("jkm,jk->km", spec, g_hat), axis=0)[::hop]
         out[t] = np.sum(rotation * corr, axis=1)
-        # |e^{i arg}| = 1, so the masses need no phase
-        total_mass += float(np.sum(np.abs(c).sum(axis=-1) * absg))
-        cut_mass += f.boundary * float(absg[rho > f.r_max].sum())
+        # |phase| = 1, so the masses need no phase
+        total_mass += float(np.sum(np.abs(c).sum(axis=-1) * mass))
+        cut_mass += f.boundary * float(mass[rho > f.r_max].sum())
     warn_truncated("mass beyond r_max was dropped by zero extension",
                    cut_mass / out.size, total_mass / out.size, 1e-8, stacklevel=3)
     return out

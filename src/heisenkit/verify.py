@@ -224,7 +224,7 @@ def _suite_theorem34(rng):
     t_nodes, t_w = gauss_panels(-5.5, 5.5, 10, 12)
     vals = (np.exp(-grid.r ** 2)[:, None, None]
             * np.ones(grid.omega.shape[0])[None, :, None]
-            * np.exp(-t_nodes ** 2)[None, None, :]).astype(complex)
+            * np.exp(-t_nodes ** 2)[None, None, :])
     _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, 1e-3, grid,
                                  t_weights=t_w)
     yield ("theorem34-grid",

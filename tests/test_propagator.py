@@ -41,6 +41,10 @@ def test_evolution_is_the_complex_time_semigroup():
     with pytest.raises(ValueError, match="overflows"):
         schrodinger_evolve(radial_slice(grid, 1e4, np.exp(-grid.r ** 2)),
                            ComplexTime(eps, s0))
+    nan_values = f.values.copy()
+    nan_values[4, 2] = np.nan
+    with pytest.raises(ValueError, match=r"grid node \(4, 2\) is not finite"):
+        schrodinger_evolve(SpectralSlice(lam, grid, nan_values), ComplexTime(eps, s0))
     grid2 = polar_grid(2, nr=16, r_max=6.0, nsphere=8)
     with pytest.raises(NotImplementedError):
         schrodinger_evolve(radial_slice(grid2, lam, np.exp(-grid2.r ** 2)),

@@ -13,10 +13,12 @@ import pytest
 
 from scipy.signal import resample
 
+from heisenkit import twisted
 from heisenkit.grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
                              radial_rule, radial_slice)
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
+    _Interpolant,
     _interpolant,
     _ring_sum,
     convolution_rings,
@@ -101,9 +103,73 @@ def test_angle_dependent_g_against_quad_oracle(grid):
         assert abs(got - want) < 1e-5 * abs(want)
 
 
+def _noisy_pair(na, lam):
+    # random angular dependence, so that an even na's Nyquist bin is live,
+    # and an f that is still ~5e-3 at r_max, so that cutting it at r_max shows
+    grid = polar_grid(1, nr=20, r_max=6.0, nsphere=na)
+    rng = np.random.default_rng(na)
+    shape = (grid.r.size, na)
+
+    def noisy(rate):
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return np.exp(-rate * grid.r ** 2)[:, None] * (1.0 + 0.3 * noise)
+
+    return grid, SpectralSlice(lam, grid, noisy(0.15)), SpectralSlice(lam, grid, noisy(0.5))
+
+
+@pytest.mark.parametrize("lam", [0.7, -0.7])
+@pytest.mark.parametrize("na", [64, 48, 45])
+def test_ring_sum_on_the_real_axis_is_the_direct_double_sum(na, lam, monkeypatch):
+    # targets on the real axis evaluate half of the node angles and mirror
+    # the rest; the direct sum over every node w must agree, and so must the
+    # masses of the zero-extension warning (the last ring, past r_max / 2,
+    # reaches points beyond r_max)
+    grid, fs, gs = _noisy_pair(na, lam)
+    masses = []
+    monkeypatch.setattr(twisted, "warn_truncated",
+                        lambda what, cut, total, *a, **k: masses.append((cut, total)))
+    r = np.array([0.0, 0.8, 2.3, 4.2])
+    interp = _interpolant(fs)
+    got = _ring_sum(interp, gs, r, np.zeros(r.size), 1)[:, 0]
+
+    w = grid.points()[:, :, 0]
+    gm = gs.values * grid.measure()
+    want = np.array([np.sum(slice_value(fs, z - w) * gm
+                            * np.exp(0.5j * lam * (z * np.conj(w)).imag)) for z in r])
+    assert np.max(np.abs(got - want) / np.abs(want)) < 1e-13      # measured 1.2e-15
+    rho = np.abs(r[:, None, None] - w)
+    assert np.any(rho[-1] > grid.r_max)
+    cut = interp.boundary * sum(np.abs(gm)[p > grid.r_max].sum() for p in rho)
+    total = sum(np.sum(np.abs(interp.coefficients(p)).sum(axis=-1) * np.abs(gm)) for p in rho)
+    [(got_cut, got_total)] = masses
+    assert got_cut * r.size == pytest.approx(cut, rel=1e-13)
+    assert got_total * r.size == pytest.approx(total, rel=1e-13)
+
+
+@pytest.mark.parametrize("na", [64, 45])
+def test_real_axis_targets_read_half_of_the_node_angles(na, monkeypatch):
+    grid, fs, gs = _noisy_pair(na, 1.0)
+    interp = _interpolant(fs)
+    sizes = []
+    evaluate = _Interpolant.coefficients
+    monkeypatch.setattr(_Interpolant, "coefficients",
+                        lambda self, rho: sizes.append(rho.size) or evaluate(self, rho))
+    nr = grid.r.size
+    with pytest.warns(RuntimeWarning, match="dropped by zero extension"):
+        _ring_sum(interp, gs, [1.0, 1.0, 2.0, 0.5], [0.0, 0.4, 0.0, np.pi], 1)
+    # theta0 = pi puts the target off the real axis by the round-off of e^{i pi}
+    assert sizes == [nr * (na // 2 + 1), nr * na, nr * (na // 2 + 1), nr * na]
+    sizes.clear()
+    with pytest.warns(RuntimeWarning, match="dropped by zero extension"):
+        twisted_convolution(fs, gs)
+    assert sizes == [nr * (na // 2 + 1)] * nr
+
+
 def test_orbit_and_point_evaluations_agree_at_grid_nodes(grid):
     # twisted_convolution sums whole orbits; hecke_bochner_check sums at
-    # single targets; at the grid nodes both are the same ring sum
+    # single targets; at the grid nodes both are the same ring sum, and on
+    # orbits every target lies on the real axis, where only half of the node
+    # angles are evaluated, while the single targets off it evaluate all
     _, _, fs, gs = _angular_pair(grid, 1.0)
     conv = twisted_convolution(fs, gs)
     nodes = [(5, 0), (40, 7), (70, 33), (90, 47)]
@@ -294,3 +360,46 @@ def test_partial_fourier_t_separable_gaussian():
     vals_short = gz[:, :, None] * np.exp(-short ** 2)[None, None, :]
     with pytest.warns(RuntimeWarning, match="truncated"):
         partial_fourier_t(vals_short, lam, grid, short)
+
+
+def test_partial_fourier_t_keeps_real_samples_real():
+    # real samples are contracted against the real and imaginary parts of
+    # the phase; complex samples take the same route, by linearity
+    grid = polar_grid(1, nr=24, r_max=4.0, nsphere=16)
+    t = np.linspace(-8.0, 8.0, 161)
+    rng = np.random.default_rng(3)
+    vals = (np.exp(-grid.r ** 2)[:, None, None] * np.exp(-t ** 2)[None, None, :]
+            * (1.0 + 0.2 * rng.standard_normal((grid.r.size, 16, t.size))))
+    real = partial_fourier_t(vals, 1.1, grid, t).values
+    scale = np.max(np.abs(real))
+    assert np.max(np.abs(partial_fourier_t(vals.astype(complex), 1.1, grid, t).values - real)) \
+        < 1e-15 * scale
+    c = 0.6 - 0.8j
+    assert np.max(np.abs(partial_fourier_t(c * vals, 1.1, grid, t).values - c * real)) \
+        < 1e-15 * scale
+
+
+def test_partial_fourier_t_rejects_non_finite_input():
+    grid = polar_grid(1, nr=12, r_max=4.0, nsphere=8)
+    t = np.linspace(-6.0, 6.0, 25)
+    vals = np.exp(-grid.r ** 2)[:, None, None] * np.exp(-t ** 2)[None, None, :] * np.ones(8)[:, None]
+    bad_vals = vals.astype(complex)
+    bad_vals[3, 5, 7] = complex(1.0, np.nan)
+    inf_vals = vals.copy()
+    inf_vals[2, 0, 9] = -np.inf
+    bad_t = t.copy()
+    bad_t[4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"sample of f .*nan.* at grid node \(3, 5, 7\)"):
+            partial_fourier_t(bad_vals, 1.1, grid, t)
+        with pytest.raises(ValueError, match=r"sample of f -inf at grid node \(2, 0, 9\)"):
+            partial_fourier_t(inf_vals, 1.1, grid, t)
+        with pytest.raises(ValueError, match="lam nan is not finite"):
+            partial_fourier_t(vals, np.nan, grid, t)
+        with pytest.raises(ValueError, match="t node nan is not finite"):
+            partial_fourier_t(vals, 1.1, grid, bad_t)
+        with pytest.raises(ValueError, match="t weight inf is not finite"):
+            partial_fourier_t(vals, 1.1, grid, t, np.where(t == t[-1], np.inf, 0.5))
+        with pytest.raises(ValueError, match="overflows"):
+            partial_fourier_t(np.full(vals.shape, 1e308), 0.0, grid, t)
