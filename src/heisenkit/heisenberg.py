@@ -7,7 +7,8 @@ and the kernel itself is recovered by the inversion integral
     q_zeta(z, t) = (2 pi)^{-1} int e^{-i lam t} (profile) dlam,
 which converges absolutely whenever Re zeta > 0.  The engines evaluate the
 profile through `_hyperbolic_factors`, broadcast over lam; the pointwise
-oracle `heat_kernel` writes it out itself as the scalar `_profile`.
+oracles `heat_kernel` and `htype.htype_heat_kernel` write it out themselves
+as the scalar `_profile`.
 """
 
 import cmath
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid,
-                         sample_axis, separable_panels)
+                         sample_axis)
 from .specfun import _check_dimension
 
 
@@ -108,17 +109,6 @@ def _hyperbolic_factors(lam, zeta, n):
     return (2.0 * a * np.exp(-x) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
 
 
-def _hyperbolic_gaussian(lam, zeta, n, r):
-    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}, broadcast
-    over lam and r: the heat kernel's lam-profile without (4 pi)^{-n}, from
-    `_hyperbolic_factors`.  A radius past 1.3e154 gives exactly 0 but numpy
-    warns on the way, so its callers run it under np.errstate (not here:
-    QUADPACK calls it per node).
-    """
-    power, rate = _hyperbolic_factors(lam, zeta, n)
-    return power * np.exp(rate * np.square(r))
-
-
 def heat_kernel_lambda(zeta, lam, r, n=1):
     """Frequency profile of the heat kernel at |z| = r,
     (4 pi)^{-n} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}.
@@ -138,7 +128,8 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
                          f"(lam={lam!r}, zeta={zeta.value!r})")
     r = sample_axis("r", r)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        out = (4.0 * np.pi) ** (-n) * _hyperbolic_gaussian(lam, zeta.value, n, r)
+        power, rate = _hyperbolic_factors(lam, zeta.value, n)
+        out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
     return np.asarray(out, dtype=complex)[()]
 
 
@@ -165,7 +156,10 @@ def _strip_step(zeta, radii, times):
     of the central-frequency integrand at the sorted unique radii and
     |t|, analytic in |Im lam| < d = pi Re zeta / |zeta|^2 (its nearest pole
     is i pi / zeta): the rule converges like e^{-2 pi d / h} (Trefethen and
-    Weideman, SIAM Review 56, 2014).
+    Weideman, SIAM Review 56, 2014).  The k = 2 rule runs in u, through
+    lam = c log(1 + e^{u/c}) with c = Re(1/zeta) = d / pi: the map's poles
+    u = +-i pi c (2j + 1) lie exactly on the edge of the same strip, and
+    |Im lam| <= |Im u| inside it, so the same step serves.
 
     On the strip the phase grows like e^{d |t|}.  A row of radius r is
     e^{-Re(1/zeta) r^2 / 4} in size, while on the line Im lam = d / 2 its
@@ -231,14 +225,17 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
     the normalized Bessel function for the H-type one.  Both factors are
     tabulated on the unique radii and times only, and L is `_lam_cutoff`.
 
-    Both rules are sized by `_strip_step` h.  For odd k the integrand is
-    even in lam, so it runs on the trapezoid rule of step h
-    (`quadrature.even_trapezoid`), checked against the rule of twice that
-    step; on a product grid each radius ends at its own cutoff
-    (`_radius_cutoffs`).  At k = 2 (lam Jt_0, odd) the half-line trapezoid
-    keeps an O(h^2) end error, so it runs on the refined panel rule
-    (`quadrature.separable_panels`), whose first rule has 12-node panels of
-    width 8 h.
+    Every k runs on one trapezoid rule (`quadrature.even_trapezoid`) of
+    step h = `_strip_step`, checked against the rule of twice that step;
+    on a large product grid each radius ends at its own cutoff
+    (`_radius_cutoffs`).  For odd k the integrand is even in lam, and the
+    rule runs in lam from 0.  At k = 2 (lam Jt_0, odd) it runs in u, with
+    lam = c log(1 + e^{u/c}) and c = Re(1/zeta), which maps the whole u line
+    onto the half line: the integrand then decays like c e^{2u/c} toward
+    -inf, and the rule starts at u = (c/2) log(floor), where that has fallen
+    to the floor.  The map's poles lie on the edge of the strip that sizes
+    h, and the cutoffs in lam go to u by the inverse map.  This is the one
+    place where the parity of k is read.
     At a real time every table stays real."""
     zeta = complex(zeta)
     rows, ir = np.unique(radii.ravel(), return_inverse=True)
@@ -246,7 +243,28 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
     profile_time = zeta if zeta.imag else zeta.real
     lam_max = _lam_cutoff(zeta, n, k, floor)
     step = _strip_step(zeta, rows, cols)
+    if k % 2:
+        start, mapping = 0.0, None
+
+        def to_u(lam):
+            return lam
+    else:
+        c = 1.0 / (abs(zeta) * (abs(zeta) / zeta.real))      # Re(1/zeta)
+        start = 0.5 * c * math.log(floor)
+
+        def mapping(u):
+            # u / c <= L / c, which is L s <= 46 at a real time s: e^{u/c}
+            # stays finite
+            x = u / c
+            return c * np.log1p(np.exp(x)), 1.0 / (1.0 + np.exp(-x))
+
+        def to_u(lam):
+            return lam + c * np.log(-np.expm1(-lam / c))
+    u_max = to_u(lam_max)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
+        cutoffs = np.full(rows.size, u_max)
+        if rows.size * 2.0 * (u_max - start) / step >= _RADIUS_ENTRIES:
+            cutoffs = to_u(_radius_cutoffs(zeta, n, k, floor, lam_max, rows))
         squares = np.square(rows)[:, None]
 
         def factors(lams, p):
@@ -256,20 +274,15 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
                 power = lams ** (k - 1) * power
             return np.exp(rate * squares[:p]), phase(np.outer(cols, lams)) * power
 
-        if k % 2:
-            cutoffs = np.full(rows.size, lam_max)
-            if rows.size * 2.0 * lam_max / step >= _RADIUS_ENTRIES:
-                cutoffs = _radius_cutoffs(zeta, n, k, floor, lam_max, rows)
-            vals = even_trapezoid(step, cutoffs, factors, ir, ic, rtol)
-        else:
-            vals = separable_panels(0.0, lam_max, 8.0 * step, factors, ir, ic, rtol)
+        vals = even_trapezoid(step, cutoffs, factors, ir, ic, rtol, start=start, mapping=mapping)
     return vals.reshape(radii.shape)
 
 
 def _profile(lam, zeta, n, r):
     """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4} at one lam
-    and one radius, for Re zeta > 0: the pointwise oracle's own scalar
-    profile, written out with cmath and shared with no engine.
+    and one radius, for Re zeta > 0: the pointwise oracles' own scalar
+    profile (`heat_kernel`, `htype.htype_heat_kernel`), written out with
+    cmath and shared with no engine.
 
     It is even in lam.  Below |lam zeta| = 1e-100 it is the Euclidean limit
     zeta^{-n} e^{-r^2 / (4 zeta)}, exact in double precision there.  Past

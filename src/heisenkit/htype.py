@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .heisenberg import _central_integral, _hyperbolic_gaussian, _lam_cutoff
+from .heisenberg import _central_integral, _lam_cutoff, _profile
 from .quadrature import adaptive_quad, gauss_interval, sample_axis, warn_truncated
 from .specfun import _check_dimension, bessel_j_tilde
 
@@ -76,6 +76,9 @@ _SINE_RTOL = 1e-9
 def htype_heat_kernel(s, p):
     """h_s at a point, by adaptive quadrature in the central frequency.
 
+    This is the pointwise oracle of `htype_heat_batch`, and it shares no
+    profile code with it: QUADPACK integrates the Bessel factor times the
+    scalar `heisenberg._profile`, the pointwise Heisenberg oracle's own.
     It ends at the batch's `heisenberg._lam_cutoff`, and its absolute
     tolerance 1e-14 shrinks with the kernel's size s^{-n-k} past s = 1.
     At k = 3 and |t| > 0 the Bessel factor lam^2 Jt_{1/2}(lam |t|) is
@@ -86,20 +89,20 @@ def htype_heat_kernel(s, p):
     n, k = p.n, p.k
     v, t = p.v_norm, p.t_norm
     lam_max = _lam_cutoff(s, n, k, 1e-16)
-    # |v| past 1.3e154 reads 0, and |t| past it overflows hyp0f1's argument
-    # at k = 2 (QUADPACK then raises): neither prints a numpy warning
+    if k == 3 and t > 0:
+        val = adaptive_quad(lambda lam: lam * _profile(lam, s, n, v).real, 0.0, lam_max,
+                            epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
+        return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * val.real
+
+    def f(lam):
+        return float(lam ** (k - 1) * _profile(lam, s, n, v).real
+                     * bessel_j_tilde(0.5 * k - 1.0, lam * t))
+
+    # |t| past 1.3e154 overflows hyp0f1's argument at k = 2 (QUADPACK then
+    # raises), without a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
-        if k == 3 and t > 0:
-            val = adaptive_quad(lambda lam: lam * _hyperbolic_gaussian(lam, s, n, v), 0.0,
-                                lam_max, epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
-            return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * float(np.real(val))
-
-        def f(lam):
-            return float(lam ** (k - 1) * _hyperbolic_gaussian(lam, s, n, v)
-                         * bessel_j_tilde(0.5 * k - 1.0, lam * t))
-
         val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14 * max(1.0, s) ** (-n - k))
-    return _constant(n, k) * float(np.real(val))
+    return _constant(n, k) * val.real
 
 
 def htype_heat_batch(s, n, k, vnorm, tnorm):
@@ -107,14 +110,13 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
 
     It is the Heisenberg engine's integral (`heisenberg._central_integral`)
     with Jt_{k/2-1}(lam |t|) in place of cos(lam t), ending where lam^{k-1}
-    (lam / sinh(s lam))^n crosses 1e-16 of its peak s^{-(n+k-1)}.  At
-    k = 1 and 3 the integrand is even in lam and runs on the Heisenberg
-    engine's trapezoid rule, which must agree with the rule of twice its
-    step to 1e-8; at k = 2 (lam Jt_0, odd) it runs on the panel rule,
-    whose first rule is sized from the same step, refined until two
-    successive rules agree to 1e-8.  This is the fast
-    path behind `radon_heat_profile`.  Norms must be finite and
-    nonnegative.
+    (lam / sinh(s lam))^n crosses 1e-16 of its peak s^{-(n+k-1)}.  Every
+    k runs on the Heisenberg engine's trapezoid rule, which must agree with
+    the rule of twice its step to 1e-8: in lam at k = 1 and 3, where the
+    integrand is even in lam, and at k = 2 (lam Jt_0, odd) in the variable
+    u of lam = (1/s) log(1 + e^{s u}), which maps the whole u line onto the
+    half line.  This is the fast path behind `radon_heat_profile`.  Norms
+    must be finite and nonnegative.
     """
     _check_time(s)
     _check_dimension(n)

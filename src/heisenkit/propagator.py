@@ -26,7 +26,7 @@ from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
 from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
 from .quadrature import warn_truncated
-from .specfun import jtilde_of_square, laguerre_series_sum, laguerre_table
+from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
 from .spherical import build_basis, spherical_coefficients
 
 _EXCEPTIONAL_TOL = 1e-6
@@ -46,26 +46,26 @@ def _reject_exceptional(lam, s0):
             f"lam = {lam!r} is exceptional for s0 = {s0!r}: |sin(lam s0)| <= {_EXCEPTIONAL_TOL}")
 
 
-def _laguerre_basis(lam, r, degrees, orders):
-    """Laguerre functions orthonormal in L^2((0, inf), r dr):
+def _laguerre_basis(lam, r, degrees, order):
+    """Laguerre functions of one order a, orthonormal in L^2((0, inf), r dr):
 
-    out[a, j] = sqrt(|lam| j!/(j+a)!) x^{a/2} L_j^a(x) e^{-x/2} at
-    x = |lam| r^2/2, for a < orders and j < degrees.  The factorial ratio
-    and the power of x are taken in log form, so high orders cannot
-    overflow.  The polynomials themselves overflow once x reaches ~1e4 at
-    128 degrees (~1.4e3 at 512); that raises instead of returning NaN.
+    out[j] = sqrt(|lam| j!/(j+a)!) x^{a/2} L_j^a(x) e^{-x/2} at
+    x = |lam| r^2/2, for j < degrees, from one banded solve of the
+    recurrence (`specfun._laguerre_rows`).  The factorial ratio and the
+    power of x are taken in log form, so high orders cannot overflow.  The
+    polynomials themselves overflow once x reaches ~1e4 at 128 degrees
+    (~1.4e3 at 512); that raises instead of returning NaN.
     """
     x = 0.5 * abs(lam) * r * r
-    a = np.arange(orders)[:, None]
-    j = np.arange(degrees)[:, None, None]
-    log_scale = (0.5 * (gammaln(j + 1) - gammaln(j + a + 1))
-                 + 0.5 * a * np.log(x) - 0.5 * x)
+    j = np.arange(degrees)[:, None]
+    log_scale = (0.5 * (gammaln(j + 1) - gammaln(j + order + 1))
+                 + 0.5 * order * np.log(x) - 0.5 * x)
     with np.errstate(over="ignore", invalid="ignore"):
-        table = laguerre_table(degrees - 1, a, x) * np.exp(log_scale)   # (j, a, r)
+        table = _laguerre_rows(order, x, degrees - 1).T * np.exp(log_scale)    # (j, r)
     if not np.all(np.isfinite(table)):
         raise ValueError(f"the Laguerre table overflows at |lam| r^2/2 = {x[-1]:.3g} "
                          f"with {degrees} degrees; use a smaller r_max or |lam|")
-    return math.sqrt(abs(lam)) * np.swapaxes(table, 0, 1)
+    return math.sqrt(abs(lam)) * table
 
 
 def schrodinger_evolve(f, zeta):
@@ -81,9 +81,9 @@ def schrodinger_evolve(f, zeta):
     same sign and p = 0 otherwise; the damped modes are resynthesised on the
     grid nodes.  Only the live modes are evolved, those whose amplitude
     reaches 1e-15 of the largest (`grids.live_modes`, the rule of the
-    twisted interpolant): the basis is built for orders up to the largest
-    live |m|, and the other modes of the result are 0.  A radial slice
-    evolves one mode.  A slice with a non-finite value raises ValueError
+    twisted interpolant): the basis is built for each live order |m| alone,
+    by one banded solve, and the other modes of the result are 0.  A radial
+    slice evolves one mode.  A slice with a non-finite value raises ValueError
     naming its node.  The grid twisted convolution in `twisted` is the
     oracle this is tested against, never a fallback.
     """
@@ -106,15 +106,15 @@ def schrodinger_evolve(f, zeta):
     live = np.flatnonzero(live_modes(modes))
     live_order = order[live]
     degrees = grid.r.size
-    basis = _laguerre_basis(f.lam, grid.r, degrees, int(live_order.max()) + 1)
     weighted = (grid.r_weights * grid.r)[:, None] * modes
     j = np.arange(degrees)[:, None]
     out = np.zeros_like(modes)
     for a in np.unique(live_order):
         cols = live[live_order == a]
-        coef = basis[a] @ weighted[:, cols]
+        basis = _laguerre_basis(f.lam, grid.r, degrees, a)
+        coef = basis @ weighted[:, cols]
         coef *= np.exp(-(2 * (j + shift[cols]) + 1) * abs(f.lam) * zeta.value)
-        out[:, cols] = basis[a].T @ coef
+        out[:, cols] = basis.T @ coef
     return SpectralSlice(f.lam, grid, np.fft.ifft(out, axis=1))
 
 

@@ -1,9 +1,7 @@
-"""Shared quadrature helpers: panel Gauss-Legendre rules, the two separable
-integrators behind the frequency integrals (the trapezoid rule for even
-integrands, the refined panel rule for the odd one) and the cutoff solver
-that ends them, trapezoid weights, a budgeted wrapper around scipy's
-adaptive integrator, and the truncation warning of every truncated
-integral."""
+"""Shared quadrature helpers: panel Gauss-Legendre rules, the one trapezoid
+rule behind every central-frequency integral and the cutoff solver that
+ends it, trapezoid weights, a budgeted wrapper around scipy's adaptive
+integrator, and the truncation warning of every truncated integral."""
 
 import math
 import sys
@@ -146,16 +144,8 @@ def envelope_cutoff(log_envelope, log_floor, start):
 
 
 _EPS = float(np.finfo(float).eps)
-# nodes of the finer trapezoid rule and of the first panel rule: a longer
-# rule raises before it is built
+# nodes of the finer trapezoid rule: a longer rule raises before it is built
 _MAX_NODES = 1 << 22
-
-
-def _check_budget(nodes, rule):
-    """QuadratureError when a rule would take more than _MAX_NODES nodes."""
-    if not nodes <= _MAX_NODES:
-        raise QuadratureError(f"the integrand varies too fast for a {rule} rule: it "
-                              f"would take {nodes:.3g} nodes")
 
 
 def _contract(x, w, factors, p, ir, ic, product, cuts):
@@ -206,56 +196,6 @@ def _disagreement(fine, coarse, noise, rtol, where):
     return None
 
 
-def separable_panels(a, b, width, factors, ir, ic, rtol):
-    """Integrals over [a, b] of integrands that factor as row(x) col(x).
-    The frequency integrals take it for the odd integrand only, the k = 2
-    H-type kernel's lam Jt_0, on which the half-line trapezoid rule
-    (`even_trapezoid`) keeps an O(h^2) end error.
-
-    factors(x, p) returns the tables of the first p unique rows and of
-    every unique column at the nodes x, shape (values, nodes), as in
-    `even_trapezoid`; ir and ic index the unique values (the inverse maps
-    of np.unique), so each factor is evaluated once per node and unique
-    value.  Point p gets
-        sum_j w_j row(x_j)[ir[p]] col(x_j)[ic[p]]
-    on a composite order-12 Gauss-Legendre rule.  The first rule has
-    panels of at most the given width, and it is refined (panels ->
-    2 panels + 7) until two successive rules agree (`_disagreement`), at
-    most four times, so a rule of all zeros is accepted only after another
-    one.  A rule that is still moving or unresolved after that (or reads
-    NaN) raises QuadratureError with the last panel count and the gap or
-    the round-off, and so does, before it is built, a first rule of more
-    than _MAX_NODES nodes.
-
-    Each rule is summed by `_contract`: on a product grid (no more points
-    than the R x T pairs of their unique values) into one (R, T) table,
-    which is then read at the points.
-    """
-    if ir.size == 0:
-        return np.zeros(0)
-    # every unique value occurs in its inverse map, so max + 1 counts them
-    n_rows, n_cols = int(ir.max()) + 1, int(ic.max()) + 1
-    product = n_rows * n_cols <= ir.size
-
-    def run(m):
-        """The rule's values, and the worst-case round-off of its sums."""
-        x, w = gauss_panels(a, b, m, 12)
-        (total,), terms = _contract(x, w, factors, n_rows, ir, ic, product, (0, x.size))
-        return total[ir, ic] if product else total, x.size * _EPS * terms
-
-    panels = (b - a) / width
-    _check_budget(12.0 * panels, "panel")
-    panels = max(1, math.ceil(panels))
-    fine, _ = run(panels)
-    for _ in range(4):
-        panels = 2 * panels + 7
-        coarse, (fine, noise) = fine, run(panels)
-        failure = _disagreement(fine, coarse, noise, rtol, f"{panels} panels")
-        if failure is None:
-            return fine
-    raise QuadratureError(f"panel quadrature failed to converge: {failure}")
-
-
 # what a band of its own costs in calls, counted in (row, node) entries
 _BAND_ENTRIES = 1 << 11
 
@@ -281,37 +221,54 @@ def _bands(last):
     return bands
 
 
-def even_trapezoid(step, cutoffs, factors, ir, ic, rtol):
-    """Integrals over [0, inf) of even integrands that factor as row(x)
-    col(x), on the trapezoid rule.
+def even_trapezoid(step, cutoffs, factors, ir, ic, rtol, start=0.0, mapping=None):
+    """Integrals over [0, inf) of integrands that factor as row(lam)
+    col(lam), on the trapezoid rule in a variable u of the caller's choice.
 
-    factors(x, p) returns the tables of the first p unique rows, shape (p,
-    nodes), and of every unique column at the nodes x; ir and ic index them
-    as in `separable_panels`.  Unique row i is summed up to cutoffs[i],
-    which must not increase along the rows: the caller puts each row's
-    cutoff where its integrand has fallen below its floor.
+    factors(lam, p) returns the tables of the first p unique rows, shape
+    (p, nodes), and of every unique column at the nodes lam; ir and ic index
+    the unique values (the inverse maps of np.unique), so each factor is
+    evaluated once per node and unique value.  Point p gets
+        sum_j w_j row(lam_j)[ir[p]] col(lam_j)[ic[p]].
+    Unique row i is summed up to cutoffs[i] (in u), which must not increase
+    along the rows: the caller puts each row's cutoff where its integrand
+    has fallen below its floor.
+
+    The nodes are u_j = start + j h/2, taken to lam_j = u_j, or through
+    mapping(u) = (lam(u), lam'(u)) when one is given, with weights
+    (h/2) lam'(u_j).  Without a map the rule runs from 0 and suits an even
+    integrand, whose half-line rule is half the full-line one.  An integrand
+    that is not even needs a map of the whole line onto the half line,
+    under which it decays at both ends, and a start where it has fallen
+    below its floor.
 
     The integrand is evaluated once at step h/2, and the rule of step h is
     read from the even nodes; both end at the same even node, past the
     cutoff, with half weights at both ends (h/4 in the finer rule, h/2 in
     the coarser), so that they integrate the same truncated integral.  For
-    an integrand analytic in the strip |Im x| < d both converge like
+    an integrand analytic in the strip |Im u| < d both converge like
     e^{-2 pi d / h}, so the caller sizes h from d.  The two rules must
-    agree as in `separable_panels` (`_disagreement`), or QuadratureError
-    is raised.  So is it, before anything is built, when the finer rule
-    would take more than _MAX_NODES nodes.
+    agree (`_disagreement`), or QuadratureError is raised.  So is it,
+    before anything is built, when the finer rule would take more than
+    _MAX_NODES nodes.
 
-    On a product grid the nodes are split into bands, each a trapezoid rule
-    of its own that contracts the prefix of rows still running there: its
-    even nodes, then its odd ones, go through `_contract`.  Scattered
-    points sum every row to the last cutoff.
+    On a product grid (no more points than the R x T pairs of their unique
+    values) the nodes are split into bands, each a trapezoid rule of its
+    own that contracts the prefix of rows still running there: its even
+    nodes, then its odd ones, go through `_contract` into one (R, T) table,
+    which is then read at the points.  Scattered points sum every row to the
+    last cutoff.
     """
     if ir.size == 0:
         return np.zeros(0)
-    _check_budget(2.0 * float(np.max(cutoffs)) / step, "trapezoid")
+    cutoffs = np.asarray(cutoffs, dtype=float) - start
+    nodes = 2.0 * float(np.max(cutoffs)) / step
+    if not nodes <= _MAX_NODES:
+        raise QuadratureError("the integrand varies too fast for a trapezoid rule: it "
+                              f"would take {nodes:.3g} nodes")
     half = 0.5 * step
-    # the even node j at or past each cutoff, j h/2 >= cutoff
-    last = np.maximum(2 * np.ceil(np.asarray(cutoffs, dtype=float) / step).astype(int), 2)
+    # the even node j at or past each cutoff, start + j h/2 >= cutoff
+    last = np.maximum(2 * np.ceil(cutoffs / step).astype(int), 2)
     n_rows, n_cols = last.size, int(ic.max()) + 1
     product = n_rows * n_cols <= ir.size
     bands = _bands(last) if product and last[-1] < last[0] else [(0, int(last[0]), n_rows)]
@@ -320,9 +277,13 @@ def even_trapezoid(step, cutoffs, factors, ir, ic, rtol):
     for lo, hi, p in bands:
         j = np.concatenate([np.arange(lo, hi + 1, 2), np.arange(lo + 1, hi, 2)])
         m = (hi - lo) // 2 + 1                      # even nodes in [lo, hi]
+        x = start + j * half
         w = np.full(j.size, half)
         w[[0, m - 1]] *= 0.5
-        (e, o), t = _contract(j * half, w, factors, p, ir, ic, product, (0, m, j.size))
+        if mapping is not None:
+            x, slope = mapping(x)
+            w *= slope
+        (e, o), t = _contract(x, w, factors, p, ir, ic, product, (0, m, j.size))
         terms += t
         if even is None:
             even, odd = e, o

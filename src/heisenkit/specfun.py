@@ -32,41 +32,18 @@ def _recurrence(m, alpha, t):
 
 
 def _check_laguerre_order(alpha):
-    if not (np.asarray(alpha) > -1.0).all():
+    if not alpha > -1.0:
         raise ValueError("Laguerre order alpha must exceed -1")
 
 
-def _laguerre_degrees(k, alpha, t):
-    """Yield L_0^alpha(t), ..., L_k^alpha(t): one pass of the upward
-    three-term recurrence (`_recurrence`) from L_{-1} = 0 and L_0 = 1.
-
-    alpha and t broadcast against each other.  The defining alternating sum
-    cancels catastrophically once k t is large, so the recurrence is used for
-    every degree.
-    """
+def laguerre(k, alpha, t):
+    """Generalized Laguerre polynomial L_k^alpha(t), for one order
+    alpha > -1: the last degree of `_laguerre_rows`."""
     if int(k) != k or k < 0:
         raise ValueError("Laguerre degree k must be a nonnegative integer")
-    _check_laguerre_order(alpha)
-    prev, cur = 0.0, np.ones(np.broadcast(alpha, t).shape)
-    yield cur
-    for m in range(int(k)):
-        a, b, c = _recurrence(m, alpha, t)
-        prev, cur = cur, (a * cur - b * prev) / c
-        yield cur
-
-
-def laguerre(k, alpha, t):
-    """Generalized Laguerre polynomial L_k^alpha(t)."""
     t, scalar = _as_array(t)
-    for cur in _laguerre_degrees(k, alpha, t):
-        pass
-    return _maybe_scalar(cur, scalar)
-
-
-def laguerre_table(kmax, alpha, t):
-    """Every degree at once: out[k] = L_k^alpha(t) for k = 0..kmax, with
-    alpha and t broadcast against each other."""
-    return np.stack(list(_laguerre_degrees(kmax, alpha, np.asarray(t, dtype=float))))
+    out = _laguerre_rows(alpha, t.ravel(), int(k))[:, -1].reshape(t.shape)
+    return _maybe_scalar(out, scalar)
 
 
 def _check_dimension(n):
@@ -190,13 +167,18 @@ _LOST_DIGITS = 1e-8
 
 def _laguerre_rows(alpha, t, kmax):
     """out[i, k] = L_k^alpha(t[i]) for k <= kmax, from one lower-triangular
-    banded solve.
+    banded solve; alpha > -1 is one number.
 
-    The recurrence of `_laguerre_degrees` is a system with bandwidth 2 and
-    one diagonal block per t: L_0 = 1 and c L_{m+1} - a L_m + b L_{m-1} = 0.
-    BLAS forward substitution (dtbsv, no pivoting) runs that recurrence
-    itself, in compiled code.
+    The upward three-term recurrence (`_recurrence`) is a system with
+    bandwidth 2 and one diagonal block per t: L_0 = 1 and
+    c L_{m+1} - a L_m + b L_{m-1} = 0.  BLAS forward substitution (dtbsv,
+    no pivoting) runs that recurrence itself, in compiled code.  The
+    defining alternating sum cancels catastrophically once k t is large, so
+    the recurrence is used for every degree.
     """
+    _check_laguerre_order(alpha)
+    if t.size == 0:
+        return np.zeros((0, kmax + 1))
     from scipy.linalg.blas import dtbsv
 
     m = np.arange(kmax, dtype=float)

@@ -7,39 +7,19 @@ from heisenkit import heisenberg, quadrature
 
 
 @pytest.fixture
-def order12_rules(monkeypatch):
-    """Panel counts of the order-12 rules that the separable engine builds,
-    in the order it builds them."""
-    rules = []
-    original = quadrature.gauss_panels
-
-    def counting(a, b, panels, order=16):
-        if order == 12:
-            rules.append(panels)
-        return original(a, b, panels, order)
-
-    monkeypatch.setattr(quadrature, "gauss_panels", counting)
-    return rules
-
-
-@pytest.fixture
 def engine_cutoffs(monkeypatch):
-    """Upper ends of the frequency rules that `heat_kernel_grid` and
+    """Upper ends, in lam, of the trapezoid rules that `heat_kernel_grid` and
     `htype_heat_batch` hand to their integrator (both through
-    `heisenberg._central_integral`): the last radius cutoff of the trapezoid
-    rule (odd k), or the end of the panel rule (k = 2)."""
+    `heisenberg._central_integral`): the last radius cutoff, taken back to
+    lam through the rule's map where it has one (k = 2)."""
     cutoffs = []
 
-    def trapezoid(step, ends, *rest):
-        cutoffs.append(float(np.max(ends)))
-        return quadrature.even_trapezoid(step, ends, *rest)
-
-    def panels(a, b, *rest):
-        cutoffs.append(b)
-        return quadrature.separable_panels(a, b, *rest)
+    def trapezoid(step, ends, *rest, start=0.0, mapping=None):
+        end = np.max(ends)
+        cutoffs.append(float(end if mapping is None else mapping(end)[0]))
+        return quadrature.even_trapezoid(step, ends, *rest, start=start, mapping=mapping)
 
     monkeypatch.setattr(heisenberg, "even_trapezoid", trapezoid)
-    monkeypatch.setattr(heisenberg, "separable_panels", panels)
     return cutoffs
 
 
@@ -47,12 +27,12 @@ def engine_cutoffs(monkeypatch):
 def trapezoid_rules(monkeypatch):
     """(nodes, radius cutoffs) of each trapezoid rule that
     `heisenberg._central_integral` runs, in the order it runs them: nodes
-    counts the finer rule, step h / 2, up to the last cutoff."""
+    counts the finer rule, step h / 2, from its start up to the last cutoff."""
     rules = []
 
-    def recording(step, ends, *rest):
-        rules.append((int(2 * np.ceil(np.max(ends) / step)) + 1, np.array(ends)))
-        return quadrature.even_trapezoid(step, ends, *rest)
+    def recording(step, ends, *rest, start=0.0, mapping=None):
+        rules.append((int(2 * np.ceil((np.max(ends) - start) / step)) + 1, np.array(ends)))
+        return quadrature.even_trapezoid(step, ends, *rest, start=start, mapping=mapping)
 
     monkeypatch.setattr(heisenberg, "even_trapezoid", recording)
     return rules

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from heisenkit import cli
+from heisenkit import cli, heisenberg
 from heisenkit.heisenberg import heat_kernel_grid
 from heisenkit.hermite import MehlerParams, mehler_kernel
 from heisenkit.htype import htype_heat_batch
@@ -203,13 +203,17 @@ def test_kernel_past_the_node_budget_fails_before_building_the_rule(capsys):
     ["--group", "heisenberg", "--s", "0.01", "--r", "0", "--t", "1e307"],
 ], ids=["k2", "k2-step-underflows", "heisenberg-step-underflows"])
 def test_kernel_past_the_node_budget_of_either_rule_fails_before_building_it(
-        argv, capsys, order12_rules):
-    # the k = 2 panel rule is sized from the trapezoid's step: at |t| = 1e12
-    # its first rule would take about 2e13 nodes; at d |t| past 1.8e308 the
-    # step underflows, and either rule would take infinitely many
+        argv, capsys, monkeypatch):
+    # at |t| = 1e12 the finer k = 2 rule would take about 2e13 nodes; at
+    # d |t| past 1.8e308 the step underflows, and either rule would take
+    # infinitely many: no factor table may be built
+    def no_factors(*args):
+        raise AssertionError("no node may be evaluated")
+
+    monkeypatch.setattr(heisenberg, "_hyperbolic_factors", no_factors)
     assert cli.run(["kernel", *argv]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and order12_rules == []
+    assert captured.out == ""
     assert "would take" in captured.err and "nodes" in captured.err
 
 

@@ -43,14 +43,13 @@ def _referenced_names(tree):
 
 
 def test_only_heisenberg_drives_the_frequency_integrals():
-    # `heisenberg._central_integral` is the one caller of the trapezoid and
-    # separable engines and of the step and radius cutoffs that size both,
-    # and `heisenberg._lam_cutoff` the one caller of the cutoff solver: a
-    # second frequency integral, or a second theory of their sizing, would
-    # have to mention them
+    # `heisenberg._central_integral` is the one caller of the trapezoid rule
+    # and of the step and radius cutoffs that size it, and
+    # `heisenberg._lam_cutoff` the one caller of the cutoff solver: a second
+    # frequency integral, or a second theory of their sizing, would have to
+    # mention them
     users = {}
-    engines = ("even_trapezoid", "separable_panels", "envelope_cutoff", "_strip_step",
-               "_radius_cutoffs")
+    engines = ("even_trapezoid", "envelope_cutoff", "_strip_step", "_radius_cutoffs")
     for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
         if path.stem == "quadrature":
             continue
@@ -62,12 +61,17 @@ def test_only_heisenberg_drives_the_frequency_integrals():
 
 
 def test_pointwise_heat_kernel_oracle_has_its_own_profile():
-    # `heat_kernel` checks `heat_kernel_grid`: if it read the engines'
-    # hyperbolic Gaussian, a fault there would pass on both sides
-    path = pathlib.Path(heisenkit.__file__).with_name("heisenberg.py")
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    assert "_profile" in set(_referenced_names(functions["heat_kernel"]))
-    for name in ("heat_kernel", "_profile"):
-        names = set(_referenced_names(functions[name]))
-        assert not names & {"_hyperbolic_factors", "_hyperbolic_gaussian"}, name
+    # `heat_kernel` checks `heat_kernel_grid`, and `htype_heat_kernel`
+    # checks `htype_heat_batch`: if either read the engines' hyperbolic
+    # factors, a fault there would pass on both sides
+    def functions(module):
+        path = pathlib.Path(heisenkit.__file__).with_name(f"{module}.py")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    heisenberg, htype = functions("heisenberg"), functions("htype")
+    for oracle in (heisenberg["heat_kernel"], htype["htype_heat_kernel"]):
+        assert "_profile" in set(_referenced_names(oracle)), oracle.name
+    for node in (heisenberg["heat_kernel"], heisenberg["_profile"], htype["htype_heat_kernel"]):
+        names = set(_referenced_names(node))
+        assert not names & {"_hyperbolic_factors", "_central_integral"}, node.name

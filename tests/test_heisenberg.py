@@ -68,7 +68,7 @@ def test_hyperbolic_gaussian_against_mpmath():
             for lam in (0.0, 1e-9, -1e-9, 0.5, 40.0, 720.0, -800.0):
                 for zeta in (1.0, 1.0 + 0.5j, 0.3 + 1.0j):
                     for r in (0.0, 0.5, 3.0):
-                        got = complex(heisenberg._hyperbolic_gaussian(lam, zeta, n, r))
+                        got = complex(heat_kernel_lambda(zeta, lam, r, n)) * (4 * math.pi) ** n
                         want = _mp_profile(mpmath, lam, zeta, n, r)
                         # relative, or absolute where the value underflows
                         assert abs(got - want) <= max(1e-13 * abs(want), 1e-300), \

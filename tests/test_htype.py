@@ -169,37 +169,77 @@ def test_batch_cutoff_sits_within_one_percent_above_the_envelope_crossing(k, eng
     assert envelope(lam_max) <= 1e-16 < envelope(lam_max / 1.01)
 
 
-def test_table_and_radon_shapes_converge_at_the_first_comparison(order12_rules, trapezoid_rules):
-    # odd k (an even integrand) runs on one trapezoid rule, compared once
-    # with the rule of twice its step; k = 2 (lam Jt_0, odd in lam) runs
-    # on the panel rule, whose first refinement agrees
+def test_table_and_radon_shapes_converge_at_the_first_comparison(trapezoid_rules):
+    # every k runs on one trapezoid rule, compared once with the rule of
+    # twice its step: odd k (an even integrand) in lam from 0, k = 2 (lam
+    # Jt_0, odd in lam) in the variable that maps the line onto the half line
     rng = np.random.default_rng(0)
     rho = np.concatenate([[0.1], np.sort(rng.uniform(0.1, 3.0, 62)), [3.0]])
     tau = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 14)), [3.0]])
-    for k, nodes, panel_rules in ((1, [325], 0), (2, [], 2), (3, [389], 0)):
-        order12_rules.clear()
+    for k, nodes in ((1, 325), (2, 501), (3, 389)):
         trapezoid_rules.clear()
         htype_heat_batch(1.0, 1, k, rho[:, None], tau[None, :])
-        assert [n for n, _ in trapezoid_rules] == nodes, k
-        assert len(order12_rules) == panel_rules, (k, order12_rules)
+        assert [n for n, _ in trapezoid_rules] == [nodes], k
     # one target, and the 5 x 5 grid of the radon-collapse check
     for v, t in ((np.array([1.1]), np.array([0.7])),
                  (np.linspace(0.4, 2.0, 5), np.linspace(-1.5, 1.5, 5))):
-        order12_rules.clear()
+        trapezoid_rules.clear()
         radon_heat_profile(1.0, v, t, n=1, k=2)
-        assert len(order12_rules) == 2, (v.size, t.size, order12_rules)
+        assert len(trapezoid_rules) == 1, (v.size, t.size)
     # the CLI's two |v| at one |t| (`kernel --group htype --k 2`)
     for _ in range(20):
         s, v, t = rng.uniform(0.6, 1.4), rng.uniform(0.1, 2.5, 2), rng.uniform(0.0, 2.5)
-        order12_rules.clear()
+        trapezoid_rules.clear()
         htype_heat_batch(s, 1, 2, v, np.full(2, t))
-        assert len(order12_rules) == 2, (s, v, t, order12_rules)
+        assert len(trapezoid_rules) == 1, (s, v, t)
+
+
+def _mp_k2(s, v, t, lam_max):
+    """h_s(v, t) at n = 1, k = 2 from 30-digit mpmath: c(1, 2) int_0^lam_max
+    lam J_0(lam t) (lam / sinh(s lam)) e^{-lam coth(s lam) v^2 / 4} dlam,
+    split at the half periods of J_0."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        s, v, t = mpmath.mpf(s), mpmath.mpf(v), mpmath.mpf(t)
+
+        def f(lam):
+            if lam == 0:
+                return mpmath.mpf(0)
+            return (lam * mpmath.besselj(0, lam * t) * lam / mpmath.sinh(s * lam)
+                    * mpmath.exp(-lam * mpmath.coth(s * lam) * v * v / 4))
+
+        pieces = int(lam_max * t / mpmath.pi) + 1
+        return float(mpmath.quad(f, mpmath.linspace(0, lam_max, pieces + 1))
+                     / (2 * (2 * mpmath.pi) ** 2))
+
+
+def test_k2_tables_match_mpmath_in_the_near_and_mid_field():
+    # |t| / s = 0.5 and 3 at s = 1, |v| = 0 and 1; the integrand is below
+    # 1e-18 of its peak past lam = 50
+    v, t = np.array([0.0, 1.0]), np.array([0.5, 3.0])
+    table = htype_heat_batch(1.0, 1, 2, v[:, None], t[None, :])
+    want = np.array([[_mp_k2(1.0, vv, tt, 50.0) for tt in t] for vv in v])
+    assert np.max(np.abs(table - want) / np.abs(want)) <= 1e-8
+
+
+def test_k2_far_field_point_raises_or_matches_mpmath():
+    # 8.4e-11 of h_s(0, 0), where the sums' round-off is 2.4e-4 of the
+    # value: a Gauss-panel rule accepted this point 1.4e-7 off at rtol 1e-8.
+    # A rule that converges here must match the 40-digit mpmath value, and
+    # one that cannot tell must raise
+    want = 1.5272810683892881e-21
+    try:
+        got = htype_heat_batch(100.0, 2, 2, [17.969482135014385], [1033.3127837997654])
+    except QuadratureError:
+        return
+    assert abs(got[0] - want) <= 1e-8 * want
 
 
 @pytest.mark.parametrize("s,t_max", [(0.05, 0.15), (1.0, 10.0), (5.0, 10.0)])
 def test_k2_tables_match_the_pointwise_bessel_integral(s, t_max):
-    # the panel rule against QUADPACK on lam Jt_0(lam |t|) times the profile;
-    # at s = 0.05 the pointwise route stops on round-off past |t| ~ 0.16
+    # the mapped trapezoid rule against QUADPACK on lam Jt_0(lam |t|) times
+    # the profile; at s = 0.05 the pointwise route stops on round-off past
+    # |t| ~ 0.16
     v = np.array([0.0, 0.5, 1.0, 2.5, 5.0])
     t = np.linspace(-t_max, t_max, 5)
     table = htype_heat_batch(s, 1, 2, v[:, None], np.abs(t)[None, :])

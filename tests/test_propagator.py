@@ -70,13 +70,13 @@ def test_spectral_evolution_matches_the_grid_oracle(lam):
 
 @pytest.fixture
 def basis_orders(monkeypatch):
-    """The order counts that `schrodinger_evolve` asks `_laguerre_basis` for."""
+    """The orders that `schrodinger_evolve` asks `_laguerre_basis` for."""
     asked = []
     original = propagator._laguerre_basis
 
-    def spy(lam, r, degrees, orders):
-        asked.append(orders)
-        return original(lam, r, degrees, orders)
+    def spy(lam, r, degrees, order):
+        asked.append(order)
+        return original(lam, r, degrees, order)
 
     monkeypatch.setattr(propagator, "_laguerre_basis", spy)
     return asked
@@ -92,8 +92,8 @@ def test_only_the_live_angular_modes_are_evolved(basis_orders):
     out = {}
     for name, values in slices.items():
         out[name] = schrodinger_evolve(SpectralSlice(1.0, grid, values), zeta).values
-    # max live |m| + 1 orders: a mode at 1e-13 of the largest is live
-    assert basis_orders == [1, 4, 6]
+    # one basis per live |m|: a mode at 1e-13 of the largest is live
+    assert basis_orders == [0, 0, 3, 0, 5]
     kept = np.abs(np.fft.fft(out["mode 5 at 1e-13"] - out["radial"], axis=1))
     assert kept[:, 5].max() > 1e-3 * kept.max() > 0
 
@@ -108,7 +108,7 @@ def test_exact_zero_modes_leave_the_evolution_bit_identical(basis_orders, monkey
     extra = np.isin(np.abs(np.fft.fftfreq(64, 1.0 / 64)), (3, 7))
     monkeypatch.setattr(propagator, "live_modes", lambda spec: grids.live_modes(spec) | extra)
     padded = schrodinger_evolve(f, zeta).values
-    assert basis_orders == [1, 8]
+    assert basis_orders == [0, 0, 3, 7]
     assert np.array_equal(live, padded)
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from heisenkit import quadrature
 from heisenkit.quadrature import (
@@ -14,7 +15,6 @@ from heisenkit.quadrature import (
     gauss_interval,
     gauss_panels,
     sample_axis,
-    separable_panels,
     trapezoid_weights,
 )
 
@@ -35,68 +35,6 @@ def test_gauss_interval_is_one_panel():
     n1, w1 = gauss_interval(0.0, 2.0, 12)
     n2, w2 = gauss_panels(0.0, 2.0, 1, 12)
     assert np.array_equal(n1, n2) and np.array_equal(w1, w2)
-
-
-def test_separable_panels_contract_unique_factors_per_point(monkeypatch):
-    # int_0^2 e^{-a x} cos(b x) dx for (a, b) pairs drawn from 3 x 2 unique values
-    a = np.array([0.5, 1.0, 2.0])
-    b = np.array([0.0, 3.0])
-    ia = np.array([0, 2, 1, 1, 0])
-    ib = np.array([1, 0, 0, 1, 1])
-
-    def factors(x, p):
-        return np.exp(-np.outer(a[:p], x)), np.cos(np.outer(b, x))
-
-    got = separable_panels(0.0, 2.0, 4.0, factors, ia, ib, 1e-12)
-    # and on all 6 pairs, where the points are the product of their values
-    pa, pb = np.repeat(np.arange(3), 2), np.tile(np.arange(2), 3)
-    product = separable_panels(0.0, 2.0, 4.0, factors, pa, pb, 1e-12)
-    for i, j, vals in ((ia, ib, got), (pa, pb, product)):
-        aa, bb = a[i], b[j]
-        want = (aa + np.exp(-2 * aa) * (bb * np.sin(2 * bb) - aa * np.cos(2 * bb))) / (aa ** 2 + bb ** 2)
-        assert np.max(np.abs(vals - want)) < 1e-14
-    # factor tables built a few nodes at a time give the same sums
-    monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 40)
-    for i, j, vals in ((ia, ib, got), (pa, pb, product)):
-        chunked = separable_panels(0.0, 2.0, 4.0, factors, i, j, 1e-12)
-        assert np.max(np.abs(chunked - vals)) < 1e-15
-    assert separable_panels(0.0, 1.0, 1.0, factors, np.array([], dtype=int),
-                            np.array([], dtype=int), 1e-9).size == 0
-
-
-def test_separable_panels_report_the_last_rule_and_gap():
-    # a chirp that no four refinements from one panel resolve
-    with pytest.raises(QuadratureError, match=r"at 121 panels the coarse/fine gap is .* x rtol"):
-        separable_panels(0.0, 40.0, 40.0,
-                         lambda x, p: (np.cos(2000.0 * x * x)[None, :], np.ones((1, x.size))),
-                         np.array([0]), np.array([0]), 1e-9)
-
-
-def test_separable_panels_take_no_zero_rule_after_a_nonzero_one_as_agreement():
-    # rules that read 1, 0, 1, 0, 1: a zero never agrees with the rule before it
-    calls = []
-
-    def factors(x, p):
-        calls.append(x.size)
-        return np.full((p, x.size), float(len(calls) % 2)), np.ones((1, x.size))
-
-    with pytest.raises(QuadratureError, match="failed to converge"):
-        separable_panels(0.0, 1.0, 1.0, factors, np.array([0]), np.array([0]), 1e-9)
-    assert len(calls) == 5
-    # two rules of exact zeros agree: the first comparison returns
-    zero = separable_panels(0.0, 1.0, 1.0,
-                            lambda x, p: (np.zeros((p, x.size)), np.ones((1, x.size))),
-                            np.array([0]), np.array([0]), 1e-9)
-    assert np.array_equal(zero, [0.0])
-
-
-def test_separable_panels_take_no_agreement_within_round_off():
-    # int_0^{100 pi} cos x dx = 0: every rule reads only the round-off of
-    # sums of terms of size ~1, which two rules can share to the last bit
-    with pytest.raises(QuadratureError, match="lies within the round-off of the sums"):
-        separable_panels(0.0, 100.0 * math.pi, 4.0 * math.pi,
-                         lambda x, p: (np.ones((p, x.size)), np.cos(x)[None, :]),
-                         np.array([0]), np.array([0]), 1e-9)
 
 
 def _gaussian_cosine(a, b):
@@ -152,6 +90,52 @@ def test_even_trapezoid_refuses_a_rule_past_its_node_budget_before_building_it()
         even_trapezoid(1e-12, np.array([1.0]), factors, np.array([0]), np.array([0]), 1e-9)
 
 
+def _softplus(c):
+    """The map lam = c log(1 + e^{u/c}) of the u line onto the half line, as
+    (lam, lam'), and its inverse."""
+    def mapping(u):
+        return c * np.log1p(np.exp(u / c)), 1.0 / (1.0 + np.exp(-u / c))
+
+    def inverse(lam):
+        return lam + c * np.log(-np.expm1(-lam / c))
+
+    return mapping, inverse
+
+
+def test_mapped_trapezoid_integrates_odd_integrands_on_the_half_line(monkeypatch):
+    # int_0^inf lam J_0(lam rho) e^{-a lam^2} dlam = e^{-rho^2 / 4a} / (2a),
+    # with lam J_0 odd in lam
+    a = np.array([0.25, 0.5, 1.0, 4.0, 16.0])
+    rho = np.array([0.0, 1.5, 3.0])
+
+    def factors(lam, p):
+        return np.exp(-np.outer(a[:p], lam * lam)), lam * j0(np.outer(rho, lam))
+
+    exact = np.exp(-np.square(rho)[None, :] / (4.0 * a[:, None])) / (2.0 * a[:, None])
+    mapping, inverse = _softplus(1.0)
+    cutoffs = inverse(np.sqrt(18.0 * math.log(10.0) / a))
+    # lam lam' ~ e^{2u} falls to 1e-18 at the start
+    start = 0.5 * math.log(1e-18)
+
+    def rule(ia, ib):
+        return even_trapezoid(0.1, cutoffs, factors, ia, ib, 1e-9, start=start, mapping=mapping)
+
+    pa, pb = np.repeat(np.arange(a.size), rho.size), np.tile(np.arange(rho.size), a.size)
+    product = rule(pa, pb)
+    assert np.max(np.abs(product - exact.ravel())) < 1e-15 * np.max(exact)
+    ia, ib = np.array([4, 0, 2]), np.array([1, 2, 0])
+    scattered = rule(ia, ib)
+    assert np.max(np.abs(scattered - exact[ia, ib])) < 1e-15 * np.max(exact)
+    monkeypatch.setattr(quadrature, "_BAND_ENTRIES", 1)
+    monkeypatch.setattr(quadrature, "_TABLE_BLOCK", 24)
+    assert len(quadrature._bands(2 * np.ceil((cutoffs - start) / 0.1).astype(int))) == a.size
+    banded = rule(pa, pb)
+    assert np.max(np.abs(banded - product)) < 1e-15 * np.max(exact)
+    # in lam itself the half-line rule keeps an O(h^2) end error there
+    with pytest.raises(QuadratureError, match="coarse/fine gap"):
+        even_trapezoid(0.1, mapping(cutoffs)[0], factors, pa, pb, 1e-9)
+
+
 def test_envelope_cutoff_lands_within_one_percent_above_the_crossing():
     # log envelope -x crosses log floor -10 at x = 10
     cut = envelope_cutoff(lambda x: -x, -10.0, 0.3)
@@ -173,28 +157,6 @@ def test_envelope_cutoff_bisects_brackets_below_the_normal_range(s, n):
     floor = math.log(1e-15) - n * math.log(s)
     cut = envelope_cutoff(log_envelope, floor, 4.0 / s)
     assert log_envelope(cut) <= floor < log_envelope(cut / 1.01)
-
-
-def test_separable_panels_first_rule_has_panels_of_the_given_width(order12_rules):
-    # int_0^30 cos(5 x) e^{-x} dx on panels of width at most 2.4: 13 panels
-    got = separable_panels(0.0, 30.0, 2.4,
-                           lambda x, p: (np.exp(-x)[None, :], np.cos(5.0 * x)[None, :]),
-                           np.array([0]), np.array([0]), 1e-10)
-    first = math.ceil(30.0 / 2.4)
-    assert order12_rules == [first, 2 * first + 7]
-    assert got[0] == pytest.approx((1.0 - math.exp(-30.0) * (math.cos(150.0) - 5.0 * math.sin(150.0)))
-                                   / 26.0, rel=1e-12)
-
-
-def test_separable_panels_refuse_a_first_rule_past_the_node_budget_before_building_it():
-    def factors(x, p):
-        raise AssertionError("no node may be evaluated")
-
-    # 2^22 nodes are 349525.33 panels of 12 nodes: 30 / 349525 panels is one too many
-    with pytest.raises(QuadratureError, match=r"panel rule: it would take 4\.19e\+06 nodes"):
-        separable_panels(0.0, 30.0, 30.0 / 349526, factors, np.array([0]), np.array([0]), 1e-9)
-    with pytest.raises(QuadratureError, match="would take 3.6e\\+08 nodes"):
-        separable_panels(0.0, 30.0, 1e-6, factors, np.array([0]), np.array([0]), 1e-9)
 
 
 def test_sample_axis_rejects_non_finite_and_negative_values():

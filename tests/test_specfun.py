@@ -9,7 +9,7 @@ from scipy.special import eval_genlaguerre, gamma, jv
 
 from heisenkit.specfun import (_laguerre_rows, bessel_j_tilde, hille_hardy,
                                jtilde_of_square, laguerre, laguerre_fn,
-                               laguerre_series_sum, laguerre_table)
+                               laguerre_series_sum)
 
 
 def _bessel_j(alpha, w):
@@ -45,15 +45,19 @@ def test_laguerre_order_shift_identity(k, alpha, t):
 
 
 def test_laguerre_table_is_every_degree_of_one_recurrence():
+    # the banded rows hold every degree of the one recurrence whose last
+    # degree `laguerre` reads, degree 0 included
     t = np.linspace(0.0, 40.0, 33)
-    alpha = np.arange(0, 33)[:, None]
-    table = laguerre_table(60, alpha, t)
-    assert table.shape == (61, 33, 33)
-    for k in (0, 1, 2, 17, 60):
-        for a in (0, 5, 32):
-            assert np.array_equal(table[k, a], laguerre(k, float(a), t))
-    with pytest.raises(ValueError):
-        laguerre_table(3, np.array([0.0, -1.0]), t)
+    for a in (0.0, 5.0, 32.0):
+        rows = _laguerre_rows(a, t, 60)
+        assert rows.shape == (33, 61)
+        for k in (0, 1, 2, 17, 60):
+            assert np.array_equal(rows[:, k], laguerre(k, a, t))
+    assert np.array_equal(_laguerre_rows(0.5, t, 0), np.ones((33, 1)))
+    assert laguerre(3, 1.0, np.zeros((0, 2))).shape == (0, 2)
+    for alpha in (-1.0, -1.5):
+        with pytest.raises(ValueError, match="must exceed -1"):
+            _laguerre_rows(alpha, t, 3)
 
 
 def test_laguerre_fn_shape_and_evenness():
