@@ -37,6 +37,6 @@ for a, b, s0 in ((0.3, 0.3, 0.7), (1.0, 1.0, 0.5)):
         print(f"  a = {a}, b = {b}, s0 = {s0}: window (0, {delta:.4f}), "
               f"margin at the midpoint {margin:+.4f} ({'pass' if ok else 'fail'})")
 
-_, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0, eps=1e-3)
+_, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
 print("equality case: evolved Gaussian decays at the tanh-matched rate")
 print(f"  fitted b = {b_fit:.6f}, tanh-relation residual {residual:.2e}")

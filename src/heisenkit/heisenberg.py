@@ -48,7 +48,7 @@ class HeisenbergPoint:
 
 @dataclass(frozen=True)
 class ComplexTime:
-    """zeta = eps + i s; kernel evaluation by inversion needs eps > 0."""
+    """zeta = eps + i s != 0, eps >= 0; kernel evaluation by inversion needs eps > 0."""
     eps: float
     s: float = 0.0
 

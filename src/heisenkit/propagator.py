@@ -1,5 +1,5 @@
-"""The regularized Schrodinger flow on slices, the sector-wise Hankel
-identity for it, the oscillator kernel K_lam, and the decay gates.
+"""The Schrodinger flow on slices, the sector-wise Hankel identity for it,
+the oscillator kernel K_lam, and the decay gates.
 
 The headline identity: evolving a slice by the complex-time kernel and
 extracting a (p0, q0, j0) sector coefficient agrees, up to one global
@@ -69,7 +69,7 @@ def _laguerre_basis(lam, r, degrees, order):
 
 
 def schrodinger_evolve(f, zeta):
-    """u^lam = f^lam *_lam q_zeta^lam; needs Re zeta > 0.
+    """u^lam = f^lam *_lam q_zeta^lam for any Re zeta >= 0 but zeta = 0.
 
     This is the evolution engine, and it never forms the twisted
     convolution: on a lam-slice the kernel q_zeta^lam acts as the multiplier
@@ -78,18 +78,18 @@ def schrodinger_evolve(f, zeta):
     is projected on r^|m| L_j^|m|(|lam| r^2/2) e^{-|lam| r^2/4} with the
     grid's own radial weights, one degree per radial node; coefficient
     (m, j) lies in P_k with k = j + p, where p = |m| when m and lam have the
-    same sign and p = 0 otherwise; the damped modes are resynthesised on the
-    grid nodes.  Only the live modes are evolved, those whose amplitude
+    same sign and p = 0 otherwise; the evolved modes are resynthesised on
+    the grid nodes.  Only the live modes are evolved, those whose amplitude
     reaches 1e-15 of the largest (`grids.live_modes`, the rule of the
     twisted interpolant): the basis is built for each live order |m| alone,
     by one banded solve, and the other modes of the result are 0.  A radial
-    slice evolves one mode.  A slice with a non-finite value raises ValueError
-    naming its node.  The grid twisted convolution in `twisted` is the
-    oracle this is tested against, never a fallback.
+    slice evolves one mode.  At Re zeta = 0 the multiplier has modulus 1, the
+    flow is unitary, and it resolves only what the grid's Laguerre expansion
+    resolves, which the truncation warning reports.  A non-finite value
+    raises ValueError naming its node.  The grid twisted convolution in
+    `twisted` is the oracle this is tested against, never a fallback.
     """
     zeta = _as_time(zeta)
-    if zeta.eps <= 0:
-        raise ValueError("evolution requires a positive regularization eps")
     grid = f.grid
     if grid.n != 1:
         raise NotImplementedError("spectral evolution is implemented for n = 1 only")
@@ -131,14 +131,15 @@ def _ratio_stats(lhs_vals, rhs_vals, mask=None):
     return {"c_lambda": mean, "rel_std": rel_std, "nodes": int(keep.sum())}
 
 
-def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid, t_weights=None):
+def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, grid, t_weights=None):
     """Grid pipelines for both sides of the sector-Hankel identity.
 
     f_values samples f(z, t) on grid x t_nodes.  lhs: slice f at lam, evolve
-    by eps + i s0, extract the (p0, q0, j0) radial coefficient.  rhs: extract
-    the same coefficient of the initial slice, strip t^{p0+q0}, chirp by
-    e^{i lam t^2 cot(lam s0)/4}, Hankel-transform at order n+p0+q0-1, read at
-    |lam| r / (2|sin(lam s0)|), chirp again, restore r^{p0+q0}.
+    by the unitary flow to time s0 (zeta = i s0), extract the (p0, q0, j0)
+    radial coefficient.  rhs: extract the same coefficient of the initial
+    slice, strip t^{p0+q0}, chirp by e^{i lam t^2 cot(lam s0)/4},
+    Hankel-transform at order n+p0+q0-1, read at |lam| r / (2|sin(lam s0)|),
+    chirp again, restore r^{p0+q0}.
 
     Returns (lhs, rhs, stats); stats reports the empirical constant linking
     the two and the relative spread of the pointwise ratio, computed over
@@ -147,7 +148,7 @@ def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid, t_weights=
     _reject_exceptional(lam, s0)
     fsl = partial_fourier_t(f_values, lam, grid, t_nodes, t_weights)
     basis = build_basis(grid.n, p0, q0)
-    u = schrodinger_evolve(fsl, ComplexTime(eps, s0))
+    u = schrodinger_evolve(fsl, ComplexTime(0.0, s0))
     lhs = spherical_coefficients(u, basis, j0)
 
     coef = spherical_coefficients(fsl, basis, j0)
@@ -163,11 +164,11 @@ def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, eps, grid, t_weights=
     return lhs, rhs, _ratio_stats(lhs.values, rhs.values, (r >= 0.2) & (r <= 3.0))
 
 
-def theorem34_gaussian_pair(a, lam, s0, eps=1e-3, r=None):
+def theorem34_gaussian_pair(a, lam, s0, r=None):
     """Closed-form twin of theorem34_pair for f = q_a, sector (0, 0).
 
-    lhs comes from the complex-time semigroup (the evolved slice is the
-    q_{a+eps+i s0} slice); rhs from the complex-Gaussian Hankel transform
+    lhs comes from the complex-time semigroup (q_a evolved to time s0 is the
+    q_{a+i s0} slice); rhs from the complex-Gaussian Hankel transform
     H_0(e^{-c t^2})(s) = (2c)^{-1} e^{-s^2/(4c)}.  No grids, no convolution:
     this is the independent analytic pipeline.
     """
@@ -178,7 +179,7 @@ def theorem34_gaussian_pair(a, lam, s0, eps=1e-3, r=None):
         r = np.linspace(0.2, 3.0, 57)
     r = np.asarray(r, dtype=float)
     root2pi = math.sqrt(2.0 * math.pi)
-    lhs_vals = root2pi * heat_kernel_lambda(ComplexTime(a + eps, s0), lam, r, 1)
+    lhs_vals = root2pi * heat_kernel_lambda(ComplexTime(a, s0), lam, r, 1)
 
     chirp = np.exp(0.25j * lam * r * r / math.tan(lam * s0))
     c = 0.25 * lam / math.tanh(lam * a) - 0.25j * lam / math.tan(lam * s0)
@@ -196,8 +197,8 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
 
     series: sum_{k <= 400} Gamma(k+1)/Gamma(k+m) L_k^{m-1}(x)
     L_k^{m-1}(y) w^k with x = |lam| r^2/2, y = |lam| t^2/2,
-    w = e^{-2i|lam|s0} Abel-damped by 1 - 1e-6, times e^{-(x+y)/2} and the
-    sector phase e^{-i(n+2p0)|lam|s0}.
+    w = e^{-2i|lam|s0} Abel-damped by 1 - 1e-12 (the gap to closed is linear
+    in it), times e^{-(x+y)/2} and the sector phase e^{-i(n+2p0)|lam|s0}.
     closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
     m = n+p0+q0.  Returns (series, closed); ValueError unless lam, r, t
@@ -210,7 +211,7 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     mu = abs(lam) * s0
     x = 0.5 * abs(lam) * r * r
     y = 0.5 * abs(lam) * t * t
-    w = (1.0 - 1e-6) * np.exp(-2j * mu)
+    w = (1.0 - 1e-12) * np.exp(-2j * mu)
     series = (np.exp(-1j * (n + 2 * p0) * mu) * np.exp(-0.5 * (x + y))
               * laguerre_series_sum(m - 1, x, y, w, 400))
     arg = lam * r * t / (2.0 * math.sin(lam * s0))
@@ -280,15 +281,15 @@ def gate_lambda_window(a, b, s0, eps=0.0):
     return 0.5 * (lo + hi)
 
 
-def equality_case_profile(a, lam, s0, eps=1e-3):
+def equality_case_profile(a, lam, s0):
     """The boundary-case slice, its evolved width, and the sharp relation.
 
     Assembles f^lam(z) = q_a^lam(z) e^{-i lam |z|^2 cot(lam s0)/4} (the
     extremal, with its free constant set to 1) on the default polar grid,
-    evolves it at eps + i s0, fits the Gaussian decay of |u^lam| over
-    1 <= r <= 4, converts the raw rate rho back to the hyperbolic width b'
-    via tanh(b' lam) = |lam|/(4 rho), and returns
-    (f_slice, b', |tanh((a+eps) lam) tanh(b' lam) - sin^2(lam s0)|).
+    evolves it by the unitary flow to time s0, fits the Gaussian decay of
+    |u^lam| over 1 <= r <= 4, converts the raw rate rho back to the
+    hyperbolic width b' via tanh(b' lam) = |lam|/(4 rho), and returns
+    (f_slice, b', |tanh(a lam) tanh(b' lam) - sin^2(lam s0)|).
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -300,13 +301,12 @@ def equality_case_profile(a, lam, s0, eps=1e-3):
     vals = heat_kernel_lambda(ComplexTime(a), lam, r, grid.n) \
         * np.exp(-0.25j * lam * r * r / math.tan(lam * s0))
     f_slice = radial_slice(grid, lam, vals)
-    u = schrodinger_evolve(f_slice, ComplexTime(eps, s0))
+    u = schrodinger_evolve(f_slice, ComplexTime(0.0, s0))
     prof = RadialProfile(r, np.mean(np.abs(u.values), axis=1))
     rho = fit_gaussian_decay(prof, (1.0, 4.0)).a
     if 4.0 * rho <= abs(lam):
         raise DecayDomainError(
             f"fitted rate {rho:.4g} is outside the width domain for lam = {lam!r}")
     b_fit = math.atanh(abs(lam) / (4.0 * rho)) / abs(lam)
-    residual = abs(math.tanh((a + eps) * lam) * math.tanh(b_fit * lam)
-                   - math.sin(lam * s0) ** 2)
+    residual = abs(math.tanh(a * lam) * math.tanh(b_fit * lam) - math.sin(lam * s0) ** 2)
     return f_slice, b_fit, residual

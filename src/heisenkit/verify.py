@@ -216,21 +216,20 @@ def _suite_hecke_bochner(rng):
 def _suite_theorem34(rng):
     _, _, stats = theorem34_gaussian_pair(1.0, 1.0, 1.0)
     yield ("theorem34-gaussian",
-           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 0,
             "c_lambda": [stats["c_lambda"].real, stats["c_lambda"].imag]},
-           stats["rel_std"], 1e-3)
+           stats["rel_std"], 1e-13)
 
     grid = polar_grid(1, 96, 6.0)
     t_nodes, t_w = gauss_panels(-5.5, 5.5, 10, 12)
     vals = (np.exp(-grid.r ** 2)[:, None, None]
             * np.ones(grid.omega.shape[0])[None, :, None]
             * np.exp(-t_nodes ** 2)[None, None, :])
-    _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, 1e-3, grid,
-                                 t_weights=t_w)
+    _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, grid, t_weights=t_w)
     yield ("theorem34-grid",
            {"f": "exp(-|z|^2 - t^2)", "p0": 0, "q0": 0,
-            "lam": 1.0, "s0": 1.0, "eps": 1e-3, "grid": "96x64"},
-           stats["rel_std"], 1e-2)
+            "lam": 1.0, "s0": 1.0, "eps": 0, "grid": "96x64"},
+           stats["rel_std"], 1e-12)
 
     worst = 0.0
     for p0, q0 in ((0, 0), (1, 0)):
@@ -238,7 +237,7 @@ def _suite_theorem34(rng):
         worst = max(worst, abs(series - closed) / abs(closed))
     yield ("theorem34-kernel",
            {"lam": 1.0, "r": 1.3, "t": 0.7, "s0": 1.0,
-            "pq": [[0, 0], [1, 0]], "K": 400}, worst, 1e-4)
+            "pq": [[0, 0], [1, 0]], "K": 400, "abel_damping": 1e-12}, worst, 1e-10)
 
     raised = 0
     try:
@@ -283,16 +282,15 @@ def _suite_gates(rng):
             bad += 1
     yield "gate-htype-agreement", {"lattice": "same 3x3x3"}, bad, 0.0
 
-    _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0, eps=1e-3)
+    _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
     yield ("equality-tanh-residual",
-           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 1e-3,
-            "b_fit": b_fit}, residual, 5e-3)
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 0,
+            "b_fit": b_fit}, residual, 1e-8)
 
-    fits = [equality_case_profile(a, 1.0, 0.7, eps=1e-3)[1]
-            for a in (0.5, 1.0, 2.0)]
+    fits = [equality_case_profile(a, 1.0, 0.7)[1] for a in (0.5, 1.0, 2.0)]
     violation = max(0.0, fits[1] - fits[0], fits[2] - fits[1])
     yield ("equality-monotone",
-           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7,
+           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7, "eps": 0,
             "b_fit": fits}, violation, 0.0)
 
 

@@ -86,8 +86,8 @@ def test_criterion_07_theorem34_linking_constant(records):
     closed = records["theorem34-gaussian"]
     grid = records["theorem34-grid"]
     exc = records["theorem34-exceptional"]
-    assert closed.tol == 1e-3
-    assert grid.tol == 1e-2
+    assert closed.tol == 1e-13
+    assert grid.tol == 1e-12
     assert grid.ms < 2000.0
     assert exc.error == 0              # both exceptional points must raise
     _report(7, "theorem34 ratio constancy and exceptional rejection",
@@ -102,7 +102,7 @@ def test_criterion_08_gate_lambda_window(records):
 
 def test_criterion_09_equality_case_residual(records):
     c = records["equality-tanh-residual"]
-    assert c.tol == 5e-3
+    assert c.tol == 1e-8
     assert c.ms < 2000.0
     _report(9, "equality case tanh residual", [c])
 

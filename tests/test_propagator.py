@@ -26,7 +26,8 @@ from heisenkit.twisted import twisted_convolution
 
 
 def test_evolution_is_the_complex_time_semigroup():
-    """Evolving the q_a slice by eps + i s0 lands on the q_{a+eps+is0} slice."""
+    """Evolving the q_a slice by eps + i s0 lands on the q_{a+eps+is0} slice,
+    at eps > 0 and on the unitary flow eps = 0."""
     grid = polar_grid(1, nr=96, r_max=8.0, nsphere=48)
     a, lam, s0, eps = 1.0, 1.0, 0.7, 0.01
     f = radial_slice(grid, lam, heat_kernel_lambda(ComplexTime(a), lam, grid.r))
@@ -34,8 +35,8 @@ def test_evolution_is_the_complex_time_semigroup():
     want = heat_kernel_lambda(ComplexTime(a + eps, s0), lam, grid.r)
     err = np.max(np.abs(u.values - want[:, None]))
     assert err < 1e-8 * np.max(np.abs(want))
-    with pytest.raises(ValueError):
-        schrodinger_evolve(f, ComplexTime(0.0, s0))
+    with pytest.raises(ValueError, match="zero diffusion time"):
+        ComplexTime(0.0, 0.0)
     with pytest.raises(ValueError):
         schrodinger_evolve(radial_slice(grid, 0.0, f.values[:, 0]), ComplexTime(eps, s0))
     with pytest.raises(ValueError, match="overflows"):
@@ -49,6 +50,14 @@ def test_evolution_is_the_complex_time_semigroup():
     with pytest.raises(NotImplementedError):
         schrodinger_evolve(radial_slice(grid2, lam, np.exp(-grid2.r ** 2)),
                            ComplexTime(eps, s0))
+    # eps = 0 is the unitary flow: q_a lands on q_{a+is0} with its L^2 norm kept
+    for a, lam, s0 in [(1.0, 1.0, 0.7), (1.0, -2.0, 0.7), (0.5, 1.5, 2.0)]:
+        f = radial_slice(grid, lam, heat_kernel_lambda(ComplexTime(a), lam, grid.r))
+        u = schrodinger_evolve(f, ComplexTime(0.0, s0))
+        want = heat_kernel_lambda(ComplexTime(a, s0), lam, grid.r)
+        err = np.max(np.abs(u.values - want[:, None]))
+        assert err < 1e-8 * np.max(np.abs(want)), (a, lam, s0)        # measured <= 7.2e-10
+        assert abs(u.norm2() - f.norm2()) < 1e-12 * f.norm2(), (a, lam, s0)  # <= 3.3e-15
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0, 2.0])
@@ -141,16 +150,15 @@ def test_grid_pair_agrees_with_the_closed_pipeline():
     vals = (np.exp(-grid.r ** 2)[:, None, None]
             * np.ones(grid.omega.shape[0])[None, :, None]
             * np.exp(-t_nodes ** 2)[None, None, :]).astype(complex)
-    _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, lam, s0, 1e-3, grid,
-                                 t_weights=t_w)
-    assert stats["rel_std"] < 1e-2
-    assert abs(stats["c_lambda"] / closed["c_lambda"] - 1.0) < 5e-3
+    _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, lam, s0, grid, t_weights=t_w)
+    assert stats["rel_std"] < 1e-12                                     # measured 6.8e-16
+    assert abs(stats["c_lambda"] / closed["c_lambda"] - 1.0) < 1e-12    # measured 1.5e-16
 
 
 def test_kernel_series_matches_closed_form():
     for p0, q0 in [(0, 0), (1, 0), (0, 1)]:
         series, closed = kernel_K(1.3, 0.7, 1.0, 1.0, 1, p0, q0)
-        assert abs(series - closed) < 1e-4 * abs(closed), (p0, q0)
+        assert abs(series - closed) < 1e-10 * abs(closed), (p0, q0)    # measured <= 7.9e-13
 
 
 def test_kernel_is_even_in_lam_for_balanced_sectors():
@@ -215,11 +223,11 @@ def test_gate_params_validation():
 
 
 def test_equality_case_satisfies_the_sharp_relation():
-    f_slice, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0, eps=1e-3)
-    assert residual < 5e-3
+    f_slice, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
+    assert residual < 1e-8                                              # measured 1.7e-10
     # tanh(a lam) tanh(b lam) = sin^2(lam s0) pins b
-    want_b = math.atanh(math.sin(1.0) ** 2 / math.tanh(1.001))
-    assert b_fit == pytest.approx(want_b, rel=1e-2)
+    want_b = math.atanh(math.sin(1.0) ** 2 / math.tanh(1.0))
+    assert b_fit == pytest.approx(want_b, rel=1e-7)                     # measured 1.0e-9
     assert f_slice.lam == 1.0
     with pytest.raises(ValueError):
         equality_case_profile(1.0, 0.0, 1.0)
