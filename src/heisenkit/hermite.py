@@ -23,7 +23,9 @@ keeps its constant modulus at any |x|.  `hermite_evolve` is one
 trapezoid quadrature for all columns of f at once: the Gaussian factors are
 O(N + M) exponentials for N outputs and M fine nodes, and blocking the fine
 nodes in runs of B = ceil(sqrt M) splits e^{b x y} into two tables of
-O(N sqrt M) exponentials joined by one GEMM.
+O(N sqrt M) exponentials joined by one GEMM.  That pass is linear in f, so
+2-d samples evolve by one matrix: E, the pass applied to the cubic spline
+of the identity, gives u = E f E^T.
 """
 
 import math
@@ -136,6 +138,14 @@ def _fine_grid(s, nodes, lo, hi):
     return np.linspace(lo, hi, n_fine, retstep=True)
 
 
+def _edge_ratio(F):
+    """The largest ratio of a column's size at its first or last row to its
+    peak."""
+    peak = np.abs(F).max(axis=0)
+    edge = np.maximum(np.abs(F[0]), np.abs(F[-1]))
+    return float(np.max(edge / np.where(peak > 0, peak, np.inf)))
+
+
 def _evolve_columns(sample, cols, s, x, lo, hi):
     """u = e^{-isH} f on the grid x for each of the cols columns of f.
 
@@ -144,11 +154,13 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     [-max(|lo|, |hi|), max(|lo|, |hi|)].  For real s the kernel factors as
     c e^{a x^2} e^{a y^2} e^{b x y}, and with y_k = lo + (qB + m) dy the last
     factor splits into e^{b x (lo + qB dy)} e^{b x m dy}: the y-sum is one
-    (N x B)(B x nb cols) GEMM and a weighted sum over the nb blocks, so
-    B = ceil(sqrt M) for M fine nodes takes O(N sqrt M) exponentials instead
-    of N M.  Columns go through in groups that keep the samples and the
-    block sums within _COLUMN_BUDGET entries.  Returns the (N, cols) result
-    and the largest ratio of a column's size at lo or hi to its peak.
+    (N x B)(B x nb cols) GEMM and a weighted sum over the nb blocks (one
+    batched matmul), so B = ceil(sqrt M) for M fine nodes takes
+    O(N sqrt M) exponentials instead of N M.  Columns go through in groups
+    that keep the samples and the block sums within _COLUMN_BUDGET entries;
+    real samples stay real up to the quadrature weights.  Returns the
+    (N, cols) result and the largest ratio of a column's size at lo or hi
+    to its peak.
     """
     yf, dy = _fine_grid(s, x.size, lo, hi)
     n_fine = yf.size
@@ -166,17 +178,15 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     width = max(1, _COLUMN_BUDGET // (nb * (B + x.size)))
     for lo in range(0, cols, width):
         c = slice(lo, min(lo + width, cols))
-        fy = np.asarray(sample(yf, c), dtype=complex)
+        fy = np.asarray(sample(yf, c))
         if not np.all(np.isfinite(fy)):
             raise ValueError("f has non-finite samples on the quadrature grid")
-        peak = np.abs(fy).max(axis=0)
-        edge = np.maximum(np.abs(fy[0]), np.abs(fy[-1]))
-        worst = max(worst, float(np.max(edge / np.where(peak > 0, peak, np.inf))))
+        worst = max(worst, _edge_ratio(fy))
         g = np.zeros((nb * B, fy.shape[1]), dtype=complex)
         g[:n_fine] = fy * w[:, None]
         g = g.reshape(nb, B, -1).transpose(1, 0, 2).reshape(B, -1)
         blocks = (inner @ g).reshape(x.size, nb, -1)
-        out[:, c] = np.einsum("jq,jqc->jc", outer, blocks)
+        out[:, c] = np.matmul(outer[:, None, :], blocks)[:, 0]
     return (amp * np.exp(a * x * x))[:, None] * out, worst
 
 
@@ -184,13 +194,18 @@ def hermite_evolve(f, s, x=None):
     """Apply e^{-isH} by quadrature against the factored Mehler kernel.
 
     f is a callable on the grid or an array of samples over x (1-d) or
-    x cross x (2-d, evolved separably: every column along axis 0, then
-    every row along axis 1); x defaults to `hermite_grid()`.  A callable is
-    integrated over [-m, m] with m = max(8, max|x|); sampled input goes
-    through one cubic spline per axis for all columns and is integrated
-    over [min x, max x], where the spline interpolates.  Returns samples on
-    the same grid.  Raises ValueError for non-finite s, x or samples of f,
-    and for a grid of fewer than 2 nodes.
+    x cross x (2-d); x defaults to `hermite_grid()`.  A callable is
+    integrated over [-m, m] with m = max(8, max|x|).  Sampled input is
+    integrated over [min x, max x], where its cubic spline interpolates: a
+    1-d f through its own spline, a 2-d f separably, every column along
+    axis 0 and then every row along axis 1, as u = E f E^T.  The evolution
+    matrix E = K P of the grid, the quadrature K on the fine nodes times
+    the spline's interpolation matrix P there, is built once by evolving
+    the spline of the identity, so a 2-d f costs one quadrature pass of
+    real data and two GEMMs.  The truncation warning reads the edge/peak
+    ratio of each column of f, and for a 2-d f of each half-evolved row of
+    E f too.  Returns samples on the same grid.  Raises ValueError for
+    non-finite s, x or samples of f, and for a grid of fewer than 2 nodes.
     """
     if not math.isfinite(s):
         raise ValueError(f"time s must be finite, got {s!r}")
@@ -213,6 +228,8 @@ def hermite_evolve(f, s, x=None):
         # still large there
         lo, hi = float(np.min(x)), float(np.max(x))
         f = np.asarray(f, dtype=complex)
+        if not np.all(np.isfinite(f)):
+            raise ValueError("f has non-finite samples on the grid")
         # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
         from scipy.interpolate import CubicSpline
 
@@ -223,9 +240,12 @@ def hermite_evolve(f, s, x=None):
             u, worst = _evolve_columns(splined(f[:, None]), 1, s, x, lo, hi)
             u = u[:, 0]
         elif f.shape == (x.size, x.size):
-            half, w0 = _evolve_columns(splined(f), x.size, s, x, lo, hi)
-            u, w1 = _evolve_columns(splined(half.T), x.size, s, x, lo, hi)
-            u, worst = u.T, max(w0, w1)
+            # the column pass is linear in f: it is E = K P, for the spline's
+            # interpolation matrix P on the fine nodes and the quadrature K
+            # there, and evolving the spline of the identity builds it
+            E, _ = _evolve_columns(splined(np.eye(x.size)), x.size, s, x, lo, hi)
+            half = E @ f
+            u, worst = half @ E.T, max(_edge_ratio(f), _edge_ratio(half.T))
         else:
             raise ValueError("samples must live on the grid (1-d) or its square (2-d)")
     warn_truncated("f has not decayed at the grid boundary; the evolution integral is truncated",

@@ -30,6 +30,8 @@ from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
 from .spherical import build_basis, spherical_coefficients
 
 _EXCEPTIONAL_TOL = 1e-6
+# the equality-case grid reaches where its extremal is 1e-9 of its peak
+_EQUALITY_DECAY = math.log(1e9)
 
 
 class ExceptionalLambdaError(ValueError):
@@ -286,8 +288,10 @@ def equality_case_profile(a, lam, s0):
 
     Assembles f^lam(z) = q_a^lam(z) e^{-i lam |z|^2 cot(lam s0)/4} (the
     extremal, with its free constant set to 1) on the default polar grid,
-    evolves it by the unitary flow to time s0, fits the Gaussian decay of
-    |u^lam| over 1 <= r <= 4, converts the raw rate rho back to the
+    its radius grown past 8 to where q_a^lam is 1e-9 of its peak (8.94 at
+    a = 2, lam = 1, where r = 8 leaves 6.2e-8 and the truncation warning
+    fires), evolves it by the unitary flow to time s0, fits the Gaussian
+    decay of |u^lam| over 1 <= r <= 4, converts the raw rate rho back to the
     hyperbolic width b' via tanh(b' lam) = |lam|/(4 rho), and returns
     (f_slice, b', |tanh(a lam) tanh(b' lam) - sin^2(lam s0)|).
     """
@@ -296,7 +300,9 @@ def equality_case_profile(a, lam, s0):
     if lam == 0:
         raise ValueError("lam must be nonzero")
     _reject_exceptional(lam, s0)
-    grid = polar_grid()
+    # q_a^lam decays as e^{-rho r^2}, rho = |lam| coth(a |lam|) / 4
+    decay = abs(lam) / (4.0 * math.tanh(a * abs(lam)))
+    grid = polar_grid(r_max=max(8.0, math.sqrt(_EQUALITY_DECAY / decay)))
     r = grid.r
     vals = heat_kernel_lambda(ComplexTime(a), lam, r, grid.n) \
         * np.exp(-0.25j * lam * r * r / math.tan(lam * s0))

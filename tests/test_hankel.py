@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
+from heisenkit import specfun
 from heisenkit.grids import RadialProfile
 from heisenkit.hankel import (
     DegenerateFitError,
@@ -49,6 +50,20 @@ def test_transform_at_the_origin_needs_no_special_case():
     got = hankel_transform(plan, np.exp(-plan.r_nodes ** 2), np.array([0.0]))
     assert got.values[0] == pytest.approx(gaussian_exact(1.5, 1.0, 0.0),
                                           rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0])
+def test_lattice_kernels_never_call_hyp0f1(alpha, monkeypatch):
+    # the kernel tables' shape: on the lattice below order 9 every kernel
+    # entry comes from the seeds, the recurrence and the power series, and
+    # hyp0f1 (150-300 ns a point) is never reached
+    def refuse(order, w):
+        raise AssertionError(f"hyp0f1 called at order {order} on {np.size(w)} points")
+    monkeypatch.setattr(specfun, "_jtilde_series", refuse)
+    plan = hankel_plan(alpha, r_max=9.0, s_max=5.0)
+    s = np.concatenate([[0.0], np.sort(np.random.default_rng(0).uniform(0.0, 5.0, 298)), [5.0]])
+    got = hankel_transform(plan, np.exp(-plan.r_nodes ** 2), s)
+    assert np.max(np.abs(got.values - gaussian_exact(alpha, 1.0, s))) < 1e-14
 
 
 def test_against_adaptive_quad_oracle():

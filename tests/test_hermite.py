@@ -257,6 +257,19 @@ def test_evolve_rejects_non_finite_samples_of_a_callable():
         hermite_evolve(lambda y: np.where(y > 1.0, np.nan, np.exp(-y * y)), 0.3, x)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_evolve_rejects_non_finite_samples_in_one_and_two_dimensions(bad):
+    x = hermite_grid(4.0, 64)
+    f = np.exp(-x * x)
+    f[30] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermite_evolve(f, 0.3, x)
+    F = np.outer(np.exp(-x * x), np.exp(-x * x))
+    F[30, 12] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        hermite_evolve(F, 0.3, x)
+
+
 def test_gate_margin_and_boundary_product():
     margin, super_ = hermite_gate(1.0, 1.0, math.pi / 4.0)
     assert margin == pytest.approx(0.75, abs=1e-12) and super_

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.special import eval_genlaguerre, gamma, jv
 
+from heisenkit import specfun
 from heisenkit.specfun import (_laguerre_rows, bessel_j_tilde, hille_hardy,
                                jtilde_of_square, laguerre, laguerre_fn,
                                laguerre_series_sum)
@@ -166,6 +167,56 @@ def test_bessel_j_tilde_is_even_on_the_lattice_and_not_finite_past_its_range():
         # cephes' phase noise of size 1e-100 as a value
         for alpha in _LATTICE[1::2]:
             assert not np.isfinite(bessel_j_tilde(alpha, 1e200)), alpha
+
+
+def _jtilde_mpmath(mpmath, alpha, w):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.hyp0f1(alpha + 1, -mpmath.mpf(x) ** 2 / 4)
+                               / mpmath.gamma(alpha + 1)) for x in w])
+
+
+def _ulps_around(x, count):
+    """x and `count` neighbouring floats on each side of it, within w >= 0."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(np.nextafter(below[-1], 0.0))
+        above.append(np.nextafter(above[-1], np.inf))
+    return np.unique(below + above)
+
+
+def test_bessel_j_tilde_power_series_route_against_mpmath():
+    # the lattice orders up to 8 take the power series on [0, floor(alpha))
+    # and below w = 1e-8, and the recurrence from floor(alpha) on: relative
+    # to 40-digit mpmath on both sides of the junction
+    mpmath = pytest.importorskip("mpmath")
+    for alpha in (0.5 * m for m in range(17)):
+        floor = math.floor(alpha)
+        w = np.concatenate([np.linspace(0.0, floor, 81)[:-1], [1e-300, 1e-9, 9.9e-9, 1e-8],
+                            _ulps_around(float(floor), 4)])
+        want = _jtilde_mpmath(mpmath, alpha, w)
+        err = np.max(np.abs(bessel_j_tilde(alpha, w) - want) / np.abs(want))
+        assert err <= 2e-15, (alpha, err)
+
+
+@pytest.mark.parametrize("alpha", [9.0, 12.0])
+def test_bessel_j_tilde_keeps_hyp0f1_on_its_band_past_order_eight(alpha, monkeypatch):
+    # past order 8 the power series loses digits, so the band
+    # 8 <= w < floor(alpha) stays with hyp0f1, and only that band
+    mpmath = pytest.importorskip("mpmath")
+    w = np.linspace(0.0, alpha + 2.0, 241)
+    seen = []
+    series = specfun._jtilde_series
+
+    def spy(order, x):
+        seen.append(np.array(x))
+        return series(order, x)
+    monkeypatch.setattr(specfun, "_jtilde_series", spy)
+    got = bessel_j_tilde(alpha, w)
+    band = (w >= 8.0) & (w < alpha)
+    assert np.array_equal(np.concatenate(seen), w[band])
+    want = _jtilde_mpmath(mpmath, alpha, w)
+    err = np.max(np.abs(got - want)[band] / np.abs(want[band]))
+    assert err <= 1e-14, err
 
 
 def test_jtilde_of_square_against_mpmath():

@@ -39,6 +39,17 @@ def _hermite(c):
     hermite_evolve(f, 0.4, x)
 
 
+def _hermite_2d(c):
+    # f's edges are 0 but for both ends of the column through the peak, and
+    # so are the edges of its half-evolved rows, E f[:, 0] = E f[:, -1] = 0
+    x = np.linspace(-6.0, 6.0, 121)
+    g = np.exp(-0.5 * x * x)
+    g[0] = g[-1] = 0.0
+    f = np.outer(g, g)
+    f[0, 60] = f[-1, 60] = c * 1e-10
+    hermite_evolve(f, 0.4, x)
+
+
 def _radon(c):
     # constant 1 inside the nu window, c 1e-10 on its outermost nodes: the
     # step sits between the default rule's last two nodes
@@ -90,6 +101,8 @@ SITES = {
     "hankel": (_hankel, "profile has not decayed at r_max; transform is truncated"),
     "hermite": (_hermite, "f has not decayed at the grid boundary; "
                           "the evolution integral is truncated"),
+    "hermite-2d": (_hermite_2d, "f has not decayed at the grid boundary; "
+                                "the evolution integral is truncated"),
     "htype": (_radon, "f has not decayed across the nu window; the Radon integral is truncated"),
     "propagator": (_laguerre_evolution, "slice has not decayed at r_max; "
                                         "the Laguerre projection is truncated"),
