@@ -3,7 +3,7 @@
 On a group with a k-dimensional center the kernel depends on |v| and |t|
 only.  Integrating over a hyperplane of the center (the partial Radon
 transform) removes one central dimension; iterated all the way down it lands
-exactly on the n = 1 kernel, which the profile below checks at k = 2.
+exactly on the n = 1 kernel, which the profile below checks at k = 2 and 3.
 """
 
 import numpy as np
@@ -23,10 +23,11 @@ print(f"  max |ratio - 64| = {np.max(np.abs(ref / big - 64.0)):.2e}")
 
 v = np.linspace(0.4, 2.0, 5)
 t = np.linspace(-1.5, 1.5, 5)
-got = radon_heat_profile(1.0, v, t, n=1, k=2)
 want = heat_kernel_grid(1.0, v[:, None], t[None, :])
-print("partial Radon of the k = 2 kernel vs the n = 1 kernel on a 5x5 grid:")
-print(f"  max rel error {np.max(np.abs(got - want)) / np.max(np.abs(want)):.2e}")
+print("partial Radon of the k = 2 and k = 3 kernels vs the n = 1 kernel on a 5x5 grid:")
+for k in (2, 3):
+    got = radon_heat_profile(1.0, v, t, n=1, k=k)
+    print(f"  k = {k}: max rel error {np.max(np.abs(got - want)) / np.max(np.abs(want)):.2e}")
 
 print("gate decisions (threshold ab < s0^2):")
 for a, b, s0 in ((1.0, 1.0, 2.0), (2.0, 1.0, 1.0)):

@@ -8,6 +8,7 @@ The kernel is written through the normalized Bessel function, so s = 0 and
 negative arguments need no special casing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def hardy_gate(a, b):
     """Classify a Gaussian decay pair: 'supercritical' (ab > 1/4, only the
     zero profile is admissible), 'critical' (ab = 1/4 within 1e-9), else
     'subcritical'."""
-    if a <= 0 or b <= 0:
+    if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("decay rates must be positive")
     ab = a * b
     if abs(ab - 0.25) <= _HARDY_TOL:

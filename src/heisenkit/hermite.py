@@ -255,8 +255,10 @@ def hermite_evolve(f, s, x=None):
 
 def hermite_gate(a, b, s0):
     """margin = a b sin^2(2 s0) - 1/4; the flow vanishes when it is positive."""
-    if a <= 0 or b <= 0:
+    if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("decay rates must be positive")
+    if not math.isfinite(s0):
+        raise ValueError("s0 must be finite")
     margin = a * b * math.sin(2.0 * s0) ** 2 - 0.25
     return margin, margin > 0
 

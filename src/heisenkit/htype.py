@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .heisenberg import _central_integral, _lam_cutoff, _profile
-from .quadrature import adaptive_quad, gauss_interval, sample_axis, warn_truncated
+from .quadrature import (QuadratureError, _disagreement, adaptive_quad, gauss_interval,
+                         sample_axis, warn_truncated)
 from .specfun import _check_dimension, bessel_j_tilde
 
 
@@ -147,30 +148,32 @@ def _perp_basis(eta):
 # integrand at lam = i pi / s, so it falls by 1e-16 within (16 ln 10 / pi) s
 # of the farthest target
 _NU_DECAY = 16.0 * math.log(10.0) / math.pi
-# Gauss nodes per axis of the nu window
-_NU_NODES = {2: 160, 3: 48}
+# Gauss nodes in rho = |nu| per unit of a / s, set by h_s's analyticity in
+# rho within ~s of the real line (at 3.6 the coarse rule missed rtol at k = 3)
+_RHO_DENSITY = 4.2
+# radii of the finer rule: past 1024, max|t| > 232 s, where h_s has fallen
+# to e^{-729} of h_s(v, 0); the Gauss nodes cost O(n^3) (0.13 s at 1024)
+_MAX_RADII = 1 << 10
 
 
-def _nu_rule(perp, s, t_span):
-    """Product Gauss rule on the window [-a, a]^{k-1} of eta-perp,
-    a = t_span + _NU_DECAY s: its nodes as offsets in R^k, and its weights."""
-    k = perp.shape[0]
-    a = t_span + _NU_DECAY * s
-    x, w = gauss_interval(-a, a, _NU_NODES[k])
-    if k == 2:
-        return x[:, None] @ perp.T, w
-    xx, yy = np.meshgrid(x, x, indexing="ij")
-    return np.stack([xx.ravel(), yy.ravel()], axis=1) @ perp.T, np.outer(w, w).ravel()
+def _radial_rules(a, s, k):
+    """Gauss rules in rho on [0, a], of _RHO_DENSITY a / s nodes and of 2/3 as
+    many, with weights |S^{k-2}| rho^{k-2} w (|S^0| = 2, |S^1| = 2 pi)."""
+    nodes = _RHO_DENSITY * a / s
+    if not nodes <= _MAX_RADII:
+        raise QuadratureError(f"the nu window would take {nodes:.3g} Gauss radii")
+    nodes = math.ceil(nodes)
+    rules = [gauss_interval(0.0, a, m) for m in (nodes, 2 * nodes // 3)]
+    return [(rho, 2.0 * math.pi ** (k - 2) * w * rho ** (k - 2)) for rho, w in rules]
 
 
-def _warn_window_truncated(vals, k):
-    """Warn when the (targets, nodes) integrand is not small on every face of
-    the nu window.  Called from the public functions, so that the warning
-    names their caller."""
-    cube = np.abs(vals).reshape((len(vals),) + (_NU_NODES[k],) * (k - 1))
-    faces = max(float(np.max(np.take(cube, [0, -1], axis=a))) for a in range(1, k))
+def _warn_window_truncated(vals, ring):
+    """Warn when the (..., nodes) integrand is not small on the nodes `ring`
+    of the outermost radius.  Called from the public functions, so that the
+    warning names their caller."""
+    vals = np.abs(vals)
     warn_truncated("f has not decayed across the nu window; the Radon integral is truncated",
-                   faces, float(np.max(cube)), 1e-10, stacklevel=3)
+                   float(np.max(vals[..., ring])), float(np.max(vals)), 1e-10, stacklevel=3)
 
 
 def partial_radon(f, eta, targets):
@@ -178,10 +181,11 @@ def partial_radon(f, eta, targets):
     target points, for f a callable of HTypePoint, evaluated node by node.
 
     k = 1 has an empty orthogonal complement, so the transform is f itself.
-    The nu window is the one `radon_heat_profile` takes at s = 1: half-width
-    max|t| + 16 ln 10 / pi on 160 Gauss nodes at k = 2, and that square on
-    48^2 nodes at k = 3.  A function that has not decayed to 1e-10 of its
-    peak on the window's faces raises a truncation warning.
+    Otherwise nu = rho sigma takes `radon_heat_profile`'s Gauss rule in rho
+    at s = 1 times the uniform rule on the unit sphere of eta-perp: sigma =
+    +-1 at k = 2, as many angles as radii at k = 3.  A function that has not
+    decayed to 1e-10 of its peak on the outermost ring raises a truncation
+    warning.
     """
     eta, perp = _perp_basis(eta)
     k = eta.size
@@ -191,11 +195,15 @@ def partial_radon(f, eta, targets):
     if k == 1:
         return np.array([float(f(HTypePoint(_vec_of(p), (p.t * eta[0],))))
                          for p in targets])
-    offsets, w = _nu_rule(perp, 1.0, max(abs(p.t) for p in targets))
+    (rho, w), _ = _radial_rules(max(abs(p.t) for p in targets) + _NU_DECAY, 1.0, k)
+    m = 2 if k == 2 else rho.size
+    theta = 2.0 * math.pi * np.arange(m) / m
+    sigma = np.column_stack([np.cos(theta), np.sin(theta)])[:, :k - 1] @ perp.T
+    offsets = (rho[:, None, None] * sigma).reshape(-1, k)          # radius by radius
     vals = np.array([[float(f(HTypePoint(_vec_of(p), tuple(p.t * eta + o)))) for o in offsets]
                      for p in targets])
-    _warn_window_truncated(vals, k)
-    return vals @ w
+    _warn_window_truncated(vals, slice(-m, None))
+    return vals @ np.repeat(w / m, m)
 
 
 def _vec_of(p):
@@ -204,33 +212,44 @@ def _vec_of(p):
 
 def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
     """R_eta h_s on a (|v|, t) product grid, returned as a (len v, len t)
-    array.  The result does not depend on the direction eta, so eta = e_1.
-
-    h_s is evaluated on every (|v|, t, nu) node in one `htype_heat_batch`
-    call.  The nu window reaches max|t| + (16 ln 10 / pi) s, where h_s has
-    fallen to 1e-16; at s = 1 it is `partial_radon`'s.  Norms |v| must be
+    array.  h_s depends on nu only through rho = |nu|, so for every eta
+        R h(v, t) = |S^{k-2}| int_0^a h_s(v, sqrt(t^2 + rho^2)) rho^{k-2} drho,
+    with a = max|t| + (16 ln 10 / pi) s, where h_s has fallen to 1e-16.  One
+    `htype_heat_batch` call evaluates h_s on the Gauss rule in rho and on the
+    coarser rule that checks it (`_radial_rules`); the two must agree to 1e-8
+    of the largest value, or QuadratureError is raised.  Norms |v| must be
     finite and nonnegative.
     """
+    _check_time(s)
+    _check_dimension(n)
+    if k not in (1, 2, 3):
+        raise ValueError("center dimension k must be 1, 2 or 3")
     v = np.asarray(v_norms, dtype=float)
-    t = np.asarray(t_vals, dtype=float)
+    t = sample_axis("t", t_vals)
     if k == 1:
         return htype_heat_batch(s, n, 1, v[:, None], np.abs(t)[None, :])
-    eta, perp = _perp_basis(np.eye(k)[0])
     if v.size == 0 or t.size == 0:
         return np.zeros((v.size, t.size))
-    offsets, w = _nu_rule(perp, s, float(np.max(np.abs(sample_axis("t", t)))))
-    tau = np.linalg.norm(t[:, None, None] * eta + offsets, axis=-1)     # (t, nu)
-    vals = htype_heat_batch(s, n, k, v[:, None, None], tau[None]).reshape(-1, w.size)
-    _warn_window_truncated(vals, k)
-    return (vals @ w).reshape(v.size, t.size)
+    (rho, w), (rho_c, w_c) = _radial_rules(float(np.max(np.abs(t))) + _NU_DECAY * s, s, k)
+    tau = np.hypot(t[:, None], np.concatenate([rho, rho_c]))           # (t, rho)
+    vals = htype_heat_batch(s, n, k, v[:, None, None], tau[None])
+    _warn_window_truncated(vals, rho.size - 1)
+    fine, coarse = vals[..., :rho.size] @ w, vals[..., rho.size:] @ w_c
+    # h_s > 0 and the weights are positive: the sums cancel nothing
+    failure = _disagreement(fine, coarse, 0.0, 1e-8, f"{rho.size} radii")
+    if failure is not None:
+        raise QuadratureError(f"radial nu rule failed to converge: {failure}")
+    return fine
 
 
 def htype_gate(a, b, s0):
     """True when ab < s0^2: the evolved solution with these central decays
     must vanish (the decision surface is inherited through the Radon
     collapse, so it matches the Heisenberg gate exactly)."""
-    if a <= 0 or b <= 0:
+    if not (0 < a < math.inf and 0 < b < math.inf):
         raise ValueError("decay rates must be positive")
     if s0 == 0:
         raise ValueError("s0 must be nonzero")
+    if not math.isfinite(s0):
+        raise ValueError("s0 must be finite")
     return a * b < s0 * s0

@@ -232,13 +232,15 @@ class GateParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0:
+        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
             raise ValueError("decay rates a, b must be positive")
         if self.s0 == 0:
             raise ValueError("s0 must be nonzero")
-        if self.eps < 0:
+        if not math.isfinite(self.s0):
+            raise ValueError("s0 must be finite")
+        if not 0 <= self.eps < math.inf:
             raise ValueError("eps must be nonnegative")
-        if self.lam < 0:
+        if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be nonnegative")
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from heisenkit import htype
 from heisenkit.heisenberg import HeisenbergPoint, heat_kernel, heat_kernel_grid
 from heisenkit.htype import (
     HTypePoint,
@@ -313,8 +314,8 @@ def test_radon_direction_independence():
 
 
 def test_radon_heat_profile_matches_pointwise_radon_of_the_kernel():
-    # at s = 1 both take the same nu rule; one target keeps the pointwise
-    # side to 160 calls of the quadrature kernel
+    # at s = 1 both take the same radii; one target keeps the pointwise
+    # side to 2 x 52 calls of the quadrature kernel
     fast = radon_heat_profile(1.0, [0.8], [0.4], n=1, k=2)[0, 0]
     slow = partial_radon(lambda p: htype_heat_kernel(1.0, p), (1.0, 0.0),
                          [HeisenbergPoint((0.8,), 0.4)])[0]
@@ -322,11 +323,57 @@ def test_radon_heat_profile_matches_pointwise_radon_of_the_kernel():
 
 
 def test_radon_collapses_onto_the_heisenberg_kernel():
-    v = np.linspace(0.5, 1.5, 3)
-    t = np.array([-0.8, 0.0, 0.8])
-    got = radon_heat_profile(1.0, v, t, n=1, k=2)
-    want = heat_kernel_grid(1.0, v[:, None], t[None, :]).real
-    assert np.max(np.abs(got - want) / want) < 1e-7
+    # the radon-collapse check's shape, at both k
+    v = np.linspace(0.4, 2.0, 5)
+    t = np.linspace(-1.5, 1.5, 5)
+    for s in (0.3, 1.0, 3.0):
+        want = heat_kernel_grid(s, v[:, None], t[None, :]).real
+        for k in (2, 3):
+            got = radon_heat_profile(s, v, t, n=1, k=k)
+            assert np.max(np.abs(got - want)) < 1e-12 * np.max(want), (s, k)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_partial_radon_of_a_shifted_gaussian_is_its_closed_form(k):
+    # e^{-|v|^2 - |t - c|^2} integrates over eta-perp to
+    # pi^{(k-1)/2} e^{-|v|^2 - (t - c.eta)^2}; c is off eta's line, so the
+    # Gaussian sits off center in eta-perp, where the angles must resolve it
+    eta = {2: np.array([0.6, 0.8]), 3: np.array([0.6, 0.0, 0.8])}[k]
+    c = np.array([0.3, -0.5, 0.4])[:k]
+
+    def f(p):
+        return math.exp(-p.v_norm ** 2 - float(np.sum((np.array(p.t) - c) ** 2)))
+
+    pts = [HeisenbergPoint((0.7 + 0.2j,), 0.4), HeisenbergPoint((0.3,), -1.1)]
+    got = partial_radon(f, eta, pts)
+    want = [math.pi ** (0.5 * (k - 1)) * math.exp(-abs(p.z[0]) ** 2 - (p.t - c @ eta) ** 2)
+            for p in pts]
+    assert np.max(np.abs(got - want) / want) < 1e-12
+
+
+def test_an_under_resolved_radial_rule_raises(monkeypatch):
+    # 13 radii on the s = 1 window, checked against 8: the two disagree
+    monkeypatch.setattr(htype, "_RHO_DENSITY", 1.0)
+    with pytest.raises(QuadratureError, match="radial nu rule failed to converge"):
+        radon_heat_profile(1.0, [0.0, 1.0], [0.0, 0.5], n=1, k=3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: radon_heat_profile(1.0, [0.5], [0.0, 1e6], k=2),
+    lambda: radon_heat_profile(1e-300, [0.5], [1.0], k=3),
+    lambda: partial_radon(lambda p: 1.0, (0.0, 1.0), [HeisenbergPoint((0.5,), 1e300)]),
+], ids=["wide-t", "tiny-s", "partial"])
+def test_a_window_past_the_node_budget_raises_before_building_it(call):
+    with pytest.raises(QuadratureError, match="would take"):
+        call()
+
+
+def test_radon_window_warning_does_not_read_round_off():
+    # h_0.3 has fallen to ~1e-17 of its peak on the outermost radius, where
+    # the batch's round-off reads ~7e-11 of it: below the warning's 1e-10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        radon_heat_profile(0.3, [0.4], [-1.5], k=2)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
@@ -374,6 +421,20 @@ def test_radon_heat_profile_rejects_non_finite_t_without_numpy_warnings(k):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="t must be finite"):
             radon_heat_profile(1.0, [0.5], [0.2, _INF], n=1, k=k)
+
+
+@pytest.mark.parametrize("s,n,k", [
+    (0.0, 1, 2), (-1.0, 1, 2), (_INF, 1, 2), (_NAN, 1, 3),
+    (1.0, 0, 2), (1.0, 1.5, 2), (1.0, 1, 0), (1.0, 1, 2.5), (1.0, 1, 4),
+], ids=["s-0", "s-negative", "s-inf", "s-nan", "n-0", "n-1.5", "k-0", "k-2.5", "k-4"])
+def test_radon_heat_profile_rejects_bad_arguments_without_numpy_warnings(s, n, k):
+    # each is refused before anything else, on a full grid and on an empty
+    # one alike
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for v in ([0.5, 1.0], []):
+            with pytest.raises(ValueError):
+                radon_heat_profile(s, v, [0.0, 0.4], n=n, k=k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

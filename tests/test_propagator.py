@@ -8,7 +8,10 @@ import pytest
 
 from heisenkit import grids, propagator
 from heisenkit.grids import SpectralSlice, polar_grid, radial_slice
+from heisenkit.hankel import hardy_gate
 from heisenkit.heisenberg import ComplexTime, heat_kernel_lambda
+from heisenkit.hermite import hermite_gate
+from heisenkit.htype import htype_gate
 from heisenkit.propagator import (
     DecayDomainError,
     ExceptionalLambdaError,
@@ -220,6 +223,30 @@ def test_gate_params_validation():
                 dict(a=1.0, b=1.0, s0=1.0, lam=-0.5)]:
         with pytest.raises(ValueError):
             GateParams(**bad)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("gate,args", [
+    (gate_lambda_window, (_NAN, 1.0, 1.0)),
+    (gate_lambda_window, (1.0, 1.0, _INF)),
+    (GateParams, (1.0, 1.0, _INF)),
+    (GateParams, (1.0, _INF, 1.0)),
+    (GateParams, (1.0, 1.0, 1.0, _INF)),
+    (GateParams, (1.0, 1.0, 1.0, 0.0, _NAN)),
+    (hardy_gate, (_NAN, 1.0)),
+    (hardy_gate, (1.0, _INF)),
+    (htype_gate, (_NAN, 1.0, 1.0)),
+    (htype_gate, (1.0, 1.0, _NAN)),
+    (hermite_gate, (_NAN, 1.0, 1.0)),
+    (hermite_gate, (1.0, 1.0, _INF)),
+], ids=["window-a-nan", "window-s0-inf", "params-s0-inf", "params-b-inf", "params-eps-inf",
+        "params-lam-nan", "hardy-a-nan", "hardy-b-inf", "htype-a-nan", "htype-s0-nan",
+        "hermite-a-nan", "hermite-s0-inf"])
+def test_gates_reject_non_finite_rates_and_times(gate, args):
+    with pytest.raises(ValueError, match="must be"):
+        gate(*args)
 
 
 def test_equality_case_satisfies_the_sharp_relation():

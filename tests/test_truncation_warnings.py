@@ -17,6 +17,7 @@ from heisenkit.hermite import hermite_evolve
 from heisenkit import htype
 from heisenkit.htype import partial_radon, radon_heat_profile
 from heisenkit.propagator import schrodinger_evolve
+from heisenkit.quadrature import QuadratureError
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (_interpolant, _ring_sum, hecke_bochner_check, laguerre_projection,
                                twisted_convolution)
@@ -51,13 +52,13 @@ def _hermite_2d(c):
 
 
 def _radon(c):
-    # constant 1 inside the nu window, c 1e-10 on its outermost nodes: the
-    # step sits between the default rule's last two nodes
-    offsets, _ = htype._nu_rule(np.eye(2)[:, 1:], 1.0, 0.0)
-    last, outermost = np.sort(offsets[:, 1])[-2:]
+    # constant 1 inside the nu window, c 1e-10 on its outermost radius: the
+    # step sits between the default rule's last two radii
+    (rho, _), _ = htype._radial_rules(htype._NU_DECAY, 1.0, 2)
+    edge = 0.5 * (rho[-2] + rho[-1])
 
     def f(p):
-        return 1.0 if abs(p.t[1]) < 0.5 * (last + outermost) else c * 1e-10
+        return 1.0 if abs(p.t[1]) < edge else c * 1e-10
     partial_radon(f, (1.0, 0.0), [HeisenbergPoint((0.5,), 0.0)])
 
 
@@ -140,9 +141,9 @@ def test_zero_extension_warning_names_the_caller():
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_radon_warns_on_every_face_of_the_nu_window(k):
-    # at t = 0 the window is [-a, a]^{k-1}, a = 16 ln 10 / pi ~ 11.7, and
-    # e^{-|t|^2 / 8} is ~3e-8 of its peak at the middle of each face but
-    # ~1e-15 at the corners: at k = 3 only a check of whole faces sees it
+    # at t = 0 the window's outermost radius is ~a = 16 ln 10 / pi ~ 11.7,
+    # where e^{-|t|^2 / 8} is ~4e-8 of its peak, in every direction of the
+    # ring, which is the whole face of the window
     with pytest.warns(RuntimeWarning, match="not decayed across the nu window") as caught:
         line = inspect.currentframe().f_lineno + 1
         partial_radon(lambda p: math.exp(-p.t_norm ** 2 / 8.0), np.eye(k)[0],
@@ -151,11 +152,14 @@ def test_radon_warns_on_every_face_of_the_nu_window(k):
 
 
 def test_radon_heat_profile_warning_names_the_caller(monkeypatch):
-    # a window of half-width 1 cuts h_1 off where it is still ~e^{-pi}
+    # a window of half-width 1 cuts h_1 off where it is still ~e^{-pi}.  The
+    # warning comes first; then the window's 5 radii fail their check
+    # against 3
     monkeypatch.setattr(htype, "_NU_DECAY", 1.0)
     with pytest.warns(RuntimeWarning, match="not decayed across the nu window") as caught:
-        line = inspect.currentframe().f_lineno + 1
-        radon_heat_profile(1.0, [0.5], [0.0], n=1, k=3)
+        with pytest.raises(QuadratureError, match="radial nu rule"):
+            line = inspect.currentframe().f_lineno + 1
+            radon_heat_profile(1.0, [0.5], [0.0], n=1, k=3)
     assert [(w.filename, w.lineno) for w in caught] == [(__file__, line)]
 
 
