@@ -251,7 +251,7 @@ def run(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:      # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -169,11 +169,10 @@ def _radial_rules(a, s, k):
 
 def _warn_window_truncated(vals, ring):
     """Warn when the (..., nodes) integrand is not small on the nodes `ring`
-    of the outermost radius.  Called from the public functions, so that the
-    warning names their caller."""
+    of the outermost radius."""
     vals = np.abs(vals)
     warn_truncated("f has not decayed across the nu window; the Radon integral is truncated",
-                   float(np.max(vals[..., ring])), float(np.max(vals)), 1e-10, stacklevel=3)
+                   float(np.max(vals[..., ring])), float(np.max(vals)), 1e-10)
 
 
 def partial_radon(f, eta, targets):

@@ -4,6 +4,7 @@ ends it, trapezoid weights, a budgeted wrapper around scipy's adaptive
 integrator, and the truncation warning of every truncated integral."""
 
 import math
+import os
 import sys
 import warnings
 from functools import lru_cache
@@ -300,17 +301,27 @@ def even_trapezoid(step, cutoffs, factors, ir, ic, rtol, start=0.0, mapping=None
     return fine
 
 
-def warn_truncated(what, edge, peak, rtol, stacklevel=2):
+_PACKAGE = os.path.dirname(__file__) + os.sep
+
+
+def warn_truncated(what, edge, peak, rtol):
     """Warn (RuntimeWarning) that an integral is truncated when the size of
     its integrand at the edge of its domain exceeds rtol times its peak.
 
     what says which integral and why; the message appends
-    "(edge/peak ~x)".  stacklevel counts from the caller, as for
-    warnings.warn.
+    "(edge/peak ~x)".  The warning names the first frame outside the
+    package, however deep in it the integral sits: the rule of
+    warnings.warn's skip_file_prefixes (Python 3.12), written out here.
     """
     if peak > 0 and edge > rtol * peak:
-        warnings.warn(f"{what} (edge/peak ~{edge / peak:.1e})", RuntimeWarning,
-                      stacklevel=stacklevel + 1)
+        frame = sys._getframe(1)
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
+            frame = frame.f_back
+        caller = frame.f_globals
+        warnings.warn_explicit(f"{what} (edge/peak ~{edge / peak:.1e})", RuntimeWarning,
+                               frame.f_code.co_filename, frame.f_lineno,
+                               caller.get("__name__", "<string>"),
+                               caller.setdefault("__warningregistry__", {}), caller)
 
 
 def trapezoid_weights(t):

@@ -170,26 +170,19 @@ def _ring_sum(f, g, r, theta0, orbit):
         # |phase| = 1, so the masses need no phase
         total_mass += float(np.sum(np.abs(c).sum(axis=-1) * mass))
         cut_mass += f.boundary * float(mass[rho > f.r_max].sum())
-    warn_truncated("mass beyond r_max was dropped by zero extension",
-                   cut_mass / out.size, total_mass / out.size, 1e-8, stacklevel=3)
+    warn_truncated("mass beyond r_max was dropped by zero extension", cut_mass, total_mass, 1e-8)
     return out
 
 
 def twisted_convolution(f, g):
     """(f *_lam g) on the shared grid nodes; see the module docstring."""
-    return SpectralSlice(f.lam, f.grid, _ring_sum(*_ring_args(f, g, f.grid.r)))
+    return SpectralSlice(f.lam, f.grid, convolution_rings(f, g, f.grid.r))
 
 
 def convolution_rings(f, g, r):
     """(f *_lam g) at the grid's angles on the rings of radii r, as an
-    (r, angle) array: the rows of `twisted_convolution` for those radii."""
-    return _ring_sum(*_ring_args(f, g, r))
-
-
-def _ring_args(f, g, r):
-    """The `_ring_sum` arguments of (f *_lam g) on the rings of radii r.  The
-    convolutions call `_ring_sum` themselves, so that its zero-extension
-    warning names their caller."""
+    (r, angle) array: the rows of `twisted_convolution` for those radii, and
+    no rows for an empty r."""
     if f.lam != g.lam:
         raise ValueError("slices carry different central frequencies")
     if not f.grid.same_as(g.grid):
@@ -200,7 +193,7 @@ def _ring_args(f, g, r):
     bad = ~np.isfinite(r)
     if np.any(bad):
         raise ValueError(f"ring radius {r[bad][0]} is not finite")
-    return _interpolant(f), g, r, np.zeros(r.size), f.grid.omega.shape[0]
+    return _ring_sum(_interpolant(f), g, r, np.zeros(r.size), f.grid.omega.shape[0])
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):
@@ -224,18 +217,11 @@ def laguerre_projection(g, k, lam, m):
     eigenexpansion in dimension m; the Gamma-ratio prefactor is applied by
     the caller, once.
     """
-    return _projection(g, k, lam, m)
-
-
-def _projection(g, k, lam, m):
-    """The body of `laguerre_projection`.  Public functions call it
-    themselves, so that its truncation warning names their caller."""
     if g.weights is None:
         raise ValueError("profile carries no quadrature weights")
     integrand = g.values * laguerre_fn(k, lam, m, g.r) * g.r ** (2 * m - 1)
     warn_truncated("projection integrand has not decayed at the last node",
-                   float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10,
-                   stacklevel=3)
+                   float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10)
     return complex(np.sum(g.weights * integrand))
 
 
@@ -253,8 +239,8 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     annihilated.
 
     The interpolant of P g does not depend on k, so it is built once for all
-    of ks; the result is a list of (lhs, rhs) pairs, one per degree.  A
-    non-finite target raises ValueError.
+    of ks; the result is a list of (lhs, rhs) pairs, one per degree, empty
+    arrays for an empty z.  A non-finite target raises ValueError.
     """
     if lam == 0:
         raise ValueError("lam must be nonzero")
@@ -277,8 +263,6 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     m = n + p + q
 
     pairs = []
-    # the loop stays in this frame, so that the warnings of _ring_sum and
-    # _projection name the caller
     for k in ks:
         phi = radial_slice(grid, lam, laguerre_fn(k, lam, n, grid.r))
         lhs = _ring_sum(f, phi, np.abs(targets), np.angle(targets), 1)[:, 0]
@@ -287,7 +271,7 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
             pairs.append((lhs, np.zeros(zz.shape, dtype=complex) if zz.ndim else 0.0j))
             continue
         gamma_ratio = math.exp(gammaln(k - p_eff + 1) - gammaln(k + n + q_eff))
-        proj = _projection(g, k - p_eff, lam, m)
+        proj = laguerre_projection(g, k - p_eff, lam, m)
         rhs = ((2.0 * np.pi) ** (-(p + q)) * abs(lam) ** (p + q) * P(zz)
                * 2.0 * np.pi ** m * gamma_ratio * proj
                * laguerre_fn(k - p_eff, lam, m, np.abs(zz)))

@@ -123,7 +123,7 @@ def test_criterion_11_radon_reduction(records):
     collapse = records["radon-collapse"]
     degenerate = records["radon-degenerate"]
     assert collapse.tol == 1e-12
-    assert degenerate.tol == 1e-5
+    assert degenerate.tol == 1e-13
     assert collapse.ms + degenerate.ms < 500.0
     _report(11, "radon reduction to the n=1 kernel", [collapse, degenerate])
 

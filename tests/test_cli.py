@@ -177,6 +177,20 @@ def test_exit_codes_for_failure_classes(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["kernel", "gate", "verify"])
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(command, capsys, tmp_path):
+    # exit 1 means a failed verify check: a path in a missing directory, or
+    # a directory, exits 2 with one line and no traceback
+    missing = str(tmp_path / "no-such-dir" / "out.csv")
+    argv = {"kernel": ["kernel", "--group", "heisenberg", "--s", "1", "--out", missing],
+            "gate": ["gate", "--which", "htype", "--a", "1", "--b", "1", "--s0", "1",
+                     "--out", str(tmp_path)],
+            "verify": ["verify", "--suite", "radon", "--json", missing]}[command]
+    assert cli.run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
 def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):
     # q_1(0, 30) is ~1e-40 of q_1(0, 0), far below what the coarse/fine
     # test of heat_kernel_grid can resolve: no rows, exit 3

@@ -1,22 +1,25 @@
 """Every truncated integral warns through `quadrature.warn_truncated`, at its
 own threshold, with its own message and the measured edge/peak ratio."""
 
+import ast
 import dataclasses
 import inspect
 import math
+import pathlib
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import heisenkit
 from heisenkit.grids import RadialProfile, partial_fourier_t, polar_grid, radial_rule, radial_slice
 from heisenkit.hankel import hankel_plan, hankel_transform
 from heisenkit.heisenberg import HeisenbergPoint
 from heisenkit.hermite import hermite_evolve
 from heisenkit import htype
 from heisenkit.htype import partial_radon, radon_heat_profile
-from heisenkit.propagator import schrodinger_evolve
+from heisenkit.propagator import schrodinger_evolve, theorem34_pair
 from heisenkit.quadrature import QuadratureError
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (_interpolant, _ring_sum, hecke_bochner_check, laguerre_projection,
@@ -176,3 +179,50 @@ def test_hecke_bochner_warnings_name_the_caller():
     assert any("dropped by zero extension" in m for m in messages), messages
     assert any("projection integrand has not decayed" in m for m in messages), messages
     assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
+
+
+def test_nested_warnings_name_the_caller():
+    # the Laguerre projection and the Hankel transform sit two calls deep in
+    # theorem34_pair; e^{-0.1 r^2} is still ~0.4 of its peak at r_max = 3
+    grid = polar_grid(1, 64, 3.0)
+    t = np.linspace(-5.0, 5.0, 41)
+    r2 = np.broadcast_to((grid.r ** 2)[:, None, None], (grid.r.size, grid.omega.shape[0], 1))
+    f = np.exp(-0.1 * r2) * np.exp(-t ** 2)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = inspect.currentframe().f_lineno + 1
+        theorem34_pair(f, t, 0, 0, 1, 1.0, 0.5, grid)
+    messages = [str(w.message) for w in caught]
+    assert any("the Laguerre projection is truncated" in m for m in messages), messages
+    assert any("transform is truncated" in m for m in messages), messages
+    assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
+
+
+def _warnings_calls(node, function=None):
+    """(function, name) of each call of warnings.<name> under node, with
+    the innermost function that makes it (None at module level)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    calls = []
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "warnings"
+            and node.func.attr.startswith("warn")):
+        calls.append((function, node.func.attr))
+    for child in ast.iter_child_nodes(node):
+        calls += _warnings_calls(child, function)
+    return calls
+
+
+def test_one_function_raises_every_warning():
+    # every warning of the package is a truncation warning, aimed at the
+    # caller by warn_truncated alone; verify re-emits what its suites caught
+    calls = set()
+    for path in pathlib.Path(heisenkit.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.ImportFrom) and node.module == "warnings"
+                       for node in ast.walk(tree)), path.name
+        assert not any(isinstance(node, ast.keyword) and node.arg == "stacklevel"
+                       for node in ast.walk(tree)), path.name
+        calls |= {(path.stem, *call) for call in _warnings_calls(tree)}
+    assert calls == {("quadrature", "warn_truncated", "warn_explicit"),
+                     ("verify", "_run", "warn_explicit")}
