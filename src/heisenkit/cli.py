@@ -9,6 +9,7 @@ Exit codes are a stable contract: 0 pass, 1 check failure, 2 usage error,
 """
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
@@ -129,17 +130,19 @@ def _cmd_kernel(args):
 
 
 def _cmd_verify(args):
-    report = run_suite(args.suite, seed=args.seed)
-    lines = []
-    for c in report.checks:
-        status = "pass" if c.passed else "FAIL"
-        lines.append(f"{c.id:34s} error={c.error:.3e}  tol={c.tol:.1e}  "
-                     f"{status}  ({c.ms:8.1f} ms)")
-    lines.append(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
-                 f"({len(report.checks)} checks)")
-    sys.stdout.write("\n".join(lines) + "\n")
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
+    # the report's file is opened before any check runs, so that a path that
+    # cannot be written exits 2 at once; on exit 3 the file is left empty
+    with open(args.json, "w", encoding="utf-8") if args.json else contextlib.nullcontext() as fh:
+        report = run_suite(args.suite, seed=args.seed)
+        lines = []
+        for c in report.checks:
+            status = "pass" if c.passed else "FAIL"
+            lines.append(f"{c.id:34s} error={c.error:.3e}  tol={c.tol:.1e}  "
+                         f"{status}  ({c.ms:8.1f} ms)")
+        lines.append(f"suite {report.suite}: {'PASS' if report.passed else 'FAIL'} "
+                     f"({len(report.checks)} checks)")
+        sys.stdout.write("\n".join(lines) + "\n")
+        if fh:
             json.dump(report.to_dict(), fh, indent=2)
             fh.write("\n")
     return 0 if report.passed else 1

@@ -9,34 +9,37 @@ trigonometric interpolant in angle, which is exact for band-limited angular
 dependence, and zero beyond r_max.  The spline runs through the angular DFT
 coefficients c_m(r) of f, which is the same interpolant since the spline is
 linear in its data, so f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi} over the
-modes that are live.  The DFT of f only evaluates that interpolant, the one
-a fine raster of f would sample, at the points z - w themselves, and the
-DFTs in angle of the ring sum below only reorder its direct sum over the
-nodes w.  The sum uses no Laguerre function, and it convolves no angular
-mode of f with one of g.  The quadrature route below it is an entirely independent nested adaptive
-integral used as the oracle in tests.
+live modes; when every live c_m is real, as for a real radial slice, so is
+the spline.  The sum uses no Laguerre function, and it convolves no angular
+mode of f with one of g.  The quadrature route below it is an entirely
+independent nested adaptive integral used as the oracle in tests.
 
 The ring sum runs over rotation orbits of targets.  With na uniform angles
 theta_a on the circle, a target z = e^{i theta_a} z0 and a node
 w = s e^{i theta_{a+d}} give z - w = e^{i theta_a} (z0 - s e^{i theta_d}), and
 the twist phase (Im(z conj(w)) = Im(z0 conj(s e^{i theta_d}))) depends on
-(z0, s, d) only.  So each term c_m(|zeta|) e^{i m arg zeta} is evaluated
-once per orbit, at zeta = z0 - s e^{i theta_d}, the orbit's angles come from
-a circular correlation over d with g, and the rotation by theta_a enters as
-e^{i m theta_a}.  `twisted_convolution` sums the orbits of the grid radii;
-`hecke_bochner_check` sums orbits of length one at its own targets.
+(z0, s, d) only.  So each term c_m(|zeta|) e^{i phi}, phi = m arg zeta + twist,
+is evaluated once per orbit, at zeta = z0 - s e^{i theta_d}, and the rotation
+by theta_a enters as e^{i m theta_a}.  g enters by its live angular modes
+k, g(s e^{i theta_{d+a}}) = (1/na) sum_k g^_k(s) e^{2 pi i k (d + a) / na}:
+W[k, s, d] = g^_k(s) e^{2 pi i k d / na} contracts the terms into S[k, m],
+whose back-transform over k gives the orbit's angles.  That only reorders
+the direct sum over the nodes w, less g's modes below 1e-15 of its largest.
+`twisted_convolution` sums the orbits of the grid radii, and
+`hecke_bochner_check` orbits of length one at its own targets.
 
 A target z0 on the real axis sees the node angles d and -d as mirror
-images: zeta(-d) = conj zeta(d), so |zeta| and c_m(|zeta|) agree at the two,
-and the phase e^{i(m arg zeta + twist)} at -d is the conjugate of its value
-at d.  Its terms are evaluated on the columns d = 0 .. na/2 alone, and the
-other columns are c conj(phase); the |g| of each mirrored column is folded
-onto its partner, so the masses of the zero-extension warning stay exact.
-Every target of `twisted_convolution` and `convolution_rings` lies on the
-axis.  A target off it, such as a point of `hecke_bochner_check`, keeps the
-full circle: its nodes are not symmetric about its ray, and rotating the
-target onto the axis would rotate the grid's angle rule with it, which
-changes the sum itself and not only its round-off.
+images: zeta(-d) = conj zeta(d), so c_m(|zeta|) agrees at the two and the
+phase at -d is the conjugate of its value at d.  Its terms are evaluated on
+the columns d = 0 .. na/2 alone, and each mirrored column's weight W_mirror
+is folded onto its partner: c e^{i phi} W + c e^{-i phi} W_mirror is
+c cos(phi) W+ + c sin(phi) W-, with W+ = W + W_mirror, W- = i (W - W_mirror).
+Its |g| is folded the same way, so the masses of the zero-extension warning
+stay exact.  Every target of `twisted_convolution` and `convolution_rings`
+lies on the axis.  A target off it, such as a point of `hecke_bochner_check`,
+keeps the full circle with W and i W: its nodes are not symmetric about its
+ray, and rotating the target onto the axis would rotate the grid's angle
+rule with it, which changes the sum itself and not only its round-off.
 
 Neither route is an engine.  Evolution by the heat kernel, the only twisted
 convolution the package needs at scale, runs through the Laguerre multiplier
@@ -100,7 +103,8 @@ def _interpolant(sl):
     row0 = np.zeros(spec.shape[1], dtype=complex)
     row0[0] = spec[0, 0] - (spec[1, 0] - spec[0, 0]) * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
     live = live_modes(spec)
-    spline = CubicSpline(np.concatenate([[0.0], r]), np.vstack([row0, spec])[:, live], axis=0)
+    table = np.vstack([row0, spec])[:, live]
+    spline = CubicSpline(np.append(0.0, r), table if np.any(table.imag) else table.real, axis=0)
     return _Interpolant(modes[live], spline, float(sl.grid.r_max),
                         float(np.max(np.abs(values[-1]))))
 
@@ -123,52 +127,48 @@ def _ring_sum(f, g, r, theta0, orbit):
     r[t] e^{i(theta0[t] + 2 pi a / orbit)} for a < orbit, summed over the
     nodes w of g's grid with f(z - w) read from the interpolant f.
 
-    `orbit` must divide the angle count of g's grid.  The targets are
-    visited one at a time.  For each, the correlation over d (see the module
-    docstring) runs as a product of DFTs in d, which gives all na angles;
-    the orbit keeps every (na / orbit)-th of them.  The only choice made per
-    target is which node angles d are evaluated: na // 2 + 1 of them, with
-    the rest mirrored and their |g| folded in, for a target on the real
-    axis, and all na for a target off it (see the module docstring).
+    `orbit` must divide the angle count na of g's grid.  Targets are visited
+    one at a time: on the real axis over na // 2 + 1 node angles with W+ and
+    W-, off it over all na with W and i W (see the module docstring).
     """
     na = g.grid.omega.shape[0]
-    hop = na // orbit
     w = np.outer(g.grid.r, g.grid.omega[:, 0])                       # (J, D)
     gw = g.values * g.grid.measure()
     g_hat = np.fft.fft(gw, axis=1)
-    # the |g| that each node's f(z - w) meets over the orbit: g at the
-    # angles d + hop a, which are those congruent to d modulo hop
-    absg = np.tile(np.abs(gw).reshape(-1, orbit, hop).sum(axis=1), orbit)
-    # on the real axis, column d > na // 2 is the mirror image of column
-    # na - d, whose |g| mass it joins
+    k = np.flatnonzero(live_modes(g_hat))
+    # W as (k, j, d), each phase reduced to one turn before it is scaled
+    twiddle = np.exp(2j * np.pi / na * (k[:, None] * np.arange(na) % na))     # (K, D)
+    weights = g_hat.T[k, :, None] * twiddle[:, None]
+    # the |g| that node angle d meets over the orbit: at d + a na / orbit, a < orbit
+    absg = np.tile(np.abs(gw).reshape(-1, orbit, na // orbit).sum(axis=1), orbit)
+    # on the real axis column d > na // 2 mirrors na - d, which takes its |g| and W_mirror
     half = na // 2 + 1
     mirror = na - np.arange(half, na)
-    folded = absg[:, :half].copy()
+    folded, w_mirror = absg[:, :half].copy(), np.zeros_like(weights[..., :half])
     folded[:, mirror] += absg[:, half:]
-    on_axis = (w[:, :half], mirror, folded)
-    off_axis = (w, mirror[:0], absg)
-    rotation = np.exp(2j * np.pi / orbit * np.outer(np.arange(orbit), f.modes))  # (a, M)
+    w_mirror[..., mirror] = weights[..., half:]
+    on_axis = (w[:, :half], folded, (weights[..., :half] + w_mirror).reshape(k.size, -1),
+               1j * (weights[..., :half] - w_mirror).reshape(k.size, -1))
+    off_axis = (w, absg, weights.reshape(k.size, -1), 1j * weights.reshape(k.size, -1))
+    twist_rate = -0.5 * g.lam * w[:, :half].imag       # the twist is z twist_rate on the axis
+    # e^{2 pi i (k + m) a / orbit} / na: the back-transform over k and the rotation
+    turns = np.arange(orbit)[:, None, None] * np.add.outer(k, f.modes) % orbit
+    back = np.exp(2j * np.pi / orbit * turns).reshape(orbit, -1) / na          # (a, K M)
     z0 = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta0, dtype=float))
     out = np.empty((z0.size, orbit), dtype=complex)
-    cut_mass = 0.0
-    total_mass = 0.0
+    cut_mass = total_mass = 0.0
     for t, z in enumerate(z0):
-        wz, mirrored, mass = on_axis if z.imag == 0.0 else off_axis
+        wz, mass, w_plus, w_minus = on_axis if z.imag == 0.0 else off_axis
+        twist = z.real * twist_rate if z.imag == 0.0 else 0.5 * g.lam * (z * np.conj(wz)).imag
         zeta = z - wz
         rho = np.abs(zeta)
-        c = f.coefficients(rho)                                       # (J, D, M)
-        # the terms' angles plus the twist phase, in one exponential
-        twist = 0.5 * g.lam * (z * np.conj(wz)).imag
-        phase = np.exp(1j * (np.angle(zeta)[..., None] * f.modes + twist[..., None]))
-        terms = np.concatenate([c * phase, c[:, mirrored] * np.conj(phase[:, mirrored])],
-                               axis=1)
-        # sum_d A[d] g[d + a] = (1/na) sum_k e^{2 pi i k a / na} A~[k] g^[k], with
-        # g^[k] = sum_d g[d] e^{-2 pi i k d / na}, A~[k] = sum_d A[d] e^{2 pi i k d / na}
-        spec = np.fft.ifft(terms, axis=1, norm="forward")
-        corr = np.fft.ifft(np.einsum("jkm,jk->km", spec, g_hat), axis=0)[::hop]
-        out[t] = np.sum(rotation * corr, axis=1)
+        c = f.coefficients(rho).reshape(-1, f.modes.size)            # (J D, M)
+        phi = twist.reshape(-1, 1)
+        if f.modes.size > 1 or f.modes[0]:      # a lone m = 0 needs no arg zeta
+            phi = np.angle(zeta).reshape(-1, 1) * f.modes + phi
+        out[t] = back @ (w_plus @ (c * np.cos(phi)) + w_minus @ (c * np.sin(phi))).ravel()
         # |phase| = 1, so the masses need no phase
-        total_mass += float(np.sum(np.abs(c).sum(axis=-1) * mass))
+        total_mass += float(mass.ravel() @ np.abs(c).sum(axis=1))
         cut_mass += f.boundary * float(mass[rho > f.r_max].sum())
     warn_truncated("mass beyond r_max was dropped by zero extension", cut_mass, total_mass, 1e-8)
     return out

@@ -87,11 +87,29 @@ def test_verify_subcommand_text_and_json(capsys, tmp_path):
     assert {"id", "params", "error", "tol", "pass", "ms", "warnings"} <= set(doc["checks"][0])
 
 
-def test_verify_failure_exits_one(capsys, monkeypatch):
+def test_verify_failure_exits_one(capsys, monkeypatch, tmp_path):
     failing = SuiteReport("hermite", (CheckRecord("x", {}, 1.0, 1e-6, False, 0.1),))
     monkeypatch.setattr(cli, "run_suite", lambda name, seed=0: failing)
     assert cli.run(["verify", "--suite", "hermite"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # a failed check still writes the whole report
+    report = tmp_path / "report.json"
+    assert cli.run(["verify", "--suite", "hermite", "--json", str(report)]) == 1
+    assert not json.loads(report.read_text())["pass"]
+
+
+def test_verify_numerical_failure_leaves_the_report_file_empty(capsys, monkeypatch, tmp_path):
+    # the file is opened before the suite runs, so a suite that raises
+    # leaves it created and empty: no partial report can be read as one
+    def fail(name, seed=0):
+        raise cli.QuadratureError("no convergence")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    report = tmp_path / "report.json"
+    report.write_text("an older report")
+    assert cli.run(["verify", "--suite", "hermite", "--json", str(report)]) == 3
+    assert report.read_text() == ""
+    assert capsys.readouterr().err.startswith("numerical failure: ")
 
 
 def test_gate_hermite_margin_row(capsys):
@@ -178,7 +196,8 @@ def test_exit_codes_for_failure_classes(capsys):
 
 
 @pytest.mark.parametrize("command", ["kernel", "gate", "verify"])
-def test_an_output_path_that_cannot_be_written_is_a_usage_error(command, capsys, tmp_path):
+def test_an_output_path_that_cannot_be_written_is_a_usage_error(command, capsys, tmp_path,
+                                                                monkeypatch):
     # exit 1 means a failed verify check: a path in a missing directory, or
     # a directory, exits 2 with one line and no traceback
     missing = str(tmp_path / "no-such-dir" / "out.csv")
@@ -186,9 +205,12 @@ def test_an_output_path_that_cannot_be_written_is_a_usage_error(command, capsys,
             "gate": ["gate", "--which", "htype", "--a", "1", "--b", "1", "--s0", "1",
                      "--out", str(tmp_path)],
             "verify": ["verify", "--suite", "radon", "--json", missing]}[command]
+    # the path is tried before any work is done: no verify check runs
+    monkeypatch.setattr(cli, "run_suite", lambda *a, **k: pytest.fail("the suite ran"))
     assert cli.run(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
 
 
 def test_kernel_in_the_far_field_is_a_numerical_failure(capsys):

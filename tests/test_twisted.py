@@ -14,8 +14,8 @@ import pytest
 from scipy.signal import resample
 
 from heisenkit import twisted
-from heisenkit.grids import (RadialProfile, SpectralSlice, partial_fourier_t, polar_grid,
-                             radial_rule, radial_slice)
+from heisenkit.grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
+                             polar_grid, radial_rule, radial_slice)
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
     _Interpolant,
@@ -144,6 +144,61 @@ def test_ring_sum_on_the_real_axis_is_the_direct_double_sum(na, lam, monkeypatch
     [(got_cut, got_total)] = masses
     assert got_cut == pytest.approx(cut, rel=1e-13)
     assert got_total == pytest.approx(total, rel=1e-13)
+
+
+@pytest.mark.parametrize("orbit", ["one", "all"])
+@pytest.mark.parametrize("theta0", [0.0, 0.4])
+@pytest.mark.parametrize("pair", ["radial-g", "angular-g", "radial-real"])
+def test_ring_sum_over_few_live_modes_is_the_direct_double_sum(pair, theta0, orbit,
+                                                                 monkeypatch):
+    # g with one live angular mode (radial) or two (modes +-1) meets the
+    # terms through those modes alone; on the real axis (theta0 = 0) and off
+    # it, for orbits of one target and of every grid angle, the sum and the
+    # masses of the zero-extension warning are those of the direct sum over
+    # every node w and every target of the orbit
+    na = 48
+    grid, noisy_f, _ = _noisy_pair(na, 0.7)
+    z = grid.points()[:, :, 0]
+    radial_f = radial_slice(grid, 0.7, np.exp(-0.15 * grid.r ** 2))
+    fs, gs = {"radial-g": (noisy_f, radial_slice(grid, 0.7, np.exp(-0.5 * grid.r ** 2))),
+              "angular-g": (radial_f, _angular_pair(grid, 0.7)[3]),
+              "radial-real": (radial_f, radial_slice(grid, 0.7, np.exp(-0.5 * grid.r ** 2)))}[pair]
+    g_hat = np.fft.fft(gs.values * grid.measure(), axis=1)
+    assert np.count_nonzero(live_modes(g_hat)) == (2 if pair == "angular-g" else 1)
+    masses = []
+    monkeypatch.setattr(twisted, "warn_truncated",
+                        lambda what, cut, total, *a, **k: masses.append((cut, total)))
+    r = np.array([0.0, 0.8, 4.2])
+    size = {"one": 1, "all": na}[orbit]
+    interp = _interpolant(fs)
+    got = _ring_sum(interp, gs, r, np.full(r.size, theta0), size)
+
+    targets = r[:, None] * np.exp(1j * (theta0 + 2.0 * np.pi * np.arange(size) / size))
+    gm = gs.values * grid.measure()
+    want = np.array([[np.sum(slice_value(fs, t - z) * gm * np.exp(0.35j * (t * np.conj(z)).imag))
+                      for t in row] for row in targets])
+    assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))    # measured <= 2.9e-15
+    rho = np.abs(targets.ravel()[:, None, None] - z)
+    cut = interp.boundary * sum(np.abs(gm)[p > grid.r_max].sum() for p in rho)
+    total = sum(np.sum(np.abs(interp.coefficients(p)).sum(axis=-1) * np.abs(gm)) for p in rho)
+    [(got_cut, got_total)] = masses
+    assert cut > 0.0
+    assert got_cut == pytest.approx(cut, rel=1e-13)
+    assert got_total == pytest.approx(total, rel=1e-13)
+
+
+def test_a_real_radial_slice_keeps_a_real_spline_table(grid):
+    # every live coefficient of a real radial slice is real, so its spline
+    # table is real; i times the slice keeps a complex table, and the two
+    # interpolants agree up to that factor
+    real = radial_slice(grid, 1.0, np.exp(-0.3 * grid.r ** 2))
+    turned = SpectralSlice(1.0, grid, 1j * real.values)
+    assert _interpolant(real).spline.c.dtype == np.float64
+    assert _interpolant(turned).spline.c.dtype == np.complex128
+    points = np.linspace(0.0, 7.9, 57) * np.exp(1j * np.linspace(0.0, 6.0, 57))
+    want = slice_value(real, points)
+    assert np.isrealobj(_interpolant(real).coefficients(np.abs(points)))
+    assert np.max(np.abs(slice_value(turned, points) - 1j * want)) < 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("na", [64, 45])
