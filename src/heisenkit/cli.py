@@ -13,12 +13,12 @@ import contextlib
 import functools
 import itertools
 import json
-import math
 import re
 import sys
 
 import numpy as np
 
+from ._checks import finite
 from .hankel import DegenerateFitError, hardy_gate
 from .heisenberg import heat_kernel_grid, heat_kernel_lambda
 from .hermite import CausticError, MehlerParams, hermite_gate, mehler_kernel
@@ -44,10 +44,9 @@ def _finite(text):
     """The one parser for CLI numbers: a finite float, else a usage error."""
     try:
         value = float(text)
+        finite("a number", value)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}") from None
     return value
 
 

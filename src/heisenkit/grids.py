@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, finite_array, positive, quadrature_weights
 from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
 
 
@@ -25,12 +26,12 @@ class RadialProfile:
     weight_power: float = 0.0
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=float)
+        self.r = finite_array("radii r", self.r, nonnegative=True)
         self.values = np.asarray(self.values)
         if self.r.ndim != 1 or self.values.shape != self.r.shape:
             raise ValueError("values must be sampled on the radial grid")
-        if np.any(self.r < 0) or np.any(np.diff(self.r) <= 0):
-            raise ValueError("radii must be nonnegative and strictly increasing")
+        if np.any(np.diff(self.r) <= 0):
+            raise ValueError("radii must be strictly increasing")
         if self.weights is not None:
             self.weights = np.asarray(self.weights, dtype=float)
             if self.weights.shape != self.r.shape:
@@ -38,15 +39,14 @@ class RadialProfile:
 
     def integrate(self):
         """Integral of values * r^weight_power dr on the stored grid."""
-        if self.weights is None:
-            raise ValueError("profile carries no quadrature weights")
-        return np.sum(self.weights * self.values * self.r ** self.weight_power)
+        return np.sum(quadrature_weights(self) * self.values * self.r ** self.weight_power)
 
 
 def radial_rule(nr=128, r_max=8.0):
     """Gauss-Legendre nodes/weights on [0, r_max] (plain dr weights)."""
-    if r_max <= 0 or nr < 2:
-        raise ValueError("need r_max > 0 and at least 2 nodes")
+    positive("r_max", r_max)
+    if nr < 2:
+        raise ValueError("need at least 2 nodes")
     return gauss_interval(0.0, r_max, nr)
 
 
@@ -121,6 +121,7 @@ class SpectralSlice:
         area = sphere_area(self.grid.n)
         if abs(float(np.sum(self.grid.omega_weights)) - area) > 1e-12 * area:
             raise ValueError("sphere weights do not sum to the surface area")
+        finite("lam", self.lam)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "values", vals)
 
@@ -131,15 +132,6 @@ class SpectralSlice:
     def norm2(self):
         """L^2(C^n) norm of the slice under the grid measure."""
         return float(np.sqrt(np.sum(self.grid.measure() * np.abs(self.values) ** 2)))
-
-
-def require_finite(values, what):
-    """Raise ValueError naming the first non-finite entry of values, a
-    sample array indexed by grid node."""
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        node = tuple(bad[0].tolist())
-        raise ValueError(f"{what} {values[node]} at grid node {node} is not finite")
 
 
 def live_modes(spec):
@@ -168,29 +160,22 @@ def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
     or sample raises ValueError; the samples are searched only when the
     slice comes out non-finite.
     """
-    if not np.isfinite(lam):
-        raise ValueError(f"lam {lam} is not finite")
+    finite("lam", lam)
     values = np.asarray(values)
     values = values.astype(np.result_type(values, float), copy=False)
-    t_nodes = np.asarray(t_nodes, dtype=float)
+    t_nodes = finite_array("t nodes", t_nodes)
     expected = (grid.r.size, grid.omega.shape[0], t_nodes.size)
     if values.shape != expected:
         raise ValueError(f"need samples of shape {expected}, got {values.shape}")
-    bad = ~np.isfinite(t_nodes)
-    if np.any(bad):
-        raise ValueError(f"t node {t_nodes[bad][0]} is not finite")
     if t_weights is None:
         t_weights = trapezoid_weights(t_nodes)
-    t_weights = np.asarray(t_weights, dtype=float)
-    bad = ~np.isfinite(t_weights)
-    if np.any(bad):
-        raise ValueError(f"t weight {t_weights[bad][0]} is not finite")
+    t_weights = finite_array("t weights", t_weights)
     phase = t_weights * np.exp(1j * lam * t_nodes)
     # a non-finite slice raises below, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
         sliced = values @ phase.real + 1j * (values @ phase.imag)
     if not np.all(np.isfinite(sliced)):
-        require_finite(values, "sample of f")
+        finite_array("samples of f", values)
         raise ValueError("the t integral of f overflows")
     peak = (np.max(np.abs(values)) if np.iscomplexobj(values)
             else max(values.max(), -values.min()))

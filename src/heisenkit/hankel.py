@@ -8,11 +8,11 @@ The kernel is written through the normalized Bessel function, so s = 0 and
 negative arguments need no special casing.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite_array, order, positive
 from .grids import RadialProfile
 from .quadrature import gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
@@ -30,10 +30,9 @@ class HankelPlan:
     r_max: float
 
     def __post_init__(self):
-        if self.alpha <= -0.5:
-            raise ValueError("Hankel order must exceed -1/2")
-        r = np.asarray(self.r_nodes, dtype=float)
-        w = np.asarray(self.r_weights, dtype=float)
+        order("Hankel order alpha", self.alpha, -0.5)
+        r = finite_array("Hankel nodes", self.r_nodes)
+        w = finite_array("Hankel weights", self.r_weights)
         if np.any(r <= 0) or np.any(np.diff(r) <= 0):
             raise ValueError("nodes must be positive and strictly increasing")
         if np.any(w <= 0) or w.shape != r.shape:
@@ -51,10 +50,9 @@ def hankel_plan(alpha, r_max=8.0, s_max=10.0, order=16):
 
 def plan_from_nodes(alpha, r_nodes, r_weights, r_max=None):
     """Wrap an existing radial rule (e.g. a slice grid) as a plan."""
-    r_nodes = np.asarray(r_nodes, dtype=float)
     if r_max is None:
-        r_max = float(r_nodes[-1])
-    return HankelPlan(alpha, r_nodes, np.asarray(r_weights, dtype=float), r_max)
+        r_max = float(np.asarray(r_nodes)[-1])
+    return HankelPlan(alpha, r_nodes, r_weights, r_max)
 
 
 def hankel_transform(plan, F, s_grid):
@@ -123,8 +121,8 @@ def hardy_gate(a, b):
     """Classify a Gaussian decay pair: 'supercritical' (ab > 1/4, only the
     zero profile is admissible), 'critical' (ab = 1/4 within 1e-9), else
     'subcritical'."""
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("decay rates must be positive")
+    positive("decay rate a", a)
+    positive("decay rate b", b)
     ab = a * b
     if abs(ab - 0.25) <= _HARDY_TOL:
         return "critical"

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import (QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid,
-                         sample_axis)
-from .specfun import _check_dimension
+from ._checks import finite, finite_array, integer, positive
+from .quadrature import QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid
 
 
 @dataclass(frozen=True)
@@ -32,8 +31,8 @@ class HeisenbergPoint:
         if not z:
             raise ValueError("need at least one horizontal coordinate")
         t = float(self.t)
-        if not (np.all(np.isfinite(z)) and math.isfinite(t)):
-            raise ValueError("coordinates must be finite")
+        finite_array("coordinates z", z)
+        finite("coordinate t", t)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "t", t)
 
@@ -53,10 +52,8 @@ class ComplexTime:
     s: float = 0.0
 
     def __post_init__(self):
-        if not (math.isfinite(self.eps) and math.isfinite(self.s)):
-            raise ValueError("eps and s must be finite")
-        if self.eps < 0:
-            raise ValueError("eps must be nonnegative")
+        finite("eps", self.eps, nonnegative=True)
+        finite("s", self.s)
         if self.eps == 0 and self.s == 0:
             raise ValueError("zero diffusion time")
 
@@ -118,15 +115,14 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     exists only off the poles lam s = k pi, k != 0, which raise.  Non-finite
     lam or r raise ValueError.
     """
-    _check_dimension(n)
-    if not math.isfinite(lam):
-        raise ValueError("lam must be finite")
+    integer("dimension n", n)
+    finite("lam", lam)
     zeta = _as_time(zeta)
     x = lam * zeta.s
     if zeta.eps == 0 and abs(x) > 1.0 and abs(math.sin(x)) <= 1e-12 * abs(x):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
                          f"(lam={lam!r}, zeta={zeta.value!r})")
-    r = sample_axis("r", r)
+    r = finite_array("r", r)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
         power, rate = _hyperbolic_factors(lam, zeta.value, n)
         out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
@@ -316,8 +312,7 @@ def heat_kernel(zeta, p):
     sees both halves of the line.
     """
     zeta = _as_time(zeta)
-    if zeta.eps <= 0:
-        raise ValueError("kernel evaluation requires eps > 0")
+    positive("eps of a kernel evaluation", zeta.eps)
     zv = zeta.value
     n, r, t = p.n, p.z_norm, p.t
     lam_max = _lam_cutoff(zv, n, 1, 1e-15)
@@ -369,12 +364,11 @@ def heat_kernel_grid(zeta, r, t, n=1):
     1e-6 below it.  A table below the limit raises QuadratureError: at
     zeta = 1 every point with r <= 1 and t >= 9.4 does.
     """
-    _check_dimension(n)
+    integer("dimension n", n)
     zeta = _as_time(zeta)
-    if zeta.eps <= 0:
-        raise ValueError("kernel evaluation requires eps > 0")
-    r, t = np.broadcast_arrays(sample_axis("radii r", r, nonnegative=True),
-                               sample_axis("central coordinates t", t))
+    positive("eps of a kernel evaluation", zeta.eps)
+    r, t = np.broadcast_arrays(finite_array("radii r", r, nonnegative=True),
+                               finite_array("central coordinates t", t))
     vals = _central_integral(zeta.value, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
     return (vals * ((4.0 * np.pi) ** (-n) / np.pi)).astype(complex, copy=False)
 
@@ -387,8 +381,7 @@ def heat_bound_check(s, points):
 
     Returns (C_est, holds).
     """
-    if s <= 0:
-        raise ValueError("diffusion time must be positive")
+    positive("diffusion time s", s)
     pts = list(points)
     if not pts:
         raise ValueError("need at least one sample point")

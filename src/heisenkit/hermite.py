@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, finite_array, integer, positive
 from .grids import RadialProfile
 from .hankel import fit_gaussian_decay
 from .quadrature import warn_truncated
-from .specfun import _check_dimension
 
 _CAUSTIC_TOL = 1e-6
 _REFINE_CAP = 1 << 21
@@ -54,15 +54,15 @@ class MehlerParams:
     n: int = 1
 
     def __post_init__(self):
-        _check_dimension(self.n)
+        integer("dimension n", self.n)
+        finite("time s", self.s)
         if abs(math.sin(2.0 * self.s)) <= _CAUSTIC_TOL:
             raise CausticError(f"s = {self.s!r} is a caustic time (sin 2s = 0)")
 
 
 def hermite_fn(k, x):
     """L^2-normalized Hermite function h_k on the line, by recurrence."""
-    if int(k) != k or k < 0:
-        raise ValueError("k must be a nonnegative integer")
+    integer("degree k", k, 0)
     x = np.asarray(x, dtype=float)
     h_prev = np.zeros_like(x)
     h = np.pi ** -0.25 * np.exp(-0.5 * x * x)
@@ -77,6 +77,7 @@ def mehler_kernel_r(r_factor, x, y, n=1):
     No propagator phase; r = 0 collapses it to the ground-state projector.
     x, y are bare reals for n = 1 and (..., n) arrays otherwise.
     """
+    finite("kernel parameter r", r_factor)
     r = complex(r_factor)
     one = 1.0 - r * r
     if abs(one) <= _CAUSTIC_TOL:
@@ -121,8 +122,9 @@ _HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
 
 def hermite_grid(L=_HALF_WIDTH, nodes=512):
     """The default uniform evolution grid on [-L, L]."""
-    if L <= 0 or nodes < 16:
-        raise ValueError("need L > 0 and a nontrivial node count")
+    positive("half-width L", L)
+    if nodes < 16:
+        raise ValueError("need a nontrivial node count")
     return np.linspace(-L, L, nodes)
 
 
@@ -178,9 +180,7 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     width = max(1, _COLUMN_BUDGET // (nb * (B + x.size)))
     for lo in range(0, cols, width):
         c = slice(lo, min(lo + width, cols))
-        fy = np.asarray(sample(yf, c))
-        if not np.all(np.isfinite(fy)):
-            raise ValueError("f has non-finite samples on the quadrature grid")
+        fy = finite_array("samples of f on the quadrature grid", sample(yf, c))
         worst = max(worst, _edge_ratio(fy))
         g = np.zeros((nb * B, fy.shape[1]), dtype=complex)
         g[:n_fine] = fy * w[:, None]
@@ -207,14 +207,10 @@ def hermite_evolve(f, s, x=None):
     E f too.  Returns samples on the same grid.  Raises ValueError for
     non-finite s, x or samples of f, and for a grid of fewer than 2 nodes.
     """
-    if not math.isfinite(s):
-        raise ValueError(f"time s must be finite, got {s!r}")
     MehlerParams(s)                     # raises CausticError at a caustic time
-    if x is None:
-        x = hermite_grid()
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size < 2 or not np.all(np.isfinite(x)):
-        raise ValueError("x must be a 1-d grid of at least 2 finite nodes")
+    x = hermite_grid() if x is None else finite_array("grid x", x)
+    if x.ndim != 1 or x.size < 2:
+        raise ValueError("x must be a 1-d grid of at least 2 nodes")
     if callable(f):
         if np.shape(f(x)) != x.shape:
             raise ValueError("callable f must map the grid to samples of the same shape")
@@ -227,9 +223,7 @@ def hermite_evolve(f, s, x=None):
         # window cannot extend past it; the truncation warning fires if f is
         # still large there
         lo, hi = float(np.min(x)), float(np.max(x))
-        f = np.asarray(f, dtype=complex)
-        if not np.all(np.isfinite(f)):
-            raise ValueError("f has non-finite samples on the grid")
+        f = finite_array("samples of f", np.asarray(f, dtype=complex))
         # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
         from scipy.interpolate import CubicSpline
 
@@ -255,10 +249,9 @@ def hermite_evolve(f, s, x=None):
 
 def hermite_gate(a, b, s0):
     """margin = a b sin^2(2 s0) - 1/4; the flow vanishes when it is positive."""
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("decay rates must be positive")
-    if not math.isfinite(s0):
-        raise ValueError("s0 must be finite")
+    positive("decay rate a", a)
+    positive("decay rate b", b)
+    finite("s0", s0)
     margin = a * b * math.sin(2.0 * s0) ** 2 - 0.25
     return margin, margin > 0
 
@@ -271,8 +264,7 @@ def gate_boundary_profile(a, s0):
     so the returned product a * b_fit * sin^2(2 s0) sits on the boundary 1/4.
     The rate is fitted over 0.5 <= x <= 3 on the default grid.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    positive("a", a)
     chirp = 0.5 / math.tan(2.0 * s0)
     x = hermite_grid()
     u = hermite_evolve(lambda y: np.exp(-(a + 1j * chirp) * y * y), s0, x)

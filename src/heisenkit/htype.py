@@ -18,10 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import finite, finite_array, integer, nonzero, positive
 from .heisenberg import _central_integral, _lam_cutoff, _profile
 from .quadrature import (QuadratureError, _disagreement, adaptive_quad, gauss_interval,
-                         sample_axis, warn_truncated)
-from .specfun import _check_dimension, bessel_j_tilde
+                         warn_truncated)
+from .specfun import bessel_j_tilde
+
+# the center dimensions k of the groups here
+_CENTERS = (1, 2, 3)
 
 
 @dataclass(frozen=True)
@@ -34,10 +38,9 @@ class HTypePoint:
         t = tuple(float(c) for c in (self.t if np.iterable(self.t) else (self.t,)))
         if len(v) < 2 or len(v) % 2:
             raise ValueError("v must have even dimension 2n >= 2")
-        if not 1 <= len(t) <= 3:
-            raise ValueError("center dimension k must be 1, 2 or 3")
-        if not all(map(math.isfinite, v + t)):
-            raise ValueError("coordinates must be finite")
+        integer("center dimension k", len(t), allowed=_CENTERS)
+        for c in v + t:
+            finite("coordinates", c)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "t", t)
 
@@ -62,11 +65,6 @@ def _constant(n, k):
     return 2.0 ** (1.0 - 0.5 * k) / (2.0 ** n * (2.0 * math.pi) ** (n + 0.5 * k))
 
 
-def _check_time(s):
-    if not 0 < s < math.inf:
-        raise ValueError("diffusion time must be positive and finite")
-
-
 # relative tolerance of the sine-weighted k = 3 integral: the smallest power
 # of ten at which 400 draws over s in [0.6, 0.8], |t| in [2.3, 2.6], |v| <= 1
 # raise no round-off stop (1e-10 stopped on 5).  2e-10 clears those draws
@@ -86,7 +84,7 @@ def htype_heat_kernel(s, p):
     2 lam sin(lam |t|) / (sqrt(pi) |t|): the integral of lam times the
     profile runs on QUADPACK's sine weight, to a relative tolerance only.
     """
-    _check_time(s)
+    positive("diffusion time s", s)
     n, k = p.n, p.k
     v, t = p.v_norm, p.t_norm
     lam_max = _lam_cutoff(s, n, k, 1e-16)
@@ -119,20 +117,20 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     half line.  This is the fast path behind `radon_heat_profile`.  Norms
     must be finite and nonnegative.
     """
-    _check_time(s)
-    _check_dimension(n)
-    if k not in (1, 2, 3):
-        raise ValueError("center dimension k must be 1, 2 or 3")
-    vnorm, tnorm = np.broadcast_arrays(sample_axis("norms |v|", vnorm, nonnegative=True),
-                                       sample_axis("norms |t|", tnorm, nonnegative=True))
+    positive("diffusion time s", s)
+    integer("dimension n", n)
+    integer("center dimension k", k, allowed=_CENTERS)
+    vnorm, tnorm = np.broadcast_arrays(finite_array("norms |v|", vnorm, nonnegative=True),
+                                       finite_array("norms |t|", tnorm, nonnegative=True))
     return _constant(n, k) * _central_integral(
         s, n, k, vnorm, tnorm, lambda x: bessel_j_tilde(0.5 * k - 1.0, x), 1e-16, 1e-8)
 
 
 def _perp_basis(eta):
-    eta = np.asarray(eta, dtype=float)
-    if eta.ndim != 1 or not 1 <= eta.size <= 3:
-        raise ValueError("eta must be a vector of dimension 1, 2 or 3")
+    eta = finite_array("eta", eta)
+    if eta.ndim != 1:
+        raise ValueError("eta must be a vector")
+    integer("center dimension k", eta.size, allowed=_CENTERS)
     if abs(float(eta @ eta) - 1.0) > 1e-12:
         raise ValueError("eta must be a unit vector")
     k = eta.size
@@ -219,12 +217,11 @@ def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
     of the largest value, or QuadratureError is raised.  Norms |v| must be
     finite and nonnegative.
     """
-    _check_time(s)
-    _check_dimension(n)
-    if k not in (1, 2, 3):
-        raise ValueError("center dimension k must be 1, 2 or 3")
+    positive("diffusion time s", s)
+    integer("dimension n", n)
+    integer("center dimension k", k, allowed=_CENTERS)
     v = np.asarray(v_norms, dtype=float)
-    t = sample_axis("t", t_vals)
+    t = finite_array("t", t_vals)
     if k == 1:
         return htype_heat_batch(s, n, 1, v[:, None], np.abs(t)[None, :])
     if v.size == 0 or t.size == 0:
@@ -245,10 +242,7 @@ def htype_gate(a, b, s0):
     """True when ab < s0^2: the evolved solution with these central decays
     must vanish (the decision surface is inherited through the Radon
     collapse, so it matches the Heisenberg gate exactly)."""
-    if not (0 < a < math.inf and 0 < b < math.inf):
-        raise ValueError("decay rates must be positive")
-    if s0 == 0:
-        raise ValueError("s0 must be nonzero")
-    if not math.isfinite(s0):
-        raise ValueError("s0 must be finite")
+    positive("decay rate a", a)
+    positive("decay rate b", b)
+    nonzero("s0", s0)
     return a * b < s0 * s0

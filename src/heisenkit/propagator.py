@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
+from ._checks import finite, finite_array, nonzero, one_dimensional, positive
 from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
-                    polar_grid, radial_slice, require_finite)
+                    polar_grid, radial_slice)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
 from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
 from .quadrature import warn_truncated
@@ -88,16 +89,14 @@ def schrodinger_evolve(f, zeta):
     slice evolves one mode.  At Re zeta = 0 the multiplier has modulus 1, the
     flow is unitary, and it resolves only what the grid's Laguerre expansion
     resolves, which the truncation warning reports.  A non-finite value
-    raises ValueError naming its node.  The grid twisted convolution in
+    raises ValueError naming its index.  The grid twisted convolution in
     `twisted` is the oracle this is tested against, never a fallback.
     """
     zeta = _as_time(zeta)
     grid = f.grid
-    if grid.n != 1:
-        raise NotImplementedError("spectral evolution is implemented for n = 1 only")
-    if f.lam == 0:
-        raise ValueError("spectral evolution needs a nonzero central frequency")
-    require_finite(f.values, "slice value")
+    one_dimensional(grid.n, "spectral evolution")
+    nonzero("central frequency lam", f.lam)
+    finite_array("slice values", f.values)
     warn_truncated("slice has not decayed at r_max; the Laguerre projection is truncated",
                    float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
     na = grid.omega.shape[0]
@@ -174,8 +173,7 @@ def theorem34_gaussian_pair(a, lam, s0, r=None):
     H_0(e^{-c t^2})(s) = (2c)^{-1} e^{-s^2/(4c)}.  No grids, no convolution:
     this is the independent analytic pipeline.
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
+    positive("a", a)
     _reject_exceptional(lam, s0)
     if r is None:
         r = np.linspace(0.2, 3.0, 57)
@@ -206,8 +204,8 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     m = n+p0+q0.  Returns (series, closed); ValueError unless lam, r, t
     and s0 are finite.
     """
-    if not all(map(math.isfinite, (lam, r, t, s0))):
-        raise ValueError("lam, r, t and s0 must be finite")
+    for name, value in (("lam", lam), ("r", r), ("t", t), ("s0", s0)):
+        finite(name, value)
     _reject_exceptional(lam, s0)
     m = n + p0 + q0
     mu = abs(lam) * s0
@@ -232,16 +230,11 @@ class GateParams:
     lam: float = 0.0
 
     def __post_init__(self):
-        if not (0 < self.a < math.inf and 0 < self.b < math.inf):
-            raise ValueError("decay rates a, b must be positive")
-        if self.s0 == 0:
-            raise ValueError("s0 must be nonzero")
-        if not math.isfinite(self.s0):
-            raise ValueError("s0 must be finite")
-        if not 0 <= self.eps < math.inf:
-            raise ValueError("eps must be nonnegative")
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be nonnegative")
+        positive("decay rate a", self.a)
+        positive("decay rate b", self.b)
+        nonzero("s0", self.s0)
+        finite("eps", self.eps, nonnegative=True)
+        finite("lam", self.lam, nonnegative=True)
 
 
 def uniqueness_gate(gp):
@@ -297,10 +290,8 @@ def equality_case_profile(a, lam, s0):
     hyperbolic width b' via tanh(b' lam) = |lam|/(4 rho), and returns
     (f_slice, b', |tanh(a lam) tanh(b' lam) - sin^2(lam s0)|).
     """
-    if a <= 0:
-        raise ValueError("a must be positive")
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
+    positive("a", a)
+    nonzero("lam", lam)
     _reject_exceptional(lam, s0)
     # q_a^lam decays as e^{-rho r^2}, rho = |lam| coth(a |lam|) / 4
     decay = abs(lam) / (4.0 * math.tanh(a * abs(lam)))

@@ -12,6 +12,8 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from ._checks import finite
+
 
 class QuadratureError(RuntimeError):
     """Adaptive refinement exhausted its budget without converging."""
@@ -52,6 +54,8 @@ def _gauss_rule(order):
 
 def gauss_panels(a, b, panels, order=16):
     """Composite Gauss-Legendre nodes/weights on [a, b] with `panels` panels."""
+    finite("interval end a", a)
+    finite("interval end b", b)
     if panels < 1:
         raise ValueError("need at least one panel")
     x, w = _gauss_rule(order)
@@ -66,17 +70,6 @@ def gauss_panels(a, b, panels, order=16):
 def gauss_interval(a, b, order):
     """Single-panel Gauss-Legendre rule on [a, b]."""
     return gauss_panels(a, b, 1, order)
-
-
-def sample_axis(name, values, nonnegative=False):
-    """values as a float array; ValueError if any is not finite, or (with
-    nonnegative) is negative."""
-    values = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} must be finite")
-    if nonnegative and np.any(values < 0):
-        raise ValueError(f"{name} must be nonnegative")
-    return values
 
 
 # nodes x points of one gathered block: 1 MB per complex temporary, small
@@ -318,10 +311,11 @@ def warn_truncated(what, edge, peak, rtol):
         while frame.f_back is not None and frame.f_code.co_filename.startswith(_PACKAGE):
             frame = frame.f_back
         caller = frame.f_globals
+        # no module_globals: a __main__ run by `python -c` or stdin has no source to give
         warnings.warn_explicit(f"{what} (edge/peak ~{edge / peak:.1e})", RuntimeWarning,
                                frame.f_code.co_filename, frame.f_lineno,
                                caller.get("__name__", "<string>"),
-                               caller.setdefault("__warningregistry__", {}), caller)
+                               caller.setdefault("__warningregistry__", {}))
 
 
 def trapezoid_weights(t):

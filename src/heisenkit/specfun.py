@@ -15,6 +15,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, hyp0f1, j0, j1, rgamma
 
+from ._checks import finite_array, integer, nonzero, order
+
 
 def _as_array(x):
     a = np.asarray(x, dtype=float)
@@ -32,43 +34,26 @@ def _recurrence(m, alpha, t):
     return 2 * m + 1 + alpha - t, m + alpha, m + 1
 
 
-def _check_laguerre_order(alpha):
-    if not alpha > -1.0:
-        raise ValueError("Laguerre order alpha must exceed -1")
-
-
 def laguerre(k, alpha, t):
     """Generalized Laguerre polynomial L_k^alpha(t), for one order
     alpha > -1: the last degree of `_laguerre_rows`."""
-    if int(k) != k or k < 0:
-        raise ValueError("Laguerre degree k must be a nonnegative integer")
+    integer("Laguerre degree k", k, 0)
     t, scalar = _as_array(t)
     out = _laguerre_rows(alpha, t.ravel(), int(k))[:, -1].reshape(t.shape)
     return _maybe_scalar(out, scalar)
 
 
-def _check_dimension(n):
-    if int(n) != n or n < 1:
-        raise ValueError("dimension n must be a positive integer")
-
-
 def laguerre_fn(k, lam, n, r):
     """Laguerre function L_k^{n-1}(|lam| r^2 / 2) exp(-|lam| r^2 / 4).
 
-    Even in lam by construction; lam = 0 is rejected.
+    Even in lam by construction; lam must be finite and nonzero.
     """
-    _check_dimension(n)
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
+    integer("dimension n", n)
+    nonzero("lam", lam)
     r, scalar = _as_array(r)
     x = 0.5 * abs(lam) * r * r
     out = np.asarray(laguerre(k, n - 1, x)) * np.exp(-0.5 * x)
     return _maybe_scalar(out, scalar)
-
-
-def _check_order(alpha):
-    if alpha <= -1.0:
-        raise ValueError("Bessel order alpha must exceed -1")
 
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -152,7 +137,7 @@ def bessel_j_tilde(alpha, w):
     overflows: there it is non-finite (from 2.7e154) rather than cephes'
     phase noise.
     """
-    _check_order(alpha)
+    order("Bessel order alpha", alpha, -1.0)
     w, scalar = _as_array(w)
     w = np.abs(w)
     if alpha == -0.5:
@@ -188,7 +173,7 @@ def jtilde_of_square(alpha, w2):
     number themselves; the principal root used at alpha = -1/2 is
     immaterial because the function is even.
     """
-    _check_order(alpha)
+    order("Bessel order alpha", alpha, -1.0)
     w2 = np.asarray(w2, dtype=complex)
     if alpha == -0.5:
         return np.cos(np.sqrt(w2)) / math.sqrt(math.pi)
@@ -215,7 +200,7 @@ def _laguerre_rows(alpha, t, kmax):
     defining alternating sum cancels catastrophically once k t is large, so
     the recurrence is used for every degree.
     """
-    _check_laguerre_order(alpha)
+    order("Laguerre order alpha", alpha, -1.0)
     if t.size == 0:
         return np.zeros((0, kmax + 1))
     from scipy.linalg.blas import dtbsv
@@ -352,11 +337,10 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     0.04 of 1 above |w| = 0.85, a series that overflows, and one that
     cancels: where eps times its largest term exceeds 1e-8 of the sum.
     """
-    _check_laguerre_order(alpha)
-    x, y, w, kmax = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
-                                        np.asarray(w, dtype=complex), np.asarray(kmax))
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.isfinite(w).all()):
-        raise ValueError("x, y and w must be finite")
+    order("Laguerre order alpha", alpha, -1.0)
+    x, y, w, kmax = np.broadcast_arrays(finite_array("x", x), finite_array("y", y),
+                                        finite_array("w", np.asarray(w, dtype=complex)),
+                                        np.asarray(kmax))
     integral = kmax.dtype.kind in "iu" or (kmax.dtype.kind == "f" and (kmax == np.floor(kmax)).all())
     if not integral or (kmax < 0).any():
         raise ValueError("kmax must be a nonnegative integer")
@@ -400,10 +384,8 @@ def hille_hardy(alpha, x, y, w, K=None):
     scalars give a pair of complex scalars.  Returned as a pair; nothing is
     asserted.  ValueError where either side is out of range.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if (x < 0).any() or (y < 0).any():
-        raise ValueError("x and y must be nonnegative")
+    x = finite_array("x", x, nonnegative=True)
+    y = finite_array("y", y, nonnegative=True)
     w = np.asarray(w, dtype=complex)
     if K is None:
         K = np.where(np.abs(w) <= 0.85, 600, 4000)

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .grids import (PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice,
-                    require_finite)
+from ._checks import finite, finite_array, nonzero, one_dimensional, quadrature_weights
+from .grids import PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice
 from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
@@ -83,10 +83,7 @@ def _interpolant(sl):
     # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
     from scipy.interpolate import CubicSpline
 
-    if sl.grid.n != 1:
-        raise NotImplementedError("off-grid slice evaluation exists for n = 1 only")
-    values = sl.values
-    require_finite(values, "slice value")
+    values = finite_array("slice values", sl.values)
     na = values.shape[1]
     spec = np.fft.fft(values, axis=1) / na
     modes = np.fft.fftfreq(na, 1.0 / na)
@@ -117,6 +114,7 @@ def slice_value(sl, z):
     nan = np.isnan(pts)
     if np.any(nan):
         raise ValueError(f"slice_value got the non-finite point {pts[nan][0]}")
+    one_dimensional(sl.grid.n, "off-grid slice evaluation")
     f = _interpolant(sl)
     terms = f.coefficients(np.abs(pts)) * np.exp(1j * np.angle(pts)[..., None] * f.modes)
     return terms.sum(axis=-1)
@@ -187,18 +185,16 @@ def convolution_rings(f, g, r):
         raise ValueError("slices carry different central frequencies")
     if not f.grid.same_as(g.grid):
         raise ValueError("slices live on different grids")
-    if f.grid.n != 1:
-        raise NotImplementedError("grid twisted convolution is implemented for n = 1 only")
-    r = np.asarray(r, dtype=float)
-    bad = ~np.isfinite(r)
-    if np.any(bad):
-        raise ValueError(f"ring radius {r[bad][0]} is not finite")
+    one_dimensional(f.grid.n, "grid twisted convolution")
+    r = finite_array("ring radii", r)
     return _ring_sum(_interpolant(f), g, r, np.zeros(r.size), f.grid.omega.shape[0])
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):
     """(f *_lam g)(z) for callables f, g of one complex variable, by nested
     adaptive quadrature over polar coordinates.  Slow; this is the oracle."""
+    finite("target z", z)
+    finite("lam", lam)
     z = complex(z)
 
     def ring(rho):
@@ -217,12 +213,11 @@ def laguerre_projection(g, k, lam, m):
     eigenexpansion in dimension m; the Gamma-ratio prefactor is applied by
     the caller, once.
     """
-    if g.weights is None:
-        raise ValueError("profile carries no quadrature weights")
+    weights = quadrature_weights(g)
     integrand = g.values * laguerre_fn(k, lam, m, g.r) * g.r ** (2 * m - 1)
     warn_truncated("projection integrand has not decayed at the last node",
                    float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10)
-    return complex(np.sum(g.weights * integrand))
+    return complex(np.sum(weights * integrand))
 
 
 def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
@@ -240,23 +235,20 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
 
     The interpolant of P g does not depend on k, so it is built once for all
     of ks; the result is a list of (lhs, rhs) pairs, one per degree, empty
-    arrays for an empty z.  A non-finite target raises ValueError.
+    arrays for an empty z.  A non-finite target raises ValueError, and an n
+    other than 1 NotImplementedError.
     """
-    if lam == 0:
-        raise ValueError("lam must be nonzero")
-    if g.weights is None:
-        raise ValueError("profile carries no quadrature weights")
-    zz = np.asarray(z, dtype=complex)
+    one_dimensional(n, "the grid Hecke-Bochner check")
+    nonzero("lam", lam)
+    weights = quadrature_weights(g)
+    zz = finite_array("targets z", np.asarray(z, dtype=complex))
     targets = np.atleast_1d(zz)
-    bad = ~np.isfinite(targets)
-    if np.any(bad):
-        raise ValueError(f"hecke_bochner_check got the non-finite target {targets[bad][0]}")
     basis = build_basis(n, p, q)
     if not 1 <= j <= basis.dimension:
         raise IndexError(f"no element {j} in the ({p}, {q}) basis")
     P = basis.elements[j - 1]
     _, omega, ww = circle_rule()
-    grid = PolarGrid(1, g.r, g.weights, omega, ww, float(g.r[-1]))
+    grid = PolarGrid(1, g.r, weights, omega, ww, float(g.r[-1]))
     pts = grid.points()
     f = _interpolant(SpectralSlice(lam, grid, P(pts) * np.asarray(g.values)[:, None]))
     p_eff, q_eff = (p, q) if lam > 0 else (q, p)

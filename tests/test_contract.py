@@ -1,0 +1,143 @@
+"""The argument contract of `heisenkit._checks`: a NaN or infinite argument
+raises ValueError naming the argument, before any work is done, and the
+edge inputs inside the domain stay accepted."""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from heisenkit import (GateParams, HeisenbergPoint, HTypePoint, MehlerParams, RadialProfile,
+                       bessel_j_tilde, gate_lambda_window, hankel_plan, hardy_gate,
+                       heat_kernel, heat_kernel_grid, heat_kernel_lambda, hecke_bochner_check,
+                       hermite_fn, hermite_gate, htype_gate, htype_heat_batch,
+                       htype_heat_kernel, jtilde_of_square, kernel_K, laguerre, laguerre_fn,
+                       laguerre_projection, mehler_kernel, plan_from_nodes, polar_grid,
+                       radial_rule, radial_slice, twisted_convolution_quad, uniqueness_gate)
+from heisenkit._checks import finite, finite_array, integer, nonzero, order, positive
+from heisenkit.hermite import hermite_grid, mehler_kernel_r
+from heisenkit.quadrature import gauss_panels
+
+NAN, INF = math.nan, math.inf
+
+
+def _profile():
+    r, w = radial_rule(32, 6.0)
+    return RadialProfile(r, np.exp(-r ** 2), weights=w)
+
+
+def _gaussian(z):
+    return np.exp(-abs(z) ** 2)
+
+
+# calls that return NaN, or build a plan, grid or slice on NaN, unless their
+# NaN or inf argument is refused
+HOLES = {
+    "bessel_j_tilde-nan": (lambda: bessel_j_tilde(NAN, 1.0), "Bessel order alpha"),
+    "bessel_j_tilde-inf": (lambda: bessel_j_tilde(INF, 1.0), "Bessel order alpha"),
+    "jtilde_of_square-nan": (lambda: jtilde_of_square(NAN, 1.0), "Bessel order alpha"),
+    "hankel_plan-nan": (lambda: hankel_plan(NAN), "Hankel order alpha"),
+    "plan_from_nodes-nan": (lambda: plan_from_nodes(NAN, *radial_rule(32, 6.0)),
+                            "Hankel order alpha"),
+    "radial_rule-nan": (lambda: radial_rule(128, NAN), "r_max"),
+    "polar_grid-nan": (lambda: polar_grid(1, 16, NAN), "r_max"),
+    "hermite_grid-nan": (lambda: hermite_grid(NAN), "half-width L"),
+    "gauss_panels-nan": (lambda: gauss_panels(0.0, NAN, 2), "interval end b"),
+    "laguerre_fn-nan": (lambda: laguerre_fn(2, NAN, 1, 1.0), "lam"),
+    "laguerre_projection-nan": (lambda: laguerre_projection(_profile(), 0, NAN, 1), "lam"),
+    "MehlerParams-nan": (lambda: MehlerParams(NAN), "time s"),
+    "MehlerParams-inf": (lambda: MehlerParams(INF), "time s"),
+    "mehler_kernel_r-nan": (lambda: mehler_kernel_r(NAN, 0.1, 0.2), "kernel parameter r"),
+    "radial_slice-nan": (lambda: radial_slice(polar_grid(1, 16, 4.0), NAN, np.ones(16)), "lam"),
+    "twisted_convolution_quad-z-nan": (
+        lambda: twisted_convolution_quad(_gaussian, _gaussian, 1.0, NAN, r_cut=2.0), "target z"),
+    "twisted_convolution_quad-lam-nan": (
+        lambda: twisted_convolution_quad(_gaussian, _gaussian, NAN, 0.5, r_cut=2.0), "lam"),
+}
+
+
+@pytest.mark.parametrize("call,name", HOLES.values(), ids=HOLES)
+def test_nan_and_inf_arguments_raise_value_error_naming_the_argument(call, name):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{name} must .*, got (nan|inf)$"):
+            call()
+
+
+def test_hecke_bochner_check_refuses_n_other_than_1_before_building_a_basis():
+    with pytest.raises(NotImplementedError, match="n = 1 only"):
+        hecke_bochner_check(_profile(), 0, 0, 1, (0,), 1.0, 2, 0.5)
+
+
+def test_finite_array_names_the_first_bad_entry_and_its_index():
+    assert finite_array("r", [0.0, 2.5], nonnegative=True).dtype == float
+    assert finite_array("t", -1.0) == -1.0
+    with pytest.raises(ValueError, match=r"^t must be finite, got nan$"):
+        finite_array("t", NAN)
+    assert finite_array("z", [1.0, 2j]).dtype == complex
+    for bad in (NAN, INF, -INF):
+        with pytest.raises(ValueError, match=r"^t must be finite, got -?(nan|inf) at index \(1,\)"):
+            finite_array("t", [0.0, bad, NAN])
+    with pytest.raises(ValueError, match=r"^v must be finite, got \(1\+nanj\) at index \(1, 0\)$"):
+        finite_array("v", [[0.5, 1.0], [complex(1.0, NAN), 0.0]])
+    with pytest.raises(ValueError, match=r"^r must be nonnegative, got -0.1 at index \(1,\)$"):
+        finite_array("r", [0.5, -0.1, -0.2], nonnegative=True)
+
+
+@pytest.mark.parametrize("check,args,accepted", [
+    (finite, ("x",), (0.0, -1e308, 2j)),
+    (positive, ("x",), (1e-300, 1e308)),
+    (nonzero, ("x",), (-1e-300, 1e308)),
+    (order, ("alpha",), (-0.5, 1e308)),
+], ids=["finite", "positive", "nonzero", "order"])
+def test_each_scalar_rule_refuses_nan_and_inf_and_keeps_its_domain(check, args, accepted):
+    extra = (-1.0,) if check is order else ()
+    for value in accepted:
+        check(*args, value, *extra)
+    for value in (NAN, INF, -INF):
+        with pytest.raises(ValueError, match=f"^{args[0]} must "):
+            check(*args, value, *extra)
+    finite("x", 0.0, nonnegative=True)
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        finite("x", -1e-300, nonnegative=True)
+
+
+@pytest.mark.parametrize("value,allowed", [
+    (0, None), (1.5, None), (NAN, None), (INF, None), (4, (1, 2, 3)), (0, (1, 2, 3)),
+])
+def test_integer_rule_refuses_non_integers_and_values_outside_the_set(value, allowed):
+    integer("k", 3, allowed=allowed)
+    integer("k", 0, 0)
+    with pytest.raises(ValueError, match="^k must be "):
+        integer("k", value, allowed=allowed)
+
+
+def test_edge_inputs_inside_the_domain_stay_accepted():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in np.linspace(0.0, 0.05, 6):
+            assert gate_lambda_window(0.3, 0.3, 0.7, eps) > 0
+        # a negative s0 in every gate that takes one, and lam = 0
+        assert gate_lambda_window(0.3, 0.3, -0.7) == gate_lambda_window(0.3, 0.3, 0.7)
+        assert uniqueness_gate(GateParams(1.0, 1.0, -1.1, lam=0.0))[1]
+        assert htype_gate(0.5, 0.5, -1.0)
+        assert hermite_gate(1.0, 1.0, -math.pi / 4.0)[1]
+        assert hardy_gate(1.0, 0.25) == "critical"
+        # r = 0 and t = 0 in the kernels
+        assert heat_kernel_grid(1.0, 0.0, 0.0).real > 0
+        assert heat_kernel_lambda(1.0, 0.5, 0.0).real > 0
+        assert heat_kernel(1.0, HeisenbergPoint((0.0,), 0.0)).real > 0
+        for k in (1, 2, 3):
+            assert htype_heat_batch(1.0, 1, k, 0.0, 0.0) > 0
+            assert htype_heat_kernel(1.0, HTypePoint((0.0, 0.0), (0.0,) * k)) > 0
+        series, closed = kernel_K(1.3, 0.0, 0.0, 1.0, 1, 0, 0)
+        assert abs(series - closed) < 1e-10 * abs(closed)
+        assert abs(mehler_kernel(MehlerParams(-0.3), 0.0, 0.0)) > 0
+
+
+def test_pointwise_special_functions_map_a_nan_point_to_nan():
+    # as scipy.special does; only their other arguments follow the contract
+    for value in (laguerre(2, 0.5, NAN), laguerre_fn(2, 1.0, 1, NAN), hermite_fn(2, NAN),
+                  bessel_j_tilde(0.0, NAN), bessel_j_tilde(1.5, NAN), bessel_j_tilde(0.3, NAN)):
+        assert math.isnan(value)

@@ -253,7 +253,7 @@ def test_evolve_rejects_grids_of_fewer_than_two_nodes(x):
 
 def test_evolve_rejects_non_finite_samples_of_a_callable():
     x = hermite_grid(4.0, 64)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="samples of f on the quadrature grid must be finite"):
         hermite_evolve(lambda y: np.where(y > 1.0, np.nan, np.exp(-y * y)), 0.3, x)
 
 
@@ -262,11 +262,11 @@ def test_evolve_rejects_non_finite_samples_in_one_and_two_dimensions(bad):
     x = hermite_grid(4.0, 64)
     f = np.exp(-x * x)
     f[30] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="samples of f must be finite"):
         hermite_evolve(f, 0.3, x)
     F = np.outer(np.exp(-x * x), np.exp(-x * x))
     F[30, 12] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="samples of f must be finite"):
         hermite_evolve(F, 0.3, x)
 
 

@@ -14,7 +14,6 @@ from heisenkit.quadrature import (
     even_trapezoid,
     gauss_interval,
     gauss_panels,
-    sample_axis,
     trapezoid_weights,
 )
 
@@ -157,16 +156,6 @@ def test_envelope_cutoff_bisects_brackets_below_the_normal_range(s, n):
     floor = math.log(1e-15) - n * math.log(s)
     cut = envelope_cutoff(log_envelope, floor, 4.0 / s)
     assert log_envelope(cut) <= floor < log_envelope(cut / 1.01)
-
-
-def test_sample_axis_rejects_non_finite_and_negative_values():
-    assert sample_axis("r", [0.0, 2.5], nonnegative=True).dtype == float
-    assert sample_axis("t", -1.0) == -1.0
-    for bad in (float("nan"), float("inf"), -float("inf")):
-        with pytest.raises(ValueError, match="t must be finite"):
-            sample_axis("t", [0.0, bad])
-    with pytest.raises(ValueError, match="r must be nonnegative"):
-        sample_axis("r", [0.5, -0.1], nonnegative=True)
 
 
 def test_adaptive_quad_complex_and_oscillatory():

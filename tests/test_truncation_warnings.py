@@ -5,8 +5,11 @@ import ast
 import dataclasses
 import inspect
 import math
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -196,6 +199,28 @@ def test_nested_warnings_name_the_caller():
     assert any("the Laguerre projection is truncated" in m for m in messages), messages
     assert any("transform is truncated" in m for m in messages), messages
     assert {(w.filename, w.lineno) for w in caught} == {(__file__, line)}
+
+
+# e^{-r^2} is still ~1e-7 of its peak at r_max = 4, past the 1e-8 threshold
+_MAIN_SCRIPT = """import numpy as np
+from heisenkit import polar_grid, radial_slice, schrodinger_evolve
+grid = polar_grid(1, 16, 4.0)
+schrodinger_evolve(radial_slice(grid, 1.0, np.exp(-grid.r ** 2)), 1j)
+"""
+
+
+@pytest.mark.parametrize("via", ["-c", "stdin"])
+def test_a_warning_aimed_at_a_main_without_source_file_prints(via):
+    # the caller is a __main__ whose loader has no source to give
+    src = str(pathlib.Path(heisenkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv, stdin = ([sys.executable, "-c", _MAIN_SCRIPT], None) if via == "-c" \
+        else ([sys.executable, "-"], _MAIN_SCRIPT)
+    done = subprocess.run(argv, input=stdin, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    where = "<string>" if via == "-c" else "<stdin>"
+    assert f"{where}:4: RuntimeWarning: slice has not decayed at r_max" in done.stderr, done.stderr
 
 
 def _warnings_calls(node, function=None):

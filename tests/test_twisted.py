@@ -335,14 +335,14 @@ def test_non_finite_slice_values_raise(grid):
         values = np.exp(-np.abs(grid.points()[:, :, 0]) ** 2).astype(complex)
         values[7, 3] = bad
         f = SpectralSlice(1.0, grid, values)
-        with pytest.raises(ValueError, match=r"grid node \(7, 3\) is not finite"):
+        with pytest.raises(ValueError, match=r"slice values must be finite, got .* at index \(7, 3\)"):
             twisted_convolution(f, f)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="slice values must be finite"):
             slice_value(f, 0.5)
     r, w = radial_rule(32, 6.0)
     values = np.exp(-r ** 2)
     values[-1] = np.nan
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="slice values must be finite"):
         hecke_bochner_check(RadialProfile(r, values, weights=w), 0, 0, 1, (0,), 1.0, 1, 0.5)
 
 
@@ -353,11 +353,11 @@ def test_non_finite_radii_and_targets_raise(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError, match="ring radius .* is not finite"):
+            with pytest.raises(ValueError, match=r"ring radii must be finite, got -?(nan|inf) at index \(1,\)"):
                 convolution_rings(f, f, [1.0, bad])
         for z in (complex(np.nan, 0.0), complex(np.inf, 0.0), complex(0.5, -np.inf),
                   np.array([0.9, complex(np.nan, np.nan)])):
-            with pytest.raises(ValueError, match="non-finite target"):
+            with pytest.raises(ValueError, match="targets z must be finite"):
                 hecke_bochner_check(g, 0, 0, 1, (0,), 1.0, 1, z)
 
 
@@ -462,15 +462,15 @@ def test_partial_fourier_t_rejects_non_finite_input():
     bad_t[4] = np.nan
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"sample of f .*nan.* at grid node \(3, 5, 7\)"):
+        with pytest.raises(ValueError, match=r"samples of f must be finite, got .*nan.* at index \(3, 5, 7\)"):
             partial_fourier_t(bad_vals, 1.1, grid, t)
-        with pytest.raises(ValueError, match=r"sample of f -inf at grid node \(2, 0, 9\)"):
+        with pytest.raises(ValueError, match=r"samples of f must be finite, got -inf at index \(2, 0, 9\)"):
             partial_fourier_t(inf_vals, 1.1, grid, t)
-        with pytest.raises(ValueError, match="lam nan is not finite"):
+        with pytest.raises(ValueError, match="lam must be finite, got nan"):
             partial_fourier_t(vals, np.nan, grid, t)
-        with pytest.raises(ValueError, match="t node nan is not finite"):
+        with pytest.raises(ValueError, match=r"t nodes must be finite, got nan at index \(4,\)"):
             partial_fourier_t(vals, 1.1, grid, bad_t)
-        with pytest.raises(ValueError, match="t weight inf is not finite"):
+        with pytest.raises(ValueError, match=r"t weights must be finite, got inf at index \(24,\)"):
             partial_fourier_t(vals, 1.1, grid, t, np.where(t == t[-1], np.inf, 0.5))
         with pytest.raises(ValueError, match="overflows"):
             partial_fourier_t(np.full(vals.shape, 1e308), 0.0, grid, t)
