@@ -13,6 +13,8 @@ and gate sweeps.
 # set before the submodule imports: verify.py reads it while they run
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .grids import (PolarGrid, RadialProfile, SpectralSlice, circle_rule,
                     partial_fourier_t, polar_grid, radial_rule, radial_slice,
                     s3_rule, sphere_area)
@@ -39,25 +41,6 @@ from .twisted import (hecke_bochner_check, laguerre_projection, slice_value,
                       twisted_convolution, twisted_convolution_quad)
 from .verify import CheckRecord, SuiteReport, run_suite
 
-__all__ = [
-    "BigradedBasis", "CausticError", "CheckRecord", "ComplexTime", "DecayFit",
-    "DecayDomainError", "DegenerateFitError", "ExceptionalLambdaError",
-    "GateParams", "HankelPlan", "HeisenbergPoint", "HTypePoint",
-    "MehlerParams", "PolarGrid", "QuadratureError",
-    "RadialProfile", "SolidHarmonic", "SpectralSlice", "SuiteReport",
-    "adaptive_quad", "bessel_j_tilde", "build_basis",
-    "circle_rule", "equality_case_profile", "fit_gaussian_decay",
-    "gate_boundary_profile", "gate_lambda_window", "group_inverse",
-    "group_law", "hankel_plan", "hankel_transform", "hardy_gate",
-    "harmonic_part", "heat_bound_check", "heat_kernel", "heat_kernel_grid",
-    "heat_kernel_lambda", "hecke_bochner_check", "hermite_evolve",
-    "hermite_fn", "hermite_gate", "hille_hardy", "htype_gate",
-    "htype_heat_batch", "htype_heat_kernel", "jtilde_of_square", "kernel_K",
-    "laguerre", "laguerre_fn", "laguerre_projection", "laguerre_series_sum",
-    "mehler_kernel", "partial_fourier_t", "partial_radon", "plan_from_nodes",
-    "polar_grid", "radial_rule", "radial_slice",
-    "radon_heat_profile", "reconstruct", "run_suite", "s3_rule",
-    "schrodinger_evolve", "slice_value", "sphere_area",
-    "spherical_coefficients", "theorem34_gaussian_pair", "theorem34_pair",
-    "twisted_convolution", "twisted_convolution_quad", "uniqueness_gate",
-]
+# the public names are those imported above, listed once there
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from ._checks import finite
+from ._checks import finite, one_dimensional
 from .hankel import DegenerateFitError, hardy_gate
 from .heisenberg import heat_kernel_grid, heat_kernel_lambda
 from .hermite import CausticError, MehlerParams, hermite_gate, mehler_kernel
@@ -115,9 +115,7 @@ def _cmd_kernel(args):
         if args.x is None:
             args.parser.error("--x is required for --group hermite")
         axis = np.array(args.x)
-        if args.n != 1:
-            args.parser.error("--group hermite takes --n 1: --x holds one "
-                              "coordinate per row")
+        one_dimensional(args.n, "--group hermite, one --x coordinate per row,")
         vals = np.atleast_1d(mehler_kernel(MehlerParams(args.s, args.n),
                                            axis, args.y))
     _require_finite(vals, "kernel")
@@ -253,7 +251,8 @@ def run(argv=None):
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:      # OSError: an output path that cannot be written
+    # NotImplementedError: an n without an engine; OSError: an output path that cannot be written
+    except (ValueError, NotImplementedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, finite_array, positive, quadrature_weights
+from ._checks import (finite_array, integer, positive, quadrature_weights, real, shapes,
+                      vector)
 from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
 
 
@@ -26,31 +27,30 @@ class RadialProfile:
     weight_power: float = 0.0
 
     def __post_init__(self):
-        self.r = finite_array("radii r", self.r, nonnegative=True)
+        # values may hold NaN, which fit_gaussian_decay masks: integrals check them
+        self.r = vector("radii r", self.r, nonnegative=True, increasing=True)
         self.values = np.asarray(self.values)
-        if self.r.ndim != 1 or self.values.shape != self.r.shape:
-            raise ValueError("values must be sampled on the radial grid")
-        if np.any(np.diff(self.r) <= 0):
-            raise ValueError("radii must be strictly increasing")
+        shapes(("values", "radii r"), self.values, self.r)
         if self.weights is not None:
-            self.weights = np.asarray(self.weights, dtype=float)
-            if self.weights.shape != self.r.shape:
-                raise ValueError("weights must match the radial grid")
+            self.weights = finite_array("weights", self.weights)
+            shapes(("weights", "radii r"), self.weights, self.r)
+        real("weight_power", self.weight_power)
 
     def integrate(self):
         """Integral of values * r^weight_power dr on the stored grid."""
-        return np.sum(quadrature_weights(self) * self.values * self.r ** self.weight_power)
+        values = finite_array("values", self.values)
+        return np.sum(quadrature_weights(self) * values * self.r ** self.weight_power)
 
 
 def radial_rule(nr=128, r_max=8.0):
     """Gauss-Legendre nodes/weights on [0, r_max] (plain dr weights)."""
     positive("r_max", r_max)
-    if nr < 2:
-        raise ValueError("need at least 2 nodes")
+    integer("nr", nr, 2)
     return gauss_interval(0.0, r_max, nr)
 
 
 def circle_rule(m=64):
+    integer("m", m)
     theta = 2.0 * np.pi * np.arange(m) / m
     omega = np.exp(1j * theta)[:, None]
     weights = np.full(m, 2.0 * np.pi / m)
@@ -63,6 +63,8 @@ def s3_rule(m_angles=28, m_u=14):
     Exact for monomials of total degree <= min(m_angles-1, 2*m_u-1) in each
     angular mode; weights sum to 2 pi^2.
     """
+    integer("m_angles", m_angles)
+    integer("m_u", m_u)
     u, wu = gauss_interval(0.0, 1.0, m_u)
     a = 2.0 * np.pi * np.arange(m_angles) / m_angles
     b = 2.0 * np.pi * np.arange(m_angles) / m_angles
@@ -79,6 +81,7 @@ def s3_rule(m_angles=28, m_u=14):
 def sphere_area(n):
     """Surface measure of S^{2n-1}: 2 pi^n / Gamma(n)."""
     from math import gamma, pi
+    integer("n", n)
     return 2.0 * pi ** n / gamma(n)
 
 
@@ -90,6 +93,15 @@ class PolarGrid:
     omega: np.ndarray           # (ns, n) complex unit vectors
     omega_weights: np.ndarray
     r_max: float
+
+    def __post_init__(self):
+        integer("n", self.n, allowed=(1, 2))
+        for name in ("r", "r_weights", "omega"):
+            finite_array(name, getattr(self, name))
+        positive("r_max", self.r_max)
+        area = sphere_area(self.n)
+        if not abs(float(np.sum(self.omega_weights)) - area) <= 1e-12 * area:
+            raise ValueError("omega_weights must sum to the area of the sphere")
 
     def measure(self):
         """(nr, ns) weights for integration over C^n in polar form."""
@@ -117,11 +129,8 @@ class SpectralSlice:
         vals = np.asarray(self.values, dtype=complex)
         shape = (self.grid.r.size, self.grid.omega.shape[0])
         if vals.shape != shape:
-            raise ValueError(f"slice values must have shape {shape}, got {vals.shape}")
-        area = sphere_area(self.grid.n)
-        if abs(float(np.sum(self.grid.omega_weights)) - area) > 1e-12 * area:
-            raise ValueError("sphere weights do not sum to the surface area")
-        finite("lam", self.lam)
+            raise ValueError(f"values must have shape {shape}, got {vals.shape}")
+        real("lam", self.lam)
         object.__setattr__(self, "lam", float(self.lam))
         object.__setattr__(self, "values", vals)
 
@@ -131,7 +140,8 @@ class SpectralSlice:
 
     def norm2(self):
         """L^2(C^n) norm of the slice under the grid measure."""
-        return float(np.sqrt(np.sum(self.grid.measure() * np.abs(self.values) ** 2)))
+        values = finite_array("values of the slice", self.values)
+        return float(np.sqrt(np.sum(self.grid.measure() * np.abs(values) ** 2)))
 
 
 def live_modes(spec):
@@ -145,54 +155,51 @@ def live_modes(spec):
 def radial_slice(grid, lam, values):
     """Slice whose values depend on |z| only; values is an array on grid.r
     or a callable of r."""
-    v = np.asarray(values(grid.r) if callable(values) else values, dtype=complex)
-    if v.shape != grid.r.shape:
-        raise ValueError("radial values must be sampled on grid.r")
+    v = finite_array("values", np.asarray(values(grid.r) if callable(values) else values,
+                                          dtype=complex))
+    shapes(("values", "grid.r"), v, grid.r)
     return SpectralSlice(lam, grid, np.repeat(v[:, None], grid.omega.shape[0], axis=1))
 
 
-def partial_fourier_t(values, lam, grid, t_nodes, t_weights=None):
-    """f^lam(z) = int e^{i lam t} f(z, t) dt from samples on grid x t_nodes.
+def partial_fourier_t(f, lam, grid, t_nodes, t_weights=None):
+    """f^lam(z) = int e^{i lam t} f(z, t) dt from the samples f on grid x t_nodes.
 
     Real samples stay real: the t contraction runs against the real and the
     imaginary part of the phase, which by linearity is the complex
-    contraction for complex samples too.  A non-finite lam, t node, t weight
-    or sample raises ValueError; the samples are searched only when the
-    slice comes out non-finite.
+    contraction for complex samples too.  The samples are searched for a
+    non-finite entry only when the slice comes out non-finite.
     """
-    finite("lam", lam)
-    values = np.asarray(values)
-    values = values.astype(np.result_type(values, float), copy=False)
+    real("lam", lam)
+    f = np.asarray(f)
+    f = f.astype(np.result_type(f, float), copy=False)
     t_nodes = finite_array("t nodes", t_nodes)
-    expected = (grid.r.size, grid.omega.shape[0], t_nodes.size)
-    if values.shape != expected:
-        raise ValueError(f"need samples of shape {expected}, got {values.shape}")
+    expected = (grid.r.size, grid.omega.shape[0]) + t_nodes.shape
+    if f.shape != expected:
+        raise ValueError(f"samples of f and t nodes must agree, got {f.shape} for {expected}")
     if t_weights is None:
         t_weights = trapezoid_weights(t_nodes)
     t_weights = finite_array("t weights", t_weights)
+    shapes(("t weights", "t nodes"), t_weights, t_nodes)
     phase = t_weights * np.exp(1j * lam * t_nodes)
     # a non-finite slice raises below, so numpy's warnings would only repeat it
     with np.errstate(over="ignore", invalid="ignore"):
-        sliced = values @ phase.real + 1j * (values @ phase.imag)
+        sliced = f @ phase.real + 1j * (f @ phase.imag)
     if not np.all(np.isfinite(sliced)):
-        finite_array("samples of f", values)
+        finite_array("samples of f", f)
         raise ValueError("the t integral of f overflows")
-    peak = (np.max(np.abs(values)) if np.iscomplexobj(values)
-            else max(values.max(), -values.min()))
+    peak = np.max(np.abs(f)) if np.iscomplexobj(f) else max(f.max(), -f.min())
     warn_truncated("f has not decayed at the ends of the t grid; the t integral is truncated",
-                   float(np.max(np.abs(values[..., [0, -1]]))), float(peak), 1e-10)
+                   float(np.max(np.abs(f[..., [0, -1]]))), float(peak), 1e-10)
     return SpectralSlice(lam, grid, sliced)
 
 
 def polar_grid(n=1, nr=128, r_max=8.0, nsphere=None):
+    integer("n", n, allowed=(1, 2))
+    nsphere = (64 if n == 1 else 28) if nsphere is None else nsphere
+    integer("nsphere", nsphere)
+    r, wr = radial_rule(nr, r_max)
     if n == 1:
-        nsphere = 64 if nsphere is None else nsphere
-        r, wr = radial_rule(nr, r_max)
         _, omega, ww = circle_rule(nsphere)
-        return PolarGrid(1, r, wr, omega, ww, float(r_max))
-    if n == 2:
-        m = 28 if nsphere is None else nsphere
-        r, wr = radial_rule(nr, r_max)
-        omega, ww = s3_rule(m_angles=m, m_u=max(14, m // 2))
-        return PolarGrid(2, r, wr, omega, ww, float(r_max))
-    raise ValueError("polar grids are implemented for n in {1, 2}")
+    else:
+        omega, ww = s3_rule(m_angles=nsphere, m_u=max(14, nsphere // 2))
+    return PolarGrid(n, r, wr, omega, ww, float(r_max))

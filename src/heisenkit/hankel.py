@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_array, order, positive
+from ._checks import finite_array, integer, order, positive, real, shapes, vector
 from .grids import RadialProfile
 from .quadrature import gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
@@ -31,20 +31,20 @@ class HankelPlan:
 
     def __post_init__(self):
         order("Hankel order alpha", self.alpha, -0.5)
-        r = finite_array("Hankel nodes", self.r_nodes)
-        w = finite_array("Hankel weights", self.r_weights)
-        if np.any(r <= 0) or np.any(np.diff(r) <= 0):
-            raise ValueError("nodes must be positive and strictly increasing")
-        if np.any(w <= 0) or w.shape != r.shape:
-            raise ValueError("weights must be positive and match the nodes")
+        r = vector("r_nodes", self.r_nodes, nonnegative=True, increasing=True)
+        w = finite_array("r_weights", self.r_weights, nonnegative=True)
+        shapes(("r_weights", "r_nodes"), w, r)
+        positive("r_max", self.r_max)
         object.__setattr__(self, "r_nodes", r)
         object.__setattr__(self, "r_weights", w)
 
 
-def hankel_plan(alpha, r_max=8.0, s_max=10.0, order=16):
+def hankel_plan(alpha, r_max=8.0, s_max=10.0):
     """Plan with panel width at most a half-period of J_alpha(r s_max)."""
+    positive("r_max", r_max)
+    real("s_max", s_max)
     panels = max(8, int(np.ceil(r_max * max(s_max, 1.0) / np.pi)))
-    nodes, weights = gauss_panels(0.0, r_max, panels, order)
+    nodes, weights = gauss_panels(0.0, r_max, panels)
     return HankelPlan(alpha, nodes, weights, float(r_max))
 
 
@@ -61,15 +61,14 @@ def hankel_transform(plan, F, s_grid):
     Returns a RadialProfile on s_grid.  A truncation warning fires when the
     sampled profile has not decayed at r_max.
     """
-    vals = np.asarray(F.values if isinstance(F, RadialProfile) else F)
+    vals = finite_array("values of F", F.values if isinstance(F, RadialProfile) else F)
     r = plan.r_nodes
-    if vals.shape != r.shape:
-        raise ValueError("profile is not sampled on the plan's nodes")
+    shapes(("values of F", "the plan's nodes"), vals, r)
     if isinstance(F, RadialProfile) and not np.allclose(F.r, r, rtol=0, atol=1e-12):
-        raise ValueError("profile grid differs from the plan's nodes")
+        raise ValueError("radii of F must be the plan's nodes")
     warn_truncated("profile has not decayed at r_max; transform is truncated",
                    float(abs(vals[-1])), float(np.max(np.abs(vals))), 1e-12)
-    s = np.atleast_1d(np.asarray(s_grid, dtype=float))
+    s = vector("s_grid", s_grid, nonnegative=True, increasing=True)
     alpha = plan.alpha
     # J_a(rs)/(rs)^a = 2^{-a} Jt_a(rs); Jt handles s = 0 and s < 0 (even)
     kernel = 2.0 ** (-alpha) * bessel_j_tilde(alpha, np.outer(r, s))
@@ -95,9 +94,9 @@ def fit_gaussian_decay(F, window=None):
     vals = np.abs(np.asarray(F.values))
     if window is None:
         window = (r[0] + 2.0 * (r[-1] - r[0]) / 3.0, r[-1])
+    window = vector("window", window, increasing=True)
+    integer("length of window", window.size, allowed=(2,))
     lo, hi = window
-    if not lo < hi:
-        raise ValueError("empty fit window")
     mask = (r >= lo) & (r <= hi) & (vals > 0) & np.isfinite(vals)
     if int(mask.sum()) < 8:
         raise DegenerateFitError("fewer than 8 usable nodes in the fit window")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, finite_array, integer, positive
+from ._checks import finite, finite_array, integer, positive, real, shapes, vector
 from .quadrature import QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid
 
 
@@ -27,14 +27,11 @@ class HeisenbergPoint:
     t: float
 
     def __post_init__(self):
-        z = tuple(complex(c) for c in (self.z if np.iterable(self.z) else (self.z,)))
-        if not z:
-            raise ValueError("need at least one horizontal coordinate")
-        t = float(self.t)
-        finite_array("coordinates z", z)
-        finite("coordinate t", t)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", t)
+        z = vector("coordinates z", self.z)
+        integer("dimension n of coordinates z", z.size)
+        real("coordinate t", self.t)
+        object.__setattr__(self, "z", tuple(z.astype(complex).tolist()))
+        object.__setattr__(self, "t", float(self.t))
 
     @property
     def n(self):
@@ -53,7 +50,7 @@ class ComplexTime:
 
     def __post_init__(self):
         finite("eps", self.eps, nonnegative=True)
-        finite("s", self.s)
+        real("s", self.s)
         if self.eps == 0 and self.s == 0:
             raise ValueError("zero diffusion time")
 
@@ -65,16 +62,14 @@ class ComplexTime:
 def _as_time(zeta):
     if isinstance(zeta, ComplexTime):
         return zeta
+    finite("zeta", zeta)
     zeta = complex(zeta)
     return ComplexTime(zeta.real, zeta.imag)
 
 
 def group_law(p, q):
     """(z, t)(w, s) = (z + w, t + s + Im(z . conj(w)) / 2)."""
-    if p.n != q.n:
-        raise ValueError("points live on groups of different dimension")
-    z = np.asarray(p.z)
-    w = np.asarray(q.z)
+    z, w = shapes(("coordinates z of p", "of q"), np.asarray(p.z), np.asarray(q.z))
     twist = float(np.imag(np.vdot(w, z)))  # vdot conjugates its first slot
     return HeisenbergPoint(tuple(z + w), p.t + q.t + 0.5 * twist)
 
@@ -101,6 +96,8 @@ def _hyperbolic_factors(lam, zeta, n):
     where x stays normal and lam = 0 still reads the limit.
     """
     a = np.maximum(np.abs(lam), (1e-100 / abs(zeta)) or _SMALLEST)
+    if np.iscomplexobj(lam):        # continued from the half plane Re lam >= 0
+        a = np.where(np.abs(lam) < a, a, np.where(np.real(lam) < 0, -lam, lam))
     x = a * zeta
     e1 = -np.expm1(-2.0 * x)
     return (2.0 * a * np.exp(-x) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
@@ -112,14 +109,14 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
 
     lam = 0 gives the Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)}, and
     values below double range come out as 0.  With eps = 0 the profile
-    exists only off the poles lam s = k pi, k != 0, which raise.  Non-finite
-    lam or r raise ValueError.
+    exists only off the poles lam s = k pi, k != 0, which raise.  A complex
+    lam gives the analytic continuation of the profile.
     """
     integer("dimension n", n)
     finite("lam", lam)
     zeta = _as_time(zeta)
     x = lam * zeta.s
-    if zeta.eps == 0 and abs(x) > 1.0 and abs(math.sin(x)) <= 1e-12 * abs(x):
+    if zeta.eps == 0 and abs(x) > 1.0 and abs(cmath.sin(x)) <= 1e-12 * abs(x):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
                          f"(lam={lam!r}, zeta={zeta.value!r})")
     r = finite_array("r", r)
@@ -346,8 +343,7 @@ def heat_kernel_grid(zeta, r, t, n=1):
     crosses 1e-15 of its peak |zeta|^{-n}, and on a large product grid
     each radius ends earlier, where its own bound crosses 1e-15 of its own
     size (`_central_integral`).  The profile's (4 pi)^{-n} is applied with
-    the final 1 / pi.  Radii must be finite and
-    nonnegative, t finite, and n a positive integer.
+    the final 1 / pi.
 
     The far field cannot be tabulated.  Round-off puts a floor under the
     coarse/fine gap that scales with q_zeta(r, 0), so the two rules agree
@@ -367,8 +363,9 @@ def heat_kernel_grid(zeta, r, t, n=1):
     integer("dimension n", n)
     zeta = _as_time(zeta)
     positive("eps of a kernel evaluation", zeta.eps)
-    r, t = np.broadcast_arrays(finite_array("radii r", r, nonnegative=True),
-                               finite_array("central coordinates t", t))
+    r, t = shapes(("radii r", "central coordinates t"),
+                  finite_array("radii r", r, nonnegative=True),
+                  finite_array("central coordinates t", t), broadcast=True)
     vals = _central_integral(zeta.value, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
     return (vals * ((4.0 * np.pi) ** (-n) / np.pi)).astype(complex, copy=False)
 
@@ -383,8 +380,7 @@ def heat_bound_check(s, points):
     """
     positive("diffusion time s", s)
     pts = list(points)
-    if not pts:
-        raise ValueError("need at least one sample point")
+    integer("number of points", len(pts))
     n = pts[0].n
     r = np.array([p.z_norm for p in pts])
     t = np.array([p.t for p in pts])

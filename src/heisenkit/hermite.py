@@ -24,8 +24,9 @@ trapezoid quadrature for all columns of f at once: the Gaussian factors are
 O(N + M) exponentials for N outputs and M fine nodes, and blocking the fine
 nodes in runs of B = ceil(sqrt M) splits e^{b x y} into two tables of
 O(N sqrt M) exponentials joined by one GEMM.  That pass is linear in f, so
-2-d samples evolve by one matrix: E, the pass applied to the cubic spline
-of the identity, gives u = E f E^T.
+2-d samples evolve by one matrix: E, the pass applied to the interpolating
+spline of the identity, gives u = E f E^T.  The spline has degree 9 and
+converges like h^10 in the grid step h.
 """
 
 import math
@@ -33,12 +34,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, finite_array, integer, positive
+from ._checks import finite, finite_array, integer, positive, real, shapes, vector
 from .grids import RadialProfile
 from .hankel import fit_gaussian_decay
 from .quadrature import warn_truncated
 
 _CAUSTIC_TOL = 1e-6
+# degree of the interpolating spline through sampled input
+_SPLINE_DEGREE = 9
 _REFINE_CAP = 1 << 21
 # entries of one column group's fine samples and block sums: 64 MB complex
 _COLUMN_BUDGET = 1 << 22
@@ -55,7 +58,7 @@ class MehlerParams:
 
     def __post_init__(self):
         integer("dimension n", self.n)
-        finite("time s", self.s)
+        real("time s", self.s)
         if abs(math.sin(2.0 * self.s)) <= _CAUSTIC_TOL:
             raise CausticError(f"s = {self.s!r} is a caustic time (sin 2s = 0)")
 
@@ -89,8 +92,7 @@ def mehler_kernel_r(r_factor, x, y, n=1):
 def _gaussian_kernel(amp, a, b, x, y, n):
     """amp e^{a (|x|^2 + |y|^2) + b x.y}; x, y are bare reals for n = 1 and
     (..., n) arrays otherwise."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = shapes(("x", "y"), finite_array("x", x), finite_array("y", y), broadcast=True)
     # past 1.3e154 the value is not finite (callers check), and numpy keeps quiet
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 1:
@@ -123,8 +125,7 @@ _HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
 def hermite_grid(L=_HALF_WIDTH, nodes=512):
     """The default uniform evolution grid on [-L, L]."""
     positive("half-width L", L)
-    if nodes < 16:
-        raise ValueError("need a nontrivial node count")
+    integer("nodes", nodes, 16)
     return np.linspace(-L, L, nodes)
 
 
@@ -196,24 +197,22 @@ def hermite_evolve(f, s, x=None):
     f is a callable on the grid or an array of samples over x (1-d) or
     x cross x (2-d); x defaults to `hermite_grid()`.  A callable is
     integrated over [-m, m] with m = max(8, max|x|).  Sampled input is
-    integrated over [min x, max x], where its cubic spline interpolates: a
-    1-d f through its own spline, a 2-d f separably, every column along
-    axis 0 and then every row along axis 1, as u = E f E^T.  The evolution
+    integrated over [min x, max x], where its interpolating spline of
+    degree 9 (of degree nodes - 1 on fewer than 10 nodes) holds: a 1-d f
+    through its own spline, a 2-d f separably, every column along axis 0
+    and then every row along axis 1, as u = E f E^T.  The evolution
     matrix E = K P of the grid, the quadrature K on the fine nodes times
     the spline's interpolation matrix P there, is built once by evolving
     the spline of the identity, so a 2-d f costs one quadrature pass of
     real data and two GEMMs.  The truncation warning reads the edge/peak
     ratio of each column of f, and for a 2-d f of each half-evolved row of
-    E f too.  Returns samples on the same grid.  Raises ValueError for
-    non-finite s, x or samples of f, and for a grid of fewer than 2 nodes.
+    E f too.  Returns samples on the same grid.
     """
     MehlerParams(s)                     # raises CausticError at a caustic time
-    x = hermite_grid() if x is None else finite_array("grid x", x)
-    if x.ndim != 1 or x.size < 2:
-        raise ValueError("x must be a 1-d grid of at least 2 nodes")
+    x = hermite_grid() if x is None else vector("grid x", x)
+    integer("number of nodes of x", x.size, 2)
     if callable(f):
-        if np.shape(f(x)) != x.shape:
-            raise ValueError("callable f must map the grid to samples of the same shape")
+        shapes(("samples f(x)", "grid x"), f(x), x)
         span = max(_HALF_WIDTH, float(np.max(np.abs(x))))
         u, worst = _evolve_columns(lambda y, c: np.asarray(f(y))[:, None], 1,
                                    s, x, -span, span)
@@ -225,10 +224,11 @@ def hermite_evolve(f, s, x=None):
         lo, hi = float(np.min(x)), float(np.max(x))
         f = finite_array("samples of f", np.asarray(f, dtype=complex))
         # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
-        from scipy.interpolate import CubicSpline
+        from scipy.interpolate import make_interp_spline
 
+        degree = min(_SPLINE_DEGREE, x.size - 1)
         def splined(F):
-            return lambda y, c: CubicSpline(x, F[:, c])(y)
+            return lambda y, c: make_interp_spline(x, F[:, c], k=degree)(y)
 
         if f.shape == x.shape:
             u, worst = _evolve_columns(splined(f[:, None]), 1, s, x, lo, hi)
@@ -241,7 +241,7 @@ def hermite_evolve(f, s, x=None):
             half = E @ f
             u, worst = half @ E.T, max(_edge_ratio(f), _edge_ratio(half.T))
         else:
-            raise ValueError("samples must live on the grid (1-d) or its square (2-d)")
+            raise ValueError("samples of f must live on the grid x (1-d) or its square (2-d)")
     warn_truncated("f has not decayed at the grid boundary; the evolution integral is truncated",
                    worst, 1.0, 1e-10)
     return u
@@ -251,7 +251,7 @@ def hermite_gate(a, b, s0):
     """margin = a b sin^2(2 s0) - 1/4; the flow vanishes when it is positive."""
     positive("decay rate a", a)
     positive("decay rate b", b)
-    finite("s0", s0)
+    real("s0", s0)
     margin = a * b * math.sin(2.0 * s0) ** 2 - 0.25
     return margin, margin > 0
 
@@ -265,6 +265,7 @@ def gate_boundary_profile(a, s0):
     The rate is fitted over 0.5 <= x <= 3 on the default grid.
     """
     positive("a", a)
+    real("s0", s0)
     chirp = 0.5 / math.tan(2.0 * s0)
     x = hermite_grid()
     u = hermite_evolve(lambda y: np.exp(-(a + 1j * chirp) * y * y), s0, x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, finite_array, integer, nonzero, positive
+from ._checks import finite_array, integer, nonzero, positive, shapes, vector
 from .heisenberg import _central_integral, _lam_cutoff, _profile
 from .quadrature import (QuadratureError, _disagreement, adaptive_quad, gauss_interval,
                          warn_truncated)
@@ -34,15 +34,12 @@ class HTypePoint:
     t: tuple
 
     def __post_init__(self):
-        v = tuple(float(c) for c in (self.v if np.iterable(self.v) else (self.v,)))
-        t = tuple(float(c) for c in (self.t if np.iterable(self.t) else (self.t,)))
-        if len(v) < 2 or len(v) % 2:
-            raise ValueError("v must have even dimension 2n >= 2")
-        integer("center dimension k", len(t), allowed=_CENTERS)
-        for c in v + t:
-            finite("coordinates", c)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "t", t)
+        v = vector("coordinates v", np.asarray(self.v, dtype=float))
+        t = vector("coordinates t", np.asarray(self.t, dtype=float))
+        integer("half the length 2n of coordinates v", v.size / 2)
+        integer("center dimension k of coordinates t", t.size, allowed=_CENTERS)
+        object.__setattr__(self, "v", tuple(v.tolist()))
+        object.__setattr__(self, "t", tuple(t.tolist()))
 
     @property
     def n(self):
@@ -120,17 +117,17 @@ def htype_heat_batch(s, n, k, vnorm, tnorm):
     positive("diffusion time s", s)
     integer("dimension n", n)
     integer("center dimension k", k, allowed=_CENTERS)
-    vnorm, tnorm = np.broadcast_arrays(finite_array("norms |v|", vnorm, nonnegative=True),
-                                       finite_array("norms |t|", tnorm, nonnegative=True))
+    vnorm, tnorm = shapes(("vnorm", "tnorm"),
+                          finite_array("norms |v| (vnorm)", vnorm, nonnegative=True),
+                          finite_array("norms |t| (tnorm)", tnorm, nonnegative=True),
+                          broadcast=True)
     return _constant(n, k) * _central_integral(
         s, n, k, vnorm, tnorm, lambda x: bessel_j_tilde(0.5 * k - 1.0, x), 1e-16, 1e-8)
 
 
 def _perp_basis(eta):
-    eta = finite_array("eta", eta)
-    if eta.ndim != 1:
-        raise ValueError("eta must be a vector")
-    integer("center dimension k", eta.size, allowed=_CENTERS)
+    eta = vector("eta", eta)
+    integer("center dimension k of eta", eta.size, allowed=_CENTERS)
     if abs(float(eta @ eta) - 1.0) > 1e-12:
         raise ValueError("eta must be a unit vector")
     k = eta.size
@@ -214,14 +211,13 @@ def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
     with a = max|t| + (16 ln 10 / pi) s, where h_s has fallen to 1e-16.  One
     `htype_heat_batch` call evaluates h_s on the Gauss rule in rho and on the
     coarser rule that checks it (`_radial_rules`); the two must agree to 1e-8
-    of the largest value, or QuadratureError is raised.  Norms |v| must be
-    finite and nonnegative.
+    of the largest value, or QuadratureError is raised.
     """
     positive("diffusion time s", s)
     integer("dimension n", n)
     integer("center dimension k", k, allowed=_CENTERS)
-    v = np.asarray(v_norms, dtype=float)
-    t = finite_array("t", t_vals)
+    v = vector("v_norms", v_norms, nonnegative=True)
+    t = vector("t_vals", t_vals)
     if k == 1:
         return htype_heat_batch(s, n, 1, v[:, None], np.abs(t)[None, :])
     if v.size == 0 or t.size == 0:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._checks import finite, finite_array, nonzero, one_dimensional, positive
+from ._checks import (finite, finite_array, integer, nonzero, one_dimensional, positive,
+                      real, vector)
 from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
                     polar_grid, radial_slice)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
@@ -44,6 +45,8 @@ class DecayDomainError(ValueError):
 
 
 def _reject_exceptional(lam, s0):
+    real("lam", lam)
+    real("s0", s0)
     if abs(math.sin(lam * s0)) <= _EXCEPTIONAL_TOL:
         raise ExceptionalLambdaError(
             f"lam = {lam!r} is exceptional for s0 = {s0!r}: |sin(lam s0)| <= {_EXCEPTIONAL_TOL}")
@@ -88,15 +91,15 @@ def schrodinger_evolve(f, zeta):
     by one banded solve, and the other modes of the result are 0.  A radial
     slice evolves one mode.  At Re zeta = 0 the multiplier has modulus 1, the
     flow is unitary, and it resolves only what the grid's Laguerre expansion
-    resolves, which the truncation warning reports.  A non-finite value
-    raises ValueError naming its index.  The grid twisted convolution in
-    `twisted` is the oracle this is tested against, never a fallback.
+    resolves, which the truncation warning reports.  The grid twisted
+    convolution in `twisted` is the oracle this is tested against, never a
+    fallback.
     """
     zeta = _as_time(zeta)
     grid = f.grid
     one_dimensional(grid.n, "spectral evolution")
     nonzero("central frequency lam", f.lam)
-    finite_array("slice values", f.values)
+    finite_array("values of slice f", f.values)
     warn_truncated("slice has not decayed at r_max; the Laguerre projection is truncated",
                    float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
     na = grid.omega.shape[0]
@@ -132,10 +135,10 @@ def _ratio_stats(lhs_vals, rhs_vals, mask=None):
     return {"c_lambda": mean, "rel_std": rel_std, "nodes": int(keep.sum())}
 
 
-def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, grid, t_weights=None):
+def theorem34_pair(f, t_nodes, p0, q0, j0, lam, s0, grid, t_weights=None):
     """Grid pipelines for both sides of the sector-Hankel identity.
 
-    f_values samples f(z, t) on grid x t_nodes.  lhs: slice f at lam, evolve
+    f samples f(z, t) on grid x t_nodes.  lhs: slice f at lam, evolve
     by the unitary flow to time s0 (zeta = i s0), extract the (p0, q0, j0)
     radial coefficient.  rhs: extract the same coefficient of the initial
     slice, strip t^{p0+q0}, chirp by e^{i lam t^2 cot(lam s0)/4},
@@ -147,7 +150,10 @@ def theorem34_pair(f_values, t_nodes, p0, q0, j0, lam, s0, grid, t_weights=None)
     0.2 <= r <= 3 wherever |rhs| clears 1e-8 of its peak.
     """
     _reject_exceptional(lam, s0)
-    fsl = partial_fourier_t(f_values, lam, grid, t_nodes, t_weights)
+    integer("p0", p0, 0)
+    integer("q0", q0, 0)
+    integer("j0", j0, 0)
+    fsl = partial_fourier_t(f, lam, grid, t_nodes, t_weights)
     basis = build_basis(grid.n, p0, q0)
     u = schrodinger_evolve(fsl, ComplexTime(0.0, s0))
     lhs = spherical_coefficients(u, basis, j0)
@@ -175,9 +181,8 @@ def theorem34_gaussian_pair(a, lam, s0, r=None):
     """
     positive("a", a)
     _reject_exceptional(lam, s0)
-    if r is None:
-        r = np.linspace(0.2, 3.0, 57)
-    r = np.asarray(r, dtype=float)
+    r = vector("radii r", np.linspace(0.2, 3.0, 57) if r is None else r)
+    integer("number of radii r", r.size)
     root2pi = math.sqrt(2.0 * math.pi)
     lhs_vals = root2pi * heat_kernel_lambda(ComplexTime(a, s0), lam, r, 1)
 
@@ -201,12 +206,14 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     in it), times e^{-(x+y)/2} and the sector phase e^{-i(n+2p0)|lam|s0}.
     closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
-    m = n+p0+q0.  Returns (series, closed); ValueError unless lam, r, t
-    and s0 are finite.
+    m = n+p0+q0.  Returns (series, closed).
     """
-    for name, value in (("lam", lam), ("r", r), ("t", t), ("s0", s0)):
-        finite(name, value)
     _reject_exceptional(lam, s0)
+    real("r", r)
+    real("t", t)
+    integer("dimension n", n)
+    integer("p0", p0, 0)
+    integer("q0", q0, 0)
     m = n + p0 + q0
     mu = abs(lam) * s0
     x = 0.5 * abs(lam) * r * r

@@ -12,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from ._checks import finite
+from ._checks import finite, integer, real, vector
 
 
 class QuadratureError(RuntimeError):
@@ -35,6 +35,12 @@ def adaptive_quad(f, a, b, epsabs=1e-12, epsrel=1e-11, sin_freq=None):
     """
     from scipy import integrate
 
+    real("a", a)
+    real("b", b)
+    finite("epsabs", epsabs, nonnegative=True)
+    finite("epsrel", epsrel, nonnegative=True)
+    if sin_freq is not None:
+        real("sin_freq", sin_freq)
     weight = {} if sin_freq is None else {"weight": "sin", "wvar": sin_freq}
     with warnings.catch_warnings():
         warnings.simplefilter("error", category=integrate.IntegrationWarning)
@@ -54,10 +60,9 @@ def _gauss_rule(order):
 
 def gauss_panels(a, b, panels, order=16):
     """Composite Gauss-Legendre nodes/weights on [a, b] with `panels` panels."""
-    finite("interval end a", a)
-    finite("interval end b", b)
-    if panels < 1:
-        raise ValueError("need at least one panel")
+    real("interval end a", a)
+    real("interval end b", b)
+    integer("panels", panels)
     x, w = _gauss_rule(order)
     edges = np.linspace(a, b, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
@@ -319,9 +324,8 @@ def warn_truncated(what, edge, peak, rtol):
 
 
 def trapezoid_weights(t):
-    t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size < 2:
-        raise ValueError("need a one-dimensional grid with at least 2 nodes")
+    t = vector("t nodes", t)
+    integer("number of t nodes", t.size, 2)
     w = np.empty_like(t)
     w[1:-1] = 0.5 * (t[2:] - t[:-2])
     w[0] = 0.5 * (t[1] - t[0])

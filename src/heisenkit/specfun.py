@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import gammaln, hyp0f1, j0, j1, rgamma
 
-from ._checks import finite_array, integer, nonzero, order
+from ._checks import finite_array, integer, integer_array, nonzero, order, shapes
 
 
 def _as_array(x):
@@ -44,10 +44,8 @@ def laguerre(k, alpha, t):
 
 
 def laguerre_fn(k, lam, n, r):
-    """Laguerre function L_k^{n-1}(|lam| r^2 / 2) exp(-|lam| r^2 / 4).
-
-    Even in lam by construction; lam must be finite and nonzero.
-    """
+    """Laguerre function L_k^{n-1}(|lam| r^2 / 2) exp(-|lam| r^2 / 4), even
+    in lam."""
     integer("dimension n", n)
     nonzero("lam", lam)
     r, scalar = _as_array(r)
@@ -333,19 +331,14 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     S -> (S_{k+1} - w S_k)/(1 - w), which strips one order of the
     slowly-varying envelope per pass, over the last 48 partial sums.  The
     iteration depth is picked a posteriori by successive-difference
-    minimization.  ValueError for non-finite input, |w| >= 1, w within
-    0.04 of 1 above |w| = 0.85, a series that overflows, and one that
-    cancels: where eps times its largest term exceeds 1e-8 of the sum.
+    minimization.  ValueError for |w| >= 1, w within 0.04 of 1 above
+    |w| = 0.85, a series that overflows, and one that cancels: where eps
+    times its largest term exceeds 1e-8 of the sum.
     """
     order("Laguerre order alpha", alpha, -1.0)
-    x, y, w, kmax = np.broadcast_arrays(finite_array("x", x), finite_array("y", y),
-                                        finite_array("w", np.asarray(w, dtype=complex)),
-                                        np.asarray(kmax))
-    integral = kmax.dtype.kind in "iu" or (kmax.dtype.kind == "f" and (kmax == np.floor(kmax)).all())
-    if not integral or (kmax < 0).any():
-        raise ValueError("kmax must be a nonnegative integer")
-    if (kmax >= _SERIES_BLOCK).any():
-        raise ValueError(f"kmax must stay below {_SERIES_BLOCK}")
+    x, y, w, kmax = shapes(("x", "y", "w", "kmax"), finite_array("x", x), finite_array("y", y),
+                           finite_array("w", np.asarray(w, dtype=complex)),
+                           integer_array("kmax", kmax, 0, _SERIES_BLOCK), broadcast=True)
     modulus = np.abs(w)
     if (modulus >= 1.0).any():
         raise ValueError("Laguerre series diverges for |w| >= 1")
@@ -353,7 +346,7 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     if (boost & (np.abs(1.0 - w) < 0.04)).any():
         raise ValueError("tail resummation needs w away from the point 1")
     shape = x.shape
-    x, y, w, boost, kmax = (a.ravel() for a in (x, y, w, boost, kmax.astype(int)))
+    x, y, w, boost, kmax = (a.ravel() for a in (x, y, w, boost, kmax))
     out, peak = np.empty(x.size, dtype=complex), np.empty(x.size)
     with np.errstate(over="ignore", invalid="ignore"):
         for degrees in np.unique(kmax).tolist():
@@ -384,13 +377,10 @@ def hille_hardy(alpha, x, y, w, K=None):
     scalars give a pair of complex scalars.  Returned as a pair; nothing is
     asserted.  ValueError where either side is out of range.
     """
-    x = finite_array("x", x, nonnegative=True)
-    y = finite_array("y", y, nonnegative=True)
-    w = np.asarray(w, dtype=complex)
-    if K is None:
-        K = np.where(np.abs(w) <= 0.85, 600, 4000)
-    elif (np.asarray(K) < 1).any():
-        raise ValueError("need at least one term")
+    w = finite_array("w", np.asarray(w, dtype=complex))
+    K = np.where(np.abs(w) <= 0.85, 600, 4000) if K is None else integer_array("K", K, 1)
+    x, y, w, K = shapes(("x", "y", "w", "K"), finite_array("x", x, nonnegative=True),
+                        finite_array("y", y, nonnegative=True), w, K, broadcast=True)
     lhs = laguerre_series_sum(alpha, x, y, w, K)
     one = 1.0 - w
     u2 = -4.0 * x * y * w / (one * one)

@@ -22,6 +22,7 @@ from itertools import product
 
 import numpy as np
 
+from ._checks import finite_array, integer, integer_array, shapes
 from .grids import RadialProfile, SpectralSlice, circle_rule, s3_rule
 
 # ---------------------------------------------------------------------------
@@ -94,6 +95,10 @@ def harmonic_part(n, alpha, beta):
     which stops at the first j with Delta^j m = 0 (Axler, Bourdon & Ramey,
     Harmonic Function Theory, ch. 5).
     """
+    integer("n", n)
+    alpha, beta = (tuple(integer_array(name, e, 0).tolist()) for name, e in
+                   (("alpha", alpha), ("beta", beta)))
+    shapes(("alpha", "beta", "the n coordinates"), alpha, beta, range(n))
     d = sum(alpha) + sum(beta)
     powers = [{(tuple(alpha), tuple(beta)): Fraction(1)}]
     while powers[-1]:
@@ -138,8 +143,7 @@ class SolidHarmonic:
         z = np.asarray(z, dtype=complex)
         if self.n == 1 and (z.ndim == 0 or z.shape[-1] != 1):
             z = z[..., None]
-        if z.shape[-1] != self.n:
-            raise ValueError(f"points must have {self.n} complex coordinates")
+        integer("number of coordinates of points z", z.shape[-1], allowed=(self.n,))
         out = np.zeros(z.shape[:-1], dtype=complex)
         for (alpha, beta), c in self.terms:
             term = np.full(z.shape[:-1], float(c), dtype=complex)
@@ -166,6 +170,13 @@ class BigradedBasis:
     def dimension(self):
         return len(self.elements)
 
+    def element(self, j):
+        """Y^j, for the 1-based j of the enumeration Y^1 ... Y^d(p, q)."""
+        integer("index j", j, 0)
+        if not 1 <= j <= self.dimension:
+            raise IndexError(f"j must lie in 1..{self.dimension}, got {j}")
+        return self.elements[j - 1]
+
     def gram(self):
         """Quadrature Gram matrix of the restrictions; identity if all went well."""
         vals = np.stack([y(self.sphere_nodes) for y in self.elements])
@@ -180,10 +191,9 @@ def build_basis(n, p, q):
     monomial order, dropping exact zeros; d(p, q) falls out as the count of
     survivors.
     """
-    if n not in (1, 2):
-        raise ValueError("bigraded bases are implemented for n in {1, 2} only")
-    if p < 0 or q < 0:
-        raise ValueError("bidegrees must be nonnegative")
+    integer("n", n, allowed=(1, 2))
+    integer("p", p, 0)
+    integer("q", q, 0)
     kept = []                  # (terms, norm^2 / pi^n) pairs
     for alpha, beta in monomial_keys(n, p, q):
         v = harmonic_part(n, alpha, beta)
@@ -215,12 +225,9 @@ def spherical_coefficients(f, basis, j):
     """
     if not isinstance(f, SpectralSlice):
         raise TypeError("f must be a SpectralSlice")
-    if basis.n != f.n:
-        raise ValueError("basis and slice dimensions differ")
-    if not 1 <= j <= basis.dimension:
-        raise IndexError(f"j must lie in 1..{basis.dimension}, got {j}")
-    y = np.conj(basis.elements[j - 1](f.grid.omega))
-    coeff = f.values @ (f.grid.omega_weights * y)
+    integer("dimension n of the basis", basis.n, allowed=(f.n,))
+    y = np.conj(basis.element(j)(f.grid.omega))
+    coeff = finite_array("values of slice f", f.values) @ (f.grid.omega_weights * y)
     return RadialProfile(f.grid.r, coeff, weights=f.grid.r_weights,
                          weight_power=2 * f.n - 1)
 
@@ -235,11 +242,9 @@ def reconstruct(coefficients, bases, grid, lam=0.0):
         bases = {(b.p, b.q): b for b in bases}
     values = np.zeros((grid.r.size, grid.omega.shape[0]), dtype=complex)
     for (p, q, j), prof in coefficients.items():
-        basis = bases[(p, q)]
-        if not 1 <= j <= basis.dimension:
-            raise IndexError(f"no element {j} in the ({p}, {q}) basis")
+        element = bases[(p, q)].element(j)
         if prof.r.shape != grid.r.shape or not np.allclose(prof.r, grid.r):
             raise ValueError("coefficient profiles must share the target radial grid")
         values += np.asarray(prof.values, dtype=complex)[:, None] \
-            * basis.elements[j - 1](grid.omega)[None, :]
+            * element(grid.omega)[None, :]
     return SpectralSlice(lam, grid, values)

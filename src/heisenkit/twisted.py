@@ -4,8 +4,9 @@
 
 The grid route sums the integral over the nodes w of the shared polar grid,
 with f(z - w) read off the interpolant of the slice f: a not-a-knot cubic
-spline in r (extended to r = 0 by the mean of the first two rings) times the
-trigonometric interpolant in angle, which is exact for band-limited angular
+spline in r (through the mirrored rings -r and r, by the parity
+c_m(-r) = (-1)^m c_m(r) of angular mode m) times the trigonometric
+interpolant in angle, which is exact for band-limited angular
 dependence, and zero beyond r_max.  The spline runs through the angular DFT
 coefficients c_m(r) of f, which is the same interpolant since the spline is
 linear in its data, so f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi} over the
@@ -55,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._checks import finite, finite_array, nonzero, one_dimensional, quadrature_weights
+from ._checks import (finite, finite_array, integer, integer_array, nonzero, one_dimensional,
+                      positive, quadrature_weights, real)
 from .grids import PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice
 from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
@@ -78,12 +80,13 @@ class _Interpolant:
         return np.where((rho > self.r_max)[..., None], 0.0, c)
 
 
-def _interpolant(sl):
-    """The interpolant of an n = 1 slice (see the module docstring)."""
+def _interpolant(sl, name="f"):
+    """The interpolant of the n = 1 slice passed as the argument name (see the
+    module docstring)."""
     # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
     from scipy.interpolate import CubicSpline
 
-    values = finite_array("slice values", sl.values)
+    values = finite_array(f"values of slice {name}", sl.values)
     na = values.shape[1]
     spec = np.fft.fft(values, axis=1) / na
     modes = np.fft.fftfreq(na, 1.0 / na)
@@ -93,15 +96,11 @@ def _interpolant(sl):
         spec[:, na // 2] /= 2.0
         spec = np.hstack([spec, spec[:, na // 2:na // 2 + 1]])
         modes = np.append(modes, na // 2)
-    # the polynomial extrapolation distance to r = 0 is below the first
-    # Gauss node, ~1e-4 of r_max, so a linear step in r^2 of the mean is
-    # plenty; at r = 0 the slice is that constant, which is mode 0 alone
-    r = sl.grid.r
-    row0 = np.zeros(spec.shape[1], dtype=complex)
-    row0[0] = spec[0, 0] - (spec[1, 0] - spec[0, 0]) * r[0] ** 2 / (r[1] ** 2 - r[0] ** 2)
+    # through the mirrored nodes -r_j, r_j, on which c_m(-r) = (-1)^m c_m(r)
     live = live_modes(spec)
-    table = np.vstack([row0, spec])[:, live]
-    spline = CubicSpline(np.append(0.0, r), table if np.any(table.imag) else table.real, axis=0)
+    table = np.vstack([(spec[:, live] * (-1.0) ** modes[live])[::-1], spec[:, live]])
+    spline = CubicSpline(np.concatenate([-sl.grid.r[::-1], sl.grid.r]),
+                         table if np.any(table.imag) else table.real, axis=0)
     return _Interpolant(modes[live], spline, float(sl.grid.r_max),
                         float(np.max(np.abs(values[-1]))))
 
@@ -113,9 +112,9 @@ def slice_value(sl, z):
     pts = np.asarray(z, dtype=complex)
     nan = np.isnan(pts)
     if np.any(nan):
-        raise ValueError(f"slice_value got the non-finite point {pts[nan][0]}")
+        raise ValueError(f"points z must have no NaN part, got the non-finite point {pts[nan][0]}")
     one_dimensional(sl.grid.n, "off-grid slice evaluation")
-    f = _interpolant(sl)
+    f = _interpolant(sl, "sl")
     terms = f.coefficients(np.abs(pts)) * np.exp(1j * np.angle(pts)[..., None] * f.modes)
     return terms.sum(axis=-1)
 
@@ -187,14 +186,17 @@ def convolution_rings(f, g, r):
         raise ValueError("slices live on different grids")
     one_dimensional(f.grid.n, "grid twisted convolution")
     r = finite_array("ring radii", r)
-    return _ring_sum(_interpolant(f), g, r, np.zeros(r.size), f.grid.omega.shape[0])
+    interpolant = _interpolant(f, "f")
+    finite_array("values of slice g", g.values)
+    return _ring_sum(interpolant, g, r, np.zeros(r.size), f.grid.omega.shape[0])
 
 
 def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):
     """(f *_lam g)(z) for callables f, g of one complex variable, by nested
     adaptive quadrature over polar coordinates.  Slow; this is the oracle."""
     finite("target z", z)
-    finite("lam", lam)
+    real("lam", lam)
+    positive("r_cut", r_cut)
     z = complex(z)
 
     def ring(rho):
@@ -214,7 +216,9 @@ def laguerre_projection(g, k, lam, m):
     the caller, once.
     """
     weights = quadrature_weights(g)
-    integrand = g.values * laguerre_fn(k, lam, m, g.r) * g.r ** (2 * m - 1)
+    integer("dimension m", m)
+    integrand = (finite_array("values of g", g.values) * laguerre_fn(k, lam, m, g.r)
+                 * g.r ** (2 * m - 1))
     warn_truncated("projection integrand has not decayed at the last node",
                    float(abs(integrand[-1])), float(np.max(np.abs(integrand))), 1e-10)
     return complex(np.sum(weights * integrand))
@@ -235,22 +239,20 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
 
     The interpolant of P g does not depend on k, so it is built once for all
     of ks; the result is a list of (lhs, rhs) pairs, one per degree, empty
-    arrays for an empty z.  A non-finite target raises ValueError, and an n
-    other than 1 NotImplementedError.
+    arrays for an empty z.
     """
     one_dimensional(n, "the grid Hecke-Bochner check")
     nonzero("lam", lam)
     weights = quadrature_weights(g)
     zz = finite_array("targets z", np.asarray(z, dtype=complex))
     targets = np.atleast_1d(zz)
-    basis = build_basis(n, p, q)
-    if not 1 <= j <= basis.dimension:
-        raise IndexError(f"no element {j} in the ({p}, {q}) basis")
-    P = basis.elements[j - 1]
+    P = build_basis(n, p, q).element(j)
+    values = finite_array("values of g", g.values)
+    ks = integer_array("degrees ks", ks, 0).ravel()
     _, omega, ww = circle_rule()
     grid = PolarGrid(1, g.r, weights, omega, ww, float(g.r[-1]))
     pts = grid.points()
-    f = _interpolant(SpectralSlice(lam, grid, P(pts) * np.asarray(g.values)[:, None]))
+    f = _interpolant(SpectralSlice(lam, grid, P(pts) * values[:, None]), "g")
     p_eff, q_eff = (p, q) if lam > 0 else (q, p)
     m = n + p + q
 

@@ -24,6 +24,7 @@ import numpy as np
 import scipy
 
 from . import __version__
+from ._checks import integer
 from .grids import polar_grid, radial_rule, radial_slice, RadialProfile
 from .hankel import fit_gaussian_decay, hankel_plan, hankel_transform, hardy_gate
 from .heisenberg import (HeisenbergPoint, heat_kernel, heat_kernel_grid,
@@ -387,6 +388,7 @@ def _run(fn, seed):
 
 
 def run_suite(name, seed=0):
+    integer("seed", seed, 0)
     if name == "all":
         return SuiteReport("all", tuple(c for fn in _SUITES.values()
                                         for c in _run(fn, seed)))

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 from scipy.special import eval_hermite
 
 from heisenkit import hermite
@@ -123,7 +123,7 @@ def test_sampled_input_on_an_asymmetric_grid_is_integrated_over_the_samples():
     x = np.linspace(-4.0, 8.0, 200)
     f = hermite_fn(0, x)
     yf, K = _dense_propagator(s, x, -4.0, 8.0)
-    ref = K @ CubicSpline(x, f)(yf)
+    ref = K @ make_interp_spline(x, f, k=9)(yf)
     # h_0 is still 2.5e-4 of its peak at x = -4
     with pytest.warns(RuntimeWarning, match="not decayed"):
         u = hermite_evolve(f, s, x)
@@ -150,8 +150,8 @@ def test_factored_engine_matches_the_dense_kernel_in_two_dimensions(s):
     h = [hermite_fn(k, x) for k in range(4)]
     F = np.outer(h[0], h[1]) + 0.5 * np.outer(h[2], h[0]) + 0.3j * np.outer(h[1], h[3])
     yf, K = _dense_propagator(s, x, -8.0, 8.0)
-    half = K @ CubicSpline(x, F)(yf)
-    ref = (K @ CubicSpline(x, half.T)(yf)).T
+    half = K @ make_interp_spline(x, F, k=9)(yf)
+    ref = (K @ make_interp_spline(x, half.T, k=9)(yf)).T
     u = hermite_evolve(F, s, x)
     assert np.max(np.abs(u - ref)) < 1e-11 * np.max(np.abs(ref))
 

@@ -419,7 +419,7 @@ def test_radon_edge_cases():
 def test_radon_heat_profile_rejects_non_finite_t_without_numpy_warnings(k):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="t must be finite"):
+        with pytest.raises(ValueError, match="t_vals must be finite"):
             radon_heat_profile(1.0, [0.5], [0.2, _INF], n=1, k=k)
 
 

@@ -47,7 +47,7 @@ def test_evolution_is_the_complex_time_semigroup():
                            ComplexTime(eps, s0))
     nan_values = f.values.copy()
     nan_values[4, 2] = np.nan
-    with pytest.raises(ValueError, match=r"slice values must be finite, got \(nan\+0j\) at index \(4, 2\)"):
+    with pytest.raises(ValueError, match=r"values of slice f must be finite, got \(nan\+0j\) at index \(4, 2\)"):
         schrodinger_evolve(SpectralSlice(lam, grid, nan_values), ComplexTime(eps, s0))
     grid2 = polar_grid(2, nr=16, r_max=6.0, nsphere=8)
     with pytest.raises(NotImplementedError):

@@ -335,14 +335,14 @@ def test_non_finite_slice_values_raise(grid):
         values = np.exp(-np.abs(grid.points()[:, :, 0]) ** 2).astype(complex)
         values[7, 3] = bad
         f = SpectralSlice(1.0, grid, values)
-        with pytest.raises(ValueError, match=r"slice values must be finite, got .* at index \(7, 3\)"):
+        with pytest.raises(ValueError, match=r"values of slice f must be finite, got .* at index \(7, 3\)"):
             twisted_convolution(f, f)
-        with pytest.raises(ValueError, match="slice values must be finite"):
+        with pytest.raises(ValueError, match="values of slice sl must be finite"):
             slice_value(f, 0.5)
     r, w = radial_rule(32, 6.0)
     values = np.exp(-r ** 2)
     values[-1] = np.nan
-    with pytest.raises(ValueError, match="slice values must be finite"):
+    with pytest.raises(ValueError, match="values of g must be finite"):
         hecke_bochner_check(RadialProfile(r, values, weights=w), 0, 0, 1, (0,), 1.0, 1, 0.5)
 
 
