@@ -8,6 +8,9 @@ A PolarGrid is a product of Gauss-Legendre radii and a sphere rule on
 S^{2n-1}; n = 1 uses the uniform circle (spectrally exact), n = 2 a product
 rule on S^3 exact through polynomial degree ~24.  `radial_slice` and
 `partial_fourier_t` build the SpectralSlices sampled on them.
+`angular_modes` is the one angular spectrum of an n = 1 slice, from which
+the evolution engine and the grid twisted convolution read which signed
+modes the slice carries.
 """
 
 from dataclasses import dataclass
@@ -144,12 +147,23 @@ class SpectralSlice:
         return float(np.sqrt(np.sum(self.grid.measure() * np.abs(values) ** 2)))
 
 
-def live_modes(spec):
-    """The angular modes that a slice carries: a mask over the columns of
-    its (r, m) DFT table, true where the mode's largest amplitude reaches
-    1e-15 of the table's.  A radial slice keeps m = 0 alone."""
-    amp = np.max(np.abs(spec), axis=0)
-    return amp >= 1e-15 * np.max(amp)
+def angular_modes(values):
+    """The live angular spectrum of (r, angle) values on na uniform angles:
+    signed modes m and coefficients c with values[:, d] =
+    sum_m c[:, m] e^{2 pi i m d / na}.  An even na's Nyquist bin is split
+    into halves at m = -na/2 and na/2, as in zero-padded resampling.  A mode
+    is live where its largest |c| reaches 1e-15 of the table's; a radial
+    slice keeps m = 0 alone."""
+    na = values.shape[1]
+    c = np.fft.fft(values, axis=1) / na
+    m = np.rint(np.fft.fftfreq(na, 1.0 / na)).astype(int)
+    if na % 2 == 0:
+        c[:, na // 2] /= 2.0
+        c = np.hstack([c, c[:, na // 2:na // 2 + 1]])
+        m = np.append(m, na // 2)
+    amp = np.max(np.abs(c), axis=0)
+    live = amp >= 1e-15 * np.max(amp)
+    return m[live], c[:, live]
 
 
 def radial_slice(grid, lam, values):

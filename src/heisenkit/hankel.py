@@ -59,20 +59,23 @@ def hankel_transform(plan, F, s_grid):
     """Transform a profile sampled on the plan's nodes; F may be complex.
 
     Returns a RadialProfile on s_grid.  A truncation warning fires when the
-    sampled profile has not decayed at r_max.
+    integrand's envelope |F| r^{2 alpha + 1} has not decayed at r_max.
     """
     vals = finite_array("values of F", F.values if isinstance(F, RadialProfile) else F)
     r = plan.r_nodes
     shapes(("values of F", "the plan's nodes"), vals, r)
     if isinstance(F, RadialProfile) and not np.allclose(F.r, r, rtol=0, atol=1e-12):
         raise ValueError("radii of F must be the plan's nodes")
-    warn_truncated("profile has not decayed at r_max; transform is truncated",
-                   float(abs(vals[-1])), float(np.max(np.abs(vals))), 1e-12)
-    s = vector("s_grid", s_grid, nonnegative=True, increasing=True)
     alpha = plan.alpha
+    power = r ** (2 * alpha + 1)
+    # |Jt_a| peaks at 0, so |F| r^{2 alpha + 1} bounds the integrand at every s
+    envelope = np.abs(vals) * power
+    warn_truncated("profile has not decayed at r_max; transform is truncated",
+                   float(envelope[-1]), float(np.max(envelope)), 1e-12)
+    s = vector("s_grid", s_grid, nonnegative=True, increasing=True)
     # J_a(rs)/(rs)^a = 2^{-a} Jt_a(rs); Jt handles s = 0 and s < 0 (even)
     kernel = 2.0 ** (-alpha) * bessel_j_tilde(alpha, np.outer(r, s))
-    weight = plan.r_weights * r ** (2 * alpha + 1) * vals
+    weight = plan.r_weights * power * vals
     return RadialProfile(s, weight @ kernel)
 
 

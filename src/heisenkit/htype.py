@@ -34,8 +34,10 @@ class HTypePoint:
     t: tuple
 
     def __post_init__(self):
-        v = vector("coordinates v", np.asarray(self.v, dtype=float))
-        t = vector("coordinates t", np.asarray(self.t, dtype=float))
+        v, t = (vector(f"coordinates {name}", getattr(self, name)) for name in "vt")
+        for name, x in zip("vt", (v, t)):
+            if np.iscomplexobj(x):
+                raise ValueError(f"coordinates {name} must be real, got {getattr(self, name)}")
         integer("half the length 2n of coordinates v", v.size / 2)
         integer("center dimension k of coordinates t", t.size, allowed=_CENTERS)
         object.__setattr__(self, "v", tuple(v.tolist()))

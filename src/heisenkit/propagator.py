@@ -23,7 +23,7 @@ from scipy.special import gammaln
 
 from ._checks import (finite, finite_array, integer, nonzero, one_dimensional, positive,
                       real, vector)
-from .grids import (RadialProfile, SpectralSlice, live_modes, partial_fourier_t,
+from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
 from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
 from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
@@ -79,21 +79,21 @@ def schrodinger_evolve(f, zeta):
 
     This is the evolution engine, and it never forms the twisted
     convolution: on a lam-slice the kernel q_zeta^lam acts as the multiplier
-    e^{-(2k+n)|lam| zeta} on the Laguerre projections P_k.  An FFT over the
-    circle splits the slice into angular modes m; each mode's radial profile
-    is projected on r^|m| L_j^|m|(|lam| r^2/2) e^{-|lam| r^2/4} with the
-    grid's own radial weights, one degree per radial node; coefficient
-    (m, j) lies in P_k with k = j + p, where p = |m| when m and lam have the
-    same sign and p = 0 otherwise; the evolved modes are resynthesised on
-    the grid nodes.  Only the live modes are evolved, those whose amplitude
-    reaches 1e-15 of the largest (`grids.live_modes`, the rule of the
-    twisted interpolant): the basis is built for each live order |m| alone,
-    by one banded solve, and the other modes of the result are 0.  A radial
-    slice evolves one mode.  At Re zeta = 0 the multiplier has modulus 1, the
-    flow is unitary, and it resolves only what the grid's Laguerre expansion
-    resolves, which the truncation warning reports.  The grid twisted
-    convolution in `twisted` is the oracle this is tested against, never a
-    fallback.
+    e^{-(2k+n)|lam| zeta} on the Laguerre projections P_k.  The slice's live
+    angular modes m come from `grids.angular_modes`, as the twisted
+    interpolant's do; each mode's radial profile is projected on
+    r^|m| L_j^|m|(|lam| r^2/2) e^{-|lam| r^2/4} with the grid's own radial
+    weights, one degree per radial node; coefficient (m, j) lies in P_k with
+    k = j + p, where p = |m| when m and lam have the same sign and p = 0
+    otherwise; the evolved modes are resynthesised on the grid nodes, where
+    the two halves of an even angle count's Nyquist bin, each evolved with
+    its own p, meet on one column.  The basis is built for each live order
+    |m| alone, by one banded solve, and the other modes of the result are
+    0.  A radial slice evolves one mode.  At Re zeta = 0 the multiplier has
+    modulus 1, the flow is unitary, and it resolves only what the grid's
+    Laguerre expansion resolves, which the truncation warning reports.  The
+    grid twisted convolution in `twisted` is the oracle this is tested
+    against, never a fallback.
     """
     zeta = _as_time(zeta)
     grid = f.grid
@@ -102,24 +102,21 @@ def schrodinger_evolve(f, zeta):
     finite_array("values of slice f", f.values)
     warn_truncated("slice has not decayed at r_max; the Laguerre projection is truncated",
                    float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
-    na = grid.omega.shape[0]
-    m = np.rint(np.fft.fftfreq(na, 1.0 / na)).astype(int)
+    m, c = angular_modes(f.values)
     order = np.abs(m)
     shift = np.where(np.sign(m) == np.sign(f.lam), order, 0)
-    modes = np.fft.fft(f.values, axis=1)
-    live = np.flatnonzero(live_modes(modes))
-    live_order = order[live]
     degrees = grid.r.size
-    weighted = (grid.r_weights * grid.r)[:, None] * modes
+    weighted = (grid.r_weights * grid.r)[:, None] * c
     j = np.arange(degrees)[:, None]
-    out = np.zeros_like(modes)
-    for a in np.unique(live_order):
-        cols = live[live_order == a]
+    out = np.zeros_like(f.values)
+    for a in np.unique(order):
+        cols = np.flatnonzero(order == a)
         basis = _laguerre_basis(f.lam, grid.r, degrees, a)
         coef = basis @ weighted[:, cols]
         coef *= np.exp(-(2 * (j + shift[cols]) + 1) * abs(f.lam) * zeta.value)
-        out[:, cols] = basis.T @ coef
-    return SpectralSlice(f.lam, grid, np.fft.ifft(out, axis=1))
+        # the two halves of a Nyquist bin land on one column
+        np.add.at(out, (slice(None), m[cols] % out.shape[1]), basis.T @ coef)
+    return SpectralSlice(f.lam, grid, np.fft.ifft(out, axis=1, norm="forward"))
 
 
 def _ratio_stats(lhs_vals, rhs_vals, mask=None):

@@ -101,19 +101,6 @@ def _gathered_sum(a, b, ia, ib):
     return out
 
 
-def _product_table(a, b):
-    """a @ b.T, with real GEMMs on the parts of a complex factor when the
-    other factor is real (a complex product would do twice the work)."""
-    if np.iscomplexobj(a) == np.iscomplexobj(b):
-        return a @ b.T
-    if np.iscomplexobj(b):
-        return _product_table(b, a).T
-    out = np.empty((a.shape[0], b.shape[0]), dtype=a.dtype)
-    out.real = a.real @ b.T
-    out.imag = a.imag @ b.T
-    return out
-
-
 def envelope_cutoff(log_envelope, log_floor, start):
     """Cutoff L >= start past which an integrand's envelope stays below a
     floor, found to within 1% above the crossing.
@@ -170,7 +157,7 @@ def _contract(x, w, factors, p, ir, ic, product, cuts):
         for q in range(len(sums)):
             a, b = max(cuts[q], lo) - lo, min(cuts[q + 1], hi) - lo
             if a < b:
-                sums[q] = sums[q] + (_product_table(r[:, a:b], c[:, a:b]) if product
+                sums[q] = sums[q] + (r[:, a:b] @ c[:, a:b].T if product
                                      else _gathered_sum(r[:, a:b], c[:, a:b], ir, ic))
     return sums, terms
 

@@ -242,6 +242,9 @@ def reconstruct(coefficients, bases, grid, lam=0.0):
         bases = {(b.p, b.q): b for b in bases}
     values = np.zeros((grid.r.size, grid.omega.shape[0]), dtype=complex)
     for (p, q, j), prof in coefficients.items():
+        if (p, q) not in bases:
+            raise ValueError(f"bases must hold every bidegree (p, q) of the coefficients, "
+                             f"got none for {(p, q)}")
         element = bases[(p, q)].element(j)
         if prof.r.shape != grid.r.shape or not np.allclose(prof.r, grid.r):
             raise ValueError("coefficient profiles must share the target radial grid")

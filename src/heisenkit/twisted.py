@@ -7,13 +7,14 @@ with f(z - w) read off the interpolant of the slice f: a not-a-knot cubic
 spline in r (through the mirrored rings -r and r, by the parity
 c_m(-r) = (-1)^m c_m(r) of angular mode m) times the trigonometric
 interpolant in angle, which is exact for band-limited angular
-dependence, and zero beyond r_max.  The spline runs through the angular DFT
-coefficients c_m(r) of f, which is the same interpolant since the spline is
-linear in its data, so f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi} over the
-live modes; when every live c_m is real, as for a real radial slice, so is
-the spline.  The sum uses no Laguerre function, and it convolves no angular
-mode of f with one of g.  The quadrature route below it is an entirely
-independent nested adaptive integral used as the oracle in tests.
+dependence, and zero beyond r_max.  The spline runs through the live
+angular coefficients c_m(r) of f from `grids.angular_modes`, which is the
+same interpolant since the spline is linear in its data, so
+f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi}; when every live c_m is real,
+as for a real radial slice, so is the spline.  The sum uses no Laguerre
+function, and it convolves no angular mode of f with one of g.  The
+quadrature route below it is an entirely independent nested adaptive
+integral used as the oracle in tests.
 
 The ring sum runs over rotation orbits of targets.  With na uniform angles
 theta_a on the circle, a target z = e^{i theta_a} z0 and a node
@@ -22,7 +23,8 @@ the twist phase (Im(z conj(w)) = Im(z0 conj(s e^{i theta_d}))) depends on
 (z0, s, d) only.  So each term c_m(|zeta|) e^{i phi}, phi = m arg zeta + twist,
 is evaluated once per orbit, at zeta = z0 - s e^{i theta_d}, and the rotation
 by theta_a enters as e^{i m theta_a}.  g enters by its live angular modes
-k, g(s e^{i theta_{d+a}}) = (1/na) sum_k g^_k(s) e^{2 pi i k (d + a) / na}:
+k, from the same `grids.angular_modes`, as
+g(s e^{i theta_{d+a}}) = sum_k g^_k(s) e^{2 pi i k (d + a) / na}:
 W[k, s, d] = g^_k(s) e^{2 pi i k d / na} contracts the terms into S[k, m],
 whose back-transform over k gives the orbit's angles.  That only reorders
 the direct sum over the nodes w, less g's modes below 1e-15 of its largest.
@@ -58,7 +60,7 @@ from scipy.special import gammaln
 
 from ._checks import (finite, finite_array, integer, integer_array, nonzero, one_dimensional,
                       positive, quadrature_weights, real)
-from .grids import PolarGrid, SpectralSlice, circle_rule, live_modes, radial_slice
+from .grids import PolarGrid, SpectralSlice, angular_modes, circle_rule, radial_slice
 from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
@@ -87,22 +89,12 @@ def _interpolant(sl, name="f"):
     from scipy.interpolate import CubicSpline
 
     values = finite_array(f"values of slice {name}", sl.values)
-    na = values.shape[1]
-    spec = np.fft.fft(values, axis=1) / na
-    modes = np.fft.fftfreq(na, 1.0 / na)
-    if na % 2 == 0:
-        # an even na's unpaired Nyquist bin stands for cos(m theta), as in
-        # zero-padded resampling: half of it at each of m = -na/2, na/2
-        spec[:, na // 2] /= 2.0
-        spec = np.hstack([spec, spec[:, na // 2:na // 2 + 1]])
-        modes = np.append(modes, na // 2)
+    modes, c = angular_modes(values)
     # through the mirrored nodes -r_j, r_j, on which c_m(-r) = (-1)^m c_m(r)
-    live = live_modes(spec)
-    table = np.vstack([(spec[:, live] * (-1.0) ** modes[live])[::-1], spec[:, live]])
+    table = np.vstack([(c * (-1.0) ** modes)[::-1], c])
     spline = CubicSpline(np.concatenate([-sl.grid.r[::-1], sl.grid.r]),
                          table if np.any(table.imag) else table.real, axis=0)
-    return _Interpolant(modes[live], spline, float(sl.grid.r_max),
-                        float(np.max(np.abs(values[-1]))))
+    return _Interpolant(modes, spline, float(sl.grid.r_max), float(np.max(np.abs(values[-1]))))
 
 
 def slice_value(sl, z):
@@ -131,11 +123,10 @@ def _ring_sum(f, g, r, theta0, orbit):
     na = g.grid.omega.shape[0]
     w = np.outer(g.grid.r, g.grid.omega[:, 0])                       # (J, D)
     gw = g.values * g.grid.measure()
-    g_hat = np.fft.fft(gw, axis=1)
-    k = np.flatnonzero(live_modes(g_hat))
+    k, g_hat = angular_modes(gw)
     # W as (k, j, d), each phase reduced to one turn before it is scaled
     twiddle = np.exp(2j * np.pi / na * (k[:, None] * np.arange(na) % na))     # (K, D)
-    weights = g_hat.T[k, :, None] * twiddle[:, None]
+    weights = g_hat.T[:, :, None] * twiddle[:, None]
     # the |g| that node angle d meets over the orbit: at d + a na / orbit, a < orbit
     absg = np.tile(np.abs(gw).reshape(-1, orbit, na // orbit).sum(axis=1), orbit)
     # on the real axis column d > na // 2 mirrors na - d, which takes its |g| and W_mirror
@@ -148,9 +139,9 @@ def _ring_sum(f, g, r, theta0, orbit):
                1j * (weights[..., :half] - w_mirror).reshape(k.size, -1))
     off_axis = (w, absg, weights.reshape(k.size, -1), 1j * weights.reshape(k.size, -1))
     twist_rate = -0.5 * g.lam * w[:, :half].imag       # the twist is z twist_rate on the axis
-    # e^{2 pi i (k + m) a / orbit} / na: the back-transform over k and the rotation
+    # e^{2 pi i (k + m) a / orbit}: the back-transform over k and the rotation
     turns = np.arange(orbit)[:, None, None] * np.add.outer(k, f.modes) % orbit
-    back = np.exp(2j * np.pi / orbit * turns).reshape(orbit, -1) / na          # (a, K M)
+    back = np.exp(2j * np.pi / orbit * turns).reshape(orbit, -1)               # (a, K M)
     z0 = np.asarray(r, dtype=float) * np.exp(1j * np.asarray(theta0, dtype=float))
     out = np.empty((z0.size, orbit), dtype=complex)
     cut_mass = total_mass = 0.0

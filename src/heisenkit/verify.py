@@ -196,7 +196,11 @@ def _suite_hecke_bochner(rng):
             annihilated = pairs[2][0]
     yield ("hecke-bochner",
            {"pq": [[0, 0], [1, 0], [0, 1]], "n": 1, "lam": 1.0,
-            "g": "exp(-r^2)", "z": [str(z) for z in zs]},
+            "g": "exp(-r^2)", "z": [str(z) for z in zs],
+            "note": "working prefactor over the printed one is "
+                    "2*pi^m*(2*pi)^(n-p-q); 4*pi^2 in the n=1 "
+                    "radial case, folded into rhs, never fitted",
+            "factor_n1_radial": 4.0 * math.pi ** 2},
            worst, 1e-5)
 
     # evaluated above on the (1, 0) interpolant; only the reading is timed here
@@ -205,13 +209,6 @@ def _suite_hecke_bochner(rng):
             "note": "evaluated on the (1, 0) interpolant of hecke-bochner, "
                     "whose ms counts this work"},
            float(np.max(np.abs(annihilated))), 1e-6)
-
-    yield ("constant-convention",
-           {"note": "working prefactor over the printed one is "
-                    "2*pi^m*(2*pi)^(n-p-q); 4*pi^2 in the n=1 "
-                    "radial case, folded into rhs, never fitted",
-            "factor_n1_radial": 4.0 * math.pi ** 2},
-           0.0, 1.0)
 
 
 def _suite_theorem34(rng):

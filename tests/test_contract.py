@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 from heisenkit import (GateParams, HeisenbergPoint, HTypePoint, MehlerParams, RadialProfile,
-                       bessel_j_tilde, gate_lambda_window, hankel_plan, hardy_gate,
+                       bessel_j_tilde, build_basis, gate_lambda_window, hankel_plan, hardy_gate,
                        heat_kernel, heat_kernel_grid, heat_kernel_lambda, hecke_bochner_check,
                        hermite_fn, hermite_gate, htype_gate, htype_heat_batch,
                        htype_heat_kernel, jtilde_of_square, kernel_K, laguerre, laguerre_fn,
                        laguerre_projection, mehler_kernel, plan_from_nodes, polar_grid,
-                       radial_rule, radial_slice, twisted_convolution_quad, uniqueness_gate)
+                       radial_rule, radial_slice, reconstruct, twisted_convolution_quad,
+                       uniqueness_gate)
 from heisenkit._checks import finite, finite_array, integer, nonzero, order, positive
 from heisenkit.hermite import hermite_grid, mehler_kernel_r
 from heisenkit.quadrature import gauss_panels
@@ -134,6 +135,19 @@ def test_edge_inputs_inside_the_domain_stay_accepted():
         series, closed = kernel_K(1.3, 0.0, 0.0, 1.0, 1, 0, 0)
         assert abs(series - closed) < 1e-10 * abs(closed)
         assert abs(mehler_kernel(MehlerParams(-0.3), 0.0, 0.0)) > 0
+
+
+def test_coordinate_entries_and_basis_keys_raise_naming_their_argument():
+    # the entries of a tuple of real coordinates and the bidegrees of a
+    # coefficient map lie outside the sweep's menu of malformed values
+    with pytest.raises(ValueError, match=r"^coordinates v must be real, got \(1j, 0\.0\)$"):
+        HTypePoint((1j, 0.0), (0.1,))
+    with pytest.raises(ValueError, match=r"^coordinates t must be real, got \(0\.1j,\)$"):
+        HTypePoint((1.0, 0.0), (0.1j,))
+    grid = polar_grid(1, 16, 4.0, 8)
+    profile = RadialProfile(grid.r, np.exp(-grid.r ** 2))
+    with pytest.raises(ValueError, match=r"^bases must .*, got none for \(2, 0\)$"):
+        reconstruct({(2, 0, 1): profile}, [build_basis(1, 1, 0)], grid)
 
 
 def test_pointwise_special_functions_map_a_nan_point_to_nan():

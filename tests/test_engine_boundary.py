@@ -1,6 +1,7 @@
 """The engines never import the grid twisted-convolution oracle module, one
-module drives the central-frequency integrals, and the pointwise heat-kernel
-oracle shares no profile code with the engines."""
+module drives the central-frequency integrals, one function takes a slice's
+angular DFT, and the pointwise heat-kernel oracle shares no profile code
+with the engines."""
 
 import ast
 import pathlib
@@ -58,6 +59,29 @@ def test_only_heisenberg_drives_the_frequency_integrals():
             if name in names:
                 users.setdefault(name, []).append(path.stem)
     assert users == {name: ["heisenberg"] for name in engines}
+
+
+def test_only_grids_angular_modes_takes_an_angular_dft():
+    # which signed modes a sampled slice carries, and how an even angle
+    # count's Nyquist bin splits, is decided in `grids.angular_modes` alone:
+    # no other function may take a forward DFT, and the engine and both
+    # halves of the grid oracle read their modes from it.  The engine's
+    # inverse transform only resynthesises, so it is not a DFT here.
+    forward, callers = set(), []
+    for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(function, ast.FunctionDef):
+                continue
+            called = {node.func.attr if isinstance(node.func, ast.Attribute)
+                      else getattr(node.func, "id", None)
+                      for node in ast.walk(function) if isinstance(node, ast.Call)}
+            if called & {"fft", "rfft", "fftfreq", "rfftfreq"}:
+                forward.add(f"{path.stem}.{function.name}")
+            if "angular_modes" in called:
+                callers.append(f"{path.stem}.{function.name}")
+    assert forward == {"grids.angular_modes"}
+    assert sorted(callers) == ["propagator.schrodinger_evolve", "twisted._interpolant",
+                               "twisted._ring_sum"]
 
 
 def test_pointwise_heat_kernel_oracle_has_its_own_profile():

@@ -126,6 +126,17 @@ def test_truncation_warning_fires_for_slow_decay():
                          np.array([1.0]))
 
 
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 4.0])
+def test_truncation_warning_reads_the_integrand(alpha):
+    # F(9) = 5e-13 F(0) is under the 1e-12 threshold, but the integrand
+    # F r^{2 alpha + 1} is not: the transform is 5.0e-13, 2.2e-10 and
+    # 1.55e-8 of its peak off the closed form at alpha = 0, 2, 4
+    a = -np.log(5e-13) / 81.0
+    plan = hankel_plan(alpha, r_max=9.0, s_max=5.0)
+    with pytest.warns(RuntimeWarning, match="not decayed"):
+        hankel_transform(plan, np.exp(-a * plan.r_nodes ** 2), np.array([0.0]))
+
+
 def test_fit_recovers_a_pure_gaussian():
     r = np.linspace(0.05, 6.0, 240)
     fit = fit_gaussian_decay(RadialProfile(r, 3.0 * np.exp(-1.7 * r ** 2)))

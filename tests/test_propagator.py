@@ -117,11 +117,34 @@ def test_exact_zero_modes_leave_the_evolution_bit_identical(basis_orders, monkey
     f = radial_slice(grid, -1.0, np.exp(-grid.r ** 2) * (1.0 + 0.3j))
     zeta = ComplexTime(0.3, 0.5)
     live = schrodinger_evolve(f, zeta).values
-    extra = np.isin(np.abs(np.fft.fftfreq(64, 1.0 / 64)), (3, 7))
-    monkeypatch.setattr(propagator, "live_modes", lambda spec: grids.live_modes(spec) | extra)
+
+    def padded_modes(values):
+        m, c = grids.angular_modes(values)
+        return np.append(m, [3, -3, 7, -7]), np.hstack([c, np.zeros((c.shape[0], 4))])
+
+    monkeypatch.setattr(propagator, "angular_modes", padded_modes)
     padded = schrodinger_evolve(f, zeta).values
     assert basis_orders == [0, 0, 3, 7]
     assert np.array_equal(live, padded)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+@pytest.mark.parametrize("zeta", [ComplexTime(0.5), ComplexTime(0.0, 0.4)], ids=["0.5", "0.4i"])
+@pytest.mark.parametrize("m,na,fine", [(8, 16, 64), (3, 6, 48)])
+def test_a_live_nyquist_mode_evolves_as_on_a_finer_circle(m, na, fine, zeta, lam):
+    # Re(z^m) e^{-|z|^2} on na = 2m angles lives in the Nyquist bin, which
+    # holds cos(m theta): half of it at each of m and -m, each with its own
+    # Laguerre shift.  A finer circle resolves both modes, and reading its
+    # result at every (fine / na)-th angle must give the coarse result.
+    out = []
+    for angles in (na, fine):
+        grid = polar_grid(1, 96, 8.0, angles)
+        z = grid.points()[:, :, 0]
+        f = SpectralSlice(lam, grid, (z ** m).real * np.exp(-np.abs(z) ** 2))
+        out.append(schrodinger_evolve(f, zeta).values)
+    coarse, resolved = out
+    err = np.max(np.abs(coarse - resolved[:, ::fine // na])) / np.max(np.abs(resolved))
+    assert err < 1e-13                  # measured <= 1.2e-15
 
 
 def test_truncation_warning_fires_for_a_slice_alive_at_r_max():
