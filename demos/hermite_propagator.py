@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from heisenkit import (CausticError, MehlerParams, gate_boundary_profile,
-                       hermite_evolve, hermite_fn, hermite_gate, mehler_kernel)
+from heisenkit import (CausticError, gate_boundary_profile, hermite_evolve, hermite_fn,
+                       hermite_gate, mehler_kernel)
 
 x = np.linspace(-4.0, 4.0, 161)
 s = 0.35
@@ -29,7 +29,7 @@ err = np.max(np.abs(u - np.exp(-0.25j * math.pi) * np.exp(-0.5 * x * x)))
 print(f"s = pi/4 fixes the Gaussian up to a phase: max abs error {err:.2e}")
 
 try:
-    mehler_kernel(MehlerParams(0.5 * math.pi, 1), x, 0.0)
+    mehler_kernel(0.5 * math.pi, x, 0.0)
 except CausticError as e:
     print(f"caustic at s = pi/2 is refused: {e}")
 

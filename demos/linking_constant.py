@@ -12,8 +12,7 @@ import math
 
 import numpy as np
 
-from heisenkit import (ExceptionalLambdaError, GateParams,
-                       equality_case_profile, gate_lambda_window,
+from heisenkit import (ExceptionalLambdaError, equality_case_profile, gate_lambda_window,
                        theorem34_gaussian_pair, uniqueness_gate)
 
 lhs, rhs, stats = theorem34_gaussian_pair(1.0, 1.0, 1.0)
@@ -33,7 +32,7 @@ for a, b, s0 in ((0.3, 0.3, 0.7), (1.0, 1.0, 0.5)):
     if delta is None:
         print(f"  a = {a}, b = {b}, s0 = {s0}: no window (ab >= s0^2)")
     else:
-        margin, ok = uniqueness_gate(GateParams(a, b, s0, 0.0, 0.5 * delta))
+        margin, ok = uniqueness_gate(a, b, s0, 0.0, 0.5 * delta)
         print(f"  a = {a}, b = {b}, s0 = {s0}: window (0, {delta:.4f}), "
               f"margin at the midpoint {margin:+.4f} ({'pass' if ok else 'fail'})")
 

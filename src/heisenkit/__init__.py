@@ -20,15 +20,15 @@ from .grids import (PolarGrid, RadialProfile, SpectralSlice, circle_rule,
                     s3_rule, sphere_area)
 from .hankel import (DecayFit, DegenerateFitError, HankelPlan,
                      fit_gaussian_decay, hankel_plan, hankel_transform,
-                     hardy_gate, plan_from_nodes)
-from .heisenberg import (ComplexTime, HeisenbergPoint, group_inverse,
-                         group_law, heat_bound_check, heat_kernel,
-                         heat_kernel_grid, heat_kernel_lambda)
-from .hermite import (CausticError, MehlerParams, gate_boundary_profile,
-                      hermite_evolve, hermite_fn, hermite_gate, mehler_kernel)
+                     hardy_gate)
+from .heisenberg import (HeisenbergPoint, group_inverse, group_law,
+                         heat_bound_check, heat_kernel, heat_kernel_grid,
+                         heat_kernel_lambda)
+from .hermite import (CausticError, gate_boundary_profile, hermite_evolve,
+                      hermite_fn, hermite_gate, mehler_kernel)
 from .htype import (HTypePoint, htype_gate, htype_heat_batch, htype_heat_kernel,
                     partial_radon, radon_heat_profile)
-from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
+from .propagator import (DecayDomainError, ExceptionalLambdaError,
                          equality_case_profile, gate_lambda_window, kernel_K,
                          schrodinger_evolve, theorem34_gaussian_pair,
                          theorem34_pair, uniqueness_gate)

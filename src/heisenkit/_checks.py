@@ -43,6 +43,18 @@ def nonzero(name, value):
         raise ValueError(f"{name} must be finite and nonzero, got {value}")
 
 
+def complex_time(zeta, inversion=False):
+    """complex(zeta) for a finite time zeta != 0 with Re zeta >= 0, and
+    Re zeta > 0 where the kernel is evaluated by inversion."""
+    finite("zeta", zeta)
+    value = complex(zeta)
+    if inversion and not value.real > 0:
+        raise ValueError(f"zeta must have a positive real part, got {zeta}")
+    if value == 0 or value.real < 0:
+        raise ValueError(f"zeta must be nonzero with a nonnegative real part, got {zeta}")
+    return value
+
+
 def order(name, value, lowest):
     """An order with lowest < value < inf."""
     if isinstance(value, _COMPLEX) or not lowest < value < math.inf:

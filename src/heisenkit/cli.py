@@ -21,10 +21,9 @@ import numpy as np
 from ._checks import finite, one_dimensional
 from .hankel import DegenerateFitError, hardy_gate
 from .heisenberg import heat_kernel_grid, heat_kernel_lambda
-from .hermite import CausticError, MehlerParams, hermite_gate, mehler_kernel
+from .hermite import CausticError, hermite_gate, mehler_kernel
 from .htype import htype_gate, htype_heat_batch
-from .propagator import (DecayDomainError, ExceptionalLambdaError, GateParams,
-                         uniqueness_gate)
+from .propagator import DecayDomainError, ExceptionalLambdaError, uniqueness_gate
 from .quadrature import QuadratureError
 from .verify import SUITE_NAMES, run_suite
 
@@ -116,8 +115,7 @@ def _cmd_kernel(args):
             args.parser.error("--x is required for --group hermite")
         axis = np.array(args.x)
         one_dimensional(args.n, "--group hermite, one --x coordinate per row,")
-        vals = np.atleast_1d(mehler_kernel(MehlerParams(args.s, args.n),
-                                           axis, args.y))
+        vals = np.atleast_1d(mehler_kernel(args.s, axis, args.y, args.n))
     _require_finite(vals, "kernel")
     lines = ["r,re,im"]
     for rr, vv in zip(axis, vals):
@@ -157,8 +155,7 @@ def _gate_row(which, row):
     if which == "hankel":
         return row["a"] * row["b"] - 0.25, hardy_gate(row["a"], row["b"])
     if which == "heisenberg":
-        gp = GateParams(row["a"], row["b"], row["s0"], row["eps"], row["lam"])
-        margin, ok = uniqueness_gate(gp)
+        margin, ok = uniqueness_gate(row["a"], row["b"], row["s0"], row["eps"], row["lam"])
     elif which == "htype":
         ok = htype_gate(row["a"], row["b"], row["s0"])
         margin = row["s0"] ** 2 - row["a"] * row["b"]

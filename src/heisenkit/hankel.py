@@ -27,14 +27,12 @@ class HankelPlan:
     alpha: float
     r_nodes: np.ndarray
     r_weights: np.ndarray
-    r_max: float
 
     def __post_init__(self):
         order("Hankel order alpha", self.alpha, -0.5)
         r = vector("r_nodes", self.r_nodes, nonnegative=True, increasing=True)
         w = finite_array("r_weights", self.r_weights, nonnegative=True)
         shapes(("r_weights", "r_nodes"), w, r)
-        positive("r_max", self.r_max)
         object.__setattr__(self, "r_nodes", r)
         object.__setattr__(self, "r_weights", w)
 
@@ -45,14 +43,7 @@ def hankel_plan(alpha, r_max=8.0, s_max=10.0):
     real("s_max", s_max)
     panels = max(8, int(np.ceil(r_max * max(s_max, 1.0) / np.pi)))
     nodes, weights = gauss_panels(0.0, r_max, panels)
-    return HankelPlan(alpha, nodes, weights, float(r_max))
-
-
-def plan_from_nodes(alpha, r_nodes, r_weights, r_max=None):
-    """Wrap an existing radial rule (e.g. a slice grid) as a plan."""
-    if r_max is None:
-        r_max = float(np.asarray(r_nodes)[-1])
-    return HankelPlan(alpha, r_nodes, r_weights, r_max)
+    return HankelPlan(alpha, nodes, weights)
 
 
 def hankel_transform(plan, F, s_grid):

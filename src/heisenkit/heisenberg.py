@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite, finite_array, integer, positive, real, shapes, vector
+from ._checks import complex_time, finite, finite_array, integer, positive, real, shapes, vector
 from .quadrature import QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid
 
 
@@ -42,31 +42,6 @@ class HeisenbergPoint:
         return math.hypot(*map(abs, self.z))        # finite up to 1.8e308
 
 
-@dataclass(frozen=True)
-class ComplexTime:
-    """zeta = eps + i s != 0, eps >= 0; kernel evaluation by inversion needs eps > 0."""
-    eps: float
-    s: float = 0.0
-
-    def __post_init__(self):
-        finite("eps", self.eps, nonnegative=True)
-        real("s", self.s)
-        if self.eps == 0 and self.s == 0:
-            raise ValueError("zero diffusion time")
-
-    @property
-    def value(self):
-        return complex(self.eps, self.s)
-
-
-def _as_time(zeta):
-    if isinstance(zeta, ComplexTime):
-        return zeta
-    finite("zeta", zeta)
-    zeta = complex(zeta)
-    return ComplexTime(zeta.real, zeta.imag)
-
-
 def group_law(p, q):
     """(z, t)(w, s) = (z + w, t + s + Im(z . conj(w)) / 2)."""
     z, w = shapes(("coordinates z of p", "of q"), np.asarray(p.z), np.asarray(q.z))
@@ -88,19 +63,22 @@ def _hyperbolic_factors(lam, zeta, n):
     Both are even in lam, so with a = max(|lam|, 1e-100 / |zeta|), x =
     a zeta and e1 = 1 - e^{-2x} they are (2a e^{-x} / e1)^n and
     -a (2 - e1) / (4 e1).  For Re zeta >= 0 nothing here overflows (a factor
-    beyond double range underflows to 0), and lam = 0 gives the Euclidean
-    limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.  The
-    floor keeps |x| at 1e-100, where the limit is exact in double precision;
-    a subnormal x would overflow the complex division.  Past |zeta| ~ 1e224
-    the floor itself underflows, so a is kept at the smallest subnormal,
-    where x stays normal and lam = 0 still reads the limit.
+    beyond double range underflows to 0; 2a and 2x overflow past 9e307, so
+    2 scales e^{-x}, and e^{-2x} is its square there), and lam = 0 gives the
+    Euclidean limit zeta^{-n} e^{-r^2 / (4 zeta)} from the same expression.
+    The floor keeps |x| at 1e-100, where the limit is exact in double
+    precision; a subnormal x would overflow the complex division.  Past
+    |zeta| ~ 1e224 the floor itself underflows, so a is kept at the smallest
+    subnormal, where x stays normal and lam = 0 still reads the limit.
     """
     a = np.maximum(np.abs(lam), (1e-100 / abs(zeta)) or _SMALLEST)
     if np.iscomplexobj(lam):        # continued from the half plane Re lam >= 0
         a = np.where(np.abs(lam) < a, a, np.where(np.real(lam) < 0, -lam, lam))
     x = a * zeta
+    ex = np.exp(-x)
     e1 = -np.expm1(-2.0 * x)
-    return (2.0 * a * np.exp(-x) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
+    e1 = np.where(np.isfinite(e1), e1, 1.0 - ex * ex)       # 2x overflows past 9e307
+    return (a * (2.0 * ex) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
 
 
 def heat_kernel_lambda(zeta, lam, r, n=1):
@@ -108,20 +86,20 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     (4 pi)^{-n} (lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4}.
 
     lam = 0 gives the Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)}, and
-    values below double range come out as 0.  With eps = 0 the profile
+    values below double range come out as 0.  At zeta = i s the profile
     exists only off the poles lam s = k pi, k != 0, which raise.  A complex
     lam gives the analytic continuation of the profile.
     """
     integer("dimension n", n)
     finite("lam", lam)
-    zeta = _as_time(zeta)
-    x = lam * zeta.s
-    if zeta.eps == 0 and abs(x) > 1.0 and abs(cmath.sin(x)) <= 1e-12 * abs(x):
+    zeta = complex_time(zeta)
+    x = lam * zeta.imag
+    if zeta.real == 0 and abs(x) > 1.0 and abs(cmath.sin(x)) <= 1e-12 * abs(x):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
-                         f"(lam={lam!r}, zeta={zeta.value!r})")
+                         f"(lam={lam!r}, zeta={zeta!r})")
     r = finite_array("r", r)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        power, rate = _hyperbolic_factors(lam, zeta.value, n)
+        power, rate = _hyperbolic_factors(lam, zeta, n)
         out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
     return np.asarray(out, dtype=complex)[()]
 
@@ -299,28 +277,26 @@ def _profile(lam, zeta, n, r):
 def heat_kernel(zeta, p):
     """Heat kernel q_zeta(z, t) by adaptive Fourier inversion in lam.
 
-    This is the pointwise oracle of `heat_kernel_grid`, and it shares no
-    profile code with it: QUADPACK integrates e^{-i lam t} times the scalar
-    `_profile` over the whole line [-L, L].  L is the engines'
-    `_lam_cutoff`, and the absolute tolerance 1e-12 shrinks with the
-    kernel's size |zeta|^{-n-1} past |zeta| = 1.  For real zeta the
-    (quadrature-level) imaginary residue is checked against 1e-10 and
-    zeroed; the integrand is not folded onto [0, L], so that this check
-    sees both halves of the line.
+    zeta is a complex time with Re zeta > 0.  This is the pointwise oracle
+    of `heat_kernel_grid`, and it shares no profile code with it: QUADPACK
+    integrates e^{-i lam t} times the scalar `_profile` over the whole line
+    [-L, L].  L is the engines' `_lam_cutoff`, and the absolute tolerance
+    1e-12 shrinks with the kernel's size |zeta|^{-n-1} past |zeta| = 1.
+    For real zeta the (quadrature-level) imaginary residue is checked
+    against 1e-10 and zeroed; the integrand is not folded onto [0, L], so
+    that this check sees both halves of the line.
     """
-    zeta = _as_time(zeta)
-    positive("eps of a kernel evaluation", zeta.eps)
-    zv = zeta.value
+    zeta = complex_time(zeta, inversion=True)
     n, r, t = p.n, p.z_norm, p.t
-    lam_max = _lam_cutoff(zv, n, 1, 1e-15)
+    lam_max = _lam_cutoff(zeta, n, 1, 1e-15)
     scale = (4.0 * math.pi) ** (-n)
 
     def integrand(lam):
-        return cmath.exp(-1j * lam * t) * (scale * _profile(lam, zv, n, r))
+        return cmath.exp(-1j * lam * t) * (scale * _profile(lam, zeta, n, r))
 
     val = adaptive_quad(integrand, -lam_max, lam_max,
-                        epsabs=1e-12 * max(1.0, abs(zv)) ** (-n - 1)) / (2.0 * math.pi)
-    if zeta.s == 0:
+                        epsabs=1e-12 * max(1.0, abs(zeta)) ** (-n - 1)) / (2.0 * math.pi)
+    if zeta.imag == 0:
         if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
             raise QuadratureError("imaginary residue of a real-time kernel "
                                   f"exceeds tolerance: {val!r}")
@@ -329,7 +305,8 @@ def heat_kernel(zeta, p):
 
 
 def heat_kernel_grid(zeta, r, t, n=1):
-    """Vectorized inversion on broadcastable (r, t) arrays.
+    """Vectorized inversion on broadcastable (r, t) arrays, at a complex
+    time zeta with Re zeta > 0.
 
     The profile is even in lam, so the inversion integral is folded onto
     the half line: q = pi^{-1} int_0^L cos(lam t) (profile) dlam.  The
@@ -361,12 +338,11 @@ def heat_kernel_grid(zeta, r, t, n=1):
     zeta = 1 every point with r <= 1 and t >= 9.4 does.
     """
     integer("dimension n", n)
-    zeta = _as_time(zeta)
-    positive("eps of a kernel evaluation", zeta.eps)
+    zeta = complex_time(zeta, inversion=True)
     r, t = shapes(("radii r", "central coordinates t"),
                   finite_array("radii r", r, nonnegative=True),
                   finite_array("central coordinates t", t), broadcast=True)
-    vals = _central_integral(zeta.value, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
+    vals = _central_integral(zeta, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
     return (vals * ((4.0 * np.pi) ** (-n) / np.pi)).astype(complex, copy=False)
 
 
@@ -386,7 +362,7 @@ def heat_bound_check(s, points):
     t = np.array([p.t for p in pts])
 
     def cmax(time, rr, tt):
-        q = heat_kernel_grid(ComplexTime(time), rr, tt, n=n).real
+        q = heat_kernel_grid(time, rr, tt, n=n).real
         envelope = time ** (-n - 1) * np.exp(-0.5 * np.pi * np.abs(tt) / time - rr ** 2 / (4.0 * time))
         return float(np.max(q / envelope))
 

@@ -30,7 +30,6 @@ converges like h^10 in the grid step h.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +50,13 @@ class CausticError(ValueError):
     """sin 2s is (numerically) zero: the kernel formula degenerates."""
 
 
-@dataclass(frozen=True)
-class MehlerParams:
-    s: float
-    n: int = 1
-
-    def __post_init__(self):
-        integer("dimension n", self.n)
-        real("time s", self.s)
-        if abs(math.sin(2.0 * self.s)) <= _CAUSTIC_TOL:
-            raise CausticError(f"s = {self.s!r} is a caustic time (sin 2s = 0)")
+def _propagator_time(s, n=1):
+    """Check the time s and dimension n of the propagator e^{-isH}: a real
+    s off the caustics, where CausticError is raised."""
+    integer("dimension n", n)
+    real("time s", s)
+    if abs(math.sin(2.0 * s)) <= _CAUSTIC_TOL:
+        raise CausticError(f"s = {s!r} is a caustic time (sin 2s = 0)")
 
 
 def hermite_fn(k, x):
@@ -113,10 +109,11 @@ def _mehler_form(s, n):
     return amp, 0.5j / math.tan(2.0 * s), -1j / math.sin(2.0 * s)
 
 
-def mehler_kernel(params, x, y):
-    """Propagator kernel of e^{-isH} at time params.s (phase included); its
-    modulus is the constant |1 - e^{-4is}|^{-n/2} pi^{-n/2}."""
-    return _gaussian_kernel(*_mehler_form(params.s, params.n), x, y, params.n)
+def mehler_kernel(s, x, y, n=1):
+    """Propagator kernel of e^{-isH} in dimension n at a real time s off the
+    caustics, phase included, of constant modulus |1 - e^{-4is}|^{-n/2} pi^{-n/2}."""
+    _propagator_time(s, n)
+    return _gaussian_kernel(*_mehler_form(s, n), x, y, n)
 
 
 _HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
@@ -208,7 +205,7 @@ def hermite_evolve(f, s, x=None):
     ratio of each column of f, and for a 2-d f of each half-evolved row of
     E f too.  Returns samples on the same grid.
     """
-    MehlerParams(s)                     # raises CausticError at a caustic time
+    _propagator_time(s)
     x = hermite_grid() if x is None else vector("grid x", x)
     integer("number of nodes of x", x.size, 2)
     if callable(f):

@@ -16,17 +16,16 @@ for theorem34, the closed-form tanh relation for the equality case).
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln
 
-from ._checks import (finite, finite_array, integer, nonzero, one_dimensional, positive,
-                      real, vector)
+from ._checks import (complex_time, finite, finite_array, integer, nonzero, one_dimensional,
+                      positive, real, vector)
 from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
-from .hankel import fit_gaussian_decay, hankel_transform, plan_from_nodes
-from .heisenberg import ComplexTime, _as_time, heat_kernel_lambda
+from .hankel import HankelPlan, fit_gaussian_decay, hankel_transform
+from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
 from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
 from .spherical import build_basis, spherical_coefficients
@@ -75,7 +74,8 @@ def _laguerre_basis(lam, r, degrees, order):
 
 
 def schrodinger_evolve(f, zeta):
-    """u^lam = f^lam *_lam q_zeta^lam for any Re zeta >= 0 but zeta = 0.
+    """u^lam = f^lam *_lam q_zeta^lam at a complex time zeta: any Re zeta >= 0
+    but zeta = 0.
 
     This is the evolution engine, and it never forms the twisted
     convolution: on a lam-slice the kernel q_zeta^lam acts as the multiplier
@@ -95,7 +95,7 @@ def schrodinger_evolve(f, zeta):
     grid twisted convolution in `twisted` is the oracle this is tested
     against, never a fallback.
     """
-    zeta = _as_time(zeta)
+    zeta = complex_time(zeta)
     grid = f.grid
     one_dimensional(grid.n, "spectral evolution")
     nonzero("central frequency lam", f.lam)
@@ -113,7 +113,7 @@ def schrodinger_evolve(f, zeta):
         cols = np.flatnonzero(order == a)
         basis = _laguerre_basis(f.lam, grid.r, degrees, a)
         coef = basis @ weighted[:, cols]
-        coef *= np.exp(-(2 * (j + shift[cols]) + 1) * abs(f.lam) * zeta.value)
+        coef *= np.exp(-(2 * (j + shift[cols]) + 1) * abs(f.lam) * zeta)
         # the two halves of a Nyquist bin land on one column
         np.add.at(out, (slice(None), m[cols] % out.shape[1]), basis.T @ coef)
     return SpectralSlice(f.lam, grid, np.fft.ifft(out, axis=1, norm="forward"))
@@ -152,14 +152,14 @@ def theorem34_pair(f, t_nodes, p0, q0, j0, lam, s0, grid, t_weights=None):
     integer("j0", j0, 0)
     fsl = partial_fourier_t(f, lam, grid, t_nodes, t_weights)
     basis = build_basis(grid.n, p0, q0)
-    u = schrodinger_evolve(fsl, ComplexTime(0.0, s0))
+    u = schrodinger_evolve(fsl, complex(0.0, s0))
     lhs = spherical_coefficients(u, basis, j0)
 
     coef = spherical_coefficients(fsl, basis, j0)
     r = grid.r
     chirp = np.exp(0.25j * lam * r * r / math.tan(lam * s0))
     stripped = coef.values / r ** (p0 + q0) * chirp
-    plan = plan_from_nodes(grid.n + p0 + q0 - 1, r, grid.r_weights, grid.r_max)
+    plan = HankelPlan(grid.n + p0 + q0 - 1, r, grid.r_weights)
     kappa = abs(lam / (2.0 * math.sin(lam * s0)))
     hank = hankel_transform(plan, stripped, kappa * r)
     rhs = RadialProfile(r, r ** (p0 + q0) * chirp * hank.values,
@@ -174,18 +174,22 @@ def theorem34_gaussian_pair(a, lam, s0, r=None):
     lhs comes from the complex-time semigroup (q_a evolved to time s0 is the
     q_{a+i s0} slice); rhs from the complex-Gaussian Hankel transform
     H_0(e^{-c t^2})(s) = (2c)^{-1} e^{-s^2/(4c)}.  No grids, no convolution:
-    this is the independent analytic pipeline.
+    this is the independent analytic pipeline.  Past |lam a| = 710 the rhs
+    is below double range, and its ratio raises as degenerate.
     """
     positive("a", a)
     _reject_exceptional(lam, s0)
     r = vector("radii r", np.linspace(0.2, 3.0, 57) if r is None else r)
     integer("number of radii r", r.size)
     root2pi = math.sqrt(2.0 * math.pi)
-    lhs_vals = root2pi * heat_kernel_lambda(ComplexTime(a, s0), lam, r, 1)
+    lhs_vals = root2pi * heat_kernel_lambda(complex(a, s0), lam, r, 1)
 
     chirp = np.exp(0.25j * lam * r * r / math.tan(lam * s0))
     c = 0.25 * lam / math.tanh(lam * a) - 0.25j * lam / math.tan(lam * s0)
-    amp = root2pi * (4.0 * math.pi) ** -1 * (lam / math.sinh(lam * a))
+    try:
+        amp = root2pi * (4.0 * math.pi) ** -1 * (lam / math.sinh(lam * a))
+    except OverflowError:       # |lam a| > 710: the amplitude is below double range
+        amp = 0.0
     kappa = abs(lam / (2.0 * math.sin(lam * s0)))
     rhs_vals = chirp * amp / (2.0 * c) * np.exp(-((kappa * r) ** 2) / (4.0 * c))
 
@@ -225,37 +229,25 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     return complex(series), complex(closed)
 
 
-@dataclass(frozen=True)
-class GateParams:
-    a: float
-    b: float
-    s0: float
-    eps: float = 0.0
-    lam: float = 0.0
-
-    def __post_init__(self):
-        positive("decay rate a", self.a)
-        positive("decay rate b", self.b)
-        nonzero("s0", self.s0)
-        finite("eps", self.eps, nonnegative=True)
-        finite("lam", self.lam, nonnegative=True)
-
-
-def uniqueness_gate(gp):
-    """Margin of the central decay inequality; positive margin forces the
-    sector coefficients to vanish through the Hardy gate.
+def uniqueness_gate(a, b, s0, eps=0.0, lam=0.0):
+    """Margin of the central decay inequality for decay rates a, b > 0,
+    time s0 != 0, shift eps >= 0 and frequency lam >= 0; positive margin
+    forces the sector coefficients to vanish through the Hardy gate.
 
     margin = [1/(4(a+eps))] [s0^2/(4(b+eps))] [2 sin(lam s0)/(lam s0)]^2 - 1/4
     with the lam = 0 limit of the bracket equal to 4.
     """
-    a = gp.a + gp.eps
-    b = gp.b + gp.eps
-    if gp.lam == 0:
+    positive("decay rate a", a)
+    positive("decay rate b", b)
+    nonzero("s0", s0)
+    finite("eps", eps, nonnegative=True)
+    finite("lam", lam, nonnegative=True)
+    if lam == 0:
         osc = 4.0
     else:
-        x = gp.lam * gp.s0
+        x = lam * s0
         osc = (2.0 * math.sin(x) / x) ** 2
-    margin = (1.0 / (4.0 * a)) * (gp.s0 ** 2 / (4.0 * b)) * osc - 0.25
+    margin = (1.0 / (4.0 * (a + eps))) * (s0 ** 2 / (4.0 * (b + eps))) * osc - 0.25
     return margin, margin > 0
 
 
@@ -268,7 +260,7 @@ def gate_lambda_window(a, b, s0, eps=0.0):
     """
 
     def margin(lam):
-        return uniqueness_gate(GateParams(a, b, s0, eps, lam))[0]
+        return uniqueness_gate(a, b, s0, eps, lam)[0]
 
     if margin(0.0) <= 0:
         return None
@@ -301,10 +293,10 @@ def equality_case_profile(a, lam, s0):
     decay = abs(lam) / (4.0 * math.tanh(a * abs(lam)))
     grid = polar_grid(r_max=max(8.0, math.sqrt(_EQUALITY_DECAY / decay)))
     r = grid.r
-    vals = heat_kernel_lambda(ComplexTime(a), lam, r, grid.n) \
+    vals = heat_kernel_lambda(a, lam, r, grid.n) \
         * np.exp(-0.25j * lam * r * r / math.tan(lam * s0))
     f_slice = radial_slice(grid, lam, vals)
-    u = schrodinger_evolve(f_slice, ComplexTime(0.0, s0))
+    u = schrodinger_evolve(f_slice, complex(0.0, s0))
     prof = RadialProfile(r, np.mean(np.abs(u.values), axis=1))
     rho = fit_gaussian_decay(prof, (1.0, 4.0)).a
     if 4.0 * rho <= abs(lam):

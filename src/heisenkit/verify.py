@@ -32,9 +32,8 @@ from .heisenberg import (HeisenbergPoint, heat_kernel, heat_kernel_grid,
 from .hermite import (gate_boundary_profile, hermite_evolve, hermite_fn,
                       hermite_gate)
 from .htype import htype_gate, htype_heat_batch, radon_heat_profile
-from .propagator import (ExceptionalLambdaError, GateParams, equality_case_profile,
-                         gate_lambda_window, kernel_K, theorem34_gaussian_pair,
-                         theorem34_pair, uniqueness_gate)
+from .propagator import (ExceptionalLambdaError, equality_case_profile, gate_lambda_window,
+                         kernel_K, theorem34_gaussian_pair, theorem34_pair, uniqueness_gate)
 from .quadrature import gauss_panels
 from .specfun import hille_hardy
 from .twisted import convolution_rings, hecke_bochner_check
@@ -260,12 +259,12 @@ def _suite_gates(rng):
             bad += 1
             continue
         if want:
-            margin, ok = uniqueness_gate(GateParams(a, b, s0, 0.0, 0.5 * delta))
+            margin, ok = uniqueness_gate(a, b, s0, 0.0, 0.5 * delta)
             if not ok:
                 bad += 1
         else:
             for lam in np.linspace(1e-4, math.pi / s0 - 1e-4, 37):
-                margin, ok = uniqueness_gate(GateParams(a, b, s0, 0.0, float(lam)))
+                margin, ok = uniqueness_gate(a, b, s0, 0.0, float(lam))
                 if ok:
                     bad += 1
                     break
@@ -275,7 +274,7 @@ def _suite_gates(rng):
 
     bad = 0
     for a, b, s0 in lattice:
-        limit = uniqueness_gate(GateParams(a, b, s0))[1]
+        limit = uniqueness_gate(a, b, s0)[1]
         if htype_gate(a, b, s0) != limit:
             bad += 1
     yield "gate-htype-agreement", {"lattice": "same 3x3x3"}, bad, 0.0

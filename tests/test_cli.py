@@ -9,7 +9,7 @@ import pytest
 
 from heisenkit import cli, heisenberg
 from heisenkit.heisenberg import heat_kernel_grid
-from heisenkit.hermite import MehlerParams, mehler_kernel
+from heisenkit.hermite import mehler_kernel
 from heisenkit.htype import htype_heat_batch
 from heisenkit.verify import CheckRecord, SuiteReport
 
@@ -39,6 +39,13 @@ def test_kernel_slice_far_out_in_lambda_prints_finite_rows(capsys):
     _, rows = _rows(capsys.readouterr().out)
     cells = np.array(rows, dtype=float)
     assert cells.shape == (2, 3) and np.all(np.isfinite(cells))
+
+
+def test_kernel_slice_where_2_lam_overflows_prints_a_zero_row(capsys):
+    code = cli.run(["kernel", "--group", "heisenberg", "--s", "1",
+                    "--slice-lambda", "1e308", "--r", "0.5"])
+    assert code == 0
+    assert _rows(capsys.readouterr().out)[1] == [["0.5", "0", "0"]]
 
 
 def test_kernel_time_domain_matches_the_library(capsys):
@@ -71,7 +78,7 @@ def test_kernel_hermite_routing(capsys):
                     "--x", "0.3", "--y", "0.2"])
     assert code == 0
     _, rows = _rows(capsys.readouterr().out)
-    want = mehler_kernel(MehlerParams(0.35, 1), np.array([0.3]), 0.2)[0]
+    want = mehler_kernel(0.35, np.array([0.3]), 0.2)[0]
     assert complex(float(rows[0][1]), float(rows[0][2])) == pytest.approx(want)
     assert cli.run(["kernel", "--group", "hermite", "--s", "0.35"]) == 2
 
@@ -341,7 +348,7 @@ def test_list_value_with_a_leading_minus_is_a_value(capsys):
                     "--x", "-1.5,0.3", "--y", "-0.2"])
     assert code == 0
     _, rows = _rows(capsys.readouterr().out)
-    want = mehler_kernel(MehlerParams(0.35, 1), np.array([-1.5, 0.3]), -0.2)
+    want = mehler_kernel(0.35, np.array([-1.5, 0.3]), -0.2)
     assert [float(row[0]) for row in rows] == [-1.5, 0.3]
     for row, w in zip(rows, want):
         assert complex(float(row[1]), float(row[2])) == pytest.approx(w)

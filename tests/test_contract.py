@@ -2,21 +2,24 @@
 raises ValueError naming the argument, before any work is done, and the
 edge inputs inside the domain stay accepted."""
 
+import ast
+import inspect
 import math
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
-from heisenkit import (GateParams, HeisenbergPoint, HTypePoint, MehlerParams, RadialProfile,
-                       bessel_j_tilde, build_basis, gate_lambda_window, hankel_plan, hardy_gate,
-                       heat_kernel, heat_kernel_grid, heat_kernel_lambda, hecke_bochner_check,
-                       hermite_fn, hermite_gate, htype_gate, htype_heat_batch,
-                       htype_heat_kernel, jtilde_of_square, kernel_K, laguerre, laguerre_fn,
-                       laguerre_projection, mehler_kernel, plan_from_nodes, polar_grid,
-                       radial_rule, radial_slice, reconstruct, twisted_convolution_quad,
-                       uniqueness_gate)
-from heisenkit._checks import finite, finite_array, integer, nonzero, order, positive
+import heisenkit
+from heisenkit import (HankelPlan, HeisenbergPoint, HTypePoint, RadialProfile, bessel_j_tilde,
+                       build_basis, gate_lambda_window, hankel_plan, hardy_gate, heat_kernel,
+                       heat_kernel_grid, heat_kernel_lambda, hecke_bochner_check, hermite_fn,
+                       hermite_gate, htype_gate, htype_heat_batch, htype_heat_kernel,
+                       jtilde_of_square, kernel_K, laguerre, laguerre_fn, laguerre_projection,
+                       mehler_kernel, polar_grid, radial_rule, radial_slice, reconstruct,
+                       twisted_convolution_quad, uniqueness_gate)
+from heisenkit._checks import complex_time, finite, finite_array, integer, nonzero, order, positive
 from heisenkit.hermite import hermite_grid, mehler_kernel_r
 from heisenkit.quadrature import gauss_panels
 
@@ -39,16 +42,15 @@ HOLES = {
     "bessel_j_tilde-inf": (lambda: bessel_j_tilde(INF, 1.0), "Bessel order alpha"),
     "jtilde_of_square-nan": (lambda: jtilde_of_square(NAN, 1.0), "Bessel order alpha"),
     "hankel_plan-nan": (lambda: hankel_plan(NAN), "Hankel order alpha"),
-    "plan_from_nodes-nan": (lambda: plan_from_nodes(NAN, *radial_rule(32, 6.0)),
-                            "Hankel order alpha"),
+    "HankelPlan-nan": (lambda: HankelPlan(NAN, *radial_rule(32, 6.0)), "Hankel order alpha"),
     "radial_rule-nan": (lambda: radial_rule(128, NAN), "r_max"),
     "polar_grid-nan": (lambda: polar_grid(1, 16, NAN), "r_max"),
     "hermite_grid-nan": (lambda: hermite_grid(NAN), "half-width L"),
     "gauss_panels-nan": (lambda: gauss_panels(0.0, NAN, 2), "interval end b"),
     "laguerre_fn-nan": (lambda: laguerre_fn(2, NAN, 1, 1.0), "lam"),
     "laguerre_projection-nan": (lambda: laguerre_projection(_profile(), 0, NAN, 1), "lam"),
-    "MehlerParams-nan": (lambda: MehlerParams(NAN), "time s"),
-    "MehlerParams-inf": (lambda: MehlerParams(INF), "time s"),
+    "mehler-nan": (lambda: mehler_kernel(NAN, 0.0, 0.0), "time s"),
+    "mehler-inf": (lambda: mehler_kernel(INF, 0.0, 0.0), "time s"),
     "mehler_kernel_r-nan": (lambda: mehler_kernel_r(NAN, 0.1, 0.2), "kernel parameter r"),
     "radial_slice-nan": (lambda: radial_slice(polar_grid(1, 16, 4.0), NAN, np.ones(16)), "lam"),
     "twisted_convolution_quad-z-nan": (
@@ -104,6 +106,38 @@ def test_each_scalar_rule_refuses_nan_and_inf_and_keeps_its_domain(check, args, 
         finite("x", -1e-300, nonnegative=True)
 
 
+def test_complex_time_rule_names_zeta_and_keeps_the_right_half_plane():
+    assert type(complex_time(2)) is complex and complex_time(2) == 2.0
+    for value in (1j, complex(-0.0, 1.0), 1e-300, 1.0 + 1e308j):
+        assert complex_time(value) == value
+    assert complex_time(0.5 - 1j, inversion=True) == 0.5 - 1j
+    for value, rule in ((NAN, "finite"), (complex(0.0, INF), "finite"), (0, "nonzero"),
+                        (complex(-1e-300, 1.0), "nonzero")):
+        with pytest.raises(ValueError, match=f"^zeta must be {rule}"):
+            complex_time(value)
+    for value in (1j, complex(-0.0, 2.0), 0.0, -1.0):
+        with pytest.raises(ValueError, match="^zeta must have a positive real part"):
+            complex_time(value, inversion=True)
+
+
+def test_the_time_rule_serves_exactly_the_functions_that_take_zeta():
+    # every public zeta enters through `_checks.complex_time`, and nothing
+    # else calls it: a second entry, or a time checked twice, shows here
+    takers = {f"{getattr(heisenkit, name).__module__.rpartition('.')[2]}.{name}"
+              for name in heisenkit.__all__ if inspect.isfunction(getattr(heisenkit, name))
+              and "zeta" in inspect.signature(getattr(heisenkit, name)).parameters}
+    callers = set()
+    for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
+        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(function, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "complex_time"
+                    for node in ast.walk(function)):
+                callers.add(f"{path.stem}.{function.name}")
+    assert callers == takers == {"heisenberg.heat_kernel", "heisenberg.heat_kernel_grid",
+                                 "heisenberg.heat_kernel_lambda",
+                                 "propagator.schrodinger_evolve"}
+
+
 @pytest.mark.parametrize("value,allowed", [
     (0, None), (1.5, None), (NAN, None), (INF, None), (4, (1, 2, 3)), (0, (1, 2, 3)),
 ])
@@ -121,7 +155,7 @@ def test_edge_inputs_inside_the_domain_stay_accepted():
             assert gate_lambda_window(0.3, 0.3, 0.7, eps) > 0
         # a negative s0 in every gate that takes one, and lam = 0
         assert gate_lambda_window(0.3, 0.3, -0.7) == gate_lambda_window(0.3, 0.3, 0.7)
-        assert uniqueness_gate(GateParams(1.0, 1.0, -1.1, lam=0.0))[1]
+        assert uniqueness_gate(1.0, 1.0, -1.1, lam=0.0)[1]
         assert htype_gate(0.5, 0.5, -1.0)
         assert hermite_gate(1.0, 1.0, -math.pi / 4.0)[1]
         assert hardy_gate(1.0, 0.25) == "critical"
@@ -134,7 +168,7 @@ def test_edge_inputs_inside_the_domain_stay_accepted():
             assert htype_heat_kernel(1.0, HTypePoint((0.0, 0.0), (0.0,) * k)) > 0
         series, closed = kernel_K(1.3, 0.0, 0.0, 1.0, 1, 0, 0)
         assert abs(series - closed) < 1e-10 * abs(closed)
-        assert abs(mehler_kernel(MehlerParams(-0.3), 0.0, 0.0)) > 0
+        assert abs(mehler_kernel(-0.3, 0.0, 0.0)) > 0
 
 
 def test_coordinate_entries_and_basis_keys_raise_naming_their_argument():

@@ -8,7 +8,9 @@ kind admits:
   value is an integer;
 - an array, or a tuple or list of numbers: an empty one, one whose first
   entry is NaN, and one with an extra axis;
-- a RadialProfile or a SpectralSlice: one whose first value is NaN.
+- a RadialProfile or a SpectralSlice: one whose first value is NaN;
+- a complex time zeta: also 0 and -1.0, and 1j where the kernel is
+  evaluated by inversion, each of which must raise.
 
 Each call must raise ValueError or NotImplementedError (subclasses
 included) whose message names the argument, or return a result whose every
@@ -69,13 +71,10 @@ def _calls():
                               sphere_weights=basis.sphere_weights),
         "CheckRecord": dict(id="c", params={}, error=0.0, tol=1.0, passed=True, ms=1.0,
                             warnings=()),
-        "ComplexTime": dict(eps=1.0, s=0.5),
         "DecayFit": dict(C=1.0, a=1.0, residual=0.0, window=(1.0, 2.0)),
-        "GateParams": dict(a=1.0, b=1.0, s0=1.1, eps=0.1, lam=0.5),
-        "HankelPlan": dict(alpha=0.0, r_nodes=r, r_weights=w, r_max=6.0),
+        "HankelPlan": dict(alpha=0.0, r_nodes=r, r_weights=w),
         "HeisenbergPoint": dict(z=(0.3 + 0.2j,), t=0.4),
         "HTypePoint": dict(v=(0.3, 0.2), t=(0.4, 0.1)),
-        "MehlerParams": dict(s=0.3, n=1),
         "PolarGrid": dict(n=1, r=grid.r, r_weights=grid.r_weights, omega=grid.omega,
                           omega_weights=grid.omega_weights, r_max=5.0),
         "RadialProfile": dict(r=r, values=np.exp(-r ** 2), weights=w, weight_power=1.0),
@@ -95,7 +94,7 @@ def _calls():
         "group_inverse": dict(p=pt),
         "group_law": dict(p=pt, q=pt),
         "hankel_plan": dict(alpha=0.0, r_max=6.0, s_max=2.0),
-        "hankel_transform": dict(plan=hk.plan_from_nodes(0.0, r, w), F=_profile(),
+        "hankel_transform": dict(plan=hk.HankelPlan(0.0, r, w), F=_profile(),
                                  s_grid=np.array([0.0, 1.0])),
         "hardy_gate": dict(a=1.0, b=0.5),
         "harmonic_part": dict(n=1, alpha=(1,), beta=(0,)),
@@ -121,13 +120,11 @@ def _calls():
         "laguerre_projection": dict(g=_profile(), k=1, lam=1.0, m=1),
         "laguerre_series_sum": dict(alpha=0.5, x=np.array([0.5]), y=np.array([1.0]),
                                     w=np.array([0.3 + 0.1j]), kmax=np.array([40])),
-        "mehler_kernel": dict(params=hk.MehlerParams(0.3), x=np.array([0.0, 1.0]),
-                              y=np.array([0.5, 0.2])),
+        "mehler_kernel": dict(s=0.3, x=np.array([0.0, 1.0]), y=np.array([0.5, 0.2]), n=1),
         "partial_fourier_t": dict(f=samples, lam=1.0, grid=grid, t_nodes=t_nodes,
                                   t_weights=np.full(25, 0.5)),
         "partial_radon": dict(f=lambda p: math.exp(-p.t_norm ** 2), eta=np.array([1.0]),
                               targets=[pt]),
-        "plan_from_nodes": dict(alpha=0.0, r_nodes=r, r_weights=w, r_max=6.0),
         "polar_grid": dict(n=1, nr=16, r_max=5.0, nsphere=8),
         "radial_rule": dict(nr=16, r_max=5.0),
         "radial_slice": dict(grid=grid, lam=1.0, values=np.exp(-grid.r ** 2)),
@@ -146,7 +143,7 @@ def _calls():
                                s0=0.7, grid=grid, t_weights=np.full(25, 0.5)),
         "twisted_convolution": dict(f=sl, g=sl),
         "twisted_convolution_quad": dict(f=_gaussian, g=_gaussian, lam=1.0, z=0.3, r_cut=1.0),
-        "uniqueness_gate": dict(gp=hk.GateParams(1.0, 1.0, 1.1)),
+        "uniqueness_gate": dict(a=1.0, b=1.0, s0=1.1, eps=0.1, lam=0.5),
     }
 
 
@@ -300,12 +297,21 @@ def test_calls_give_every_parameter_a_valid_value(name):
     assert set(CALLS[name]) == set(params)
 
 
+# where a time zeta is evaluated by inversion, Re zeta = 0 is refused too
+INVERTED = ("heat_kernel", "heat_kernel_grid")
+
+
 @pytest.mark.parametrize("name,arg", PROBES, ids=[f"{n}-{a}" for n, a in PROBES])
 def test_every_argument_obeys_the_contract(name, arg):
     fn, kwargs = getattr(hk, name), CALLS[name]
     check = EXCEPTIONS.get((name, arg), lambda call, arg, value: _check_contract(call, arg))
     for value in _malformed(kwargs[arg]):
         check(lambda value=value: fn(**{**kwargs, arg: value}), arg, value)
+    if arg == "zeta":
+        for value in [0, -1.0] + [1j] * (name in INVERTED):
+            with pytest.raises(ValueError) as info:
+                fn(**{**kwargs, arg: value})
+            _assert_names(info.value, arg)
 
 
 def _raises(call, pattern, kind=ValueError):
@@ -345,7 +351,7 @@ def _sentence_probes():
                             "samples of f must be"),
             lambda: _raises(lambda: hk.laguerre_projection(nan_profile, 1, 1.0, 1),
                             "values of g must be finite"),
-            lambda: _raises(lambda: hk.hankel_transform(hk.plan_from_nodes(
+            lambda: _raises(lambda: hk.hankel_transform(hk.HankelPlan(
                 0.0, nan_profile.r, nan_profile.weights), nan_profile, [0.0]),
                             "values of F must be finite"),
             lambda: _raises(lambda: hk.spherical_coefficients(nan_slice, basis, 1),
@@ -362,12 +368,22 @@ def _sentence_probes():
             lambda: _raises(lambda: hk.laguerre_fn(1, 0.0, 1, 1.0),
                             "lam must be finite and nonzero"),
             lambda: _raises(lambda: hk.heat_kernel_grid(1.0, [-1.0], 0.0), "nonnegative"),
-            lambda: _raises(lambda: hk.GateParams(1.0, 1.0, 1.0, lam=-1.0), "nonnegative"),
+            lambda: _raises(lambda: hk.uniqueness_gate(1.0, 1.0, 1.0, lam=-1.0), "nonnegative"),
             lambda: _raises(lambda: hk.bessel_j_tilde(-1.0, 1.0), "must exceed -1"),
             lambda: _raises(lambda: hk.hankel_plan(-0.5), "must exceed -0.5"),
             lambda: _raises(lambda: hk.heat_kernel_grid(1.0, 0.0, 0.0, n=0), "positive integer"),
             lambda: _raises(lambda: hk.laguerre(-1, 0.5, 1.0), "nonnegative integer"),
             lambda: _raises(lambda: hk.htype_heat_batch(1.0, 1, 4, 0.0, 0.0), "1, 2 or 3")],
+        "A complex time zeta": [
+            lambda: _raises(lambda: hk.heat_kernel_lambda(-1.0, 1.0, 0.5),
+                            "^zeta must be nonzero with a nonnegative real part, got -1.0$"),
+            lambda: _raises(lambda: hk.schrodinger_evolve(_slice(), 0.0), "^zeta must be nonzero"),
+            lambda: _raises(lambda: hk.heat_kernel_grid(1j, [0.5], [0.0]),
+                            r"^zeta must have a positive real part, got 1j$"),
+            lambda: _raises(lambda: hk.heat_kernel(NAN, hk.HeisenbergPoint((0.0,), 0.0)),
+                            "^zeta must be finite, got nan$"),
+            lambda: np.isfinite(hk.heat_kernel_lambda(1j, 0.5, 0.5))
+            or pytest.fail("Re zeta = 0 was refused off the inversion")],
         "Counts and indices must be integers": [
             lambda: _raises(lambda: hk.radial_rule(2.5, 4.0), "^nr must be"),
             lambda: _raises(lambda: hk.polar_grid(1, 16, 4.0, nsphere=7.5), "^nsphere must be"),
@@ -388,7 +404,7 @@ def _sentence_probes():
             lambda: _raises(lambda: hk.hermite_evolve(np.exp(-np.arange(-4.0, 4.0, 0.25) ** 2),
                                                       0.3 + 0.1j, np.arange(-4.0, 4.0, 0.25)),
                             "time s must be real"),
-            lambda: _raises(lambda: hk.MehlerParams(0.3 + 0j), "time s must be real"),
+            lambda: _raises(lambda: hk.mehler_kernel(0.3 + 0j, 0.0, 0.0), "time s must be real"),
             lambda: _raises(lambda: hk.hardy_gate(1 + 1j, 1.0), "decay rate a must be"),
             lambda: _raises(lambda: hk.htype_gate(1.0, 1.0, 1j), "s0 must be"),
             lambda: _raises(lambda: hk.hermite_gate(1.0, 1.0, 0.5 + 0.5j), "s0 must be real")],

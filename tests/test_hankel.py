@@ -14,7 +14,6 @@ from heisenkit.hankel import (
     hankel_plan,
     hankel_transform,
     hardy_gate,
-    plan_from_nodes,
 )
 
 
@@ -100,13 +99,11 @@ def test_plan_validation():
     nodes = np.array([1.0, 2.0, 3.0])
     weights = np.ones(3)
     with pytest.raises(ValueError):
-        HankelPlan(0.0, nodes[::-1], weights, 3.0)
+        HankelPlan(0.0, nodes[::-1], weights)
     with pytest.raises(ValueError):
-        HankelPlan(0.0, nodes, -weights, 3.0)
+        HankelPlan(0.0, nodes, -weights)
     with pytest.raises(ValueError):
-        HankelPlan(0.0, nodes, weights[:2], 3.0)
-    plan = plan_from_nodes(1.0, nodes, weights)
-    assert plan.r_max == 3.0
+        HankelPlan(0.0, nodes, weights[:2])
 
 
 def test_profile_must_match_the_plan():

@@ -14,7 +14,6 @@ from heisenkit import hermite
 from heisenkit.hermite import (
     CausticError,
     _fine_grid,
-    MehlerParams,
     gate_boundary_profile,
     hermite_evolve,
     hermite_fn,
@@ -56,17 +55,15 @@ def test_propagator_kernel_keeps_its_modulus_at_large_x():
     # |K| = pi^{-1/2} |1 - e^{-4is}|^{-1/2} = (2 pi |sin 2s|)^{-1/2} for real s
     want = (2.0 * math.pi * abs(math.sin(2.0))) ** -0.5
     assert want == pytest.approx(0.418367, abs=1e-6)
-    got = np.abs(mehler_kernel(MehlerParams(1.0), np.array([1e6, 1e8, 5e9]), 0.0))
+    got = np.abs(mehler_kernel(1.0, np.array([1e6, 1e8, 5e9]), 0.0))
     assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_propagator_kernel_separates_in_n():
-    p1 = MehlerParams(0.35, 1)
-    p2 = MehlerParams(0.35, 2)
     x = np.array([0.3, -1.1])
     y = np.array([0.9, 0.4])
-    k2 = mehler_kernel(p2, x, y)
-    k1 = mehler_kernel(p1, x[0], y[0]) * mehler_kernel(p1, x[1], y[1])
+    k2 = mehler_kernel(0.35, x, y, 2)
+    k1 = mehler_kernel(0.35, x[0], y[0]) * mehler_kernel(0.35, x[1], y[1])
     assert k2 == pytest.approx(k1, rel=1e-14)
 
 
@@ -207,9 +204,9 @@ def test_truncation_warning_fires_once_for_any_undecayed_column():
 
 def test_caustics_are_rejected():
     with pytest.raises(CausticError):
-        MehlerParams(0.0)
+        mehler_kernel(0.0, 0.0, 0.0)
     with pytest.raises(CausticError):
-        MehlerParams(math.pi / 2.0)
+        mehler_kernel(math.pi / 2.0, 0.0, 0.0)
     with pytest.raises(CausticError):
         mehler_kernel_r(1.0, 0.0, 0.0)
     with pytest.raises(CausticError):

@@ -9,13 +9,12 @@ import pytest
 from heisenkit import grids, propagator
 from heisenkit.grids import SpectralSlice, polar_grid, radial_slice
 from heisenkit.hankel import hardy_gate
-from heisenkit.heisenberg import ComplexTime, heat_kernel_lambda
+from heisenkit.heisenberg import heat_kernel_lambda
 from heisenkit.hermite import hermite_gate
 from heisenkit.htype import htype_gate
 from heisenkit.propagator import (
     DecayDomainError,
     ExceptionalLambdaError,
-    GateParams,
     equality_case_profile,
     gate_lambda_window,
     kernel_K,
@@ -33,31 +32,31 @@ def test_evolution_is_the_complex_time_semigroup():
     at eps > 0 and on the unitary flow eps = 0."""
     grid = polar_grid(1, nr=96, r_max=8.0, nsphere=48)
     a, lam, s0, eps = 1.0, 1.0, 0.7, 0.01
-    f = radial_slice(grid, lam, heat_kernel_lambda(ComplexTime(a), lam, grid.r))
-    u = schrodinger_evolve(f, ComplexTime(eps, s0))
-    want = heat_kernel_lambda(ComplexTime(a + eps, s0), lam, grid.r)
+    f = radial_slice(grid, lam, heat_kernel_lambda(a, lam, grid.r))
+    u = schrodinger_evolve(f, complex(eps, s0))
+    want = heat_kernel_lambda(complex(a + eps, s0), lam, grid.r)
     err = np.max(np.abs(u.values - want[:, None]))
     assert err < 1e-8 * np.max(np.abs(want))
-    with pytest.raises(ValueError, match="zero diffusion time"):
-        ComplexTime(0.0, 0.0)
+    with pytest.raises(ValueError, match="^zeta must be nonzero"):
+        schrodinger_evolve(f, 0.0)
     with pytest.raises(ValueError):
-        schrodinger_evolve(radial_slice(grid, 0.0, f.values[:, 0]), ComplexTime(eps, s0))
+        schrodinger_evolve(radial_slice(grid, 0.0, f.values[:, 0]), complex(eps, s0))
     with pytest.raises(ValueError, match="overflows"):
         schrodinger_evolve(radial_slice(grid, 1e4, np.exp(-grid.r ** 2)),
-                           ComplexTime(eps, s0))
+                           complex(eps, s0))
     nan_values = f.values.copy()
     nan_values[4, 2] = np.nan
     with pytest.raises(ValueError, match=r"values of slice f must be finite, got \(nan\+0j\) at index \(4, 2\)"):
-        schrodinger_evolve(SpectralSlice(lam, grid, nan_values), ComplexTime(eps, s0))
+        schrodinger_evolve(SpectralSlice(lam, grid, nan_values), complex(eps, s0))
     grid2 = polar_grid(2, nr=16, r_max=6.0, nsphere=8)
     with pytest.raises(NotImplementedError):
         schrodinger_evolve(radial_slice(grid2, lam, np.exp(-grid2.r ** 2)),
-                           ComplexTime(eps, s0))
+                           complex(eps, s0))
     # eps = 0 is the unitary flow: q_a lands on q_{a+is0} with its L^2 norm kept
     for a, lam, s0 in [(1.0, 1.0, 0.7), (1.0, -2.0, 0.7), (0.5, 1.5, 2.0)]:
-        f = radial_slice(grid, lam, heat_kernel_lambda(ComplexTime(a), lam, grid.r))
-        u = schrodinger_evolve(f, ComplexTime(0.0, s0))
-        want = heat_kernel_lambda(ComplexTime(a, s0), lam, grid.r)
+        f = radial_slice(grid, lam, heat_kernel_lambda(a, lam, grid.r))
+        u = schrodinger_evolve(f, complex(0.0, s0))
+        want = heat_kernel_lambda(complex(a, s0), lam, grid.r)
         err = np.max(np.abs(u.values - want[:, None]))
         assert err < 1e-8 * np.max(np.abs(want)), (a, lam, s0)        # measured <= 7.2e-10
         assert abs(u.norm2() - f.norm2()) < 1e-12 * f.norm2(), (a, lam, s0)  # <= 3.3e-15
@@ -71,7 +70,7 @@ def test_spectral_evolution_matches_the_grid_oracle(lam):
     rr = np.abs(z) ** 2
     f = SpectralSlice(lam, grid, z * np.exp(-rr) + 0.3 * np.conj(z) ** 2
                       * np.exp(-0.8 * rr) + np.exp(-rr))
-    zeta = ComplexTime(0.3, 0.5)
+    zeta = complex(0.3, 0.5)
     u = schrodinger_evolve(f, zeta)
     q = radial_slice(grid, lam, heat_kernel_lambda(zeta, lam, grid.r))
     want = twisted_convolution(f, q).values
@@ -98,7 +97,7 @@ def test_only_the_live_angular_modes_are_evolved(basis_orders):
     grid = polar_grid(1, nr=96, r_max=8.0, nsphere=64)
     z = grid.points()[:, :, 0]
     gauss = np.exp(-np.abs(z) ** 2)
-    zeta = ComplexTime(0.3, 0.5)
+    zeta = complex(0.3, 0.5)
     slices = {"radial": gauss, "modes 0, +-3": gauss + 0.5 * (z ** 3 + np.conj(z) ** 3) * gauss,
               "mode 5 at 1e-13": gauss + 1e-13 * z ** 5 * gauss}
     out = {}
@@ -115,7 +114,7 @@ def test_exact_zero_modes_leave_the_evolution_bit_identical(basis_orders, monkey
     # evolving some of them as well must not move a bit
     grid = polar_grid(1, nr=96, r_max=8.0, nsphere=64)
     f = radial_slice(grid, -1.0, np.exp(-grid.r ** 2) * (1.0 + 0.3j))
-    zeta = ComplexTime(0.3, 0.5)
+    zeta = complex(0.3, 0.5)
     live = schrodinger_evolve(f, zeta).values
 
     def padded_modes(values):
@@ -129,7 +128,7 @@ def test_exact_zero_modes_leave_the_evolution_bit_identical(basis_orders, monkey
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0])
-@pytest.mark.parametrize("zeta", [ComplexTime(0.5), ComplexTime(0.0, 0.4)], ids=["0.5", "0.4i"])
+@pytest.mark.parametrize("zeta", [0.5, complex(0.0, 0.4)], ids=["0.5", "0.4i"])
 @pytest.mark.parametrize("m,na,fine", [(8, 16, 64), (3, 6, 48)])
 def test_a_live_nyquist_mode_evolves_as_on_a_finer_circle(m, na, fine, zeta, lam):
     # Re(z^m) e^{-|z|^2} on na = 2m angles lives in the Nyquist bin, which
@@ -151,7 +150,14 @@ def test_truncation_warning_fires_for_a_slice_alive_at_r_max():
     grid = polar_grid(1, nr=64, r_max=6.0, nsphere=16)
     slow = radial_slice(grid, 1.0, np.exp(-0.1 * grid.r ** 2))
     with pytest.warns(RuntimeWarning, match="not decayed at r_max"):
-        schrodinger_evolve(slow, ComplexTime(0.1, 0.5))
+        schrodinger_evolve(slow, complex(0.1, 0.5))
+
+
+@pytest.mark.parametrize("a,lam,s0", [(800.0, 1.0, 1.0), (1.0, 800.0, 1.0001)])
+def test_gaussian_pair_where_sinh_overflows_raises_value_error(a, lam, s0):
+    # past |lam a| = 710 the closed-form amplitude lies below double range
+    with pytest.raises(ValueError, match="rhs is degenerate"):
+        theorem34_gaussian_pair(a, lam, s0)
 
 
 def test_gaussian_pair_ratio_is_constant():
@@ -211,20 +217,20 @@ def test_exceptional_frequencies_are_rejected():
 
 def test_gate_margin_limits_and_monotonicity():
     # lam = 0 closed form: margin = s0^2 / (4ab) - 1/4
-    margin, super_ = uniqueness_gate(GateParams(1.0, 1.0, 1.1))
+    margin, super_ = uniqueness_gate(1.0, 1.0, 1.1)
     assert margin == pytest.approx(1.1 ** 2 / 4.0 - 0.25, rel=1e-12)
     assert super_
-    margin0, _ = uniqueness_gate(GateParams(1.0, 1.0, 1.0))
+    margin0, _ = uniqueness_gate(1.0, 1.0, 1.0)
     assert margin0 == pytest.approx(0.0, abs=1e-12)
     # continuity at the lam -> 0 limit
-    near, _ = uniqueness_gate(GateParams(1.0, 1.0, 1.1, lam=1e-9))
+    near, _ = uniqueness_gate(1.0, 1.0, 1.1, lam=1e-9)
     assert near == pytest.approx(margin, abs=1e-12)
     # eps enters as a + eps, b + eps
-    shifted, _ = uniqueness_gate(GateParams(1.0, 1.0, 1.1, eps=0.1))
+    shifted, _ = uniqueness_gate(1.0, 1.0, 1.1, eps=0.1)
     assert shifted == pytest.approx(1.1 ** 2 / (4.0 * 1.1 ** 2) - 0.25, rel=1e-12)
     # the oscillation factor decays in lam
-    lo, _ = uniqueness_gate(GateParams(0.5, 0.5, 1.0, lam=0.5))
-    hi, _ = uniqueness_gate(GateParams(0.5, 0.5, 1.0, lam=1.0))
+    lo, _ = uniqueness_gate(0.5, 0.5, 1.0, lam=0.5)
+    hi, _ = uniqueness_gate(0.5, 0.5, 1.0, lam=1.0)
     assert lo > hi
 
 
@@ -233,8 +239,8 @@ def test_gate_lambda_window_bracket():
     s0 = 0.7
     delta = gate_lambda_window(a, b, s0)
     assert delta is not None and 0 < delta < math.pi / s0
-    inside, _ = uniqueness_gate(GateParams(a, b, s0, lam=0.999 * delta))
-    outside, _ = uniqueness_gate(GateParams(a, b, s0, lam=1.001 * delta))
+    inside, _ = uniqueness_gate(a, b, s0, lam=0.999 * delta)
+    outside, _ = uniqueness_gate(a, b, s0, lam=1.001 * delta)
     assert inside > 0 >= outside
     # ab >= s0^2 never opens a window
     assert gate_lambda_window(1.0, 1.0, 0.5) is None
@@ -245,7 +251,7 @@ def test_gate_params_validation():
                 dict(a=1.0, b=1.0, s0=0.0), dict(a=1.0, b=1.0, s0=1.0, eps=-0.1),
                 dict(a=1.0, b=1.0, s0=1.0, lam=-0.5)]:
         with pytest.raises(ValueError):
-            GateParams(**bad)
+            uniqueness_gate(**bad)
 
 
 _NAN, _INF = float("nan"), float("inf")
@@ -254,10 +260,10 @@ _NAN, _INF = float("nan"), float("inf")
 @pytest.mark.parametrize("gate,args", [
     (gate_lambda_window, (_NAN, 1.0, 1.0)),
     (gate_lambda_window, (1.0, 1.0, _INF)),
-    (GateParams, (1.0, 1.0, _INF)),
-    (GateParams, (1.0, _INF, 1.0)),
-    (GateParams, (1.0, 1.0, 1.0, _INF)),
-    (GateParams, (1.0, 1.0, 1.0, 0.0, _NAN)),
+    (uniqueness_gate, (1.0, 1.0, _INF)),
+    (uniqueness_gate, (1.0, _INF, 1.0)),
+    (uniqueness_gate, (1.0, 1.0, 1.0, _INF)),
+    (uniqueness_gate, (1.0, 1.0, 1.0, 0.0, _NAN)),
     (hardy_gate, (_NAN, 1.0)),
     (hardy_gate, (1.0, _INF)),
     (htype_gate, (_NAN, 1.0, 1.0)),
