@@ -94,6 +94,10 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     finite("lam", lam)
     zeta = complex_time(zeta)
     x = lam * zeta.imag
+    # past |x| = 1e12 the relative pole test below flags every real x
+    if zeta.real == 0 and x.imag == 0 and abs(x) >= 1e12:
+        raise ValueError("lam * Im zeta is too large to tell a pole of sinh(lam * zeta) "
+                         f"from round-off (lam={lam!r}, zeta={zeta!r})")
     if zeta.real == 0 and abs(x) > 1.0 and abs(cmath.sin(x)) <= 1e-12 * abs(x):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
                          f"(lam={lam!r}, zeta={zeta!r})")

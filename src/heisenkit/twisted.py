@@ -3,11 +3,12 @@
 (f *_lam g)(z) = int f(z-w) g(w) e^{i lam Im(z . conj(w)) / 2} dw.
 
 The grid route sums the integral over the nodes w of the shared polar grid,
-with f(z - w) read off the interpolant of the slice f: a not-a-knot cubic
-spline in r (through the mirrored rings -r and r, by the parity
-c_m(-r) = (-1)^m c_m(r) of angular mode m) times the trigonometric
-interpolant in angle, which is exact for band-limited angular
-dependence, and zero beyond r_max.  The spline runs through the live
+with f(z - w) read off the interpolant of the slice f: an interpolating
+spline of degree 7 in r (2 nr - 1 on fewer than four rings), through the
+mirrored rings -r and r by the parity c_m(-r) = (-1)^m c_m(r) of angular
+mode m and evaluated on r >= 0 from its pieces in local power form, times
+the trigonometric interpolant in angle, which is exact for band-limited
+angular dependence, and zero beyond r_max.  The spline runs through the live
 angular coefficients c_m(r) of f from `grids.angular_modes`, which is the
 same interpolant since the spline is linear in its data, so
 f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi}; when every live c_m is real,
@@ -38,11 +39,14 @@ the columns d = 0 .. na/2 alone, and each mirrored column's weight W_mirror
 is folded onto its partner: c e^{i phi} W + c e^{-i phi} W_mirror is
 c cos(phi) W+ + c sin(phi) W-, with W+ = W + W_mirror, W- = i (W - W_mirror).
 Its |g| is folded the same way, so the masses of the zero-extension warning
-stay exact.  Every target of `twisted_convolution` and `convolution_rings`
-lies on the axis.  A target off it, such as a point of `hecke_bochner_check`,
-keeps the full circle with W and i W: its nodes are not symmetric about its
-ray, and rotating the target onto the axis would rotate the grid's angle
-rule with it, which changes the sum itself and not only its round-off.
+stay exact.  For a radial g (its one live mode k = 0) W- is zero on the
+mirrored columns and meets sin(phi) at round-off on the others (d = 0 and
+na/2, where zeta is real), so that half is skipped.  Every target of
+`twisted_convolution` and `convolution_rings` lies on the axis.  A target
+off it, such as a point of `hecke_bochner_check`, keeps the full circle
+with W and i W: its nodes are not symmetric about its ray, and rotating the
+target onto the axis would rotate the grid's angle rule with it, which
+changes the sum itself and not only its round-off.
 
 Neither route is an engine.  Evolution by the heat kernel, the only twisted
 convolution the package needs at scale, runs through the Laguerre multiplier
@@ -65,13 +69,17 @@ from .quadrature import adaptive_quad, warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
 
+# degree of the spline in r through the mirrored rings; degree 9 in power
+# form loses the 1e-13 agreement with the grid's node values to round-off
+_SPLINE_DEGREE = 7
+
 
 @dataclass(frozen=True)
 class _Interpolant:
     """The interpolant of a slice: the sum over the live angular frequencies
     m of c_m(rho) e^{i m phi} for rho <= r_max, and zero beyond."""
     modes: np.ndarray           # (M,) signed angular frequencies m
-    spline: object              # CubicSpline in r of the (M,) coefficients c_m(r)
+    spline: object              # PPoly in r >= 0 of the (M,) coefficients c_m(r)
     r_max: float
     boundary: float             # max |f| on the outermost stored ring
 
@@ -86,15 +94,24 @@ def _interpolant(sl, name="f"):
     """The interpolant of the n = 1 slice passed as the argument name (see the
     module docstring)."""
     # scipy.interpolate loads on first use (see quadrature.adaptive_quad)
-    from scipy.interpolate import CubicSpline
+    from scipy.interpolate import PPoly, make_interp_spline
 
     values = finite_array(f"values of slice {name}", sl.values)
     modes, c = angular_modes(values)
     # through the mirrored nodes -r_j, r_j, on which c_m(-r) = (-1)^m c_m(r)
+    r = sl.grid.r
     table = np.vstack([(c * (-1.0) ** modes)[::-1], c])
-    spline = CubicSpline(np.concatenate([-sl.grid.r[::-1], sl.grid.r]),
-                         table if np.any(table.imag) else table.real, axis=0)
-    return _Interpolant(modes, spline, float(sl.grid.r_max), float(np.max(np.abs(values[-1]))))
+    degree = min(_SPLINE_DEGREE, 2 * r.size - 1)
+    spline = make_interp_spline(np.concatenate([-r[::-1], r]),
+                                table if np.any(table.imag) else table.real, k=degree, axis=0)
+    # its pieces on r >= 0 in local power form, which evaluate by Horner's
+    # rule at about 40% of the B-spline's cost; they are read off the
+    # derivatives at each piece's left end, as PPoly.from_spline crashes
+    # scipy 1.17 at degree 8 and above
+    breaks = np.concatenate([[0.0], r])
+    pieces = PPoly(np.stack([spline(breaks[:-1], nu=j) / math.factorial(j)
+                             for j in range(degree, -1, -1)]), breaks)
+    return _Interpolant(modes, pieces, float(sl.grid.r_max), float(np.max(np.abs(values[-1]))))
 
 
 def slice_value(sl, z):
@@ -118,7 +135,8 @@ def _ring_sum(f, g, r, theta0, orbit):
 
     `orbit` must divide the angle count na of g's grid.  Targets are visited
     one at a time: on the real axis over na // 2 + 1 node angles with W+ and
-    W-, off it over all na with W and i W (see the module docstring).
+    W- (W+ alone for a radial g), off it over all na with W and i W (see the
+    module docstring).
     """
     na = g.grid.omega.shape[0]
     w = np.outer(g.grid.r, g.grid.omega[:, 0])                       # (J, D)
@@ -154,7 +172,10 @@ def _ring_sum(f, g, r, theta0, orbit):
         phi = twist.reshape(-1, 1)
         if f.modes.size > 1 or f.modes[0]:      # a lone m = 0 needs no arg zeta
             phi = np.angle(zeta).reshape(-1, 1) * f.modes + phi
-        out[t] = back @ (w_plus @ (c * np.cos(phi)) + w_minus @ (c * np.sin(phi))).ravel()
+        terms = w_plus @ (c * np.cos(phi))
+        if z.imag != 0.0 or np.any(k):          # on the axis a radial g's W- is round-off
+            terms += w_minus @ (c * np.sin(phi))
+        out[t] = back @ terms.ravel()
         # |phase| = 1, so the masses need no phase
         total_mass += float(mass.ravel() @ np.abs(c).sum(axis=1))
         cut_mass += f.boundary * float(mass[rho > f.r_max].sum())

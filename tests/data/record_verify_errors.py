@@ -2,13 +2,15 @@
 
 Runs `verify --suite all` at seed 0 once unrecorded, so that no check's
 time carries the one-time import of a scipy subpackage or another first-use
-cost, then three times more.  It records, per check, its error, its
-tolerance and the median of its three runtimes in ms (the runtime is
-information only; no test reads it as a gate), together with the python,
-numpy and scipy versions.  An error that differs between the passes stops
-the script, and so does an error that rises above its recorded value: the
-file is then left as it is, and a rise that is meant has to be written by
-hand, with its reason in CHANGES.md.  The ids whose error moved are printed.
+cost, then three times more.  It records, per check, its error and its
+tolerance, together with the python, numpy and scipy versions.  The median
+of each check's three runtimes in ms goes to verify_ms.json beside it: the
+runtime is information only, which no test reads as a gate, and keeping it
+apart leaves verify_errors.json byte-identical when no error moved.  An
+error that differs between the passes stops the script, and so does an
+error that rises above its recorded value: both files are then left as they
+are, and a rise that is meant has to be written by hand, with its reason in
+CHANGES.md.  The ids whose error moved are printed.
 `tests/test_acceptance.py` fails when a check's error later exceeds
 max(2 x recorded, 1e-14), or when a check of tolerance 0 (a count that must
 stay 0) leaves 0.  Re-run it after a change that moves an error:
@@ -29,13 +31,13 @@ PASSES = 3
 def main():
     run_suite("all", seed=SEED)
     reports = [run_suite("all", seed=SEED).to_dict() for _ in range(PASSES)]
-    checks = {}
+    checks, ms = {}, {}
     for runs in zip(*(report["checks"] for report in reports)):
         errors = [run["error"] for run in runs]
         if len(set(errors)) != 1:
             raise SystemExit(f"{runs[0]['id']}: the error differs between passes: {errors}")
-        checks[runs[0]["id"]] = {"error": errors[0], "tol": runs[0]["tol"],
-                                 "ms": round(statistics.median(run["ms"] for run in runs), 1)}
+        checks[runs[0]["id"]] = {"error": errors[0], "tol": runs[0]["tol"]}
+        ms[runs[0]["id"]] = round(statistics.median(run["ms"] for run in runs), 1)
 
     path = pathlib.Path(__file__).with_name("verify_errors.json")
     recorded = json.loads(path.read_text(encoding="utf-8"))["checks"] if path.exists() else {}
@@ -47,9 +49,10 @@ def main():
              if name in recorded and check["error"] > recorded[name]["error"]]
     if risen:
         raise SystemExit(f"not written: the error of {', '.join(risen)} rose above its record")
-    out = {"seed": SEED, "libraries": reports[0]["libraries"], "checks": checks}
-    path.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {len(checks)} checks to {path}")
+    for name, table in ((path, checks), (path.with_name("verify_ms.json"), ms)):
+        out = {"seed": SEED, "libraries": reports[0]["libraries"], "checks": table}
+        name.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {len(table)} checks to {name}")
 
 
 if __name__ == "__main__":

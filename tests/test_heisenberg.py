@@ -174,6 +174,20 @@ def test_profile_pole_raises_for_purely_imaginary_time():
     # off the pole the oscillatory profile is fine
     val = heat_kernel_lambda(1j, 1.0, 0.5)
     assert np.isfinite(val)
+    # so it is just below |lam s| = 1e12, where a pole keeps its own message
+    assert np.isfinite(heat_kernel_lambda(1j, 0.9e12, 0.5))
+    with pytest.raises(ValueError, match="profile pole: sinh"):
+        heat_kernel_lambda(1j, np.pi * (1 << 38), 0.5)
+
+
+@pytest.mark.parametrize("lam,zeta", [(2e12, 1j), (2.00005e12, 1j), (-1e12, 1j),
+                                      (1e200, 1e200j), (complex(3e12), 0.5j)])
+def test_a_pole_past_resolution_says_so(lam, zeta):
+    # past |lam Im zeta| = 1e12 a pole of sinh(lam * zeta) cannot be told from
+    # round-off (1e200 * 1e200 overflows to inf); the message names both
+    with pytest.raises(ValueError, match=r"too large to tell a pole .* from round-off "
+                                         r"\(lam=.*, zeta=.*\)"):
+        heat_kernel_lambda(zeta, lam, 0.5)
 
 
 def test_kernel_is_real_even_and_radial():

@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from scipy.interpolate import CubicSpline
 from scipy.signal import resample
 
 from heisenkit import twisted
@@ -264,14 +265,40 @@ def test_slice_value_on_a_ring_is_the_trigonometric_resampling(nsphere, fine):
         assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("nsphere", [64, 45])
-def test_slice_value_reproduces_the_node_values(nsphere):
-    grid = polar_grid(1, nr=24, r_max=6.0, nsphere=nsphere)
+@pytest.mark.parametrize("nsphere,nr", [(64, 24), (45, 24), (8, 3), (45, 3), (8, 2), (45, 2)],
+                         ids=["64", "45", "8-nr3", "45-nr3", "8-nr2", "45-nr2"])
+def test_slice_value_reproduces_the_node_values(nsphere, nr):
+    grid = polar_grid(1, nr=nr, r_max=6.0, nsphere=nsphere)
     rng = np.random.default_rng(7)
     shape = (grid.r.size, nsphere)
     values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    got = slice_value(SpectralSlice(1.0, grid, values), grid.points()[:, :, 0])
+    sl = SpectralSlice(1.0, grid, values)
+    got = slice_value(sl, grid.points()[:, :, 0])
     assert np.max(np.abs(got - values)) < 1e-13 * np.max(np.abs(values))
+    # on fewer than four rings the spline's degree falls to 2 nr - 1; on two
+    # it is the one cubic through the four mirrored nodes, the not-a-knot one
+    points = np.linspace(0.0, 6.5, 31) * np.exp(1j * np.linspace(0.0, 6.0, 31))
+    off = slice_value(sl, points)
+    assert np.all(np.isfinite(off))
+    if nr == 2:
+        modes, c = angular_modes(values)
+        cubic = CubicSpline(np.concatenate([-grid.r[::-1], grid.r]),
+                            np.vstack([(c * (-1.0) ** modes)[::-1], c]), axis=0)
+        rho = np.abs(points)
+        want = np.where(rho[:, None] > 6.0, 0.0, cubic(np.minimum(rho, 6.0))
+                        * np.exp(1j * np.angle(points)[:, None] * modes)).sum(axis=1)
+        assert np.max(np.abs(off - want)) < 1e-13 * np.max(np.abs(want))
+
+
+def test_slice_value_reproduces_a_polynomial_of_degree_six():
+    # the degree-7 spline through the mirrored rings reproduces an even
+    # polynomial of degree 6 in r, between the rings and past the last one
+    grid = polar_grid(1, nr=40, r_max=6.0, nsphere=16)
+    p = np.polynomial.Polynomial([1.0, 0.0, 1.0, 0.0, -0.05, 0.0, 0.001])
+    sl = radial_slice(grid, 1.0, p)
+    z = np.linspace(0.03, 5.99, 97) * np.exp(1j * np.linspace(0.0, 6.2, 97))
+    want = p(np.abs(z))
+    assert np.max(np.abs(slice_value(sl, z) - want) / np.abs(want)) < 1e-13
 
 
 def test_mass_beyond_r_max_warns_on_orbits_and_points(grid):
