@@ -22,12 +22,12 @@ from .hankel import (DecayFit, DegenerateFitError, HankelPlan,
                      fit_gaussian_decay, hankel_plan, hankel_transform,
                      hardy_gate)
 from .heisenberg import (HeisenbergPoint, group_inverse, group_law,
-                         heat_bound_check, heat_kernel, heat_kernel_grid,
-                         heat_kernel_lambda)
+                         heat_bound_check, heat_kernel_grid, heat_kernel_lambda)
 from .hermite import (CausticError, gate_boundary_profile, hermite_evolve,
                       hermite_fn, hermite_gate, mehler_kernel)
-from .htype import (HTypePoint, htype_gate, htype_heat_batch, htype_heat_kernel,
-                    partial_radon, radon_heat_profile)
+from .htype import (HTypePoint, htype_gate, htype_heat_batch, partial_radon,
+                    radon_heat_profile)
+from .oracles import heat_kernel, htype_heat_kernel, twisted_convolution_quad
 from .propagator import (DecayDomainError, ExceptionalLambdaError,
                          equality_case_profile, gate_lambda_window, kernel_K,
                          schrodinger_evolve, theorem34_gaussian_pair,
@@ -38,7 +38,7 @@ from .specfun import (bessel_j_tilde, hille_hardy, jtilde_of_square, laguerre,
 from .spherical import (BigradedBasis, SolidHarmonic, build_basis,
                         harmonic_part, reconstruct, spherical_coefficients)
 from .twisted import (hecke_bochner_check, laguerre_projection, slice_value,
-                      twisted_convolution, twisted_convolution_quad)
+                      twisted_convolution)
 from .verify import CheckRecord, SuiteReport, run_suite
 
 # the public names are those imported above, listed once there

@@ -130,6 +130,12 @@ def shapes(names, *arrays, broadcast=False):
                      + " and ".join(str(np.shape(a)) for a in arrays))
 
 
+def on_nodes(name, radii, nodes, whose):
+    """radii equal, entry by entry to 1e-12, to the nodes (whose) they are placed on."""
+    shapes((name, f"{whose} nodes"), radii, nodes)
+    _refuse(name, f"{whose} nodes to 1e-12", radii, ~(np.abs(radii - nodes) <= 1e-12))
+
+
 def one_dimensional(n, what):
     """NotImplementedError unless n = 1, the only dimension of what."""
     if n != 1:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_array, integer, order, positive, real, shapes, vector
+from ._checks import finite_array, integer, on_nodes, order, positive, real, shapes, vector
 from .grids import RadialProfile
 from .quadrature import gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
@@ -55,8 +55,8 @@ def hankel_transform(plan, F, s_grid):
     vals = finite_array("values of F", F.values if isinstance(F, RadialProfile) else F)
     r = plan.r_nodes
     shapes(("values of F", "the plan's nodes"), vals, r)
-    if isinstance(F, RadialProfile) and not np.allclose(F.r, r, rtol=0, atol=1e-12):
-        raise ValueError("radii of F must be the plan's nodes")
+    if isinstance(F, RadialProfile):
+        on_nodes("radii of F", F.r, r, "the plan's")
     alpha = plan.alpha
     power = r ** (2 * alpha + 1)
     # |Jt_a| peaks at 0, so |F| r^{2 alpha + 1} bounds the integrand at every s

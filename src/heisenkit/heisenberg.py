@@ -7,8 +7,7 @@ and the kernel itself is recovered by the inversion integral
     q_zeta(z, t) = (2 pi)^{-1} int e^{-i lam t} (profile) dlam,
 which converges absolutely whenever Re zeta > 0.  The engines evaluate the
 profile through `_hyperbolic_factors`, broadcast over lam; the pointwise
-oracles `heat_kernel` and `htype.htype_heat_kernel` write it out themselves
-as the scalar `_profile`.
+oracles in `oracles.py` write it out themselves as the scalar `_profile`.
 """
 
 import cmath
@@ -18,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import complex_time, finite, finite_array, integer, positive, real, shapes, vector
-from .quadrature import QuadratureError, adaptive_quad, envelope_cutoff, even_trapezoid
+from .quadrature import envelope_cutoff, even_trapezoid
 
 
 @dataclass(frozen=True)
@@ -72,8 +71,8 @@ def _hyperbolic_factors(lam, zeta, n):
     subnormal, where x stays normal and lam = 0 still reads the limit.
     """
     a = np.maximum(np.abs(lam), (1e-100 / abs(zeta)) or _SMALLEST)
-    if np.iscomplexobj(lam):        # continued from the half plane Re lam >= 0
-        a = np.where(np.abs(lam) < a, a, np.where(np.real(lam) < 0, -lam, lam))
+    if np.iscomplexobj(lam):        # continued from the half plane Re(lam zeta) >= 0
+        a = np.where(np.abs(lam) < a, a, np.where(np.real(lam * zeta) < 0, -lam, lam))
     x = a * zeta
     ex = np.exp(-x)
     e1 = -np.expm1(-2.0 * x)
@@ -88,7 +87,7 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     lam = 0 gives the Euclidean limit (4 pi zeta)^{-n} e^{-r^2/(4 zeta)}, and
     values below double range come out as 0.  At zeta = i s the profile
     exists only off the poles lam s = k pi, k != 0, which raise.  A complex
-    lam gives the analytic continuation of the profile.
+    lam gives the analytic continuation of the profile; a value past double range raises.
     """
     integer("dimension n", n)
     finite("lam", lam)
@@ -98,21 +97,23 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
     if zeta.real == 0 and x.imag == 0 and abs(x) >= 1e12:
         raise ValueError("lam * Im zeta is too large to tell a pole of sinh(lam * zeta) "
                          f"from round-off (lam={lam!r}, zeta={zeta!r})")
-    if zeta.real == 0 and abs(x) > 1.0 and abs(cmath.sin(x)) <= 1e-12 * abs(x):
+    # sin has no zero off the real line, where |sin x| >= sinh |Im x|
+    if zeta.real == 0 and abs(x.imag) < 1.0 < abs(x) and abs(cmath.sin(x)) <= 1e-12 * abs(x):
         raise ValueError("profile pole: sinh(lam * zeta) vanishes "
                          f"(lam={lam!r}, zeta={zeta!r})")
     r = finite_array("r", r)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
         power, rate = _hyperbolic_factors(lam, zeta, n)
-        out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
-    return np.asarray(out, dtype=complex)[()]
+        out = np.asarray((4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r))), complex)
+    finite_array(f"the profile at lam={lam!r}, zeta={zeta!r}", out)     # overflow raises
+    return out[()]
 
 
 def _lam_cutoff(zeta, n, k, floor):
-    """The one lam cutoff of the heat kernels here and in `htype`, engines
-    and oracles alike: where the modulus bound lam^{k-1} |lam / sinh(lam
-    zeta)|^n of their integrands crosses floor times its peak, which scales
-    as |zeta|^{-(n+k-1)}, solved from 4 / |zeta| on by
+    """The one lam cutoff of the heat kernels here, in `htype` and in
+    `oracles`, engines and oracles alike: where the modulus bound lam^{k-1}
+    |lam / sinh(lam zeta)|^n of their integrands crosses floor times its
+    peak, which scales as |zeta|^{-(n+k-1)}, solved from 4 / |zeta| on by
     `quadrature.envelope_cutoff`, in logs so that no power overflows."""
     zeta = complex(zeta)
     eps = zeta.real
@@ -251,61 +252,6 @@ def _central_integral(zeta, n, k, radii, times, phase, floor, rtol):
 
         vals = even_trapezoid(step, cutoffs, factors, ir, ic, rtol, start=start, mapping=mapping)
     return vals.reshape(radii.shape)
-
-
-def _profile(lam, zeta, n, r):
-    """(lam / sinh(lam zeta))^n e^{-lam coth(lam zeta) r^2 / 4} at one lam
-    and one radius, for Re zeta > 0: the pointwise oracles' own scalar
-    profile (`heat_kernel`, `htype.htype_heat_kernel`), written out with
-    cmath and shared with no engine.
-
-    It is even in lam.  Below |lam zeta| = 1e-100 it is the Euclidean limit
-    zeta^{-n} e^{-r^2 / (4 zeta)}, exact in double precision there.  Past
-    Re(lam zeta) = 20, 1 - e^{-2 lam zeta} rounds to 1, so 1 / sinh is
-    2 e^{-lam zeta} (sinh itself overflows past 710).  The rate's real part
-    is negative, so an exponent below -745 reads exactly 0, and so does an
-    r^2 that overflows to inf: the exponent then has parts (-inf, +-inf) or
-    (-inf, NaN), and cmath.exp takes both to 0 (C99 special values) without
-    a warning.
-    """
-    a = abs(lam)
-    x = a * zeta
-    if abs(x) < 1e-100:
-        power, rate = zeta ** -n, -0.25 / zeta
-    else:
-        csch = 2.0 * cmath.exp(-x) if x.real > 20.0 else 1.0 / cmath.sinh(x)
-        power, rate = (a * csch) ** n, -0.25 * a / cmath.tanh(x)
-    return power * cmath.exp(rate * (r * r))
-
-
-def heat_kernel(zeta, p):
-    """Heat kernel q_zeta(z, t) by adaptive Fourier inversion in lam.
-
-    zeta is a complex time with Re zeta > 0.  This is the pointwise oracle
-    of `heat_kernel_grid`, and it shares no profile code with it: QUADPACK
-    integrates e^{-i lam t} times the scalar `_profile` over the whole line
-    [-L, L].  L is the engines' `_lam_cutoff`, and the absolute tolerance
-    1e-12 shrinks with the kernel's size |zeta|^{-n-1} past |zeta| = 1.
-    For real zeta the (quadrature-level) imaginary residue is checked
-    against 1e-10 and zeroed; the integrand is not folded onto [0, L], so
-    that this check sees both halves of the line.
-    """
-    zeta = complex_time(zeta, inversion=True)
-    n, r, t = p.n, p.z_norm, p.t
-    lam_max = _lam_cutoff(zeta, n, 1, 1e-15)
-    scale = (4.0 * math.pi) ** (-n)
-
-    def integrand(lam):
-        return cmath.exp(-1j * lam * t) * (scale * _profile(lam, zeta, n, r))
-
-    val = adaptive_quad(integrand, -lam_max, lam_max,
-                        epsabs=1e-12 * max(1.0, abs(zeta)) ** (-n - 1)) / (2.0 * math.pi)
-    if zeta.imag == 0:
-        if abs(val.imag) > 1e-10 * max(abs(val.real), 1e-300):
-            raise QuadratureError("imaginary residue of a real-time kernel "
-                                  f"exceeds tolerance: {val!r}")
-        return complex(val.real, 0.0)
-    return complex(val)
 
 
 def heat_kernel_grid(zeta, r, t, n=1):

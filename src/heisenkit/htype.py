@@ -10,7 +10,7 @@ the integrand is smooth down to lam = 0 and |t| = 0:
 
 with c(n, k) = 2^{1-k/2} / (2^n (2 pi)^{n+k/2}).  At k = 1 this collapses to
 the cosine inversion integral of the Heisenberg kernel with exactly matching
-constants, which the tests exercise as a cross-module oracle.
+constants, which the tests check between the two pointwise oracles in `oracles.py`.
 """
 
 import math
@@ -19,9 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_array, integer, nonzero, positive, shapes, vector
-from .heisenberg import _central_integral, _lam_cutoff, _profile
-from .quadrature import (QuadratureError, _disagreement, adaptive_quad, gauss_interval,
-                         warn_truncated)
+from .heisenberg import _central_integral
+from .quadrature import QuadratureError, _disagreement, gauss_interval, warn_truncated
 from .specfun import bessel_j_tilde
 
 # the center dimensions k of the groups here
@@ -62,45 +61,6 @@ class HTypePoint:
 
 def _constant(n, k):
     return 2.0 ** (1.0 - 0.5 * k) / (2.0 ** n * (2.0 * math.pi) ** (n + 0.5 * k))
-
-
-# relative tolerance of the sine-weighted k = 3 integral: the smallest power
-# of ten at which 400 draws over s in [0.6, 0.8], |t| in [2.3, 2.6], |v| <= 1
-# raise no round-off stop (1e-10 stopped on 5).  2e-10 clears those draws
-# too, but stops at (s, |v|, |t|) = (1.88, 0.96, 8.2), 2.7e-6 of h_s(v, 0).
-_SINE_RTOL = 1e-9
-
-
-def htype_heat_kernel(s, p):
-    """h_s at a point, by adaptive quadrature in the central frequency.
-
-    This is the pointwise oracle of `htype_heat_batch`, and it shares no
-    profile code with it: QUADPACK integrates the Bessel factor times the
-    scalar `heisenberg._profile`, the pointwise Heisenberg oracle's own.
-    It ends at the batch's `heisenberg._lam_cutoff`, and its absolute
-    tolerance 1e-14 shrinks with the kernel's size s^{-n-k} past s = 1.
-    At k = 3 and |t| > 0 the Bessel factor lam^2 Jt_{1/2}(lam |t|) is
-    2 lam sin(lam |t|) / (sqrt(pi) |t|): the integral of lam times the
-    profile runs on QUADPACK's sine weight, to a relative tolerance only.
-    """
-    positive("diffusion time s", s)
-    n, k = p.n, p.k
-    v, t = p.v_norm, p.t_norm
-    lam_max = _lam_cutoff(s, n, k, 1e-16)
-    if k == 3 and t > 0:
-        val = adaptive_quad(lambda lam: lam * _profile(lam, s, n, v).real, 0.0, lam_max,
-                            epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
-        return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * val.real
-
-    def f(lam):
-        return float(lam ** (k - 1) * _profile(lam, s, n, v).real
-                     * bessel_j_tilde(0.5 * k - 1.0, lam * t))
-
-    # |t| past 1.3e154 overflows hyp0f1's argument at k = 2 (QUADPACK then
-    # raises), without a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14 * max(1.0, s) ** (-n - k))
-    return _constant(n, k) * val.real
 
 
 def htype_heat_batch(s, n, k, vnorm, tnorm):

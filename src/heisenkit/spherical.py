@@ -22,7 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from ._checks import finite_array, integer, integer_array, shapes
+from ._checks import finite_array, integer, integer_array, on_nodes, shapes
 from .grids import RadialProfile, SpectralSlice, circle_rule, s3_rule
 
 # ---------------------------------------------------------------------------
@@ -246,8 +246,7 @@ def reconstruct(coefficients, bases, grid, lam=0.0):
             raise ValueError(f"bases must hold every bidegree (p, q) of the coefficients, "
                              f"got none for {(p, q)}")
         element = bases[(p, q)].element(j)
-        if prof.r.shape != grid.r.shape or not np.allclose(prof.r, grid.r):
-            raise ValueError("coefficient profiles must share the target radial grid")
+        on_nodes(f"radii of profile {(p, q, j)}", prof.r, grid.r, "the grid's radial")
         values += np.asarray(prof.values, dtype=complex)[:, None] \
             * element(grid.omega)[None, :]
     return SpectralSlice(lam, grid, values)

@@ -14,8 +14,8 @@ same interpolant since the spline is linear in its data, so
 f(rho e^{i phi}) = sum_m c_m(rho) e^{i m phi}; when every live c_m is real,
 as for a real radial slice, so is the spline.  The sum uses no Laguerre
 function, and it convolves no angular mode of f with one of g.  The
-quadrature route below it is an entirely independent nested adaptive
-integral used as the oracle in tests.
+quadrature route, `oracles.twisted_convolution_quad`, is an entirely
+independent nested adaptive integral used as the oracle in tests.
 
 The ring sum runs over rotation orbits of targets.  With na uniform angles
 theta_a on the circle, a target z = e^{i theta_a} z0 and a node
@@ -62,10 +62,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from ._checks import (finite, finite_array, integer, integer_array, nonzero, one_dimensional,
-                      positive, quadrature_weights, real)
+from ._checks import (finite_array, integer, integer_array, nonzero, one_dimensional,
+                      quadrature_weights)
 from .grids import PolarGrid, SpectralSlice, angular_modes, circle_rule, radial_slice
-from .quadrature import adaptive_quad, warn_truncated
+from .quadrature import warn_truncated
 from .specfun import laguerre_fn
 from .spherical import build_basis
 
@@ -201,23 +201,6 @@ def convolution_rings(f, g, r):
     interpolant = _interpolant(f, "f")
     finite_array("values of slice g", g.values)
     return _ring_sum(interpolant, g, r, np.zeros(r.size), f.grid.omega.shape[0])
-
-
-def twisted_convolution_quad(f, g, lam, z, r_cut=12.0):
-    """(f *_lam g)(z) for callables f, g of one complex variable, by nested
-    adaptive quadrature over polar coordinates.  Slow; this is the oracle."""
-    finite("target z", z)
-    real("lam", lam)
-    positive("r_cut", r_cut)
-    z = complex(z)
-
-    def ring(rho):
-        def over_angle(phi):
-            w = rho * np.exp(1j * phi)
-            return f(z - w) * g(w) * np.exp(0.5j * lam * (z * np.conj(w)).imag)
-        return rho * adaptive_quad(over_angle, 0.0, 2.0 * np.pi, epsabs=1e-13)
-
-    return adaptive_quad(ring, 0.0, r_cut, epsabs=1e-13)
 
 
 def laguerre_projection(g, k, lam, m):

@@ -27,11 +27,11 @@ from . import __version__
 from ._checks import integer
 from .grids import polar_grid, radial_rule, radial_slice, RadialProfile
 from .hankel import fit_gaussian_decay, hankel_plan, hankel_transform, hardy_gate
-from .heisenberg import (HeisenbergPoint, heat_kernel, heat_kernel_grid,
-                         heat_kernel_lambda)
+from .heisenberg import HeisenbergPoint, heat_kernel_grid, heat_kernel_lambda
 from .hermite import (gate_boundary_profile, hermite_evolve, hermite_fn,
                       hermite_gate)
 from .htype import htype_gate, htype_heat_batch, radon_heat_profile
+from .oracles import heat_kernel
 from .propagator import (ExceptionalLambdaError, equality_case_profile, gate_lambda_window,
                          kernel_K, theorem34_gaussian_pair, theorem34_pair, uniqueness_gate)
 from .quadrature import gauss_panels

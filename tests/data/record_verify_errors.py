@@ -8,12 +8,13 @@ of each check's three runtimes in ms goes to verify_ms.json beside it: the
 runtime is information only, which no test reads as a gate, and keeping it
 apart leaves verify_errors.json byte-identical when no error moved.  An
 error that differs between the passes stops the script, and so does an
-error that rises above its recorded value: both files are then left as they
-are, and a rise that is meant has to be written by hand, with its reason in
-CHANGES.md.  The ids whose error moved are printed.
-`tests/test_acceptance.py` fails when a check's error later exceeds
-max(2 x recorded, 1e-14), or when a check of tolerance 0 (a count that must
-stay 0) leaves 0.  Re-run it after a change that moves an error:
+error or a tolerance that rises above its recorded value: both files are
+then left as they are, and a rise that is meant has to be written by hand,
+with its reason in CHANGES.md.  The ids whose error or tolerance moved are
+printed.  `tests/test_acceptance.py` fails when a check's error later
+exceeds max(2 x recorded, 1e-14), when a check of tolerance 0 (a count that
+must stay 0) leaves 0, or when a tolerance exceeds its record.  Re-run it
+after a change that moves an error or a tolerance:
 
     PYTHONPATH=src python tests/data/record_verify_errors.py
 """
@@ -41,14 +42,13 @@ def main():
 
     path = pathlib.Path(__file__).with_name("verify_errors.json")
     recorded = json.loads(path.read_text(encoding="utf-8"))["checks"] if path.exists() else {}
-    for name, check in checks.items():
-        old = recorded.get(name, {}).get("error")
-        if old is not None and check["error"] != old:
-            print(f"{name}: error {old!r} -> {check['error']!r}")
-    risen = [name for name, check in checks.items()
-             if name in recorded and check["error"] > recorded[name]["error"]]
+    moves = [(name, key, recorded[name][key], check[key]) for name, check in checks.items()
+             if name in recorded for key in ("error", "tol") if check[key] != recorded[name][key]]
+    for name, key, old, new in moves:
+        print(f"{name}: {key} {old!r} -> {new!r}")
+    risen = [f"the {key} of {name}" for name, key, old, new in moves if new > old]
     if risen:
-        raise SystemExit(f"not written: the error of {', '.join(risen)} rose above its record")
+        raise SystemExit(f"not written: {', '.join(risen)} rose above its record")
     for name, table in ((path, checks), (path.with_name("verify_ms.json"), ms)):
         out = {"seed": SEED, "libraries": reports[0]["libraries"], "checks": table}
         name.write_text(json.dumps(out, indent=2) + "\n", encoding="utf-8")

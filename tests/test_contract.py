@@ -133,7 +133,7 @@ def test_the_time_rule_serves_exactly_the_functions_that_take_zeta():
                     isinstance(node, ast.Call) and getattr(node.func, "id", None) == "complex_time"
                     for node in ast.walk(function)):
                 callers.add(f"{path.stem}.{function.name}")
-    assert callers == takers == {"heisenberg.heat_kernel", "heisenberg.heat_kernel_grid",
+    assert callers == takers == {"oracles.heat_kernel", "heisenberg.heat_kernel_grid",
                                  "heisenberg.heat_kernel_lambda",
                                  "propagator.schrodinger_evolve"}
 
@@ -182,6 +182,16 @@ def test_coordinate_entries_and_basis_keys_raise_naming_their_argument():
     profile = RadialProfile(grid.r, np.exp(-grid.r ** 2))
     with pytest.raises(ValueError, match=r"^bases must .*, got none for \(2, 0\)$"):
         reconstruct({(2, 0, 1): profile}, [build_basis(1, 1, 0)], grid)
+
+
+def test_a_profile_off_its_nodes_is_refused_by_one_rule():
+    # radii off by a factor 1 + 5e-6 would place every value on the wrong
+    # radius; `hankel_transform` refuses them by the same rule
+    grid = polar_grid(1, 16, 4.0, 8)
+    with pytest.raises(ValueError, match=r"^radii of profile \(1, 0, 1\) must be the grid's "
+                                         r"radial nodes to 1e-12, got .* at index \(0,\)$"):
+        reconstruct({(1, 0, 1): RadialProfile(grid.r * (1 + 5e-6), grid.r)}, [build_basis(1, 1, 0)],
+                    grid)
 
 
 def test_pointwise_special_functions_map_a_nan_point_to_nan():

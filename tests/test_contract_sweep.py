@@ -411,7 +411,13 @@ def _sentence_probes():
         "`heat_kernel_lambda` accepts a complex lam": [
             lambda: np.testing.assert_allclose(
                 hk.heat_kernel_lambda(1.0, 0.5 + 0.3j, [0.0, 0.7]),
-                [_profile_lambda(1.0, 0.5 + 0.3j, r) for r in (0.0, 0.7)], rtol=1e-13)],
+                [_profile_lambda(1.0, 0.5 + 0.3j, r) for r in (0.0, 0.7)], rtol=1e-13),
+            # 1e-346 to 1e-432 at 50 digits, so 0: not NaN, nor an OverflowError
+            *[lambda args=args: hk.heat_kernel_lambda(*args) == 0 or pytest.fail(str(args))
+              for args in ((1 + 1j, 1 + 1000j, 0.5), (0.5 + 2j, 3 + 400j, 0.5),
+                           (0.3 + 1j, 1 + 800j, 0.0), (1j, 1 + 1000j, 0.5), (2j, 0.1 + 400j, 0.5))],
+            lambda: _raises(lambda: hk.heat_kernel_lambda(1j, 1e12 + 1e3j, 0.5),
+                            r"^the profile at lam=.*, zeta=1j must be finite, got ")],
         "A broken rule raises `ValueError` of the form": [
             lambda: _raises(lambda: hk.heat_kernel_grid(1.0, [0.5, 1.0, NAN], 0.0),
                             r"^radii r must be finite, got nan at index \(2,\)$"),

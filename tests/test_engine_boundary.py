@@ -1,7 +1,5 @@
-"""The engines never import the grid twisted-convolution oracle module, one
-module drives the central-frequency integrals, one function takes a slice's
-angular DFT, and the pointwise heat-kernel oracle shares no profile code
-with the engines."""
+"""Who may use what, in one table, and one import rule that keeps the
+engines apart from the two oracle modules, `twisted` and `oracles`."""
 
 import ast
 import pathlib
@@ -10,92 +8,54 @@ import pytest
 
 import heisenkit
 
-ENGINES = ("specfun", "quadrature", "grids", "hankel", "heisenberg", "spherical",
-           "propagator", "hermite", "htype")
+PACKAGE = pathlib.Path(heisenkit.__file__).parent
+ENGINES = "specfun quadrature grids hankel heisenberg spherical propagator hermite htype".split()
+CENTRAL = {"heisenberg._central_integral"}
+ORACLES = {"oracles.heat_kernel", "oracles.htype_heat_kernel"}
+
+# each guarded name -> the exact set of top-level functions whose code mentions
+# it; a key "name()" counts calls only, as `np.fft.ifft`, a resynthesis, mentions fft
+OWNERS = {
+    # one central-frequency integral, and one theory of its sizing
+    "even_trapezoid": CENTRAL, "_strip_step": CENTRAL, "_radius_cutoffs": CENTRAL,
+    "envelope_cutoff": {"heisenberg._lam_cutoff"},
+    # the engines' profile and integral, which no oracle may read
+    "_hyperbolic_factors": {"heisenberg.heat_kernel_lambda", "heisenberg._central_integral"},
+    "_central_integral": {"heisenberg.heat_kernel_grid", "htype.htype_heat_batch"},
+    # the oracles' own scalar profile, and QUADPACK
+    "_profile": ORACLES, "adaptive_quad": ORACLES | {"oracles.twisted_convolution_quad"},
+    # one angular DFT, read by the engine and both halves of the grid oracle
+    "fft()": {"grids.angular_modes"}, "fftfreq()": {"grids.angular_modes"},
+    "rfft()": set(), "rfftfreq()": set(),
+    "angular_modes": {"propagator.schrodinger_evolve", "twisted._interpolant",
+                      "twisted._ring_sum"},
+}
 
 
-def _imported_modules(tree):
-    """Absolute names of the package modules that a module imports."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            yield from (alias.name for alias in node.names)
-        elif isinstance(node, ast.ImportFrom):
-            base = "heisenkit." * (node.level > 0) + (node.module or "")
-            yield base.rstrip(".")
-            yield from (f"{base.rstrip('.')}.{alias.name}" for alias in node.names)
+def _used(node):
+    """A name, attribute or call ("name()") used, or a name an import renames."""
+    if isinstance(node, ast.Call):
+        return f"{getattr(node.func, 'attr', getattr(node.func, 'id', ''))}()"
+    if isinstance(node, ast.alias):
+        return node.asname and node.name.rpartition(".")[2]
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def test_each_guarded_name_is_used_by_exactly_its_owners():
+    # an owner is a top-level function or class, or the module's own code
+    seen = {name: set() for name in OWNERS}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = f"{path.stem}.{top.name}" if hasattr(top, "name") else path.stem
+            for node in ast.walk(top):
+                seen.get(_used(node), set()).add(owner)
+    assert seen == OWNERS
 
 
 @pytest.mark.parametrize("engine", ENGINES)
 def test_engine_does_not_import_twisted(engine):
-    path = pathlib.Path(heisenkit.__file__).with_name(f"{engine}.py")
-    names = set(_imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
-    assert "heisenkit.twisted" not in names, f"{engine} imports heisenkit.twisted"
-
-
-def _referenced_names(tree):
-    """Every name and attribute that a module's code mentions."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name.rpartition(".")[2]
-
-
-def test_only_heisenberg_drives_the_frequency_integrals():
-    # `heisenberg._central_integral` is the one caller of the trapezoid rule
-    # and of the step and radius cutoffs that size it, and
-    # `heisenberg._lam_cutoff` the one caller of the cutoff solver: a second
-    # frequency integral, or a second theory of their sizing, would have to
-    # mention them
-    users = {}
-    engines = ("even_trapezoid", "envelope_cutoff", "_strip_step", "_radius_cutoffs")
-    for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
-        if path.stem == "quadrature":
-            continue
-        names = set(_referenced_names(ast.parse(path.read_text(encoding="utf-8"))))
-        for name in engines:
-            if name in names:
-                users.setdefault(name, []).append(path.stem)
-    assert users == {name: ["heisenberg"] for name in engines}
-
-
-def test_only_grids_angular_modes_takes_an_angular_dft():
-    # which signed modes a sampled slice carries, and how an even angle
-    # count's Nyquist bin splits, is decided in `grids.angular_modes` alone:
-    # no other function may take a forward DFT, and the engine and both
-    # halves of the grid oracle read their modes from it.  The engine's
-    # inverse transform only resynthesises, so it is not a DFT here.
-    forward, callers = set(), []
-    for path in sorted(pathlib.Path(heisenkit.__file__).parent.glob("*.py")):
-        for function in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(function, ast.FunctionDef):
-                continue
-            called = {node.func.attr if isinstance(node.func, ast.Attribute)
-                      else getattr(node.func, "id", None)
-                      for node in ast.walk(function) if isinstance(node, ast.Call)}
-            if called & {"fft", "rfft", "fftfreq", "rfftfreq"}:
-                forward.add(f"{path.stem}.{function.name}")
-            if "angular_modes" in called:
-                callers.append(f"{path.stem}.{function.name}")
-    assert forward == {"grids.angular_modes"}
-    assert sorted(callers) == ["propagator.schrodinger_evolve", "twisted._interpolant",
-                               "twisted._ring_sum"]
-
-
-def test_pointwise_heat_kernel_oracle_has_its_own_profile():
-    # `heat_kernel` checks `heat_kernel_grid`, and `htype_heat_kernel`
-    # checks `htype_heat_batch`: if either read the engines' hyperbolic
-    # factors, a fault there would pass on both sides
-    def functions(module):
-        path = pathlib.Path(heisenkit.__file__).with_name(f"{module}.py")
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        return {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-
-    heisenberg, htype = functions("heisenberg"), functions("htype")
-    for oracle in (heisenberg["heat_kernel"], htype["htype_heat_kernel"]):
-        assert "_profile" in set(_referenced_names(oracle)), oracle.name
-    for node in (heisenberg["heat_kernel"], heisenberg["_profile"], htype["htype_heat_kernel"]):
-        names = set(_referenced_names(node))
-        assert not names & {"_hyperbolic_factors", "_central_integral"}, node.name
+    # nor `oracles`: an engine never reaches the code that checks it
+    tree = ast.parse((PACKAGE / f"{engine}.py").read_text(encoding="utf-8"))
+    names = [name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for name in [getattr(node, "module", None) or "", *(a.name for a in node.names)]]
+    assert not {name.rpartition(".")[2] for name in names} & {"twisted", "oracles"}, engine

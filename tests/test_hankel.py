@@ -112,7 +112,7 @@ def test_profile_must_match_the_plan():
         hankel_transform(plan, np.ones(7), np.array([1.0]))
     other = RadialProfile(np.linspace(0.1, 5.0, plan.r_nodes.size),
                           np.ones(plan.r_nodes.size))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^radii of F must be the plan's nodes to 1e-12, got "):
         hankel_transform(plan, other, np.array([1.0]))
 
 

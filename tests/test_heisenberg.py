@@ -6,16 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from heisenkit import heisenberg, quadrature
+from heisenkit import heisenberg, oracles, quadrature
 from heisenkit.heisenberg import (
     HeisenbergPoint,
     group_inverse,
     group_law,
     heat_bound_check,
-    heat_kernel,
     heat_kernel_grid,
     heat_kernel_lambda,
 )
+from heisenkit.oracles import heat_kernel
 from heisenkit.quadrature import QuadratureError, gauss_panels
 
 
@@ -86,11 +86,11 @@ def test_scalar_profile_of_the_oracle_against_mpmath():
                 cutoff = heisenberg._lam_cutoff(zeta, n, 1, 1e-15)
                 for lam in (0.0, 5e-324, 1e-8, 1.0, math.nextafter(cutoff, 0.0), 2e3):
                     for r in (0.0, 0.5, 3.0):
-                        got = heisenberg._profile(lam, zeta, n, r)
+                        got = oracles._profile(lam, zeta, n, r)
                         want = _mp_profile(mpmath, lam, zeta, n, r)
                         assert abs(got - want) <= max(1e-13 * abs(want), 1e-300), \
                             (n, lam, zeta, r, got, want)
-                        assert heisenberg._profile(-lam, zeta, n, r) == got
+                        assert oracles._profile(-lam, zeta, n, r) == got
     # r^2 overflows, or the exponent lies below -745: exactly 0, with no
     # warning and no NaN on the way (a real zeta gives the rate a zero
     # imaginary part, which times r^2 = inf is NaN)
@@ -99,7 +99,7 @@ def test_scalar_profile_of_the_oracle_against_mpmath():
         for zeta in (1.0 + 0j, 1.0 + 0.5j):
             for lam in (0.0, 1.0):
                 for r in (1e200, 1e5):
-                    assert heisenberg._profile(lam, zeta, 1, r) == 0
+                    assert oracles._profile(lam, zeta, 1, r) == 0
 
 
 def test_lone_rows_past_the_origin_match_mpmath():

@@ -9,15 +9,15 @@ import pytest
 from scipy.integrate import quad
 
 from heisenkit import htype
-from heisenkit.heisenberg import HeisenbergPoint, heat_kernel, heat_kernel_grid
+from heisenkit.heisenberg import HeisenbergPoint, heat_kernel_grid
 from heisenkit.htype import (
     HTypePoint,
     htype_gate,
     htype_heat_batch,
-    htype_heat_kernel,
     partial_radon,
     radon_heat_profile,
 )
+from heisenkit.oracles import heat_kernel, htype_heat_kernel
 from heisenkit.quadrature import QuadratureError
 
 

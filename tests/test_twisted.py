@@ -17,6 +17,7 @@ from scipy.signal import resample
 from heisenkit import twisted
 from heisenkit.grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                              polar_grid, radial_rule, radial_slice)
+from heisenkit.oracles import twisted_convolution_quad
 from heisenkit.specfun import laguerre_fn
 from heisenkit.twisted import (
     _Interpolant,
@@ -27,7 +28,6 @@ from heisenkit.twisted import (
     laguerre_projection,
     slice_value,
     twisted_convolution,
-    twisted_convolution_quad,
 )
 
 
