@@ -1,7 +1,8 @@
-"""Who may use what, in one table, and one import rule that keeps the
-engines apart from the two oracle modules, `twisted` and `oracles`."""
+"""Who may use what, in one table of three parts, and one import rule that
+keeps the engines apart from the two oracle modules, `twisted` and `oracles`."""
 
 import ast
+import functools
 import pathlib
 
 import pytest
@@ -15,20 +16,24 @@ ORACLES = {"oracles.heat_kernel", "oracles.htype_heat_kernel"}
 
 # each guarded name -> the exact set of top-level functions whose code mentions
 # it; a key "name()" counts calls only, as `np.fft.ifft`, a resynthesis, mentions fft
-OWNERS = {
+FREQUENCY_INTEGRALS = {
     # one central-frequency integral, and one theory of its sizing
     "even_trapezoid": CENTRAL, "_strip_step": CENTRAL, "_radius_cutoffs": CENTRAL,
     "envelope_cutoff": {"heisenberg._lam_cutoff"},
-    # the engines' profile and integral, which no oracle may read
-    "_hyperbolic_factors": {"heisenberg.heat_kernel_lambda", "heisenberg._central_integral"},
-    "_central_integral": {"heisenberg.heat_kernel_grid", "htype.htype_heat_batch"},
-    # the oracles' own scalar profile, and QUADPACK
-    "_profile": ORACLES, "adaptive_quad": ORACLES | {"oracles.twisted_convolution_quad"},
+}
+ANGULAR_DFT = {
     # one angular DFT, read by the engine and both halves of the grid oracle
     "fft()": {"grids.angular_modes"}, "fftfreq()": {"grids.angular_modes"},
     "rfft()": set(), "rfftfreq()": set(),
     "angular_modes": {"propagator.schrodinger_evolve", "twisted._interpolant",
                       "twisted._ring_sum"},
+}
+ORACLE_PROFILE = {
+    # the engines' profile and integral, which no oracle may read
+    "_hyperbolic_factors": {"heisenberg.heat_kernel_lambda", "heisenberg._central_integral"},
+    "_central_integral": {"heisenberg.heat_kernel_grid", "htype.htype_heat_batch"},
+    # the oracles' own scalar profile, and QUADPACK
+    "_profile": ORACLES, "adaptive_quad": ORACLES | {"oracles.twisted_convolution_quad"},
 }
 
 
@@ -41,15 +46,32 @@ def _used(node):
     return getattr(node, "id", None) or getattr(node, "attr", None)
 
 
-def test_each_guarded_name_is_used_by_exactly_its_owners():
+@functools.cache
+def _users():
     # an owner is a top-level function or class, or the module's own code
-    seen = {name: set() for name in OWNERS}
+    seen = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             owner = f"{path.stem}.{top.name}" if hasattr(top, "name") else path.stem
             for node in ast.walk(top):
-                seen.get(_used(node), set()).add(owner)
-    assert seen == OWNERS
+                seen.setdefault(_used(node), set()).add(owner)
+    return seen
+
+
+def _assert_owned(table):
+    assert {name: _users().get(name, set()) for name in table} == table
+
+
+def test_only_heisenberg_drives_the_frequency_integrals():
+    _assert_owned(FREQUENCY_INTEGRALS)
+
+
+def test_only_grids_angular_modes_takes_an_angular_dft():
+    _assert_owned(ANGULAR_DFT)
+
+
+def test_pointwise_heat_kernel_oracle_has_its_own_profile():
+    _assert_owned(ORACLE_PROFILE)
 
 
 @pytest.mark.parametrize("engine", ENGINES)
