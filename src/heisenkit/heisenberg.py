@@ -55,9 +55,11 @@ def group_inverse(p):
 _SMALLEST = math.ulp(0.0)
 
 
-def _hyperbolic_factors(lam, zeta, n):
+def _hyperbolic_factors(lam, zeta, n, log_power=False):
     """The hyperbolic Gaussian's two lam factors: (lam / sinh(lam zeta))^n
-    and -lam coth(lam zeta) / 4, the rate of its Gaussian in r^2.
+    and -lam coth(lam zeta) / 4, the rate of its Gaussian in r^2.  With
+    log_power the first comes as its logarithm n (log 2a - x - log e1),
+    which stays finite where the factor itself leaves double range.
 
     Both are even in lam, so with a = max(|lam|, 1e-100 / |zeta|), x =
     a zeta and e1 = 1 - e^{-2x} they are (2a e^{-x} / e1)^n and
@@ -77,7 +79,10 @@ def _hyperbolic_factors(lam, zeta, n):
     ex = np.exp(-x)
     e1 = -np.expm1(-2.0 * x)
     e1 = np.where(np.isfinite(e1), e1, 1.0 - ex * ex)       # 2x overflows past 9e307
-    return (a * (2.0 * ex) / e1) ** n, -0.25 * a * (2.0 - e1) / e1
+    rate = -0.25 * a * (2.0 - e1) / e1
+    if log_power:
+        return n * (np.log(a) + math.log(2.0) - x - np.log(e1)), rate
+    return (a * (2.0 * ex) / e1) ** n, rate
 
 
 def heat_kernel_lambda(zeta, lam, r, n=1):
@@ -103,8 +108,13 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
                          f"(lam={lam!r}, zeta={zeta!r})")
     r = finite_array("r", r)
     with np.errstate(over="ignore", invalid="ignore"):     # r past 1.3e154 reads 0
-        power, rate = _hyperbolic_factors(lam, zeta, n)
-        out = np.asarray((4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r))), complex)
+        if np.iscomplexobj(lam):    # the Gaussian may bring an out-of-range power back
+            log_power, rate = _hyperbolic_factors(lam, zeta, n, log_power=True)
+            out = np.exp(log_power - n * math.log(4.0 * np.pi) + rate * np.square(r))
+        else:
+            power, rate = _hyperbolic_factors(lam, zeta, n)
+            out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
+        out = np.asarray(out, complex)
     finite_array(f"the profile at lam={lam!r}, zeta={zeta!r}", out)     # overflow raises
     return out[()]
 

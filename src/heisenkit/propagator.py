@@ -203,8 +203,8 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
 
     series: sum_{k <= 400} Gamma(k+1)/Gamma(k+m) L_k^{m-1}(x)
     L_k^{m-1}(y) w^k with x = |lam| r^2/2, y = |lam| t^2/2,
-    w = e^{-2i|lam|s0} Abel-damped by 1 - 1e-12 (the gap to closed is linear
-    in it), times e^{-(x+y)/2} and the sector phase e^{-i(n+2p0)|lam|s0}.
+    w = e^{-2i|lam|s0} on the unit circle (the Abel sum), times e^{-(x+y)/2}
+    and the sector phase e^{-i(n+2p0)|lam|s0}.
     closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
     m = n+p0+q0.  Returns (series, closed).
@@ -219,7 +219,7 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     mu = abs(lam) * s0
     x = 0.5 * abs(lam) * r * r
     y = 0.5 * abs(lam) * t * t
-    w = (1.0 - 1e-12) * np.exp(-2j * mu)
+    w = np.exp(-2j * mu)
     series = (np.exp(-1j * (n + 2 * p0) * mu) * np.exp(-0.5 * (x + y))
               * laguerre_series_sum(m - 1, x, y, w, 400))
     arg = lam * r * t / (2.0 * math.sin(lam * s0))

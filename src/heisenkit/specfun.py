@@ -183,7 +183,8 @@ _SERIES_BLOCK = 1 << 16
 # partial sums that the tail resummation reads near the rim of the disc
 _TAIL = 48
 _EPS = float(np.finfo(float).eps)
-# the largest round-off of a sum, relative to it, that the series returns
+# the largest round-off or resummation gap of a sum, relative to it, that the
+# series returns
 _LOST_DIGITS = 1e-8
 
 
@@ -275,7 +276,7 @@ def _boosted_sums(grows, rows, ix, iy, w, kmax):
     """The series for |w| > 0.85 to degree kmax, with its tail resummed:
     S -> (S_{k+1} - w S_k)/(1 - w) iterated over the last partial sums,
     keeping the iterate whose last two entries agree best; and the largest
-    |term|."""
+    |term|.  ValueError where even that gap exceeds 1e-8 of the sum."""
     terms, sums, _ = _partial_sums(grows, rows, ix, iy, w, 1.0, 0.0, 0, kmax + 1)
     peak = np.abs(terms).max(axis=1)
     seq = sums[:, -_TAIL:]
@@ -290,6 +291,9 @@ def _boosted_sums(grows, rows, ix, iy, w, kmax):
         better = gap < best_gap
         best = np.where(better, seq[:, -1], best)
         best_gap = np.where(better, gap, best_gap)
+    if (best_gap > _LOST_DIGITS * np.abs(best)).any():
+        raise ValueError("the Laguerre series' tail resummation has not settled: its best "
+                         f"gap exceeds {_LOST_DIGITS:g} of the sum")
     return best, peak
 
 
@@ -331,17 +335,19 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     S -> (S_{k+1} - w S_k)/(1 - w), which strips one order of the
     slowly-varying envelope per pass, over the last 48 partial sums.  The
     iteration depth is picked a posteriori by successive-difference
-    minimization.  ValueError for |w| >= 1, w within 0.04 of 1 above
-    |w| = 0.85, a series that overflows, and one that cancels: where eps
-    times its largest term exceeds 1e-8 of the sum.
+    minimization; on |w| = 1, away from w = 1, it returns the Abel sum.
+    ValueError for |w| > 1, w within 0.04 of 1 above |w| = 0.85, a tail
+    that has not settled (its best gap above 1e-8 of the sum), a series
+    that overflows, and one that cancels: where eps times its largest term
+    exceeds 1e-8 of the sum.
     """
     order("Laguerre order alpha", alpha, -1.0)
     x, y, w, kmax = shapes(("x", "y", "w", "kmax"), finite_array("x", x), finite_array("y", y),
                            finite_array("w", np.asarray(w, dtype=complex)),
                            integer_array("kmax", kmax, 0, _SERIES_BLOCK), broadcast=True)
     modulus = np.abs(w)
-    if (modulus >= 1.0).any():
-        raise ValueError("Laguerre series diverges for |w| >= 1")
+    if (modulus > 1.0 + 2.0 * _EPS).any():        # |e^{i theta}| may read 1 + eps
+        raise ValueError("Laguerre series diverges for |w| > 1")
     boost = modulus > 0.85
     if (boost & (np.abs(1.0 - w) < 0.04)).any():
         raise ValueError("tail resummation needs w away from the point 1")
@@ -374,7 +380,8 @@ def hille_hardy(alpha, x, y, w, K=None):
     rhs: (1-w)^{-(alpha+1)} exp(-w(x+y)/(1-w)) Jt_alpha(2 sqrt(-xyw)/(1-w)),
     principal powers throughout.  x, y, w and K broadcast as in
     `laguerre_series_sum`, so a batch of points shares its banded solves;
-    scalars give a pair of complex scalars.  Returned as a pair; nothing is
+    scalars give a pair of complex scalars, on the closed disc (the series
+    side is the Abel sum on |w| = 1).  Returned as a pair; nothing is
     asserted.  ValueError where either side is out of range.
     """
     w = finite_array("w", np.asarray(w, dtype=complex))

@@ -125,16 +125,14 @@ def _suite_hille_hardy(rng):
             "w_abs_max": 0.7, "seed_theta": theta},
            worst, 1e-6)
 
-    radius = 1.0 - 1e-6
-    w = radius * np.exp(1j * np.array([0.5 * np.pi, 2.0 * np.pi / 3.0, np.pi]))[:, None]
+    w = np.exp(1j * np.array([0.5 * np.pi, 2.0 * np.pi / 3.0, np.pi]))[:, None]
     x, y = np.array([0.5, 1.0]), np.array([0.5, 2.0])
     worst = 0.0
     for alpha in (0.0, 1.0, 2.0):
         lhs, rhs = hille_hardy(alpha, x, y, w, K=1500)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield ("hille-hardy-boundary",
-           {"alpha": [0.0, 1.0, 2.0], "w_abs": radius,
-            "theta": [1.5708, 2.0944, 3.1416]},
+           {"alpha": [0.0, 1.0, 2.0], "w_abs": 1.0, "theta": [1.5708, 2.0944, 3.1416]},
            worst, 1e-3)
 
 
@@ -234,7 +232,7 @@ def _suite_theorem34(rng):
         worst = max(worst, abs(series - closed) / abs(closed))
     yield ("theorem34-kernel",
            {"lam": 1.0, "r": 1.3, "t": 0.7, "s0": 1.0,
-            "pq": [[0, 0], [1, 0]], "K": 400, "abel_damping": 1e-12}, worst, 1e-10)
+            "pq": [[0, 0], [1, 0]], "K": 400}, worst, 1e-10)
 
     raised = 0
     try:

@@ -417,7 +417,18 @@ def _sentence_probes():
               for args in ((1 + 1j, 1 + 1000j, 0.5), (0.5 + 2j, 3 + 400j, 0.5),
                            (0.3 + 1j, 1 + 800j, 0.0), (1j, 1 + 1000j, 0.5), (2j, 0.1 + 400j, 0.5))],
             lambda: _raises(lambda: hk.heat_kernel_lambda(1j, 1e12 + 1e3j, 0.5),
-                            r"^the profile at lam=.*, zeta=1j must be finite, got ")],
+                            r"^the profile at lam=.*, zeta=1j must be finite, got "),
+            # a power factor past double range that the Gaussian brings back
+            # (50-digit values; the exponents are ~ -620 and +536)
+            *[lambda args=args, want=want: np.testing.assert_allclose(
+                hk.heat_kernel_lambda(*args), want, rtol=1e-11)
+              for args, want in (
+                  ((2.2337705621567445 - 61.40707102902259j,
+                    439.57621491827655 - 22.189628495397052j, 1.1003607673799756, 2),
+                   6.443133113843301e-270 - 1.1998490435841444e-270j),
+                  ((2.636826051073124 - 176.9426349622119j,
+                    -18.63897848009675 + 6.17318418405001j, 18.409681773162553, 1),
+                   -4.6220522242392235e+232 - 2.0640907824544556e+233j))]],
         "A broken rule raises `ValueError` of the form": [
             lambda: _raises(lambda: hk.heat_kernel_grid(1.0, [0.5, 1.0, NAN], 0.0),
                             r"^radii r must be finite, got nan at index \(2,\)$"),
