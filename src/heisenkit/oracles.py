@@ -7,12 +7,12 @@ import cmath
 import math
 
 import numpy as np
+from scipy.special import j0
 
 from ._checks import complex_time, finite, positive, real      # tests/test_contract.py
 from .heisenberg import _lam_cutoff     # test_kernel_at_the_center_axis_is_the_closed_form
 from .htype import _constant     # test_kernel_at_the_origin_is_the_closed_form_at_large_times
 from .quadrature import QuadratureError, adaptive_quad     # tests/test_quadrature.py
-from .specfun import bessel_j_tilde     # hankel-gaussian, test_bessel_j_tilde_against_mpmath
 
 
 def _profile(lam, zeta, n, r):
@@ -98,14 +98,18 @@ def htype_heat_kernel(s, p):
                             epsabs=0.0, epsrel=_SINE_RTOL, sin_freq=t)
         return _constant(n, k) * 2.0 / (math.sqrt(math.pi) * t) * val.real
 
-    def f(lam):
-        return float(lam ** (k - 1) * _profile(lam, s, n, v).real
-                     * bessel_j_tilde(0.5 * k - 1.0, lam * t))
+    # the Bessel factor Jt_{k/2-1}(lam |t|), written out: cos / sqrt(pi) at
+    # k = 1, J_0 at k = 2, and 1 / Gamma(3/2) at k = 3, where |t| = 0 here.
+    # Where x^2 overflows (x >= 1.3e154) cephes' j0 is phase noise: NaN
+    # there, so that QUADPACK raises
+    bessel = {1: lambda x: math.cos(x) / math.sqrt(math.pi),
+              2: lambda x: j0(x) if x * x < math.inf else math.nan,
+              3: lambda x: 2.0 / math.sqrt(math.pi)}[k]
 
-    # |t| past 1.3e154 overflows hyp0f1's argument at k = 2 (QUADPACK then
-    # raises), without a numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14 * max(1.0, s) ** (-n - k))
+    def f(lam):
+        return float(lam ** (k - 1) * _profile(lam, s, n, v).real * bessel(lam * t))
+
+    val = adaptive_quad(f, 0.0, lam_max, epsabs=1e-14 * max(1.0, s) ** (-n - k))
     return _constant(n, k) * val.real
 
 

@@ -211,7 +211,7 @@ def _suite_hecke_bochner(rng):
 def _suite_theorem34(rng):
     _, _, stats = theorem34_gaussian_pair(1.0, 1.0, 1.0)
     yield ("theorem34-gaussian",
-           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 0,
+           {"a": 1.0, "lam": 1.0, "s0": 1.0,
             "c_lambda": [stats["c_lambda"].real, stats["c_lambda"].imag]},
            stats["rel_std"], 1e-13)
 
@@ -223,7 +223,7 @@ def _suite_theorem34(rng):
     _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, grid, t_weights=t_w)
     yield ("theorem34-grid",
            {"f": "exp(-|z|^2 - t^2)", "p0": 0, "q0": 0,
-            "lam": 1.0, "s0": 1.0, "eps": 0, "grid": "96x64"},
+            "lam": 1.0, "s0": 1.0, "grid": "96x64"},
            stats["rel_std"], 1e-12)
 
     worst = 0.0
@@ -279,14 +279,12 @@ def _suite_gates(rng):
 
     _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
     yield ("equality-tanh-residual",
-           {"a": 1.0, "lam": 1.0, "s0": 1.0, "eps": 0,
-            "b_fit": b_fit}, residual, 1e-8)
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "b_fit": b_fit}, residual, 1e-8)
 
     fits = [equality_case_profile(a, 1.0, 0.7)[1] for a in (0.5, 1.0, 2.0)]
     violation = max(0.0, fits[1] - fits[0], fits[2] - fits[1])
     yield ("equality-monotone",
-           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7, "eps": 0,
-            "b_fit": fits}, violation, 0.0)
+           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7, "b_fit": fits}, violation, 0.0)
 
 
 def _suite_hermite(rng):

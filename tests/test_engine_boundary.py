@@ -29,9 +29,10 @@ ANGULAR_DFT = {
                       "twisted._ring_sum"},
 }
 ORACLE_PROFILE = {
-    # the engines' profile and integral, which no oracle may read
+    # the engines' profile, integral and Bessel function, which no oracle may read
     "_hyperbolic_factors": {"heisenberg.heat_kernel_lambda", "heisenberg._central_integral"},
     "_central_integral": {"heisenberg.heat_kernel_grid", "htype.htype_heat_batch"},
+    "bessel_j_tilde": {"hankel.hankel_transform", "htype.htype_heat_batch"},
     # the oracles' own scalar profile, and QUADPACK
     "_profile": ORACLES, "adaptive_quad": ORACLES | {"oracles.twisted_convolution_quad"},
 }

@@ -61,6 +61,19 @@ def test_laguerre_table_is_every_degree_of_one_recurrence():
             _laguerre_rows(alpha, t, 3)
 
 
+@pytest.mark.parametrize("call", [lambda t: laguerre(3, 0.5, t), lambda t: laguerre_fn(3, 1.7, 2, t),
+                                  lambda t: bessel_j_tilde(-0.5, t), lambda t: bessel_j_tilde(0.3, t),
+                                  lambda t: bessel_j_tilde(1.5, t)],
+                         ids=["laguerre", "laguerre_fn", "jtilde-cos", "jtilde-series", "jtilde-lattice"])
+def test_scalar_in_numpy_scalar_out(call):
+    one = call(1.25)
+    assert isinstance(one, np.floating) and not isinstance(one, np.ndarray)
+    many = call(np.full((2, 3), 1.25))
+    assert isinstance(many, np.ndarray) and many.shape == (2, 3)
+    assert np.all(many == one)
+    assert call(np.array([1.25])).shape == (1,)
+
+
 def test_laguerre_fn_shape_and_evenness():
     r = np.linspace(0.0, 6.0, 25)
     plus = laguerre_fn(3, 1.7, 1, r)
@@ -248,6 +261,38 @@ def test_laguerre_series_sum_against_brute_force():
         assert abs(got - want) < 1e-12 * max(1.0, abs(want))
 
 
+def test_series_at_w_zero_is_its_degree_zero_term():
+    # every term past degree 0 is exactly 0, so a point stops at the end of
+    # its first range with the degree-0 term 1 / Gamma(alpha + 1)
+    for alpha in (0.0, 0.5, 1.0, 2.5):
+        first = laguerre_series_sum(alpha, 1.3, 0.7, 0.0, 0)
+        assert first == pytest.approx(1.0 / math.gamma(alpha + 1.0), rel=1e-15)
+        for kmax in (1, 63, 64, 600):
+            assert laguerre_series_sum(alpha, 1.3, 0.7, 0.0, kmax) == first
+    assert laguerre_series_sum(1.0, 1.3, 0.7, 0.0, 600) == 1.0
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 2, 3])
+def test_series_with_a_few_degrees_is_the_truncated_sum(kmax):
+    for alpha, x, y, w in ((0.0, 1.0, 2.0, 0.4), (1.5, 0.3, 3.0, -0.7 + 0.2j)):
+        want = _hh_brute(alpha, x, y, w, kmax)
+        assert abs(laguerre_series_sum(alpha, x, y, w, kmax) - want) <= 1e-15 * abs(want)
+
+
+@pytest.mark.parametrize("kmax", [64, 192])
+def test_series_one_degree_past_a_range_end_is_the_term_by_term_sum(kmax):
+    # ranges of degrees end at 64, 192, 448, ...; at |w| = 0.84 the terms
+    # near degree 190 are still ~1e-13 of the sum, so the point carries its
+    # power and partial sum into a last range of one degree
+    alpha, x, y, w = 1.0, 0.5, 1.5, 0.84 * np.exp(0.3j)
+    want, ratio = 0.0, 1.0 / math.gamma(alpha + 1.0)
+    for k in range(kmax + 1):
+        want += ratio * laguerre(k, alpha, x) * laguerre(k, alpha, y) * w ** k
+        ratio *= (k + 1.0) / (k + 1.0 + alpha)
+    got = laguerre_series_sum(alpha, x, y, w, kmax)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
 def test_hille_hardy_frozen_point():
     # alpha=1, x=y=0: L_k^1(0) = k+1, so the sum is sum (k+1) w^k = (1-w)^{-2};
     # at w = 1/2 both routes must give 4
@@ -298,9 +343,12 @@ def test_laguerre_series_sum_rejects_the_pole_neighborhood():
 
 def test_a_tail_that_has_not_settled_raises():
     # near w = 1 at large x and y, 400 degrees leave the series 1.5e-4 off
-    # the closed form, with a best resummation gap of 9.5e-6 of the sum
+    # the closed form, and its resummation moves 7.5e-4 over 32 degrees
     with pytest.raises(ValueError, match="has not settled"):
         hille_hardy(0.0, 4.0, 4.0, np.exp(0.3j), K=400)
+    # below 32 degrees there is no earlier resummation to match
+    with pytest.raises(ValueError, match="has not settled"):
+        laguerre_series_sum(1.0, 1.0, 1.5, 0.9j, 31)
 
 
 _BAD_SERIES_INPUT = {
