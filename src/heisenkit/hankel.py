@@ -8,6 +8,7 @@ The kernel is written through the normalized Bessel function, so s = 0 and
 negative arguments need no special casing.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,13 +111,21 @@ def fit_gaussian_decay(F, window=None):
 _HARDY_TOL = 1e-9
 
 
+def _verdict(rates, over=()):
+    """Hardy's test of P = prod(rates) / prod(over) against 1/4, in logs so that no product
+    overflows: 'critical' where |log 4P| <= 4e-9 (P = 1/4 within 1e-9); the rule of every gate."""
+    if 0 in rates:
+        return "subcritical"
+    log4p = math.log(4.0) + sum(map(math.log, rates)) - sum(map(math.log, over))
+    if abs(log4p) <= 4.0 * _HARDY_TOL:
+        return "critical"
+    return "supercritical" if log4p > 0 else "subcritical"
+
+
 def hardy_gate(a, b):
     """Classify a Gaussian decay pair: 'supercritical' (ab > 1/4, only the
     zero profile is admissible), 'critical' (ab = 1/4 within 1e-9), else
     'subcritical'."""
     positive("decay rate a", a)
     positive("decay rate b", b)
-    ab = a * b
-    if abs(ab - 0.25) <= _HARDY_TOL:
-        return "critical"
-    return "supercritical" if ab > 0.25 else "subcritical"
+    return _verdict((a, b))

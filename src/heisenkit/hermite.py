@@ -35,7 +35,7 @@ import numpy as np
 
 from ._checks import finite, finite_array, integer, positive, real, shapes, vector
 from .grids import RadialProfile
-from .hankel import fit_gaussian_decay
+from .hankel import _verdict, fit_gaussian_decay
 from .quadrature import warn_truncated
 
 _CAUSTIC_TOL = 1e-6
@@ -245,12 +245,13 @@ def hermite_evolve(f, s, x=None):
 
 
 def hermite_gate(a, b, s0):
-    """margin = a b sin^2(2 s0) - 1/4; the flow vanishes when it is positive."""
+    """margin = a b sin^2(2 s0) - 1/4; the flow vanishes where the Hardy rule says supercritical."""
     positive("decay rate a", a)
     positive("decay rate b", b)
     real("s0", s0)
-    margin = a * b * math.sin(2.0 * s0) ** 2 - 0.25
-    return margin, margin > 0
+    sine = math.sin(2.0 * s0)
+    margin = a * b * sine ** 2 - 0.25
+    return margin, _verdict((a, b, abs(sine), abs(sine))) == "supercritical"
 
 
 def gate_boundary_profile(a, s0):

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import finite_array, integer, nonzero, positive, shapes, vector
+from .hankel import _verdict
 from .heisenberg import _central_integral
 from .quadrature import QuadratureError, _disagreement, gauss_interval, warn_truncated
 from .specfun import bessel_j_tilde
@@ -197,10 +198,10 @@ def radon_heat_profile(s, v_norms, t_vals, n=1, k=2):
 
 
 def htype_gate(a, b, s0):
-    """True when ab < s0^2: the evolved solution with these central decays
-    must vanish (the decision surface is inherited through the Radon
-    collapse, so it matches the Heisenberg gate exactly)."""
+    """True when ab < s0^2: the evolved solution with these central decays must vanish.  The
+    surface is inherited through the Radon collapse: the Hardy rule judges the factors that
+    uniqueness_gate passes at lam = 0, so the two agree bit for bit, in the critical band too."""
     positive("decay rate a", a)
     positive("decay rate b", b)
     nonzero("s0", s0)
-    return a * b < s0 * s0
+    return _verdict((abs(s0), abs(s0), 4.0), (16.0, a, b)) == "supercritical"

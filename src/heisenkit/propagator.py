@@ -24,7 +24,7 @@ from ._checks import (complex_time, finite, finite_array, integer, nonzero, one_
                       positive, real, vector)
 from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
-from .hankel import HankelPlan, fit_gaussian_decay, hankel_transform
+from .hankel import HankelPlan, _verdict, fit_gaussian_decay, hankel_transform
 from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
 from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
@@ -231,8 +231,9 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
 
 def uniqueness_gate(a, b, s0, eps=0.0, lam=0.0):
     """Margin of the central decay inequality for decay rates a, b > 0,
-    time s0 != 0, shift eps >= 0 and frequency lam >= 0; positive margin
-    forces the sector coefficients to vanish through the Hardy gate.
+    time s0 != 0, shift eps >= 0 and frequency lam >= 0, and True when the Hardy
+    rule finds it supercritical (False in its critical band, where the margin may
+    be positive): that forces the sector coefficients to vanish.
 
     margin = [1/(4(a+eps))] [s0^2/(4(b+eps))] [2 sin(lam s0)/(lam s0)]^2 - 1/4
     with the lam = 0 limit of the bracket equal to 4.
@@ -242,27 +243,25 @@ def uniqueness_gate(a, b, s0, eps=0.0, lam=0.0):
     nonzero("s0", s0)
     finite("eps", eps, nonnegative=True)
     finite("lam", lam, nonnegative=True)
-    if lam == 0:
-        osc = 4.0
-    else:
-        x = lam * s0
-        osc = (2.0 * math.sin(x) / x) ** 2
+    x = lam * s0
+    # the lam -> 0 limit, also where lam s0 underflows to 0
+    osc = 4.0 if x == 0 else (2.0 * math.sin(x) / x) ** 2
     margin = (1.0 / (4.0 * (a + eps))) * (s0 ** 2 / (4.0 * (b + eps))) * osc - 0.25
-    return margin, margin > 0
+    return margin, _verdict((abs(s0), abs(s0), osc), (16.0, a + eps, b + eps)) == "supercritical"
 
 
 def gate_lambda_window(a, b, s0, eps=0.0):
     """Largest delta with positive margin on the whole window (0, delta).
 
-    Returns None when already the lam -> 0 limit is not supercritical (no
-    window exists).  The margin is strictly decreasing in lam on
-    (0, pi/|s0|) and is negative at the endpoint, so bisection applies.
+    Returns None when uniqueness_gate finds the lam -> 0 limit not supercritical
+    (no window exists, also in the critical band).  The margin is strictly decreasing
+    in lam on (0, pi/|s0|) and is negative at the endpoint, so bisection applies.
     """
 
     def margin(lam):
         return uniqueness_gate(a, b, s0, eps, lam)[0]
 
-    if margin(0.0) <= 0:
+    if not uniqueness_gate(a, b, s0, eps)[1]:
         return None
     lo, hi = 0.0, math.pi / abs(s0)
     for _ in range(60):

@@ -19,6 +19,7 @@ import sys
 import time
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy
@@ -270,12 +271,22 @@ def _suite_gates(rng):
            {"lattice": "3x3x3, a,b in {0.3,0.7,1.3}, "
                        "s0 in {0.4,0.8,1.5}"}, bad, 0.0)
 
-    bad = 0
-    for a, b, s0 in lattice:
-        limit = uniqueness_gate(a, b, s0)[1]
-        if htype_gate(a, b, s0) != limit:
-            bad += 1
-    yield "gate-htype-agreement", {"lattice": "same 3x3x3"}, bad, 0.0
+    # b = s0^2/a (1 +- 10^U(-17, -5)): the nearest draws lie within a few ulp
+    # of ab = s0^2, where two gates that round their products apart would split
+    a, s0 = rng.uniform(0.05, 5.0, 1000), rng.uniform(0.1, 3.0, 1000)
+    b = s0 * s0 / a * (1.0 + rng.choice((-1.0, 1.0), 1000) * 10.0 ** rng.uniform(-17.0, -5.0, 1000))
+    split = wrong = 0
+    for ai, bi, si in zip(a.tolist(), b.tolist(), s0.tolist()):
+        ok = htype_gate(ai, bi, si), uniqueness_gate(ai, bi, si)[1]
+        split += ok[0] != ok[1]
+        # 1e-8 away from ab = s0^2, judged in Fractions, a verdict is the exact one
+        ratio = Fraction(si) ** 2 / (Fraction(ai) * Fraction(bi))
+        wrong += abs(ratio - 1) > Fraction(1, 10 ** 8) and ok != (ratio > 1,) * 2
+    yield ("gate-htype-agreement",
+           {"draws": 1000, "a": [0.05, 5.0], "s0": [0.1, 3.0], "b": "s0^2/a (1 +- 10^U(-17, -5))",
+            "reference": "Fraction(a) * Fraction(b) < Fraction(s0) ** 2, where "
+                         "|s0^2/(ab) - 1| > 1e-8", "split": split, "wrong": wrong},
+           split + wrong, 0.0)
 
     _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
     yield ("equality-tanh-residual",

@@ -96,8 +96,11 @@ def test_criterion_07_theorem34_linking_constant(records):
 
 def test_criterion_08_gate_lambda_window(records):
     c = records["gate-lambda-window"]
+    agree = records["gate-htype-agreement"]
     assert c.error == 0                # lattice misfires
-    _report(8, "lambda window exists iff ab < s0^2 (3^3 lattice)", [c])
+    assert agree.error == 0            # split or inexact verdicts near ab = s0^2
+    _report(8, "lambda window exists iff ab < s0^2 (3^3 lattice); gates agree near it",
+            [c, agree])
 
 
 def test_criterion_09_equality_case_residual(records):

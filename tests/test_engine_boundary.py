@@ -1,4 +1,4 @@
-"""Who may use what, in one table of three parts, and one import rule that
+"""Who may use what, in one table of four parts, and one import rule that
 keeps the engines apart from the two oracle modules, `twisted` and `oracles`."""
 
 import ast
@@ -37,6 +37,14 @@ ORACLE_PROFILE = {
     "_profile": ORACLES, "adaptive_quad": ORACLES | {"oracles.twisted_convolution_quad"},
 }
 
+GATE_RULE = {
+    # one Hardy rule decides all four gates; its critical band is the rule's
+    # alone (`hankel` is the band's definition)
+    "_verdict": {"hankel.hardy_gate", "propagator.uniqueness_gate", "hermite.hermite_gate",
+                 "htype.htype_gate"},
+    "_HARDY_TOL": {"hankel", "hankel._verdict"},
+}
+
 
 def _used(node):
     """A name, attribute or call ("name()") used, or a name an import renames."""
@@ -73,6 +81,10 @@ def test_only_grids_angular_modes_takes_an_angular_dft():
 
 def test_pointwise_heat_kernel_oracle_has_its_own_profile():
     _assert_owned(ORACLE_PROFILE)
+
+
+def test_one_hardy_rule_decides_every_gate():
+    _assert_owned(GATE_RULE)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -304,6 +305,84 @@ _NAN, _INF = float("nan"), float("inf")
 def test_gates_reject_non_finite_rates_and_times(gate, args):
     with pytest.raises(ValueError, match="must be"):
         gate(*args)
+
+
+def _plus_ulps(x, steps):
+    """x moved by steps[i] ulp, |steps| <= 3."""
+    for _ in range(3):
+        x = np.where(steps > 0, np.nextafter(x, np.inf),
+                     np.where(steps < 0, np.nextafter(x, 0), x))
+        steps = steps - np.sign(steps)
+    return x
+
+
+def _heisenberg_verdicts(a, b, s0):
+    """The boolean gates on one point, and hardy_gate on its Hardy pair."""
+    window = gate_lambda_window(a, b, s0) is not None
+    hardy = hardy_gate(1.0 / (4.0 * a), s0 * s0 / b) == "supercritical"
+    return htype_gate(a, b, s0), uniqueness_gate(a, b, s0)[1], window, hardy
+
+
+def _expected(ratio):
+    """The Hardy rule's verdict on an exact ratio 4P, or None within 1e-10 of
+    its 4e-9 band's edge, where rounding in the logs may tip it."""
+    gap = abs(float(ratio - 1))
+    if abs(gap - 4e-9) < 1e-10:
+        return None
+    if gap < 4e-9:
+        return "critical"
+    return "supercritical" if ratio > 1 else "subcritical"
+
+
+def test_gates_agree_within_three_ulp_of_the_boundary():
+    # b = s0^2/a moved by up to 3 ulp, where a gate that rounds its own margin
+    # or product splits from the others (4322 of these draws did)
+    rng = np.random.default_rng(1)
+    a, s0 = rng.uniform(0.05, 5.0, 10_000), rng.uniform(0.1, 3.0, 10_000)
+    b = _plus_ulps(s0 * s0 / a, rng.integers(-3, 4, 10_000))
+    split = [p for p in zip(a.tolist(), b.tolist(), s0.tolist())
+             if len(set(_heisenberg_verdicts(*p))) > 1]
+    assert not split, (len(split), split[:3])
+
+
+def test_every_verdict_outside_the_critical_band_is_exact():
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2)
+    a, s0 = 10.0 ** rng.uniform(-3.0, 3.0, 2000), 10.0 ** rng.uniform(-2.0, 2.0, 2000)
+    rel = rng.choice((-1.0, 1.0), 2000) * 10.0 ** rng.uniform(-17.0, -5.0, 2000)
+    b = s0 * s0 / a * (1.0 + rel)
+    wrong = []
+    for ai, bi, si in zip(a.tolist(), b.tolist(), s0.tolist()):
+        # the boolean gates on the point; hardy_gate on its own rounded pair
+        want = _expected(Fraction(si) ** 2 / (Fraction(ai) * Fraction(bi)))
+        booleans = _heisenberg_verdicts(ai, bi, si)[:3]
+        if want is not None and booleans != (want == "supercritical",) * 3:
+            wrong.append((ai, bi, si))
+        x, y = 1.0 / (4.0 * ai), si * si / bi
+        hardy = _expected(4 * Fraction(x) * Fraction(y))
+        if hardy is not None and hardy_gate(x, y) != hardy:
+            wrong.append((x, y))
+    # the Hermite product holds a sine: 50 digits stand in for the exact value
+    s0 = rng.uniform(0.05, 1.5, 2000)
+    b = 0.25 / (a * np.sin(2.0 * s0) ** 2) * (1.0 + rel)
+    for ai, bi, si in zip(a.tolist(), b.tolist(), s0.tolist()):
+        with mpmath.workdps(50):
+            want = _expected(4 * mpmath.mpf(ai) * bi * mpmath.sin(2 * mpmath.mpf(si)) ** 2)
+        if want is not None and hermite_gate(ai, bi, si)[1] != (want == "supercritical"):
+            wrong.append((ai, bi, si, "hermite"))
+    assert not wrong, (len(wrong), wrong[:3])
+
+
+def test_gates_decide_extreme_rates_without_overflow():
+    # 1 / (4 a) overflows the margin to inf here; the product is 2.5e-11 of 1/4
+    assert uniqueness_gate(1e-310, 1e300, 1e-10)[1] is False
+    assert htype_gate(1e-310, 1e308, 1e-5) is False
+    assert htype_gate(1e200, 1e200, 1e199) is False
+    assert htype_gate(1e-200, 1e-200, 1e-150) is True
+    assert hardy_gate(1e200, 1e200) == "supercritical"
+    assert hermite_gate(1e300, 1e300, 1e-200)[1] is True
+    # lam s0 underflows to 0: the lam -> 0 limit, not a division by zero
+    assert uniqueness_gate(1.0, 1.0, 1e-200, 0.0, 1e-200) == uniqueness_gate(1.0, 1.0, 1e-200)
 
 
 def test_equality_case_satisfies_the_sharp_relation():
