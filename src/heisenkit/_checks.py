@@ -4,6 +4,8 @@ A validator raises ValueError naming the argument it was given, in one
 form: "<name> must be <rule>, got <value>", and for a sample array
 "... at index <index>", the first entry that breaks the rule.  A rule on
 real numbers refuses a complex one, even with a zero imaginary part.
+A result computed from valid arguments that overflowed raises
+NonFiniteResult instead, which is both a ValueError and an ArithmeticError.
 Pointwise special functions map a NaN point to NaN, as scipy.special does:
 only their order, degree, dimension and frequency arguments come here.
 """
@@ -14,6 +16,11 @@ import math
 import numpy as np
 
 _COMPLEX = (complex, np.complexfloating)
+
+
+class NonFiniteResult(ArithmeticError, ValueError):
+    """Finite inputs whose result overflowed or lost every digit: a
+    numerical failure, and a ValueError as every refused call is."""
 
 
 def finite(name, value, nonnegative=False):
@@ -75,12 +82,12 @@ def integer(name, value, lowest=1, allowed=None):
         raise ValueError(f"{name} must be {choices}, got {value}")
 
 
-def _refuse(name, rule, values, bad):
-    """Raise for the first entry of values where bad holds, if there is one."""
+def _refuse(name, rule, values, bad, error=ValueError):
+    """Raise error for the first entry of values where bad holds, if there is one."""
     if bad.any():
         index = tuple(np.argwhere(bad)[0].tolist())
         where = f" at index {index}" if index else ""
-        raise ValueError(f"{name} must be {rule}, got {values[index]}{where}")
+        raise error(f"{name} must be {rule}, got {values[index]}{where}")
 
 
 def finite_array(name, values, nonnegative=False):
@@ -92,6 +99,12 @@ def finite_array(name, values, nonnegative=False):
     if nonnegative:
         _refuse(name, "nonnegative", values, values < 0)
     return values
+
+
+def finite_result(name, values):
+    """Refuse a computed array with a non-finite entry, in the form of
+    `finite_array` but with NonFiniteResult."""
+    _refuse(name, "finite", values, ~np.isfinite(values), NonFiniteResult)
 
 
 def vector(name, values, nonnegative=False, increasing=False):

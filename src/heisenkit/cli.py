@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from ._checks import finite, one_dimensional
+from ._checks import NonFiniteResult, finite, one_dimensional
 from .hankel import DegenerateFitError, hardy_gate
 from .heisenberg import heat_kernel_grid, heat_kernel_lambda
 from .hermite import CausticError, hermite_gate, mehler_kernel
@@ -26,10 +26,6 @@ from .htype import htype_gate, htype_heat_batch
 from .propagator import DecayDomainError, ExceptionalLambdaError, uniqueness_gate
 from .quadrature import QuadratureError
 from .verify import SUITE_NAMES, run_suite
-
-
-class NonFiniteResult(ArithmeticError):
-    """Finite inputs whose result overflowed or lost every digit."""
 
 
 # ArithmeticError takes in NonFiniteResult and the OverflowError of Python

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (finite_array, integer, positive, quadrature_weights, real, shapes,
-                      vector)
+from ._checks import (NonFiniteResult, finite_array, integer, positive, quadrature_weights, real,
+                      shapes, vector)
 from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
 
 
@@ -200,7 +200,7 @@ def partial_fourier_t(f, lam, grid, t_nodes, t_weights=None):
         sliced = f @ phase.real + 1j * (f @ phase.imag)
     if not np.all(np.isfinite(sliced)):
         finite_array("samples of f", f)
-        raise ValueError("the t integral of f overflows")
+        raise NonFiniteResult("the t integral of f overflows")
     peak = np.max(np.abs(f)) if np.iscomplexobj(f) else max(f.max(), -f.min())
     warn_truncated("f has not decayed at the ends of the t grid; the t integral is truncated",
                    float(np.max(np.abs(f[..., [0, -1]]))), float(peak), 1e-10)

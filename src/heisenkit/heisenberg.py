@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import complex_time, finite, finite_array, integer, positive, real, shapes, vector
+from ._checks import (complex_time, finite, finite_array, finite_result, integer, positive, real,
+                      shapes, vector)
 from .quadrature import envelope_cutoff, even_trapezoid
 
 
@@ -115,7 +116,7 @@ def heat_kernel_lambda(zeta, lam, r, n=1):
             power, rate = _hyperbolic_factors(lam, zeta, n)
             out = (4.0 * np.pi) ** (-n) * (power * np.exp(rate * np.square(r)))
         out = np.asarray(out, complex)
-    finite_array(f"the profile at lam={lam!r}, zeta={zeta!r}", out)     # overflow raises
+    finite_result(f"the profile at lam={lam!r}, zeta={zeta!r}", out)
     return out[()]
 
 

@@ -20,15 +20,15 @@ import math
 import numpy as np
 from scipy.special import gammaln
 
-from ._checks import (complex_time, finite, finite_array, integer, nonzero, one_dimensional,
-                      positive, real, vector)
+from ._checks import (NonFiniteResult, complex_time, finite, finite_array, integer, nonzero,
+                      one_dimensional, positive, real, vector)
 from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
 from .hankel import HankelPlan, _verdict, fit_gaussian_decay, hankel_transform
 from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
 from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
-from .spherical import build_basis, spherical_coefficients
+from .spherical import _sector_shift, build_basis, spherical_coefficients
 
 _EXCEPTIONAL_TOL = 1e-6
 # the equality-case grid reaches where its extremal is 1e-9 of its peak
@@ -68,8 +68,8 @@ def _laguerre_basis(lam, r, degrees, order):
     with np.errstate(over="ignore", invalid="ignore"):
         table = _laguerre_rows(order, x, degrees - 1).T * np.exp(log_scale)    # (j, r)
     if not np.all(np.isfinite(table)):
-        raise ValueError(f"the Laguerre table overflows at |lam| r^2/2 = {x[-1]:.3g} "
-                         f"with {degrees} degrees; use a smaller r_max or |lam|")
+        raise NonFiniteResult(f"the Laguerre table overflows at |lam| r^2/2 = {x[-1]:.3g} "
+                              f"with {degrees} degrees; use a smaller r_max or |lam|")
     return math.sqrt(abs(lam)) * table
 
 
@@ -84,12 +84,12 @@ def schrodinger_evolve(f, zeta):
     interpolant's do; each mode's radial profile is projected on
     r^|m| L_j^|m|(|lam| r^2/2) e^{-|lam| r^2/4} with the grid's own radial
     weights, one degree per radial node; coefficient (m, j) lies in P_k with
-    k = j + p, where p = |m| when m and lam have the same sign and p = 0
-    otherwise; the evolved modes are resynthesised on the grid nodes, where
-    the two halves of an even angle count's Nyquist bin, each evolved with
-    its own p, meet on one column.  The basis is built for each live order
-    |m| alone, by one banded solve, and the other modes of the result are
-    0.  A radial slice evolves one mode.  At Re zeta = 0 the multiplier has
+    k = j plus the degree at which m's bidegree (max(m, 0), max(-m, 0))
+    starts (`spherical._sector_shift`); the evolved modes are resynthesised
+    on the grid nodes, where the two halves of an even angle count's Nyquist
+    bin, each evolved with its own shift, meet on one column.  The basis is
+    built for each live order |m| alone, by one banded solve, and the other
+    modes of the result are 0.  A radial slice evolves one mode.  At Re zeta = 0 the multiplier has
     modulus 1, the flow is unitary, and it resolves only what the grid's
     Laguerre expansion resolves, which the truncation warning reports.  The
     grid twisted convolution in `twisted` is the oracle this is tested
@@ -104,7 +104,7 @@ def schrodinger_evolve(f, zeta):
                    float(np.max(np.abs(f.values[-1]))), float(np.max(np.abs(f.values))), 1e-8)
     m, c = angular_modes(f.values)
     order = np.abs(m)
-    shift = np.where(np.sign(m) == np.sign(f.lam), order, 0)
+    shift = _sector_shift(f.lam, np.maximum(m, 0), np.maximum(-m, 0))
     degrees = grid.r.size
     weighted = (grid.r_weights * grid.r)[:, None] * c
     j = np.arange(degrees)[:, None]
@@ -204,8 +204,11 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     series: sum_{k <= 400} Gamma(k+1)/Gamma(k+m) L_k^{m-1}(x)
     L_k^{m-1}(y) w^k with x = |lam| r^2/2, y = |lam| t^2/2,
     w = e^{-2i|lam|s0} on the unit circle (the Abel sum), times e^{-(x+y)/2}
-    and the sector phase e^{-i(n+2p0)|lam|s0}.
-    closed: e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
+    and the sector phase e^{-i(n+2d)|lam|s0}, where the sector starts at
+    Laguerre degree d = p0 for lam > 0 and d = q0 for lam < 0
+    (`spherical._sector_shift`).
+    closed, as the paper writes it and without that rule:
+    e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
     m = n+p0+q0.  Returns (series, closed).
     """
@@ -220,7 +223,8 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     x = 0.5 * abs(lam) * r * r
     y = 0.5 * abs(lam) * t * t
     w = np.exp(-2j * mu)
-    series = (np.exp(-1j * (n + 2 * p0) * mu) * np.exp(-0.5 * (x + y))
+    shift = _sector_shift(lam, p0, q0)
+    series = (np.exp(-1j * (n + 2 * shift) * mu) * np.exp(-0.5 * (x + y))
               * laguerre_series_sum(m - 1, x, y, w, 400))
     arg = lam * r * t / (2.0 * math.sin(lam * s0))
     closed = (np.exp(1j * lam * s0 * (q0 - p0)) * (2j * math.sin(mu)) ** (-m)

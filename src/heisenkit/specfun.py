@@ -15,7 +15,8 @@ import math
 import numpy as np
 from scipy.special import gammaln, hyp0f1, j0, j1, rgamma
 
-from ._checks import finite_array, integer, integer_array, nonzero, order, shapes
+from ._checks import (NonFiniteResult, finite_array, integer, integer_array, nonzero, order,
+                      shapes)
 
 
 def _recurrence(m, alpha, t):
@@ -347,7 +348,7 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
                 out[idx], peak[idx] = _series_block(float(alpha), x[idx], y[idx], w[idx],
                                                     degrees, boost[idx])
     if not np.isfinite(out).all():
-        raise ValueError("the Laguerre series overflows; x and y are too large")
+        raise NonFiniteResult("the Laguerre series overflows; x and y are too large")
     # each term carries a round-off of eps |term| into the sum
     if (_EPS * peak > _LOST_DIGITS * np.abs(out)).any():
         raise ValueError("the Laguerre series cancels: eps times its largest term exceeds "
@@ -378,5 +379,5 @@ def hille_hardy(alpha, x, y, w, K=None):
     with np.errstate(over="ignore", invalid="ignore"):
         rhs = one ** (-(alpha + 1.0)) * np.exp(-w * (x + y) / one) * jtilde_of_square(alpha, u2)
     if not np.isfinite(rhs).all():
-        raise ValueError("the closed form overflows; x and y are too large")
+        raise NonFiniteResult("the closed form overflows; x and y are too large")
     return lhs, (complex(rhs) if rhs.ndim == 0 else rhs)

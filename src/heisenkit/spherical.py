@@ -217,6 +217,14 @@ def build_basis(n, p, q):
     return BigradedBasis(n, p, q, tuple(elements), nodes, weights)
 
 
+def _sector_shift(lam, p, q):
+    """The Laguerre degree at which the bidegree (p, q) sector starts on the
+    lam-slice: p for lam > 0 and q for lam < 0, since conjugation swaps z and
+    conj(z) (Thangavelu, Lectures on Hermite and Laguerre Expansions, 1993).
+    p and q broadcast."""
+    return np.where(lam > 0, p, q)
+
+
 def spherical_coefficients(f, basis, j):
     """Radial coefficient f_{p,q,j}(r) = int f(r omega) conj(Y^j(omega)) dsigma.
 

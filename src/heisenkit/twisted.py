@@ -67,7 +67,7 @@ from ._checks import (finite_array, integer, integer_array, nonzero, one_dimensi
 from .grids import PolarGrid, SpectralSlice, angular_modes, circle_rule, radial_slice
 from .quadrature import warn_truncated
 from .specfun import laguerre_fn
-from .spherical import build_basis
+from .spherical import _sector_shift, build_basis
 
 # degree of the spline in r through the mirrored rings; degree 9 in power
 # form loses the 1e-13 agreement with the grid's node values to round-off
@@ -228,9 +228,8 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     projection in the boosted dimension m = n+p+q, times P, times constants.
     The constants here are fixed by direct Gaussian integration (the radial
     k = 0 case pins them); the verify suite reports how they relate to other
-    printed conventions.  For lam < 0 the roles of p and q swap (conjugation
-    symmetry of the twist), and for k below the swapped p the product is
-    annihilated.
+    printed conventions.  For k below the degree at which the sector starts
+    on the lam-slice (`spherical._sector_shift`) the product is annihilated.
 
     The interpolant of P g does not depend on k, so it is built once for all
     of ks; the result is a list of (lhs, rhs) pairs, one per degree, empty
@@ -248,7 +247,7 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     grid = PolarGrid(1, g.r, weights, omega, ww, float(g.r[-1]))
     pts = grid.points()
     f = _interpolant(SpectralSlice(lam, grid, P(pts) * values[:, None]), "g")
-    p_eff, q_eff = (p, q) if lam > 0 else (q, p)
+    p_eff, q_eff = _sector_shift(lam, p, q), _sector_shift(lam, q, p)
     m = n + p + q
 
     pairs = []

@@ -48,6 +48,18 @@ def test_kernel_slice_where_2_lam_overflows_prints_a_zero_row(capsys):
     assert _rows(capsys.readouterr().out)[1] == [["0.5", "0", "0"]]
 
 
+def test_kernel_slice_whose_profile_overflows_is_a_numerical_failure(capsys):
+    # (lam / sinh(lam s))^2 at s = 1e-300 lies past double range: finite
+    # input with an overflowed result exits 3, with the profile's own message
+    code = cli.run(["kernel", "--group", "heisenberg", "--s", "1e-300",
+                    "--slice-lambda", "1", "--r", "0", "--n", "2"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: the profile at lam=1.0, "
+                                   "zeta=(1e-300+0j) must be finite, got "), captured.err
+
+
 def test_kernel_time_domain_matches_the_library(capsys):
     code = cli.run(["kernel", "--group", "heisenberg", "--s", "1",
                     "--r", "0.5,1.0", "--t", "0.3"])

@@ -17,9 +17,11 @@ from heisenkit import (HankelPlan, HeisenbergPoint, HTypePoint, RadialProfile, b
                        heat_kernel_grid, heat_kernel_lambda, hecke_bochner_check, hermite_fn,
                        hermite_gate, htype_gate, htype_heat_batch, htype_heat_kernel,
                        jtilde_of_square, kernel_K, laguerre, laguerre_fn, laguerre_projection,
-                       mehler_kernel, polar_grid, radial_rule, radial_slice, reconstruct,
+                       hille_hardy, laguerre_series_sum, mehler_kernel, partial_fourier_t,
+                       polar_grid, radial_rule, radial_slice, reconstruct, schrodinger_evolve,
                        twisted_convolution_quad, uniqueness_gate)
-from heisenkit._checks import complex_time, finite, finite_array, integer, nonzero, order, positive
+from heisenkit._checks import (NonFiniteResult, complex_time, finite, finite_array, integer,
+                               nonzero, order, positive)
 from heisenkit.hermite import hermite_grid, mehler_kernel_r
 from heisenkit.quadrature import gauss_panels
 
@@ -199,3 +201,25 @@ def test_pointwise_special_functions_map_a_nan_point_to_nan():
     for value in (laguerre(2, 0.5, NAN), laguerre_fn(2, 1.0, 1, NAN), hermite_fn(2, NAN),
                   bessel_j_tilde(0.0, NAN), bessel_j_tilde(1.5, NAN), bessel_j_tilde(0.3, NAN)):
         assert math.isnan(value)
+
+
+def _overflowing_slice():
+    grid = polar_grid(1, 128, 8.0, 8)
+    return radial_slice(grid, 1e4, np.exp(-grid.r ** 2))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: heat_kernel_lambda(1e-300, 1.0, 0.0, 2),
+     r"^the profile at lam=1\.0, zeta=.* must be finite"),
+    (lambda: partial_fourier_t(np.full((32, 8, 3), 1e308), 0.0, polar_grid(1, 32, 8.0, 8),
+                               np.array([-1.0, 0.0, 1.0])), "^the t integral of f overflows$"),
+    (lambda: schrodinger_evolve(_overflowing_slice(), 1.0), "^the Laguerre table overflows"),
+    (lambda: laguerre_series_sum(0.0, 1e300, 1e300, 0.5, 60), "^the Laguerre series overflows"),
+    (lambda: hille_hardy(0.0, 1000.0, 1000.0, -0.8, K=1), "^the closed form overflows"),
+], ids=["profile", "t-integral", "laguerre-table", "series", "closed-form"])
+def test_an_overflowed_result_is_a_numerical_failure_that_is_a_value_error(call, message):
+    # finite arguments whose result overflowed: not a broken rule, so the
+    # CLI exits 3 for it, yet still the ValueError of every refused call
+    with pytest.raises(NonFiniteResult, match=message) as info:
+        call()
+    assert isinstance(info.value, ArithmeticError) and isinstance(info.value, ValueError)

@@ -1,4 +1,4 @@
-"""Who may use what, in one table of four parts, and one import rule that
+"""Who may use what, in one table of five parts, and one import rule that
 keeps the engines apart from the two oracle modules, `twisted` and `oracles`."""
 
 import ast
@@ -45,6 +45,14 @@ GATE_RULE = {
     "_HARDY_TOL": {"hankel", "hankel._verdict"},
 }
 
+SECTOR_RULE = {
+    # where a bidegree (p, q) sector starts on a lam-slice, read by the engine,
+    # the series side of kernel_K and the factorized side of the grid check;
+    # kernel_K's closed form and the grid lhs stay off it
+    "_sector_shift": {"propagator.schrodinger_evolve", "propagator.kernel_K",
+                      "twisted.hecke_bochner_check"},
+}
+
 
 def _used(node):
     """A name, attribute or call ("name()") used, or a name an import renames."""
@@ -85,6 +93,10 @@ def test_pointwise_heat_kernel_oracle_has_its_own_profile():
 
 def test_one_hardy_rule_decides_every_gate():
     _assert_owned(GATE_RULE)
+
+
+def test_one_sector_rule_places_every_bidegree():
+    _assert_owned(SECTOR_RULE)
 
 
 @pytest.mark.parametrize("engine", ENGINES)

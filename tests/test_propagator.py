@@ -194,20 +194,31 @@ def test_kernel_series_matches_closed_form():
         assert abs(series - closed) < 1e-13 * abs(closed), (p0, q0)    # measured <= 1.1e-15
 
 
-def test_kernel_series_on_the_unit_circle_matches_closed_form():
-    # w = e^{-2i lam s0} itself, with lam s0 in [0.8, 2.3]; on 600 such draws
-    # the error reads a median 1.1e-15 and at most 1.3e-14 of the scale
-    # |2 sin(lam s0)|^-m / Gamma(m), against 5.7e-13 and 1.3e-12 when damped
+def _assert_unit_circle_draws_match(sign):
     rng = np.random.default_rng(5)
     for i in range(120):
         p0, q0 = ((0, 0), (1, 0), (0, 1))[i % 3]
         lam = rng.uniform(0.5, 1.5)
         s0 = rng.uniform(0.8, 2.3) / lam
         r, t = rng.uniform(0.3, 1.8), rng.uniform(0.3, 1.8)
-        series, closed = kernel_K(lam, r, t, s0, 1, p0, q0)
+        series, closed = kernel_K(sign * lam, r, t, s0, 1, p0, q0)
         m = 1 + p0 + q0
         scale = max(abs(2.0 * math.sin(lam * s0)) ** -m / math.gamma(m), abs(closed))
-        assert abs(series - closed) < 1e-13 * scale, (lam, r, t, s0, p0, q0)
+        assert abs(series - closed) < 1e-13 * scale, (sign * lam, r, t, s0, p0, q0)
+
+
+def test_kernel_series_on_the_unit_circle_matches_closed_form():
+    # w = e^{-2i lam s0} itself, with lam s0 in [0.8, 2.3]; on 600 such draws
+    # the error reads a median 1.1e-15 and at most 1.3e-14 of the scale
+    # |2 sin(lam s0)|^-m / Gamma(m), against 5.7e-13 and 1.3e-12 when damped
+    _assert_unit_circle_draws_match(1.0)
+
+
+def test_kernel_series_at_negative_lam_starts_the_sector_at_q0():
+    # the same draws at -lam: the closed form swaps p0 and q0, and so must
+    # the series' phase; at most 1.1e-14 of the scale, against 80 of the 120
+    # draws off by up to 2x the scale when the phase keeps p0
+    _assert_unit_circle_draws_match(-1.0)
 
 
 @pytest.mark.parametrize("args", [

@@ -443,6 +443,25 @@ def test_hecke_bochner_radial_case_and_annihilation():
     assert abs(lhs) < 5e-8                        # measured 4.3e-9
 
 
+# the degree at which each sector starts: conjugation swaps z and conj(z),
+# so at lam < 0 the (0, 1) sector annihilates k = 0, and (1, 0) does not
+_SECTOR_STARTS = {1.0: {(1, 0): 1, (0, 1): 0}, -1.0: {(1, 0): 0, (0, 1): 1}}
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_hecke_bochner_sectors_start_by_the_sign_of_lam(lam):
+    r, w = radial_rule(96, 8.0)
+    g = RadialProfile(r, np.exp(-r ** 2), weights=w)
+    z = np.array([0.9, 0.7 + 0.5j])
+    for (p, q), start in _SECTOR_STARTS[lam].items():
+        for k, (lhs, rhs) in enumerate(hecke_bochner_check(g, p, q, 1, (0, 1, 2), lam, 1, z)):
+            if k < start:
+                assert np.all(rhs == 0.0), (p, q, k)
+                assert np.max(np.abs(lhs)) < 5e-8, (p, q, k)                     # measured 2.1e-13
+            else:
+                assert np.max(np.abs(lhs - rhs) / np.abs(rhs)) < 5e-6, (p, q, k)  # <= 1.5e-11
+
+
 def test_partial_fourier_t_separable_gaussian():
     grid = polar_grid(1, nr=24, r_max=4.0, nsphere=16)
     t = np.linspace(-8.0, 8.0, 161)
