@@ -22,7 +22,7 @@ from .hankel import (DecayFit, DegenerateFitError, HankelPlan,
                      fit_gaussian_decay, hankel_plan, hankel_transform,
                      hardy_gate)
 from .heisenberg import (HeisenbergPoint, group_inverse, group_law,
-                         heat_bound_check, heat_kernel_grid, heat_kernel_lambda)
+                         heat_kernel_grid, heat_kernel_lambda)
 from .hermite import (CausticError, gate_boundary_profile, hermite_evolve,
                       hermite_fn, hermite_gate, mehler_kernel)
 from .htype import (HTypePoint, htype_gate, htype_heat_batch, partial_radon,

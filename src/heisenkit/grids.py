@@ -19,7 +19,7 @@ import numpy as np
 
 from ._checks import (NonFiniteResult, finite_array, integer, positive, quadrature_weights, real,
                       shapes, vector)
-from .quadrature import gauss_interval, trapezoid_weights, warn_truncated
+from .quadrature import gauss_panels, trapezoid_weights, warn_truncated
 
 
 @dataclass
@@ -49,7 +49,7 @@ def radial_rule(nr=128, r_max=8.0):
     """Gauss-Legendre nodes/weights on [0, r_max] (plain dr weights)."""
     positive("r_max", r_max)
     integer("nr", nr, 2)
-    return gauss_interval(0.0, r_max, nr)
+    return gauss_panels(0.0, r_max, 1, nr)
 
 
 def circle_rule(m=64):
@@ -68,7 +68,7 @@ def s3_rule(m_angles=28, m_u=14):
     """
     integer("m_angles", m_angles)
     integer("m_u", m_u)
-    u, wu = gauss_interval(0.0, 1.0, m_u)
+    u, wu = gauss_panels(0.0, 1.0, 1, m_u)
     a = 2.0 * np.pi * np.arange(m_angles) / m_angles
     b = 2.0 * np.pi * np.arange(m_angles) / m_angles
     U, A, B = np.meshgrid(u, a, b, indexing="ij")

@@ -111,15 +111,32 @@ def fit_gaussian_decay(F, window=None):
 _HARDY_TOL = 1e-9
 
 
-def _verdict(rates, over=()):
-    """Hardy's test of P = prod(rates) / prod(over) against 1/4, in logs so that no product
-    overflows: 'critical' where |log 4P| <= 4e-9 (P = 1/4 within 1e-9); the rule of every gate."""
+def _log4p(rates, over=()):
+    """log 4P for P = prod(rates) / prod(over), a sum of logs so that no product
+    overflows; -inf at a zero rate."""
     if 0 in rates:
-        return "subcritical"
-    log4p = math.log(4.0) + sum(map(math.log, rates)) - sum(map(math.log, over))
+        return -math.inf
+    return math.log(4.0) + sum(map(math.log, rates)) - sum(map(math.log, over))
+
+
+def _verdict(rates, over=()):
+    """Hardy's test of P = prod(rates) / prod(over) against 1/4: 'critical' where
+    |log 4P| <= 4e-9 (P = 1/4 within 1e-9); the rule of every gate."""
+    log4p = _log4p(rates, over)
     if abs(log4p) <= 4.0 * _HARDY_TOL:
         return "critical"
     return "supercritical" if log4p > 0 else "subcritical"
+
+
+def _margin(margin, rates, over=()):
+    """A gate's margin P - 1/4 as its own formula gave it where that is finite,
+    else from the log sum of P (the formula left double range), inf where P does."""
+    if math.isfinite(margin):
+        return margin
+    try:
+        return math.exp(_log4p(rates, over) - math.log(4.0)) - 0.25
+    except OverflowError:
+        return math.inf
 
 
 def hardy_gate(a, b):

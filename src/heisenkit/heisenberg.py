@@ -1,5 +1,5 @@
 """The Heisenberg group C^n x R: group law, the heat kernel at complex time
-eps + i s, its central-frequency profiles, and the sharp Gaussian bound check.
+eps + i s, and its central-frequency profiles.
 
 The frequency profile is the hyperbolic Gaussian
     (4 pi)^{-n} (lam / sinh(lam zeta))^n exp(-lam coth(lam zeta) |z|^2 / 4)
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import (complex_time, finite, finite_array, finite_result, integer, positive, real,
-                      shapes, vector)
+from ._checks import (complex_time, finite, finite_array, finite_result, integer, real, shapes,
+                      vector)
 from .quadrature import envelope_cutoff, even_trapezoid
 
 
@@ -305,30 +305,3 @@ def heat_kernel_grid(zeta, r, t, n=1):
                   finite_array("central coordinates t", t), broadcast=True)
     vals = _central_integral(zeta, n, 1, r, np.abs(t), np.cos, 1e-15, 1e-9)
     return (vals * ((4.0 * np.pi) ** (-n) / np.pi)).astype(complex, copy=False)
-
-
-def heat_bound_check(s, points):
-    """Largest ratio of q_s to s^{-n-1} e^{-(pi/2)|t|/s} e^{-|z|^2/(4s)} over
-    the sampled points, plus its invariance under the parabolic rescaling
-    s -> 4s, (z, t) -> (2z, 4t) (agreement to 1e-6 relative).  n is the
-    dimension of the points.
-
-    Returns (C_est, holds).
-    """
-    positive("diffusion time s", s)
-    pts = list(points)
-    integer("number of points", len(pts))
-    n = pts[0].n
-    r = np.array([p.z_norm for p in pts])
-    t = np.array([p.t for p in pts])
-
-    def cmax(time, rr, tt):
-        q = heat_kernel_grid(time, rr, tt, n=n).real
-        envelope = time ** (-n - 1) * np.exp(-0.5 * np.pi * np.abs(tt) / time - rr ** 2 / (4.0 * time))
-        return float(np.max(q / envelope))
-
-    c_here = cmax(s, r, t)
-    c_scaled = cmax(4.0 * s, 2.0 * r, 4.0 * t)
-    holds = bool(np.isfinite(c_here) and c_here > 0
-                 and abs(c_here - c_scaled) <= 1e-6 * c_here)
-    return c_here, holds

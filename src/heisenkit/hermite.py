@@ -6,8 +6,7 @@ The propagator e^{-isH} for H = -Laplacian + |x|^2 has the kernel
         exp(-((1+r^2)/(1-r^2))(|x|^2+|y|^2)/2 + (2r/(1-r^2)) x.y),
 
 r = e^{-2is}.  The e^{-ins} factor is the ground-state phase; without it the
-formula is the plain generating-function kernel (exposed separately, and the
-r = 0 instance of that is the ground-state projector).  Since
+formula is the plain generating-function kernel.  Since
 Re(1 - e^{-4is}) = 1 - cos 4s >= 0, the principal branch of the complex
 square root is the continuous-in-s choice on every caustic-free interval, so
 no winding bookkeeping is needed.
@@ -33,9 +32,9 @@ import math
 
 import numpy as np
 
-from ._checks import finite, finite_array, integer, positive, real, shapes, vector
+from ._checks import finite_array, integer, positive, real, shapes, vector
 from .grids import RadialProfile
-from .hankel import _verdict, fit_gaussian_decay
+from .hankel import _margin, _verdict, fit_gaussian_decay
 from .quadrature import warn_truncated
 
 _CAUSTIC_TOL = 1e-6
@@ -70,34 +69,6 @@ def hermite_fn(k, x):
     return h
 
 
-def mehler_kernel_r(r_factor, x, y, n=1):
-    """Generating-function kernel sum_k r^k (h-products) at parameter r.
-
-    No propagator phase; r = 0 collapses it to the ground-state projector.
-    x, y are bare reals for n = 1 and (..., n) arrays otherwise.
-    """
-    finite("kernel parameter r", r_factor)
-    r = complex(r_factor)
-    one = 1.0 - r * r
-    if abs(one) <= _CAUSTIC_TOL:
-        raise CausticError("kernel parameter has r^2 = 1")
-    return _gaussian_kernel(np.pi ** (-0.5 * n) * one ** (-0.5 * n),
-                            -0.5 * (1 + r * r) / one, 2.0 * r / one, x, y, n)
-
-
-def _gaussian_kernel(amp, a, b, x, y, n):
-    """amp e^{a (|x|^2 + |y|^2) + b x.y}; x, y are bare reals for n = 1 and
-    (..., n) arrays otherwise."""
-    x, y = shapes(("x", "y"), finite_array("x", x), finite_array("y", y), broadcast=True)
-    # past 1.3e154 the value is not finite (callers check), and numpy keeps quiet
-    with np.errstate(over="ignore", invalid="ignore"):
-        if n == 1:
-            x2, y2, xy = x * x, y * y, x * y
-        else:
-            x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
-        return amp * np.exp(a * (x2 + y2) + b * xy)
-
-
 def _mehler_form(s, n):
     """(amp, a, b) of the propagator kernel amp e^{a (|x|^2 + |y|^2) + b x.y}
     at real time s, phase e^{-ins} included in amp.  a = i cot(2s)/2 and
@@ -111,9 +82,18 @@ def _mehler_form(s, n):
 
 def mehler_kernel(s, x, y, n=1):
     """Propagator kernel of e^{-isH} in dimension n at a real time s off the
-    caustics, phase included, of constant modulus |1 - e^{-4is}|^{-n/2} pi^{-n/2}."""
+    caustics, phase included, of constant modulus |1 - e^{-4is}|^{-n/2} pi^{-n/2}.
+    x, y are bare reals for n = 1 and (..., n) arrays otherwise."""
     _propagator_time(s, n)
-    return _gaussian_kernel(*_mehler_form(s, n), x, y, n)
+    amp, a, b = _mehler_form(s, n)
+    x, y = shapes(("x", "y"), finite_array("x", x), finite_array("y", y), broadcast=True)
+    # past 1.3e154 the value is not finite (callers check), and numpy keeps quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 1:
+            x2, y2, xy = x * x, y * y, x * y
+        else:
+            x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
+        return amp * np.exp(a * (x2 + y2) + b * xy)
 
 
 _HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
@@ -245,13 +225,14 @@ def hermite_evolve(f, s, x=None):
 
 
 def hermite_gate(a, b, s0):
-    """margin = a b sin^2(2 s0) - 1/4; the flow vanishes where the Hardy rule says supercritical."""
+    """margin = a b sin^2(2 s0) - 1/4 (from the Hardy rule's log sum where that formula
+    leaves double range); the flow vanishes where the Hardy rule says supercritical."""
     positive("decay rate a", a)
     positive("decay rate b", b)
     real("s0", s0)
     sine = math.sin(2.0 * s0)
-    margin = a * b * sine ** 2 - 0.25
-    return margin, _verdict((a, b, abs(sine), abs(sine))) == "supercritical"
+    rates = (a, b, abs(sine), abs(sine))
+    return _margin(a * b * sine ** 2 - 0.25, rates), _verdict(rates) == "supercritical"
 
 
 def gate_boundary_profile(a, s0):

@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_array, integer, nonzero, positive, shapes, vector
-from .hankel import _verdict
+from ._checks import finite_array, integer, positive, shapes, vector
 from .heisenberg import _central_integral
-from .quadrature import QuadratureError, _disagreement, gauss_interval, warn_truncated
+from .propagator import uniqueness_gate
+from .quadrature import QuadratureError, _disagreement, gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
 
 # the center dimensions k of the groups here
@@ -121,7 +121,7 @@ def _radial_rules(a, s, k):
     if not nodes <= _MAX_RADII:
         raise QuadratureError(f"the nu window would take {nodes:.3g} Gauss radii")
     nodes = math.ceil(nodes)
-    rules = [gauss_interval(0.0, a, m) for m in (nodes, 2 * nodes // 3)]
+    rules = [gauss_panels(0.0, a, 1, m) for m in (nodes, 2 * nodes // 3)]
     return [(rho, 2.0 * math.pi ** (k - 2) * w * rho ** (k - 2)) for rho, w in rules]
 
 
@@ -201,7 +201,4 @@ def htype_gate(a, b, s0):
     """True when ab < s0^2: the evolved solution with these central decays must vanish.  The
     surface is inherited through the Radon collapse: the Hardy rule judges the factors that
     uniqueness_gate passes at lam = 0, so the two agree bit for bit, in the critical band too."""
-    positive("decay rate a", a)
-    positive("decay rate b", b)
-    nonzero("s0", s0)
-    return _verdict((abs(s0), abs(s0), 4.0), (16.0, a, b)) == "supercritical"
+    return uniqueness_gate(a, b, s0)[1]

@@ -24,7 +24,7 @@ from ._checks import (NonFiniteResult, complex_time, finite, finite_array, integ
                       one_dimensional, positive, real, vector)
 from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
-from .hankel import HankelPlan, _verdict, fit_gaussian_decay, hankel_transform
+from .hankel import HankelPlan, _margin, _verdict, fit_gaussian_decay, hankel_transform
 from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
 from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
@@ -240,7 +240,9 @@ def uniqueness_gate(a, b, s0, eps=0.0, lam=0.0):
     be positive): that forces the sector coefficients to vanish.
 
     margin = [1/(4(a+eps))] [s0^2/(4(b+eps))] [2 sin(lam s0)/(lam s0)]^2 - 1/4
-    with the lam = 0 limit of the bracket equal to 4.
+    with the lam = 0 limit of the bracket equal to 4.  Where that formula leaves
+    double range, the margin is P - 1/4 from the Hardy rule's log sum (inf where
+    P does), so it never raises.
     """
     positive("decay rate a", a)
     positive("decay rate b", b)
@@ -250,8 +252,12 @@ def uniqueness_gate(a, b, s0, eps=0.0, lam=0.0):
     x = lam * s0
     # the lam -> 0 limit, also where lam s0 underflows to 0
     osc = 4.0 if x == 0 else (2.0 * math.sin(x) / x) ** 2
-    margin = (1.0 / (4.0 * (a + eps))) * (s0 ** 2 / (4.0 * (b + eps))) * osc - 0.25
-    return margin, _verdict((abs(s0), abs(s0), osc), (16.0, a + eps, b + eps)) == "supercritical"
+    rates, over = (abs(s0), abs(s0), osc), (16.0, a + eps, b + eps)
+    try:
+        margin = (1.0 / (4.0 * (a + eps))) * (s0 ** 2 / (4.0 * (b + eps))) * osc - 0.25
+    except OverflowError:       # s0 ** 2 past double range
+        margin = math.nan
+    return _margin(margin, rates, over), _verdict(rates, over) == "supercritical"
 
 
 def gate_lambda_window(a, b, s0, eps=0.0):

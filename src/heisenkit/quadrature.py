@@ -72,11 +72,6 @@ def gauss_panels(a, b, panels, order=16):
     return nodes, weights
 
 
-def gauss_interval(a, b, order):
-    """Single-panel Gauss-Legendre rule on [a, b]."""
-    return gauss_panels(a, b, 1, order)
-
-
 # nodes x points of one gathered block: 1 MB per complex temporary, small
 # enough for the gathered rows to stay in cache (2^21 ran 2-3x slower)
 _GRID_BLOCK = 1 << 16

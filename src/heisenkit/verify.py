@@ -289,7 +289,9 @@ def _suite_gates(rng):
     yield ("gate-htype-agreement",
            {"draws": 1000, "a": [0.05, 5.0], "s0": [0.1, 3.0], "b": "s0^2/a (1 +- 10^U(-17, -5))",
             "reference": "Fraction(a) * Fraction(b) < Fraction(s0) ** 2, where "
-                         "|s0^2/(ab) - 1| > 1e-8", "split": split, "wrong": wrong},
+                         "|s0^2/(ab) - 1| > 1e-8", "split": split, "wrong": wrong,
+            "note": "split is 0 by construction (htype_gate is uniqueness_gate at lam = 0); "
+                    "wrong, the Fraction-exact verdict, is the measured half"},
            split + wrong, 0.0)
 
     _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)

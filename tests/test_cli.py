@@ -145,6 +145,18 @@ def test_gate_hermite_margin_row(capsys):
     assert decision == "supercritical"
 
 
+@pytest.mark.parametrize("which, a, b, s0, margin", [
+    ("heisenberg", "1e200", "1e200", "1e199", 2.5e-3 - 0.25),
+    ("heisenberg", "1e-310", "1e308", "1e-5", 2.5e-9 - 0.25),
+    ("hermite", "1e300", "1e300", "1e-200", 4e200),
+])
+def test_gate_rows_at_extreme_rates_are_finite(capsys, which, a, b, s0, margin):
+    # the margin formula overflows here; the row carries P - 1/4 instead
+    assert cli.run(["gate", "--which", which, "--a", a, "--b", b, "--s0", s0]) == 0
+    (row,) = _rows(capsys.readouterr().out)[1]
+    assert float(row[5]) == pytest.approx(margin, rel=1e-12)
+
+
 def test_gate_lattice_covers_the_product(capsys):
     code = cli.run(["gate", "--which", "heisenberg", "--a", "0.3,3.0",
                     "--b", "0.5", "--s0", "1.0", "--lambda", "0.0,0.5"])

@@ -22,7 +22,7 @@ from heisenkit import (HankelPlan, HeisenbergPoint, HTypePoint, RadialProfile, b
                        twisted_convolution_quad, uniqueness_gate)
 from heisenkit._checks import (NonFiniteResult, complex_time, finite, finite_array, integer,
                                nonzero, order, positive)
-from heisenkit.hermite import hermite_grid, mehler_kernel_r
+from heisenkit.hermite import hermite_grid
 from heisenkit.quadrature import gauss_panels
 
 NAN, INF = math.nan, math.inf
@@ -53,7 +53,6 @@ HOLES = {
     "laguerre_projection-nan": (lambda: laguerre_projection(_profile(), 0, NAN, 1), "lam"),
     "mehler-nan": (lambda: mehler_kernel(NAN, 0.0, 0.0), "time s"),
     "mehler-inf": (lambda: mehler_kernel(INF, 0.0, 0.0), "time s"),
-    "mehler_kernel_r-nan": (lambda: mehler_kernel_r(NAN, 0.1, 0.2), "kernel parameter r"),
     "radial_slice-nan": (lambda: radial_slice(polar_grid(1, 16, 4.0), NAN, np.ones(16)), "lam"),
     "twisted_convolution_quad-z-nan": (
         lambda: twisted_convolution_quad(_gaussian, _gaussian, 1.0, NAN, r_cut=2.0), "target z"),

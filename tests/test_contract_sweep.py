@@ -98,7 +98,6 @@ def _calls():
                                  s_grid=np.array([0.0, 1.0])),
         "hardy_gate": dict(a=1.0, b=0.5),
         "harmonic_part": dict(n=1, alpha=(1,), beta=(0,)),
-        "heat_bound_check": dict(s=1.0, points=[pt]),
         "heat_kernel": dict(zeta=1.0, p=pt),
         "heat_kernel_grid": dict(zeta=1.0, r=np.array([0.0, 1.0]), t=np.array([0.0, 0.5]), n=1),
         "heat_kernel_lambda": dict(zeta=1.0, lam=0.5, r=np.array([0.0, 1.0]), n=1),

@@ -38,10 +38,9 @@ ORACLE_PROFILE = {
 }
 
 GATE_RULE = {
-    # one Hardy rule decides all four gates; its critical band is the rule's
-    # alone (`hankel` is the band's definition)
-    "_verdict": {"hankel.hardy_gate", "propagator.uniqueness_gate", "hermite.hermite_gate",
-                 "htype.htype_gate"},
+    # one Hardy rule decides every gate (`htype_gate` is `uniqueness_gate` at
+    # lam = 0); its critical band is the rule's alone (`hankel` is the band's definition)
+    "_verdict": {"hankel.hardy_gate", "propagator.uniqueness_gate", "hermite.hermite_gate"},
     "_HARDY_TOL": {"hankel", "hankel._verdict"},
 }
 

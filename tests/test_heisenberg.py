@@ -11,7 +11,6 @@ from heisenkit.heisenberg import (
     HeisenbergPoint,
     group_inverse,
     group_law,
-    heat_bound_check,
     heat_kernel_grid,
     heat_kernel_lambda,
 )
@@ -459,14 +458,17 @@ def test_parabolic_scaling_law(n, factor):
 
 
 def test_heat_bound_constant_is_scale_invariant():
-    pts = [HeisenbergPoint((r * np.exp(0.3j),), t)
-           for r in (0.0, 0.7, 1.5, 2.5) for t in (-2.0, 0.0, 0.9)]
-    c, holds = heat_bound_check(1.0, pts)
-    assert holds and c > 0
-    shrunk = [HeisenbergPoint(tuple(z / 2 for z in p.z), p.t / 4) for p in pts]
-    c2, holds2 = heat_bound_check(0.25, shrunk)
-    assert holds2
-    assert c2 == pytest.approx(c, rel=1e-6)
+    # the largest ratio of q_s to s^{-2} e^{-(pi/2)|t|/s - |z|^2/(4s)} is the
+    # same under the parabolic rescaling s -> 4s, (z, t) -> (2z, 4t)
+    def bound_constant(s, r, t):
+        q = heat_kernel_grid(s, r, t).real
+        return float(np.max(q / (s ** -2 * np.exp(-0.5 * np.pi * np.abs(t) / s - r * r / (4 * s)))))
+
+    r, t = np.repeat([0.0, 0.7, 1.5, 2.5], 3), np.tile([-2.0, 0.0, 0.9], 4)
+    c = bound_constant(1.0, r, t)
+    assert c > 0
+    for s, scale in ((4.0, 2.0), (0.25, 0.5)):
+        assert bound_constant(s, scale * r, scale ** 2 * t) == pytest.approx(c, rel=1e-6)
 
 
 def test_time_and_argument_validation():
@@ -478,9 +480,5 @@ def test_time_and_argument_validation():
         heat_kernel(1j, HeisenbergPoint((1.0,), 0.0))
     with pytest.raises(ValueError):
         heat_kernel_lambda(1.0, 1.0, 1.0, n=0)
-    with pytest.raises(ValueError):
-        heat_bound_check(-1.0, [HeisenbergPoint((1.0,), 0.0)])
-    with pytest.raises(ValueError):
-        heat_bound_check(1.0, [])
     with pytest.raises(ValueError):
         HeisenbergPoint((), 0.0)

@@ -20,7 +20,6 @@ from heisenkit.hermite import (
     hermite_gate,
     hermite_grid,
     mehler_kernel,
-    mehler_kernel_r,
 )
 
 
@@ -38,17 +37,15 @@ def test_hermite_fn_matches_scipy_and_is_orthonormal():
 
 
 def test_mehler_generating_function_identity():
-    # sum_k r^k h_k(x) h_k(y) converges geometrically inside the disc
+    # the kernel is sum_k e^{-i(2k+1)s} h_k(x) h_k(y) in the weak sense: the
+    # dense kernel, summed on a trapezoid rule in y, maps h_k to e^{-i(2k+1)s} h_k
     x = np.linspace(-2.0, 2.0, 9)
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    for r in (0.6, 0.4 * np.exp(-0.5j)):
-        total = np.zeros(X.shape, dtype=complex)
-        for k in range(80):
-            total += r ** k * hermite_fn(k, X) * hermite_fn(k, Y)
-        assert np.max(np.abs(mehler_kernel_r(r, X, Y) - total)) < 1e-12
-    # r = 0 is the ground-state projector
-    proj = mehler_kernel_r(0.0, X, Y)
-    assert np.allclose(proj, hermite_fn(0, X) * hermite_fn(0, Y), atol=1e-15)
+    y, dy = np.linspace(-9.0, 9.0, 721, retstep=True)
+    for s in (0.35, 1.2):
+        K = mehler_kernel(s, x[:, None], y[None, :]) * dy
+        for k in range(6):
+            want = np.exp(-1j * (2 * k + 1) * s) * hermite_fn(k, x)
+            assert np.max(np.abs(K @ hermite_fn(k, y) - want)) < 1e-12, (s, k)
 
 
 def test_propagator_kernel_keeps_its_modulus_at_large_x():
@@ -109,7 +106,7 @@ def _dense_propagator(s, x, lo, hi):
     yf, dy = np.linspace(lo, hi, n_fine, retstep=True)
     w = np.full(n_fine, dy)
     w[0] = w[-1] = 0.5 * dy
-    K = np.exp(-1j * s) * mehler_kernel_r(np.exp(-2j * s), x[:, None], yf[None, :])
+    K = mehler_kernel(s, x[:, None], yf[None, :])
     return yf, K * w
 
 
@@ -207,8 +204,6 @@ def test_caustics_are_rejected():
         mehler_kernel(0.0, 0.0, 0.0)
     with pytest.raises(CausticError):
         mehler_kernel(math.pi / 2.0, 0.0, 0.0)
-    with pytest.raises(CausticError):
-        mehler_kernel_r(1.0, 0.0, 0.0)
     with pytest.raises(CausticError):
         hermite_evolve(lambda y: np.exp(-y * y), 0.0)
     # close enough to need more quadrature than the budget allows

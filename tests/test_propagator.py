@@ -387,6 +387,16 @@ def test_every_verdict_outside_the_critical_band_is_exact():
 def test_gates_decide_extreme_rates_without_overflow():
     # 1 / (4 a) overflows the margin to inf here; the product is 2.5e-11 of 1/4
     assert uniqueness_gate(1e-310, 1e300, 1e-10)[1] is False
+    # where the margin's own formula leaves double range (s0 ** 2 raises; inf
+    # times a product that underflows), P - 1/4 comes from the log sum of P
+    margin, ok = uniqueness_gate(1e200, 1e200, 1e199)
+    assert ok is False and margin == pytest.approx(2.5e-3 - 0.25, rel=1e-12)
+    margin, ok = uniqueness_gate(1e-310, 1e308, 1e-5)
+    assert ok is False and margin == pytest.approx(2.5e-9 - 0.25, rel=1e-12)
+    margin, ok = hermite_gate(1e300, 1e300, 1e-200)
+    assert ok is True and margin == pytest.approx(4e200, rel=1e-12)
+    # P itself past double range: an infinite margin, not a raise
+    assert uniqueness_gate(1e-300, 1e-300, 1e10) == (math.inf, True)
     assert htype_gate(1e-310, 1e308, 1e-5) is False
     assert htype_gate(1e200, 1e200, 1e199) is False
     assert htype_gate(1e-200, 1e-200, 1e-150) is True

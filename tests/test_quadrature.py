@@ -12,28 +12,22 @@ from heisenkit.quadrature import (
     adaptive_quad,
     envelope_cutoff,
     even_trapezoid,
-    gauss_interval,
     gauss_panels,
     trapezoid_weights,
 )
 
 
 def test_gauss_panels_integrate_polynomials_exactly():
-    nodes, weights = gauss_panels(-1.0, 3.0, 4, order=8)
-    # order-8 Gauss is exact through degree 15 on each panel
-    for deg in (0, 3, 10, 15):
-        got = float(weights @ nodes ** deg)
-        want = (3.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
-        assert got == pytest.approx(want, rel=1e-13)
-    assert nodes.size == weights.size == 32
+    # order-m Gauss is exact through degree 2m - 1 on each panel, one panel too
+    for panels, order in ((4, 8), (1, 12)):
+        nodes, weights = gauss_panels(-1.0, 3.0, panels, order)
+        for deg in (0, 3, 10, 15):
+            got = float(weights @ nodes ** deg)
+            want = (3.0 ** (deg + 1) - (-1.0) ** (deg + 1)) / (deg + 1)
+            assert got == pytest.approx(want, rel=1e-13)
+        assert nodes.size == weights.size == panels * order
     with pytest.raises(ValueError):
         gauss_panels(0.0, 1.0, 0)
-
-
-def test_gauss_interval_is_one_panel():
-    n1, w1 = gauss_interval(0.0, 2.0, 12)
-    n2, w2 = gauss_panels(0.0, 2.0, 1, 12)
-    assert np.array_equal(n1, n2) and np.array_equal(w1, w2)
 
 
 def _gaussian_cosine(a, b):
