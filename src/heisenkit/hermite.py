@@ -22,7 +22,8 @@ keeps its constant modulus at any |x|.  `hermite_evolve` is one
 trapezoid quadrature for all columns of f at once: the Gaussian factors are
 O(N + M) exponentials for N outputs and M fine nodes, and blocking the fine
 nodes in runs of B = ceil(sqrt M) splits e^{b x y} into two tables of
-O(N sqrt M) exponentials joined by one GEMM.  That pass is linear in f, so
+N sqrt M phases joined by one GEMM, each built as a product of two tables
+of N M^{1/4} exponentials.  That pass is linear in f, so
 2-d samples evolve by one matrix: E, the pass applied to the interpolating
 spline of the identity, gives u = E f E^T.  The spline has degree 9 and
 converges like h^10 in the grid step h.
@@ -126,6 +127,16 @@ def _edge_ratio(F):
     return float(np.max(edge / np.where(peak > 0, peak, np.inf)))
 
 
+def _phases(bx, start, step, count):
+    """The (N, count) table e^{bx (start + step m)}, m < count, as the product
+    of e^{bx (start + step C p)} and e^{bx step q} over m = C p + q with
+    C = ceil(sqrt count): 2 N sqrt(count) exponentials in place of N count."""
+    C = math.isqrt(count - 1) + 1
+    fine = np.exp(bx[:, None] * (step * np.arange(C)))
+    coarse = np.exp(bx[:, None] * (start + (step * C) * np.arange(-(-count // C))))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(bx.size, -1)[:, :count]
+
+
 def _evolve_columns(sample, cols, s, x, lo, hi):
     """u = e^{-isH} f on the grid x for each of the cols columns of f.
 
@@ -135,8 +146,10 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     c e^{a x^2} e^{a y^2} e^{b x y}, and with y_k = lo + (qB + m) dy the last
     factor splits into e^{b x (lo + qB dy)} e^{b x m dy}: the y-sum is one
     (N x B)(B x nb cols) GEMM and a weighted sum over the nb blocks (one
-    batched matmul), so B = ceil(sqrt M) for M fine nodes takes
-    O(N sqrt M) exponentials instead of N M.  Columns go through in groups
+    batched matmul), so B = ceil(sqrt M) for M fine nodes takes two
+    phase tables of N sqrt M entries instead of N M.  `_phases` builds each
+    as a product of two shorter ones, so the count of complex exponentials
+    is about 4 N M^{1/4}.  Columns go through in groups
     that keep the samples and the block sums within _COLUMN_BUDGET entries;
     real samples stay real up to the quadrature weights.  Returns the
     (N, cols) result and the largest ratio of a column's size at lo or hi
@@ -150,8 +163,9 @@ def _evolve_columns(sample, cols, s, x, lo, hi):
     w = w * np.exp(a * yf * yf)
     B = math.isqrt(n_fine - 1) + 1          # ceil(sqrt(n_fine))
     nb = -(-n_fine // B)
-    inner = np.exp(b * x[:, None] * (dy * np.arange(B)))
-    outer = np.exp(b * x[:, None] * (lo + (B * dy) * np.arange(nb)))
+    bx = b * x
+    inner = _phases(bx, 0.0, dy, B)
+    outer = _phases(bx, lo, B * dy, nb)
 
     out = np.empty((x.size, cols), dtype=complex)
     worst = 0.0
@@ -230,7 +244,8 @@ def hermite_gate(a, b, s0):
     positive("decay rate a", a)
     positive("decay rate b", b)
     real("s0", s0)
-    sine = math.sin(2.0 * s0)
+    # past 9e307, 2 s0 overflows: take sin 2s0 = 2 sin s0 cos s0 there only
+    sine = math.sin(2.0 * s0) if math.isfinite(2.0 * s0) else 2.0 * math.sin(s0) * math.cos(s0)
     rates = (a, b, abs(sine), abs(sine))
     return _margin(a * b * sine ** 2 - 0.25, rates), _verdict(rates) == "supercritical"
 

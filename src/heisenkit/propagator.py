@@ -27,7 +27,7 @@ from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier
 from .hankel import HankelPlan, _margin, _verdict, fit_gaussian_decay, hankel_transform
 from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
-from .specfun import _laguerre_rows, jtilde_of_square, laguerre_series_sum
+from .specfun import _RIM_GAP, _laguerre_rows, jtilde_of_square, laguerre_series_sum
 from .spherical import _sector_shift, build_basis, spherical_coefficients
 
 _EXCEPTIONAL_TOL = 1e-6
@@ -36,7 +36,8 @@ _EQUALITY_DECAY = math.log(1e9)
 
 
 class ExceptionalLambdaError(ValueError):
-    """sin(lam s0) is (numerically) zero; the flow kernel does not exist."""
+    """sin(lam s0) is (numerically) zero; the flow kernel does not exist.
+    `kernel_K` raises it too where its series cannot be summed so near."""
 
 
 class DecayDomainError(ValueError):
@@ -210,7 +211,9 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     closed, as the paper writes it and without that rule:
     e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
-    m = n+p0+q0.  Returns (series, closed).
+    m = n+p0+q0.  Returns (series, closed).  ExceptionalLambdaError where
+    |sin(lam s0)| <= 1e-6, and also where |sin(|lam| s0)| < 0.02: there w
+    lies within 0.04 of 1, where the series' tail resummation does not go.
     """
     _reject_exceptional(lam, s0)
     real("r", r)
@@ -223,6 +226,11 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     x = 0.5 * abs(lam) * r * r
     y = 0.5 * abs(lam) * t * t
     w = np.exp(-2j * mu)
+    # |1 - w| = 2 |sin(|lam| s0)|: the series' resummation needs it >= 0.04
+    if abs(1.0 - w) < _RIM_GAP:
+        raise ExceptionalLambdaError(
+            f"lam = {lam!r} is too near an exceptional frequency for s0 = {s0!r}: the "
+            f"Laguerre series needs |sin(|lam| s0)| >= {_RIM_GAP / 2:g}, got {abs(math.sin(mu)):.6g}")
     shift = _sector_shift(lam, p0, q0)
     series = (np.exp(-1j * (n + 2 * shift) * mu) * np.exp(-0.5 * (x + y))
               * laguerre_series_sum(m - 1, x, y, w, 400))

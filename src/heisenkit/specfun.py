@@ -174,6 +174,8 @@ _TAIL = 48
 # degrees between the tail resummation and the earlier one that it must match:
 # at 24, a series 5.1e-10 off the closed form moved 1.1e-8 and raised
 _SHIFT = 32
+# the least |1 - w| that the tail resummation takes near the rim
+_RIM_GAP = 0.04
 _EPS = float(np.finfo(float).eps)
 # the largest round-off or resummation movement of a sum, relative to it,
 # that the series returns
@@ -334,7 +336,7 @@ def laguerre_series_sum(alpha, x, y, w, kmax):
     if (modulus > 1.0 + 2.0 * _EPS).any():        # |e^{i theta}| may read 1 + eps
         raise ValueError("Laguerre series diverges for |w| > 1")
     boost = modulus > 0.85
-    if (boost & (np.abs(1.0 - w) < 0.04)).any():
+    if (boost & (np.abs(1.0 - w) < _RIM_GAP)).any():
         raise ValueError("tail resummation needs w away from the point 1")
     shape = x.shape
     x, y, w, boost, kmax = (a.ravel() for a in (x, y, w, boost, kmax))

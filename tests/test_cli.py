@@ -157,6 +157,14 @@ def test_gate_rows_at_extreme_rates_are_finite(capsys, which, a, b, s0, margin):
     assert float(row[5]) == pytest.approx(margin, rel=1e-12)
 
 
+def test_gate_hermite_row_where_two_s0_overflows(capsys):
+    # 2 s0 overflows at s0 = 1e308; the row reads sin^2(2 s0) - 1/4 all the same
+    assert cli.run(["gate", "--which", "hermite", "--a", "1", "--b", "1", "--s0", "1e308"]) == 0
+    (row,) = _rows(capsys.readouterr().out)[1]
+    assert float(row[5]) == pytest.approx(0.40324007892175917, abs=1e-15)
+    assert row[6] == "supercritical"
+
+
 def test_gate_lattice_covers_the_product(capsys):
     code = cli.run(["gate", "--which", "heisenberg", "--a", "0.3,3.0",
                     "--b", "0.5", "--s0", "1.0", "--lambda", "0.0,0.5"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import jv
 
-from heisenkit import specfun
+from heisenkit import hankel, specfun
 from heisenkit.grids import RadialProfile
 from heisenkit.hankel import (
     DegenerateFitError,
@@ -91,6 +91,77 @@ def test_double_transform_returns_the_profile():
     second = hankel_transform(plan2, first.values, np.linspace(0.0, 3.0, 7))
     want = np.exp(-a * np.linspace(0.0, 3.0, 7) ** 2)
     assert np.max(np.abs(second.values - want)) < 1e-7
+
+
+def _direct_sum(plan, F, s):
+    r, alpha = plan.r_nodes, plan.alpha
+    kernel = 2.0 ** (-alpha) * specfun.bessel_j_tilde(alpha, np.outer(r, s))
+    return (plan.r_weights * r ** (2 * alpha + 1) * F) @ kernel
+
+
+def _kernel_tables_grid(s_hi, size):
+    return np.concatenate([[0.0], np.sort(np.random.default_rng(3).uniform(0.0, s_hi, size - 2)),
+                           [s_hi]])
+
+
+def test_chebyshev_size_resolves_the_widest_kernel():
+    # Jt_{-1/2}(B x) = cos(B x) / sqrt(pi) has Chebyshev coefficients 2 |J_k(B)|,
+    # the largest of any order relative to the peak: its tail past 2M stays
+    # below 1e-16, and its interpolant on [0, 1] is off by the round-off of
+    # cos(B x) itself, about eps B
+    x = np.linspace(0.0, 1.0, 1001)
+    for band in np.concatenate([np.geomspace(1e-3, 1.0, 4), np.linspace(1.0, 200.0, 34)]):
+        m = hankel._chebyshev_size(band)
+        ks = np.arange(2 * m, 2 * m + 200)
+        assert 4.0 * np.sum(np.abs(jv(ks, band))) < 1e-16, band
+        nodes, weights = hankel._chebyshev_points(m)
+        got = hankel._even_interpolation(x, nodes, weights) @ np.cos(band * nodes)
+        assert np.max(np.abs(got - np.cos(band * x))) < 2e-16 * (4.0 + band), band
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1.5, 2.0, 0.3])
+@pytest.mark.parametrize("profile", ["outermost", "complex"])
+def test_interpolated_route_matches_the_direct_sum(alpha, profile):
+    # worst cases for the interpolant: all mass at r_max, whose kernel has the
+    # widest band, and random complex values; neither decays, so both warn.
+    # alpha = 0.3 is off the lattice and takes hyp0f1
+    plan = hankel_plan(alpha, r_max=9.0, s_max=5.0)
+    if profile == "outermost":
+        F = np.zeros(plan.r_nodes.size)
+        F[-1] = 1.0
+    else:
+        F = [1.0, 1.0j] @ np.random.default_rng(7).normal(size=(2, plan.r_nodes.size))
+    m = hankel._chebyshev_size(9.0 * 4.0)
+    nodes = hankel._chebyshev_points(m)[0]
+    grids = (_kernel_tables_grid(5.0, 300),            # s = 0 and S = 300 > 4M
+             # every Chebyshev point of [0, 4] exactly: s / 4 is the node
+             np.unique(np.concatenate([4.0 * nodes, _kernel_tables_grid(4.0, 4 * m + 2)])),
+             _kernel_tables_grid(4.0, 4 * m + 1),      # just past the switch
+             _kernel_tables_grid(4.0, 4 * m),          # the direct sum
+             np.array([2.0]))                          # a single point
+    for s in grids:
+        with pytest.warns(RuntimeWarning, match="not decayed"):
+            got = hankel_transform(plan, F, s).values
+        want = _direct_sum(plan, F, s)
+        if s.size > 4 * hankel._chebyshev_size(9.0 * s[-1]):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want)), s.size
+        else:
+            assert np.array_equal(got, want), s.size
+
+
+@pytest.mark.parametrize("size, points", [(300, 240 * 45), (41, 240 * 41)])
+def test_bessel_values_per_transform(size, points, monkeypatch):
+    # the kernel tables' 240 x 300 transform takes 240 M Bessel values, M = 45
+    # at r_max s_hi = 45; verify's 41-point grid stays on its own points
+    seen = []
+    def counting(alpha, w):
+        seen.append(np.size(w))
+        return specfun.bessel_j_tilde(alpha, w)
+    monkeypatch.setattr(hankel, "bessel_j_tilde", counting)
+    plan = hankel_plan(2.0, r_max=9.0, s_max=5.0)
+    hankel_transform(plan, np.exp(-plan.r_nodes ** 2), _kernel_tables_grid(5.0, size))
+    assert plan.r_nodes.size == 240 and hankel._chebyshev_size(9.0 * 5.0) == 45
+    assert seen == [points]
 
 
 def test_plan_validation():

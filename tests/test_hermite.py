@@ -173,6 +173,33 @@ def test_eigenfunctions_pick_up_their_phases_near_a_caustic(s):
         assert np.max(np.abs(u - want)) < 1e-10, k
 
 
+@pytest.mark.parametrize("s", _NEAR_CAUSTIC)
+def test_product_phase_tables_keep_the_rounding_of_their_arguments(s):
+    # _evolve_columns' two tables at the near-caustic size (512 outputs, about
+    # 8 000 fine nodes).  e^{i theta} is off by the rounding of theta itself,
+    # up to eps |b| max|x| max|y| (1.4e-14 and 7e-13 here), in np.exp of the
+    # full table as much as in the product; so both are held to a 30-digit
+    # reference, on the rows of largest |x|, where the rounding peaks
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    eps = np.finfo(float).eps
+    x = hermite_grid(8.0, 512)
+    yf, dy = hermite._fine_grid(s, x.size, -8.0, 8.0)
+    b = hermite._mehler_form(s, 1)[2]
+    B = math.isqrt(yf.size - 1) + 1
+    rows = np.r_[0:6, 250:256, 506:512]
+    for start, step, count in ((0.0, dy, B), (-8.0, B * dy, -(-yf.size // B))):
+        got = hermite._phases(b * x, start, step, count)
+        full = np.exp(b * x[:, None] * (start + step * np.arange(count)))
+        scale = eps * abs(b) * 8.0 * (abs(start) + step * count)
+        assert np.max(np.abs(got - full)) < 4.0 * scale
+        exact = np.array([[complex(mpmath.expj(mpmath.mpf((b * xn).imag)
+                                               * (mpmath.mpf(start) + mpmath.mpf(step) * m)))
+                           for m in range(count)] for xn in x[rows]])
+        assert np.max(np.abs(got[rows] - exact)) < 2.0 * scale
+        assert np.max(np.abs(full[rows] - exact)) < 2.0 * scale
+
+
 def test_near_caustic_evolution_memory_stays_small():
     x = hermite_grid(8.0, 512)
     tracemalloc.start()

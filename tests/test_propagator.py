@@ -255,6 +255,30 @@ def test_exceptional_frequencies_are_rejected():
         theorem34_gaussian_pair(1.0, math.pi + 1e-9, 1.0)
 
 
+@pytest.mark.parametrize("d", [1e-3, 1e-2, 2e-2])
+def test_kernel_near_an_exceptional_frequency_says_so(d):
+    # |sin(lam s0)| above 1e-6 but below 0.02 puts w = e^{-2i|lam|s0} within
+    # 0.04 of 1, where the series' tail resummation does not go
+    match = (r"^lam = 1\.0 is too near an exceptional frequency for s0 = 3\.1\d+: the Laguerre "
+             r"series needs \|sin\(\|lam\| s0\)\| >= 0\.02, got 0\.0\d+$")
+    with pytest.raises(ExceptionalLambdaError, match=match):
+        kernel_K(1.0, 0.7, 1.0, math.pi - d, 1, 0, 0)
+
+
+def test_hermite_gate_where_two_s0_overflows():
+    # 2 s0 is inf past 9e307; there sin 2s0 = 2 sin s0 cos s0 gives the margin
+    mpmath = pytest.importorskip("mpmath")
+    for s0 in (1e308, -1e308, 1.7976931348623157e308):
+        with mpmath.workdps(400):
+            sine = mpmath.sin(2 * mpmath.mpf(s0))
+            want = float(sine * sine - mpmath.mpf(0.25))
+        margin, ok = hermite_gate(1.0, 1.0, s0)
+        assert margin == pytest.approx(want, abs=1e-15)
+        assert ok is (want > 0)
+    # below that, sin(2 s0) as before
+    assert hermite_gate(1.0, 1.0, 8e307)[0] == math.sin(1.6e308) ** 2 - 0.25
+
+
 def test_gate_margin_limits_and_monotonicity():
     # lam = 0 closed form: margin = s0^2 / (4ab) - 1/4
     margin, super_ = uniqueness_gate(1.0, 1.0, 1.1)
