@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import finite_array, integer, on_nodes, order, positive, real, shapes, vector
+from ._checks import (finite_array, finite_result, integer, on_nodes, order, positive, real,
+                      shapes, vector)
 from .grids import RadialProfile
 from .quadrature import gauss_panels, warn_truncated
 from .specfun import bessel_j_tilde
@@ -125,17 +126,21 @@ def hankel_transform(plan, F, s_grid):
                    float(envelope[-1]), float(np.max(envelope)), 1e-12)
     s = vector("s_grid", s_grid, nonnegative=True, increasing=True)
     s_hi = s.max(initial=0.0)
-    band = r[-1] * s_hi
-    # M > B / 2, so a band of S or more (inf too) stays on the direct sum
-    m = _chebyshev_size(band) if band < s.size else s.size
-    interpolate = s.size > 4 * m
-    if interpolate:
-        nodes, weights = _chebyshev_points(m)
-    # J_a(rs)/(rs)^a = 2^{-a} Jt_a(rs); Jt handles s = 0 and s < 0 (even)
-    kernel = 2.0 ** (-alpha) * bessel_j_tilde(alpha, np.outer(r, s_hi * nodes if interpolate else s))
-    sums = (plan.r_weights * power * vals) @ kernel
+    # an r s past double range, or a Bessel value there, is non-finite: refused below
+    with np.errstate(over="ignore", invalid="ignore"):
+        band = r[-1] * s_hi
+        # M > B / 2, so a band of S or more (inf too) stays on the direct sum
+        m = _chebyshev_size(band) if band < s.size else s.size
+        interpolate = s.size > 4 * m
+        if interpolate:
+            nodes, weights = _chebyshev_points(m)
+        # J_a(rs)/(rs)^a = 2^{-a} Jt_a(rs); Jt handles s = 0 and s < 0 (even)
+        kernel = 2.0 ** (-alpha) * bessel_j_tilde(alpha, np.outer(r, s_hi * nodes if interpolate
+                                                                  else s))
+        sums = (plan.r_weights * power * vals) @ kernel
     if interpolate:
         sums = _even_interpolation(s / s_hi, nodes, weights) @ sums
+    finite_result("the transform on s_grid", sums)
     return RadialProfile(s, sums)
 
 

@@ -7,7 +7,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import j0
 
 from ._checks import complex_time, finite, positive, real      # tests/test_contract.py
 from .heisenberg import _lam_cutoff     # test_kernel_at_the_center_axis_is_the_closed_form
@@ -89,6 +88,8 @@ def htype_heat_kernel(s, p):
     2 lam sin(lam |t|) / (sqrt(pi) |t|): the integral of lam times the
     profile runs on QUADPACK's sine weight, to a relative tolerance only.
     """
+    from scipy.special import j0
+
     positive("diffusion time s", s)
     n, k = p.n, p.k
     v, t = p.v_norm, p.t_norm

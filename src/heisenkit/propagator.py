@@ -18,16 +18,16 @@ for theorem34, the closed-form tanh relation for the equality case).
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
-from ._checks import (NonFiniteResult, complex_time, finite, finite_array, integer, nonzero,
-                      one_dimensional, positive, real, vector)
+from ._checks import (complex_time, finite, finite_array, integer, nonzero, one_dimensional,
+                      positive, real, vector)
 from .grids import (RadialProfile, SpectralSlice, angular_modes, partial_fourier_t,
                     polar_grid, radial_slice)
 from .hankel import HankelPlan, _margin, _verdict, fit_gaussian_decay, hankel_transform
 from .heisenberg import heat_kernel_lambda
 from .quadrature import warn_truncated
-from .specfun import _RIM_GAP, _laguerre_rows, jtilde_of_square, laguerre_series_sum
+from .specfun import (_RIM_GAP, _UnsettledTail, _laguerre_basis, jtilde_of_square,
+                      laguerre_series_sum)
 from .spherical import _sector_shift, build_basis, spherical_coefficients
 
 _EXCEPTIONAL_TOL = 1e-6
@@ -50,28 +50,6 @@ def _reject_exceptional(lam, s0):
     if abs(math.sin(lam * s0)) <= _EXCEPTIONAL_TOL:
         raise ExceptionalLambdaError(
             f"lam = {lam!r} is exceptional for s0 = {s0!r}: |sin(lam s0)| <= {_EXCEPTIONAL_TOL}")
-
-
-def _laguerre_basis(lam, r, degrees, order):
-    """Laguerre functions of one order a, orthonormal in L^2((0, inf), r dr):
-
-    out[j] = sqrt(|lam| j!/(j+a)!) x^{a/2} L_j^a(x) e^{-x/2} at
-    x = |lam| r^2/2, for j < degrees, from one banded solve of the
-    recurrence (`specfun._laguerre_rows`).  The factorial ratio and the
-    power of x are taken in log form, so high orders cannot overflow.  The
-    polynomials themselves overflow once x reaches ~1e4 at 128 degrees
-    (~1.4e3 at 512); that raises instead of returning NaN.
-    """
-    x = 0.5 * abs(lam) * r * r
-    j = np.arange(degrees)[:, None]
-    log_scale = (0.5 * (gammaln(j + 1) - gammaln(j + order + 1))
-                 + 0.5 * order * np.log(x) - 0.5 * x)
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = _laguerre_rows(order, x, degrees - 1).T * np.exp(log_scale)    # (j, r)
-    if not np.all(np.isfinite(table)):
-        raise NonFiniteResult(f"the Laguerre table overflows at |lam| r^2/2 = {x[-1]:.3g} "
-                              f"with {degrees} degrees; use a smaller r_max or |lam|")
-    return math.sqrt(abs(lam)) * table
 
 
 def schrodinger_evolve(f, zeta):
@@ -212,8 +190,9 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
     e^{i lam s0 (q0-p0)} (2i sin(|lam|s0))^{-m}
     e^{i lam (r^2+t^2) cot(lam s0)/4} Jt_{m-1}(lam r t/(2 sin(lam s0))),
     m = n+p0+q0.  Returns (series, closed).  ExceptionalLambdaError where
-    |sin(lam s0)| <= 1e-6, and also where |sin(|lam| s0)| < 0.02: there w
-    lies within 0.04 of 1, where the series' tail resummation does not go.
+    |sin(lam s0)| <= 1e-6, where |sin(|lam| s0)| < 0.02 (there w lies within
+    0.04 of 1, where the series' tail resummation does not go), and where
+    that resummation has not settled, as it may not some way further off.
     """
     _reject_exceptional(lam, s0)
     real("r", r)
@@ -231,9 +210,15 @@ def kernel_K(lam, r, t, s0, n, p0, q0):
         raise ExceptionalLambdaError(
             f"lam = {lam!r} is too near an exceptional frequency for s0 = {s0!r}: the "
             f"Laguerre series needs |sin(|lam| s0)| >= {_RIM_GAP / 2:g}, got {abs(math.sin(mu)):.6g}")
+    try:
+        total = laguerre_series_sum(m - 1, x, y, w, 400)
+    except _UnsettledTail as exc:
+        raise ExceptionalLambdaError(
+            f"lam = {lam!r} is too near an exceptional frequency for s0 = {s0!r}: the "
+            f"Laguerre series has not settled at |sin(|lam| s0)| = {abs(math.sin(mu)):.6g}"
+        ) from exc
     shift = _sector_shift(lam, p0, q0)
-    series = (np.exp(-1j * (n + 2 * shift) * mu) * np.exp(-0.5 * (x + y))
-              * laguerre_series_sum(m - 1, x, y, w, 400))
+    series = np.exp(-1j * (n + 2 * shift) * mu) * np.exp(-0.5 * (x + y)) * total
     arg = lam * r * t / (2.0 * math.sin(lam * s0))
     closed = (np.exp(1j * lam * s0 * (q0 - p0)) * (2j * math.sin(mu)) ** (-m)
               * np.exp(0.25j * lam * (r * r + t * t) / math.tan(lam * s0))

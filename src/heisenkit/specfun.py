@@ -1,8 +1,11 @@
 """Scalar special functions used throughout: generalized Laguerre polynomials
 and Laguerre functions, the normalized Bessel function (on the half-integer
 lattice from cephes seeds, the upward recurrence and the power series, off it
-from scipy's hyp0f1; J_alpha itself is scipy.special.jv), and both sides of
-the Laguerre product generating identity.
+from scipy's hyp0f1; J_alpha itself is scipy.special.jv), the orthonormal
+Laguerre basis of the evolution engine, and both sides of the Laguerre
+product generating identity.  These are the engines' only special
+functions: each scipy.special name is imported in the function that calls
+it, so scipy.special loads on the first call and not with the package.
 
 Everything is a pure function of its arguments; scalars in, scalars out, with
 numpy broadcasting over the main argument where it is cheap to provide, and
@@ -13,7 +16,6 @@ comes from one banded solve of the Laguerre recurrence.
 import math
 
 import numpy as np
-from scipy.special import gammaln, hyp0f1, j0, j1, rgamma
 
 from ._checks import (NonFiniteResult, finite_array, integer, integer_array, nonzero, order,
                       shapes)
@@ -57,6 +59,8 @@ _TINY = 1e-8
 
 
 def _jtilde_series(alpha, w):
+    from scipy.special import hyp0f1, rgamma
+
     return hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
 
 
@@ -64,6 +68,8 @@ def _jtilde_power(alpha, w, w_max):
     """sum_k (-w^2/4)^k / (k! Gamma(alpha+k+1)) (DLMF 10.2.2) for
     0 <= w <= w_max, by Horner in w^2/4, through the first term that falls
     below 2^-60 of the first at w_max."""
+    from scipy.special import rgamma
+
     q, term, terms = 0.25 * w_max * w_max, 1.0, 0
     while term > 2.0 ** -60:
         terms += 1
@@ -86,6 +92,8 @@ def _jtilde_upward(alpha, w):
     where the seeds divide by w or the recurrence is unstable, are not
     Jt's, and numpy's warnings for them are the caller's to silence.
     """
+    from scipy.special import j0, j1
+
     if alpha == 0.0:
         return j0(w)
     if alpha == 0.5:
@@ -160,6 +168,8 @@ def jtilde_of_square(alpha, w2):
     number themselves; the principal root used at alpha = -1/2 is
     immaterial because the function is even.
     """
+    from scipy.special import hyp0f1, rgamma
+
     order("Bessel order alpha", alpha, -1.0)
     w2 = np.asarray(w2, dtype=complex)
     if alpha == -0.5:
@@ -180,6 +190,10 @@ _EPS = float(np.finfo(float).eps)
 # the largest round-off or resummation movement of a sum, relative to it,
 # that the series returns
 _LOST_DIGITS = 1e-8
+
+
+class _UnsettledTail(ValueError):
+    """The tail resummation of a series near the rim has not settled."""
 
 
 def _laguerre_rows(alpha, t, kmax):
@@ -208,6 +222,30 @@ def _laguerre_rows(alpha, t, kmax):
     rhs = np.zeros((t.size, kmax + 1))
     rhs[:, 0] = 1.0
     return dtbsv(2, band.reshape(-1, 3).T, rhs.ravel(), lower=1, overwrite_x=1).reshape(rhs.shape)
+
+
+def _laguerre_basis(lam, r, degrees, order):
+    """Laguerre functions of one order a, orthonormal in L^2((0, inf), r dr):
+
+    out[j] = sqrt(|lam| j!/(j+a)!) x^{a/2} L_j^a(x) e^{-x/2} at
+    x = |lam| r^2/2, for j < degrees, from one banded solve of the
+    recurrence (`_laguerre_rows`).  The factorial ratio and the
+    power of x are taken in log form, so high orders cannot overflow.  The
+    polynomials themselves overflow once x reaches ~1e4 at 128 degrees
+    (~1.4e3 at 512); that raises instead of returning NaN.
+    """
+    from scipy.special import gammaln
+
+    x = 0.5 * abs(lam) * r * r
+    j = np.arange(degrees)[:, None]
+    log_scale = (0.5 * (gammaln(j + 1) - gammaln(j + order + 1))
+                 + 0.5 * order * np.log(x) - 0.5 * x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _laguerre_rows(order, x, degrees - 1).T * np.exp(log_scale)    # (j, r)
+    if not np.all(np.isfinite(table)):
+        raise NonFiniteResult(f"the Laguerre table overflows at |lam| r^2/2 = {x[-1]:.3g} "
+                              f"with {degrees} degrees; use a smaller r_max or |lam|")
+    return math.sqrt(abs(lam)) * table
 
 
 def _partial_sums(grows, rows, ix, iy, w, power, total, k0, k1):
@@ -277,14 +315,17 @@ def _boosted_sums(grows, rows, ix, iy, w, kmax):
         pair = np.concatenate((sums[:, -width:], sums[:, -width - _SHIFT:-_SHIFT]))
         best, earlier = np.split(_resummed(pair, np.concatenate((w, w))[:, None]), 2)
     if width < 1 or (np.abs(best - earlier) > _LOST_DIGITS * np.abs(best)).any():
-        raise ValueError("the Laguerre series' tail resummation has not settled: it moves by "
-                         f"more than {_LOST_DIGITS:g} of the sum over its last {_SHIFT} degrees")
+        raise _UnsettledTail("the Laguerre series' tail resummation has not settled: it moves "
+                             f"by more than {_LOST_DIGITS:g} of the sum over its last {_SHIFT} "
+                             "degrees")
     return best, np.abs(terms).max(axis=1)
 
 
 def _series_block(alpha, x, y, w, kmax, boost):
     """laguerre_series_sum on one block of points that share kmax, and the
     largest |term| of each point's sum."""
+    from scipy.special import gammaln
+
     k = np.arange(1.0, kmax + 1.0)
     g = np.empty(kmax + 1)
     g[0] = np.exp(-gammaln(alpha + 1.0))

@@ -60,7 +60,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from ._checks import (finite_array, integer, integer_array, nonzero, one_dimensional,
                       quadrature_weights)
@@ -235,6 +234,8 @@ def hecke_bochner_check(g, p, q, j, ks, lam, n, z):
     of ks; the result is a list of (lhs, rhs) pairs, one per degree, empty
     arrays for an empty z.
     """
+    from scipy.special import gammaln
+
     one_dimensional(n, "the grid Hecke-Bochner check")
     nonzero("lam", lam)
     weights = quadrature_weights(g)

@@ -1,4 +1,4 @@
-"""Who may use what, in one table of five parts, and one import rule that
+"""Who may use what, in one table of six parts, and one import rule that
 keeps the engines apart from the two oracle modules, `twisted` and `oracles`."""
 
 import ast
@@ -52,9 +52,21 @@ SECTOR_RULE = {
                       "twisted.hecke_bochner_check"},
 }
 
+SPECIAL_FUNCTIONS = {
+    # scipy.special loads on first use, in the functions that call it: among the
+    # engines only in specfun, and in each oracle module for its own factor
+    "scipy.special": {"specfun._jtilde_series", "specfun._jtilde_power", "specfun._jtilde_upward",
+                      "specfun.jtilde_of_square", "specfun._laguerre_basis",
+                      "specfun._series_block", "twisted.hecke_bochner_check",
+                      "oracles.htype_heat_kernel"},
+}
+
 
 def _used(node):
-    """A name, attribute or call ("name()") used, or a name an import renames."""
+    """A name, attribute or call ("name()") used, a module imported from, or a
+    name an import renames."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module
     if isinstance(node, ast.Call):
         return f"{getattr(node.func, 'attr', getattr(node.func, 'id', ''))}()"
     if isinstance(node, ast.alias):
@@ -96,6 +108,12 @@ def test_one_hardy_rule_decides_every_gate():
 
 def test_one_sector_rule_places_every_bidegree():
     _assert_owned(SECTOR_RULE)
+
+
+def test_scipy_special_enters_the_engines_through_specfun_on_first_use():
+    _assert_owned(SPECIAL_FUNCTIONS)
+    engines = {owner.partition(".")[0] for owner in SPECIAL_FUNCTIONS["scipy.special"]}
+    assert engines & set(ENGINES) == {"specfun"}
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.special import jv
 
 from heisenkit import hankel, specfun
+from heisenkit._checks import NonFiniteResult
 from heisenkit.grids import RadialProfile
 from heisenkit.hankel import (
     DegenerateFitError,
@@ -185,6 +186,16 @@ def test_profile_must_match_the_plan():
                           np.ones(plan.r_nodes.size))
     with pytest.raises(ValueError, match="^radii of F must be the plan's nodes to 1e-12, got "):
         hankel_transform(plan, other, np.array([1.0]))
+
+
+@pytest.mark.parametrize("s, index", [([1e308], 0), ([0.0, 1e307], 1)])
+def test_a_transform_past_double_range_raises(s, index):
+    # r s overflows at 9e308, and J_0 has no finite value at 9e307: both used to
+    # read NaN with only numpy's warnings, which the test settings make errors
+    plan = hankel_plan(0.0, r_max=9.0, s_max=5.0)
+    match = rf"^the transform on s_grid must be finite, got nan at index \({index},\)$"
+    with pytest.raises(NonFiniteResult, match=match):
+        hankel_transform(plan, np.exp(-plan.r_nodes ** 2), s)
 
 
 def test_truncation_warning_fires_for_slow_decay():

@@ -1,6 +1,8 @@
-"""`import heisenkit` loads numpy and scipy.special only; QUADPACK, the
-splines and the BLAS banded solve load on first use, and every path that
-needs them still works.
+"""`import heisenkit` loads numpy and no scipy subpackage.  Each of them,
+the special functions, QUADPACK, the splines and the BLAS banded solve,
+loads on the first call that needs it, and every path that needs one still
+works.  The commands that call none (`gate`, and `kernel` on the Heisenberg
+group and the oscillator) load none.
 
 The checks run in a fresh interpreter, since the test session itself has
 long since imported scipy.integrate and scipy.interpolate.
@@ -14,8 +16,9 @@ import textwrap
 
 import heisenkit
 
-DEFERRED = ("scipy.integrate", "scipy.interpolate", "scipy.optimize",
-            "scipy.sparse", "scipy.linalg")
+# numpy.f2py comes with scipy.special's array-API shim
+DEFERRED = ("scipy.special", "scipy.integrate", "scipy.interpolate", "scipy.optimize",
+            "scipy.sparse", "scipy.linalg", "numpy.f2py")
 
 SCRIPT = textwrap.dedent(f"""
     import math
@@ -75,11 +78,52 @@ SCRIPT = textwrap.dedent(f"""
 """)
 
 
-def test_import_loads_no_quadpack_or_splines_and_deferred_paths_work():
+CLI_SCRIPT = textwrap.dedent(f"""
+    import contextlib
+    import io
+    import sys
+
+    from heisenkit import cli
+
+    def run(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.run(list(argv)) == 0, argv
+        return out.getvalue().splitlines()
+
+    # the commands that call no special function load no scipy subpackage
+    assert len(run("gate", "--which", "heisenberg", "--a", "0.5,1", "--b", "0.6",
+                   "--s0", "1", "--lambda", "0,0.7", "--eps", "0.1")) == 5
+    assert len(run("kernel", "--group", "heisenberg", "--s", "0.8", "--r", "0,0.9",
+                   "--t", "0.4")) == 3
+    assert len(run("kernel", "--group", "heisenberg", "--s", "0.8", "--r", "0,0.9",
+                   "--slice-lambda", "1.5")) == 3
+    assert len(run("kernel", "--group", "hermite", "--s", "0.7", "--x", "0,0.5",
+                   "--y", "0.2")) == 3
+    loaded = [m for m in {DEFERRED!r} if m in sys.modules]
+    assert not loaded, f"gate and kernel load {{loaded}}"
+
+    # the H-type kernel needs J_0: scipy.special loads here, and exit 0 means finite rows
+    rows = run("kernel", "--group", "htype", "--k", "2", "--s", "1", "--v-norm", "0.5,1",
+               "--t-norm", "0.4")
+    assert len(rows) == 3 and "scipy.special" in sys.modules
+    print("ok")
+""")
+
+
+def _run_fresh(script):
     src = str(pathlib.Path(heisenkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
+    done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "ok"
+
+
+def test_import_loads_no_quadpack_or_splines_and_deferred_paths_work():
+    _run_fresh(SCRIPT)
+
+
+def test_gate_and_kernel_commands_load_no_scipy_subpackage():
+    _run_fresh(CLI_SCRIPT)

@@ -224,12 +224,16 @@ def test_kernel_series_at_negative_lam_starts_the_sector_at_q0():
 @pytest.mark.parametrize("args", [
     (1.854, 2.299, 2.032, 1.626, 1, 0, 0), (1.91, 1.437, 1.555, 1.606, 1, 0, 1),
     (1.8965216523678694, 0.33163726317754816, 0.2101243145006766, 1.611193166028319, 1, 0, 0),
-    (1.7134886748129297, 1.8594072534595198, 0.3994583253753048, 1.7233216439480534, 1, 0, 1)])
+    (1.7134886748129297, 1.8594072534595198, 0.3994583253753048, 1.7233216439480534, 1, 0, 1),
+    (1.0, 0.7, 1.0, math.pi - 0.03, 1, 0, 0), (1.0, 0.7, 1.0, math.pi - 0.1, 1, 0, 0)])
 def test_kernel_series_that_has_not_settled_raises(args):
     # the best resummed tails are 7.5%, 66%, 7.8e-8 and 3.7e-8 off the
     # closed form; the last two are past the 1e-8 that the series promises,
-    # with best resummation gaps of only 2.3e-9 and 9.6e-9 of the sum
-    with pytest.raises(ValueError, match="has not settled"):
+    # with best resummation gaps of only 2.3e-9 and 9.6e-9 of the sum.  The
+    # last two points lie past the 0.04 rim gap, where the closed form is finite
+    match = (r"^lam = [\d.]+ is too near an exceptional frequency for s0 = [\d.]+: the Laguerre "
+             r"series has not settled at \|sin\(\|lam\| s0\)\| = 0\.\d+$")
+    with pytest.raises(ExceptionalLambdaError, match=match):
         kernel_K(*args)
 
 
