@@ -154,7 +154,8 @@ def _gate_row(which, row):
         margin, ok = uniqueness_gate(row["a"], row["b"], row["s0"], row["eps"], row["lam"])
     elif which == "htype":
         ok = htype_gate(row["a"], row["b"], row["s0"])
-        margin = row["s0"] ** 2 - row["a"] * row["b"]
+        # s0 * s0 overflows to inf where s0 ** 2 raises: _require_finite sees it
+        margin = row["s0"] * row["s0"] - row["a"] * row["b"]
     else:
         margin, ok = hermite_gate(row["a"], row["b"], row["s0"])
     return margin, "supercritical" if ok else "subcritical"

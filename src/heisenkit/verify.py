@@ -5,14 +5,16 @@ measured error recorded against a pinned tolerance.  The CLI `verify`
 subcommand and the acceptance tests both call `run_suite`, so they agree by
 construction.  Suites are deterministic for a fixed seed.
 
-A suite is a generator of its checks: it yields (id, params, error, tol)
-once per check and knows nothing of how a check is recorded.  `run_suite`
-times each step from the moment the suite is resumed, so a check's `ms`
-also counts the set-up that precedes it in the suite.  It catches every
-warning while a suite runs, files on each record the distinct messages
-raised since the previous one, and warns all of them again once the suite
-is done (also when it raises), so stderr and any outer warning filter or
-recorder still see them."""
+A suite is a generator of its checks: it yields (id, params, error) once
+per check and knows nothing of how a check is recorded.  Its row in
+`_SUITES` lists its check ids in order, each with its tolerance, the one
+place a tolerance is written; `run_suite` refuses a suite whose yields
+drift from its row.  `run_suite` times each step from the moment the suite
+is resumed, so a check's `ms` also counts the set-up that precedes it in
+the suite.  It catches every warning while a suite runs, files on each
+record the distinct messages raised since the previous one, and warns all
+of them again once the suite is done (also when it raises), so stderr and
+any outer warning filter or recorder still see them."""
 
 import math
 import sys
@@ -87,7 +89,7 @@ def _suite_hankel(rng):
             worst = max(worst, float(np.max(np.abs(out.values - exact) / exact)))
     yield ("hankel-gaussian",
            {"alpha": [0.0, 0.5, 1.0, 2.0], "a": [0.5, 1.0, 2.0],
-            "s_range": [0.0, 5.0]}, worst, 1e-6)
+            "s_range": [0.0, 5.0]}, worst)
 
     worst = 0.0
     for a in np.geomspace(0.1, 10.0, 5):
@@ -98,7 +100,7 @@ def _suite_hankel(rng):
                                 np.linspace(0.0, s_max, 49)[1:])
         fit = fit_gaussian_decay(prof)
         worst = max(worst, abs(float(a) * fit.a - 0.25))
-    yield "hardy-critical-product", {"a": "geomspace(0.1, 10, 5)"}, worst, 1e-6
+    yield "hardy-critical-product", {"a": "geomspace(0.1, 10, 5)"}, worst
 
     axis = np.geomspace(0.1, 10.0, 7)
     bad = 0
@@ -107,7 +109,7 @@ def _suite_hankel(rng):
             want = "supercritical" if a * b > 0.25 else "subcritical"
             if hardy_gate(float(a), float(b)) != want:
                 bad += 1
-    yield "hardy-gate-lattice", {"lattice": "7x7, geomspace(0.1, 10)"}, bad, 0.0
+    yield "hardy-gate-lattice", {"lattice": "7x7, geomspace(0.1, 10)"}, bad
 
 
 def _suite_hille_hardy(rng):
@@ -123,8 +125,7 @@ def _suite_hille_hardy(rng):
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield ("hille-hardy-interior",
            {"alpha": [0.0, 1.0, 2.0], "xy": xy.tolist(),
-            "w_abs_max": 0.7, "seed_theta": theta},
-           worst, 1e-6)
+            "w_abs_max": 0.7, "seed_theta": theta}, worst)
 
     w = np.exp(1j * np.array([0.5 * np.pi, 2.0 * np.pi / 3.0, np.pi]))[:, None]
     x, y = np.array([0.5, 1.0]), np.array([0.5, 2.0])
@@ -133,8 +134,7 @@ def _suite_hille_hardy(rng):
         lhs, rhs = hille_hardy(alpha, x, y, w, K=1500)
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / np.abs(rhs))))
     yield ("hille-hardy-boundary",
-           {"alpha": [0.0, 1.0, 2.0], "w_abs": 1.0, "theta": [1.5708, 2.0944, 3.1416]},
-           worst, 1e-3)
+           {"alpha": [0.0, 1.0, 2.0], "w_abs": 1.0, "theta": [1.5708, 2.0944, 3.1416]}, worst)
 
 
 def _suite_semigroup(rng):
@@ -147,8 +147,7 @@ def _suite_semigroup(rng):
     target = heat_kernel_lambda(1.0, lam, rings)
     scale = float(np.max(np.abs(target)))
     err = float(np.max(np.abs(conv - target[:, None]))) / scale
-    yield ("twisted-semigroup", {"n": 1, "lam": 1.0, "grid": "128x64", "r_cut": 3.0},
-           err, 1e-6)
+    yield ("twisted-semigroup", {"n": 1, "lam": 1.0, "grid": "128x64", "r_cut": 3.0}, err)
 
     s = 1.0
     r = np.array([0.5, 1.2, 2.0])
@@ -161,7 +160,7 @@ def _suite_semigroup(rng):
         worst = max(worst, float(np.max(np.abs(num - exact) / np.abs(exact))))
     yield ("heat-roundtrip",
            {"s": s, "r": r.tolist(), "lam": [0.5, 1.5],
-            "t_window": 15.0}, worst, 1e-6)
+            "t_window": 15.0}, worst)
 
     s = 0.6
     pts = [(0.5, 0.2), (1.0, -0.7), (1.8, 1.1),
@@ -172,8 +171,7 @@ def _suite_semigroup(rng):
         ref = heat_kernel(s, HeisenbergPoint((rho + 0j,), tt))
         worst = max(worst, abs(big - ref / 16.0) / abs(ref / 16.0))
     yield ("heat-scaling",
-           {"s": s, "dilation": 2.0, "points": [list(p) for p in pts]},
-           worst, 1e-8)
+           {"s": s, "dilation": 2.0, "points": [list(p) for p in pts]}, worst)
 
 
 def _suite_hecke_bochner(rng):
@@ -201,24 +199,21 @@ def _suite_hecke_bochner(rng):
             "note": "working prefactor over the printed one is "
                     "2*pi^m*(2*pi)^(n-p-q); 4*pi^2 in the n=1 "
                     "radial case, folded into rhs, never fitted",
-            "factor_n1_radial": 4.0 * math.pi ** 2},
-           worst, 1e-5)
+            "factor_n1_radial": 4.0 * math.pi ** 2}, worst)
 
     # evaluated above on the interpolants of hecke-bochner; only the reading
     # is timed here.  No annihilated degree at all fails the check
     yield ("hecke-bochner-annihilation",
            {"lam_p_q_k": found, "n": 1,
             "note": "evaluated on the interpolants of hecke-bochner, "
-                    "whose ms counts this work"},
-           annihilated if found else math.inf, 1e-6)
+                    "whose ms counts this work"}, annihilated if found else math.inf)
 
 
 def _suite_theorem34(rng):
     _, _, stats = theorem34_gaussian_pair(1.0, 1.0, 1.0)
     yield ("theorem34-gaussian",
            {"a": 1.0, "lam": 1.0, "s0": 1.0,
-            "c_lambda": [stats["c_lambda"].real, stats["c_lambda"].imag]},
-           stats["rel_std"], 1e-13)
+            "c_lambda": [stats["c_lambda"].real, stats["c_lambda"].imag]}, stats["rel_std"])
 
     grid = polar_grid(1, 96, 6.0)
     t_nodes, t_w = gauss_panels(-5.5, 5.5, 10, 12)
@@ -228,8 +223,7 @@ def _suite_theorem34(rng):
     _, _, stats = theorem34_pair(vals, t_nodes, 0, 0, 1, 1.0, 1.0, grid, t_weights=t_w)
     yield ("theorem34-grid",
            {"f": "exp(-|z|^2 - t^2)", "p0": 0, "q0": 0,
-            "lam": 1.0, "s0": 1.0, "grid": "96x64"},
-           stats["rel_std"], 1e-12)
+            "lam": 1.0, "s0": 1.0, "grid": "96x64"}, stats["rel_std"])
 
     worst = 0.0
     for p0, q0 in ((0, 0), (1, 0)):
@@ -237,7 +231,7 @@ def _suite_theorem34(rng):
         worst = max(worst, abs(series - closed) / abs(closed))
     yield ("theorem34-kernel",
            {"lam": 1.0, "r": 1.3, "t": 0.7, "s0": 1.0,
-            "pq": [[0, 0], [1, 0]], "K": 400}, worst, 1e-10)
+            "pq": [[0, 0], [1, 0]], "K": 400}, worst)
 
     raised = 0
     try:
@@ -248,7 +242,7 @@ def _suite_theorem34(rng):
         theorem34_gaussian_pair(1.0, math.pi, 1.0)
     except ExceptionalLambdaError:
         raised += 1
-    yield "theorem34-exceptional", {"lam_s0": "pi"}, 2 - raised, 0.0
+    yield "theorem34-exceptional", {"lam_s0": "pi"}, 2 - raised
 
 
 def _suite_gates(rng):
@@ -273,7 +267,7 @@ def _suite_gates(rng):
                     break
     yield ("gate-lambda-window",
            {"lattice": "3x3x3, a,b in {0.3,0.7,1.3}, "
-                       "s0 in {0.4,0.8,1.5}"}, bad, 0.0)
+                       "s0 in {0.4,0.8,1.5}"}, bad)
 
     # b = s0^2/a (1 +- 10^U(-17, -5)): the nearest draws lie within a few ulp
     # of ab = s0^2, where two gates that round their products apart would split
@@ -291,17 +285,16 @@ def _suite_gates(rng):
             "reference": "Fraction(a) * Fraction(b) < Fraction(s0) ** 2, where "
                          "|s0^2/(ab) - 1| > 1e-8", "split": split, "wrong": wrong,
             "note": "split is 0 by construction (htype_gate is uniqueness_gate at lam = 0); "
-                    "wrong, the Fraction-exact verdict, is the measured half"},
-           split + wrong, 0.0)
+                    "wrong, the Fraction-exact verdict, is the measured half"}, split + wrong)
 
     _, b_fit, residual = equality_case_profile(1.0, 1.0, 1.0)
     yield ("equality-tanh-residual",
-           {"a": 1.0, "lam": 1.0, "s0": 1.0, "b_fit": b_fit}, residual, 1e-8)
+           {"a": 1.0, "lam": 1.0, "s0": 1.0, "b_fit": b_fit}, residual)
 
     fits = [equality_case_profile(a, 1.0, 0.7)[1] for a in (0.5, 1.0, 2.0)]
     violation = max(0.0, fits[1] - fits[0], fits[2] - fits[1])
     yield ("equality-monotone",
-           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7, "b_fit": fits}, violation, 0.0)
+           {"a": [0.5, 1.0, 2.0], "lam": 1.0, "s0": 0.7, "b_fit": fits}, violation)
 
 
 def _suite_hermite(rng):
@@ -314,13 +307,13 @@ def _suite_hermite(rng):
         want = np.exp(-1j * (2 * k + 1) * s) * hermite_fn(k, x)
         worst = max(worst, float(np.max(np.abs(u - want))
                                  / np.max(np.abs(want))))
-    yield "hermite-eigenphase", {"k": [0, 1, 2], "s": s}, worst, 1e-6
+    yield "hermite-eigenphase", {"k": [0, 1, 2], "s": s}, worst
 
     u = hermite_evolve(lambda y: np.exp(-0.5 * y * y).astype(complex),
                        0.25 * math.pi, x=x)
     want = np.exp(-0.25j * math.pi) * np.exp(-0.5 * x * x)
     err = float(np.max(np.abs(u - want)) / np.max(np.abs(want)))
-    yield "hermite-fourier-fixed-point", {"s0": "pi/4", "f": "exp(-x^2/2)"}, err, 1e-6
+    yield "hermite-fourier-fixed-point", {"s0": "pi/4", "f": "exp(-x^2/2)"}, err
 
     worst = 0.0
     prods = []
@@ -330,11 +323,11 @@ def _suite_hermite(rng):
         worst = max(worst, abs(prod - 0.25))
     yield ("hermite-gate-boundary",
            {"cases": [[1.0, 0.125 * math.pi], [0.7, 0.5]],
-            "products": prods}, worst, 1e-3)
+            "products": prods}, worst)
 
     margin, ok = hermite_gate(1.0, 1.0, 0.25 * math.pi)
     err = abs(margin - 0.75) + (0.0 if ok else 1.0)
-    yield "hermite-gate-margin", {"a": 1.0, "b": 1.0, "s0": "pi/4"}, err, 1e-12
+    yield "hermite-gate-margin", {"a": 1.0, "b": 1.0, "s0": "pi/4"}, err
 
 
 def _suite_radon(rng):
@@ -344,7 +337,7 @@ def _suite_radon(rng):
     want = heat_kernel_grid(1.0, v[:, None], t[None, :])
     err = max(float(np.max(np.abs(radon_heat_profile(1.0, v, t, n=1, k=k) - want)))
               for k in (2, 3)) / float(np.max(np.abs(want)))
-    yield "radon-collapse", {"s": 1.0, "n": 1, "k": [2, 3], "grid": "5x5"}, err, 1e-12
+    yield "radon-collapse", {"s": 1.0, "n": 1, "k": [2, 3], "grid": "5x5"}, err
 
     # the pointwise kernel is QUADPACK over its own profile and constant,
     # and shares no code with the batch's trapezoid rule
@@ -354,41 +347,54 @@ def _suite_radon(rng):
     yield ("radon-degenerate",
            {"s": 1.0, "n": 1, "k": 1,
             "note": "k=1 center integral against the pointwise t-kernel; "
-                    "arbitrates the prefactor convention"},
-           err, 1e-13)
+                    "arbitrates the prefactor convention"}, err)
 
 
+# The row table: each suite, its generator, and its check ids in the order
+# the generator yields them, each with its tolerance.  No tolerance is
+# written anywhere else.
 _SUITES = {
-    "hankel": _suite_hankel,
-    "hille-hardy": _suite_hille_hardy,
-    "semigroup": _suite_semigroup,
-    "hecke-bochner": _suite_hecke_bochner,
-    "theorem34": _suite_theorem34,
-    "gates": _suite_gates,
-    "hermite": _suite_hermite,
-    "radon": _suite_radon,
+    "hankel": (_suite_hankel, {"hankel-gaussian": 1e-6, "hardy-critical-product": 1e-6,
+                               "hardy-gate-lattice": 0.0}),
+    "hille-hardy": (_suite_hille_hardy, {"hille-hardy-interior": 1e-6,
+                                         "hille-hardy-boundary": 1e-3}),
+    "semigroup": (_suite_semigroup, {"twisted-semigroup": 1e-6, "heat-roundtrip": 1e-6,
+                                     "heat-scaling": 1e-8}),
+    "hecke-bochner": (_suite_hecke_bochner, {"hecke-bochner": 1e-5,
+                                             "hecke-bochner-annihilation": 1e-6}),
+    "theorem34": (_suite_theorem34, {"theorem34-gaussian": 1e-13, "theorem34-grid": 1e-12,
+                                     "theorem34-kernel": 1e-10, "theorem34-exceptional": 0.0}),
+    "gates": (_suite_gates, {"gate-lambda-window": 0.0, "gate-htype-agreement": 0.0,
+                             "equality-tanh-residual": 1e-8, "equality-monotone": 0.0}),
+    "hermite": (_suite_hermite, {"hermite-eigenphase": 1e-6, "hermite-fourier-fixed-point": 1e-6,
+                                 "hermite-gate-boundary": 1e-3, "hermite-gate-margin": 1e-12}),
+    "radon": (_suite_radon, {"radon-collapse": 1e-12, "radon-degenerate": 1e-13}),
 }
 
 SUITE_NAMES = tuple(_SUITES) + ("all",)
 
 
-def _run(fn, seed):
+def _run(name, seed):
     """The records of one suite: each step of the suite is timed from the
-    moment it is resumed, and carries the distinct warnings raised since
-    the previous record."""
+    moment it is resumed, takes its tolerance from the suite's row, and
+    carries the distinct warnings raised since the previous record.  A
+    suite whose ids are not its row's, in order, is refused."""
+    fn, tols = _SUITES[name]
     checks, filed = [], 0
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             t0 = time.perf_counter()
-            for cid, params, error, tol in fn(np.random.default_rng(seed)):
+            for cid, params, error in fn(np.random.default_rng(int(seed))):
                 ms = (time.perf_counter() - t0) * 1000.0
                 fired = tuple(dict.fromkeys(str(w.message) for w in caught[filed:]))
                 filed = len(caught)
-                err = float(error)
-                checks.append(CheckRecord(cid, params, err, float(tol), bool(err <= tol),
-                                          ms, fired))
+                err, tol = float(error), tols.get(cid, math.nan)
+                checks.append(CheckRecord(cid, params, err, tol, bool(err <= tol), ms, fired))
                 t0 = time.perf_counter()
+        ids = [c.id for c in checks]
+        if ids != list(tols):
+            raise RuntimeError(f"suite {name!r} yields {ids}, but its rows are {list(tols)}")
         return checks
     finally:
         for w in caught:
@@ -398,9 +404,9 @@ def _run(fn, seed):
 
 def run_suite(name, seed=0):
     integer("seed", seed, 0)
-    if name == "all":
-        return SuiteReport("all", tuple(c for fn in _SUITES.values()
-                                        for c in _run(fn, seed)))
-    if name not in _SUITES:
+    # a tuple of strings: any name that is not one of them, a list
+    # included, is an unknown suite
+    if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    return SuiteReport(name, tuple(_run(_SUITES[name], seed)))
+    return SuiteReport(name, tuple(c for suite in (_SUITES if name == "all" else (name,))
+                                   for c in _run(suite, seed)))

@@ -1,134 +1,103 @@
 """Acceptance gate: one test per shipped criterion, driven off the verify suites.
 
-Each test prints a single pass/fail line (visible with -rA or on failure) and
-asserts the tolerance that the corresponding check was built against, so a
-silent retuning of verify.py cannot loosen the contract.
+`CRITERIA` is the contract: each criterion names its checks and its time
+budget, and its test prints a single pass/fail line (visible with -rA or on
+failure).  Each tolerance is written once, in verify's row table; the
+ratchet test below forbids any of them to rise, and README's criteria table
+is read back against the rows.
 """
 
+import collections
 import json
 import pathlib
+import re
 
 import pytest
 
+from heisenkit import verify
 from heisenkit.verify import run_suite
 
-_SUITES = ("hankel", "hille-hardy", "semigroup", "hecke-bochner",
-           "theorem34", "gates", "hermite", "radon")
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+# number, test name, printed label, check ids, budget in ms over the summed
+# check times (None: no budget)
+CRITERIA = (
+    (1, "hankel_gaussian_closed_form", "hankel gaussian closed form",
+     ("hankel-gaussian",), 2000.0),
+    (2, "hardy_product_and_lattice", "hardy decay product and 7x7 gate lattice",
+     ("hardy-critical-product", "hardy-gate-lattice"), None),
+    (3, "hille_hardy_series", "hille-hardy series vs closed form",
+     ("hille-hardy-interior", "hille-hardy-boundary"), 500.0),
+    (4, "twisted_semigroup", "twisted semigroup q_1/2 * q_1/2 = q_1",
+     ("twisted-semigroup",), 2000.0),
+    (5, "heat_roundtrip_and_scaling", "heat kernel roundtrip and parabolic scaling",
+     ("heat-roundtrip", "heat-scaling"), None),
+    (6, "hecke_bochner", "hecke-bochner factorization and annihilation",
+     ("hecke-bochner", "hecke-bochner-annihilation"), None),
+    (7, "theorem34_linking_constant",
+     "theorem34 ratio constancy, kernel series and exceptional rejection",
+     ("theorem34-gaussian", "theorem34-grid", "theorem34-kernel",
+      "theorem34-exceptional"), 2000.0),
+    (8, "gate_lambda_window",
+     "lambda window exists iff ab < s0^2 (3^3 lattice); gates agree near it",
+     ("gate-lambda-window", "gate-htype-agreement"), None),
+    (9, "equality_case_residual", "equality case tanh residual and monotone fit",
+     ("equality-tanh-residual", "equality-monotone"), 2000.0),
+    (10, "hermite_suite", "hermite eigenphases, pi/4 fixed point, gate boundary and margin",
+     ("hermite-eigenphase", "hermite-fourier-fixed-point", "hermite-gate-boundary",
+      "hermite-gate-margin"), 2000.0),
+    (11, "radon_reduction", "radon reduction to the n=1 kernel",
+     ("radon-collapse", "radon-degenerate"), 500.0),
+)
+
+# the suite of each check, read off the row table
+_SUITE_OF = {cid: suite for suite, (_, tols) in verify._SUITES.items() for cid in tols}
 
 
 @pytest.fixture(scope="module")
 def records():
-    out = {}
-    for name in _SUITES:
-        for c in run_suite(name).checks:
-            out[c.id] = c
-    return out
+    return {c.id: c for c in run_suite("all").checks}
 
 
-def _report(num, label, checks):
-    ok = all(c.passed for c in checks)
-    worst = max(c.error for c in checks)
-    ms = sum(c.ms for c in checks)
-    print(f"criterion {num:2d} {label}: {'PASS' if ok else 'FAIL'} "
-          f"(worst error {worst:.3g}, {ms/1000.0:.1f}s)")
-    for c in checks:
-        assert c.passed, f"{c.id}: error {c.error:.3g} exceeds tol {c.tol:.3g}"
+def _criterion_test(num, label, ids, budget_ms):
+    def test(records):
+        checks = [records[cid] for cid in ids]
+        ok = all(c.passed for c in checks)
+        worst = max(c.error for c in checks)
+        ms = sum(c.ms for c in checks)
+        print(f"criterion {num:2d} {label}: {'PASS' if ok else 'FAIL'} "
+              f"(worst error {worst:.3g}, {ms/1000.0:.1f}s)")
+        for c in checks:
+            assert c.passed, f"{c.id}: error {c.error:.3g} exceeds tol {c.tol:.3g}"
+        if budget_ms is not None:
+            assert ms < budget_ms, f"{ms:.0f} ms over the budget of {budget_ms:.0f} ms"
+    return test
 
 
-def test_criterion_01_hankel_gaussian_closed_form(records):
-    c = records["hankel-gaussian"]
-    assert c.tol == 1e-6
-    assert c.ms < 2000.0
-    _report(1, "hankel gaussian closed form", [c])
+# one test per criterion, under the name it has always had
+for _num, _name, _label, _ids, _budget in CRITERIA:
+    globals()[f"test_criterion_{_num:02d}_{_name}"] = _criterion_test(_num, _label, _ids, _budget)
 
 
-def test_criterion_02_hardy_product_and_lattice(records):
-    prod = records["hardy-critical-product"]
-    lattice = records["hardy-gate-lattice"]
-    assert prod.tol == 1e-6
-    assert lattice.error == 0          # misclassification count
-    _report(2, "hardy decay product and 7x7 gate lattice", [prod, lattice])
+def test_every_check_belongs_to_exactly_one_criterion():
+    named = collections.Counter(cid for *_, ids, _ in CRITERIA for cid in ids)
+    assert {cid for cid, n in named.items() if n > 1} == set()
+    assert set(named) == set(_SUITE_OF)
 
 
-def test_criterion_03_hille_hardy_series(records):
-    interior = records["hille-hardy-interior"]
-    boundary = records["hille-hardy-boundary"]
-    assert interior.tol == 1e-6
-    assert boundary.tol == 1e-3
-    assert interior.ms + boundary.ms < 500.0
-    _report(3, "hille-hardy series vs closed form", [interior, boundary])
-
-
-def test_criterion_04_twisted_semigroup(records):
-    c = records["twisted-semigroup"]
-    assert c.tol == 1e-6
-    assert c.ms < 2000.0
-    _report(4, "twisted semigroup q_1/2 * q_1/2 = q_1", [c])
-
-
-def test_criterion_05_heat_roundtrip_and_scaling(records):
-    rt = records["heat-roundtrip"]
-    sc = records["heat-scaling"]
-    assert rt.tol == 1e-6
-    assert sc.tol == 1e-8
-    _report(5, "heat kernel roundtrip and parabolic scaling", [rt, sc])
-
-
-def test_criterion_06_hecke_bochner(records):
-    hb = records["hecke-bochner"]
-    ann = records["hecke-bochner-annihilation"]
-    assert hb.tol == 1e-5
-    assert ann.tol == 1e-6
-    _report(6, "hecke-bochner factorization and annihilation", [hb, ann])
-
-
-def test_criterion_07_theorem34_linking_constant(records):
-    closed = records["theorem34-gaussian"]
-    grid = records["theorem34-grid"]
-    exc = records["theorem34-exceptional"]
-    assert closed.tol == 1e-13
-    assert grid.tol == 1e-12
-    assert grid.ms < 2000.0
-    assert exc.error == 0              # both exceptional points must raise
-    _report(7, "theorem34 ratio constancy and exceptional rejection",
-            [closed, grid, exc])
-
-
-def test_criterion_08_gate_lambda_window(records):
-    c = records["gate-lambda-window"]
-    agree = records["gate-htype-agreement"]
-    assert c.error == 0                # lattice misfires
-    assert agree.error == 0            # split or inexact verdicts near ab = s0^2
-    _report(8, "lambda window exists iff ab < s0^2 (3^3 lattice); gates agree near it",
-            [c, agree])
-
-
-def test_criterion_09_equality_case_residual(records):
-    c = records["equality-tanh-residual"]
-    assert c.tol == 1e-8
-    assert c.ms < 2000.0
-    _report(9, "equality case tanh residual", [c])
-
-
-def test_criterion_10_hermite_suite(records):
-    phase = records["hermite-eigenphase"]
-    fourier = records["hermite-fourier-fixed-point"]
-    boundary = records["hermite-gate-boundary"]
-    assert phase.tol == 1e-6
-    assert fourier.tol == 1e-6
-    assert boundary.tol == 1e-3
-    assert phase.ms + fourier.ms + boundary.ms < 2000.0
-    _report(10, "hermite eigenphases, pi/4 fixed point, gate boundary",
-            [phase, fourier, boundary])
-
-
-def test_criterion_11_radon_reduction(records):
-    collapse = records["radon-collapse"]
-    degenerate = records["radon-degenerate"]
-    assert collapse.tol == 1e-12
-    assert degenerate.tol == 1e-13
-    assert collapse.ms + degenerate.ms < 500.0
-    _report(11, "radon reduction to the n=1 kernel", [collapse, degenerate])
+def test_readme_states_each_criterion_as_its_rows_do():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    rows = dict(re.findall(r"^\| (\d+) \| (.+) \|$", text, re.MULTILINE))
+    assert sorted(map(int, rows)) == [num for num, *_ in CRITERIA]
+    for num, _, _, ids, budget_ms in CRITERIA:
+        suite, what = rows[str(num)].split(" | ")
+        assert {suite} == {_SUITE_OF[cid] for cid in ids}, f"criterion {num}"
+        for cid in ids:
+            tol = verify._SUITES[suite][1][cid]
+            stated = f"{tol:.0e}".replace("e-0", "e-")      # 1e-06 reads 1e-6
+            assert tol == 0 or re.search(rf"{stated}(?!\d)", what), f"criterion {num}: {cid}"
+        if budget_ms is not None:
+            assert f"under {budget_ms / 1000.0:g} s" in what, f"criterion {num}: budget"
 
 
 def test_no_check_error_grows_past_its_recorded_value(records):

@@ -165,6 +165,14 @@ def test_gate_hermite_row_where_two_s0_overflows(capsys):
     assert row[6] == "supercritical"
 
 
+def test_gate_htype_margin_past_double_range_is_a_numerical_failure(capsys):
+    # s0^2 - ab is about -9.9e399 here: exit 3 with the row's own message
+    argv = ["gate", "--which", "htype", "--a", "1e200", "--b", "1e200", "--s0", "1e199"]
+    assert cli.run(argv) == 3
+    assert capsys.readouterr() == ("", "numerical failure: the gate margin is not finite "
+                                       "at these inputs\n")
+
+
 def test_gate_lattice_covers_the_product(capsys):
     code = cli.run(["gate", "--which", "heisenberg", "--a", "0.3,3.0",
                     "--b", "0.5", "--s0", "1.0", "--lambda", "0.0,0.5"])
