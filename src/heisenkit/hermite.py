@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from ._checks import finite_array, integer, positive, real, shapes, vector
+from ._checks import finite_array, finite_result, integer, positive, real, shapes, vector
 from .grids import RadialProfile
 from .hankel import _margin, _verdict, fit_gaussian_decay
 from .quadrature import warn_truncated
@@ -50,13 +50,13 @@ class CausticError(ValueError):
     """sin 2s is (numerically) zero: the kernel formula degenerates."""
 
 
-def _propagator_time(s, n=1):
-    """Check the time s and dimension n of the propagator e^{-isH}: a real
-    s off the caustics, where CausticError is raised."""
+def _propagator_time(s, n=1, name="s"):
+    """Check the time s, called name, and dimension n of the propagator
+    e^{-isH}: a real s off the caustics, where CausticError is raised."""
     integer("dimension n", n)
-    real("time s", s)
+    real(f"time {name}", s)
     if abs(math.sin(2.0 * s)) <= _CAUSTIC_TOL:
-        raise CausticError(f"s = {s!r} is a caustic time (sin 2s = 0)")
+        raise CausticError(f"{name} = {s!r} is a caustic time (sin 2{name} = 0)")
 
 
 def hermite_fn(k, x):
@@ -64,7 +64,9 @@ def hermite_fn(k, x):
     integer("degree k", k, 0)
     x = np.asarray(x, dtype=float)
     h_prev = np.zeros_like(x)
-    h = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    # past 1.3e154, x * x overflows to inf and h_k to its limit 0
+    with np.errstate(over="ignore"):
+        h = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     for m in range(int(k)):
         h_prev, h = h, x * math.sqrt(2.0 / (m + 1)) * h - math.sqrt(m / (m + 1.0)) * h_prev
     return h
@@ -88,13 +90,15 @@ def mehler_kernel(s, x, y, n=1):
     _propagator_time(s, n)
     amp, a, b = _mehler_form(s, n)
     x, y = shapes(("x", "y"), finite_array("x", x), finite_array("y", y), broadcast=True)
-    # past 1.3e154 the value is not finite (callers check), and numpy keeps quiet
+    # past 1.3e154 the value is not finite: refused, with numpy kept quiet
     with np.errstate(over="ignore", invalid="ignore"):
         if n == 1:
             x2, y2, xy = x * x, y * y, x * y
         else:
             x2, y2, xy = (x * x).sum(-1), (y * y).sum(-1), (x * y).sum(-1)
-        return amp * np.exp(a * (x2 + y2) + b * xy)
+        out = amp * np.exp(a * (x2 + y2) + b * xy)
+    finite_result("the kernel", out)
+    return out
 
 
 _HALF_WIDTH = 8.0       # of the default grid and of a callable's least window
@@ -111,10 +115,12 @@ def _fine_grid(s, nodes, lo, hi):
     """Trapezoid nodes on [lo, hi] that resolve the kernel's phase at time s
     for outputs |x| <= max(|lo|, |hi|)."""
     grad = max(-lo, hi) * (abs(math.cos(2 * s) / math.sin(2 * s)) + 1.0 / abs(math.sin(2 * s)))
-    n_fine = max(nodes, int(np.ceil((hi - lo) * 2.0 * grad / np.pi)) + 1)
-    if n_fine > _REFINE_CAP:
-        raise CausticError("so close to a caustic that the quadrature "
-                           f"refinement ({n_fine} nodes) exceeds the budget")
+    # compared before int(): a wide enough grid makes the count inf
+    count = max(nodes, np.ceil((hi - lo) * 2.0 * grad / np.pi) + 1.0)
+    if count > _REFINE_CAP:
+        raise CausticError(f"the quadrature refinement ({count:.3g} nodes) exceeds the budget of "
+                           f"{_REFINE_CAP}: s is too close to a caustic or the grid too wide")
+    n_fine = int(count)
     # the exact step: the blocked phases below multiply it by up to n_fine
     return np.linspace(lo, hi, n_fine, retstep=True)
 
@@ -259,7 +265,7 @@ def gate_boundary_profile(a, s0):
     The rate is fitted over 0.5 <= x <= 3 on the default grid.
     """
     positive("a", a)
-    real("s0", s0)
+    _propagator_time(s0, name="s0")
     chirp = 0.5 / math.tan(2.0 * s0)
     x = hermite_grid()
     u = hermite_evolve(lambda y: np.exp(-(a + 1j * chirp) * y * y), s0, x)

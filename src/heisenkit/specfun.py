@@ -17,8 +17,8 @@ import math
 
 import numpy as np
 
-from ._checks import (NonFiniteResult, finite_array, integer, integer_array, nonzero, order,
-                      shapes)
+from ._checks import (NonFiniteResult, finite_array, finite_result, integer, integer_array,
+                      nonzero, order, shapes)
 
 
 def _recurrence(m, alpha, t):
@@ -30,10 +30,18 @@ def _recurrence(m, alpha, t):
 
 def laguerre(k, alpha, t):
     """Generalized Laguerre polynomial L_k^alpha(t), for one order
-    alpha > -1: the last degree of `_laguerre_rows`."""
+    alpha > -1: the last degree of `_laguerre_rows`.  A value past double
+    range raises NonFiniteResult."""
     integer("Laguerre degree k", k, 0)
     t = np.asarray(t, dtype=float)
-    return _laguerre_rows(alpha, t.ravel(), int(k))[:, -1].reshape(t.shape)[()]
+    # a NaN point maps to NaN apart from the banded solve, where 0 * NaN
+    # would spread it to every later point
+    point = ~np.isnan(t)
+    out = np.full(t.shape, np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out[point] = _laguerre_rows(alpha, t[point], int(k))[:, -1]
+    finite_result("the Laguerre polynomial", np.where(point, out, 0.0))
+    return out[()]
 
 
 def laguerre_fn(k, lam, n, r):
@@ -56,12 +64,18 @@ _W_SQUARE_MAX = math.sqrt(np.finfo(float).max)
 _POWER_REACH = 8
 # below this the seeds divide by a w whose j1 may underflow
 _TINY = 1e-8
+# log 2^1075: 1/Gamma(alpha+1) rounds to 0 where lgamma(alpha+1) exceeds it,
+# below half the least subnormal
+_LGAMMA_ZERO = 1075.0 * math.log(2.0)
 
 
 def _jtilde_series(alpha, w):
     from scipy.special import hyp0f1, rgamma
 
-    return hyp0f1(alpha + 1.0, -0.25 * w * w) * rgamma(alpha + 1.0)
+    # past w = 1.3e154, w^2 overflows to inf, and the value is non-finite
+    with np.errstate(over="ignore"):
+        z = -0.25 * w * w
+    return hyp0f1(alpha + 1.0, z) * rgamma(alpha + 1.0)
 
 
 def _jtilde_power(alpha, w, w_max):
@@ -135,7 +149,11 @@ def bessel_j_tilde(alpha, w):
     """
     order("Bessel order alpha", alpha, -1.0)
     w = np.abs(np.asarray(w, dtype=float))
-    if alpha == -0.5:
+    # |Jt_alpha(w)| <= 1/Gamma(alpha+1) (DLMF 10.14.4), which rounds to 0 from
+    # alpha = 177.5 on; the clamp keeps lgamma, increasing there, in range
+    if math.lgamma(min(alpha, 1e300) + 1.0) > _LGAMMA_ZERO:
+        out = np.where(np.isnan(w), np.nan, 0.0)
+    elif alpha == -0.5:
         out = np.cos(w) / _SQRT_PI
     elif alpha % 0.5:
         out = _jtilde_series(alpha, w)

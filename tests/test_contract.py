@@ -200,6 +200,9 @@ def test_pointwise_special_functions_map_a_nan_point_to_nan():
     for value in (laguerre(2, 0.5, NAN), laguerre_fn(2, 1.0, 1, NAN), hermite_fn(2, NAN),
                   bessel_j_tilde(0.0, NAN), bessel_j_tilde(1.5, NAN), bessel_j_tilde(0.3, NAN)):
         assert math.isnan(value)
+    # and only that point, which Laguerre's banded solve would spread to every later one
+    got = laguerre(2, 0.5, [NAN, 1.0, 2.0])
+    assert math.isnan(got[0]) and np.array_equal(got[1:], laguerre(2, 0.5, [1.0, 2.0]))
 
 
 def _overflowing_slice():
@@ -215,7 +218,15 @@ def _overflowing_slice():
     (lambda: schrodinger_evolve(_overflowing_slice(), 1.0), "^the Laguerre table overflows"),
     (lambda: laguerre_series_sum(0.0, 1e300, 1e300, 0.5, 60), "^the Laguerre series overflows"),
     (lambda: hille_hardy(0.0, 1000.0, 1000.0, -0.8, K=1), "^the closed form overflows"),
-], ids=["profile", "t-integral", "laguerre-table", "series", "closed-form"])
+    (lambda: laguerre(2, 1e300, [0.0, 1.0]),
+     r"^the Laguerre polynomial must be finite, got inf at index \(0,\)$"),
+    # inf * e^{-inf} would read NaN: laguerre refuses the inf first
+    (lambda: laguerre_fn(2, 1e300, 1, 1.0), "^the Laguerre polynomial must be finite, got inf$"),
+    # past |x| = 1.3e154 the phase is inf - inf
+    (lambda: mehler_kernel(0.3, np.array([0.0, 1e300]), 0.0),
+     r"^the kernel must be finite, got \(nan\+nanj\) at index \(1,\)$"),
+], ids=["profile", "t-integral", "laguerre-table", "series", "closed-form", "laguerre",
+        "laguerre-fn", "mehler"])
 def test_an_overflowed_result_is_a_numerical_failure_that_is_a_value_error(call, message):
     # finite arguments whose result overflowed: not a broken rule, so the
     # CLI exits 3 for it, yet still the ValueError of every refused call

@@ -383,6 +383,13 @@ def _sentence_probes():
                             "^zeta must be finite, got nan$"),
             lambda: np.isfinite(hk.heat_kernel_lambda(1j, 0.5, 0.5))
             or pytest.fail("Re zeta = 0 was refused off the inversion")],
+        "An oscillator time": [
+            lambda: _raises(lambda: hk.mehler_kernel(math.pi / 2.0, 0.0, 0.0),
+                            r"^s = 1\.57.* is a caustic time", hk.CausticError),
+            lambda: _raises(lambda: hk.gate_boundary_profile(1.0, 0.0),
+                            r"^s0 = 0\.0 is a caustic time", hk.CausticError),
+            lambda: _raises(lambda: hk.hermite_evolve(_gaussian, 0.3, np.array([0.0, 1e154])),
+                            r"refinement \(inf nodes\) exceeds the budget", hk.CausticError)],
         "Counts and indices must be integers": [
             lambda: _raises(lambda: hk.radial_rule(2.5, 4.0), "^nr must be"),
             lambda: _raises(lambda: hk.polar_grid(1, 16, 4.0, nsphere=7.5), "^nsphere must be"),
@@ -404,6 +411,7 @@ def _sentence_probes():
                                                       0.3 + 0.1j, np.arange(-4.0, 4.0, 0.25)),
                             "time s must be real"),
             lambda: _raises(lambda: hk.mehler_kernel(0.3 + 0j, 0.0, 0.0), "time s must be real"),
+            lambda: _raises(lambda: hk.gate_boundary_profile(1.0, 0.5 + 0j), "time s0 must be real"),
             lambda: _raises(lambda: hk.hardy_gate(1 + 1j, 1.0), "decay rate a must be"),
             lambda: _raises(lambda: hk.htype_gate(1.0, 1.0, 1j), "s0 must be"),
             lambda: _raises(lambda: hk.hermite_gate(1.0, 1.0, 0.5 + 0.5j), "s0 must be real")],
@@ -446,7 +454,8 @@ def _sentence_probes():
             lambda: all(math.isnan(v) for v in (
                 hk.laguerre(2, 0.5, NAN), hk.laguerre_fn(2, 1.0, 1, NAN), hk.hermite_fn(2, NAN),
                 hk.bessel_j_tilde(1.5, NAN), abs(hk.jtilde_of_square(0.5, NAN))))
-            or pytest.fail("a NaN point did not map to NaN")],
+            or pytest.fail("a NaN point did not map to NaN"),
+            lambda: hk.bessel_j_tilde(1e20, 1.0) == 0 or pytest.fail("not 0 at order 1e20")],
         "`slice_value` returns 0 at infinite points": [
             lambda: np.all(hk.slice_value(_slice(), [INF, complex(0.0, -INF)]) == 0)
             or pytest.fail("not 0 at an infinite point"),
@@ -464,7 +473,11 @@ def _sentence_probes():
             or pytest.fail("the record changed its value")],
         "Results are checked apart from arguments": [
             lambda: _raises(lambda: hk.partial_fourier_t(np.full(samples.shape, 1e308), 0.0,
-                                                         grid, t), "overflows")],
+                                                         grid, t), "overflows"),
+            lambda: _raises(lambda: hk.laguerre(2, 1e300, [0.0, 1.0]),
+                            "^the Laguerre polynomial must be finite", ArithmeticError),
+            lambda: _raises(lambda: hk.mehler_kernel(0.3, [0.0, 1e300], 0.0),
+                            "^the kernel must be finite", ArithmeticError)],
         "A Tier-1 sweep": [
             lambda: {n for n, _ in PROBES} <= set(CALLS) or pytest.fail("a probe without a call")],
     }

@@ -38,10 +38,13 @@ ORACLE_PROFILE = {
 }
 
 GATE_RULE = {
-    # one Hardy rule decides every gate (`htype_gate` is `uniqueness_gate` at
-    # lam = 0); its critical band is the rule's alone (`hankel` is the band's definition)
+    # one Hardy rule decides every gate; its critical band is the rule's
+    # alone (`hankel` is the band's definition)
     "_verdict": {"hankel.hardy_gate", "propagator.uniqueness_gate", "hermite.hermite_gate"},
     "_HARDY_TOL": {"hankel", "hankel._verdict"},
+    # `htype_gate` is `uniqueness_gate` at lam = 0, so no check compares the two
+    "uniqueness_gate": {"htype.htype_gate", "propagator.gate_lambda_window", "cli._gate_row",
+                        "verify._suite_gates"},
 }
 
 SECTOR_RULE = {

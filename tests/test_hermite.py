@@ -233,9 +233,23 @@ def test_caustics_are_rejected():
         mehler_kernel(math.pi / 2.0, 0.0, 0.0)
     with pytest.raises(CausticError):
         hermite_evolve(lambda y: np.exp(-y * y), 0.0)
+    # the chirp cot(2 s0) / 2 divides by zero at s0 = 0; the time rule refuses it first
+    for s0 in (0.0, math.pi / 2.0):
+        with pytest.raises(CausticError, match="^s0 = .* is a caustic time"):
+            gate_boundary_profile(1.0, s0)
     # close enough to need more quadrature than the budget allows
     with pytest.raises(CausticError, match="budget"):
         hermite_evolve(lambda y: np.exp(-y * y), 1.5e-6)
+    # a grid this wide makes the count inf: compared before int(), not converted
+    with pytest.raises(CausticError, match=r"refinement \(inf nodes\) exceeds the budget"):
+        hermite_evolve(lambda y: np.exp(-y * y).astype(complex), 0.3, x=np.array([0.0, 1e154]))
+
+
+def test_hermite_fn_is_zero_past_double_range_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (0, 3, 10):
+            assert np.array_equal(hermite_fn(k, np.array([1e300, -1e300, 2e154])), np.zeros(3))
 
 
 def test_evolve_input_validation():

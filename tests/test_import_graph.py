@@ -1,8 +1,9 @@
-"""`import heisenkit` loads numpy and no scipy subpackage.  Each of them,
-the special functions, QUADPACK, the splines and the BLAS banded solve,
-loads on the first call that needs it, and every path that needs one still
-works.  The commands that call none (`gate`, and `kernel` on the Heisenberg
-group and the oscillator) load none.
+"""`import heisenkit` loads numpy and no scipy module, not even scipy's root
+package.  Each scipy subpackage, the special functions, QUADPACK, the
+splines and the BLAS banded solve, loads on the first call that needs it,
+and every path that needs one still works.  The commands that call none
+(`gate`, and `kernel` on the Heisenberg group and the oscillator) load
+none, and neither does the Hermite verify suite until its report is built.
 
 The checks run in a fresh interpreter, since the test session itself has
 long since imported scipy.integrate and scipy.interpolate.
@@ -16,11 +17,13 @@ import textwrap
 
 import heisenkit
 
-# numpy.f2py comes with scipy.special's array-API shim
-DEFERRED = ("scipy.special", "scipy.integrate", "scipy.interpolate", "scipy.optimize",
-            "scipy.sparse", "scipy.linalg", "numpy.f2py")
+# every scipy module, and the numpy.f2py of scipy.special's array-API shim
+DEFERRED = """
+    def deferred():
+        return [m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "numpy.f2py"]
+"""
 
-SCRIPT = textwrap.dedent(f"""
+SCRIPT = textwrap.dedent("""
     import math
     import sys
     import warnings
@@ -28,9 +31,8 @@ SCRIPT = textwrap.dedent(f"""
     import numpy as np
 
     import heisenkit, heisenkit.cli
-
-    loaded = [m for m in {DEFERRED!r} if m in sys.modules]
-    assert not loaded, f"import heisenkit loads {{loaded}}"
+""") + textwrap.dedent(DEFERRED) + textwrap.dedent("""
+    assert not deferred(), f"import heisenkit loads {deferred()}"
 
     from heisenkit import (HeisenbergPoint, QuadratureError, adaptive_quad,
                            heat_kernel, heat_kernel_grid, hermite_evolve,
@@ -78,12 +80,14 @@ SCRIPT = textwrap.dedent(f"""
 """)
 
 
-CLI_SCRIPT = textwrap.dedent(f"""
+CLI_SCRIPT = textwrap.dedent("""
     import contextlib
     import io
     import sys
 
     from heisenkit import cli
+    from heisenkit.verify import run_suite
+""") + textwrap.dedent(DEFERRED) + textwrap.dedent("""
 
     def run(*argv):
         out = io.StringIO()
@@ -100,8 +104,13 @@ CLI_SCRIPT = textwrap.dedent(f"""
                    "--slice-lambda", "1.5")) == 3
     assert len(run("kernel", "--group", "hermite", "--s", "0.7", "--x", "0,0.5",
                    "--y", "0.2")) == 3
-    loaded = [m for m in {DEFERRED!r} if m in sys.modules]
-    assert not loaded, f"gate and kernel load {{loaded}}"
+    assert not deferred(), f"gate and kernel load {deferred()}"
+
+    # the Hermite suite calls no special function; its report reads scipy's version
+    report = run_suite("hermite")
+    assert report.passed and not deferred(), f"the Hermite suite loads {deferred()}"
+    import scipy
+    assert report.to_dict()["libraries"]["scipy"] == scipy.__version__
 
     # the H-type kernel needs J_0: scipy.special loads here, and exit 0 means finite rows
     rows = run("kernel", "--group", "htype", "--k", "2", "--s", "1", "--v-norm", "0.5,1",

@@ -170,16 +170,44 @@ def test_bessel_j_tilde_at_tiny_arguments_is_its_value_at_zero():
 
 
 def test_bessel_j_tilde_is_even_on_the_lattice_and_not_finite_past_its_range():
-    # every split of the route (w = 0, w = floor(alpha), 1.34e154) is crossed
-    w = np.concatenate([np.linspace(0.0, 20.0, 401), [5e-324, 1e-300, 1.4e154, 1e200]])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for alpha in _LATTICE:
-            assert np.array_equal(bessel_j_tilde(alpha, -w), bessel_j_tilde(alpha, w),
-                                  equal_nan=True), alpha
-        # w^2 overflows: the integer orders stay non-finite rather than read
-        # cephes' phase noise of size 1e-100 as a value
-        for alpha in _LATTICE[1::2]:
-            assert not np.isfinite(bessel_j_tilde(alpha, 1e200)), alpha
+    # every split of the route (w = 0, w = floor(alpha), 1.34e154) is crossed,
+    # under the suite's warnings-as-errors: no numpy warning where w^2 overflows
+    w = np.concatenate([np.linspace(0.0, 20.0, 401), [5e-324, 1e-300, 1.4e154, 1e200, 1e300]])
+    for alpha in _LATTICE:
+        assert np.array_equal(bessel_j_tilde(alpha, -w), bessel_j_tilde(alpha, w),
+                              equal_nan=True), alpha
+    # w^2 overflows: the integer orders stay non-finite rather than read
+    # cephes' phase noise of size 1e-100 as a value, as do an order off the
+    # lattice and one past the power series' reach
+    for alpha in (*_LATTICE[1::2], 0.3, 9.0):
+        for x in (1e200, 1e300):
+            assert not np.isfinite(bessel_j_tilde(alpha, x)), (alpha, x)
+
+
+def test_bessel_j_tilde_past_the_underflow_order_takes_no_recurrence(monkeypatch):
+    # |Jt_alpha| <= 1/Gamma(alpha + 1), which rounds to 0 from alpha = 177.5 on;
+    # the recurrence would take about alpha steps, so the spy fails at once
+    orders = []
+    upward = specfun._jtilde_upward
+
+    def spy(alpha, w):
+        assert alpha < 177.5, f"the recurrence ran at order {alpha}"
+        orders.append(alpha)
+        return upward(alpha, w)
+    monkeypatch.setattr(specfun, "_jtilde_upward", spy)
+    w = np.array([0.0, 1.0, 1e300, np.nan])
+    for alpha in (177.5, 1e20, 1e308):
+        assert np.array_equal(bessel_j_tilde(alpha, w), [0.0, 0.0, 0.0, np.nan], equal_nan=True)
+    assert orders == []
+    bessel_j_tilde(177.0, w)
+    assert orders == [177.0]
+
+
+def test_the_underflow_order_is_where_one_over_gamma_rounds_to_zero():
+    mpmath = pytest.importorskip("mpmath")
+    # half the least subnormal, 2^-1075, lies between 1/Gamma(178.5) and 1/Gamma(178)
+    assert mpmath.rgamma(178.5) < mpmath.mpf(2) ** -1075 < mpmath.rgamma(178)
+    assert math.lgamma(178.0) < specfun._LGAMMA_ZERO < math.lgamma(178.5)
 
 
 def _jtilde_mpmath(mpmath, alpha, w):
